@@ -10,36 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibrate import PredictionSet, _LEVEL_EPS
+from .calibrate import (
+    PredictionSet,
+    _checked_candidates,
+    _rank_set,
+    centered_conformal_below,
+    conformal_below,
+)
 
 
 def _pool(values) -> np.ndarray:
     if isinstance(values, (list, tuple)):
         return np.concatenate([np.asarray(v, dtype=float).ravel() for v in values])
     return np.asarray(values, dtype=float).ravel()
-
-
-def _self_inclusive_members(cal_scores, cand_scores, alpha: float):
-    """Membership of each candidate in a conformal set that pools the
-    candidate's own score with the calibration scores.
-
-    ``cal_scores`` is (G, m) or (m,); ``cand_scores`` is (G,). Returns
-    (member, unbounded) where unbounded means the quantile index hits the
-    pooled maximum so every candidate is kept.
-    """
-    cand = np.asarray(cand_scores, dtype=float)
-    cal = np.asarray(cal_scores, dtype=float)
-    if cal.ndim == 1:
-        cal = np.broadcast_to(cal, (cand.size, cal.size))
-    m = cal.shape[1]
-    n_total = m + 1
-    k = int(np.ceil((1.0 - alpha) * n_total - _LEVEL_EPS))
-    k = min(max(k, 1), n_total)
-    if k > m:
-        return np.ones(cand.shape, dtype=bool), True
-    pooled = np.concatenate([cal, cand[:, None]], axis=1)
-    t = np.partition(pooled, k - 1, axis=1)[:, k - 1]
-    return cand <= t, False
 
 
 def single_tree_set(
@@ -57,20 +40,13 @@ def single_tree_set(
     ceil(M (1 - alpha)) exceeds the observed count.
     """
     obs = np.asarray(branch_values, dtype=float).ravel()
-    cands = np.asarray(candidates, dtype=float)
+    cands = _checked_candidates(candidates, alpha)
     if score is None:
-        centers = (obs.sum() + cands) / (obs.size + 1)
-        cal = np.abs(obs[None, :] - centers[:, None])
-        cand_scores = np.abs(cands - centers)
+        below = centered_conformal_below(obs, cands)
     else:
-        cal = np.empty((cands.size, obs.size))
-        cand_scores = np.empty(cands.size)
-        for i, c in enumerate(cands):
-            s = np.asarray(score(np.append(obs, c)), dtype=float)
-            cal[i] = s[:-1]
-            cand_scores[i] = s[-1]
-    member, unbounded = _self_inclusive_members(cal, cand_scores, alpha)
-    return PredictionSet(cands, member, unbounded=unbounded)
+        scored = np.array([np.asarray(score(np.append(obs, c)), dtype=float) for c in cands])
+        below = conformal_below(scored[:, :-1], scored[:, -1])
+    return _rank_set(cands, below, alpha)
 
 
 def split_conformal_set(
@@ -89,17 +65,14 @@ def split_conformal_set(
     candidate scored at ``x_new``.
     """
     obs = _pool(values)
-    cands = np.asarray(candidates, dtype=float)
+    cands = _checked_candidates(candidates, alpha)
     if mu is None:
-        centers = (obs.sum() + cands) / (obs.size + 1)
-        cal = np.abs(obs[None, :] - centers[:, None])
-        cand_scores = np.abs(cands - centers)
+        below = centered_conformal_below(obs, cands)
     else:
-        xs = _pool(x)
-        cal = np.abs(obs - np.asarray(mu(xs), dtype=float))
-        cand_scores = np.abs(cands - float(np.asarray(mu(np.array([x_new])), dtype=float)[0]))
-    member, unbounded = _self_inclusive_members(cal, cand_scores, alpha)
-    return PredictionSet(cands, member, unbounded=unbounded)
+        cal = np.abs(obs - np.asarray(mu(_pool(x)), dtype=float))
+        pred = float(np.asarray(mu(np.array([x_new])), dtype=float)[0])
+        below = conformal_below(cal, np.abs(cands - pred))
+    return _rank_set(cands, below, alpha)
 
 
 def subsampling_set(
@@ -119,16 +92,9 @@ def subsampling_set(
     branch_list = [np.asarray(b, dtype=float).ravel() for b in branches]
     if not branch_list:
         raise ValueError("need at least one donor branch")
-    cands = np.asarray(candidates, dtype=float)
     idx = [int(rng.integers(b.size)) for b in branch_list]
     picks = np.array([b[i] for b, i in zip(branch_list, idx)])
-    if mu is None:
-        centers = (picks.sum() + cands) / (picks.size + 1)
-        cal = np.abs(picks[None, :] - centers[:, None])
-        cand_scores = np.abs(cands - centers)
-    else:
+    xs = None
+    if mu is not None:
         xs = np.array([np.asarray(bx, dtype=float).ravel()[i] for bx, i in zip(branch_x, idx)])
-        cal = np.abs(picks - np.asarray(mu(xs), dtype=float))
-        cand_scores = np.abs(cands - float(np.asarray(mu(np.array([x_new])), dtype=float)[0]))
-    member, unbounded = _self_inclusive_members(cal, cand_scores, alpha)
-    return PredictionSet(cands, member, unbounded=unbounded)
+    return split_conformal_set(picks, candidates, alpha, mu=mu, x=xs, x_new=x_new)

@@ -5,6 +5,12 @@ score over the (sampled or enumerated) group orbit, and keep candidates whose
 score does not exceed it. Variants cover randomized exact-coverage sets,
 Monte-Carlo thresholds, weighted non-symmetric sets, ragged branch sizes, and
 the over-coverage diagnostic.
+
+For hierarchical and conformal sets the rule runs in rank form over the whole
+candidate grid at once (``rank_member`` and the ``*_below`` kernels): a
+candidate is kept when the (weighted) mass of calibration scores strictly
+below its own score is under 1 - alpha. This is the one implementation that
+the baselines, graph sets, benchmark harness and command line all call.
 """
 
 from __future__ import annotations
@@ -17,6 +23,11 @@ from .groups import GroupAction, CosetDecomposition, NotEnumerableError
 
 # Guard against float fuzz in level * n (e.g. 0.95 * 20 = 19.000000000000004).
 _LEVEL_EPS = 1e-9
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:  # NaN fails too
+        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
 
 
 def finite_quantile(values, level: float, weights=None) -> float:
@@ -62,6 +73,7 @@ class Threshold:
 
 def threshold_from_scores(scores, alpha: float, weights=None) -> Threshold:
     """Threshold plus CDF left limit, jump, and tie-breaking probability."""
+    _check_alpha(alpha)
     s = np.asarray(scores, dtype=float).ravel()
     level = 1.0 - alpha
     t = finite_quantile(s, level, weights)
@@ -181,8 +193,14 @@ class PredictionSet:
 
     @property
     def length(self) -> float:
+        """Member count times the spacing; the candidates must be uniformly spaced."""
         if self.unbounded:
             return float("inf")
+        if self.candidates.size > 2:
+            # tolerance: relative to the spacing, plus rounding of the values
+            tol = 1e-9 * abs(self.spacing) + 8 * np.spacing(np.abs(self.candidates).max())
+            if np.abs(np.diff(self.candidates) - self.spacing).max() > tol:
+                raise ValueError("length needs uniformly spaced candidates")
         return float(self.member.sum()) * self.spacing
 
     def intervals(self) -> list[tuple[float, float]]:
@@ -207,6 +225,15 @@ class PredictionSet:
             return True
         half = self.spacing / 2.0
         return any(lo - half <= value <= hi + half for lo, hi in self.intervals())
+
+
+def _checked_candidates(candidates, alpha: float) -> np.ndarray:
+    """The candidates as an array, once they and alpha are checked."""
+    _check_alpha(alpha)
+    cands = np.asarray(candidates, dtype=float)
+    if cands.size == 0:
+        raise ValueError("candidate grid is empty")
+    return cands
 
 
 def candidate_grid(values, n_points: int = 2001, pad_sd: float = 4.0) -> np.ndarray:
@@ -236,9 +263,7 @@ def symmpi_set(
     ``embed(observed, candidate)`` must rebuild the full data point; ``V``
     maps it to score space and ``psi`` to a scalar.
     """
-    cands = np.asarray(candidates, dtype=float)
-    if cands.size == 0:
-        raise ValueError("candidate grid is empty")
+    cands = _checked_candidates(candidates, alpha)
     member = np.zeros(cands.shape, dtype=bool)
     for idx, c in enumerate(cands):
         zt = np.asarray(V(embed(observed, c)), dtype=float)
@@ -264,9 +289,7 @@ def randomized_set(
 ) -> PredictionSet:
     """Randomized variant with exact coverage: ties at the threshold are kept
     only when the shared uniform draw ``u_prime`` falls below the tie mass."""
-    cands = np.asarray(candidates, dtype=float)
-    if cands.size == 0:
-        raise ValueError("candidate grid is empty")
+    cands = _checked_candidates(candidates, alpha)
     member = np.zeros(cands.shape, dtype=bool)
     for idx, c in enumerate(cands):
         zt = np.asarray(V(embed(observed, c)), dtype=float)
@@ -309,9 +332,7 @@ def nonsym_set(
     is kept when its g-aligned score is within the weighted quantile of the
     representative scores of the realigned data.
     """
-    cands = np.asarray(candidates, dtype=float)
-    if cands.size == 0:
-        raise ValueError("candidate grid is empty")
+    cands = _checked_candidates(candidates, alpha)
     g_idx = int(rng.choice(len(spec.representatives), p=spec.weights))
     g = spec.representatives[g_idx]
     g_inv = group.inverse(g)
@@ -326,12 +347,205 @@ def nonsym_set(
 
 
 # --------------------------------------------------------------------------
-# Ragged branch sizes
+# Rank-form candidate sweep: hierarchical and conformal sets
 # --------------------------------------------------------------------------
+
+
+def rank_member(below, alpha: float) -> np.ndarray:
+    """The quantile rule in rank form, for every candidate at once.
+
+    ``below`` is the (weighted) mass of calibration scores strictly below
+    each candidate's own score, out of a total of one that includes the
+    candidate. A candidate is kept when that mass is under 1 - alpha, which
+    is the same as its score being at most the self-inclusive 1 - alpha
+    quantile; at alpha = 1 nothing is kept.
+    """
+    _check_alpha(alpha)
+    return np.asarray(below) < (1.0 - alpha) - _LEVEL_EPS
+
+
+def _rank_set(candidates, below, alpha: float, meta=None) -> PredictionSet:
+    member = rank_member(below, alpha)
+    return PredictionSet(candidates, member, unbounded=bool(member.all()), meta=meta or {})
+
+
+def _count_within(sorted_vals, center, radius) -> np.ndarray:
+    """How many values fall strictly inside (center - radius, center + radius).
+
+    ``center`` and ``radius`` broadcast to the candidates' shape; values are
+    sorted ascending.
+    """
+    hi = np.searchsorted(sorted_vals, center + radius, side="left")
+    lo = np.searchsorted(sorted_vals, center - radius, side="right")
+    return np.maximum(hi - lo, 0)
+
+
+def _branch_mass(branches, center, radius, K: int) -> np.ndarray:
+    """Mass of branch values strictly within radius of center, each branch weighing 1/K."""
+    mass = np.zeros(np.shape(radius))
+    for b in branches:
+        mass += _count_within(np.sort(b), center, radius) / (K * b.size)
+    return mass
+
+
+def conformal_below(cal_scores, own) -> np.ndarray:
+    """Below-own mass of a self-inclusive conformal set.
+
+    ``cal_scores`` is one (m,) sample shared by every candidate, or (G, m)
+    with one row per candidate; ``own`` holds the G candidates' scores. Each
+    of the m + 1 pooled scores, the candidate's own included, weighs the same.
+    """
+    own = np.asarray(own, dtype=float)
+    cal = np.asarray(cal_scores, dtype=float)
+    if cal.ndim == 1:
+        below = np.searchsorted(np.sort(cal), own, side="left")
+    else:
+        below = (cal < own[:, None]).sum(axis=1)
+    return below / (cal.shape[-1] + 1)
+
+
+def centered_conformal_below(values, candidates) -> np.ndarray:
+    """``conformal_below`` for scores |v - mean|, where the mean includes the candidate."""
+    vals = np.asarray(values, dtype=float).ravel()
+    cands = np.asarray(candidates, dtype=float)
+    n = vals.size + 1
+    centers = (vals.sum() + cands) / n
+    return _count_within(np.sort(vals), centers, np.abs(cands - centers)) / n
+
+
+def _mean_sd(values) -> tuple[float, float]:
+    """``values.mean()`` and ``values.std(ddof=1)`` with numpy's arithmetic but
+    without its call overhead; the SD is 1 for one value or zero spread."""
+    mean = values.sum() / values.size
+    if values.size < 2:
+        return float(mean), 1.0
+    dev = values - mean
+    sd = float(np.sqrt((dev * dev).sum() / (values.size - 1)))
+    return float(mean), sd if sd > 0 else 1.0
+
+
+def hierarchical_below(observed_branches, candidates, c: float = 2.0, studentize: bool = True):
+    """Branch-weighted below-own mass of the adaptive-centering scores.
+
+    ``observed_branches`` holds the complete donor branches, then the target
+    branch's observed values; each candidate completes the target branch.
+    Scores are those of ``adaptive_center_scores_ragged`` and
+    ``hierarchical_unsup_transform``: the branch SD gates the centering
+    choice, and divides the scores only when ``studentize``. Each of branch
+    k's points weighs 1/(K n_k), so equal sizes give the flat pool.
+
+    Only the target branch moves with the candidate, so it alone is scored
+    per candidate; a donor's scores are fixed (one search) unless it is
+    centered at the candidate-dependent grand mean (an interval count in its
+    sorted values). A two-point branch centered at its own mean scores
+    1/sqrt(2) at both points whatever the data, so such exact ties are
+    decided by rounding: the donor scores, the target SD and the target
+    scores are computed as the transform computes them, and break ties the
+    same way.
+    """
+    gridp = np.asarray(candidates, dtype=float)
+    branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
+    target_obs, donors = branches[-1], branches[:-1]
+    if any(b.size == 0 for b in donors):
+        raise ValueError("every branch must be nonempty")
+    K = len(branches)
+    n_t = target_obs.size + 1
+    mean_t = (target_obs.sum() + gridp) / n_t
+    if n_t > 1:
+        # the observed part's sum of squares, updated with the candidate
+        m_o = target_obs.sum() / target_obs.size
+        q_o = float(((target_obs - m_o) ** 2).sum())
+        ssq_t = q_o + (n_t - 1) * (m_o - mean_t) ** 2 + (gridp - mean_t) ** 2
+        sd_t = np.sqrt(ssq_t / (n_t - 1))
+        sd_t = np.where(sd_t > 0, sd_t, 1.0)
+    else:
+        sd_t = np.ones(gridp.shape)
+
+    stats = [_mean_sd(b) for b in donors]
+    grand = (sum(m for m, _ in stats) + mean_t) / K
+
+    near_t = np.abs(mean_t - grand) <= c * sd_t / np.sqrt(n_t)
+    center_t = np.where(near_t, grand, mean_t)
+    own = np.abs(gridp - center_t)
+    siblings = np.abs(target_obs[:, None] - center_t)  # one column per candidate
+    if studentize:
+        own /= sd_t
+        siblings /= sd_t
+    below = (siblings < own).sum(axis=0) * (1.0 / (K * n_t))
+
+    for b, (m_k, sd_k) in zip(donors, stats):
+        scale = sd_k if studentize else 1.0
+        near = np.abs(m_k - grand) <= c * sd_k / np.sqrt(b.size)
+        if near.all():
+            count = _count_within(np.sort(b), grand, own * scale)
+        else:
+            count = np.searchsorted(np.sort(np.abs(b - m_k) / scale), own, side="left")
+            if near.any():
+                count[near] = _count_within(np.sort(b), grand[near], own[near] * scale)
+        below += count * (1.0 / (K * b.size))
+    return below
+
+
+def supervised_below(donor_residuals, target_residuals, candidate_residuals,
+                     studentize: bool = True) -> np.ndarray:
+    """Branch-weighted below-own mass of the supervised adaptive residual scores.
+
+    ``donor_residuals`` holds each complete branch's |y - center|,
+    ``target_residuals`` the target branch's observed ones and
+    ``candidate_residuals`` each candidate's. With ``studentize`` a branch's
+    scores are divided by its RMS residual (denominator n - 1, the candidate
+    included for the target branch), else raw magnitudes are compared. Each of
+    branch k's points weighs 1/(K n_k); equal sizes take one search in the
+    pooled donor scores.
+    """
+    raw_cand = np.asarray(candidate_residuals, dtype=float)
+    raw_last = np.asarray(target_residuals, dtype=float).ravel()
+    fixed = []
+    for raw in donor_residuals:
+        raw = np.asarray(raw, dtype=float).ravel()
+        if studentize and raw.size > 1:
+            eps = np.sqrt(np.sum(raw**2) / (raw.size - 1))
+            raw = raw / (eps if eps > 0 else 1.0)
+        fixed.append(raw)
+    K = len(fixed) + 1
+    m_K = raw_last.size + 1
+    # Within the target branch any shared scale cancels, so the sibling
+    # comparison is on raw residual magnitudes in both modes.
+    below_target = np.searchsorted(np.sort(raw_last), raw_cand, side="left")
+    if studentize and m_K > 1:
+        eps_cand = np.sqrt((np.sum(raw_last**2) + raw_cand**2) / (m_K - 1))
+        own = raw_cand / np.where(eps_cand > 0, eps_cand, 1.0)
+    else:
+        own = raw_cand
+    sizes = [s.size for s in fixed] + [m_K]
+    if len(set(sizes)) == 1:
+        pooled = np.sort(np.concatenate(fixed)) if fixed else np.empty(0)
+        return (np.searchsorted(pooled, own, side="left") + below_target) / sum(sizes)
+    below = below_target / (K * m_K)
+    for s in fixed:
+        if s.size:
+            below = below + np.searchsorted(np.sort(s), own, side="left") / (K * s.size)
+    return below
+
+
+def _adaptive_centers(reg, xs, c: float):
+    """Pooled fits, and centers: the pooled fit where the branch fit lies
+    within c confidence bands of it, else the branch fit."""
+    pooled, centers = [], []
+    for k, x in enumerate(xs):
+        mu_p = reg.mu(x)
+        mu_b = reg.mu_k(k, x)
+        sig = reg.sigma_k(k, x)
+        if np.any(sig <= 0):
+            raise ValueError("degenerate confidence band: sigma_k(x) = 0")
+        pooled.append(mu_p)
+        centers.append(np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b))
+    return pooled, centers
 
 
 def randomsize_threshold(branch_scores, alpha: float) -> float:
     """Weighted quantile where each of branch k's points carries weight 1/(K n_k)."""
+    _check_alpha(alpha)
     branches = [np.asarray(b, dtype=float).ravel() for b in branch_scores]
     if any(b.size == 0 for b in branches):
         raise ValueError("every branch must be nonempty")
@@ -355,8 +569,7 @@ def adaptive_center_scores_ragged(branches, c: float) -> list[np.ndarray]:
     grand = means.mean()
     out = []
     for a, m in zip(arrs, means):
-        sd = float(np.std(a, ddof=1)) if a.size > 1 else 1.0
-        safe = sd if sd > 0 else 1.0
+        safe = _mean_sd(a)[1]
         near = abs(m - grand) <= c * safe / np.sqrt(a.size)
         center = grand if near else m
         out.append(np.abs(a - center) / safe)
@@ -364,29 +577,17 @@ def adaptive_center_scores_ragged(branches, c: float) -> list[np.ndarray]:
 
 
 def symmpi_set_randomsize(
-    observed_branches,
-    candidates,
-    alpha: float,
-    c: float = 2.0,
-    transform=adaptive_center_scores_ragged,
+    observed_branches, candidates, alpha: float, c: float = 2.0
 ) -> PredictionSet:
     """Prediction set for the last entry of the last branch under ragged sizes.
 
     ``observed_branches`` holds K branches where the last one misses its final
-    observation; each candidate completes it and is kept when its score is
-    within the branch-weighted quantile.
+    observation; each candidate completes it and is kept when its score from
+    ``adaptive_center_scores_ragged`` is within the branch-weighted quantile
+    (``randomsize_threshold``). Equal sizes give the block-permutation set.
     """
-    cands = np.asarray(candidates, dtype=float)
-    if cands.size == 0:
-        raise ValueError("candidate grid is empty")
-    branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
-    member = np.zeros(cands.shape, dtype=bool)
-    for idx, cand in enumerate(cands):
-        full = branches[:-1] + [np.append(branches[-1], cand)]
-        scores = transform(full, c)
-        t = randomsize_threshold(scores, alpha)
-        member[idx] = float(scores[-1][-1]) <= t
-    return PredictionSet(cands, member, unbounded=bool(member.all()))
+    cands = _checked_candidates(candidates, alpha)
+    return _rank_set(cands, hierarchical_below(observed_branches, cands, c), alpha)
 
 
 def supervised_hierarchical_set(
@@ -409,85 +610,42 @@ def supervised_hierarchical_set(
     """
     from .transforms import fit_regressors
 
+    cands = _checked_candidates(candidates, alpha)
     reg = fit_regressors(train_x, train_y)
-    K = len(cal_x)
-    cands = np.asarray(candidates, dtype=float)
-    if cands.size == 0:
-        raise ValueError("candidate grid is empty")
     cal_x = [np.asarray(v, dtype=float) for v in cal_x]
     cal_y = [np.asarray(v, dtype=float) for v in cal_y]
-    sizes = np.array([v.size + (1 if k == K - 1 else 0) for k, v in enumerate(cal_y)])
-
     x_new = np.asarray(x_new, dtype=float)
-    centers, scores_fixed = [], []
-    for k in range(K):
-        if k < K - 1:
-            xk = cal_x[k]
-        elif cal_x[k].ndim > 1:
-            xk = np.concatenate([cal_x[k], x_new.reshape(1, -1)], axis=0)
-        else:
-            xk = np.append(cal_x[k], x_new)
-        mu_p = reg.mu(xk)
-        mu_b = reg.mu_k(k, xk)
-        sig = reg.sigma_k(k, xk)
-        if np.any(sig <= 0):
-            raise ValueError("degenerate confidence band: sigma_k(x) = 0")
-        center = np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b)
-        centers.append(center)
-        if k < K - 1:
-            raw = np.abs(cal_y[k] - center)
-            eps = np.sqrt(np.sum(raw**2) / (raw.size - 1)) if raw.size > 1 else 1.0
-            scores_fixed.append(raw / (eps if eps > 0 else 1.0))
-
-    raw_last = np.abs(cal_y[-1] - centers[-1][:-1])
-    m_K = raw_last.size + 1
-    member = np.zeros(cands.shape, dtype=bool)
-    level = 1.0 - alpha
-    equal = len(set(sizes.tolist())) == 1
-    for i, cand in enumerate(cands):
-        raw_cand = abs(cand - centers[-1][-1])
-        if m_K > 1:
-            eps = np.sqrt((np.sum(raw_last**2) + raw_cand**2) / (m_K - 1))
-            eps = eps if eps > 0 else 1.0
-        else:
-            eps = 1.0
-        own = raw_cand / eps
-        branch_scores = [s for s in scores_fixed] + [np.append(raw_last, raw_cand) / eps]
-        if equal:
-            pool = np.concatenate(branch_scores)
-            member[i] = own <= finite_quantile(pool, level)
-        else:
-            weights = np.concatenate([np.full(s.size, 1.0 / (K * s.size)) for s in branch_scores])
-            member[i] = own <= finite_quantile(np.concatenate(branch_scores), level, weights)
-    return PredictionSet(cands, member, unbounded=bool(member.all()))
+    if cal_x[-1].ndim > 1:
+        cal_x[-1] = np.concatenate([cal_x[-1], x_new.reshape(1, -1)], axis=0)
+    else:
+        cal_x[-1] = np.append(cal_x[-1], x_new)
+    _, centers = _adaptive_centers(reg, cal_x, c)
+    below = supervised_below(
+        [np.abs(y - m) for y, m in zip(cal_y[:-1], centers[:-1])],
+        np.abs(cal_y[-1] - centers[-1][:-1]),
+        np.abs(cands - centers[-1][-1]),
+    )
+    return _rank_set(cands, below, alpha)
 
 
 def hcp_first_obs_set(complete_branches, candidates, alpha: float) -> PredictionSet:
     """Prediction set for the first observation of a brand-new branch.
 
     Scores are plain absolute deviations from the average of branch means
-    (always-pool centering, unit scale); the candidate forms its own branch
-    carrying weight 1/K in the quantile.
+    (always-pool centering, unit scale), where the candidate counts as a
+    branch of its own: it enters the average of means and carries weight 1/K
+    in the quantile. The benchmark's ``hcp`` method (``sim._hcp_rows``)
+    differs: it leaves the candidate out of both.
     """
-    cands = np.asarray(candidates, dtype=float)
-    if cands.size == 0:
-        raise ValueError("candidate grid is empty")
+    cands = _checked_candidates(candidates, alpha)
     branches = [np.asarray(b, dtype=float).ravel() for b in complete_branches]
     if any(b.size == 0 for b in branches):
         raise ValueError("every complete branch must be nonempty")
     K = len(branches) + 1
-    base_mean_sum = sum(b.mean() for b in branches)
-    values = np.concatenate(branches)
-    weights = np.concatenate(
-        [np.full(b.size, 1.0 / (K * b.size)) for b in branches] + [np.array([1.0 / K])]
-    )
-    member = np.zeros(cands.shape, dtype=bool)
-    for idx, cand in enumerate(cands):
-        grand = (base_mean_sum + cand) / K
-        scores = np.concatenate([np.abs(values - grand), [abs(cand - grand)]])
-        t = finite_quantile(scores, 1.0 - alpha, weights)
-        member[idx] = abs(cand - grand) <= t
-    return PredictionSet(cands, member, unbounded=bool(member.all()))
+    grand = (sum(b.mean() for b in branches) + cands) / K
+    # the candidate's own branch adds nothing: its score is not below itself
+    below = _branch_mass(branches, grand, np.abs(cands - grand), K)
+    return _rank_set(cands, below, alpha)
 
 
 # --------------------------------------------------------------------------

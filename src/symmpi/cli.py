@@ -30,6 +30,16 @@ PRESETS = {
 EQUIVARIANCE_MAPS = ("hier-unsup", "identity", "median-dev", "sort")
 
 
+def _alpha(text: str) -> float:
+    """argparse type for a miscoverage level, checked as the library checks it."""
+    value = float(text)
+    try:
+        calibrate._check_alpha(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symmpi", description=__doc__)
     parser.add_argument("--config", help="INI file whose [<subcommand>] section supplies defaults")
@@ -37,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run a benchmark table")
     b.add_argument("--preset", required=True, choices=sorted(PRESETS))
-    b.add_argument("--alpha", type=float, nargs="+", default=[0.05, 0.15])
+    b.add_argument("--alpha", type=_alpha, nargs="+", default=[0.05, 0.15])
     b.add_argument("--sigma2", type=float, nargs="+", default=[10.0])
     b.add_argument("--branches", type=int, default=20)
     b.add_argument("--trials", type=int, default=40)
@@ -55,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict-hierarchical", help="prediction set from a branch CSV")
     p.add_argument("data")
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=_alpha, default=0.1)
     p.add_argument("--mode", choices=["unsup", "sup"], default="unsup")
     p.add_argument("--c", type=float, default=2.0)
     p.add_argument("--grid", type=int, default=2001)
@@ -70,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("predict-graph", help="vertex prediction set from value/adjacency CSVs")
     g.add_argument("values")
     g.add_argument("adjacency")
-    g.add_argument("--alpha", type=float, default=0.1)
+    g.add_argument("--alpha", type=_alpha, default=0.1)
     g.add_argument("--generators", default=None, help="file of permutations, one per line")
     g.add_argument("--cap", type=int, default=10)
     g.add_argument("--grid", type=int, default=2001)
@@ -81,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("predict-rotation", help="strip-complement region from a point CSV")
     r.add_argument("data")
-    r.add_argument("--alpha", type=float, default=0.05)
+    r.add_argument("--alpha", type=_alpha, default=0.05)
     r.add_argument("--mc", type=int, default=400)
     r.add_argument("--grid", type=int, default=2001)
     r.add_argument("--seed", type=int, default=0)

@@ -76,6 +76,8 @@ def read_graph_values_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [r for r in reader if r and any(c.strip() for c in r)]
+    if not rows:
+        raise DataError(f"{path}: empty file")
     header = [c.strip().lower() for c in rows[0]]
     if "vertex_id" not in header or "value" not in header:
         raise DataError(f"{path}: need vertex_id and value columns")

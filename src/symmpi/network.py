@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import PredictionSet, finite_quantile
+from .calibrate import PredictionSet, _checked_candidates, _rank_set, conformal_below
 from .groups import GraphAutomorphismGroup, enumerate_automorphisms, orbit_of_index
 
 
@@ -33,30 +33,22 @@ def graph_vertex_set(
     its orbit average. A size-one orbit gives no calibration information and
     is flagged (full grid kept).
     """
-    vals = np.asarray(values, dtype=float).copy()
-    cands = np.asarray(candidates, dtype=float)
-    if cands.size == 0:
-        raise ValueError("candidate grid is empty")
+    vals = np.asarray(values, dtype=float)
+    cands = _checked_candidates(candidates, alpha)
     orbit, stab = orbit_of_index(aut, target)
     meta = {"orbit_size": int(orbit.size), "overcoverage_bound": stab / aut.order()}
     if orbit.size == 1:
         meta["trivial_orbit"] = True
         return PredictionSet(cands, np.ones(cands.shape, dtype=bool), unbounded=True, meta=meta)
-    others = orbit[orbit != target]
-    member = np.zeros(cands.shape, dtype=bool)
-    level = 1.0 - alpha
+    others = vals[orbit[orbit != target]]
     if psi_kind == "last_coordinate":
-        for i, c in enumerate(cands):
-            pool = np.append(vals[others], c)
-            member[i] = c <= finite_quantile(pool, level)
+        cal, own = others, cands
     elif psi_kind == "orbit_deviation":
-        for i, c in enumerate(cands):
-            pool = np.append(vals[others], c)
-            dev = pool - pool.mean()
-            member[i] = (c - pool.mean()) <= finite_quantile(dev, level)
+        means = (others.sum() + cands) / orbit.size
+        cal, own = others[None, :] - means[:, None], cands - means
     else:
         raise ValueError(f"unknown psi_kind {psi_kind!r}")
-    return PredictionSet(cands, member, unbounded=bool(member.all()), meta=meta)
+    return _rank_set(cands, conformal_below(cal, own), alpha, meta)
 
 
 def tree_leaf_set(leaf_values, candidates, alpha: float) -> PredictionSet:
@@ -66,14 +58,9 @@ def tree_leaf_set(leaf_values, candidates, alpha: float) -> PredictionSet:
     quantile of every leaf's absolute value, candidate included.
     """
     leaves = np.asarray(leaf_values, dtype=float)
-    cands = np.asarray(candidates, dtype=float)
-    obs = np.abs(leaves.ravel()[:-1])
-    level = 1.0 - alpha
-    member = np.zeros(cands.shape, dtype=bool)
-    for i, c in enumerate(cands):
-        pool = np.append(obs, abs(c))
-        member[i] = abs(c) <= finite_quantile(pool, level)
-    return PredictionSet(cands, member, unbounded=bool(member.all()))
+    cands = _checked_candidates(candidates, alpha)
+    below = conformal_below(np.abs(leaves.ravel()[:-1]), np.abs(cands))
+    return _rank_set(cands, below, alpha)
 
 
 @dataclass
@@ -126,10 +113,5 @@ def cluster_sum_set(branch_sums_observed, candidates, alpha: float) -> Predictio
     is kept when its magnitude is within the quantile of all K magnitudes.
     """
     sums = np.asarray(branch_sums_observed, dtype=float).ravel()
-    cands = np.asarray(candidates, dtype=float)
-    level = 1.0 - alpha
-    member = np.zeros(cands.shape, dtype=bool)
-    for i, c in enumerate(cands):
-        pool = np.append(np.abs(sums), abs(c))
-        member[i] = abs(c) <= finite_quantile(pool, level)
-    return PredictionSet(cands, member, unbounded=bool(member.all()))
+    cands = _checked_candidates(candidates, alpha)
+    return _rank_set(cands, conformal_below(np.abs(sums), np.abs(cands)), alpha)

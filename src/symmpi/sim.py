@@ -7,11 +7,9 @@ and aggregate lengths and coverage indicators across trials. All randomness
 flows through per-trial generators keyed by (seed, trial) so results are
 reproducible under any worker count.
 
-Set membership is evaluated in rank form: a candidate is kept when the pool
-mass of scores strictly below its own score stays under the target level,
-which is exactly the quantile rule. Because only the target branch's
-statistics move with the candidate, the per-branch counts reduce to interval
-searches against sorted branch values, keeping the grid sweep cheap.
+Set membership comes from the library's rank-form kernels in
+``symmpi.calibrate``, run once per test on the candidate grid with the truth
+appended; each alpha then only applies ``rank_member`` to the same masses.
 """
 
 from __future__ import annotations
@@ -21,7 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import _LEVEL_EPS, PredictionSet, candidate_grid
+from .calibrate import (
+    PredictionSet,
+    _adaptive_centers,
+    _branch_mass,
+    candidate_grid,
+    centered_conformal_below,
+    conformal_below,
+    hierarchical_below,
+    rank_member,
+    supervised_below,
+)
 from .groups import sample_haar_orthogonal
 from .transforms import fit_linear, fit_regressors
 
@@ -125,25 +133,20 @@ def gen_rotational(n: int, p: int, scale: float, rng: np.random.Generator) -> np
 
 
 # --------------------------------------------------------------------------
-# Membership primitives (rank form of the quantile rule)
+# Per-test evaluation
 # --------------------------------------------------------------------------
 
 
-def _count_within(sorted_vals, center, radius) -> np.ndarray:
-    """How many values fall strictly inside (center - radius, center + radius).
-
-    ``center`` and ``radius`` are (G,) arrays; values are sorted ascending.
-    """
-    hi = np.searchsorted(sorted_vals, center + radius, side="left")
-    lo = np.searchsorted(sorted_vals, center - radius, side="right")
-    return hi - lo
-
-
-def _finish(member, spacing, forced_unbounded=False):
+def _finish(member, spacing):
     """(length, covered, unbounded) with the final grid entry as the truth."""
-    unbounded = forced_unbounded or bool(member[:-1].all())
+    unbounded = bool(member[:-1].all())
     length = float("inf") if unbounded else float(member[:-1].sum()) * spacing
     return length, bool(member[-1]), unbounded
+
+
+def _rows(below, alphas, spacing):
+    """One (length, covered, unbounded) row per alpha from the below-own masses."""
+    return [_finish(rank_member(below, alpha), spacing) for alpha in alphas]
 
 
 class _TestFrame:
@@ -153,81 +156,6 @@ class _TestFrame:
         grid = candidate_grid(observed_pool, cfg.grid_points, cfg.grid_pad_sd)
         self.spacing = float(grid[1] - grid[0])
         self.gridp = np.append(grid, truth)
-        self.G = self.gridp.size
-
-
-# --------------------------------------------------------------------------
-# Unsupervised evaluation
-# --------------------------------------------------------------------------
-
-
-def _branch_stats(values):
-    n = values.size
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if n > 1 else 1.0
-    return mean, sd if sd > 0 else 1.0
-
-
-def _symmpi_unsup_below(branches, frame, c, studentize, weighted):
-    """Below-own score mass for the adaptive-centering scores, per candidate.
-
-    ``branches`` holds the complete donor branches plus the target branch's
-    observed values last; the candidate completes the target branch. The
-    branch SD always gates the centering choice; it divides the scores only
-    when ``studentize``. With ``weighted`` each branch carries total mass
-    1/K (the random-size quantile), else points are equally weighted.
-    """
-    gridp = frame.gridp
-    target_obs = branches[-1]
-    donors = branches[:-1]
-    K = len(branches)
-    n_t = target_obs.size + 1
-    mean_t = (target_obs.sum() + gridp) / n_t
-    if n_t > 1:
-        ssq_t = (target_obs**2).sum() + gridp**2 - n_t * mean_t**2
-        sd_t = np.sqrt(np.maximum(ssq_t, 0.0) / (n_t - 1))
-        sd_t = np.where(sd_t > 0, sd_t, 1.0)
-    else:
-        sd_t = np.ones(frame.G)
-
-    stats = [_branch_stats(b) for b in donors]
-    grand = (sum(m for m, _ in stats) + mean_t) / K
-
-    near_t = np.abs(mean_t - grand) <= c * sd_t / np.sqrt(n_t)
-    center_t = np.where(near_t, grand, mean_t)
-    own = np.abs(gridp - center_t) / (sd_t if studentize else 1.0)
-
-    total = sum(b.size for b in donors) + n_t
-    below = np.zeros(frame.G)
-    for b, (m_k, sd_k) in zip(donors, stats):
-        near = np.abs(m_k - grand) <= c * sd_k / np.sqrt(b.size)
-        center = np.where(near, grand, m_k)
-        radius = own * sd_k if studentize else own
-        w = 1.0 / (K * b.size) if weighted else 1.0 / total
-        below += _count_within(np.sort(b), center, radius) * w
-    # within the target branch the shared scale cancels either way
-    w_t = 1.0 / (K * n_t) if weighted else 1.0 / total
-    below += _count_within(np.sort(target_obs), center_t, np.abs(gridp - center_t)) * w_t
-    return below
-
-
-def _centered_conformal_rows(pool_values, frame, alphas, spacing):
-    """Self-inclusive conformal around the pooled mean, one row per alpha."""
-    vals = np.asarray(pool_values, dtype=float).ravel()
-    gridp = frame.gridp
-    n = vals.size + 1
-    centers = (vals.sum() + gridp) / n
-    own = np.abs(gridp - centers)
-    counts = _count_within(np.sort(vals), centers, own)
-    rows = []
-    for alpha in alphas:
-        k_idx = int(np.ceil((1.0 - alpha) * n - _LEVEL_EPS))
-        if k_idx > n - 1:
-            rows.append((float("inf"), True, True))
-            continue
-        member = counts / n < (1.0 - alpha) - _LEVEL_EPS
-        rows.append(_finish(member, spacing))
-    return rows
 
 
 def _hcp_rows(donor_branches, frame, alphas, spacing):
@@ -235,63 +163,45 @@ def _hcp_rows(donor_branches, frame, alphas, spacing):
 
     Scores are deviations from the average of the complete branches' means;
     the threshold is the branch-weighted quantile over those branches (each
-    contributing equal total mass regardless of its size).
+    contributing equal total mass regardless of its size). Unlike the
+    library's ``hcp_first_obs_set``, the candidate is left out of both the
+    average and the quantile.
     """
     K = len(donor_branches)
-    gridp = frame.gridp
     grand = sum(float(np.mean(b)) for b in donor_branches) / K
-    own = np.abs(gridp - grand)
-    below = np.zeros(frame.G)
-    for b in donor_branches:
-        below += _count_within(np.sort(b), np.full(frame.G, grand), own) / (K * b.size)
-    rows = []
-    for alpha in alphas:
-        member = below < (1.0 - alpha) - _LEVEL_EPS
-        rows.append(_finish(member, spacing))
-    return rows
+    own = np.abs(frame.gridp - grand)
+    below = _branch_mass(donor_branches, grand, own, K)
+    return _rows(below, alphas, spacing)
 
 
 def _unsup_eval(branches, cfg, rng, methods):
     """Per-test evaluation; ``branches`` has the truth appended to the last one."""
-    K = len(branches)
     truth = float(branches[-1][-1])
     obs_branches = branches[:-1] + [branches[-1][:-1]]
     obs = np.concatenate(obs_branches)
     frame = _TestFrame(obs, truth, cfg)
-    equal_sizes = len({b.size for b in branches}) == 1
+    gridp, spacing = frame.gridp, frame.spacing
     out = {}
 
     if "symmpi" in methods:
-        below = _symmpi_unsup_below(
-            obs_branches, frame, cfg.c, cfg.studentize, weighted=not equal_sizes
-        )
-        rows = []
-        for alpha in cfg.alphas:
-            member = below < (1.0 - alpha) - _LEVEL_EPS
-            rows.append(_finish(member, frame.spacing))
-        out["symmpi"] = rows
+        below = hierarchical_below(obs_branches, gridp, cfg.c, cfg.studentize)
+        out["symmpi"] = _rows(below, cfg.alphas, spacing)
 
     if "conformal" in methods:
-        out["conformal"] = _centered_conformal_rows(obs, frame, cfg.alphas, frame.spacing)
+        out["conformal"] = _rows(centered_conformal_below(obs, gridp), cfg.alphas, spacing)
 
     if "subsampling" in methods:
         picks = np.array([b[int(rng.integers(b.size))] for b in obs_branches[:-1]])
-        out["subsampling"] = _centered_conformal_rows(picks, frame, cfg.alphas, frame.spacing)
+        out["subsampling"] = _rows(centered_conformal_below(picks, gridp), cfg.alphas, spacing)
 
     if "single_tree" in methods:
-        out["single_tree"] = _centered_conformal_rows(
-            obs_branches[-1], frame, cfg.alphas, frame.spacing
-        )
+        below = centered_conformal_below(obs_branches[-1], gridp)
+        out["single_tree"] = _rows(below, cfg.alphas, spacing)
 
     if "hcp" in methods:
-        out["hcp"] = _hcp_rows(obs_branches[:-1], frame, cfg.alphas, frame.spacing)
+        out["hcp"] = _hcp_rows(obs_branches[:-1], frame, cfg.alphas, spacing)
 
     return out
-
-
-# --------------------------------------------------------------------------
-# Supervised evaluation
-# --------------------------------------------------------------------------
 
 
 def _sup_eval(xs, ys, cfg, rng, methods):
@@ -302,96 +212,46 @@ def _sup_eval(xs, ys, cfg, rng, methods):
     tr_y = [y[:m] for y, m in zip(ys, n_train)]
     cal_x = [x[m:] for x, m in zip(xs, n_train)]
     cal_y = [y[m:] for y, m in zip(ys, n_train)]
-    sizes = np.array([x.size for x in cal_x])
     x_target = float(cal_x[-1][-1])
     truth = float(cal_y[-1][-1])
 
     reg = fit_regressors(tr_x, tr_y)
-    mu_p = [reg.mu(cx) for cx in cal_x]
-    mu_b = [reg.mu_k(k, cal_x[k]) for k in range(K)]
-    sig = [reg.sigma_k(k, cal_x[k]) for k in range(K)]
-    center = [
-        np.where(np.abs(mu_b[k] - mu_p[k]) / sig[k] <= cfg.c, mu_p[k], mu_b[k]) for k in range(K)
-    ]
+    mu_p, center = _adaptive_centers(reg, cal_x, cfg.c)
 
     obs_y = np.concatenate([cy for cy in cal_y[:-1]] + [cal_y[-1][:-1]])
     frame = _TestFrame(obs_y, truth, cfg)
-    gridp = frame.gridp
-    equal_sizes = len(set(sizes.tolist())) == 1
+    gridp, spacing = frame.gridp, frame.spacing
     out = {}
 
     if "symmpi" in methods:
-        fixed_scores = []
-        for k in range(K - 1):
-            raw = np.abs(cal_y[k] - center[k])
-            if cfg.studentize and raw.size > 1:
-                eps = np.sqrt(np.sum(raw**2) / (raw.size - 1))
-                raw = raw / (eps if eps > 0 else 1.0)
-            fixed_scores.append(raw)
-        raw_last = np.abs(cal_y[-1][:-1] - center[-1][:-1])
-        raw_cand = np.abs(gridp - center[-1][-1])
-        m_K = raw_last.size + 1
-        # Within the target branch any shared scale cancels, so the sibling
-        # comparison is on raw residual magnitudes in both modes.
-        below_target = np.searchsorted(np.sort(raw_last), raw_cand, side="left")
-        if cfg.studentize and m_K > 1:
-            eps_cand = np.sqrt((np.sum(raw_last**2) + raw_cand**2) / (m_K - 1))
-            own = raw_cand / np.where(eps_cand > 0, eps_cand, 1.0)
-        else:
-            own = raw_cand
-        rows = []
-        if equal_sizes:
-            all_fixed = np.sort(np.concatenate(fixed_scores)) if K > 1 else np.empty(0)
-            below = (np.searchsorted(all_fixed, own, side="left") + below_target) / sizes.sum()
-        else:
-            below = below_target / (K * m_K)
-            for k in range(K - 1):
-                s = np.sort(fixed_scores[k])
-                below = below + np.searchsorted(s, own, side="left") / (K * s.size)
-        for alpha in cfg.alphas:
-            member = below < (1.0 - alpha) - _LEVEL_EPS
-            rows.append(_finish(member, frame.spacing))
-        out["symmpi"] = rows
+        below = supervised_below(
+            [np.abs(cal_y[k] - center[k]) for k in range(K - 1)],
+            np.abs(cal_y[-1][:-1] - center[-1][:-1]),
+            np.abs(gridp - center[-1][-1]),
+            cfg.studentize,
+        )
+        out["symmpi"] = _rows(below, cfg.alphas, spacing)
 
+    own_pooled = np.abs(gridp - mu_p[-1][-1])
     if "conformal" in methods:
         cal_scores = np.concatenate(
             [np.abs(cal_y[k] - mu_p[k]) for k in range(K - 1)]
             + [np.abs(cal_y[-1][:-1] - mu_p[-1][:-1])]
         )
-        out["conformal"] = _fixed_score_rows(
-            cal_scores, np.abs(gridp - mu_p[-1][-1]), frame, cfg.alphas
-        )
+        out["conformal"] = _rows(conformal_below(cal_scores, own_pooled), cfg.alphas, spacing)
 
     if "subsampling" in methods:
         idx = [int(rng.integers(cal_x[k].size)) for k in range(K - 1)]
         pick_scores = np.array([abs(cal_y[k][i] - mu_p[k][i]) for k, i in zip(range(K - 1), idx)])
-        out["subsampling"] = _fixed_score_rows(
-            pick_scores, np.abs(gridp - mu_p[-1][-1]), frame, cfg.alphas
-        )
+        out["subsampling"] = _rows(conformal_below(pick_scores, own_pooled), cfg.alphas, spacing)
 
     if "single_tree" in methods:
         solo = fit_linear(tr_x[-1], tr_y[-1])
         cal_scores = np.abs(cal_y[-1][:-1] - solo.predict(cal_x[-1][:-1]))
         own = np.abs(gridp - float(solo.predict(np.array([x_target]))[0]))
-        out["single_tree"] = _fixed_score_rows(cal_scores, own, frame, cfg.alphas)
+        out["single_tree"] = _rows(conformal_below(cal_scores, own), cfg.alphas, spacing)
 
     return out
-
-
-def _fixed_score_rows(cal_scores, own, frame, alphas):
-    """Conformal rows when calibration scores do not depend on the candidate."""
-    s = np.sort(np.asarray(cal_scores, dtype=float).ravel())
-    n = s.size + 1
-    below = np.searchsorted(s, own, side="left")
-    rows = []
-    for alpha in alphas:
-        k_idx = int(np.ceil((1.0 - alpha) * n - _LEVEL_EPS))
-        if k_idx > n - 1:
-            rows.append((float("inf"), True, True))
-            continue
-        member = below / n < (1.0 - alpha) - _LEVEL_EPS
-        rows.append(_finish(member, frame.spacing))
-    return rows
 
 
 # --------------------------------------------------------------------------
@@ -553,7 +413,7 @@ def rotation_region(
     cand_scores = -np.abs(w_cand[:, 0][None, :] * grid[:, None] + trans[None, :])
     below = (fixed_scores[None, :] < own[:, None]).sum(axis=1)
     below = below + (cand_scores < own[:, None]).sum(axis=1)
-    member = below / (mc_draws + 1) < (1.0 - alpha) - _LEVEL_EPS
+    member = rank_member(below / (mc_draws + 1), alpha)
     kept = np.abs(grid[member])
     strip = float(kept.min()) if member.any() and not member.all() else 0.0
     return PredictionSet(
@@ -585,7 +445,7 @@ def rotation_region_covers(
     own = -np.abs(tp[:, 0])
     below = (fixed_scores[None, :] < own[:, None]).sum(axis=1)
     below = below + (cand_scores < own[:, None]).sum(axis=1)
-    return below / (mc_draws + 1) < (1.0 - alpha) - _LEVEL_EPS
+    return rank_member(below / (mc_draws + 1), alpha)
 
 
 def rotation_supervised_set(
@@ -627,5 +487,5 @@ def rotation_supervised_set(
 
     below = (fixed_scores[None, :] < own[:, None]).sum(axis=1)
     below = below + (cand_mat < own[:, None]).sum(axis=1)
-    member = below / (mc_draws + 1) < (1.0 - alpha) - _LEVEL_EPS
+    member = rank_member(below / (mc_draws + 1), alpha)
     return PredictionSet(cands, member, unbounded=bool(member.all()))

@@ -1,0 +1,141 @@
+"""Per-candidate reference forms of the rank-form set builders.
+
+Each oracle completes the data with one candidate at a time, scores the
+completed data, takes the quantile with ``finite_quantile`` and keeps the
+candidate when its own score is at most that quantile: the textbook form of
+the rule that ``symmpi.calibrate`` evaluates for a whole grid at once. The two
+forms agree for 0 < alpha < 1; at alpha = 1 the rank form keeps nothing.
+"""
+
+import numpy as np
+
+from symmpi.calibrate import finite_quantile
+from symmpi.transforms import fit_regressors
+
+
+def adaptive_scores(branches, c, studentize=True):
+    """Adaptive-centering scores of complete branches (ragged allowed).
+
+    A branch whose mean lies within c sd_k / sqrt(n_k) of the average of
+    branch means is centered there, else at its own mean; scores are divided
+    by sd_k only when ``studentize`` (sd_k is 1 for one value or zero spread).
+    """
+    arrs = [np.asarray(b, dtype=float).ravel() for b in branches]
+    means = np.array([a.mean() for a in arrs])
+    grand = means.mean()
+    out = []
+    for a, m in zip(arrs, means):
+        sd = float(np.std(a, ddof=1)) if a.size > 1 else 1.0
+        sd = sd if sd > 0 else 1.0
+        center = grand if abs(m - grand) <= c * sd / np.sqrt(a.size) else m
+        out.append(np.abs(a - center) / (sd if studentize else 1.0))
+    return out
+
+
+def _weighted_threshold(branch_scores, alpha):
+    """Quantile where each of branch k's points weighs 1/(K n_k)."""
+    K = len(branch_scores)
+    values = np.concatenate(branch_scores)
+    weights = np.concatenate([np.full(s.size, 1.0 / (K * s.size)) for s in branch_scores])
+    return finite_quantile(values, 1.0 - alpha, weights)
+
+
+def hierarchical_members(observed_branches, candidates, alpha, c=2.0, studentize=True):
+    """Unsupervised hierarchical set: the candidate completes the last branch."""
+    branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
+    member = []
+    for cand in np.asarray(candidates, dtype=float):
+        scores = adaptive_scores(branches[:-1] + [np.append(branches[-1], cand)], c, studentize)
+        member.append(scores[-1][-1] <= _weighted_threshold(scores, alpha))
+    return np.array(member)
+
+
+def supervised_members(donor_residuals, target_residuals, candidate_residuals, alpha,
+                       studentize=True):
+    """Supervised hierarchical set on residual magnitudes |y - center|.
+
+    With ``studentize`` each branch is divided by its RMS residual
+    (denominator n - 1, the candidate included for the target branch). Equal
+    branch sizes use the flat quantile of the pooled scores.
+    """
+    fixed = []
+    for raw in donor_residuals:
+        raw = np.asarray(raw, dtype=float)
+        eps = np.sqrt(np.sum(raw**2) / (raw.size - 1)) if studentize and raw.size > 1 else 1.0
+        fixed.append(raw / (eps if eps > 0 else 1.0))
+    raw_last = np.asarray(target_residuals, dtype=float)
+    m_K = raw_last.size + 1
+    equal = len({s.size for s in fixed} | {m_K}) == 1
+    member = []
+    for raw_cand in np.asarray(candidate_residuals, dtype=float):
+        eps = 1.0
+        if studentize and m_K > 1:
+            eps = np.sqrt((np.sum(raw_last**2) + raw_cand**2) / (m_K - 1))
+            eps = eps if eps > 0 else 1.0
+        own = raw_cand / eps
+        branch_scores = fixed + [np.append(raw_last, raw_cand) / eps]
+        if equal:
+            t = finite_quantile(np.concatenate(branch_scores), 1.0 - alpha)
+        else:
+            t = _weighted_threshold(branch_scores, alpha)
+        member.append(own <= t)
+    return np.array(member)
+
+
+def supervised_set_members(train_x, train_y, cal_x, cal_y, x_new, candidates, alpha, c=2.0):
+    """``supervised_hierarchical_set`` one candidate at a time, fit included."""
+    reg = fit_regressors(train_x, train_y)
+    K = len(cal_x)
+    centers = []
+    for k in range(K):
+        xk = np.append(cal_x[k], x_new) if k == K - 1 else np.asarray(cal_x[k], dtype=float)
+        mu_p, mu_b, sig = reg.mu(xk), reg.mu_k(k, xk), reg.sigma_k(k, xk)
+        centers.append(np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b))
+    return supervised_members(
+        [np.abs(np.asarray(cal_y[k]) - centers[k]) for k in range(K - 1)],
+        np.abs(np.asarray(cal_y[-1]) - centers[-1][:-1]),
+        np.abs(np.asarray(candidates, dtype=float) - centers[-1][-1]),
+        alpha,
+    )
+
+
+def conformal_members(cal_rows, own, alpha):
+    """Self-inclusive conformal: keep own[i] when it is at most the 1 - alpha
+    quantile of its calibration row pooled with itself."""
+    own = np.asarray(own, dtype=float)
+    cal = np.broadcast_to(np.asarray(cal_rows, dtype=float), (own.size, np.shape(cal_rows)[-1]))
+    return np.array([o <= finite_quantile(np.append(row, o), 1.0 - alpha)
+                     for row, o in zip(cal, own)])
+
+
+def centered_conformal_members(values, candidates, alpha):
+    """Conformal on |v - mean|, the mean taken with the candidate included."""
+    vals = np.asarray(values, dtype=float).ravel()
+    member = []
+    for cand in np.asarray(candidates, dtype=float):
+        pool = np.append(vals, cand)
+        scores = np.abs(pool - pool.mean())
+        member.append(scores[-1] <= finite_quantile(scores, 1.0 - alpha))
+    return np.array(member)
+
+
+def hcp_first_obs_members(complete_branches, candidates, alpha):
+    """Library ``hcp_first_obs_set``: the candidate is a branch of its own,
+    both in the average of branch means and with weight 1/K in the quantile."""
+    branches = [np.asarray(b, dtype=float).ravel() for b in complete_branches]
+    K = len(branches) + 1
+    member = []
+    for cand in np.asarray(candidates, dtype=float):
+        grand = (sum(b.mean() for b in branches) + cand) / K
+        scores = [np.abs(b - grand) for b in branches] + [np.array([abs(cand - grand)])]
+        member.append(abs(cand - grand) <= _weighted_threshold(scores, alpha))
+    return np.array(member)
+
+
+def hcp_rows_members(donor_branches, candidates, alpha):
+    """Benchmark ``hcp`` (``sim._hcp_rows``): the average of branch means and
+    the branch-weighted quantile use the complete branches only."""
+    branches = [np.asarray(b, dtype=float).ravel() for b in donor_branches]
+    grand = sum(float(np.mean(b)) for b in branches) / len(branches)
+    t = _weighted_threshold([np.abs(b - grand) for b in branches], alpha)
+    return np.abs(np.asarray(candidates, dtype=float) - grand) <= t

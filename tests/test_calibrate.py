@@ -12,6 +12,7 @@ from symmpi.calibrate import (
     overcoverage_bound,
     randomized_set,
     randomsize_threshold,
+    rank_member,
     supervised_hierarchical_set,
     symmpi_set,
     symmpi_set_randomsize,
@@ -524,6 +525,15 @@ def test_prediction_set_intervals_and_length():
     assert ps.covers(0.15) and not ps.covers(0.35)
 
 
+def test_prediction_set_length_needs_uniform_candidates():
+    ps = PredictionSet(np.array([0.0, 0.1, 0.2, 10.0]), np.array([1, 1, 0, 1], dtype=bool))
+    with pytest.raises(ValueError):
+        ps.length
+    # a uniform grid far from zero passes despite rounding in its values
+    far = PredictionSet(np.linspace(1e6, 1e6 + 1, 2001), np.ones(2001, dtype=bool))
+    assert far.length == 2001 * far.spacing
+
+
 def test_prediction_set_unbounded_invariant():
     with pytest.raises(ValueError):
         PredictionSet(np.arange(3.0), np.array([True, False, True]), unbounded=True)
@@ -536,3 +546,60 @@ def test_candidate_grid_spans_data():
     assert grid.size == 101
     assert grid[0] <= v.min() - 3.9 * v.std()
     assert grid[-1] >= v.max() + 3.9 * v.std()
+
+
+# ----------------------------------------------------------------------
+# alpha outside [0, 1]
+# ----------------------------------------------------------------------
+
+
+def _alpha_callers():
+    from symmpi.baselines import single_tree_set, split_conformal_set, subsampling_set
+    from symmpi.network import cluster_sum_set, graph_vertex_set, tree_leaf_set
+    from symmpi.sim import rotation_region, rotation_region_covers, rotation_supervised_set
+
+    obs = np.array([0.3, -0.2, 1.1])
+    grid = np.linspace(-2.0, 2.0, 9)
+    branches = [np.array([0.1, 0.4]), np.array([1.0, 1.3]), np.array([0.5])]
+    reps, _ = swap_with_last_cosets(3)
+    spec = WeightSpec(reps, np.full(3, 1 / 3))
+    xs = [np.array([0.1, 0.2, 0.3]), np.array([-0.1, 0.2, 0.4])]
+    ys = [2 * x for x in xs]
+    path3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+    pts = np.random.default_rng(0).normal(size=(6, 2))
+    rng = np.random.default_rng
+    orbit = (obs, grid, append_embed, identity_map, last_coordinate, SymmetricGroup(4))
+    return {
+        "rank_member": lambda a: rank_member(np.zeros(3), a),
+        "threshold_from_scores": lambda a: threshold_from_scores(obs, a),
+        "randomsize_threshold": lambda a: randomsize_threshold(branches, a),
+        "symmpi_set": lambda a: symmpi_set(*orbit, a),
+        "randomized_set": lambda a: randomized_set(*orbit, a, 0.5),
+        "nonsym_set": lambda a: nonsym_set(obs[:2], grid, append_embed, identity_map,
+                                           last_coordinate, spec, SymmetricGroup(3), a, rng(0)),
+        "symmpi_set_randomsize": lambda a: symmpi_set_randomsize(branches, grid, a),
+        "supervised_hierarchical_set": lambda a: supervised_hierarchical_set(
+            xs, ys, [xs[0], xs[1][:-1]], [ys[0], ys[1][:-1]], 0.4, grid, a),
+        "hcp_first_obs_set": lambda a: hcp_first_obs_set(branches, grid, a),
+        "split_conformal_set": lambda a: split_conformal_set(obs, grid, a),
+        "single_tree_set": lambda a: single_tree_set(obs, grid, a),
+        "subsampling_set": lambda a: subsampling_set(branches, grid, a, rng(0)),
+        # the centre of a three-vertex path is a size-one orbit
+        "graph_vertex_set": lambda a: graph_vertex_set(
+            [0.1, np.nan, 0.2], enumerate_automorphisms(path3), 1, grid, a),
+        "tree_leaf_set": lambda a: tree_leaf_set(np.ones((2, 2)), grid, a),
+        "cluster_sum_set": lambda a: cluster_sum_set(obs, grid, a),
+        "rotation_region": lambda a: rotation_region(pts, a, mc_draws=20, rng=rng(0)),
+        "rotation_region_covers": lambda a: rotation_region_covers(pts, pts[:2], a, 20, rng(0)),
+        "rotation_supervised_set": lambda a: rotation_supervised_set(
+            pts, pts[:, 0], pts[0], lambda yv, xp: np.abs(yv - xp[:, 0]), grid, a, 20, rng(0)),
+    }
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("name", sorted(_alpha_callers()))
+def test_set_builders_reject_alpha_outside_unit_interval(name, alpha):
+    call = _alpha_callers()[name]
+    call(0.2)  # a valid alpha goes through
+    with pytest.raises(ValueError, match="alpha"):
+        call(alpha)

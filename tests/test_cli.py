@@ -224,6 +224,14 @@ def test_predict_graph_asymmetric_warns_trivial(tmp_path, capsys):
     assert "trivial" in capsys.readouterr().out
 
 
+def test_predict_graph_empty_values_file_is_data_error(tmp_path):
+    vpath = tmp_path / "empty.csv"
+    vpath.write_text("")
+    apath = tmp_path / "adjacency.txt"
+    apath.write_text("0 1\n1 2\n")
+    assert main(["predict-graph", str(vpath), str(apath)]) == 3
+
+
 def test_predict_rotation(tmp_path, capsys):
     rng = np.random.default_rng(5)
     pts = rng.normal(0, np.sqrt(30), (12, 2))
@@ -248,3 +256,16 @@ def test_equivariance_cli_pass_and_fail(capsys):
 def test_equivariance_cli_usage_errors(capsys):
     assert main(["test-equivariance", "--map", "sort", "--samples", "0"]) == 2
     assert main(["test-equivariance", "--map", "no-such-map"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--preset", "table1", "--alpha", "0.05", "1.5"],
+    ["predict-hierarchical", "data.csv", "--alpha", "-0.1"],
+    ["predict-graph", "values.csv", "adjacency.txt", "--alpha", "nan"],
+    ["predict-rotation", "points.csv", "--alpha", "2"],
+])
+def test_alpha_outside_unit_interval_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "alpha must be in [0, 1]" in capsys.readouterr().err

@@ -1,0 +1,224 @@
+"""Property tests of the rank-form candidate sweep in ``symmpi.calibrate``.
+
+Each kernel must match its per-candidate oracle (``oracles.py``), its sets
+must shrink as alpha grows, and reordering the donor branches must leave
+them unchanged. Hypothesis picks shapes, seeds and alpha; the data come from
+a seeded numpy generator and candidates from a grid, so a candidate's score
+ties a calibration score only where the construction forces it: a two-point
+branch centered at its own mean, which the kernel breaks as the oracle does.
+The few constructions where a score ties the candidate's exactly whatever
+the data, and rounding breaks the tie differently in the two forms, are left
+out where they arise.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from symmpi.baselines import single_tree_set, split_conformal_set
+from symmpi.calibrate import (
+    candidate_grid,
+    centered_conformal_below,
+    conformal_below,
+    hcp_first_obs_set,
+    hierarchical_below,
+    rank_member,
+    supervised_below,
+    supervised_hierarchical_set,
+    symmpi_set_randomsize,
+)
+from symmpi.network import cluster_sum_set, tree_leaf_set
+
+SETTINGS = settings(max_examples=40, deadline=None)
+# alpha on a 0.01 grid keeps 1 - alpha well away from any branch-weighted mass
+# that differs from it, so summation order cannot flip a decision
+ALPHA = st.integers(1, 99).map(lambda k: k / 100)
+SEED = st.integers(0, 2**32 - 1)
+GRID = st.tuples(st.integers(11, 201), SEED)
+
+
+def _grid(values, spec):
+    """A candidate grid over the values, shifted by a random part of its step
+    so that no candidate lands on a data value."""
+    n_points, seed = spec
+    grid = candidate_grid(values, n_points)
+    return grid + np.random.default_rng(seed).uniform(0.05, 0.95) * (grid[1] - grid[0])
+
+
+@st.composite
+def ragged_branches(draw, min_branches=2, max_branches=8):
+    """Branches of 1-8 values, some constant, around spread-out means."""
+    K = draw(st.integers(min_branches, max_branches))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=K, max_size=K))
+    constant = draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    rng = np.random.default_rng(draw(SEED))
+    spread = rng.choice([0.0, 0.3, 3.0])
+    branches = []
+    for n, const in zip(sizes, constant):
+        mu = rng.normal(0.0, spread)
+        branches.append(np.full(n, mu + rng.normal()) if const else mu + rng.normal(0, 1, n))
+    return branches
+
+
+def _observed(branches):
+    """Donor branches, then the target branch without its final value."""
+    return branches[:-1] + [branches[-1][:-1]]
+
+
+# ----------------------------------------------------------------------
+# Unsupervised hierarchical sets
+# ----------------------------------------------------------------------
+
+
+@SETTINGS
+@given(branches=ragged_branches(), n_grid=GRID, alpha=ALPHA, studentize=st.booleans())
+def test_hierarchical_kernel_matches_oracle(branches, n_grid, alpha, studentize):
+    observed = _observed(branches)
+    # one donor of equal values and no observed target value: the candidate
+    # and the donor values sit at the same distance from their grand mean, an
+    # exact tie that rounding breaks either way
+    assume(not (len(observed) == 2 and np.ptp(observed[0]) == 0 and observed[1].size == 0))
+    grid = _grid(np.concatenate(observed), n_grid)
+    got = rank_member(hierarchical_below(observed, grid, 2.0, studentize), alpha)
+    want = oracles.hierarchical_members(observed, grid, alpha, 2.0, studentize)
+    assert np.array_equal(got, want)
+
+
+@SETTINGS
+@given(branches=ragged_branches(), n_grid=GRID, a=ALPHA, b=ALPHA)
+def test_hierarchical_set_shrinks_as_alpha_grows(branches, n_grid, a, b):
+    observed = _observed(branches)
+    grid = _grid(np.concatenate(observed), n_grid)
+    lo, hi = sorted((a, b))
+    wide = symmpi_set_randomsize(observed, grid, lo)
+    narrow = symmpi_set_randomsize(observed, grid, hi)
+    assert not np.any(narrow.member & ~wide.member)
+
+
+@SETTINGS
+@given(branches=ragged_branches(min_branches=3), n_grid=GRID, alpha=ALPHA, data=st.data())
+def test_hierarchical_set_ignores_donor_order(branches, n_grid, alpha, data):
+    observed = _observed(branches)
+    grid = _grid(np.concatenate(observed), n_grid)
+    order = data.draw(st.permutations(range(len(observed) - 1)))
+    shuffled = [observed[i] for i in order] + [observed[-1]]
+    base = symmpi_set_randomsize(observed, grid, alpha)
+    assert np.array_equal(symmpi_set_randomsize(shuffled, grid, alpha).member, base.member)
+
+
+# ----------------------------------------------------------------------
+# Supervised hierarchical sets
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def residuals(draw):
+    """Donor and target residual magnitudes with ragged or equal sizes."""
+    K = draw(st.integers(2, 8))
+    equal = draw(st.booleans())
+    sizes = [draw(st.integers(1, 8))] * K if equal else draw(
+        st.lists(st.integers(1, 8), min_size=K, max_size=K))
+    rng = np.random.default_rng(draw(SEED))
+    scales = rng.uniform(0.2, 3.0, K)
+    donors = [np.abs(rng.normal(0, s, n)) for s, n in zip(scales[:-1], sizes[:-1])]
+    target = np.abs(rng.normal(0, scales[-1], sizes[-1] - 1))
+    cands = np.abs(np.linspace(-4, 4, draw(st.integers(11, 201))) * scales[-1] + rng.normal())
+    return donors, target, cands
+
+
+@SETTINGS
+@given(res=residuals(), alpha=ALPHA, studentize=st.booleans())
+def test_supervised_kernel_matches_oracle(res, alpha, studentize):
+    donors, target, cands = res
+    got = rank_member(supervised_below(donors, target, cands, studentize), alpha)
+    assert np.array_equal(got, oracles.supervised_members(donors, target, cands, alpha, studentize))
+
+
+@SETTINGS
+@given(res=residuals(), a=ALPHA, b=ALPHA, data=st.data())
+def test_supervised_kernel_monotone_and_donor_order_free(res, a, b, data):
+    donors, target, cands = res
+    below = supervised_below(donors, target, cands)
+    lo, hi = sorted((a, b))
+    assert not np.any(rank_member(below, hi) & ~rank_member(below, lo))
+    order = data.draw(st.permutations(range(len(donors))))
+    shuffled = supervised_below([donors[i] for i in order], target, cands)
+    assert np.array_equal(rank_member(shuffled, a), rank_member(below, a))
+
+
+@SETTINGS
+@given(K=st.integers(2, 6), seed=SEED, n_grid=GRID, alpha=ALPHA)
+def test_supervised_set_matches_oracle(K, seed, n_grid, alpha):
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(0, 2.0, K)
+    tr_x = [rng.uniform(-0.5, 0.5, rng.integers(1, 9)) for _ in range(K)]
+    cal_x = [rng.uniform(-0.5, 0.5, rng.integers(1, 9)) for _ in range(K)]
+    tr_y = [theta[k] * x + rng.normal(0, 0.5, x.size) for k, x in enumerate(tr_x)]
+    cal_y = [theta[k] * x + rng.normal(0, 0.5, x.size) for k, x in enumerate(cal_x)]
+    x_new = rng.uniform(-0.5, 0.5)
+    grid = _grid(np.concatenate(cal_y), n_grid)
+    ps = supervised_hierarchical_set(tr_x, tr_y, cal_x, cal_y, x_new, grid, alpha)
+    want = oracles.supervised_set_members(tr_x, tr_y, cal_x, cal_y, x_new, grid, alpha)
+    assert np.array_equal(ps.member, want)
+
+
+# ----------------------------------------------------------------------
+# Conformal sets and the first-observation set
+# ----------------------------------------------------------------------
+
+
+@SETTINGS
+@given(n=st.integers(2, 60), seed=SEED, n_grid=GRID, alpha=ALPHA)
+def test_centered_conformal_matches_oracle(n, seed, n_grid, alpha):
+    # n >= 2: with one value, it and the candidate sit at the same distance
+    # from their mean, an exact tie that rounding breaks either way
+    vals = np.random.default_rng(seed).normal(0, 2, n)
+    grid = _grid(vals, n_grid)
+    want = oracles.centered_conformal_members(vals, grid, alpha)
+    assert np.array_equal(rank_member(centered_conformal_below(vals, grid), alpha), want)
+    assert np.array_equal(split_conformal_set(vals, grid, alpha).member, want)
+    assert np.array_equal(single_tree_set(vals, grid, alpha).member, want)
+
+
+@SETTINGS
+@given(n=st.integers(0, 60), seed=SEED, n_points=st.integers(11, 201), alpha=ALPHA)
+def test_fixed_score_conformal_matches_oracle(n, seed, n_points, alpha):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(0, 2, n)
+    grid = np.linspace(-6, 6, n_points) + rng.normal(0, 0.1)
+    want = oracles.conformal_members(np.abs(vals), np.abs(grid), alpha)
+    assert np.array_equal(rank_member(conformal_below(np.abs(vals), np.abs(grid)), alpha), want)
+    assert np.array_equal(cluster_sum_set(vals, grid, alpha).member, want)
+    assert np.array_equal(tree_leaf_set(np.append(vals, 0.0), grid, alpha).member, want)
+    rows = np.abs(vals[None, :] - 0.1 * grid[:, None])
+    want_rows = oracles.conformal_members(rows, np.abs(grid), alpha)
+    assert np.array_equal(rank_member(conformal_below(rows, np.abs(grid)), alpha), want_rows)
+
+
+@SETTINGS
+@given(n=st.integers(2, 30), seed=SEED, n_grid=GRID, alpha=ALPHA)
+def test_custom_score_single_tree_matches_oracle(n, seed, n_grid, alpha):
+    vals = np.random.default_rng(seed).normal(0, 2, n)
+    grid = _grid(vals, n_grid)
+    score = lambda v: np.abs(v - np.median(v))  # noqa: E731
+    want = []
+    for c in grid:
+        s = score(np.append(vals, c))
+        want.append(oracles.conformal_members(s[:-1], s[-1:], alpha)[0])
+    assert np.array_equal(single_tree_set(vals, grid, alpha, score=score).member, want)
+
+
+@SETTINGS
+@given(branches=ragged_branches(min_branches=1, max_branches=7), n_grid=GRID, alpha=ALPHA,
+       data=st.data())
+def test_hcp_first_obs_matches_oracle(branches, n_grid, alpha, data):
+    # a single donor branch of equal values ties the candidate exactly (both
+    # sit at the same distance from their average); rounding breaks it either way
+    assume(not (len(branches) == 1 and np.ptp(branches[0]) == 0))
+    grid = _grid(np.concatenate(branches), n_grid)
+    ps = hcp_first_obs_set(branches, grid, alpha)
+    assert np.array_equal(ps.member, oracles.hcp_first_obs_members(branches, grid, alpha))
+    order = data.draw(st.permutations(range(len(branches))))
+    assert np.array_equal(hcp_first_obs_set([branches[i] for i in order], grid, alpha).member,
+                          ps.member)

@@ -1,7 +1,12 @@
 import numpy as np
+import pytest
 
+import oracles
+from symmpi.calibrate import hcp_first_obs_set
 from symmpi.sim import (
     HierarchicalConfig,
+    _hcp_rows,
+    _TestFrame,
     bench_table,
     gen_rotational,
     gen_sup,
@@ -282,3 +287,42 @@ def test_benchmark_symmpi_flat_while_conformal_grows():
     b0 = {r.method: r for r in rows0}
     assert b10["symmpi"].mean_length / b0["symmpi"].mean_length < 1.2
     assert b10["conformal"].mean_length / b0["conformal"].mean_length > 10
+
+
+# ----------------------------------------------------------------------
+# The benchmark's first-observation rule
+# ----------------------------------------------------------------------
+
+
+def test_hcp_rows_match_their_per_candidate_rule():
+    rng = np.random.default_rng(21)
+    cfg = HierarchicalConfig(n_branches=5, branch_size=(2, 6), alphas=(0.1, 0.3, 0.6),
+                             grid_points=201)
+    for _ in range(10):
+        branches = gen_unsup_ragged(cfg, rng)
+        donors = branches[:-1]
+        frame = _TestFrame(np.concatenate(branches)[:-1], branches[-1][-1], cfg)
+        rows = _hcp_rows(donors, frame, cfg.alphas, frame.spacing)
+        for alpha, (length, covered, unbounded) in zip(cfg.alphas, rows):
+            member = oracles.hcp_rows_members(donors, frame.gridp, alpha)
+            assert covered == member[-1]
+            assert unbounded == member[:-1].all()
+            if not unbounded:
+                assert length == member[:-1].sum() * frame.spacing
+
+
+def test_hcp_rows_and_library_first_obs_set_are_different_rules():
+    # Two donor branches. The library counts the candidate as a third branch
+    # of weight 1/3, so the mass below it never reaches 2/3 and at
+    # alpha = 0.3 every candidate is kept; the benchmark rule leaves the
+    # candidate out and keeps |c - 1.5| <= 1.5.
+    donors = [np.array([0.0, 1.0]), np.array([2.0, 3.0])]
+    cfg = HierarchicalConfig(grid_points=91)
+    frame = _TestFrame(np.concatenate(donors), 1.5, cfg)
+    grid = frame.gridp[:-1]
+    assert hcp_first_obs_set(donors, grid, alpha=0.3).unbounded
+    [(length, covered, unbounded)] = _hcp_rows(donors, frame, (0.3,), frame.spacing)
+    assert covered and not unbounded
+    kept = grid[oracles.hcp_rows_members(donors, grid, 0.3)]
+    assert 0.0 <= kept.min() and kept.max() <= 3.0
+    assert length == pytest.approx(3.0, abs=2 * frame.spacing)
