@@ -15,11 +15,12 @@ the baselines, graph sets, benchmark harness and command line all call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupAction, CosetDecomposition, NotEnumerableError
+from .groups import CosetDecomposition, GroupAction, actions_of, iter_actions, sample_actions
 
 # Guard against float fuzz in level * n (e.g. 0.95 * 20 = 19.000000000000004).
 _LEVEL_EPS = 1e-9
@@ -93,6 +94,40 @@ def threshold_from_scores(scores, alpha: float, weights=None) -> Threshold:
     return Threshold(value=t, cdf_at_t=cdf, cdf_left=cdf_left, jump=jump, delta=delta)
 
 
+# Floats of acted data that the orbit sweep builds at once: it bounds the
+# sweep's working memory whatever the group order and candidate count.
+_BLOCK_FLOATS = 1 << 16
+
+
+def _orbit_actions(group: GroupAction, shape, cosets, mode, mc_draws, rng):
+    """The orbit's group elements as batched actions (see ``groups.iter_actions``)."""
+    batch = max(1, _BLOCK_FLOATS // math.prod(shape))
+    if mode == "exact":
+        if cosets is not None:
+            return actions_of(group, cosets.representatives, shape)
+        return iter_actions(group, shape, batch)
+    if mode == "mc":
+        if mc_draws is None or mc_draws < 1:
+            raise ValueError("Monte-Carlo mode needs mc_draws >= 1")
+        if rng is None:
+            raise ValueError("Monte-Carlo mode needs an rng")
+        return sample_actions(group, shape, mc_draws, rng, batch)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _score_blocks(points, psi, actions):
+    """psi over the orbit of every point, in blocks of about ``_BLOCK_FLOATS``
+    acted floats at most: yields (first row, (rows, B) scores)."""
+    G, n = points.shape[0], math.prod(points.shape[1:])
+    for elements, act in actions:
+        B = len(elements)
+        step = max(1, _BLOCK_FLOATS // (B * n))
+        for lo in range(0, G, step):
+            # a copy, so that no view of psi's output keeps the acted block alive
+            scores = np.array(psi(act(points[lo : lo + step])), dtype=float)
+            yield lo, scores.reshape(-1, B)
+
+
 def orbit_scores(
     z_tilde,
     psi,
@@ -109,40 +144,14 @@ def orbit_scores(
     depends on them), else the full group; it requires a finite group.
     Monte-Carlo mode returns psi(z_tilde) itself followed by ``mc_draws``
     sampled orbit values -- the point's own score is part of the sample.
+    ``psi`` must be vectorized over leading axes.
     """
     z = np.asarray(z_tilde, dtype=float)
-    if mode == "exact":
-        if cosets is not None:
-            return np.array([float(psi(_act(group, g, z))) for g in cosets.representatives])
-        try:
-            batches = group.iter_mapping_batches()
-        except NotEnumerableError:
-            batches = None
-        if batches is not None:
-            flat = z.reshape(-1)
-            chunks = []
-            for maps in batches:
-                inv = np.argsort(maps, axis=1)
-                acted = flat[inv].reshape((maps.shape[0],) + z.shape)
-                chunks.append(np.asarray(psi(acted), dtype=float).ravel())
-            return np.concatenate(chunks)
-        return np.array([float(psi(group.act(g, z))) for g in group.elements()])
+    actions = _orbit_actions(group, z.shape, cosets, mode, mc_draws, rng)
+    chunks = [scores[0] for _, scores in _score_blocks(z[None], psi, actions)]
     if mode == "mc":
-        if mc_draws is None or mc_draws < 1:
-            raise ValueError("Monte-Carlo mode needs mc_draws >= 1")
-        if rng is None:
-            raise ValueError("Monte-Carlo mode needs an rng")
-        vals = [float(psi(z))]
-        for _ in range(mc_draws):
-            vals.append(float(psi(group.act(group.sample(rng), z))))
-        return np.array(vals)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _act(group: GroupAction, g, z):
-    if hasattr(g, "act"):
-        return g.act(z)
-    return group.act(g, z)
+        chunks.insert(0, [float(psi(z))])
+    return np.concatenate(chunks)
 
 
 def threshold(
@@ -244,6 +253,63 @@ def candidate_grid(values, n_points: int = 2001, pad_sd: float = 4.0) -> np.ndar
     return np.linspace(v.min() - pad, v.max() + pad, n_points)
 
 
+def _tie_delta(below: int, ties: int, m: int, level: float) -> float:
+    """``Threshold.delta`` for an own score that is the threshold, with
+    ``below`` of the m equally weighted orbit scores under it and ``ties``
+    equal to it, in ``threshold_from_scores``' arithmetic."""
+    w = np.full(below + ties, 1.0 / m)
+    cdf_left = float(np.sum(w[:below]))
+    jump = float(np.sum(w)) - cdf_left
+    return min(max((level - cdf_left) / jump, 0.0), 1.0)
+
+
+def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
+               cosets, mode, mc_draws, rng) -> PredictionSet:
+    """The orbit-quantile set of every candidate from one sweep of the orbit.
+
+    The candidates' completed points are stacked, and the group elements (or
+    the draws, shared by all candidates) act on all of them block by block.
+    Each candidate keeps two counts: orbit scores strictly below its own
+    score, and scores equal to it. With m orbit scores and
+    k = ceil((1 - alpha) m), a candidate is kept when fewer than k lie below
+    it. With ``u_prime`` (the randomized set) it is kept when fewer than k
+    lie at or below it, or when its score is the threshold and
+    u_prime < delta.
+    """
+    cands = _checked_candidates(candidates, alpha)
+    rows = [np.asarray(V(embed(observed, c)), dtype=float) for c in cands]
+    own = np.array([float(psi(z)) for z in rows])
+    points = np.stack(rows)
+    below = np.zeros(own.size, dtype=np.int64)
+    ties = np.zeros(own.size, dtype=np.int64)
+    m = 0
+    actions = _orbit_actions(group, points.shape[1:], cosets, mode, mc_draws, rng)
+    for lo, scores in _score_blocks(points, psi, actions):
+        hi = lo + scores.shape[0]
+        below[lo:hi] += (scores < own[lo:hi, None]).sum(axis=1)
+        ties[lo:hi] += (scores == own[lo:hi, None]).sum(axis=1)
+        if lo == 0:
+            m += scores.shape[1]
+    if mode == "mc":  # the point's own score is part of the sample
+        ties += 1
+        m += 1
+    level = 1.0 - alpha
+    k = min(max(int(np.ceil(level * m - _LEVEL_EPS)), 1), m)  # as in finite_quantile
+    if u_prime is None:
+        member = below <= k - 1
+    else:
+        member = below + ties <= k - 1
+        deltas: dict[tuple[int, int], float] = {}
+        for i in np.flatnonzero(~member & (below <= k - 1)):
+            key = (int(below[i]), int(ties[i]))
+            if key not in deltas:
+                deltas[key] = _tie_delta(*key, m, level)
+            member[i] = u_prime < deltas[key]
+    member &= ~np.isnan(own)
+    return PredictionSet(cands, member, unbounded=bool(member.all()),
+                         meta={"mode": mode, "orbit_size": m})
+
+
 def symmpi_set(
     observed,
     candidates,
@@ -261,15 +327,16 @@ def symmpi_set(
     """Keep each candidate whose completed-data score is within its orbit quantile.
 
     ``embed(observed, candidate)`` must rebuild the full data point; ``V``
-    maps it to score space and ``psi`` to a scalar.
+    maps it to score space and ``psi`` to a scalar. ``psi`` must be
+    vectorized over leading axes: given an (..., *shape) array of points it
+    returns their (...) scores. The orbit is enumerated once per set
+    (``mode='exact'``, over ``cosets`` when given) or sampled once per set
+    (``mode='mc'``: ``mc_draws`` draws from ``rng`` that every candidate
+    shares; each candidate keeps its marginal validity). ``meta`` records
+    the mode and the orbit sample size m (``orbit_size``).
     """
-    cands = _checked_candidates(candidates, alpha)
-    member = np.zeros(cands.shape, dtype=bool)
-    for idx, c in enumerate(cands):
-        zt = np.asarray(V(embed(observed, c)), dtype=float)
-        th = threshold(zt, psi, group, alpha, cosets=cosets, mode=mode, mc_draws=mc_draws, rng=rng)
-        member[idx] = float(psi(zt)) <= th.value
-    return PredictionSet(cands, member, unbounded=bool(member.all()))
+    return _orbit_set(observed, candidates, embed, V, psi, group, alpha, None,
+                      cosets, mode, mc_draws, rng)
 
 
 def randomized_set(
@@ -288,15 +355,11 @@ def randomized_set(
     rng: np.random.Generator | None = None,
 ) -> PredictionSet:
     """Randomized variant with exact coverage: ties at the threshold are kept
-    only when the shared uniform draw ``u_prime`` falls below the tie mass."""
-    cands = _checked_candidates(candidates, alpha)
-    member = np.zeros(cands.shape, dtype=bool)
-    for idx, c in enumerate(cands):
-        zt = np.asarray(V(embed(observed, c)), dtype=float)
-        th = threshold(zt, psi, group, alpha, cosets=cosets, mode=mode, mc_draws=mc_draws, rng=rng)
-        s = float(psi(zt))
-        member[idx] = s < th.value or (s == th.value and u_prime < th.delta)
-    return PredictionSet(cands, member, unbounded=bool(member.all()))
+    only when the shared uniform draw ``u_prime`` falls below the tie mass.
+    Arguments as for ``symmpi_set``; given a generator seeded as
+    ``symmpi_set``'s, it sees the same draws and its set is a subset."""
+    return _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
+                      cosets, mode, mc_draws, rng)
 
 
 @dataclass(frozen=True)
@@ -340,9 +403,9 @@ def nonsym_set(
     for idx, c in enumerate(cands):
         z = embed(observed, c)
         v = np.asarray(V(group.act(g_inv, z)), dtype=float)
-        rep_scores = np.array([float(psi(_act(group, gj, v))) for gj in spec.representatives])
+        rep_scores = np.array([float(psi(group.act(gj, v))) for gj in spec.representatives])
         q = finite_quantile(rep_scores, 1.0 - alpha, spec.weights)
-        member[idx] = float(psi(_act(group, g, v))) <= q
+        member[idx] = float(psi(group.act(g, v))) <= q
     return PredictionSet(cands, member, unbounded=bool(member.all()), meta={"drawn_rep": g_idx})
 
 
@@ -662,23 +725,12 @@ def overcoverage_bound(group: GroupAction, psi, z_tilde, probes=None) -> float:
     base = np.array([float(psi(p)) for p in probes])
     total = 0
     matches = 0
-    try:
-        batches = group.iter_mapping_batches()
-    except NotEnumerableError:
-        batches = None
-    if batches is not None:
-        for maps in batches:
-            inv = np.argsort(maps, axis=1)
-            ok = np.ones(maps.shape[0], dtype=bool)
-            for c, p in enumerate(probes):
-                ok &= np.asarray(psi(p[inv]), dtype=float) == base[c]
-            matches += int(ok.sum())
-            total += maps.shape[0]
-    else:
-        for g in group.elements():
-            total += 1
-            if all(float(psi(group.act(g, p))) == base[c] for c, p in enumerate(probes)):
-                matches += 1
+    for elements, act in iter_actions(group, probes[0].shape):
+        ok = np.ones(len(elements), dtype=bool)
+        for c, p in enumerate(probes):
+            ok &= np.asarray(psi(act(p)), dtype=float).reshape(-1) == base[c]
+        matches += int(ok.sum())
+        total += len(elements)
     return matches / total
 
 

@@ -309,18 +309,26 @@ class BlockPermutationGroup(GroupAction):
                 )
 
     def iter_mapping_batches(self, batch_size: int = 250_000):
-        buf = []
-        for g in self.elements():
-            buf.append(g.flat().mapping)
-            if len(buf) == batch_size:
-                yield np.array(buf, dtype=np.int64)
-                buf = []
-        if buf:
-            yield np.array(buf, dtype=np.int64)
+        """Flat images in the order of ``elements``: element number
+        o * (M!)^K + t pairs the o-th outer permutation with the inner
+        permutations whose indices are the base-M! digits of t."""
+        K, M = self.K, self.M
+        outer = np.array(list(itertools.permutations(range(K))), dtype=np.int64)
+        inner = np.array(list(itertools.permutations(range(M))), dtype=np.int64)
+        per_outer = inner.shape[0] ** K
+        total = outer.shape[0] * per_outer
+        for start in range(0, total, batch_size):
+            o, t = np.divmod(np.arange(start, min(start + batch_size, total)), per_outer)
+            digits = np.stack(np.unravel_index(t, (inner.shape[0],) * K), axis=1)
+            yield (outer[o][:, :, None] * M + inner[digits]).reshape(-1, K * M)
 
     def act_uniform_batch(self, rng, z):
-        """Apply an independent uniform block permutation per row of z (..., K, M)."""
+        """Apply an independent uniform block permutation per row of z (..., K, M)
+        or of its flat form (..., K*M)."""
         z = np.asarray(z)
+        if z.shape[-1:] == (self.K * self.M,) and z.shape[-2:] != (self.K, self.M):
+            blocks = z.reshape(z.shape[:-1] + (self.K, self.M))
+            return self.act_uniform_batch(rng, blocks).reshape(z.shape)
         if z.shape[-2:] != (self.K, self.M):
             raise ValueError("expected trailing shape (K, M)")
         out = rng.permuted(z, axis=-1)
@@ -354,12 +362,17 @@ class OrthogonalGroup(GroupAction):
 
 
 class GraphAutomorphismGroup(GroupAction):
-    """The explicitly enumerated automorphisms of a weighted graph."""
+    """The explicitly enumerated automorphisms of a weighted graph.
 
-    def __init__(self, adjacency: np.ndarray, elements: list[Permutation]):
+    ``elements`` lists them as Permutations or as the rows of an (|G|, n)
+    array of images; the group keeps that array.
+    """
+
+    def __init__(self, adjacency: np.ndarray, elements):
         self.adjacency = np.asarray(adjacency, dtype=float)
-        self._elements = list(elements)
-        if not any(np.array_equal(g.mapping, np.arange(self.n)) for g in self._elements):
+        maps = elements if isinstance(elements, np.ndarray) else [g.mapping for g in elements]
+        self._maps = np.asarray(maps, dtype=np.int64).reshape(len(maps), self.n)
+        if not (self._maps == np.arange(self.n)).all(axis=1).any():
             raise ValueError("automorphism list must contain the identity")
 
     @property
@@ -376,21 +389,105 @@ class GraphAutomorphismGroup(GroupAction):
         return g.inverse()
 
     def sample(self, rng) -> Permutation:
-        return self._elements[int(rng.integers(len(self._elements)))]
+        return Permutation(self._maps[int(rng.integers(len(self._maps)))], validate=False)
 
     def act(self, g, z):
         return g.act(z)
 
     def order(self) -> int:
-        return len(self._elements)
+        return len(self._maps)
 
     def elements(self):
-        return iter(self._elements)
+        return (Permutation(m, validate=False) for m in self._maps)
 
     def iter_mapping_batches(self, batch_size: int = 250_000):
-        maps = np.array([g.mapping for g in self._elements], dtype=np.int64)
-        for start in range(0, maps.shape[0], batch_size):
-            yield maps[start : start + batch_size]
+        for start in range(0, self._maps.shape[0], batch_size):
+            yield self._maps[start : start + batch_size]
+
+
+# --------------------------------------------------------------------------
+# Batched actions: group elements applied to many data points at once
+# --------------------------------------------------------------------------
+
+
+def _index_action(inverse_maps: np.ndarray, shape: tuple):
+    """Act on data points of ``shape`` with the rows of a (B, n) inverse-map
+    array: copy b of a flattened point x is x[inverse_maps[b]]."""
+    n = math.prod(shape)
+    if inverse_maps.shape[1] != n:
+        raise ValueError(f"group acts on {inverse_maps.shape[1]} entries, data points have {n}")
+    B = inverse_maps.shape[0]
+
+    def act(x):
+        x = np.asarray(x)
+        lead = x.shape[: x.ndim - len(shape)]
+        return x.reshape(lead + (n,))[..., inverse_maps].reshape(lead + (B,) + shape)
+
+    return act
+
+
+def _element_action(group: GroupAction, g, shape: tuple):
+    def act(x):
+        out = np.asarray(group.act(g, x))
+        return np.expand_dims(out, out.ndim - len(shape))
+
+    return act
+
+
+def actions_of(group: GroupAction, elements, shape) -> list:
+    """Given group elements as batched actions on data points of ``shape``.
+
+    Returns ``(elements, act)`` pairs as ``iter_actions`` yields them: one pair
+    for all of them when they are Permutations of the flattened points, else
+    one pair per element.
+    """
+    shape = tuple(shape)
+    elements = list(elements)
+    if elements and all(isinstance(g, Permutation) and g.n == math.prod(shape) for g in elements):
+        maps = np.array([g.mapping for g in elements], dtype=np.int64)
+        return [(maps, _index_action(np.argsort(maps, axis=1), shape))]
+    return [([g], _element_action(group, g, shape)) for g in elements]
+
+
+def iter_actions(group: GroupAction, shape, batch_size: int = 250_000):
+    """Every element of a finite group, as batched actions on data points of ``shape``.
+
+    Yields ``(elements, act)`` pairs; ``act`` maps an array (..., *shape) of
+    points to (..., B, *shape), one acted copy per element, B = len(elements).
+    Groups with a permutation form come in (B, n) image arrays of up to
+    ``batch_size`` rows, acting on the flattened points; the others come one
+    element at a time, acting through ``group.act``. A group with neither
+    form raises NotEnumerableError.
+    """
+    shape = tuple(shape)
+    try:
+        batches = group.iter_mapping_batches(batch_size)
+    except NotEnumerableError:
+        for g in group.elements():
+            yield [g], _element_action(group, g, shape)
+        return
+    for maps in batches:
+        yield maps, _index_action(np.argsort(maps, axis=1), shape)
+
+
+def sample_actions(group: GroupAction, shape, draws: int, rng: np.random.Generator,
+                   batch_size: int = 250_000):
+    """``draws`` uniform group elements, as batched actions like ``iter_actions``.
+
+    Groups with ``act_uniform_batch`` draw up to ``batch_size`` elements at a
+    time by acting on the index array arange(n) in the points' shape; the
+    others draw ``group.sample`` one element after another.
+    """
+    shape = tuple(shape)
+    n = math.prod(shape)
+    for start in range(0, draws, batch_size):
+        b = min(batch_size, draws - start)
+        if hasattr(group, "act_uniform_batch"):
+            index = np.broadcast_to(np.arange(n).reshape(shape), (b,) + shape).copy()
+            inverse_maps = np.asarray(group.act_uniform_batch(rng, index)).reshape(b, n)
+            yield np.argsort(inverse_maps, axis=1), _index_action(inverse_maps, shape)
+        else:
+            yield from actions_of(group, [group.sample(rng) for _ in range(b)], shape)
 
 
 # --------------------------------------------------------------------------
@@ -398,6 +495,9 @@ class GraphAutomorphismGroup(GroupAction):
 # --------------------------------------------------------------------------
 
 AUTOMORPHISM_BRUTE_FORCE_CAP = 10
+# Entries of the (assignments, candidates, assigned vertices) comparison
+# array built at once while enumerating automorphisms.
+_AUTOMORPHISM_BLOCK = 1 << 18
 
 
 def close_permutations(generators: list[Permutation]) -> list[Permutation]:
@@ -426,9 +526,11 @@ def enumerate_automorphisms(
 ) -> GraphAutomorphismGroup:
     """All vertex permutations g with g A g^T = A (exact weight equality).
 
-    Brute-force backtracking over degree-signature-compatible assignments up
-    to ``cap`` vertices; larger graphs require an explicit generator list,
-    which is verified and closed under the group operations.
+    Exhaustive search over degree-signature-compatible assignments up to
+    ``cap`` vertices, extending all partial assignments one vertex at a time
+    and listing the automorphisms in lexicographic order; larger graphs
+    require an explicit generator list, which is verified and closed under
+    the group operations.
     """
     A = np.asarray(adjacency, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -451,33 +553,24 @@ def enumerate_automorphisms(
     # Vertices can only map to vertices with the same loop weight and
     # incident-weight multiset.
     sig = [(A[i, i], tuple(sorted(A[i].tolist()))) for i in range(n)]
-    candidates = [[j for j in range(n) if sig[j] == sig[i]] for i in range(n)]
+    candidates = [np.array([j for j in range(n) if sig[j] == sig[i]], dtype=np.int64)
+                  for i in range(n)]
 
-    found: list[Permutation] = []
-    assigned = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-
-    def backtrack(i: int) -> None:
-        if i == n:
-            found.append(Permutation(assigned.copy(), validate=False))
-            return
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for u in range(i):
-                if A[i, u] != A[j, assigned[u]]:
-                    ok = False
-                    break
-            if ok:
-                assigned[i] = j
-                used[j] = True
-                backtrack(i + 1)
-                used[j] = False
-        assigned[i] = -1
-
-    backtrack(0)
-    return GraphAutomorphismGroup(A, found)
+    # Extend every partial assignment of vertices 0..i-1 by each compatible
+    # image of vertex i: unused, and A[i, u] == A[j, image(u)] for all u < i.
+    # Rows stay in lexicographic order, the order a depth-first search finds.
+    partial = np.zeros((1, 0), dtype=np.int64)
+    for i, cand in enumerate(candidates):
+        step = max(1, _AUTOMORPHISM_BLOCK // (cand.size * max(i, 1)))
+        grown = []
+        for lo in range(0, partial.shape[0], step):
+            rows = partial[lo : lo + step]
+            ok = ~(rows[:, :, None] == cand).any(axis=1)
+            ok &= (A[cand[None, :, None], rows[:, None, :]] == A[i, :i]).all(axis=2)
+            r, c = np.nonzero(ok)
+            grown.append(np.column_stack([rows[r], cand[c]]))
+        partial = np.concatenate(grown)
+    return GraphAutomorphismGroup(A, partial)
 
 
 def orbit_of_index(group: GroupAction, i: int) -> tuple[np.ndarray, int]:
@@ -517,43 +610,25 @@ def coset_representatives(group: GroupAction, psi, probes) -> CosetDecomposition
     probes = [np.asarray(p, dtype=float) for p in probes]
     if not probes:
         raise ValueError("probe set must be nonempty")
-    n = probes[0].shape[-1]
+    if any(p.shape != probes[0].shape for p in probes):
+        raise ValueError("probes must share one dimension")
     ident = tuple(float(psi(p)) for p in probes)
 
-    try:
-        batches = group.iter_mapping_batches()
-    except NotEnumerableError:
-        batches = None
-    if batches is None:
-        reps_any: dict[tuple, object] = {}
-        subgroup_size = 0
-        for g in group.elements():
-            key = tuple(float(psi(group.act(g, p))) for p in probes)
-            if key not in reps_any:
-                reps_any[key] = g
-            if key == ident:
-                subgroup_size += 1
-        return CosetDecomposition(
-            representatives=list(reps_any.values()), subgroup_size=subgroup_size
-        )
-
-    reps: dict[tuple, np.ndarray] = {}
+    reps: dict[tuple, object] = {}
     subgroup_size = 0
-    for maps in batches:
-        inv = np.argsort(maps, axis=1)
-        sigs = np.empty((maps.shape[0], len(probes)))
+    for elements, act in iter_actions(group, probes[0].shape):
+        sigs = np.empty((len(elements), len(probes)))
         for c, p in enumerate(probes):
-            if p.shape[-1] != n:
-                raise ValueError("probes must share one dimension")
-            sigs[:, c] = psi(p[inv])
-        for r in range(maps.shape[0]):
+            sigs[:, c] = np.asarray(psi(act(p)), dtype=float).reshape(-1)
+        for r in range(len(elements)):
             key = tuple(sigs[r].tolist())
             if key not in reps:
-                reps[key] = maps[r]
+                reps[key] = elements[r]
             if key == ident:
                 subgroup_size += 1
     return CosetDecomposition(
-        representatives=[Permutation(m, validate=False) for m in reps.values()],
+        representatives=[Permutation(g, validate=False) if isinstance(g, np.ndarray) else g
+                         for g in reps.values()],
         subgroup_size=subgroup_size,
     )
 

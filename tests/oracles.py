@@ -1,15 +1,18 @@
-"""Per-candidate reference forms of the rank-form set builders.
+"""Per-candidate reference forms of the set builders and of automorphism search.
 
-Each oracle completes the data with one candidate at a time, scores the
+Each set oracle completes the data with one candidate at a time, scores the
 completed data, takes the quantile with ``finite_quantile`` and keeps the
 candidate when its own score is at most that quantile: the textbook form of
 the rule that ``symmpi.calibrate`` evaluates for a whole grid at once. The two
 forms agree for 0 < alpha < 1; at alpha = 1 the rank form keeps nothing.
+``orbit_set_members`` does the same over a group orbit, one element at a time,
+and ``backtrack_automorphisms`` is the depth-first automorphism search.
 """
 
 import numpy as np
 
-from symmpi.calibrate import finite_quantile
+from symmpi.calibrate import finite_quantile, threshold_from_scores
+from symmpi.groups import Permutation
 from symmpi.transforms import fit_regressors
 
 
@@ -139,3 +142,52 @@ def hcp_rows_members(donor_branches, candidates, alpha):
     grand = sum(float(np.mean(b)) for b in branches) / len(branches)
     t = _weighted_threshold([np.abs(b - grand) for b in branches], alpha)
     return np.abs(np.asarray(candidates, dtype=float) - grand) <= t
+
+
+def orbit_set_members(observed, candidates, embed, V, psi, group, alpha, elements,
+                      u_prime=None, own_first=False):
+    """``symmpi_set`` (``randomized_set`` with ``u_prime``) one candidate at a
+    time: psi of ``group.act(g, z)`` for each of ``elements``, preceded by
+    psi(z) itself when ``own_first`` (the Monte-Carlo sample), then the
+    threshold of those scores and the rule applied to psi(z)."""
+    member = []
+    for c in np.asarray(candidates, dtype=float):
+        z = np.asarray(V(embed(observed, c)), dtype=float)
+        own = float(psi(z))
+        scores = [own] if own_first else []
+        scores += [float(psi(group.act(g, z))) for g in elements]
+        th = threshold_from_scores(scores, alpha)
+        if u_prime is None:
+            member.append(own <= th.value)
+        else:
+            member.append(own < th.value or (own == th.value and u_prime < th.delta))
+    return np.array(member, dtype=bool)
+
+
+def backtrack_automorphisms(adjacency):
+    """Vertex permutations g with g A g^T = A, by depth-first backtracking over
+    assignments that keep each vertex's loop weight and weight multiset, in the
+    order the search finds them."""
+    A = np.asarray(adjacency, dtype=float)
+    n = A.shape[0]
+    sig = [(A[i, i], tuple(sorted(A[i].tolist()))) for i in range(n)]
+    candidates = [[j for j in range(n) if sig[j] == sig[i]] for i in range(n)]
+    found = []
+    assigned = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+
+    def backtrack(i):
+        if i == n:
+            found.append(Permutation(assigned.copy(), validate=False))
+            return
+        for j in candidates[i]:
+            if used[j] or any(A[i, u] != A[j, assigned[u]] for u in range(i)):
+                continue
+            assigned[i] = j
+            used[j] = True
+            backtrack(i + 1)
+            used[j] = False
+        assigned[i] = -1
+
+    backtrack(0)
+    return found

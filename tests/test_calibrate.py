@@ -294,6 +294,48 @@ def test_monotonicity_in_alpha():
         assert not np.any(tighter & ~looser)
 
 
+def test_mc_set_coverage_sandwich():
+    # exchangeable scalars with the truth as the candidate: the Monte-Carlo set
+    # covers it with probability in [1 - alpha, 1 - alpha + 1/(draws + 1)]
+    rng = np.random.default_rng(17)
+    n, draws, alpha, trials = 12, 19, 0.2, 1000
+    hits = 0
+    for _ in range(trials):
+        z = rng.normal(size=n)
+        ps = symmpi_set(z[:-1], z[-1:], append_embed, identity_map, last_coordinate,
+                        SymmetricGroup(n), alpha, mode="mc", mc_draws=draws, rng=rng)
+        hits += int(ps.member[0])
+    se = np.sqrt(alpha * (1 - alpha) / trials)
+    assert 1 - alpha - 3 * se <= hits / trials <= 1 - alpha + 1 / (draws + 1) + 3 * se
+
+
+def test_orbit_sets_drop_candidates_with_nan_score():
+    grid = np.array([-1.0, np.nan, 1.0])
+    obs = np.array([0.0, 2.0])
+    det = symmpi_set(obs, grid, append_embed, identity_map, last_coordinate,
+                     SymmetricGroup(3), alpha=0.0)
+    ran = randomized_set(obs, grid, append_embed, identity_map, last_coordinate,
+                         SymmetricGroup(3), alpha=0.0, u_prime=0.5)
+    assert det.member.tolist() == ran.member.tolist() == [True, False, True]
+
+
+def test_exact_orbit_set_memory_stays_bounded():
+    # S_7 over 201 candidates: every acted copy at once would take 57 MB
+    import tracemalloc
+
+    obs = np.random.default_rng(18).normal(size=6)
+    grid = np.linspace(-3, 3, 201)
+    tracemalloc.start()
+    try:
+        ps = symmpi_set(obs, grid, append_embed, identity_map, last_coordinate,
+                        SymmetricGroup(7), alpha=0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.meta == {"mode": "exact", "orbit_size": 5040}
+    assert peak < 16 * 2**20
+
+
 # ----------------------------------------------------------------------
 # Non-symmetric weighted set
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from symmpi.groups import (
     BlockPermutation,
     BlockPermutationGroup,
+    GraphAutomorphismGroup,
     NotEnumerableError,
     OrthogonalGroup,
     Permutation,
@@ -15,6 +17,7 @@ from symmpi.groups import (
     orbit_of_index,
     sample_block_permutation,
     sample_haar_orthogonal,
+    sample_actions,
     sample_uniform_permutation,
 )
 from symmpi.transforms import energy_permutation_test
@@ -214,9 +217,66 @@ def test_block_group_order_formula():
         assert sum(1 for _ in G.elements()) == math.factorial(K) * math.factorial(M) ** K
 
 
+def test_block_mapping_batches_follow_element_order():
+    for K, M in [(2, 2), (2, 3), (3, 2)]:
+        G = BlockPermutationGroup(K, M)
+        want = np.array([g.flat().mapping for g in G.elements()])
+        for batch_size in (250_000, 7):
+            got = np.concatenate(list(G.iter_mapping_batches(batch_size)))
+            assert np.array_equal(got, want)
+
+
+def test_block_uniform_batch_accepts_flat_points():
+    G = BlockPermutationGroup(3, 2)
+    index = np.broadcast_to(np.arange(6), (500, 6))
+    out = G.act_uniform_batch(np.random.default_rng(14), index)
+    assert out.shape == (500, 6)
+    for row in out.reshape(500, 3, 2):
+        # every block is a whole source block, possibly with its entries swapped
+        assert sorted(tuple(sorted(b)) for b in row.tolist()) == [(0, 1), (2, 3), (4, 5)]
+    assert len({tuple(r) for r in out.tolist()}) == G.order()
+
+
+def test_sample_actions_act_like_sampled_elements():
+    # groups without a batched sampler draw group.sample in order
+    aut = enumerate_automorphisms(cycle_graph(5))
+    z = np.arange(5.0) ** 2
+    got = np.concatenate([act(z) for _, act in
+                          sample_actions(aut, z.shape, 25, np.random.default_rng(15), 10)])
+    rng = np.random.default_rng(15)
+    want = np.array([aut.act(aut.sample(rng), z) for _ in range(25)])
+    assert np.array_equal(got, want)
+
+
 # ----------------------------------------------------------------------
 # Graph automorphisms
 # ----------------------------------------------------------------------
+
+
+def test_automorphisms_match_backtracking_in_order():
+    rng = np.random.default_rng(16)
+    weighted = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    star = np.zeros((6, 6))
+    star[0, 1:] = star[1:, 0] = 1.0
+    graphs = [np.zeros((5, 5)), path_graph(5), cycle_graph(6), weighted, star,
+              np.diag([1.0, 0.0, 1.0, 0.0])]
+    for _ in range(6):
+        A = np.triu(rng.choice([0.0, 1.0, 2.0], (7, 7)), 1)
+        graphs.append(A + A.T)
+    for A in graphs:
+        got = [tuple(g.mapping.tolist()) for g in enumerate_automorphisms(A).elements()]
+        want = [tuple(g.mapping.tolist()) for g in oracles.backtrack_automorphisms(A)]
+        assert got == want
+
+
+def test_automorphism_group_from_image_array():
+    listed = enumerate_automorphisms(cycle_graph(4))
+    maps = np.concatenate(list(listed.iter_mapping_batches()))
+    from_array = GraphAutomorphismGroup(cycle_graph(4), maps)
+    assert from_array.order() == listed.order() == 8
+    assert list(from_array.elements()) == list(listed.elements())
+    with pytest.raises(ValueError):
+        GraphAutomorphismGroup(cycle_graph(4), maps[1:2])
 
 
 def test_automorphisms_edgeless_graph():

@@ -1,9 +1,16 @@
-"""Property tests of the rank-form candidate sweep in ``symmpi.calibrate``.
+"""Property tests of the candidate sweeps in ``symmpi.calibrate``.
 
-Each kernel must match its per-candidate oracle (``oracles.py``), its sets
-must shrink as alpha grows, and reordering the donor branches must leave
-them unchanged. Hypothesis picks shapes, seeds and alpha; the data come from
-a seeded numpy generator and candidates from a grid, so a candidate's score
+Each rank-form kernel must match its per-candidate oracle (``oracles.py``),
+its sets must shrink as alpha grows, and reordering the donor branches must
+leave them unchanged. The orbit sweep behind ``symmpi_set`` and
+``randomized_set`` must match the per-candidate orbit oracle in exact mode
+(and for groups without a batched sampler, in Monte-Carlo mode with the same
+draws); in Monte-Carlo mode the randomized set must lie within the
+deterministic one, and a candidate's membership must not depend on the rest
+of the grid. Hypothesis picks shapes, seeds and alpha. The orbit tests put
+the data values on the grid and repeat values, so that scores tie on
+purpose. For the rank-form kernels the data come from a seeded numpy
+generator and candidates from a grid, so a candidate's score
 ties a calibration score only where the construction forces it: a two-point
 branch centered at its own mean, which the kernel breaks as the oracle does.
 The few constructions where a score ties the candidate's exactly whatever
@@ -23,12 +30,24 @@ from symmpi.calibrate import (
     conformal_below,
     hcp_first_obs_set,
     hierarchical_below,
+    randomized_set,
     rank_member,
     supervised_below,
     supervised_hierarchical_set,
+    symmpi_set,
     symmpi_set_randomsize,
 )
+from symmpi.groups import (
+    BlockPermutationGroup,
+    OrthogonalGroup,
+    SymmetricGroup,
+    TrivialGroup,
+    coset_representatives,
+    default_probes,
+    enumerate_automorphisms,
+)
 from symmpi.network import cluster_sum_set, tree_leaf_set
+from symmpi.transforms import hierarchical_unsup_transform
 
 SETTINGS = settings(max_examples=40, deadline=None)
 # alpha on a 0.01 grid keeps 1 - alpha well away from any branch-weighted mass
@@ -222,3 +241,212 @@ def test_hcp_first_obs_matches_oracle(branches, n_grid, alpha, data):
     order = data.draw(st.permutations(range(len(branches))))
     assert np.array_equal(hcp_first_obs_set([branches[i] for i in order], grid, alpha).member,
                           ps.member)
+
+
+# ----------------------------------------------------------------------
+# Orbit sets: the batched sweep behind symmpi_set and randomized_set
+# ----------------------------------------------------------------------
+
+
+def _append(observed, c):
+    return np.append(observed, c)
+
+
+def _identity(z):
+    return np.asarray(z, dtype=float)
+
+
+def _last(z):
+    return np.asarray(z)[..., -1]
+
+
+def _last_entry(z):
+    return np.asarray(z)[..., -1, -1]
+
+
+U_PRIME = st.floats(0.0, 1.0, exclude_max=True)
+
+
+def _tied_values(rng, size):
+    """Normal values, or a few values repeated, so that scores tie."""
+    if rng.uniform() < 0.5:
+        return rng.normal(0, 1, size)
+    return rng.choice(rng.normal(0, 1, 3), size)
+
+
+def _tied_grid(observed, rng, n_grid):
+    """A grid over the data that contains the observed values themselves."""
+    flat = np.asarray(observed, dtype=float).ravel()
+    lo, hi = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
+    grid = np.linspace(lo - 1.5, hi + 1.5, n_grid) + rng.normal(0, 0.01)
+    return np.unique(np.concatenate([grid, flat]))
+
+
+def _assert_sweep_matches_oracle(observed, grid, embed, V, psi, group, alpha, u,
+                                 elements, cosets=None):
+    det = symmpi_set(observed, grid, embed, V, psi, group, alpha, cosets=cosets)
+    ran = randomized_set(observed, grid, embed, V, psi, group, alpha, u, cosets=cosets)
+    want = oracles.orbit_set_members(observed, grid, embed, V, psi, group, alpha, elements)
+    want_ran = oracles.orbit_set_members(observed, grid, embed, V, psi, group, alpha,
+                                         elements, u_prime=u)
+    assert np.array_equal(det.member, want)
+    assert np.array_equal(ran.member, want_ran)
+    assert det.meta == {"mode": "exact", "orbit_size": len(elements)}
+
+
+@SETTINGS
+@given(n=st.integers(1, 6), seed=SEED, n_grid=st.integers(2, 40), alpha=ALPHA, u=U_PRIME)
+def test_exact_orbit_set_matches_oracle_symmetric(n, seed, n_grid, alpha, u):
+    rng = np.random.default_rng(seed)
+    observed = _tied_values(rng, n - 1)
+    grid = _tied_grid(observed, rng, n_grid)
+    group = SymmetricGroup(n)
+    _assert_sweep_matches_oracle(observed, grid, _append, _identity, _last, group, alpha, u,
+                                 list(group.elements()))
+
+
+@SETTINGS
+@given(shape=st.sampled_from([(1, 3), (2, 1), (2, 2), (2, 3), (3, 2)]), seed=SEED,
+       n_grid=st.integers(2, 30), alpha=ALPHA, u=U_PRIME)
+def test_exact_orbit_set_matches_oracle_block(shape, seed, n_grid, alpha, u):
+    K, M = shape
+    rng = np.random.default_rng(seed)
+    observed = (rng.normal(0, 2, (K, 1)) + rng.normal(0, 1, (K, M))).ravel()[:-1]
+    grid = _tied_grid(observed, rng, n_grid)
+    group = BlockPermutationGroup(K, M)
+
+    def embed(o, c):
+        return np.append(o, c).reshape(K, M)
+
+    def V(z):
+        return hierarchical_unsup_transform(z, 2.0)
+
+    _assert_sweep_matches_oracle(observed, grid, embed, V, _last_entry, group, alpha, u,
+                                 list(group.elements()))
+
+
+@SETTINGS
+@given(n=st.integers(2, 6), seed=SEED, n_grid=st.integers(2, 30), alpha=ALPHA, u=U_PRIME)
+def test_exact_orbit_set_matches_oracle_graph(n, seed, n_grid, alpha, u):
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.choice([0.0, 0.0, 1.0, 2.0], (n, n)), 1)
+    A = A + A.T
+    aut = enumerate_automorphisms(A)
+    observed = _tied_values(rng, n - 1)
+    grid = _tied_grid(observed, rng, n_grid)
+    _assert_sweep_matches_oracle(observed, grid, _append, _identity, _last, aut, alpha, u,
+                                 list(aut.elements()))
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["sn", "block"]), seed=SEED, n_grid=st.integers(2, 30),
+       alpha=ALPHA, u=U_PRIME)
+def test_exact_orbit_set_matches_oracle_cosets(kind, seed, n_grid, alpha, u):
+    rng = np.random.default_rng(seed)
+    group = SymmetricGroup(5) if kind == "sn" else BlockPermutationGroup(2, 3)
+    n = 5 if kind == "sn" else 6
+    observed = _tied_values(rng, n - 1)
+    grid = _tied_grid(observed, rng, n_grid)
+    dec = coset_representatives(group, _last, default_probes(rng.normal(size=n), rng))
+    _assert_sweep_matches_oracle(observed, grid, _append, _identity, _last, group, alpha, u,
+                                 dec.representatives, cosets=dec)
+    # the quantile only depends on the cosets: the full group gives the same set
+    full = oracles.orbit_set_members(observed, grid, _append, _identity, _last, group, alpha,
+                                     list(group.elements()))
+    assert np.array_equal(symmpi_set(observed, grid, _append, _identity, _last, group, alpha,
+                                     cosets=dec).member, full)
+
+
+@SETTINGS
+@given(n=st.integers(1, 4), seed=SEED, n_grid=st.integers(1, 20), alpha=ALPHA, u=U_PRIME)
+def test_exact_orbit_set_matches_oracle_trivial(n, seed, n_grid, alpha, u):
+    rng = np.random.default_rng(seed)
+    observed = rng.normal(0, 1, n - 1)
+    grid = _tied_grid(observed, rng, n_grid)
+    _assert_sweep_matches_oracle(observed, grid, _append, _identity, _last, TrivialGroup(),
+                                 alpha, u, [None])
+
+
+def _mc_case(kind, seed):
+    """Observed data, embedding, V, psi and group of a Monte-Carlo case."""
+    rng = np.random.default_rng(seed)
+    if kind == "sn":
+        n = int(rng.integers(2, 30))
+        return _tied_values(rng, n - 1), _append, _identity, _last, SymmetricGroup(n)
+    K, M = (int(v) for v in rng.integers(1, 6, 2))
+    observed = (rng.normal(0, 2, (K, 1)) + rng.normal(0, 1, (K, M))).ravel()[:-1]
+
+    def embed(o, c):
+        return np.append(o, c).reshape(K, M)
+
+    def V(z):
+        return hierarchical_unsup_transform(z, 2.0)
+
+    return observed, embed, V, _last_entry, BlockPermutationGroup(K, M)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["sn", "block"]), seed=SEED, draws=st.integers(1, 60),
+       n_grid=st.integers(2, 30), alpha=ALPHA, u=U_PRIME)
+def test_mc_randomized_set_within_deterministic_set(kind, seed, draws, n_grid, alpha, u):
+    observed, embed, V, psi, group = _mc_case(kind, seed)
+    grid = _tied_grid(observed, np.random.default_rng(seed), n_grid)
+    det = symmpi_set(observed, grid, embed, V, psi, group, alpha, mode="mc", mc_draws=draws,
+                     rng=np.random.default_rng(seed))
+    ran = randomized_set(observed, grid, embed, V, psi, group, alpha, u, mode="mc",
+                         mc_draws=draws, rng=np.random.default_rng(seed))
+    assert not np.any(ran.member & ~det.member)
+    assert det.meta == {"mode": "mc", "orbit_size": draws + 1}
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["sn", "block"]), seed=SEED, draws=st.integers(1, 60),
+       n_grid=st.integers(2, 30), alpha=ALPHA, data=st.data())
+def test_mc_set_on_sub_grid_is_restriction(kind, seed, draws, n_grid, alpha, data):
+    # the draws are shared by all candidates, so a candidate's membership does
+    # not depend on which other candidates are on the grid
+    observed, embed, V, psi, group = _mc_case(kind, seed)
+    grid = _tied_grid(observed, np.random.default_rng(seed), n_grid)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=grid.size, max_size=grid.size)))
+    assume(keep.any())
+    full = symmpi_set(observed, grid, embed, V, psi, group, alpha, mode="mc", mc_draws=draws,
+                      rng=np.random.default_rng(seed))
+    sub = symmpi_set(observed, grid[keep], embed, V, psi, group, alpha, mode="mc",
+                     mc_draws=draws, rng=np.random.default_rng(seed))
+    assert np.array_equal(sub.member, full.member[keep])
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["orthogonal", "graph"]), seed=SEED, draws=st.integers(1, 40),
+       n_grid=st.integers(2, 20), alpha=ALPHA, u=U_PRIME)
+def test_mc_set_without_batched_sampler_matches_oracle(kind, seed, draws, n_grid, alpha, u):
+    # groups without act_uniform_batch draw group.sample one at a time, in the
+    # order the per-candidate oracle draws them
+    rng = np.random.default_rng(seed)
+    if kind == "orthogonal":
+        group = OrthogonalGroup(2)
+        observed = rng.normal(0, 1, (int(rng.integers(1, 5)), 2))
+
+        def embed(o, c):
+            return np.vstack([o, [c, 0.0]])
+
+        def psi(z):
+            return np.asarray(z)[..., -1, 0]
+    else:
+        n = int(rng.integers(2, 7))
+        group = enumerate_automorphisms(np.zeros((n, n)))
+        observed, embed, psi = _tied_values(rng, n - 1), _append, _last
+    grid = _tied_grid(observed, rng, n_grid)
+    kw = dict(mode="mc", mc_draws=draws)
+    sampler = np.random.default_rng(seed)
+    elements = [group.sample(sampler) for _ in range(draws)]
+    for u_prime in (None, u):
+        if u_prime is None:
+            got = symmpi_set(observed, grid, embed, _identity, psi, group, alpha,
+                             rng=np.random.default_rng(seed), **kw)
+        else:
+            got = randomized_set(observed, grid, embed, _identity, psi, group, alpha, u_prime,
+                                 rng=np.random.default_rng(seed), **kw)
+        want = oracles.orbit_set_members(observed, grid, embed, _identity, psi, group, alpha,
+                                         elements, u_prime=u_prime, own_first=True)
+        assert np.array_equal(got.member, want)
