@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import CosetDecomposition, GroupAction, actions_of, iter_actions, sample_actions
+from .transforms import branch_fits, fit_regressors
 
 # Guard against float fuzz in level * n (e.g. 0.95 * 20 = 19.000000000000004).
 _LEVEL_EPS = 1e-9
@@ -95,8 +96,12 @@ def threshold_from_scores(scores, alpha: float, weights=None) -> Threshold:
 
 
 # Floats of acted data that the orbit sweep builds at once: it bounds the
-# sweep's working memory whatever the group order and candidate count.
-_BLOCK_FLOATS = 1 << 16
+# sweep's working memory whatever the group order and candidate count. glibc
+# trims the heap top once twice the largest freed block lies free there; at
+# 2^16 the draws and image arrays of a Monte-Carlo set nearly made up that
+# much, so whether each set re-faulted ~100 pages hung on unrelated
+# allocations.
+_BLOCK_FLOATS = 1 << 17
 
 
 def _orbit_actions(group: GroupAction, shape, cosets, mode, mc_draws, rng):
@@ -592,18 +597,13 @@ def supervised_below(donor_residuals, target_residuals, candidate_residuals,
 
 
 def _adaptive_centers(reg, xs, c: float):
-    """Pooled fits, and centers: the pooled fit where the branch fit lies
-    within c confidence bands of it, else the branch fit."""
-    pooled, centers = [], []
-    for k, x in enumerate(xs):
-        mu_p = reg.mu(x)
-        mu_b = reg.mu_k(k, x)
-        sig = reg.sigma_k(k, x)
-        if np.any(sig <= 0):
-            raise ValueError("degenerate confidence band: sigma_k(x) = 0")
-        pooled.append(mu_p)
-        centers.append(np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b))
-    return pooled, centers
+    """Per-branch pooled fits, and centers: the pooled fit where the branch
+    fit lies within c confidence bands of it, else the branch fit. All
+    branches are evaluated in one pass (``transforms.branch_fits``)."""
+    mu_p, mu_b, sig, sizes = branch_fits(reg, xs)
+    center = np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b)
+    cuts = np.cumsum(sizes)[:-1]
+    return np.split(mu_p, cuts), np.split(center, cuts)
 
 
 def randomsize_threshold(branch_scores, alpha: float) -> float:
@@ -671,8 +671,6 @@ def supervised_hierarchical_set(
     (candidate included for its own branch) and compared against the
     branch-weighted score quantile. Ragged branch sizes are allowed.
     """
-    from .transforms import fit_regressors
-
     cands = _checked_candidates(candidates, alpha)
     reg = fit_regressors(train_x, train_y)
     cal_x = [np.asarray(v, dtype=float) for v in cal_x]

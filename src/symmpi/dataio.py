@@ -25,8 +25,7 @@ def read_hierarchical_csv(path):
     target is (branch_index, row_index).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(c.strip() for c in r)]
+        rows = [r for r in csv.reader(fh) if "".join(r).strip()]  # skip blank rows
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [c.strip().lower() for c in rows[0]]
@@ -41,33 +40,29 @@ def read_hierarchical_csv(path):
         raise DataError(f"{path}: no y or value column")
     xcols = [i for i, name in enumerate(header) if name == "x" or name.startswith("x_")]
 
-    branches: dict[str, list] = {}
-    order: list[str] = []
-    for r in rows[1:]:
-        b = r[bcol].strip()
-        if b not in branches:
-            branches[b] = []
-            order.append(b)
-        yraw = r[ycol].strip() if ycol < len(r) else ""
-        y = float(yraw) if yraw else np.nan
-        x = [float(r[i]) for i in xcols] if xcols else None
-        branches[b].append((x, y))
+    body = rows[1:]
+    ids = [r[bcol].strip() for r in body]
+    ycells = [r[ycol].strip() if ycol < len(r) else "" for r in body]
+    y = np.array([float(c) if c else np.nan for c in ycells])
+    x = np.array([[float(r[i]) for r in body] for i in xcols]).T if xcols else None
+    order = list(dict.fromkeys(ids))
+    code = {b: i for i, b in enumerate(order)}
+    branch = np.array([code[b] for b in ids], dtype=np.intp)
 
-    ys = []
-    xs = [] if xcols else None
-    target = None
-    for bi, b in enumerate(order):
-        yvals = np.array([y for _, y in branches[b]])
-        for ri in np.flatnonzero(np.isnan(yvals)):
-            if target is not None:
-                raise DataError(f"{path}: more than one missing target value")
-            target = (bi, int(ri))
-        ys.append(yvals)
-        if xcols:
-            xs.append(np.array([x for x, _ in branches[b]]).squeeze(-1) if len(xcols) == 1
-                      else np.array([x for x, _ in branches[b]]))
-    if target is None:
+    missing = np.flatnonzero(np.isnan(y))
+    if missing.size > 1:
+        raise DataError(f"{path}: more than one missing target value")
+    if missing.size == 0:
         raise DataError(f"{path}: no missing target value (leave one y empty)")
+    bi = int(branch[missing[0]])
+    target = (bi, int(np.count_nonzero(branch[: missing[0]] == bi)))
+    # rows grouped by branch, in file order within each
+    by_branch = np.argsort(branch, kind="stable")
+    cuts = np.cumsum(np.bincount(branch, minlength=len(order)))[:-1]
+    ys = np.split(y[by_branch], cuts)
+    xs = None
+    if xcols:
+        xs = np.split(x[by_branch, 0] if len(xcols) == 1 else x[by_branch], cuts)
     return order, xs, ys, target
 
 
@@ -110,6 +105,8 @@ def read_adjacency(path):
     except ValueError:
         has_header = True
     body = lines[1:] if has_header else lines
+    if not body:
+        raise DataError(f"{path}: no edges or matrix rows")
     cells = [ln.split(delim) for ln in body]
     widths = {len(c) for c in cells}
     if widths <= {2, 3} and len(cells) != max(widths):

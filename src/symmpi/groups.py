@@ -8,6 +8,7 @@ computations stay vectorized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,6 +156,57 @@ def sample_haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
     return q * d
 
 
+_LEX_TAIL = 7  # trailing positions of a lexicographic permutation read from a table
+
+
+def _lex_unrank(n: int, ranks: np.ndarray) -> np.ndarray:
+    """Permutations of range(n) at the given lexicographic ranks: digit j of
+    the rank in the factorial base picks image j among the symbols left."""
+    B = ranks.size
+    left = np.broadcast_to(np.arange(n, dtype=np.int64), (B, n))
+    out = np.empty((B, n), dtype=np.int64)
+    for j in range(n):
+        digit, ranks = np.divmod(ranks, math.factorial(n - 1 - j))
+        out[:, j] = left[np.arange(B), digit]
+        left = left[np.arange(n - j) != digit[:, None]].reshape(B, n - j - 1)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _lex_table(n: int) -> np.ndarray:
+    """Read-only lexicographic table of the n! permutations of range(n)."""
+    table = _lex_unrank(n, np.arange(math.factorial(n)))
+    table.flags.writeable = False
+    return table
+
+
+def lex_permutation_batches(n: int, batch_size: int = 250_000):
+    """All permutations of range(n) in lexicographic order, the order of
+    ``itertools.permutations``, as (B, n) int64 arrays of up to ``batch_size`` rows.
+
+    For n <= 7 the batches are cut from the cached table of S_n. For larger
+    n, the permutations sharing their first n - 7 images (their head) form a
+    run of 7! rows whose last 7 images are the symbols left, arranged as the
+    rows of the table of S_7; each batch is cut from whole runs.
+    """
+    t = min(n, _LEX_TAIL)
+    table = _lex_table(t)
+    run = table.shape[0]
+    total = math.factorial(n)
+    for start in range(0, total, batch_size):
+        stop = min(start + batch_size, total)
+        if n == t:
+            yield table[start:stop].copy()
+            continue
+        h0, h1 = start // run, -(-stop // run)
+        # a run's first permutation lists the symbols left in increasing order
+        first = _lex_unrank(n, np.arange(h0, h1) * run)
+        rows = np.empty((h1 - h0, run, n), dtype=np.int64)
+        rows[:, :, : n - t] = first[:, None, : n - t]
+        rows[:, :, n - t :] = first[:, n - t :][:, table]
+        yield rows.reshape(-1, n)[start - h0 * run : stop - h0 * run]
+
+
 # --------------------------------------------------------------------------
 # Group action contracts
 # --------------------------------------------------------------------------
@@ -248,12 +300,8 @@ class SymmetricGroup(GroupAction):
         return (Permutation(np.array(p), validate=False) for p in itertools.permutations(range(self.n)))
 
     def iter_mapping_batches(self, batch_size: int = 250_000):
-        it = itertools.permutations(range(self.n))
-        while True:
-            chunk = list(itertools.islice(it, batch_size))
-            if not chunk:
-                return
-            yield np.array(chunk, dtype=np.int64)
+        """Images in the order of ``elements`` (lexicographic)."""
+        return lex_permutation_batches(self.n, batch_size)
 
     def act_uniform_batch(self, rng, z):
         """Apply an independent uniform permutation to each row of z (..., n)."""
@@ -313,8 +361,8 @@ class BlockPermutationGroup(GroupAction):
         o * (M!)^K + t pairs the o-th outer permutation with the inner
         permutations whose indices are the base-M! digits of t."""
         K, M = self.K, self.M
-        outer = np.array(list(itertools.permutations(range(K))), dtype=np.int64)
-        inner = np.array(list(itertools.permutations(range(M))), dtype=np.int64)
+        outer = next(lex_permutation_batches(K, math.factorial(K)))
+        inner = next(lex_permutation_batches(M, math.factorial(M)))
         per_outer = inner.shape[0] ** K
         total = outer.shape[0] * per_outer
         for start in range(0, total, batch_size):
@@ -600,35 +648,48 @@ class CosetDecomposition:
     subgroup_size: int
 
 
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Increasing indices of the first of each set of equal rows (NaN equals
+    nothing): a stable sort of the rows, cut where neighbours differ."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return np.sort(order[starts])
+
+
 def coset_representatives(group: GroupAction, psi, probes) -> CosetDecomposition:
     """Split a finite permutation group by the induced map g -> psi(g . z).
 
     Two elements land in the same class when their psi values agree on every
-    probe point; the class of the identity has size |H|. ``psi`` must be
-    vectorized over the leading axes of an (..., n) array.
+    probe point (NaN agrees with nothing); each class is represented by its
+    first element in enumeration order, and the class of the identity has
+    size |H|. ``psi`` must be vectorized over the leading axes of an (..., n)
+    array.
     """
     probes = [np.asarray(p, dtype=float) for p in probes]
     if not probes:
         raise ValueError("probe set must be nonempty")
     if any(p.shape != probes[0].shape for p in probes):
         raise ValueError("probes must share one dimension")
-    ident = tuple(float(psi(p)) for p in probes)
+    ident = np.array([float(psi(p)) for p in probes])
 
-    reps: dict[tuple, object] = {}
+    reps = []
+    seen = np.empty((0, len(probes)))  # signatures of the representatives so far
     subgroup_size = 0
     for elements, act in iter_actions(group, probes[0].shape):
         sigs = np.empty((len(elements), len(probes)))
         for c, p in enumerate(probes):
             sigs[:, c] = np.asarray(psi(act(p)), dtype=float).reshape(-1)
-        for r in range(len(elements)):
-            key = tuple(sigs[r].tolist())
-            if key not in reps:
-                reps[key] = elements[r]
-            if key == ident:
-                subgroup_size += 1
+        subgroup_size += int(np.count_nonzero(np.all(sigs == ident, axis=1)))
+        # first occurrences, earlier batches' signatures ahead of this batch's
+        first = _first_occurrences(np.concatenate([seen, sigs]))
+        new = first[first >= len(seen)] - len(seen)
+        seen = np.concatenate([seen, sigs[new]])
+        reps.extend(elements[r] for r in new)
     return CosetDecomposition(
         representatives=[Permutation(g, validate=False) if isinstance(g, np.ndarray) else g
-                         for g in reps.values()],
+                         for g in reps],
         subgroup_size=subgroup_size,
     )
 

@@ -86,109 +86,195 @@ def _augment(x, d: int) -> np.ndarray:
 
 
 def fit_linear(x, y) -> LinearModel:
-    """OLS with intercept; raises on a rank-deficient design."""
+    """OLS with intercept from one SVD of the design; raises on a
+    rank-deficient design (``np.linalg.matrix_rank``'s tolerance)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if x.ndim == 1:
         x = x[:, None]
     xa = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
-    if np.linalg.matrix_rank(xa) < xa.shape[1]:
-        raise ValueError(
-            f"rank-deficient design: {x.shape[0]} points span rank "
-            f"{np.linalg.matrix_rank(xa)} < {xa.shape[1]}"
-        )
-    coef, _, _, _ = np.linalg.lstsq(xa, y, rcond=None)
+    u, s, vt = np.linalg.svd(xa, full_matrices=False)
+    rank = int(np.count_nonzero(s > s.max(initial=0.0) * max(xa.shape) * np.finfo(float).eps))
+    if rank < xa.shape[1]:
+        raise ValueError(f"rank-deficient design: {x.shape[0]} points span rank {rank} < {xa.shape[1]}")
+    coef = vt.T @ ((u.T @ y) / s)
     resid = y - xa @ coef
     dof = max(x.shape[0] - xa.shape[1], 1)
     resid_sd = float(np.sqrt(resid @ resid / dof))
-    return LinearModel(coef=coef, xtx_inv=np.linalg.inv(xa.T @ xa), resid_sd=resid_sd)
+    return LinearModel(coef=coef, xtx_inv=(vt.T / s**2) @ vt, resid_sd=resid_sd)
+
+
+def _fit_runs(x, y, n):
+    """OLS with intercept of y on the rows of x, within each run of
+    consecutive rows of sizes ``n`` (each at least 1), from sums about the
+    run means.
+
+    Returns each run's coefficients (R, d + 1), inverse Gram matrix
+    (R, d + 1, d + 1) and residual SD (dof n - (d + 1), at least 1), and the
+    residual of every row. A rank-deficient run raises ``fit_linear``'s
+    ``ValueError``.
+    """
+    d = x.shape[1]
+    starts = np.cumsum(n) - n
+    xy = np.concatenate([x, y[:, None]], axis=1)
+    mean = np.add.reduceat(xy, starts) / n[:, None]
+    dev = xy - np.repeat(mean, n, axis=0)
+    # per run: [scatter of x about its mean | cross products of x and y]
+    cross = np.add.reduceat(dev[:, :d, None] * dev[:, None, :], starts)
+    x_bar = mean[:, :d]
+    _check_ranks(x, n, starts)
+    scatter_inv = np.linalg.inv(cross[:, :, :d])
+    slope = (scatter_inv @ cross[:, :, d:])[:, :, 0]
+    shift = (scatter_inv @ x_bar[:, :, None])[:, :, 0]
+    resid = dev[:, d] - np.einsum("ij,ij->i", dev[:, :d], np.repeat(slope, n, axis=0))
+    coef = np.empty((n.size, d + 1))
+    coef[:, 0] = mean[:, d] - np.einsum("ij,ij->i", x_bar, slope)
+    coef[:, 1:] = slope
+    # inverse of the Gram matrix [[n, n m'], [n m, S + n m m']], m the mean
+    # of x and S its scatter, by blocks
+    xtx_inv = np.empty((n.size, d + 1, d + 1))
+    xtx_inv[:, 0, 0] = 1.0 / n + np.einsum("ij,ij->i", x_bar, shift)
+    xtx_inv[:, 0, 1:] = xtx_inv[:, 1:, 0] = -shift
+    xtx_inv[:, 1:, 1:] = scatter_inv
+    rss = np.add.reduceat(resid**2, starts)
+    return coef, xtx_inv, np.sqrt(rss / np.maximum(n - (d + 1), 1)), resid
+
+
+def _check_ranks(x, n, starts):
+    """Raise for the first run whose design [1, x] is rank-deficient.
+
+    The decision is ``np.linalg.matrix_rank``'s. A run whose Gram matrix has
+    smallest to largest eigenvalue ratio of at least 1e-8 (singular values at
+    least 1e-4 apart) is full rank by that rule, since rounding moves those
+    eigenvalues by far less than 1e-8 of the largest; only the runs below,
+    and those with non-finite values, are passed to ``matrix_rank``, on their
+    own rows.
+    """
+    xa = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
+    eig = np.linalg.eigvalsh(np.add.reduceat(xa[:, :, None] * xa[:, None, :], starts))
+    for r in np.flatnonzero(~(eig[:, 0] >= 1e-8 * eig[:, -1])):
+        rank = np.linalg.matrix_rank(xa[starts[r]:starts[r] + n[r]])
+        if rank < xa.shape[1]:
+            raise ValueError(f"rank-deficient design: {n[r]} points span rank {rank} < {xa.shape[1]}")
 
 
 @dataclass
 class RegressorBundle:
-    """Pooled and per-branch regression functions with confidence bands.
+    """Pooled regression and per-branch corrections with confidence bands.
 
-    ``branch_mu`` values are the pooled fit plus a per-branch correction fit
-    on pooled residuals; ``sigma`` is the standard-error curve of that
-    correction, floored away from zero. ``train_resid_sd`` holds per-branch
-    residual SDs on the training data (used when tuning the centering
-    constant).
+    ``mu_k`` is the pooled fit plus branch k's correction, a linear fit to the
+    pooled residuals; ``sigma_k`` is the standard-error curve of that
+    correction, floored away from zero. Row k of ``coef``, ``xtx_inv`` and
+    ``resid_sd`` describes branch k's correction; a branch with fewer than 2
+    points is not ``fitted``, has zero rows, and falls back to the pooled fit
+    with its training residual SD as the band. ``train_resid_sd`` holds
+    per-branch residual SDs on the training data (used when tuning the
+    centering constant). ``mu_k`` and ``sigma_k`` take a branch index, or an
+    integer array of them that broadcasts against the points of x.
     """
 
     pooled: LinearModel
-    branch_resid: list  # per-branch LinearModel or None (pooled fallback)
+    coef: np.ndarray  # (K, d + 1), intercept first
+    xtx_inv: np.ndarray  # (K, d + 1, d + 1)
+    resid_sd: np.ndarray  # (K,), dof n_k - (d + 1)
+    fitted: np.ndarray  # (K,) bool
     train_resid_sd: np.ndarray
 
     @property
     def n_branches(self) -> int:
-        return len(self.branch_resid)
+        return self.coef.shape[0]
 
     def mu(self, x) -> np.ndarray:
         return self.pooled.predict(x)
 
-    def mu_k(self, k: int, x) -> np.ndarray:
-        base = self.pooled.predict(x)
-        if self.branch_resid[k] is None:
-            return base
-        return base + self.branch_resid[k].predict(x)
+    def mu_k(self, k, x) -> np.ndarray:
+        xa = _augment(x, self.pooled.coef.size - 1)
+        return xa @ self.pooled.coef + np.einsum("...i,...i->...", xa, self.coef[k])
 
-    def sigma_k(self, k: int, x) -> np.ndarray:
-        if self.branch_resid[k] is None:
-            se = np.broadcast_to(self.train_resid_sd[k], np.shape(self.pooled.predict(x)))
-        else:
-            se = self.branch_resid[k].se(x)
+    def sigma_k(self, k, x) -> np.ndarray:
+        xa = _augment(x, self.pooled.coef.size - 1)
+        quad = np.einsum("...i,...ij,...j->...", xa, self.xtx_inv[k], xa)
+        se = np.where(
+            self.fitted[k],
+            self.resid_sd[k] * np.sqrt(np.maximum(quad, 0.0)),
+            self.train_resid_sd[k],
+        )
         return np.maximum(se, _BAND_FLOOR)
 
 
 def fit_regressors(train_x, train_y) -> RegressorBundle:
-    """Fit the pooled regression and per-branch residual corrections.
+    """Fit the pooled regression and every branch's residual correction at once.
 
-    Inputs are per-branch sequences (ragged allowed). Branches with fewer
-    than 2 points fall back to the pooled fit.
+    Inputs are per-branch sequences (ragged allowed). Each branch with at
+    least 2 points gets the OLS fit, with intercept, of its pooled residuals
+    on x; all K fits come from per-branch sums over the concatenated rows,
+    taken about the branch means. Branches with fewer than 2 points fall back
+    to the pooled fit. A rank-deficient branch raises ``ValueError`` as
+    ``fit_linear`` does.
     """
     xs = [np.asarray(x, dtype=float) for x in train_x]
     ys = [np.asarray(y, dtype=float).ravel() for y in train_y]
     if len(xs) != len(ys) or not xs:
         raise ValueError("need matching, nonempty per-branch x and y lists")
-    flat_x = np.concatenate([x.reshape(x.shape[0], -1) if x.ndim > 1 else x[:, None] for x in xs])
-    flat_y = np.concatenate(ys)
+    sizes = np.array([y.size for y in ys])
+    if [len(x) for x in xs] != sizes.tolist():
+        raise ValueError("each branch needs one x row per y value")
+    flat_x, flat_y = np.concatenate(xs), np.concatenate(ys)
+    flat_x = flat_x[:, None] if flat_x.ndim == 1 else flat_x.reshape(len(flat_x), -1)
     pooled = fit_linear(flat_x, flat_y)
+    # pooled residuals; rows of fitted branches become branch-fit residuals
+    resid = flat_y - pooled.predict(flat_x)
 
-    branch_models: list = []
-    scales = []
-    for x, y in zip(xs, ys):
-        resid = y - pooled.predict(x)
-        if y.size >= 2:
-            model = fit_linear(x, resid)
-            fitted = resid - model.predict(x)
-        else:
-            model = None
-            fitted = resid
-        branch_models.append(model)
-        scales.append(np.sqrt(np.mean(fitted**2)) if fitted.size else 0.0)
+    K, d = sizes.size, flat_x.shape[1]
+    coef = np.zeros((K, d + 1))
+    xtx_inv = np.zeros((K, d + 1, d + 1))
+    resid_sd = np.zeros(K)
+    fitted = sizes >= 2
+    if fitted.any():
+        # plain slices when every branch is fitted, which skips the copies
+        every = bool(fitted.all())
+        rows = slice(None) if every else np.repeat(fitted, sizes)
+        branches = slice(None) if every else fitted
+        coef[branches], xtx_inv[branches], resid_sd[branches], resid[rows] = _fit_runs(
+            flat_x[rows], resid[rows], sizes[branches]
+        )
+
+    # RMS residual per branch (0 for an empty one); the pooled fit has points
+    nonempty = sizes > 0
+    m = sizes[nonempty]
+    scales = np.zeros(K)
+    scales[nonempty] = np.sqrt(np.add.reduceat(resid**2, np.cumsum(m) - m) / m)
     return RegressorBundle(
         pooled=pooled,
-        branch_resid=branch_models,
-        train_resid_sd=np.maximum(np.asarray(scales), _BAND_FLOOR),
+        coef=coef,
+        xtx_inv=xtx_inv,
+        resid_sd=resid_sd,
+        fitted=fitted,
+        train_resid_sd=np.maximum(scales, _BAND_FLOOR),
     )
+
+
+def branch_fits(reg, xs):
+    """Pooled fit, branch fit and band at every point of the per-branch
+    feature arrays ``xs`` (ragged allowed), in one pass over their
+    concatenation. Returns the three as flat arrays and the branch sizes."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    sizes = [x.shape[0] for x in xs]
+    flat = np.concatenate(xs)
+    k = np.repeat(np.arange(len(xs)), sizes)
+    mu_p, mu_b, sig = reg.mu(flat), reg.mu_k(k, flat), reg.sigma_k(k, flat)
+    if np.any(sig <= 0):
+        raise ValueError("degenerate confidence band: sigma_k(x) = 0 at a point")
+    return mu_p, mu_b, sig, sizes
 
 
 def _supervised_features(x, y, reg: RegressorBundle):
     """Per-point (resid_branch, resid_pooled, band) channels, shape (K, M, 3)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    K, M = y.shape
-    feats = np.empty((K, M, 3))
-    for k in range(K):
-        mu_p = reg.mu(x[k])
-        mu_b = reg.mu_k(k, x[k])
-        sig = reg.sigma_k(k, x[k])
-        if np.any(sig <= 0):
-            raise ValueError("degenerate confidence band: sigma_k(x) = 0 at a point")
-        feats[k, :, 0] = y[k] - mu_b
-        feats[k, :, 1] = y[k] - mu_p
-        feats[k, :, 2] = sig
-    return feats
+    mu_p, mu_b, sig, _ = branch_fits(reg, x)
+    return np.stack([y - mu_b.reshape(y.shape), y - mu_p.reshape(y.shape), sig.reshape(y.shape)],
+                    axis=-1)
 
 
 def supervised_scores_from_features(features, c: float = 2.0) -> np.ndarray:

@@ -7,13 +7,67 @@ the rule that ``symmpi.calibrate`` evaluates for a whole grid at once. The two
 forms agree for 0 < alpha < 1; at alpha = 1 the rank form keeps nothing.
 ``orbit_set_members`` does the same over a group orbit, one element at a time,
 and ``backtrack_automorphisms`` is the depth-first automorphism search.
+``loop_fit_regressors`` fits the branch corrections one ``fit_linear`` call
+per branch, ``coset_representatives_by_key`` splits a group by a dictionary
+keyed on tuples of probe scores, and ``read_hierarchical_rows`` reads a
+branch data file one row at a time.
 """
+
+import csv
+from dataclasses import dataclass
 
 import numpy as np
 
 from symmpi.calibrate import finite_quantile, threshold_from_scores
-from symmpi.groups import Permutation
-from symmpi.transforms import fit_regressors
+from symmpi.groups import CosetDecomposition, Permutation, iter_actions
+from symmpi.transforms import fit_linear
+
+
+@dataclass
+class LoopRegressors:
+    """Pooled fit plus one ``LinearModel`` (or None: pooled fallback) per branch."""
+
+    pooled: object
+    branch_resid: list
+    train_resid_sd: np.ndarray
+
+    def mu(self, x):
+        return self.pooled.predict(x)
+
+    def mu_k(self, k, x):
+        base = self.pooled.predict(x)
+        if self.branch_resid[k] is None:
+            return base
+        return base + self.branch_resid[k].predict(x)
+
+    def sigma_k(self, k, x):
+        if self.branch_resid[k] is None:
+            se = np.broadcast_to(self.train_resid_sd[k], np.shape(self.pooled.predict(x)))
+        else:
+            se = self.branch_resid[k].se(x)
+        return np.maximum(se, 1e-12)
+
+
+def loop_fit_regressors(train_x, train_y):
+    """``fit_regressors`` one branch at a time: the pooled OLS fit, then
+    ``fit_linear`` on each branch's pooled residuals (branches of fewer than
+    2 points fall back to the pooled fit)."""
+    xs = [np.asarray(x, dtype=float) for x in train_x]
+    ys = [np.asarray(y, dtype=float).ravel() for y in train_y]
+    flat_x = np.concatenate([x.reshape(x.shape[0], -1) if x.ndim > 1 else x[:, None] for x in xs])
+    pooled = fit_linear(flat_x, np.concatenate(ys))
+    models, scales = [], []
+    for x, y in zip(xs, ys):
+        resid = y - pooled.predict(x)
+        if y.size >= 2:
+            model = fit_linear(x, resid)
+            fitted = resid - model.predict(x)
+        else:
+            model = None
+            fitted = resid
+        models.append(model)
+        scales.append(np.sqrt(np.mean(fitted**2)) if fitted.size else 0.0)
+    return LoopRegressors(pooled, models, np.maximum(np.asarray(scales), 1e-12))
 
 
 def adaptive_scores(branches, c, studentize=True):
@@ -86,8 +140,9 @@ def supervised_members(donor_residuals, target_residuals, candidate_residuals, a
 
 
 def supervised_set_members(train_x, train_y, cal_x, cal_y, x_new, candidates, alpha, c=2.0):
-    """``supervised_hierarchical_set`` one candidate at a time, fit included."""
-    reg = fit_regressors(train_x, train_y)
+    """``supervised_hierarchical_set`` one candidate at a time, with the
+    per-branch loop fit."""
+    reg = loop_fit_regressors(train_x, train_y)
     K = len(cal_x)
     centers = []
     for k in range(K):
@@ -191,3 +246,50 @@ def backtrack_automorphisms(adjacency):
 
     backtrack(0)
     return found
+
+
+def coset_representatives_by_key(group, psi, probes):
+    """``coset_representatives`` with a dictionary keyed by each element's
+    tuple of probe scores, one element at a time."""
+    probes = [np.asarray(p, dtype=float) for p in probes]
+    ident = tuple(float(psi(p)) for p in probes)
+    reps = {}
+    subgroup_size = 0
+    for elements, act in iter_actions(group, probes[0].shape):
+        sigs = np.stack([np.asarray(psi(act(p)), dtype=float).reshape(-1) for p in probes], 1)
+        for r in range(len(elements)):
+            key = tuple(sigs[r].tolist())
+            if key not in reps:
+                reps[key] = elements[r]
+            if key == ident:
+                subgroup_size += 1
+    return CosetDecomposition(
+        representatives=[Permutation(g, validate=False) if isinstance(g, np.ndarray) else g
+                         for g in reps.values()],
+        subgroup_size=subgroup_size,
+    )
+
+
+def read_hierarchical_rows(path):
+    """``dataio.read_hierarchical_csv`` one row at a time, for well-formed
+    files: (branch ids, per-branch x arrays or None, y arrays, target)."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    header = [c.strip().lower() for c in rows[0]]
+    bcol = header.index("branch_id")
+    ycol = header.index("y") if "y" in header else header.index("value")
+    xcols = [i for i, name in enumerate(header) if name == "x" or name.startswith("x_")]
+    branches = {}
+    for r in rows[1:]:
+        yraw = r[ycol].strip() if ycol < len(r) else ""
+        x = [float(r[i]) for i in xcols] if xcols else None
+        branches.setdefault(r[bcol].strip(), []).append((x, float(yraw) if yraw else np.nan))
+    order = list(branches)
+    ys = [np.array([y for _, y in branches[b]]) for b in order]
+    xs = None
+    if xcols:
+        xs = [np.array([x for x, _ in branches[b]]) for b in order]
+        xs = [x.squeeze(-1) for x in xs] if len(xcols) == 1 else xs
+    target = next((bi, int(np.flatnonzero(np.isnan(y))[0])) for bi, y in enumerate(ys)
+                  if np.isnan(y).any())
+    return order, xs, ys, target

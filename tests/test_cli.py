@@ -232,6 +232,14 @@ def test_predict_graph_empty_values_file_is_data_error(tmp_path):
     assert main(["predict-graph", str(vpath), str(apath)]) == 3
 
 
+def test_predict_graph_header_only_adjacency_is_data_error(tmp_path, capsys):
+    vpath = write_graph_files(tmp_path, [0.1, 0.2, 0.3], [(0, 1), (1, 2)], 2)[0]
+    apath = tmp_path / "header_only.csv"
+    apath.write_text("u,v\n")
+    assert main(["predict-graph", str(vpath), str(apath)]) == 3
+    assert f"data error: {apath}: no edges or matrix rows" in capsys.readouterr().err
+
+
 def test_predict_rotation(tmp_path, capsys):
     rng = np.random.default_rng(5)
     pts = rng.normal(0, np.sqrt(30), (12, 2))

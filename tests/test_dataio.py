@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from symmpi.calibrate import PredictionSet
 from symmpi.dataio import (
     DataError,
@@ -30,6 +31,29 @@ def test_read_hierarchical_sup_multivariate(tmp_path):
     order, xs, ys, target = read_hierarchical_csv(p)
     assert xs[0].shape == (2, 2)
     assert target == (0, 1)
+
+
+def test_read_hierarchical_ragged_multivariate_matches_row_reader(tmp_path):
+    # quoted fields, blank lines, interleaved branches and a mid-branch target
+    rng = np.random.default_rng(12)
+    lines = ['"branch_id",x_a,x_b,"x_c",y,note']
+    sizes = {"b 1": 5, "b,2": 1, "b3": 9, "b4": 3}
+    rows = [(b, i) for b, n in sizes.items() for i in range(n)]
+    for b, i in [rows[j] for j in rng.permutation(len(rows))]:
+        x = rng.normal(0, 3, 3).tolist()
+        y = "" if (b, i) == ("b3", 4) else repr(float(rng.normal()))
+        lines.append(f'"{b}",{x[0]!r}, {x[1]!r} ,"{x[2]!r}",{y},"a, b"')
+        if i == 2:
+            lines.append(" , ,")
+    p = tmp_path / "ragged.csv"
+    p.write_text("\n".join(lines) + "\n\n")
+    order, xs, ys, target = read_hierarchical_csv(p)
+    want = oracles.read_hierarchical_rows(p)
+    assert order == want[0] and target == want[3]
+    assert [x.shape for x in xs] == [(n, 3) for n in (sizes[b] for b in order)]
+    for got, ref in zip(xs + ys, want[1] + want[2]):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_read_hierarchical_errors(tmp_path):

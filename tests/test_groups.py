@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,19 @@ def test_block_mapping_batches_follow_element_order():
             assert np.array_equal(got, want)
 
 
+def test_symmetric_mapping_batches_follow_itertools_order():
+    for n in range(1, 8):
+        want = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        for batch_size in (5, 96, 250_000):
+            batches = list(SymmetricGroup(n).iter_mapping_batches(batch_size))
+            assert all(b.shape[0] <= batch_size for b in batches)
+            got = np.concatenate(batches)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    G = SymmetricGroup(4)
+    assert np.array_equal(np.concatenate(list(G.iter_mapping_batches())),
+                          [g.mapping for g in G.elements()])
+
+
 def test_block_uniform_batch_accepts_flat_points():
     G = BlockPermutationGroup(3, 2)
     index = np.broadcast_to(np.arange(6), (500, 6))
@@ -390,6 +405,37 @@ def test_coset_representatives_block_group():
     dec = coset_representatives(BlockPermutationGroup(2, 2), last_coordinate, probes)
     assert len(dec.representatives) == 4
     assert dec.subgroup_size == 2
+
+
+class SmallBatchSymmetricGroup(SymmetricGroup):
+    """S_n enumerated in batches of 7, so classes straddle batches."""
+
+    def iter_mapping_batches(self, batch_size=250_000):
+        return super().iter_mapping_batches(7)
+
+
+def test_coset_representatives_match_keyed_oracle():
+    rng = np.random.default_rng(14)
+    maps = {
+        "last": last_coordinate,
+        "rounded": lambda z: np.round(np.asarray(z)[..., -1]),
+        "signed zero": lambda z: np.asarray(z)[..., -1] * 0.0,
+        "nan": lambda z: np.where(np.asarray(z)[..., 0] > 0, np.nan, np.asarray(z)[..., -1]),
+        "two coordinates": lambda z: np.asarray(z)[..., 0] + np.asarray(z)[..., 1],
+    }
+    groups = [SymmetricGroup(5), SmallBatchSymmetricGroup(4), BlockPermutationGroup(2, 2),
+              TrivialGroup()]
+    for group in groups:
+        for name, psi in maps.items():
+            n = 4 if not isinstance(group, SymmetricGroup) or group.n == 4 else 5
+            z = rng.normal(0, 2, n)
+            for probes in ([z], default_probes(z, rng, n_extra=3)):
+                got = coset_representatives(group, psi, probes)
+                want = oracles.coset_representatives_by_key(group, psi, probes)
+                assert got.subgroup_size == want.subgroup_size, name
+                assert len(got.representatives) == len(want.representatives), name
+                for g, h in zip(got.representatives, want.representatives):
+                    assert g == h, name
 
 
 def test_default_probes_shape():

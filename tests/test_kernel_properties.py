@@ -15,10 +15,13 @@ ties a calibration score only where the construction forces it: a two-point
 branch centered at its own mean, which the kernel breaks as the oracle does.
 The few constructions where a score ties the candidate's exactly whatever
 the data, and rounding breaks the tie differently in the two forms, are left
-out where they arise.
+out where they arise. The batched fit of every branch's regression
+correction must match the one-branch-at-a-time ``fit_linear`` loop on ragged
+branches, pooled-fallback and rank-deficient ones included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +50,7 @@ from symmpi.groups import (
     enumerate_automorphisms,
 )
 from symmpi.network import cluster_sum_set, tree_leaf_set
-from symmpi.transforms import hierarchical_unsup_transform
+from symmpi.transforms import fit_regressors, hierarchical_unsup_transform
 
 SETTINGS = settings(max_examples=40, deadline=None)
 # alpha on a 0.01 grid keeps 1 - alpha well away from any branch-weighted mass
@@ -180,6 +183,59 @@ def test_supervised_set_matches_oracle(K, seed, n_grid, alpha):
     ps = supervised_hierarchical_set(tr_x, tr_y, cal_x, cal_y, x_new, grid, alpha)
     want = oracles.supervised_set_members(tr_x, tr_y, cal_x, cal_y, x_new, grid, alpha)
     assert np.array_equal(ps.member, want)
+
+
+def _largest_gap_within(got, want, rel):
+    """Whether got equals want to ``rel`` of want's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@SETTINGS
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8), d=st.sampled_from([1, 2]),
+       seed=SEED, degenerate=st.booleans())
+def test_batched_branch_fit_matches_loop_oracle(sizes, d, seed, degenerate):
+    rng = np.random.default_rng(seed)
+    shape = (lambda n: (n,)) if d == 1 else (lambda n: (n, d))
+    tr_x = [rng.uniform(-0.5, 0.5, shape(n)) for n in sizes]
+    if degenerate and max(sizes) >= 2:
+        # a branch whose x values are all equal has a rank-deficient design
+        k = int(np.argmax(sizes))
+        tr_x[k] = np.broadcast_to(tr_x[k][0], tr_x[k].shape).copy()
+    theta = rng.normal(0, 3, (len(sizes), d))
+    tr_y = [x.reshape(len(x), d) @ theta[k] + rng.normal(0, 0.5, len(x))
+            for k, x in enumerate(tr_x)]
+    try:
+        want = oracles.loop_fit_regressors(tr_x, tr_y)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            fit_regressors(tr_x, tr_y)
+        assert str(got.value) == str(exc)
+        return
+    # the normal equations lose digits as the square of a design's condition
+    # number, the oracle's SVD fit as its first power: 1e-10 holds for
+    # designs under 1e4
+    designs = [np.column_stack([np.ones(len(x)), x]) for x in [np.concatenate(tr_x)] + tr_x]
+    assume(all(np.linalg.cond(a) < 1e4 for a in designs if len(a) >= 2))
+    reg = fit_regressors(tr_x, tr_y)
+    x_new = rng.uniform(-1, 1, shape(7))
+    assert _largest_gap_within(reg.mu(x_new), want.mu(x_new), 1e-10)
+    ks = range(len(sizes))
+    assert _largest_gap_within([reg.mu_k(k, x_new) for k in ks],
+                               [want.mu_k(k, x_new) for k in ks], 1e-10)
+    # a branch of d + 1 points is fit exactly: its band is rounding noise in
+    # both forms, below the floor or far below the other bands
+    ks = [k for k in ks if sizes[k] != d + 1]
+    if ks:
+        assert _largest_gap_within([reg.sigma_k(k, x_new) for k in ks],
+                                   [want.sigma_k(k, x_new) for k in ks], 1e-10)
+    assert _largest_gap_within(reg.train_resid_sd, want.train_resid_sd, 1e-10)
+    # the branch-index form evaluates every branch at once
+    flat_k = np.repeat(np.arange(len(sizes)), 7)
+    flat_x = np.concatenate([x_new] * len(sizes))
+    for f in (reg.mu_k, reg.sigma_k):
+        each = np.concatenate([f(k, x_new) for k in range(len(sizes))])
+        assert _largest_gap_within(f(flat_k, flat_x), each, 1e-14)
 
 
 # ----------------------------------------------------------------------
