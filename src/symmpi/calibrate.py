@@ -10,7 +10,10 @@ For hierarchical and conformal sets the rule runs in rank form over the whole
 candidate grid at once (``rank_member`` and the ``*_below`` kernels): a
 candidate is kept when the (weighted) mass of calibration scores strictly
 below its own score is under 1 - alpha. This is the one implementation that
-the baselines, graph sets, benchmark harness and command line all call.
+the baselines, graph sets, benchmark harness and command line all call. The
+orbit sets (``symmpi_set``, ``randomized_set`` and the weighted
+``nonsym_set``) score every candidate's orbit in one batched sweep
+(``_score_blocks``). At alpha = 1 no set keeps anything.
 """
 
 from __future__ import annotations
@@ -251,7 +254,10 @@ def _checked_candidates(candidates, alpha: float) -> np.ndarray:
 
 
 def candidate_grid(values, n_points: int = 2001, pad_sd: float = 4.0) -> np.ndarray:
-    """Uniform grid over the data range widened by ``pad_sd`` sample SDs."""
+    """Uniform grid of ``n_points`` >= 2 over the data range widened by
+    ``pad_sd`` sample SDs."""
+    if n_points < 2:
+        raise ValueError(f"a candidate grid needs at least 2 points, got {n_points}")
     v = np.asarray(values, dtype=float).ravel()
     sd = float(np.std(v))
     pad = pad_sd * (sd if sd > 0 else max(abs(float(np.mean(v))), 1.0) * 1e-3)
@@ -268,6 +274,12 @@ def _tie_delta(below: int, ties: int, m: int, level: float) -> float:
     return min(max((level - cdf_left) / jump, 0.0), 1.0)
 
 
+def _completed_points(observed, cands, embed, V) -> np.ndarray:
+    """V(embed(observed, c)) of every candidate c, stacked: (G, *shape).
+    ``embed`` and ``V`` take one data point, so they are called per candidate."""
+    return np.stack([np.asarray(V(embed(observed, c)), dtype=float) for c in cands])
+
+
 def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
                cosets, mode, mc_draws, rng) -> PredictionSet:
     """The orbit-quantile set of every candidate from one sweep of the orbit.
@@ -282,9 +294,8 @@ def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
     u_prime < delta.
     """
     cands = _checked_candidates(candidates, alpha)
-    rows = [np.asarray(V(embed(observed, c)), dtype=float) for c in cands]
-    own = np.array([float(psi(z)) for z in rows])
-    points = np.stack(rows)
+    points = _completed_points(observed, cands, embed, V)
+    own = np.array([float(psi(z)) for z in points])
     below = np.zeros(own.size, dtype=np.int64)
     ties = np.zeros(own.size, dtype=np.int64)
     m = 0
@@ -299,7 +310,7 @@ def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
         ties += 1
         m += 1
     level = 1.0 - alpha
-    k = min(max(int(np.ceil(level * m - _LEVEL_EPS)), 1), m)  # as in finite_quantile
+    k = min(int(np.ceil(level * m - _LEVEL_EPS)), m)  # 0 at alpha = 1: nothing is kept
     if u_prime is None:
         member = below <= k - 1
     else:
@@ -398,19 +409,29 @@ def nonsym_set(
 
     One representative g is drawn from the weight distribution; each candidate
     is kept when its g-aligned score is within the weighted quantile of the
-    representative scores of the realigned data.
+    representative scores of the realigned data. The realigned points
+    V(g^-1 . z) of all candidates are stacked and every representative acts
+    on them in one sweep, as in ``symmpi_set``; the rule runs in rank form
+    (``rank_member``) on the weight of representative scores strictly below
+    each candidate's own. ``meta['drawn_rep']`` is the index of g.
     """
     cands = _checked_candidates(candidates, alpha)
-    g_idx = int(rng.choice(len(spec.representatives), p=spec.weights))
-    g = spec.representatives[g_idx]
+    reps, weights = spec.representatives, spec.weights
+    g_idx = int(rng.choice(len(reps), p=weights))
+    g = reps[g_idx]
     g_inv = group.inverse(g)
-    member = np.zeros(cands.shape, dtype=bool)
-    for idx, c in enumerate(cands):
-        z = embed(observed, c)
-        v = np.asarray(V(group.act(g_inv, z)), dtype=float)
-        rep_scores = np.array([float(psi(group.act(gj, v))) for gj in spec.representatives])
-        q = finite_quantile(rep_scores, 1.0 - alpha, spec.weights)
-        member[idx] = float(psi(group.act(g, v))) <= q
+    points = _completed_points(observed, cands, embed, lambda z: V(group.act(g_inv, z)))
+    shape = points.shape[1:]
+    own = np.concatenate([s[:, 0] for _, s in
+                          _score_blocks(points, psi, actions_of(group, [g], shape))])
+    below = np.zeros(own.size)
+    col = 0
+    for lo, scores in _score_blocks(points, psi, actions_of(group, reps, shape)):
+        if lo == 0:
+            first, col = col, col + scores.shape[1]
+        hi = lo + scores.shape[0]
+        below[lo:hi] += (scores < own[lo:hi, None]) @ weights[first:col]
+    member = rank_member(below, alpha) & ~np.isnan(own)
     return PredictionSet(cands, member, unbounded=bool(member.all()), meta={"drawn_rep": g_idx})
 
 
@@ -497,10 +518,11 @@ def hierarchical_below(observed_branches, candidates, c: float = 2.0, studentize
 
     ``observed_branches`` holds the complete donor branches, then the target
     branch's observed values; each candidate completes the target branch.
-    Scores are those of ``adaptive_center_scores_ragged`` and
-    ``hierarchical_unsup_transform``: the branch SD gates the centering
-    choice, and divides the scores only when ``studentize``. Each of branch
-    k's points weighs 1/(K n_k), so equal sizes give the flat pool.
+    Scores are those of ``hierarchical_unsup_transform``, and of
+    ``oracles.adaptive_scores`` (the tests' per-candidate form, ragged sizes
+    included): the branch SD gates the centering choice, and divides the
+    scores only when ``studentize``. Each of branch k's points weighs
+    1/(K n_k), so equal sizes give the flat pool.
 
     Only the target branch moves with the candidate, so it alone is scored
     per candidate; a donor's scores are fixed (one search) unless it is
@@ -606,48 +628,17 @@ def _adaptive_centers(reg, xs, c: float):
     return np.split(mu_p, cuts), np.split(center, cuts)
 
 
-def randomsize_threshold(branch_scores, alpha: float) -> float:
-    """Weighted quantile where each of branch k's points carries weight 1/(K n_k)."""
-    _check_alpha(alpha)
-    branches = [np.asarray(b, dtype=float).ravel() for b in branch_scores]
-    if any(b.size == 0 for b in branches):
-        raise ValueError("every branch must be nonempty")
-    K = len(branches)
-    values = np.concatenate(branches)
-    weights = np.concatenate([np.full(b.size, 1.0 / (K * b.size)) for b in branches])
-    return finite_quantile(values, 1.0 - alpha, weights)
-
-
-def adaptive_center_scores_ragged(branches, c: float) -> list[np.ndarray]:
-    """Standardized adaptive-centering scores for ragged branches.
-
-    Same construction as the fixed-size hierarchical transform: branches whose
-    mean sits within c sigma_k / sqrt(n_k) of the grand branch-mean average are
-    centered there, the rest at their own mean; all are scaled by sigma_k.
-    """
-    arrs = [np.asarray(b, dtype=float).ravel() for b in branches]
-    if any(a.size == 0 for a in arrs):
-        raise ValueError("every branch must be nonempty")
-    means = np.array([a.mean() for a in arrs])
-    grand = means.mean()
-    out = []
-    for a, m in zip(arrs, means):
-        safe = _mean_sd(a)[1]
-        near = abs(m - grand) <= c * safe / np.sqrt(a.size)
-        center = grand if near else m
-        out.append(np.abs(a - center) / safe)
-    return out
-
-
 def symmpi_set_randomsize(
     observed_branches, candidates, alpha: float, c: float = 2.0
 ) -> PredictionSet:
     """Prediction set for the last entry of the last branch under ragged sizes.
 
     ``observed_branches`` holds K branches where the last one misses its final
-    observation; each candidate completes it and is kept when its score from
-    ``adaptive_center_scores_ragged`` is within the branch-weighted quantile
-    (``randomsize_threshold``). Equal sizes give the block-permutation set.
+    observation; each candidate completes it and is kept when its
+    adaptive-centering score is within the branch-weighted quantile, in rank
+    form through ``hierarchical_below`` (the per-candidate form is
+    ``oracles.adaptive_scores`` in the tests). Equal sizes give the
+    block-permutation set.
     """
     cands = _checked_candidates(candidates, alpha)
     return _rank_set(cands, hierarchical_below(observed_branches, cands, c), alpha)

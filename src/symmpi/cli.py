@@ -40,6 +40,14 @@ def _alpha(text: str) -> float:
     return value
 
 
+def _grid_points(text: str) -> int:
+    """argparse type for a candidate grid size: an integer of at least 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"a grid needs at least 2 points, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symmpi", description=__doc__)
     parser.add_argument("--config", help="INI file whose [<subcommand>] section supplies defaults")
@@ -53,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trials", type=int, default=40)
     b.add_argument("--tests", type=int, default=100)
     b.add_argument("--c", type=float, default=2.0)
-    b.add_argument("--grid", type=int, default=2001)
+    b.add_argument("--grid", type=_grid_points, default=2001)
     b.add_argument("--studentize", action="store_true",
                    help="divide scores by the within-branch scale (see docs)")
     b.add_argument("--methods", nargs="+", default=None)
@@ -68,10 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_alpha, default=0.1)
     p.add_argument("--mode", choices=["unsup", "sup"], default="unsup")
     p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--grid", type=int, default=2001)
-    p.add_argument("--random-sizes", action="store_true",
-                   help="accepted for explicitness; ragged branches always use "
-                        "the branch-weighted quantile")
+    p.add_argument("--grid", type=_grid_points, default=2001)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="json")
@@ -83,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--alpha", type=_alpha, default=0.1)
     g.add_argument("--generators", default=None, help="file of permutations, one per line")
     g.add_argument("--cap", type=int, default=10)
-    g.add_argument("--grid", type=int, default=2001)
+    g.add_argument("--grid", type=_grid_points, default=2001)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
     g.add_argument("--format", choices=["csv", "json"], default="json")
@@ -93,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("data")
     r.add_argument("--alpha", type=_alpha, default=0.05)
     r.add_argument("--mc", type=int, default=400)
-    r.add_argument("--grid", type=int, default=2001)
+    r.add_argument("--grid", type=_grid_points, default=2001)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", default=None)
     r.add_argument("--format", choices=["csv", "json"], default="json")

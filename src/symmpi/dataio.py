@@ -20,6 +20,9 @@ class DataError(ValueError):
 def read_hierarchical_csv(path):
     """Read branch data: columns branch_id, [x...,] y; blank y marks the target.
 
+    Every row has at least as many cells as the header (a blank trailing y
+    cell, as in ``b1,0.5,``, still counts); a shorter row is a DataError.
+
     Returns (branch_ids, xs, ys, target), where xs is None for unsupervised
     files, ys holds per-branch value arrays with NaN at the target slot, and
     target is (branch_index, row_index).
@@ -41,8 +44,12 @@ def read_hierarchical_csv(path):
     xcols = [i for i, name in enumerate(header) if name == "x" or name.startswith("x_")]
 
     body = rows[1:]
+    short = next((r for r in body if len(r) < len(header)), None)
+    if short is not None:
+        raise DataError(f"{path}: row {','.join(short)!r} has {len(short)} cells, "
+                        f"the header has {len(header)}")
     ids = [r[bcol].strip() for r in body]
-    ycells = [r[ycol].strip() if ycol < len(r) else "" for r in body]
+    ycells = [r[ycol].strip() for r in body]
     y = np.array([float(c) if c else np.nan for c in ycells])
     x = np.array([[float(r[i]) for r in body] for i in xcols]).T if xcols else None
     order = list(dict.fromkeys(ids))
@@ -153,21 +160,23 @@ def read_generators(path, n: int) -> list[Permutation]:
 
 
 def prediction_set_payload(ps: PredictionSet) -> dict:
+    length = ps.length
     return {
         "candidates": ps.candidates.tolist(),
         "member": ps.member.astype(int).tolist(),
         "intervals": ps.intervals(),
-        "length": ps.length if np.isfinite(ps.length) else "Inf",
+        "length": length if np.isfinite(length) else "Inf",
         "unbounded": ps.unbounded,
-        **{k: v for k, v in ps.meta.items()},
+        **ps.meta,
     }
 
 
 def write_prediction_set(ps: PredictionSet, path: str, fmt: str = "json") -> None:
     if fmt == "json":
+        # json.dumps takes the C encoder, which json.dump does not
+        text = json.dumps(prediction_set_payload(ps), sort_keys=True) + "\n"
         with open(path, "w") as fh:
-            json.dump(prediction_set_payload(ps), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     elif fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

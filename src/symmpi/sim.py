@@ -392,8 +392,11 @@ def rotation_region(
     vertical strip |z_1| < C, so the grid scans candidates (x, h, 0, ...)
     at the observed RMS transverse height h; points very close to the axis
     itself are always covered (their own score is their orbit minimum).
-    The boundary C is in ``meta['strip_halfwidth']``.
+    The boundary C is in ``meta['strip_halfwidth']``. The grid needs
+    ``grid_points`` >= 2.
     """
+    if grid_points < 2:
+        raise ValueError(f"a candidate grid needs at least 2 points, got {grid_points}")
     rng = rng or np.random.default_rng()
     z = np.asarray(observed, dtype=float)
     n, p = z.shape

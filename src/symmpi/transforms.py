@@ -277,28 +277,6 @@ def _supervised_features(x, y, reg: RegressorBundle):
                     axis=-1)
 
 
-def supervised_scores_from_features(features, c: float = 2.0) -> np.ndarray:
-    """Direct evaluation of the supervised adaptive residual scores.
-
-    ``features[..., 0]`` is the branch residual, ``[..., 1]`` the pooled
-    residual, ``[..., 2]`` the band value. Where the branch and pooled fits
-    agree within c bands the pooled residual is used, else the branch
-    residual; scores are |residual| scaled by the within-branch RMS
-    (denominator M - 1; scale 1 when M == 1).
-    """
-    f = np.asarray(features, dtype=float)
-    rb, rp, sig = f[..., 0], f[..., 1], f[..., 2]
-    M = f.shape[-2]
-    near = np.abs((rp - rb) / sig) <= c  # |mu_k(x) - mu(x)| / sigma_k(x) <= c
-    raw = np.where(near, rp, rb)
-    if M == 1:
-        eps = np.ones_like(raw[..., :1])
-    else:
-        eps = np.sqrt(np.sum(raw**2, axis=-1, keepdims=True) / (M - 1))
-        eps = np.where(eps > 0, eps, 1.0)
-    return np.abs(raw) / eps
-
-
 def hierarchical_sup_transform(x, y, reg: RegressorBundle, c: float = 2.0) -> np.ndarray:
     """Supervised adaptive scores for calibration data (K, M) given fitted
     regressors; computed through the staged message-passing path so the map
@@ -472,16 +450,6 @@ def optimize_c(x, y, reg: RegressorBundle, grid, default: float = 2.0) -> float:
 # --------------------------------------------------------------------------
 # Distributional equivariance checking
 # --------------------------------------------------------------------------
-
-
-def energy_statistic(a, b) -> float:
-    """Energy distance between two samples of vectors (rows)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    dab = _pairwise(a, b).mean()
-    daa = _pairwise(a, a).mean()
-    dbb = _pairwise(b, b).mean()
-    return 2.0 * dab - daa - dbb
 
 
 def _pairwise(a, b) -> np.ndarray:

@@ -6,7 +6,10 @@ candidate when its own score is at most that quantile: the textbook form of
 the rule that ``symmpi.calibrate`` evaluates for a whole grid at once. The two
 forms agree for 0 < alpha < 1; at alpha = 1 the rank form keeps nothing.
 ``orbit_set_members`` does the same over a group orbit, one element at a time,
-and ``backtrack_automorphisms`` is the depth-first automorphism search.
+``nonsym_members`` over weighted coset representatives, one representative at
+a time, and ``backtrack_automorphisms`` is the depth-first automorphism search.
+``supervised_scores_from_features`` evaluates the supervised adaptive residual
+scores directly, without the staged message-passing path.
 ``loop_fit_regressors`` fits the branch corrections one ``fit_linear`` call
 per branch, ``coset_representatives_by_key`` splits a group by a dictionary
 keyed on tuples of probe scores, and ``read_hierarchical_rows`` reads a
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from symmpi.calibrate import finite_quantile, threshold_from_scores
+from symmpi.calibrate import PredictionSet, finite_quantile, threshold_from_scores
 from symmpi.groups import CosetDecomposition, Permutation, iter_actions
 from symmpi.transforms import fit_linear
 
@@ -217,6 +220,47 @@ def orbit_set_members(observed, candidates, embed, V, psi, group, alpha, element
         else:
             member.append(own < th.value or (own == th.value and u_prime < th.delta))
     return np.array(member, dtype=bool)
+
+
+def nonsym_members(observed, candidates, embed, V, psi, spec, group, alpha, rng):
+    """``nonsym_set`` one candidate and one representative at a time: draw g
+    by the weights, then keep a candidate when psi of g acting on
+    V(g^-1 . z) is at most the weighted quantile of psi over every
+    representative acting on it."""
+    cands = np.asarray(candidates, dtype=float)
+    g_idx = int(rng.choice(len(spec.representatives), p=spec.weights))
+    g = spec.representatives[g_idx]
+    g_inv = group.inverse(g)
+    member = np.zeros(cands.shape, dtype=bool)
+    for idx, c in enumerate(cands):
+        z = embed(observed, c)
+        v = np.asarray(V(group.act(g_inv, z)), dtype=float)
+        rep_scores = np.array([float(psi(group.act(gj, v))) for gj in spec.representatives])
+        q = finite_quantile(rep_scores, 1.0 - alpha, spec.weights)
+        member[idx] = float(psi(group.act(g, v))) <= q
+    return PredictionSet(cands, member, unbounded=bool(member.all()), meta={"drawn_rep": g_idx})
+
+
+def supervised_scores_from_features(features, c: float = 2.0) -> np.ndarray:
+    """Direct evaluation of the supervised adaptive residual scores.
+
+    ``features[..., 0]`` is the branch residual, ``[..., 1]`` the pooled
+    residual, ``[..., 2]`` the band value. Where the branch and pooled fits
+    agree within c bands the pooled residual is used, else the branch
+    residual; scores are |residual| scaled by the within-branch RMS
+    (denominator M - 1; scale 1 when M == 1).
+    """
+    f = np.asarray(features, dtype=float)
+    rb, rp, sig = f[..., 0], f[..., 1], f[..., 2]
+    M = f.shape[-2]
+    near = np.abs((rp - rb) / sig) <= c  # |mu_k(x) - mu(x)| / sigma_k(x) <= c
+    raw = np.where(near, rp, rb)
+    if M == 1:
+        eps = np.ones_like(raw[..., :1])
+    else:
+        eps = np.sqrt(np.sum(raw**2, axis=-1, keepdims=True) / (M - 1))
+        eps = np.where(eps > 0, eps, 1.0)
+    return np.abs(raw) / eps
 
 
 def backtrack_automorphisms(adjacency):

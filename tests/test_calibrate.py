@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from symmpi.calibrate import (
     PredictionSet,
     WeightSpec,
@@ -11,7 +12,6 @@ from symmpi.calibrate import (
     nonsym_set,
     overcoverage_bound,
     randomized_set,
-    randomsize_threshold,
     rank_member,
     supervised_hierarchical_set,
     symmpi_set,
@@ -381,18 +381,14 @@ def test_nonsym_weighted_hand_enumeration():
     spec = WeightSpec(reps, weights)
     obs = np.array([1.0, 2.0])
     grid = np.array([0.5, 1.5, 2.5])
-    rng = np.random.default_rng(1)  # draws representative index deterministically
-    g_idx = int(np.random.default_rng(1).choice(3, p=weights))
     ps = nonsym_set(obs, grid, append_embed, identity_map, last_coordinate,
-                    spec, SymmetricGroup(n), alpha=0.4, rng=rng)
-    # brute-force oracle for the same drawn representative
-    g = reps[g_idx]
-    for i, cand in enumerate(grid):
-        z = np.append(obs, cand)
-        v = g.inverse().act(z)
-        vals = np.array([last_coordinate(r.act(v)) for r in reps])
-        q = finite_quantile(vals, 0.6, weights)
-        assert ps.member[i] == (last_coordinate(g.act(v)) <= q)
+                    spec, SymmetricGroup(n), alpha=0.4, rng=np.random.default_rng(1))
+    # the per-candidate form, with the same drawn representative
+    want = oracles.nonsym_members(obs, grid, append_embed, identity_map, last_coordinate,
+                                  spec, SymmetricGroup(n), 0.4, np.random.default_rng(1))
+    g_idx = int(np.random.default_rng(1).choice(3, p=weights))
+    assert ps.meta == want.meta == {"drawn_rep": g_idx}
+    assert np.array_equal(ps.member, want.member)
 
 
 def test_weight_spec_validation():
@@ -409,15 +405,14 @@ def test_weight_spec_validation():
 
 
 def test_randomsize_threshold_examples():
-    assert randomsize_threshold([[10.0], [1.0, 2.0, 3.0]], alpha=0.4) == 10.0
+    # the branch-weighted quantile that the per-candidate oracles rest on
+    assert oracles._weighted_threshold([np.array([10.0]), np.array([1.0, 2.0, 3.0])], 0.4) == 10.0
     # equal sizes reduce to the flat quantile
     rng = np.random.default_rng(10)
     branches = [rng.normal(size=4) for _ in range(3)]
     flat = np.concatenate(branches)
     for alpha in (0.1, 0.3, 0.6):
-        assert randomsize_threshold(branches, alpha) == finite_quantile(flat, 1 - alpha)
-    with pytest.raises(ValueError):
-        randomsize_threshold([[1.0], []], alpha=0.3)
+        assert oracles._weighted_threshold(branches, alpha) == finite_quantile(flat, 1 - alpha)
 
 
 def test_randomsize_equal_sizes_match_block_exact_set():
@@ -590,6 +585,19 @@ def test_candidate_grid_spans_data():
     assert grid[-1] >= v.max() + 3.9 * v.std()
 
 
+def test_grids_need_two_points():
+    from symmpi.sim import rotation_region
+
+    pts = np.random.default_rng(0).normal(size=(6, 2))
+    for n_points in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            candidate_grid([0.0, 1.0], n_points)
+        with pytest.raises(ValueError, match="at least 2 points"):
+            rotation_region(pts, 0.1, mc_draws=20, rng=np.random.default_rng(0),
+                            grid_points=n_points)
+    assert candidate_grid([0.0, 1.0], 2).size == 2
+
+
 # ----------------------------------------------------------------------
 # alpha outside [0, 1]
 # ----------------------------------------------------------------------
@@ -614,7 +622,6 @@ def _alpha_callers():
     return {
         "rank_member": lambda a: rank_member(np.zeros(3), a),
         "threshold_from_scores": lambda a: threshold_from_scores(obs, a),
-        "randomsize_threshold": lambda a: randomsize_threshold(branches, a),
         "symmpi_set": lambda a: symmpi_set(*orbit, a),
         "randomized_set": lambda a: randomized_set(*orbit, a, 0.5),
         "nonsym_set": lambda a: nonsym_set(obs[:2], grid, append_embed, identity_map,
@@ -645,3 +652,27 @@ def test_set_builders_reject_alpha_outside_unit_interval(name, alpha):
     call(0.2)  # a valid alpha goes through
     with pytest.raises(ValueError, match="alpha"):
         call(alpha)
+
+
+def test_set_builders_keep_nothing_at_alpha_one():
+    # one rule at alpha = 1: no mass below a score is under 1 - alpha = 0, so
+    # every set is empty. threshold_from_scores is not a set, and the fixed
+    # vertex of the graph case is a trivial orbit, flagged and kept whole by
+    # design.
+    from symmpi.network import graph_vertex_set
+
+    callers = _alpha_callers()
+    del callers["threshold_from_scores"], callers["graph_vertex_set"]
+    obs, grid = np.array([0.5, -0.2, 1.0]), np.linspace(-2.0, 2.0, 11)
+    orbit = (obs, grid, append_embed, identity_map, last_coordinate, SymmetricGroup(4))
+    mc = dict(mode="mc", mc_draws=50)
+    callers["symmpi_set (mc)"] = lambda a: symmpi_set(*orbit, a, rng=np.random.default_rng(0),
+                                                      **mc)
+    callers["randomized_set (mc)"] = lambda a: randomized_set(
+        *orbit, a, 0.5, rng=np.random.default_rng(0), **mc)
+    path3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+    callers["graph_vertex_set (end vertex)"] = lambda a: graph_vertex_set(
+        [np.nan, 0.1, 0.2], enumerate_automorphisms(path3), 0, grid, a)
+    for name, call in callers.items():
+        out = call(1.0)
+        assert not np.any(getattr(out, "member", out)), name

@@ -277,3 +277,42 @@ def test_alpha_outside_unit_interval_is_usage_error(argv, capsys):
         main(argv)
     assert e.value.code == 2
     assert "alpha must be in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+@pytest.mark.parametrize("argv", [
+    ["bench", "--preset", "table1"],
+    ["predict-hierarchical", "data.csv"],
+    ["predict-graph", "values.csv", "adjacency.txt"],
+    ["predict-rotation", "points.csv"],
+])
+def test_grid_below_two_points_is_usage_error(argv, points, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--grid", points])
+    assert e.value.code == 2
+    assert "a grid needs at least 2 points" in capsys.readouterr().err
+
+
+def test_predict_hierarchical_short_rows_are_data_errors(tmp_path, capsys):
+    rows = ["b0,0.1,1.0", "b0,0.4,2.0", "b1,0.3,1.5", "b1,0.7,0.5"]
+    data = tmp_path / "h.csv"
+    for bad in ("b0", "b0,0.2"):
+        data.write_text("\n".join(["branch_id,x,y"] + rows + ["b1,0.5,", bad]) + "\n")
+        assert main(["predict-hierarchical", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"row {bad!r} has" in err
+        assert "Traceback" not in err
+    # a blank trailing y cell still marks the target
+    data.write_text("\n".join(["branch_id,x,y"] + rows + ["b1,0.5,"]) + "\n")
+    assert main(["predict-hierarchical", str(data), "--grid", "101"]) == 0
+
+
+def test_random_sizes_option_is_gone(tmp_path):
+    data = tmp_path / "h.csv"
+    write_hier_csv(data, [np.arange(3.0), np.arange(4.0)], target=(1, 3))
+    with pytest.raises(SystemExit) as e:
+        main(["predict-hierarchical", str(data), "--random-sizes"])
+    assert e.value.code == 2
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[predict-hierarchical]\nrandom-sizes = true\n")
+    assert main(["--config", str(cfg), "predict-hierarchical", str(data)]) == 2

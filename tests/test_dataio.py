@@ -5,6 +5,7 @@ import oracles
 from symmpi.calibrate import PredictionSet
 from symmpi.dataio import (
     DataError,
+    prediction_set_payload,
     read_adjacency,
     read_generators,
     read_graph_values_csv,
@@ -114,6 +115,8 @@ def test_write_prediction_set_csv_and_json(tmp_path):
     payload = json.load(open(j))
     assert payload["unbounded"] is False
     assert payload["member"] == [0, 1, 1, 0, 0]
+    want = json.dumps(prediction_set_payload(ps), sort_keys=True) + "\n"
+    assert j.read_bytes() == want.encode()  # one dumps call, one write
     c = tmp_path / "s.csv"
     write_prediction_set(ps, c, "csv")
     lines = c.read_text().strip().splitlines()

@@ -9,10 +9,12 @@ draws); in Monte-Carlo mode the randomized set must lie within the
 deterministic one, and a candidate's membership must not depend on the rest
 of the grid. Hypothesis picks shapes, seeds and alpha. The orbit tests put
 the data values on the grid and repeat values, so that scores tie on
-purpose. For the rank-form kernels the data come from a seeded numpy
-generator and candidates from a grid, so a candidate's score
-ties a calibration score only where the construction forces it: a two-point
-branch centered at its own mean, which the kernel breaks as the oracle does.
+purpose. The weighted ``nonsym_set`` must match its per-candidate oracle,
+with some representatives of weight zero. For the rank-form kernels the
+data come from a seeded numpy generator and candidates from a grid, so a
+candidate's score ties a calibration score only where the construction
+forces it: a two-point branch centered at its own mean, which the kernel
+breaks as the oracle does.
 The few constructions where a score ties the candidate's exactly whatever
 the data, and rounding breaks the tie differently in the two forms, are left
 out where they arise. The batched fit of every branch's regression
@@ -28,11 +30,13 @@ from hypothesis import strategies as st
 import oracles
 from symmpi.baselines import single_tree_set, split_conformal_set
 from symmpi.calibrate import (
+    WeightSpec,
     candidate_grid,
     centered_conformal_below,
     conformal_below,
     hcp_first_obs_set,
     hierarchical_below,
+    nonsym_set,
     randomized_set,
     rank_member,
     supervised_below,
@@ -43,6 +47,7 @@ from symmpi.calibrate import (
 from symmpi.groups import (
     BlockPermutationGroup,
     OrthogonalGroup,
+    Permutation,
     SymmetricGroup,
     TrivialGroup,
     coset_representatives,
@@ -421,6 +426,64 @@ def test_exact_orbit_set_matches_oracle_trivial(n, seed, n_grid, alpha, u):
     grid = _tied_grid(observed, rng, n_grid)
     _assert_sweep_matches_oracle(observed, grid, _append, _identity, _last, TrivialGroup(),
                                  alpha, u, [None])
+
+
+def _swap_with_last(n):
+    """The n cosets of S_{n-1} in S_n, one transposition (j n-1) each."""
+    reps = []
+    for j in range(n):
+        m = list(range(n))
+        m[j], m[n - 1] = m[n - 1], m[j]
+        reps.append(Permutation(m))
+    return reps
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["sn", "block", "graph"]), seed=SEED, n_grid=st.integers(2, 30),
+       alpha=ALPHA)
+def test_nonsym_set_matches_oracle(kind, seed, n_grid, alpha):
+    # weighted representatives, some of weight zero: S_n swap-with-last
+    # cosets, block permutations (acting through group.act, one at a time)
+    # and graph automorphisms (Permutations, acting as one index array). The
+    # weighted masses add up in another order than the oracle's cumulative
+    # sum; random weights keep them far from 1 - alpha against rounding.
+    rng = np.random.default_rng(seed)
+    embed, V, psi = _append, _identity, _last
+    if kind == "sn":
+        n = int(rng.integers(1, 8))
+        group, reps = SymmetricGroup(n), _swap_with_last(n)
+    elif kind == "block":
+        K, M = (int(v) for v in rng.integers(1, 4, 2))
+        n, group = K * M, BlockPermutationGroup(K, M)
+        elements = list(group.elements())
+        picks = rng.choice(len(elements), int(rng.integers(1, min(len(elements), 12) + 1)),
+                           replace=False)
+        reps = [elements[i] for i in picks]
+
+        def embed(o, c):
+            return np.append(o, c).reshape(K, M)
+
+        def V(z):
+            return hierarchical_unsup_transform(z, 2.0)
+
+        psi = _last_entry
+    else:
+        n = int(rng.integers(2, 7))
+        A = np.triu(rng.choice([0.0, 0.0, 1.0, 2.0], (n, n)), 1)
+        group = enumerate_automorphisms(A + A.T)
+        reps = list(group.elements())
+    weights = rng.dirichlet(np.ones(len(reps)))
+    weights[rng.uniform(size=weights.size) < 0.3] = 0.0
+    weights[int(rng.integers(weights.size))] += 0.1  # at least one stays positive
+    spec = WeightSpec(reps, weights / weights.sum())
+    observed = _tied_values(rng, n - 1)
+    grid = _tied_grid(observed, rng, n_grid)
+    got = nonsym_set(observed, grid, embed, V, psi, spec, group, alpha,
+                     np.random.default_rng(seed))
+    want = oracles.nonsym_members(observed, grid, embed, V, psi, spec, group, alpha,
+                                  np.random.default_rng(seed))
+    assert np.array_equal(got.member, want.member)
+    assert got.meta["drawn_rep"] == want.meta["drawn_rep"]
 
 
 def _mc_case(kind, seed):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from symmpi.groups import BlockPermutationGroup, SymmetricGroup, sample_block_permutation
 from symmpi.transforms import (
     TreeGraph,
@@ -15,7 +16,6 @@ from symmpi.transforms import (
     mpgnn_forward,
     optimize_c,
     simple_unsup_scores,
-    supervised_scores_from_features,
     _supervised_features,
 )
 
@@ -232,7 +232,7 @@ def test_five_step_pipeline_equals_direct_formula():
     for _ in range(10):
         reg, x, y = make_sup_case(rng, K=3, M=4)
         feats = _supervised_features(x, y, reg)
-        direct = supervised_scores_from_features(feats, 2.0)
+        direct = oracles.supervised_scores_from_features(feats, 2.0)
         staged = five_step_supervised_scores(feats, 2.0)
         assert np.allclose(direct, staged, atol=1e-12)
         assert np.allclose(hierarchical_sup_transform(x, y, reg, 2.0), direct, atol=1e-12)
