@@ -256,12 +256,26 @@ def _checked_candidates(candidates, alpha: float) -> np.ndarray:
 def candidate_grid(values, n_points: int = 2001, pad_sd: float = 4.0) -> np.ndarray:
     """Uniform grid of ``n_points`` >= 2 over the data range widened by
     ``pad_sd`` sample SDs."""
+    v = np.asarray(values, dtype=float).reshape(1, -1)
+    return _candidate_rows(v, n_points, pad_sd)[0]
+
+
+def _candidate_rows(values, n_points: int, pad_sd: float) -> np.ndarray:
+    """``candidate_grid`` of each row of ``values`` (B, n), as (B, n_points),
+    in ``np.std`` and ``np.linspace``'s arithmetic."""
     if n_points < 2:
         raise ValueError(f"a candidate grid needs at least 2 points, got {n_points}")
-    v = np.asarray(values, dtype=float).ravel()
-    sd = float(np.std(v))
-    pad = pad_sd * (sd if sd > 0 else max(abs(float(np.mean(v))), 1.0) * 1e-3)
-    return np.linspace(v.min() - pad, v.max() + pad, n_points)
+    n = values.shape[1]
+    mean = values.sum(axis=1, keepdims=True) / n
+    dev = values - mean
+    sd = np.sqrt((dev * dev).sum(axis=1) / n)
+    if not (sd > 0).all():
+        sd = np.where(sd > 0, sd, np.maximum(np.abs(mean[:, 0]), 1.0) * 1e-3)
+    lo = values.min(axis=1) - pad_sd * sd
+    hi = values.max(axis=1) + pad_sd * sd
+    grid = np.arange(n_points) * ((hi - lo) / (n_points - 1))[:, None] + lo[:, None]
+    grid[:, -1] = hi
+    return grid
 
 
 def _tie_delta(below: int, ties: int, m: int, level: float) -> float:
@@ -469,12 +483,39 @@ def _count_within(sorted_vals, center, radius) -> np.ndarray:
     return np.maximum(hi - lo, 0)
 
 
-def _branch_mass(branches, center, radius, K: int) -> np.ndarray:
-    """Mass of branch values strictly within radius of center, each branch weighing 1/K."""
-    mass = np.zeros(np.shape(radius))
-    for b in branches:
-        mass += _count_within(np.sort(b), center, radius) / (K * b.size)
-    return mass
+def _weighted_pool(values, weights):
+    """Each row of ``values`` (B, N) sorted, with the cumulative weights of its
+    first 0..N sorted entries (B, N + 1); ``weights`` (N,) go with the columns.
+    Entries set to +inf never count below or within a finite query."""
+    order = np.argsort(values, axis=1, kind="stable")
+    cum = np.zeros((values.shape[0], values.shape[1] + 1))
+    np.cumsum(weights[order], axis=1, out=cum[:, 1:])
+    return np.take_along_axis(values, order, axis=1), cum
+
+
+def _mass_below(pool, cum, own) -> np.ndarray:
+    """Weight of each row's pooled values strictly below ``own`` (B, G): one
+    search per row."""
+    return np.stack([c[np.searchsorted(p, o, side="left")] for p, c, o in zip(pool, cum, own)])
+
+
+def _mass_within(pool, cum, center, radius) -> np.ndarray:
+    """Weight of each row's pooled values strictly within ``radius`` of
+    ``center`` (both (B, G)). Every branch in a pool shares the center and the
+    radius, so their counts are all of one sign and the pooled difference
+    clipped at zero adds up the per-branch ``_count_within`` counts."""
+    out = np.stack([c[np.searchsorted(p, m + r, side="left")]
+                    - c[np.searchsorted(p, m - r, side="right")]
+                    for p, c, m, r in zip(pool, cum, center, radius)])
+    return np.maximum(out, 0.0)
+
+
+def _branch_mass(values, sizes, center, radius, K: int) -> np.ndarray:
+    """Mass of each row's branch values strictly within ``radius`` of
+    ``center`` (both (B, G)), each branch weighing 1/K: ``values`` (B, N)
+    holds the branches end to end, branch k with ``sizes[k]`` values."""
+    return _mass_within(*_weighted_pool(values, np.repeat(1.0 / (K * sizes), sizes)), center,
+                        radius)
 
 
 def conformal_below(cal_scores, own) -> np.ndarray:
@@ -494,23 +535,49 @@ def conformal_below(cal_scores, own) -> np.ndarray:
 
 
 def centered_conformal_below(values, candidates) -> np.ndarray:
-    """``conformal_below`` for scores |v - mean|, where the mean includes the candidate."""
-    vals = np.asarray(values, dtype=float).ravel()
+    """``conformal_below`` for scores |v - mean|, where the mean includes the candidate.
+
+    Two-dimensional ``candidates`` (B, G) with ``values`` (B, n) evaluate B
+    tests at once, row by row.
+    """
     cands = np.asarray(candidates, dtype=float)
-    n = vals.size + 1
-    centers = (vals.sum() + cands) / n
-    return _count_within(np.sort(vals), centers, np.abs(cands - centers)) / n
+    if cands.ndim < 2:
+        vals = np.asarray(values, dtype=float).reshape(1, -1)
+        return centered_conformal_below(vals, cands.reshape(1, -1)).reshape(cands.shape)
+    vals = np.asarray(values, dtype=float)
+    n = vals.shape[1] + 1
+    centers = (vals.sum(axis=1, keepdims=True) + cands) / n
+    radius = cands - centers
+    np.abs(radius, out=radius)
+    srt = np.sort(vals, axis=1)
+    below = np.empty(cands.shape)
+    for row, s, m, r in zip(below, srt, centers, radius):
+        row[:] = _count_within(s, m, r)
+    below /= n
+    return below
 
 
-def _mean_sd(values) -> tuple[float, float]:
-    """``values.mean()`` and ``values.std(ddof=1)`` with numpy's arithmetic but
-    without its call overhead; the SD is 1 for one value or zero spread."""
-    mean = values.sum() / values.size
-    if values.size < 2:
-        return float(mean), 1.0
-    dev = values - mean
-    sd = float(np.sqrt((dev * dev).sum() / (values.size - 1)))
-    return float(mean), sd if sd > 0 else 1.0
+def _branch_stats(values, sizes):
+    """Means and SDs (B, D) of the D branches laid end to end in each row of
+    ``values`` (B, N), with ``values.mean()`` and ``values.std(ddof=1)``'s
+    arithmetic on each branch; the SD is 1 for one value or zero spread.
+    Branches of one size are reduced together."""
+    B = values.shape[0]
+    starts = np.cumsum(sizes) - sizes
+    mean = np.empty((B, sizes.size))
+    sd = np.ones((B, sizes.size))
+    for n in sorted(set(sizes.tolist())):
+        ks = np.flatnonzero(sizes == n)
+        # (B, len(ks), n), C-contiguous: numpy sums a contiguous last axis
+        # pairwise, as it sums one branch
+        vals = np.take(values, starts[ks, None] + np.arange(n), axis=1)
+        m = vals.sum(axis=-1) / n
+        mean[:, ks] = m
+        if n > 1:
+            dev = vals - m[..., None]
+            s = np.sqrt((dev * dev).sum(axis=-1) / (n - 1))
+            sd[:, ks] = np.where(s > 0, s, 1.0)
+    return mean, sd
 
 
 def hierarchical_below(observed_branches, candidates, c: float = 2.0, studentize: bool = True):
@@ -524,55 +591,136 @@ def hierarchical_below(observed_branches, candidates, c: float = 2.0, studentize
     scores only when ``studentize``. Each of branch k's points weighs
     1/(K n_k), so equal sizes give the flat pool.
 
-    Only the target branch moves with the candidate, so it alone is scored
-    per candidate; a donor's scores are fixed (one search) unless it is
-    centered at the candidate-dependent grand mean (an interval count in its
-    sorted values). A two-point branch centered at its own mean scores
-    1/sqrt(2) at both points whatever the data, so such exact ties are
-    decided by rounding: the donor scores, the target SD and the target
-    scores are computed as the transform computes them, and break ties the
-    same way.
+    This is ``_hierarchical_block`` for one test, the core the benchmark
+    harness runs on blocks of tests. Donors never centered at the grand mean
+    share one sorted pool of fixed scores, searched once; each donor's
+    candidates that are centered there form one interval of the grid, found
+    from its two ends; without ``studentize`` the donors centered there for
+    every candidate share a second pool.
     """
-    gridp = np.asarray(candidates, dtype=float)
+    cands = np.asarray(candidates, dtype=float)
     branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
-    target_obs, donors = branches[-1], branches[:-1]
+    donors = branches[:-1]
     if any(b.size == 0 for b in donors):
         raise ValueError("every branch must be nonempty")
-    K = len(branches)
-    n_t = target_obs.size + 1
-    mean_t = (target_obs.sum() + gridp) / n_t
-    if n_t > 1:
-        # the observed part's sum of squares, updated with the candidate
-        m_o = target_obs.sum() / target_obs.size
-        q_o = float(((target_obs - m_o) ** 2).sum())
-        ssq_t = q_o + (n_t - 1) * (m_o - mean_t) ** 2 + (gridp - mean_t) ** 2
-        sd_t = np.sqrt(ssq_t / (n_t - 1))
-        sd_t = np.where(sd_t > 0, sd_t, 1.0)
-    else:
-        sd_t = np.ones(gridp.shape)
+    sizes = np.array([b.size for b in donors], dtype=np.intp)
+    flat = np.concatenate(donors)[None] if donors else np.empty((1, 0))
+    below = _hierarchical_block(flat, sizes, branches[-1][None], cands.reshape(1, -1), c,
+                                studentize)
+    return below.reshape(cands.shape)
 
-    stats = [_mean_sd(b) for b in donors]
-    grand = (sum(m for m, _ in stats) + mean_t) / K
 
+def _target_sd(target, t_sum, cands, mean_t):
+    """The target branch's SD with each candidate, (B, G): 1 for one value
+    or zero spread."""
+    n_o = target.shape[1]
+    if not n_o:
+        return np.ones(cands.shape)
+    # the observed part's sum of squares, updated with the candidate
+    m_o = t_sum / n_o
+    q_o = ((target - m_o) ** 2).sum(axis=1, keepdims=True)
+    ssq_t = q_o + n_o * (m_o - mean_t) ** 2 + (cands - mean_t) ** 2
+    sd_t = np.sqrt(ssq_t / n_o)
+    return np.where(sd_t > 0, sd_t, 1.0)
+
+
+def _target_block(target, cands, donor_sum, K, c, studentize):
+    """The target branch's part of ``_hierarchical_block``: each candidate's
+    grand mean, its own score, and the mass of the observed target scores
+    below it, all (B, G). ``donor_sum`` (B, 1) adds up the donor means."""
+    n_o = target.shape[1]
+    n_t = n_o + 1
+    t_sum = target.sum(axis=1, keepdims=True)
+    mean_t = (t_sum + cands) / n_t
+    sd_t = _target_sd(target, t_sum, cands, mean_t)
+    grand = (donor_sum + mean_t) / K
     near_t = np.abs(mean_t - grand) <= c * sd_t / np.sqrt(n_t)
     center_t = np.where(near_t, grand, mean_t)
-    own = np.abs(gridp - center_t)
-    siblings = np.abs(target_obs[:, None] - center_t)  # one column per candidate
+    own = np.abs(cands - center_t)
     if studentize:
         own /= sd_t
-        siblings /= sd_t
-    below = (siblings < own).sum(axis=0) * (1.0 / (K * n_t))
+    siblings = np.zeros(cands.shape, dtype=np.uint8 if n_o < 256 else np.intp)
+    for i in range(n_o):
+        s = np.abs(target[:, i:i + 1] - center_t)
+        if studentize:
+            s /= sd_t
+        siblings += (s < own).view(np.uint8)
+    return grand, own, siblings * (1.0 / (K * n_t))
 
-    for b, (m_k, sd_k) in zip(donors, stats):
-        scale = sd_k if studentize else 1.0
-        near = np.abs(m_k - grand) <= c * sd_k / np.sqrt(b.size)
-        if near.all():
-            count = _count_within(np.sort(b), grand, own * scale)
+
+def _hierarchical_block(donors, sizes, target, cands, c, studentize):
+    """``hierarchical_below`` of B tests that share their branch sizes.
+
+    ``donors`` (B, N) holds each test's donor branches end to end, branch k
+    with ``sizes[k]`` values; ``target`` (B, n_t - 1) holds the target
+    branch's observed values and ``cands`` (B, G) the candidates. Returns the
+    (B, G) masses. Each row is computed as it would be alone.
+
+    Only the target branch moves with the candidate, so it alone is scored
+    per candidate, one observed value at a time. A donor is centered at the
+    grand mean where |m_k - grand| <= c sd_k / sqrt(n_k). The grand mean is
+    monotone in the candidate, so those candidates form one interval of
+    grand-mean values, and the predicate at the smallest and the largest
+    grand mean sorts most donors into never near and always near:
+
+    - never-near donors have fixed scores; they share one sorted pool with
+      cumulative weights 1/(K n_k), searched once per test;
+    - without ``studentize``, always-near donors share a second pool of raw
+      values, counted within (grand - own, grand + own);
+    - every other donor is counted on its own, by a search in its fixed
+      scores and an interval count where it is near: one whose choice
+      switches along the grid, or, when studentized, one ever near (its
+      radius own * sd_k is its own).
+
+    The masses are added pool by pool, so they round differently from a
+    branch-by-branch sum.
+
+    A two-point branch centered at its own mean scores 1/sqrt(2) at both
+    points whatever the data, so such exact ties are decided by rounding: the
+    donor scores, the target SD and the target scores are computed as the
+    transform computes them, and break ties the same way.
+    """
+    D = sizes.size
+    K = D + 1
+    means, sds = _branch_stats(donors, sizes)
+    # the donor means added left to right, as Python's sum adds them
+    donor_sum = np.cumsum(means, axis=1)[:, -1:] if D else 0.0
+    grand, own, below = _target_block(target, cands, donor_sum, K, c, studentize)
+    if not D or not cands.size:
+        return below
+
+    radius = c * sds / np.sqrt(sizes)
+    g_lo = grand.min(axis=1, keepdims=True)
+    g_hi = grand.max(axis=1, keepdims=True)
+    near_lo = np.abs(means - g_lo) <= radius
+    near_hi = np.abs(means - g_hi) <= radius
+    always = near_lo & near_hi
+    never = ~(near_lo | near_hi) & ((means < g_lo) | (means > g_hi))
+    branch = np.repeat(np.arange(D), sizes)
+    weights = np.repeat(1.0 / (K * sizes), sizes)
+    if never.any():
+        fixed = np.abs(donors - means[:, branch])
+        if studentize:
+            fixed /= sds[:, branch]
+        fixed[~never[:, branch]] = np.inf
+        below += _mass_below(*_weighted_pool(fixed, weights), own)
+    alone = ~never
+    if not studentize and always.any():
+        raw = np.where(always[:, branch], donors, np.inf)
+        below += _mass_within(*_weighted_pool(raw, weights), grand, own)
+        alone &= ~always
+    starts = np.cumsum(sizes) - sizes
+    for b, k in zip(*np.nonzero(alone)):
+        vals = donors[b, starts[k]:starts[k] + sizes[k]]
+        m_k, s_k = means[b, k], sds[b, k] if studentize else 1.0
+        if always[b, k]:
+            count = _count_within(np.sort(vals), grand[b], own[b] * s_k)
         else:
-            count = np.searchsorted(np.sort(np.abs(b - m_k) / scale), own, side="left")
+            near = np.abs(m_k - grand[b]) <= radius[b, k]
+            count = np.searchsorted(np.sort(np.abs(vals - m_k) / s_k), own[b], side="left")
             if near.any():
-                count[near] = _count_within(np.sort(b), grand[near], own[near] * scale)
-        below += count * (1.0 / (K * b.size))
+                count[near] = _count_within(np.sort(vals), grand[b, near], own[b, near] * s_k)
+        below[b] += count * weights[starts[k]]
     return below
 
 
@@ -585,8 +733,9 @@ def supervised_below(donor_residuals, target_residuals, candidate_residuals,
     ``candidate_residuals`` each candidate's. With ``studentize`` a branch's
     scores are divided by its RMS residual (denominator n - 1, the candidate
     included for the target branch), else raw magnitudes are compared. Each of
-    branch k's points weighs 1/(K n_k); equal sizes take one search in the
-    pooled donor scores.
+    branch k's points weighs 1/(K n_k): equal sizes take one search in the
+    pooled donor scores, ragged ones one search in the same pool with
+    cumulative weights.
     """
     raw_cand = np.asarray(candidate_residuals, dtype=float)
     raw_last = np.asarray(target_residuals, dtype=float).ravel()
@@ -608,14 +757,13 @@ def supervised_below(donor_residuals, target_residuals, candidate_residuals,
     else:
         own = raw_cand
     sizes = [s.size for s in fixed] + [m_K]
+    pooled = np.concatenate(fixed) if fixed else np.empty(0)
     if len(set(sizes)) == 1:
-        pooled = np.sort(np.concatenate(fixed)) if fixed else np.empty(0)
-        return (np.searchsorted(pooled, own, side="left") + below_target) / sum(sizes)
-    below = below_target / (K * m_K)
-    for s in fixed:
-        if s.size:
-            below = below + np.searchsorted(np.sort(s), own, side="left") / (K * s.size)
-    return below
+        return (np.searchsorted(np.sort(pooled), own, side="left") + below_target) / sum(sizes)
+    donor_sizes = np.array(sizes[:-1])
+    weights = np.repeat(1.0 / (K * np.maximum(donor_sizes, 1)), donor_sizes)
+    donor_mass = _mass_below(*_weighted_pool(pooled[None], weights), own.reshape(1, -1))
+    return below_target / (K * m_K) + donor_mass.reshape(own.shape)
 
 
 def _adaptive_centers(reg, xs, c: float):
@@ -686,7 +834,7 @@ def hcp_first_obs_set(complete_branches, candidates, alpha: float) -> Prediction
     Scores are plain absolute deviations from the average of branch means
     (always-pool centering, unit scale), where the candidate counts as a
     branch of its own: it enters the average of means and carries weight 1/K
-    in the quantile. The benchmark's ``hcp`` method (``sim._hcp_rows``)
+    in the quantile. The benchmark's ``hcp`` method (``sim._hcp_below``)
     differs: it leaves the candidate out of both.
     """
     cands = _checked_candidates(candidates, alpha)
@@ -694,10 +842,11 @@ def hcp_first_obs_set(complete_branches, candidates, alpha: float) -> Prediction
     if any(b.size == 0 for b in branches):
         raise ValueError("every complete branch must be nonempty")
     K = len(branches) + 1
-    grand = (sum(b.mean() for b in branches) + cands) / K
+    grand = (sum(b.mean() for b in branches) + cands.reshape(1, -1)) / K
     # the candidate's own branch adds nothing: its score is not below itself
-    below = _branch_mass(branches, grand, np.abs(cands - grand), K)
-    return _rank_set(cands, below, alpha)
+    below = _branch_mass(np.concatenate(branches)[None], np.array([b.size for b in branches]),
+                         grand, np.abs(cands.reshape(1, -1) - grand), K)
+    return _rank_set(cands, below.reshape(cands.shape), alpha)
 
 
 # --------------------------------------------------------------------------

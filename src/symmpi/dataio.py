@@ -74,7 +74,11 @@ def read_hierarchical_csv(path):
 
 
 def read_graph_values_csv(path):
-    """Read vertex values: columns vertex_id, value; blank value = unobserved."""
+    """Read vertex values: columns vertex_id, value; blank value = unobserved.
+
+    A row without a vertex_id cell is a DataError; a row that ends before its
+    value cell leaves that vertex unobserved.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [r for r in reader if r and any(c.strip() for c in r)]
@@ -86,6 +90,8 @@ def read_graph_values_csv(path):
     vcol, col = header.index("vertex_id"), header.index("value")
     ids, vals = [], []
     for r in rows[1:]:
+        if vcol >= len(r):
+            raise DataError(f"{path}: row {','.join(r)!r} has {len(r)} cells and no vertex_id")
         ids.append(int(r[vcol]))
         raw = r[col].strip() if col < len(r) else ""
         vals.append(float(raw) if raw else np.nan)

@@ -8,8 +8,13 @@ flows through per-trial generators keyed by (seed, trial) so results are
 reproducible under any worker count.
 
 Set membership comes from the library's rank-form kernels in
-``symmpi.calibrate``, run once per test on the candidate grid with the truth
+``symmpi.calibrate``, run on each test's candidate grid with the truth
 appended; each alpha then only applies ``rank_member`` to the same masses.
+A trial first makes every test's draws, in the order a one-test loop makes
+them; unsupervised tests of equal branch sizes are then evaluated a block at
+a time (``_unsup_block``): one grid, one ``_hierarchical_block`` and one
+``centered_conformal_below`` call per method, and one count of lengths and
+coverage for the whole block. Supervised tests run one at a time.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ from .calibrate import (
     PredictionSet,
     _adaptive_centers,
     _branch_mass,
-    candidate_grid,
+    _branch_stats,
+    _candidate_rows,
+    _hierarchical_block,
     centered_conformal_below,
     conformal_below,
-    hierarchical_below,
     rank_member,
     supervised_below,
 )
@@ -34,6 +40,13 @@ from .groups import sample_haar_orthogonal
 from .transforms import fit_linear, fit_regressors
 
 ALL_METHODS = ("symmpi", "conformal", "subsampling", "single_tree", "hcp")
+
+# Unsupervised tests of equal branch sizes are evaluated in blocks whose
+# (tests x candidates) arrays hold at most this many floats: 8 tests at a
+# 2001-point grid. Larger blocks add peak memory for little time; on a 2-vCPU
+# host, blocks of 4 made table-1 cells about 4 % slower and the bench-table
+# workload's peak memory 0.6 MB smaller.
+_TESTS_BLOCK_FLOATS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -133,33 +146,35 @@ def gen_rotational(n: int, p: int, scale: float, rng: np.random.Generator) -> np
 
 
 # --------------------------------------------------------------------------
-# Per-test evaluation
+# Evaluation of blocks of tests
 # --------------------------------------------------------------------------
 
 
-def _finish(member, spacing):
-    """(length, covered, unbounded) with the final grid entry as the truth."""
-    unbounded = bool(member[:-1].all())
-    length = float("inf") if unbounded else float(member[:-1].sum()) * spacing
-    return length, bool(member[-1]), unbounded
-
-
 def _rows(below, alphas, spacing):
-    """One (length, covered, unbounded) row per alpha from the below-own masses."""
-    return [_finish(rank_member(below, alpha), spacing) for alpha in alphas]
+    """Length, covered and unbounded of each row at each alpha, (alphas, 3, R),
+    from the (R, G) below-own masses, whose final candidate is the truth, and
+    the (R,) grid spacings."""
+    out = np.empty((len(alphas), 3, below.shape[0]))
+    for ai, alpha in enumerate(alphas):
+        member = rank_member(below, alpha)
+        out[ai, 0] = member[:, :-1].sum(axis=1)
+        out[ai, 1] = member[:, -1]
+    lengths, unbounded = out[:, 0], out[:, 2]
+    np.equal(lengths, below.shape[1] - 1, out=unbounded)
+    lengths *= spacing
+    lengths[unbounded > 0] = np.inf
+    return out
 
 
-class _TestFrame:
-    """Shared per-test context: candidate grid plus the appended truth."""
-
-    def __init__(self, observed_pool, truth, cfg):
-        grid = candidate_grid(observed_pool, cfg.grid_points, cfg.grid_pad_sd)
-        self.spacing = float(grid[1] - grid[0])
-        self.gridp = np.append(grid, truth)
+def _grid_frame(observed, truth, cfg):
+    """Each test's candidate grid over its observed values (B, n), with its
+    truth appended, and the grid spacings."""
+    grid = _candidate_rows(observed, cfg.grid_points, cfg.grid_pad_sd)
+    return np.concatenate([grid, truth[:, None]], axis=1), grid[:, 1] - grid[:, 0]
 
 
-def _hcp_rows(donor_branches, frame, alphas, spacing):
-    """First-observation-of-a-new-branch rows.
+def _hcp_below(donors, sizes, gridp):
+    """First-observation-of-a-new-branch masses, (B, G).
 
     Scores are deviations from the average of the complete branches' means;
     the threshold is the branch-weighted quantile over those branches (each
@@ -167,45 +182,65 @@ def _hcp_rows(donor_branches, frame, alphas, spacing):
     library's ``hcp_first_obs_set``, the candidate is left out of both the
     average and the quantile.
     """
-    K = len(donor_branches)
-    grand = sum(float(np.mean(b)) for b in donor_branches) / K
-    own = np.abs(frame.gridp - grand)
-    below = _branch_mass(donor_branches, grand, own, K)
-    return _rows(below, alphas, spacing)
+    K = sizes.size
+    means, _ = _branch_stats(donors, sizes)
+    # the branch means added left to right, as Python's sum adds them
+    grand = np.cumsum(means, axis=1)[:, -1:] / K
+    return _branch_mass(donors, sizes, np.broadcast_to(grand, gridp.shape), np.abs(gridp - grand),
+                        K)
+
+
+def _unsup_block(flat, sizes, picks, cfg, methods):
+    """Rows of B unsupervised tests that share branch sizes.
+
+    ``flat`` (B, T) holds each test's branches end to end, branch k with
+    ``sizes[k]`` values, and the truth as the target branch's final value;
+    ``picks`` (B, K - 1) holds the subsampling draws. Returns, per method, the
+    (alphas, 3, B) array of ``_rows``.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    n_donor = int(sizes[:-1].sum())
+    observed, truth = flat[:, :-1], flat[:, -1]
+    donors, target = flat[:, :n_donor], flat[:, n_donor:-1]
+    gridp, spacing = _grid_frame(observed, truth, cfg)
+    masses = {
+        "symmpi": lambda: _hierarchical_block(donors, sizes[:-1], target, gridp, cfg.c,
+                                              cfg.studentize),
+        "conformal": lambda: centered_conformal_below(observed, gridp),
+        "subsampling": lambda: centered_conformal_below(picks, gridp),
+        "single_tree": lambda: centered_conformal_below(target, gridp),
+        "hcp": lambda: _hcp_below(donors, sizes[:-1], gridp),
+    }
+    # one method's (B, G) masses at a time, to keep the block's memory small
+    return {m: _rows(masses[m](), cfg.alphas, spacing) for m in ALL_METHODS if m in methods}
+
+
+def _picks(donor_branches, rng):
+    """The subsampling method's draws: one value of each donor branch."""
+    return np.array([b[int(rng.integers(b.size))] for b in donor_branches])
+
+
+def _draw_unsup(cfg, rng, methods):
+    """One unsupervised test's draws, in the harness's order: the data, then
+    the subsampling picks. Returns (sizes, values end to end with the truth
+    last, picks or None)."""
+    branches = gen_unsup_ragged(cfg, rng) if cfg.random_sizes else list(gen_unsup(cfg, rng))
+    picks = _picks(branches[:-1], rng) if "subsampling" in methods else None
+    return tuple(b.size for b in branches), np.concatenate(branches), picks
 
 
 def _unsup_eval(branches, cfg, rng, methods):
-    """Per-test evaluation; ``branches`` has the truth appended to the last one."""
-    truth = float(branches[-1][-1])
-    obs_branches = branches[:-1] + [branches[-1][:-1]]
-    obs = np.concatenate(obs_branches)
-    frame = _TestFrame(obs, truth, cfg)
-    gridp, spacing = frame.gridp, frame.spacing
-    out = {}
-
-    if "symmpi" in methods:
-        below = hierarchical_below(obs_branches, gridp, cfg.c, cfg.studentize)
-        out["symmpi"] = _rows(below, cfg.alphas, spacing)
-
-    if "conformal" in methods:
-        out["conformal"] = _rows(centered_conformal_below(obs, gridp), cfg.alphas, spacing)
-
-    if "subsampling" in methods:
-        picks = np.array([b[int(rng.integers(b.size))] for b in obs_branches[:-1]])
-        out["subsampling"] = _rows(centered_conformal_below(picks, gridp), cfg.alphas, spacing)
-
-    if "single_tree" in methods:
-        below = centered_conformal_below(obs_branches[-1], gridp)
-        out["single_tree"] = _rows(below, cfg.alphas, spacing)
-
-    if "hcp" in methods:
-        out["hcp"] = _hcp_rows(obs_branches[:-1], frame, cfg.alphas, spacing)
-
-    return out
+    """One test's (alphas, 3) rows per method; ``branches`` has the truth
+    appended to the last one. This is ``_unsup_block`` for one test."""
+    picks = _picks(branches[:-1], rng)[None] if "subsampling" in methods else None
+    res = _unsup_block(np.concatenate(branches)[None], [np.size(b) for b in branches], picks,
+                       cfg, methods)
+    return {m: r[:, :, 0] for m, r in res.items()}
 
 
 def _sup_eval(xs, ys, cfg, rng, methods):
-    """Supervised evaluation; per-branch ragged feature/response arrays."""
+    """Supervised evaluation of one test, (alphas, 3) rows per method;
+    per-branch ragged feature/response arrays."""
     K = len(xs)
     n_train = [int(np.ceil(x.size / 2)) for x in xs]
     tr_x = [x[:m] for x, m in zip(xs, n_train)]
@@ -219,18 +254,17 @@ def _sup_eval(xs, ys, cfg, rng, methods):
     mu_p, center = _adaptive_centers(reg, cal_x, cfg.c)
 
     obs_y = np.concatenate([cy for cy in cal_y[:-1]] + [cal_y[-1][:-1]])
-    frame = _TestFrame(obs_y, truth, cfg)
-    gridp, spacing = frame.gridp, frame.spacing
-    out = {}
+    gridp, spacing = _grid_frame(obs_y[None], np.array([truth]), cfg)
+    gridp = gridp[0]
+    below = {}
 
     if "symmpi" in methods:
-        below = supervised_below(
+        below["symmpi"] = supervised_below(
             [np.abs(cal_y[k] - center[k]) for k in range(K - 1)],
             np.abs(cal_y[-1][:-1] - center[-1][:-1]),
             np.abs(gridp - center[-1][-1]),
             cfg.studentize,
         )
-        out["symmpi"] = _rows(below, cfg.alphas, spacing)
 
     own_pooled = np.abs(gridp - mu_p[-1][-1])
     if "conformal" in methods:
@@ -238,20 +272,21 @@ def _sup_eval(xs, ys, cfg, rng, methods):
             [np.abs(cal_y[k] - mu_p[k]) for k in range(K - 1)]
             + [np.abs(cal_y[-1][:-1] - mu_p[-1][:-1])]
         )
-        out["conformal"] = _rows(conformal_below(cal_scores, own_pooled), cfg.alphas, spacing)
+        below["conformal"] = conformal_below(cal_scores, own_pooled)
 
     if "subsampling" in methods:
         idx = [int(rng.integers(cal_x[k].size)) for k in range(K - 1)]
         pick_scores = np.array([abs(cal_y[k][i] - mu_p[k][i]) for k, i in zip(range(K - 1), idx)])
-        out["subsampling"] = _rows(conformal_below(pick_scores, own_pooled), cfg.alphas, spacing)
+        below["subsampling"] = conformal_below(pick_scores, own_pooled)
 
     if "single_tree" in methods:
         solo = fit_linear(tr_x[-1], tr_y[-1])
         cal_scores = np.abs(cal_y[-1][:-1] - solo.predict(cal_x[-1][:-1]))
         own = np.abs(gridp - float(solo.predict(np.array([x_target]))[0]))
-        out["single_tree"] = _rows(conformal_below(cal_scores, own), cfg.alphas, spacing)
+        below["single_tree"] = conformal_below(cal_scores, own)
 
-    return out
+    rows = _rows(np.stack(list(below.values())), cfg.alphas, np.repeat(spacing, len(below)))
+    return {m: rows[:, :, i] for i, m in enumerate(below)}
 
 
 # --------------------------------------------------------------------------
@@ -272,37 +307,39 @@ class BenchRow:
 
 
 def _run_trial(cfg: HierarchicalConfig, methods, trial: int):
+    """Per (method, alpha index): the trial's mean finite length, coverage
+    and unbounded rate. Every test's draws come first, in order; unsupervised
+    tests of equal branch sizes are then evaluated in blocks."""
     rng = np.random.default_rng((cfg.seed, trial))
-    acc = {
-        (m, ai): {"lengths": [], "covers": [], "unbounded": 0}
-        for m in methods
-        for ai in range(len(cfg.alphas))
-    }
-    for _ in range(cfg.tests):
-        if cfg.supervised:
+    rows = {m: np.empty((len(cfg.alphas), 3, cfg.tests)) for m in methods}
+    if cfg.supervised:
+        for t in range(cfg.tests):
             xs, ys = gen_sup(cfg, rng)
-            res = _sup_eval(xs, ys, cfg, rng, methods)
-        elif cfg.random_sizes:
-            branches = gen_unsup_ragged(cfg, rng)
-            res = _unsup_eval(branches, cfg, rng, methods)
-        else:
-            z = gen_unsup(cfg, rng)
-            res = _unsup_eval([z[k] for k in range(cfg.n_branches)], cfg, rng, methods)
-        for m, rows in res.items():
-            for ai, (length, covered, unbounded) in enumerate(rows):
-                cell = acc[(m, ai)]
-                cell["lengths"].append(length)
-                cell["covers"].append(covered)
-                cell["unbounded"] += int(unbounded)
+            for m, r in _sup_eval(xs, ys, cfg, rng, methods).items():
+                rows[m][:, :, t] = r
+    else:
+        draws = [_draw_unsup(cfg, rng, methods) for _ in range(cfg.tests)]
+        by_sizes = {}
+        for t, (sizes, _, _) in enumerate(draws):
+            by_sizes.setdefault(sizes, []).append(t)
+        block = max(1, _TESTS_BLOCK_FLOATS // (cfg.grid_points + 1))
+        for sizes, tests in by_sizes.items():
+            for i in range(0, len(tests), block):
+                chunk = tests[i:i + block]
+                flat = np.stack([draws[t][1] for t in chunk])
+                picks = None
+                if "subsampling" in methods:
+                    picks = np.stack([draws[t][2] for t in chunk])
+                for m, r in _unsup_block(flat, sizes, picks, cfg, methods).items():
+                    rows[m][:, :, chunk] = r
     summary = {}
-    for key, cell in acc.items():
-        finite = [l for l in cell["lengths"] if np.isfinite(l)]
-        mean_len = float(np.mean(finite)) if finite else float("inf")
-        summary[key] = (
-            mean_len,
-            float(np.mean(cell["covers"])),
-            cell["unbounded"] / cfg.tests,
-        )
+    for m, r in rows.items():
+        for ai in range(len(cfg.alphas)):
+            lengths, covers, unbounded = r[ai]
+            finite = lengths[np.isfinite(lengths)]
+            mean_len = float(np.mean(finite)) if finite.size else float("inf")
+            rate = float(unbounded.sum()) / cfg.tests
+            summary[(m, ai)] = (mean_len, float(np.mean(covers)), rate)
     return summary
 
 

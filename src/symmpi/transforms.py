@@ -452,6 +452,10 @@ def optimize_c(x, y, reg: RegressorBundle, grid, default: float = 2.0) -> float:
 # --------------------------------------------------------------------------
 
 
+# Permutation masks scored per matrix product in energy_permutation_test.
+_PERMUTATION_BLOCK = 64
+
+
 def _pairwise(a, b) -> np.ndarray:
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
@@ -470,7 +474,10 @@ def energy_permutation_test(
 
     Samples larger than ``max_points`` per side are subsampled before the
     O(n^2) distance matrix is formed; the permutation p-value stays exact for
-    the subsample.
+    the subsample. The permutations are drawn one ``rng.permutation`` call
+    at a time, and their masks are scored as columns of one matrix product,
+    ``_PERMUTATION_BLOCK`` columns at a time; the observed mask is the first
+    column of the first block.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -486,23 +493,28 @@ def energy_permutation_test(
     row_sum = D.sum(axis=1)
     total = row_sum.sum()
 
-    def stat_for(mask: np.ndarray) -> float:
-        u = mask.astype(float)
-        v = D @ u
-        s_aa = float(u @ v)
-        s_ar = float(u @ row_sum)
+    def stats_for(masks: np.ndarray) -> np.ndarray:
+        """The statistic of each column of a (n, m) 0/1 mask matrix."""
+        s_aa = np.einsum("ij,ij->j", masks, D @ masks)
+        s_ar = row_sum @ masks
         s_ab = s_ar - s_aa
         s_bb = total - 2.0 * s_ar + s_aa
         return 2.0 * s_ab / (na * nb) - s_aa / na**2 - s_bb / nb**2
 
-    base_mask = np.zeros(na + nb, dtype=bool)
-    base_mask[:na] = True
-    observed = stat_for(base_mask)
+    base_mask = np.zeros(na + nb)
+    base_mask[:na] = 1.0
+    columns = [base_mask]
+    observed = None
     count = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(na + nb)
-        if stat_for(base_mask[perm]) >= observed:
-            count += 1
+    for i in range(n_permutations + 1):
+        if i:
+            columns.append(base_mask[rng.permutation(na + nb)])
+        if len(columns) == _PERMUTATION_BLOCK or i == n_permutations:
+            stats = stats_for(np.stack(columns, axis=1))
+            if observed is None:
+                observed, stats = float(stats[0]), stats[1:]
+            count += int(np.count_nonzero(stats >= observed))
+            columns = []
     p = (1.0 + count) / (1.0 + n_permutations)
     return observed, p
 

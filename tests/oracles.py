@@ -10,6 +10,10 @@ forms agree for 0 < alpha < 1; at alpha = 1 the rank form keeps nothing.
 a time, and ``backtrack_automorphisms`` is the depth-first automorphism search.
 ``supervised_scores_from_features`` evaluates the supervised adaptive residual
 scores directly, without the staged message-passing path.
+``hierarchical_below_loop`` and ``supervised_below_loop`` are the rank-form
+masses summed branch by branch, one sort and search per donor branch;
+``unsup_eval`` and ``run_trial`` are the benchmark harness one test at a
+time on those per-branch forms.
 ``loop_fit_regressors`` fits the branch corrections one ``fit_linear`` call
 per branch, ``coset_representatives_by_key`` splits a group by a dictionary
 keyed on tuples of probe scores, and ``read_hierarchical_rows`` reads a
@@ -21,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from symmpi.calibrate import PredictionSet, finite_quantile, threshold_from_scores
+from symmpi.calibrate import (
+    PredictionSet,
+    candidate_grid,
+    centered_conformal_below,
+    finite_quantile,
+    rank_member,
+    threshold_from_scores,
+)
 from symmpi.groups import CosetDecomposition, Permutation, iter_actions
 from symmpi.transforms import fit_linear
 
@@ -160,6 +171,155 @@ def supervised_set_members(train_x, train_y, cal_x, cal_y, x_new, candidates, al
     )
 
 
+def _count_within(sorted_vals, center, radius):
+    hi = np.searchsorted(sorted_vals, center + radius, side="left")
+    lo = np.searchsorted(sorted_vals, center - radius, side="right")
+    return np.maximum(hi - lo, 0)
+
+
+def _mean_sd(values):
+    """``values.mean()`` and ``values.std(ddof=1)`` (1 for one value or zero spread)."""
+    mean = values.sum() / values.size
+    if values.size < 2:
+        return float(mean), 1.0
+    dev = values - mean
+    sd = float(np.sqrt((dev * dev).sum() / (values.size - 1)))
+    return float(mean), sd if sd > 0 else 1.0
+
+
+def hierarchical_below_loop(observed_branches, candidates, c=2.0, studentize=True):
+    """``hierarchical_below`` one donor branch at a time: each donor's mass is
+    a search in its sorted fixed scores, or an interval count in its sorted
+    values where it is centered at the grand mean, added in branch order."""
+    gridp = np.asarray(candidates, dtype=float)
+    branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
+    target_obs, donors = branches[-1], branches[:-1]
+    K = len(branches)
+    n_t = target_obs.size + 1
+    mean_t = (target_obs.sum() + gridp) / n_t
+    if n_t > 1:
+        m_o = target_obs.sum() / target_obs.size
+        q_o = float(((target_obs - m_o) ** 2).sum())
+        ssq_t = q_o + (n_t - 1) * (m_o - mean_t) ** 2 + (gridp - mean_t) ** 2
+        sd_t = np.sqrt(ssq_t / (n_t - 1))
+        sd_t = np.where(sd_t > 0, sd_t, 1.0)
+    else:
+        sd_t = np.ones(gridp.shape)
+    stats = [_mean_sd(b) for b in donors]
+    grand = (sum(m for m, _ in stats) + mean_t) / K
+    near_t = np.abs(mean_t - grand) <= c * sd_t / np.sqrt(n_t)
+    center_t = np.where(near_t, grand, mean_t)
+    own = np.abs(gridp - center_t)
+    siblings = np.abs(target_obs[:, None] - center_t)
+    if studentize:
+        own /= sd_t
+        siblings /= sd_t
+    below = (siblings < own).sum(axis=0) * (1.0 / (K * n_t))
+    for b, (m_k, sd_k) in zip(donors, stats):
+        scale = sd_k if studentize else 1.0
+        near = np.abs(m_k - grand) <= c * sd_k / np.sqrt(b.size)
+        count = np.searchsorted(np.sort(np.abs(b - m_k) / scale), own, side="left")
+        count[near] = _count_within(np.sort(b), grand[near], own[near] * scale)
+        below += count * (1.0 / (K * b.size))
+    return below
+
+
+def supervised_below_loop(donor_residuals, target_residuals, candidate_residuals,
+                          studentize=True):
+    """``supervised_below`` with one sort and search per donor branch, the
+    masses added in branch order."""
+    raw_cand = np.asarray(candidate_residuals, dtype=float)
+    raw_last = np.asarray(target_residuals, dtype=float).ravel()
+    fixed = []
+    for raw in donor_residuals:
+        raw = np.asarray(raw, dtype=float).ravel()
+        if studentize and raw.size > 1:
+            eps = np.sqrt(np.sum(raw**2) / (raw.size - 1))
+            raw = raw / (eps if eps > 0 else 1.0)
+        fixed.append(raw)
+    K = len(fixed) + 1
+    m_K = raw_last.size + 1
+    below = np.searchsorted(np.sort(raw_last), raw_cand, side="left") / (K * m_K)
+    if studentize and m_K > 1:
+        eps_cand = np.sqrt((np.sum(raw_last**2) + raw_cand**2) / (m_K - 1))
+        own = raw_cand / np.where(eps_cand > 0, eps_cand, 1.0)
+    else:
+        own = raw_cand
+    for s in fixed:
+        if s.size:
+            below = below + np.searchsorted(np.sort(s), own, side="left") / (K * s.size)
+    return below
+
+
+def _test_rows(below, alphas, spacing):
+    """(alphas, 3): length, covered and unbounded, the final candidate being the truth."""
+    rows = []
+    for alpha in alphas:
+        member = rank_member(below, alpha)
+        unbounded = bool(member[:-1].all())
+        length = float("inf") if unbounded else float(member[:-1].sum()) * spacing
+        rows.append((length, bool(member[-1]), unbounded))
+    return np.array(rows, dtype=float)
+
+
+def unsup_eval(branches, cfg, rng, methods):
+    """The benchmark harness's unsupervised rows for one test, each method on
+    its per-branch form; ``branches`` has the truth appended to the last one."""
+    truth = float(branches[-1][-1])
+    obs_branches = branches[:-1] + [branches[-1][:-1]]
+    obs = np.concatenate(obs_branches)
+    grid = candidate_grid(obs, cfg.grid_points, cfg.grid_pad_sd)
+    spacing = float(grid[1] - grid[0])
+    gridp = np.append(grid, truth)
+    below = {}
+    if "symmpi" in methods:
+        below["symmpi"] = hierarchical_below_loop(obs_branches, gridp, cfg.c, cfg.studentize)
+    if "conformal" in methods:
+        below["conformal"] = centered_conformal_below(obs, gridp)
+    if "subsampling" in methods:
+        picks = np.array([b[int(rng.integers(b.size))] for b in obs_branches[:-1]])
+        below["subsampling"] = centered_conformal_below(picks, gridp)
+    if "single_tree" in methods:
+        below["single_tree"] = centered_conformal_below(obs_branches[-1], gridp)
+    if "hcp" in methods:
+        donors = obs_branches[:-1]
+        K = len(donors)
+        grand = sum(float(np.mean(b)) for b in donors) / K
+        own = np.abs(gridp - grand)
+        mass = np.zeros(own.shape)
+        for b in donors:
+            mass += _count_within(np.sort(b), grand, own) / (K * b.size)
+        below["hcp"] = mass
+    return {m: _test_rows(b, cfg.alphas, spacing) for m, b in below.items()}
+
+
+def run_trial(cfg, methods, trial):
+    """``sim._run_trial`` for an unsupervised config, one test at a time."""
+    from symmpi.sim import gen_unsup, gen_unsup_ragged
+
+    rng = np.random.default_rng((cfg.seed, trial))
+    rows = {m: [] for m in methods}
+    for _ in range(cfg.tests):
+        if cfg.random_sizes:
+            branches = gen_unsup_ragged(cfg, rng)
+        else:
+            z = gen_unsup(cfg, rng)
+            branches = [z[k] for k in range(cfg.n_branches)]
+        for m, r in unsup_eval(branches, cfg, rng, methods).items():
+            rows[m].append(r)
+    summary = {}
+    for m, per_test in rows.items():
+        for ai in range(len(cfg.alphas)):
+            lengths = [r[ai, 0] for r in per_test]
+            finite = [l for l in lengths if np.isfinite(l)]
+            summary[(m, ai)] = (
+                float(np.mean(finite)) if finite else float("inf"),
+                float(np.mean([bool(r[ai, 1]) for r in per_test])),
+                sum(int(r[ai, 2]) for r in per_test) / cfg.tests,
+            )
+    return summary
+
+
 def conformal_members(cal_rows, own, alpha):
     """Self-inclusive conformal: keep own[i] when it is at most the 1 - alpha
     quantile of its calibration row pooled with itself."""
@@ -194,7 +354,7 @@ def hcp_first_obs_members(complete_branches, candidates, alpha):
 
 
 def hcp_rows_members(donor_branches, candidates, alpha):
-    """Benchmark ``hcp`` (``sim._hcp_rows``): the average of branch means and
+    """Benchmark ``hcp`` (``sim._hcp_below``): the average of branch means and
     the branch-weighted quantile use the complete branches only."""
     branches = [np.asarray(b, dtype=float).ravel() for b in donor_branches]
     grand = sum(float(np.mean(b)) for b in branches) / len(branches)

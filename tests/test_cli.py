@@ -307,6 +307,20 @@ def test_predict_hierarchical_short_rows_are_data_errors(tmp_path, capsys):
     assert main(["predict-hierarchical", str(data), "--grid", "101"]) == 0
 
 
+def test_predict_graph_short_rows_are_data_errors(tmp_path, capsys):
+    apath = tmp_path / "adjacency.txt"
+    apath.write_text("0 1\n1 2\n0 2\n")
+    vpath = tmp_path / "values.csv"
+    vpath.write_text("value,vertex_id\n0.1,0\n,1\n2.0\n")
+    assert main(["predict-graph", str(vpath), str(apath)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "row '2.0' has 1 cells and no vertex_id" in err
+    assert "Traceback" not in err
+    # a row that ends before its value cell still marks the unobserved vertex
+    vpath.write_text("vertex_id,value\n0,0.1\n1\n2,2.0\n")
+    assert main(["predict-graph", str(vpath), str(apath), "--grid", "101"]) == 0
+
+
 def test_random_sizes_option_is_gone(tmp_path):
     data = tmp_path / "h.csv"
     write_hier_csv(data, [np.arange(3.0), np.arange(4.0)], target=(1, 3))

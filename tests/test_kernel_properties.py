@@ -31,6 +31,7 @@ import oracles
 from symmpi.baselines import single_tree_set, split_conformal_set
 from symmpi.calibrate import (
     WeightSpec,
+    _hierarchical_block,
     candidate_grid,
     centered_conformal_below,
     conformal_below,
@@ -54,7 +55,9 @@ from symmpi.groups import (
     default_probes,
     enumerate_automorphisms,
 )
+from symmpi.cli import PRESETS
 from symmpi.network import cluster_sum_set, tree_leaf_set
+from symmpi.sim import ALL_METHODS, HierarchicalConfig, _run_trial
 from symmpi.transforms import fit_regressors, hierarchical_unsup_transform
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -134,6 +137,79 @@ def test_hierarchical_set_ignores_donor_order(branches, n_grid, alpha, data):
     assert np.array_equal(symmpi_set_randomsize(shuffled, grid, alpha).member, base.member)
 
 
+@st.composite
+def hierarchical_blocks(draw):
+    """B tests sharing branch sizes: (donors (B, N), sizes, target (B, n_t - 1),
+    candidates (B, G), observed branch lists, whether the grid is off the data).
+
+    Sizes are M in {1, 2, 3, 15} for every branch, or ragged; branch means
+    spread by sigma in {0, 1e-3, 10}, so donors near the grand mean for no,
+    some or all candidates all arise. Each test's candidates are a grid over
+    its observed values, either shifted off them or with the observed values
+    themselves added, and then the test's truth appended, out of order.
+    """
+    B = draw(st.integers(1, 9))
+    K = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        sizes = [draw(st.sampled_from([1, 2, 3, 15]))] * K
+    else:
+        sizes = draw(st.lists(st.integers(1, 15), min_size=K, max_size=K))
+    sigma = draw(st.sampled_from([0.0, 1e-3, 10.0]))
+    off_data = draw(st.booleans())
+    n_points = draw(st.integers(5, 41))
+    rng = np.random.default_rng(draw(SEED))
+    observed, cands = [], []
+    for _ in range(B):
+        mu = rng.normal(0.0, sigma, K)
+        branches = [m + rng.normal(0.0, 1.0, n) for m, n in zip(mu, sizes)]
+        obs = _observed(branches)
+        pool = np.concatenate(obs)
+        grid = candidate_grid(pool, n_points)
+        if off_data:
+            grid = grid + rng.uniform(0.05, 0.95) * (grid[1] - grid[0])
+        else:
+            grid = np.sort(np.concatenate([grid, pool]))
+        observed.append(obs)
+        cands.append(np.append(grid, branches[-1][-1]))
+    donors = np.stack([np.concatenate(o[:-1]) for o in observed])
+    target = np.stack([o[-1] for o in observed])
+    return donors, np.array(sizes[:-1]), target, np.stack(cands), observed, off_data
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+@SETTINGS
+@given(block=hierarchical_blocks(), alpha=ALPHA)
+def test_blocked_hierarchical_kernel_equals_single_tests(studentize, block, alpha):
+    donors, sizes, target, cands, observed, off_data = block
+    got = _hierarchical_block(donors, sizes, target, cands, 2.0, studentize)
+    for b, obs in enumerate(observed):
+        assert np.array_equal(got[b], hierarchical_below(obs, cands[b], 2.0, studentize))
+        # the branch-by-branch sums count the same scores in another order
+        loop = oracles.hierarchical_below_loop(obs, cands[b], 2.0, studentize)
+        assert np.max(np.abs(got[b] - loop)) <= 1e-12
+        assert np.array_equal(rank_member(got[b], alpha), rank_member(loop, alpha))
+        # on the data, a donor value can tie a candidate's score exactly
+        # (both centered at the grand mean), and so do a single donor of
+        # equal values and a target without observed values; the interval
+        # count and the per-candidate scores break such ties by rounding
+        tied = len(obs) == 2 and np.ptp(obs[0]) == 0 and obs[1].size == 0
+        if off_data and not tied:
+            want = oracles.hierarchical_members(obs, cands[b], alpha, 2.0, studentize)
+            assert np.array_equal(rank_member(got[b], alpha), want)
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+@SETTINGS
+@given(preset=st.sampled_from(["table1", "table1-random"]),
+       sigma2=st.sampled_from([0.0, 0.5, 10.0]), grid_points=st.sampled_from([21, 201, 2001]),
+       tests=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
+def test_blocked_trial_equals_per_test_loop(studentize, preset, sigma2, grid_points, tests, seed):
+    cfg = HierarchicalConfig(n_branches=6, branch_size=PRESETS[preset]["branch_size"],
+                             sigma2=sigma2, alphas=(0.05, 0.15, 0.3), tests=tests,
+                             grid_points=grid_points, seed=seed, studentize=studentize)
+    assert _run_trial(cfg, ALL_METHODS, 1) == oracles.run_trial(cfg, ALL_METHODS, 1)
+
+
 # ----------------------------------------------------------------------
 # Supervised hierarchical sets
 # ----------------------------------------------------------------------
@@ -160,6 +236,17 @@ def test_supervised_kernel_matches_oracle(res, alpha, studentize):
     donors, target, cands = res
     got = rank_member(supervised_below(donors, target, cands, studentize), alpha)
     assert np.array_equal(got, oracles.supervised_members(donors, target, cands, alpha, studentize))
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+@SETTINGS
+@given(res=residuals(), alpha=ALPHA)
+def test_pooled_supervised_kernel_equals_branch_loop(studentize, res, alpha):
+    donors, target, cands = res
+    got = supervised_below(donors, target, cands, studentize)
+    loop = oracles.supervised_below_loop(donors, target, cands, studentize)
+    assert np.max(np.abs(got - loop)) <= 1e-12
+    assert np.array_equal(rank_member(got, alpha), rank_member(loop, alpha))
 
 
 @SETTINGS

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
-from symmpi.calibrate import hcp_first_obs_set
+from symmpi.calibrate import candidate_grid, hcp_first_obs_set
 from symmpi.sim import (
     HierarchicalConfig,
-    _hcp_rows,
-    _TestFrame,
+    _unsup_eval,
     bench_table,
     gen_rotational,
     gen_sup,
@@ -301,14 +300,15 @@ def test_hcp_rows_match_their_per_candidate_rule():
     for _ in range(10):
         branches = gen_unsup_ragged(cfg, rng)
         donors = branches[:-1]
-        frame = _TestFrame(np.concatenate(branches)[:-1], branches[-1][-1], cfg)
-        rows = _hcp_rows(donors, frame, cfg.alphas, frame.spacing)
+        grid = candidate_grid(np.concatenate(branches)[:-1], cfg.grid_points, cfg.grid_pad_sd)
+        gridp = np.append(grid, branches[-1][-1])
+        rows = _unsup_eval(branches, cfg, rng, ("hcp",))["hcp"]
         for alpha, (length, covered, unbounded) in zip(cfg.alphas, rows):
-            member = oracles.hcp_rows_members(donors, frame.gridp, alpha)
+            member = oracles.hcp_rows_members(donors, gridp, alpha)
             assert covered == member[-1]
             assert unbounded == member[:-1].all()
             if not unbounded:
-                assert length == member[:-1].sum() * frame.spacing
+                assert length == member[:-1].sum() * (grid[1] - grid[0])
 
 
 def test_hcp_rows_and_library_first_obs_set_are_different_rules():
@@ -316,13 +316,14 @@ def test_hcp_rows_and_library_first_obs_set_are_different_rules():
     # of weight 1/3, so the mass below it never reaches 2/3 and at
     # alpha = 0.3 every candidate is kept; the benchmark rule leaves the
     # candidate out and keeps |c - 1.5| <= 1.5.
+    # The target branch holds only the truth, 1.5.
     donors = [np.array([0.0, 1.0]), np.array([2.0, 3.0])]
-    cfg = HierarchicalConfig(grid_points=91)
-    frame = _TestFrame(np.concatenate(donors), 1.5, cfg)
-    grid = frame.gridp[:-1]
+    cfg = HierarchicalConfig(n_branches=3, grid_points=91, alphas=(0.3,))
+    grid = candidate_grid(np.concatenate(donors), cfg.grid_points, cfg.grid_pad_sd)
     assert hcp_first_obs_set(donors, grid, alpha=0.3).unbounded
-    [(length, covered, unbounded)] = _hcp_rows(donors, frame, (0.3,), frame.spacing)
+    rows = _unsup_eval(donors + [np.array([1.5])], cfg, None, ("hcp",))["hcp"]
+    [(length, covered, unbounded)] = rows
     assert covered and not unbounded
     kept = grid[oracles.hcp_rows_members(donors, grid, 0.3)]
     assert 0.0 <= kept.min() and kept.max() <= 3.0
-    assert length == pytest.approx(3.0, abs=2 * frame.spacing)
+    assert length == pytest.approx(3.0, abs=2 * (grid[1] - grid[0]))
