@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import CosetDecomposition, GroupAction, actions_of, iter_actions, sample_actions
+from .groups import (CosetDecomposition, GroupAction, actions_of, coset_representatives,
+                     iter_actions, sample_actions)
 from .transforms import branch_fits, fit_regressors
 
 # Guard against float fuzz in level * n (e.g. 0.95 * 20 = 19.000000000000004).
@@ -855,21 +856,10 @@ def hcp_first_obs_set(complete_branches, candidates, alpha: float) -> Prediction
 
 
 def overcoverage_bound(group: GroupAction, psi, z_tilde, probes=None) -> float:
-    """|H|/|G| where H fixes psi on the probe set; bounds coverage slack."""
-    z = np.asarray(z_tilde, dtype=float)
-    if probes is None:
-        probes = [z]
-    probes = [np.asarray(p, dtype=float).reshape(-1) for p in probes]
-    base = np.array([float(psi(p)) for p in probes])
-    total = 0
-    matches = 0
-    for elements, act in iter_actions(group, probes[0].shape):
-        ok = np.ones(len(elements), dtype=bool)
-        for c, p in enumerate(probes):
-            ok &= np.asarray(psi(act(p)), dtype=float).reshape(-1) == base[c]
-        matches += int(ok.sum())
-        total += len(elements)
-    return matches / total
+    """|H|/|G| where H fixes psi on the probe set (default: ``z_tilde`` alone),
+    counted by ``coset_representatives``; bounds coverage slack."""
+    probes = [z_tilde] if probes is None else probes
+    return coset_representatives(group, psi, probes).subgroup_size / group.order()
 
 
 def estimate_shift_gap(samples_a, samples_b, nu=None, bins: int = 64) -> float:

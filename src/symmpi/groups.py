@@ -1,15 +1,16 @@
 """Symmetry groups and their actions on data.
 
-Permutations, block permutations of hierarchical data, orthogonal matrices,
-graph automorphisms, plus uniform sampling, orbits, stabilizers, and cosets.
-All finite groups expose batched enumeration so that downstream quantile
-computations stay vectorized.
+The symmetric group, the block group of two-layer hierarchical data and graph
+automorphism groups are permutation groups sharing one element form, a
+``Permutation`` of the flattened data point; orthogonal matrices act on point
+clouds. Plus uniform sampling, orbits, stabilizers, and cosets. All finite
+groups expose batched enumeration so that downstream quantile computations
+stay vectorized.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,64 +68,6 @@ class Permutation:
         return f"Permutation({self.mapping.tolist()})"
 
 
-class BlockPermutation:
-    """Element of the wreath-type group on K blocks of M entries.
-
-    ``outer`` relabels the blocks, ``inners[k]`` permutes the entries of
-    source block k before it is moved to block outer(k).
-    """
-
-    __slots__ = ("outer", "inners")
-
-    def __init__(self, outer: Permutation, inners: list[Permutation]):
-        if outer.n != len(inners):
-            raise ValueError("need one inner permutation per block")
-        sizes = {p.n for p in inners}
-        if len(sizes) > 1:
-            raise ValueError("inner permutations must share one block size")
-        self.outer = outer
-        self.inners = list(inners)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.outer.n
-
-    @property
-    def block_size(self) -> int:
-        return self.inners[0].n
-
-    def flat(self) -> Permutation:
-        """The induced permutation of [0, K*M): k*M+i -> outer(k)*M + inners[k](i)."""
-        K, M = self.n_blocks, self.block_size
-        out = np.empty(K * M, dtype=np.int64)
-        for k in range(K):
-            out[k * M : (k + 1) * M] = self.outer(k) * M + self.inners[k].mapping
-        return Permutation(out, validate=False)
-
-    def act(self, z):
-        """Act on (..., K, M) or flat (..., K*M) data."""
-        z = np.asarray(z)
-        if z.shape[-1] == self.n_blocks * self.block_size:
-            return self.flat().act(z)
-        if z.ndim >= 2 and z.shape[-2:] == (self.n_blocks, self.block_size):
-            flatz = z.reshape(z.shape[:-2] + (-1,))
-            return self.flat().act(flatz).reshape(z.shape)
-        raise ValueError("data shape does not match block structure")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BlockPermutation)
-            and self.outer == other.outer
-            and all(a == b for a, b in zip(self.inners, other.inners))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.outer, tuple(self.inners)))
-
-    def __repr__(self) -> str:
-        return f"BlockPermutation(outer={self.outer!r}, inners={self.inners!r})"
-
-
 def sample_uniform_permutation(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform draw from the symmetric group on n symbols."""
     if n < 1:
@@ -132,13 +75,16 @@ def sample_uniform_permutation(n: int, rng: np.random.Generator) -> Permutation:
     return Permutation(rng.permutation(n), validate=False)
 
 
-def sample_block_permutation(K: int, M: int, rng: np.random.Generator) -> BlockPermutation:
-    """Uniform draw over block permutations: outer and all inners independent."""
+def sample_block_permutation(K: int, M: int, rng: np.random.Generator) -> Permutation:
+    """Uniform draw from the block group on K blocks of M entries, as a
+    permutation of the K*M flattened entries: an outer permutation of the
+    blocks, then one inner permutation per block; entry i of block k moves to
+    entry inner_k(i) of block outer(k)."""
     if K < 1 or M < 1:
         raise ValueError("K and M must be >= 1")
-    outer = sample_uniform_permutation(K, rng)
-    inners = [sample_uniform_permutation(M, rng) for _ in range(K)]
-    return BlockPermutation(outer, inners)
+    outer = rng.permutation(K)
+    inners = np.array([rng.permutation(M) for _ in range(K)])
+    return Permutation((outer[:, None] * M + inners).ravel(), validate=False)
 
 
 def sample_haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,8 +161,8 @@ def lex_permutation_batches(n: int, batch_size: int = 250_000):
 class GroupAction:
     """Abstract group with an action on data arrays.
 
-    Finite groups additionally provide ``order``, ``elements`` and
-    ``iter_mapping_batches`` (for permutation-like groups).
+    Finite groups additionally provide ``order`` and ``elements``, and
+    permutation groups ``iter_mapping_batches``.
     """
 
     def identity(self):
@@ -270,16 +216,19 @@ class TrivialGroup(GroupAction):
         return iter([None])
 
 
-class SymmetricGroup(GroupAction):
-    """All permutations of n symbols, acting by coordinate permutation."""
+class PermutationGroup(GroupAction):
+    """A finite group of permutations of a data point's entries.
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
+    Every element is a ``Permutation`` of the flattened point: entry i of a
+    point of ``shape`` moves to entry g(i). Subclasses give the shape, the
+    order, ``sample`` and ``iter_mapping_batches``, whose order is the order
+    of ``elements``.
+    """
+
+    shape: tuple
 
     def identity(self) -> Permutation:
-        return Permutation.identity(self.n)
+        return Permutation.identity(math.prod(self.shape))
 
     def compose(self, g: Permutation, h: Permutation) -> Permutation:
         return g.compose(h)
@@ -287,20 +236,40 @@ class SymmetricGroup(GroupAction):
     def inverse(self, g: Permutation) -> Permutation:
         return g.inverse()
 
+    def act(self, g: Permutation, z):
+        """Act on (..., *shape) points or on their flat form (..., n)."""
+        z = np.asarray(z)
+        n = math.prod(self.shape)
+        if z.shape[-1:] == (n,):
+            return g.act(z)
+        if z.shape[z.ndim - len(self.shape):] == self.shape:
+            lead = z.shape[: z.ndim - len(self.shape)]
+            return g.act(z.reshape(lead + (n,))).reshape(z.shape)
+        raise ValueError(f"data shape {z.shape} does not match the group's points {self.shape}")
+
+    def elements(self):
+        for maps in self.iter_mapping_batches():
+            for m in maps:
+                yield Permutation(m, validate=False)
+
+
+class SymmetricGroup(PermutationGroup):
+    """All permutations of n symbols, acting by coordinate permutation."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.n = n
+        self.shape = (n,)
+
     def sample(self, rng) -> Permutation:
         return sample_uniform_permutation(self.n, rng)
-
-    def act(self, g: Permutation, z):
-        return g.act(z)
 
     def order(self) -> int:
         return math.factorial(self.n)
 
-    def elements(self):
-        return (Permutation(np.array(p), validate=False) for p in itertools.permutations(range(self.n)))
-
     def iter_mapping_batches(self, batch_size: int = 250_000):
-        """Images in the order of ``elements`` (lexicographic)."""
+        """Images in lexicographic order."""
         return lex_permutation_batches(self.n, batch_size)
 
     def act_uniform_batch(self, rng, z):
@@ -309,7 +278,7 @@ class SymmetricGroup(GroupAction):
         return rng.permuted(z, axis=-1)
 
 
-class BlockPermutationGroup(GroupAction):
+class BlockPermutationGroup(PermutationGroup):
     """Permutations moving whole blocks and shuffling within blocks.
 
     Acts on (..., K, M) arrays (or their flat (..., K*M) form); the group
@@ -321,45 +290,18 @@ class BlockPermutationGroup(GroupAction):
             raise ValueError("K and M must be >= 1")
         self.K = K
         self.M = M
+        self.shape = (K, M)
 
-    def identity(self) -> BlockPermutation:
-        return BlockPermutation(
-            Permutation.identity(self.K), [Permutation.identity(self.M) for _ in range(self.K)]
-        )
-
-    def compose(self, g: BlockPermutation, h: BlockPermutation) -> BlockPermutation:
-        outer = g.outer.compose(h.outer)
-        inners = [g.inners[h.outer(k)].compose(h.inners[k]) for k in range(self.K)]
-        return BlockPermutation(outer, inners)
-
-    def inverse(self, g: BlockPermutation) -> BlockPermutation:
-        outer = g.outer.inverse()
-        inners = [g.inners[outer(k)].inverse() for k in range(self.K)]
-        return BlockPermutation(outer, inners)
-
-    def sample(self, rng) -> BlockPermutation:
+    def sample(self, rng) -> Permutation:
         return sample_block_permutation(self.K, self.M, rng)
-
-    def act(self, g: BlockPermutation, z):
-        return g.act(z)
 
     def order(self) -> int:
         return math.factorial(self.K) * math.factorial(self.M) ** self.K
 
-    def elements(self):
-        outer_all = list(itertools.permutations(range(self.K)))
-        inner_all = list(itertools.permutations(range(self.M)))
-        for outer in outer_all:
-            for inners in itertools.product(inner_all, repeat=self.K):
-                yield BlockPermutation(
-                    Permutation(np.array(outer), validate=False),
-                    [Permutation(np.array(p), validate=False) for p in inners],
-                )
-
     def iter_mapping_batches(self, batch_size: int = 250_000):
-        """Flat images in the order of ``elements``: element number
-        o * (M!)^K + t pairs the o-th outer permutation with the inner
-        permutations whose indices are the base-M! digits of t."""
+        """Flat images, outer permutations in lexicographic order: element
+        number o * (M!)^K + t pairs the o-th outer permutation with the inner
+        permutations whose lexicographic indices are the base-M! digits of t."""
         K, M = self.K, self.M
         outer = next(lex_permutation_batches(K, math.factorial(K)))
         inner = next(lex_permutation_batches(M, math.factorial(M)))
@@ -409,7 +351,7 @@ class OrthogonalGroup(GroupAction):
         return z @ g.T
 
 
-class GraphAutomorphismGroup(GroupAction):
+class GraphAutomorphismGroup(PermutationGroup):
     """The explicitly enumerated automorphisms of a weighted graph.
 
     ``elements`` lists them as Permutations or as the rows of an (|G|, n)
@@ -418,6 +360,7 @@ class GraphAutomorphismGroup(GroupAction):
 
     def __init__(self, adjacency: np.ndarray, elements):
         self.adjacency = np.asarray(adjacency, dtype=float)
+        self.shape = (self.n,)
         maps = elements if isinstance(elements, np.ndarray) else [g.mapping for g in elements]
         self._maps = np.asarray(maps, dtype=np.int64).reshape(len(maps), self.n)
         if not (self._maps == np.arange(self.n)).all(axis=1).any():
@@ -427,26 +370,11 @@ class GraphAutomorphismGroup(GroupAction):
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.n)
-
-    def compose(self, g, h) -> Permutation:
-        return g.compose(h)
-
-    def inverse(self, g) -> Permutation:
-        return g.inverse()
-
     def sample(self, rng) -> Permutation:
         return Permutation(self._maps[int(rng.integers(len(self._maps)))], validate=False)
 
-    def act(self, g, z):
-        return g.act(z)
-
     def order(self) -> int:
         return len(self._maps)
-
-    def elements(self):
-        return (Permutation(m, validate=False) for m in self._maps)
 
     def iter_mapping_batches(self, batch_size: int = 250_000):
         for start in range(0, self._maps.shape[0], batch_size):
@@ -486,8 +414,8 @@ def actions_of(group: GroupAction, elements, shape) -> list:
     """Given group elements as batched actions on data points of ``shape``.
 
     Returns ``(elements, act)`` pairs as ``iter_actions`` yields them: one pair
-    for all of them when they are Permutations of the flattened points, else
-    one pair per element.
+    for all of them when they are Permutations of the flattened points, as
+    every ``PermutationGroup``'s elements are, else one pair per element.
     """
     shape = tuple(shape)
     elements = list(elements)

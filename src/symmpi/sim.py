@@ -413,6 +413,22 @@ def bench_table(rows: list[BenchRow]) -> str:
 # --------------------------------------------------------------------------
 
 
+def _rotation_draws(z, mc_draws: int, rng: np.random.Generator):
+    """The Monte-Carlo orbit draws of the rotation score -|first coordinate|
+    over n observed points and one held-out point: each draw picks one of
+    the n + 1 points and a uniform direction (a rotated vector's first
+    coordinate is its projection on it in law). Returns the scores of the
+    draws that picked an observed point, and the directions of those that
+    picked the held-out one, (draws, p)."""
+    n, p = z.shape
+    idx = rng.integers(0, n + 1, mc_draws)
+    W = rng.standard_normal((mc_draws, p))
+    Wn = W / np.linalg.norm(W, axis=1, keepdims=True)
+    fixed_mask = idx < n
+    fixed_scores = -np.abs(np.einsum("mp,mp->m", Wn[fixed_mask], z[idx[fixed_mask]]))
+    return fixed_scores, Wn[~fixed_mask]
+
+
 def rotation_region(
     observed,
     alpha: float,
@@ -436,13 +452,8 @@ def rotation_region(
         raise ValueError(f"a candidate grid needs at least 2 points, got {grid_points}")
     rng = rng or np.random.default_rng()
     z = np.asarray(observed, dtype=float)
-    n, p = z.shape
-    idx = rng.integers(0, n + 1, mc_draws)
-    W = rng.standard_normal((mc_draws, p))
-    Wn = W / np.linalg.norm(W, axis=1, keepdims=True)
-    fixed_mask = idx < n
-    fixed_scores = -np.abs(np.einsum("mp,mp->m", Wn[fixed_mask], z[idx[fixed_mask]]))
-    w_cand = Wn[~fixed_mask]
+    p = z.shape[1]
+    fixed_scores, w_cand = _rotation_draws(z, mc_draws, rng)
 
     height = float(np.sqrt(np.mean(z[:, 1:] ** 2))) if p > 1 else 0.0
     radius = float(np.abs(z).max()) * 1.5 + 1.0
@@ -475,13 +486,8 @@ def rotation_region_covers(
     rng = rng or np.random.default_rng()
     z = np.asarray(observed, dtype=float)
     tp = np.atleast_2d(np.asarray(test_points, dtype=float))
-    n, p = z.shape
-    idx = rng.integers(0, n + 1, mc_draws)
-    W = rng.standard_normal((mc_draws, p))
-    Wn = W / np.linalg.norm(W, axis=1, keepdims=True)
-    fixed_mask = idx < n
-    fixed_scores = -np.abs(np.einsum("mp,mp->m", Wn[fixed_mask], z[idx[fixed_mask]]))
-    cand_scores = -np.abs(tp @ Wn[~fixed_mask].T)
+    fixed_scores, w_cand = _rotation_draws(z, mc_draws, rng)
+    cand_scores = -np.abs(tp @ w_cand.T)
     own = -np.abs(tp[:, 0])
     below = (fixed_scores[None, :] < own[:, None]).sum(axis=1)
     below = below + (cand_scores < own[:, None]).sum(axis=1)

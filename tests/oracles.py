@@ -17,10 +17,13 @@ time on those per-branch forms.
 ``loop_fit_regressors`` fits the branch corrections one ``fit_linear`` call
 per branch, ``coset_representatives_by_key`` splits a group by a dictionary
 keyed on tuples of probe scores, and ``read_hierarchical_rows`` reads a
-branch data file one row at a time.
+branch data file one row at a time. ``symmetric_maps`` and ``block_maps``
+list the images of S_n and of the block group in the enumeration order of
+``itertools.permutations`` and ``itertools.product``.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -450,6 +453,21 @@ def backtrack_automorphisms(adjacency):
 
     backtrack(0)
     return found
+
+
+def symmetric_maps(n):
+    """Images of the permutations of range(n), in ``itertools.permutations`` order."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def block_maps(K, M):
+    """Flat images of the block group: outer permutations in ``itertools``
+    order, and for each the inner permutations of the K blocks as an
+    ``itertools.product``; entry i of block k goes to outer(k) * M + inner_k(i)."""
+    inner = symmetric_maps(M)
+    return np.array([(np.array(outer)[:, None] * M + inner[list(t)]).ravel()
+                     for outer in itertools.permutations(range(K))
+                     for t in itertools.product(range(len(inner)), repeat=K)], dtype=np.int64)
 
 
 def coset_representatives_by_key(group, psi, probes):

@@ -515,6 +515,9 @@ def test_overcoverage_block_group():
         z = rng.normal(size=K * M)
         got = overcoverage_bound(BlockPermutationGroup(K, M), last_coordinate, z)
         assert got == pytest.approx(1.0 / (K * M))
+        # the same bound on (K, M) points
+        assert overcoverage_bound(BlockPermutationGroup(K, M), lambda v: np.asarray(v)[..., -1, -1],
+                                  z.reshape(K, M)) == got
 
 
 def test_estimate_shift_gap_examples():

@@ -1,11 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
 import oracles
 from symmpi.groups import (
-    BlockPermutation,
     BlockPermutationGroup,
     GraphAutomorphismGroup,
     NotEnumerableError,
@@ -163,8 +160,7 @@ def test_haar_invariance_for_permutation_action():
 def test_block_permutation_trivial_sizes():
     rng = np.random.default_rng(8)
     for _ in range(10):
-        g = sample_block_permutation(1, 1, rng)
-        assert g.flat() == Permutation.identity(1)
+        assert sample_block_permutation(1, 1, rng) == Permutation.identity(1)
 
 
 def test_block_permutation_k2_m1_frequencies():
@@ -172,7 +168,7 @@ def test_block_permutation_k2_m1_frequencies():
     G = BlockPermutationGroup(2, 1)
     assert G.order() == 2
     draws = 20_000
-    swaps = sum(sample_block_permutation(2, 1, rng).outer(0) == 1 for _ in range(draws))
+    swaps = sum(sample_block_permutation(2, 1, rng)(0) == 1 for _ in range(draws))
     se = np.sqrt(0.25 / draws)
     assert abs(swaps / draws - 0.5) <= 3 * se
 
@@ -204,11 +200,20 @@ def test_block_permutation_group_axioms():
 
 
 def test_block_permutation_acts_on_blocks():
-    g = BlockPermutation(Permutation([1, 0]), [Permutation([0, 1]), Permutation([1, 0])])
+    G = BlockPermutationGroup(2, 2)
+    g = Permutation([2, 3, 1, 0])  # outer [1, 0], inners [0, 1] and [1, 0]
     z = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = g.act(z)
+    out = G.act(g, z)
     # block 0 -> block 1 unchanged; block 1 -> block 0 with entries swapped
     assert np.array_equal(out, np.array([[4.0, 3.0], [1.0, 2.0]]))
+    assert np.array_equal(G.act(g, z.ravel()), out.ravel())
+    with pytest.raises(ValueError):
+        G.act(g, np.zeros((4, 1)))
+    # a draw is the outer permutation, then one inner permutation per block
+    rng = np.random.default_rng(17)
+    outer, inners = rng.permutation(3), [rng.permutation(2) for _ in range(3)]
+    g = sample_block_permutation(3, 2, np.random.default_rng(17))
+    assert all(g(2 * k + i) == 2 * outer[k] + inners[k][i] for k in range(3) for i in range(2))
 
 
 def test_block_group_order_formula():
@@ -222,23 +227,23 @@ def test_block_group_order_formula():
 def test_block_mapping_batches_follow_element_order():
     for K, M in [(2, 2), (2, 3), (3, 2)]:
         G = BlockPermutationGroup(K, M)
-        want = np.array([g.flat().mapping for g in G.elements()])
+        want = oracles.block_maps(K, M)
         for batch_size in (250_000, 7):
             got = np.concatenate(list(G.iter_mapping_batches(batch_size)))
             assert np.array_equal(got, want)
+        assert np.array_equal([g.mapping for g in G.elements()], want)
 
 
 def test_symmetric_mapping_batches_follow_itertools_order():
     for n in range(1, 8):
-        want = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        want = oracles.symmetric_maps(n)
         for batch_size in (5, 96, 250_000):
             batches = list(SymmetricGroup(n).iter_mapping_batches(batch_size))
             assert all(b.shape[0] <= batch_size for b in batches)
             got = np.concatenate(batches)
             assert got.dtype == np.int64 and np.array_equal(got, want)
-    G = SymmetricGroup(4)
-    assert np.array_equal(np.concatenate(list(G.iter_mapping_batches())),
-                          [g.mapping for g in G.elements()])
+    assert np.array_equal([g.mapping for g in SymmetricGroup(4).elements()],
+                          oracles.symmetric_maps(4))
 
 
 def test_block_uniform_batch_accepts_flat_points():
@@ -402,9 +407,16 @@ def test_coset_representatives_trivial_group():
 def test_coset_representatives_block_group():
     rng = np.random.default_rng(12)
     probes = default_probes(np.array([0.5, -1.0, 2.0, 3.3]), rng)
-    dec = coset_representatives(BlockPermutationGroup(2, 2), last_coordinate, probes)
+    G = BlockPermutationGroup(2, 2)
+    dec = coset_representatives(G, last_coordinate, probes)
     assert len(dec.representatives) == 4
     assert dec.subgroup_size == 2
+    # on (K, M) points the classes are the same, and the group acts with them
+    shaped = coset_representatives(G, lambda z: np.asarray(z)[..., -1, -1],
+                                   [p.reshape(2, 2) for p in probes])
+    assert shaped.representatives == dec.representatives
+    for g in shaped.representatives:
+        assert np.array_equal(G.act(g, probes[0].reshape(2, 2)).ravel(), G.act(g, probes[0]))
 
 
 class SmallBatchSymmetricGroup(SymmetricGroup):

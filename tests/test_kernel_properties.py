@@ -530,8 +530,9 @@ def _swap_with_last(n):
        alpha=ALPHA)
 def test_nonsym_set_matches_oracle(kind, seed, n_grid, alpha):
     # weighted representatives, some of weight zero: S_n swap-with-last
-    # cosets, block permutations (acting through group.act, one at a time)
-    # and graph automorphisms (Permutations, acting as one index array). The
+    # cosets, block permutations (some of the group's elements, or the coset
+    # representatives of psi on (K, M) points) and graph automorphisms, all
+    # Permutations of the flattened points acting as one index array. The
     # weighted masses add up in another order than the oracle's cumulative
     # sum; random weights keep them far from 1 - alpha against rounding.
     rng = np.random.default_rng(seed)
@@ -542,10 +543,14 @@ def test_nonsym_set_matches_oracle(kind, seed, n_grid, alpha):
     elif kind == "block":
         K, M = (int(v) for v in rng.integers(1, 4, 2))
         n, group = K * M, BlockPermutationGroup(K, M)
-        elements = list(group.elements())
-        picks = rng.choice(len(elements), int(rng.integers(1, min(len(elements), 12) + 1)),
-                           replace=False)
-        reps = [elements[i] for i in picks]
+        if rng.uniform() < 0.5:
+            probes = default_probes(rng.normal(size=(K, M)), rng, n_extra=2)
+            reps = coset_representatives(group, _last_entry, probes).representatives
+        else:
+            elements = list(group.elements())
+            picks = rng.choice(len(elements), int(rng.integers(1, min(len(elements), 12) + 1)),
+                               replace=False)
+            reps = [elements[i] for i in picks]
 
         def embed(o, c):
             return np.append(o, c).reshape(K, M)

@@ -81,8 +81,8 @@ def test_unsup_deterministic_block_equivariance():
     for _ in range(100):
         z = rng.normal(size=(K, M)) + 2 * rng.normal(size=(K, 1))
         g = sample_block_permutation(K, M, rng)
-        lhs = hierarchical_unsup_transform(g.act(z), 2.0)
-        rhs = g.act(hierarchical_unsup_transform(z, 2.0))
+        lhs = hierarchical_unsup_transform(G.act(g, z), 2.0)
+        rhs = G.act(g, hierarchical_unsup_transform(z, 2.0))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -246,9 +246,9 @@ def test_five_step_block_equivariance():
         feats[..., 2] = np.abs(feats[..., 2]) + 0.1
         g = sample_block_permutation(K, M, rng)
         flatten = lambda f: f.reshape(K * M, 3)
-        permuted = g.flat().act(flatten(feats).T).T.reshape(K, M, 3)
+        permuted = g.act(flatten(feats).T).T.reshape(K, M, 3)
         lhs = five_step_supervised_scores(permuted, 2.0)
-        rhs = g.act(five_step_supervised_scores(feats, 2.0))
+        rhs = BlockPermutationGroup(K, M).act(g, five_step_supervised_scores(feats, 2.0))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
