@@ -558,20 +558,23 @@ def centered_conformal_below(values, candidates) -> np.ndarray:
     return below
 
 
+def _size_groups(values, sizes):
+    """Yields each branch size n, its branches' indices ks and their values
+    (B, len(ks), n) from the rows of ``values`` (B, N), C-contiguous: numpy
+    sums a contiguous last axis pairwise, as it sums one branch."""
+    starts = np.cumsum(sizes) - sizes
+    for n in sorted(set(sizes.tolist())):
+        ks = np.flatnonzero(sizes == n)
+        yield n, ks, np.take(values, starts[ks, None] + np.arange(n), axis=1)
+
+
 def _branch_stats(values, sizes):
     """Means and SDs (B, D) of the D branches laid end to end in each row of
     ``values`` (B, N), with ``values.mean()`` and ``values.std(ddof=1)``'s
-    arithmetic on each branch; the SD is 1 for one value or zero spread.
-    Branches of one size are reduced together."""
-    B = values.shape[0]
-    starts = np.cumsum(sizes) - sizes
-    mean = np.empty((B, sizes.size))
-    sd = np.ones((B, sizes.size))
-    for n in sorted(set(sizes.tolist())):
-        ks = np.flatnonzero(sizes == n)
-        # (B, len(ks), n), C-contiguous: numpy sums a contiguous last axis
-        # pairwise, as it sums one branch
-        vals = np.take(values, starts[ks, None] + np.arange(n), axis=1)
+    arithmetic on each branch; the SD is 1 for one value or zero spread."""
+    mean = np.empty((values.shape[0], sizes.size))
+    sd = np.ones(mean.shape)
+    for n, ks, vals in _size_groups(values, sizes):
         m = vals.sum(axis=-1) / n
         mean[:, ks] = m
         if n > 1:
@@ -734,21 +737,39 @@ def supervised_below(donor_residuals, target_residuals, candidate_residuals,
     ``candidate_residuals`` each candidate's. With ``studentize`` a branch's
     scores are divided by its RMS residual (denominator n - 1, the candidate
     included for the target branch), else raw magnitudes are compared. Each of
-    branch k's points weighs 1/(K n_k): equal sizes take one search in the
-    pooled donor scores, ragged ones one search in the same pool with
-    cumulative weights.
+    branch k's points weighs 1/(K n_k).
+
+    This is ``_supervised_block`` on per-branch lists, the core that
+    ``supervised_hierarchical_set`` and the benchmark harness run.
     """
+    donors = [np.asarray(r, dtype=float).ravel() for r in donor_residuals]
+    target = np.asarray(target_residuals, dtype=float).ravel()
+    sizes = np.array([r.size for r in donors] + [target.size + 1], dtype=np.intp)
+    return _supervised_block(np.concatenate(donors + [target]), sizes,
+                             np.asarray(candidate_residuals, dtype=float), studentize)
+
+
+def _supervised_block(residuals, sizes, candidate_residuals, studentize):
+    """``supervised_below`` on flat residuals.
+
+    ``residuals`` holds every branch's |y - center| end to end, branch k with
+    ``sizes[k]`` values, except the target branch's last one, which each
+    entry of ``candidate_residuals`` fills. The donor scores share one sorted
+    pool with cumulative weights 1/(K n_k), searched once; the target's
+    observed scores are searched on their own.
+    """
+    K, m_K = sizes.size, int(sizes[-1])
+    donor_sizes = sizes[:-1]
+    n_donor = int(donor_sizes.sum())
+    donors, raw_last = residuals[:n_donor], residuals[n_donor:]
     raw_cand = np.asarray(candidate_residuals, dtype=float)
-    raw_last = np.asarray(target_residuals, dtype=float).ravel()
-    fixed = []
-    for raw in donor_residuals:
-        raw = np.asarray(raw, dtype=float).ravel()
-        if studentize and raw.size > 1:
-            eps = np.sqrt(np.sum(raw**2) / (raw.size - 1))
-            raw = raw / (eps if eps > 0 else 1.0)
-        fixed.append(raw)
-    K = len(fixed) + 1
-    m_K = raw_last.size + 1
+    if studentize:
+        scale = np.ones(K - 1)
+        for n, ks, vals in _size_groups(donors[None], donor_sizes):
+            if n > 1:
+                eps = np.sqrt((vals[0] ** 2).sum(axis=-1) / (n - 1))
+                scale[ks] = np.where(eps > 0, eps, 1.0)
+        donors = donors / np.repeat(scale, donor_sizes)
     # Within the target branch any shared scale cancels, so the sibling
     # comparison is on raw residual magnitudes in both modes.
     below_target = np.searchsorted(np.sort(raw_last), raw_cand, side="left")
@@ -757,24 +778,26 @@ def supervised_below(donor_residuals, target_residuals, candidate_residuals,
         own = raw_cand / np.where(eps_cand > 0, eps_cand, 1.0)
     else:
         own = raw_cand
-    sizes = [s.size for s in fixed] + [m_K]
-    pooled = np.concatenate(fixed) if fixed else np.empty(0)
-    if len(set(sizes)) == 1:
-        return (np.searchsorted(np.sort(pooled), own, side="left") + below_target) / sum(sizes)
-    donor_sizes = np.array(sizes[:-1])
     weights = np.repeat(1.0 / (K * np.maximum(donor_sizes, 1)), donor_sizes)
-    donor_mass = _mass_below(*_weighted_pool(pooled[None], weights), own.reshape(1, -1))
+    donor_mass = _mass_below(*_weighted_pool(donors[None], weights), own.reshape(1, -1))
     return below_target / (K * m_K) + donor_mass.reshape(own.shape)
 
 
+def _split_branches(xs, ys):
+    """The supervised split: the first ceil(n_k / 2) rows of each branch
+    train the regressors and the rest calibrate, n_k being the size of
+    ``ys[k]``. Returns the training x and y lists, then the calibration ones."""
+    n_train = [(np.size(y) + 1) // 2 for y in ys]
+    return ([x[:m] for x, m in zip(xs, n_train)], [y[:m] for y, m in zip(ys, n_train)],
+            [x[m:] for x, m in zip(xs, n_train)], [y[m:] for y, m in zip(ys, n_train)])
+
+
 def _adaptive_centers(reg, xs, c: float):
-    """Per-branch pooled fits, and centers: the pooled fit where the branch
-    fit lies within c confidence bands of it, else the branch fit. All
-    branches are evaluated in one pass (``transforms.branch_fits``)."""
+    """Flat pooled fits and centers at the rows of the per-branch ``xs``, and
+    the sizes: the pooled fit where the branch fit lies within c confidence
+    bands of it, else the branch fit (one ``transforms.branch_fits`` pass)."""
     mu_p, mu_b, sig, sizes = branch_fits(reg, xs)
-    center = np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b)
-    cuts = np.cumsum(sizes)[:-1]
-    return np.split(mu_p, cuts), np.split(center, cuts)
+    return mu_p, np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b), sizes
 
 
 def symmpi_set_randomsize(
@@ -809,23 +832,23 @@ def supervised_hierarchical_set(
     corrections); each candidate response completes the calibration data,
     whose adaptive residual scores are scaled per branch by the RMS residual
     (candidate included for its own branch) and compared against the
-    branch-weighted score quantile. Ragged branch sizes are allowed.
+    branch-weighted score quantile. Ragged branch sizes are allowed, but
+    every donor branch needs a calibration value: an empty one would carry
+    its weight 1/K and no score, so the set could not reach 1 - alpha.
     """
     cands = _checked_candidates(candidates, alpha)
-    reg = fit_regressors(train_x, train_y)
     cal_x = [np.asarray(v, dtype=float) for v in cal_x]
-    cal_y = [np.asarray(v, dtype=float) for v in cal_y]
-    x_new = np.asarray(x_new, dtype=float)
-    if cal_x[-1].ndim > 1:
-        cal_x[-1] = np.concatenate([cal_x[-1], x_new.reshape(1, -1)], axis=0)
-    else:
-        cal_x[-1] = np.append(cal_x[-1], x_new)
-    _, centers = _adaptive_centers(reg, cal_x, c)
-    below = supervised_below(
-        [np.abs(y - m) for y, m in zip(cal_y[:-1], centers[:-1])],
-        np.abs(cal_y[-1] - centers[-1][:-1]),
-        np.abs(cands - centers[-1][-1]),
-    )
+    cal_y = [np.asarray(v, dtype=float).ravel() for v in cal_y]
+    if [len(x) for x in cal_x] != [y.size for y in cal_y]:
+        raise ValueError("each calibration branch needs one x row per y value")
+    if any(y.size == 0 for y in cal_y[:-1]):
+        raise ValueError("every donor branch needs a calibration value")
+    reg = fit_regressors(train_x, train_y)
+    x_new = np.asarray(x_new, dtype=float).reshape((1,) + cal_x[-1].shape[1:])
+    cal_x[-1] = np.concatenate([cal_x[-1], x_new])
+    _, centers, sizes = _adaptive_centers(reg, cal_x, c)
+    below = _supervised_block(np.abs(np.concatenate(cal_y) - centers[:-1]), sizes,
+                              np.abs(cands - centers[-1]), True)
     return _rank_set(cands, below, alpha)
 
 

@@ -195,39 +195,26 @@ def cmd_predict_hierarchical(args) -> int:
     bi, ri = target
     # Move the target branch last and the target row to its end; both moves
     # are symmetries of the model, and the split/quantile conventions assume
-    # this position.
+    # this position: the target row is then always a calibration row.
     def reorder(seq):
-        if seq is None:
-            return None
         seq = list(seq)
         seq.append(seq.pop(bi))
+        seq[-1] = seq[-1][np.r_[np.delete(np.arange(len(seq[-1])), ri), ri]]
         return seq
 
     ys = reorder(ys)
-    xs = reorder(xs)
-    ys[-1] = np.concatenate([np.delete(ys[-1], ri), [np.nan]])
-    if xs is not None:
-        target_x = xs[-1][ri]
-        rest = np.delete(xs[-1], ri, axis=0)
-        xs[-1] = np.concatenate([rest, np.reshape(target_x, (1, -1) if rest.ndim > 1 else (1,))])
-
     if args.mode == "unsup":
         # The branch-weighted quantile reduces to the flat one for equal
         # sizes, so ragged and fixed data share a single path.
-        observed = [y for y in ys[:-1]] + [ys[-1][:-1]]
+        observed = ys[:-1] + [ys[-1][:-1]]
         grid = calibrate.candidate_grid(np.concatenate(observed), args.grid)
         ps = calibrate.symmpi_set_randomsize(observed, grid, args.alpha, c=args.c)
     else:
-        n_train = [int(np.ceil(x.shape[0] / 2)) for x in xs]
-        if ys[-1].size - n_train[-1] < 1:
+        tr_x, tr_y, cal_x, cal_y = calibrate._split_branches(reorder(xs), ys)
+        if not cal_y[-1].size:
             raise DataError("target branch needs at least one calibration point")
-        tr_x = [x[:m] for x, m in zip(xs, n_train)]
-        tr_y = [y[:m] for y, m in zip(ys, n_train)]
-        cal_x = [x[m:] for x, m in zip(xs, n_train)]
-        cal_y = [y[m:] for y, m in zip(ys, n_train)]
         x_new = cal_x[-1][-1]
-        cal_x[-1] = cal_x[-1][:-1]
-        cal_y[-1] = cal_y[-1][:-1]
+        cal_x[-1], cal_y[-1] = cal_x[-1][:-1], cal_y[-1][:-1]
         grid = calibrate.candidate_grid(np.concatenate(cal_y), args.grid)
         ps = calibrate.supervised_hierarchical_set(
             tr_x, tr_y, cal_x, cal_y, x_new, grid, args.alpha, c=args.c
@@ -259,6 +246,8 @@ def cmd_predict_rotation(args) -> int:
     pts = np.loadtxt(args.data, delimiter=",", ndmin=2)
     if pts.shape[1] < 2:
         raise DataError("rotation data needs at least two coordinates per point")
+    if not np.isfinite(pts).all():
+        raise DataError("rotation coordinates must be finite numbers")
     rng = np.random.default_rng(args.seed)
     ps = sim.rotation_region(pts, args.alpha, mc_draws=args.mc, rng=rng, grid_points=args.grid)
     print(f"strip half-width: {ps.meta['strip_halfwidth']:.6g}")

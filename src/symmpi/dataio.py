@@ -21,7 +21,8 @@ def read_hierarchical_csv(path):
     """Read branch data: columns branch_id, [x...,] y; blank y marks the target.
 
     Every row has at least as many cells as the header (a blank trailing y
-    cell, as in ``b1,0.5,``, still counts); a shorter row is a DataError.
+    cell, as in ``b1,0.5,``, still counts); a shorter row, or an x or given
+    y cell that is not a finite number, is a DataError.
 
     Returns (branch_ids, xs, ys, target), where xs is None for unsupervised
     files, ys holds per-branch value arrays with NaN at the target slot, and
@@ -52,6 +53,9 @@ def read_hierarchical_csv(path):
     ycells = [r[ycol].strip() for r in body]
     y = np.array([float(c) if c else np.nan for c in ycells])
     x = np.array([[float(r[i]) for r in body] for i in xcols]).T if xcols else None
+    given = np.array([bool(c) for c in ycells])
+    if not np.isfinite(y[given]).all() or (x is not None and not np.isfinite(x).all()):
+        raise DataError(f"{path}: x and y values must be finite numbers")
     order = list(dict.fromkeys(ids))
     code = {b: i for i, b in enumerate(order)}
     branch = np.array([code[b] for b in ids], dtype=np.intp)
@@ -76,8 +80,10 @@ def read_hierarchical_csv(path):
 def read_graph_values_csv(path):
     """Read vertex values: columns vertex_id, value; blank value = unobserved.
 
-    A row without a vertex_id cell is a DataError; a row that ends before its
-    value cell leaves that vertex unobserved.
+    The ids are 0..n-1, each once, in any order, and a given value is a finite
+    number; anything else is a DataError. A row without a vertex_id cell is a
+    DataError; a row that ends before its value cell leaves that vertex
+    unobserved.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -95,6 +101,10 @@ def read_graph_values_csv(path):
         ids.append(int(r[vcol]))
         raw = r[col].strip() if col < len(r) else ""
         vals.append(float(raw) if raw else np.nan)
+        if raw and not np.isfinite(vals[-1]):
+            raise DataError(f"{path}: vertex {ids[-1]} has the non-finite value {raw!r}")
+    if sorted(ids) != list(range(len(ids))):
+        raise DataError(f"{path}: vertex ids must be 0..{len(ids) - 1}, each once")
     order = np.argsort(ids)
     vals = np.array(vals)[order]
     missing = np.flatnonzero(np.isnan(vals))

@@ -14,7 +14,8 @@ A trial first makes every test's draws, in the order a one-test loop makes
 them; unsupervised tests of equal branch sizes are then evaluated a block at
 a time (``_unsup_block``): one grid, one ``_hierarchical_block`` and one
 ``centered_conformal_below`` call per method, and one count of lengths and
-coverage for the whole block. Supervised tests run one at a time.
+coverage for the whole block. Supervised tests run one at a time, on the
+library's split (``_split_branches``) and donor search (``_supervised_block``).
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from .calibrate import (
     _branch_stats,
     _candidate_rows,
     _hierarchical_block,
+    _split_branches,
+    _supervised_block,
     centered_conformal_below,
     conformal_below,
     rank_member,
-    supervised_below,
 )
 from .groups import sample_haar_orthogonal
 from .transforms import fit_linear, fit_regressors
@@ -240,49 +242,35 @@ def _unsup_eval(branches, cfg, rng, methods):
 
 def _sup_eval(xs, ys, cfg, rng, methods):
     """Supervised evaluation of one test, (alphas, 3) rows per method;
-    per-branch ragged feature/response arrays."""
-    K = len(xs)
-    n_train = [int(np.ceil(x.size / 2)) for x in xs]
-    tr_x = [x[:m] for x, m in zip(xs, n_train)]
-    tr_y = [y[:m] for y, m in zip(ys, n_train)]
-    cal_x = [x[m:] for x, m in zip(xs, n_train)]
-    cal_y = [y[m:] for y, m in zip(ys, n_train)]
-    x_target = float(cal_x[-1][-1])
-    truth = float(cal_y[-1][-1])
-
+    per-branch ragged feature/response arrays, the truth last. Every
+    method reads the flat calibration rows of ``_split_branches``."""
+    tr_x, tr_y, cal_x, cal_y = _split_branches(xs, ys)
     reg = fit_regressors(tr_x, tr_y)
-    mu_p, center = _adaptive_centers(reg, cal_x, cfg.c)
-
-    obs_y = np.concatenate([cy for cy in cal_y[:-1]] + [cal_y[-1][:-1]])
-    gridp, spacing = _grid_frame(obs_y[None], np.array([truth]), cfg)
+    mu_p, center, sizes = _adaptive_centers(reg, cal_x, cfg.c)
+    obs_y = np.concatenate(cal_y)
+    obs_y, truth = obs_y[:-1], obs_y[-1:]
+    gridp, spacing = _grid_frame(obs_y[None], truth, cfg)
     gridp = gridp[0]
     below = {}
 
     if "symmpi" in methods:
-        below["symmpi"] = supervised_below(
-            [np.abs(cal_y[k] - center[k]) for k in range(K - 1)],
-            np.abs(cal_y[-1][:-1] - center[-1][:-1]),
-            np.abs(gridp - center[-1][-1]),
-            cfg.studentize,
-        )
+        below["symmpi"] = _supervised_block(np.abs(obs_y - center[:-1]), sizes,
+                                            np.abs(gridp - center[-1]), cfg.studentize)
 
-    own_pooled = np.abs(gridp - mu_p[-1][-1])
+    pooled = np.abs(obs_y - mu_p[:-1])
+    own_pooled = np.abs(gridp - mu_p[-1])
     if "conformal" in methods:
-        cal_scores = np.concatenate(
-            [np.abs(cal_y[k] - mu_p[k]) for k in range(K - 1)]
-            + [np.abs(cal_y[-1][:-1] - mu_p[-1][:-1])]
-        )
-        below["conformal"] = conformal_below(cal_scores, own_pooled)
+        below["conformal"] = conformal_below(pooled, own_pooled)
 
     if "subsampling" in methods:
-        idx = [int(rng.integers(cal_x[k].size)) for k in range(K - 1)]
-        pick_scores = np.array([abs(cal_y[k][i] - mu_p[k][i]) for k, i in zip(range(K - 1), idx)])
-        below["subsampling"] = conformal_below(pick_scores, own_pooled)
+        starts = np.cumsum(sizes) - sizes
+        idx = [s + int(rng.integers(n)) for s, n in zip(starts[:-1], sizes[:-1])]
+        below["subsampling"] = conformal_below(pooled[idx], own_pooled)
 
     if "single_tree" in methods:
         solo = fit_linear(tr_x[-1], tr_y[-1])
         cal_scores = np.abs(cal_y[-1][:-1] - solo.predict(cal_x[-1][:-1]))
-        own = np.abs(gridp - float(solo.predict(np.array([x_target]))[0]))
+        own = np.abs(gridp - float(solo.predict(cal_x[-1][-1:])[0]))
         below["single_tree"] = conformal_below(cal_scores, own)
 
     rows = _rows(np.stack(list(below.values())), cfg.alphas, np.repeat(spacing, len(below)))

@@ -259,7 +259,7 @@ def branch_fits(reg, xs):
     feature arrays ``xs`` (ragged allowed), in one pass over their
     concatenation. Returns the three as flat arrays and the branch sizes."""
     xs = [np.asarray(x, dtype=float) for x in xs]
-    sizes = [x.shape[0] for x in xs]
+    sizes = np.array([x.shape[0] for x in xs], dtype=np.intp)
     flat = np.concatenate(xs)
     k = np.repeat(np.arange(len(xs)), sizes)
     mu_p, mu_b, sig = reg.mu(flat), reg.mu_k(k, flat), reg.sigma_k(k, flat)

@@ -495,6 +495,24 @@ def test_supervised_hierarchical_set_covers():
     assert covered / trials >= 1 - alpha - 3 * se
 
 
+def test_supervised_hierarchical_set_rejects_empty_donor_calibration_branch():
+    rng = np.random.default_rng(5)
+    tr_x = [rng.uniform(-0.5, 0.5, 4) for _ in range(3)]
+    tr_y = [x + rng.normal(0, 0.5, 4) for x in tr_x]
+    cal_x = [rng.uniform(-0.5, 0.5, 3), np.empty(0), rng.uniform(-0.5, 0.5, 3)]
+    cal_y = [x + rng.normal(0, 0.5, x.size) for x in cal_x]
+    grid = np.linspace(-3, 3, 61)
+    with pytest.raises(ValueError, match="every donor branch needs a calibration value"):
+        supervised_hierarchical_set(tr_x, tr_y, cal_x, cal_y, 0.1, grid, 0.2)
+    # an empty target branch is allowed: the candidate is its only value
+    cal_x[1], cal_y[1], cal_x[2], cal_y[2] = cal_x[2], cal_y[2], cal_x[1], cal_y[1]
+    assert supervised_hierarchical_set(tr_x, tr_y, cal_x, cal_y, 0.1, grid, 0.2).member.any()
+    # the flat rows would hide a branch whose x and y counts differ
+    cal_y[0], cal_y[1] = cal_y[0][:2], np.append(cal_y[1], cal_y[0][2])
+    with pytest.raises(ValueError, match="one x row per y value"):
+        supervised_hierarchical_set(tr_x, tr_y, cal_x, cal_y, 0.1, grid, 0.2)
+
+
 # ----------------------------------------------------------------------
 # Over-coverage bound and shift diagnostic
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from symmpi.calibrate import candidate_grid, supervised_hierarchical_set
 from symmpi.cli import main
+from symmpi.dataio import prediction_set_payload
 
 
 def write_hier_csv(path, branches, target=None, xs=None):
@@ -161,6 +163,45 @@ def test_predict_hierarchical_supervised_multivariate_x(tmp_path):
                  "--alpha", "0.2", "--grid", "301", "--out", str(out)]) == 0
     payload = json.load(open(out))
     assert 0 < sum(payload["member"]) < len(payload["member"])
+
+
+def test_predict_hierarchical_supervised_is_the_library_set_on_a_ragged_file(tmp_path):
+    # the target is row 1 of an 8-row branch, in its training half as written
+    rng = np.random.default_rng(11)
+    sizes = [7, 8, 10, 6]
+    theta = rng.normal(0, 2, 4)
+    xs = [rng.uniform(-0.5, 0.5, n) for n in sizes]
+    ys = [theta[k] * xs[k] + rng.normal(0, 0.3, n) for k, n in enumerate(sizes)]
+    data, out = tmp_path / "ragged.csv", tmp_path / "ragged.json"
+    write_hier_csv(data, ys, target=(1, 1), xs=xs)
+    assert main(["predict-hierarchical", str(data), "--mode", "sup", "--alpha", "0.2",
+                 "--grid", "301", "--out", str(out)]) == 0
+
+    # by hand: the target branch goes last and the target row to its end,
+    # then each branch's first ceil(n_k / 2) rows train and the rest calibrate
+    bx = [xs[0], xs[2], xs[3], np.append(np.delete(xs[1], 1), xs[1][1])]
+    by = [ys[0], ys[2], ys[3], np.delete(ys[1], 1)]
+    m = [4, 5, 3, 4]
+    tr_x, tr_y = [x[:n] for x, n in zip(bx, m)], [y[:n] for y, n in zip(by, m)]
+    cal_x, cal_y = [x[n:] for x, n in zip(bx, m)], [y[n:] for y, n in zip(by, m)]
+    x_new = cal_x[-1][-1]
+    cal_x[-1] = cal_x[-1][:-1]
+    ps = supervised_hierarchical_set(tr_x, tr_y, cal_x, cal_y, x_new,
+                                     candidate_grid(np.concatenate(cal_y), 301), 0.2)
+    assert 0 < ps.member.sum() < ps.member.size
+    assert json.load(open(out)) == json.loads(json.dumps(prediction_set_payload(ps)))
+
+
+def test_predict_hierarchical_supervised_one_row_donor_is_data_error(tmp_path, capsys):
+    # a 1-row donor branch only trains: it has no calibration score to weigh
+    rng = np.random.default_rng(4)
+    sizes = [6, 1, 6, 6]
+    xs = [rng.uniform(-0.5, 0.5, n) for n in sizes]
+    ys = [k * xs[k] + rng.normal(0, 0.5, n) for k, n in enumerate(sizes)]
+    data = tmp_path / "sup.csv"
+    write_hier_csv(data, ys, target=(3, 5), xs=xs)
+    assert main(["predict-hierarchical", str(data), "--mode", "sup", "--alpha", "0.2"]) == 3
+    assert "every donor branch needs a calibration value" in capsys.readouterr().err
 
 
 def test_predict_hierarchical_rejects_bad_csv(tmp_path):
@@ -330,3 +371,39 @@ def test_random_sizes_option_is_gone(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[predict-hierarchical]\nrandom-sizes = true\n")
     assert main(["--config", str(cfg), "predict-hierarchical", str(data)]) == 2
+
+
+@pytest.mark.parametrize("command, text", [
+    ("predict-hierarchical", "branch_id,y\na,1\na,2\na,inf\nb,3\nb,\nb,4\n"),
+    ("predict-hierarchical", "branch_id,y\na,1\na,2\na,nan\nb,3\nb,\nb,4\n"),
+    ("predict-hierarchical --mode sup",
+     "branch_id,x,y\na,0.1,1\na,-inf,2\na,0.3,3\nb,0.2,3\nb,0.4,\nb,0.5,4\nb,0.7,4\n"),
+    ("predict-graph", "vertex_id,value\n0,1\n1,inf\n2,\n3,2\n"),
+    ("predict-rotation", "0.1,0.2\n-0.3,inf\n0.5,0.5\n"),
+])
+def test_non_finite_values_are_data_errors(tmp_path, capsys, command, text):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    argv = command.split() + [str(data)]
+    if command == "predict-graph":
+        adjacency = tmp_path / "cycle4.txt"
+        adjacency.write_text("0 1\n1 2\n2 3\n3 0\n")
+        argv.append(str(adjacency))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ") and "finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("ids", [(0, 1, 2, 4), (0, 1, 1, 3), (1, 2, 3, 4)])
+def test_predict_graph_ids_must_be_the_adjacency_vertices(tmp_path, capsys, ids):
+    vpath = tmp_path / "values.csv"
+    vpath.write_text("vertex_id,value\n" + "".join(
+        f"{v},{'' if i == 2 else float(i)}\n" for i, v in enumerate(ids)))
+    apath = tmp_path / "cycle4.txt"
+    apath.write_text("0 1\n1 2\n2 3\n3 0\n")
+    assert main(["predict-graph", str(vpath), str(apath)]) == 3
+    assert "vertex ids must be 0..3, each once" in capsys.readouterr().err
+    # the same values under the ids 0..3, in file order 3, 0, 1, 2, are a graph set
+    vpath.write_text("vertex_id,value\n3,3.0\n0,0.0\n1,1.0\n2,\n")
+    assert main(["predict-graph", str(vpath), str(apath), "--grid", "101"]) == 0
