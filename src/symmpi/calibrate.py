@@ -223,19 +223,9 @@ class PredictionSet:
 
     def intervals(self) -> list[tuple[float, float]]:
         """Maximal runs of member candidates, as (low, high) candidate values."""
-        out = []
-        m = self.member
-        i = 0
-        while i < m.size:
-            if m[i]:
-                j = i
-                while j + 1 < m.size and m[j + 1]:
-                    j += 1
-                out.append((float(self.candidates[i]), float(self.candidates[j])))
-                i = j + 1
-            else:
-                i += 1
-        return out
+        edges = np.flatnonzero(np.diff(np.concatenate([[False], np.ravel(self.member), [False]])))
+        cands = np.ravel(self.candidates)
+        return list(zip(cands[edges[::2]].tolist(), cands[edges[1::2] - 1].tolist()))
 
     def covers(self, value: float) -> bool:
         """Whether ``value`` falls in one of the extracted intervals."""
@@ -739,65 +729,71 @@ def supervised_below(donor_residuals, target_residuals, candidate_residuals,
     included for the target branch), else raw magnitudes are compared. Each of
     branch k's points weighs 1/(K n_k).
 
-    This is ``_supervised_block`` on per-branch lists, the core that
-    ``supervised_hierarchical_set`` and the benchmark harness run.
+    This is ``_supervised_block`` for one test, on per-branch lists: the core
+    that ``supervised_hierarchical_set`` and the benchmark harness run.
     """
     donors = [np.asarray(r, dtype=float).ravel() for r in donor_residuals]
     target = np.asarray(target_residuals, dtype=float).ravel()
     sizes = np.array([r.size for r in donors] + [target.size + 1], dtype=np.intp)
-    return _supervised_block(np.concatenate(donors + [target]), sizes,
-                             np.asarray(candidate_residuals, dtype=float), studentize)
+    cands = np.asarray(candidate_residuals, dtype=float)
+    below = _supervised_block(np.concatenate(donors + [target])[None], sizes,
+                              cands.reshape(1, -1), studentize)
+    return below.reshape(cands.shape)
 
 
-def _supervised_block(residuals, sizes, candidate_residuals, studentize):
-    """``supervised_below`` on flat residuals.
+def _supervised_block(residuals, sizes, raw_cand, studentize):
+    """``supervised_below`` of B tests that share branch sizes, on flat rows.
 
-    ``residuals`` holds every branch's |y - center| end to end, branch k with
-    ``sizes[k]`` values, except the target branch's last one, which each
-    entry of ``candidate_residuals`` fills. The donor scores share one sorted
-    pool with cumulative weights 1/(K n_k), searched once; the target's
-    observed scores are searched on their own.
+    Each row of ``residuals`` (B, N - 1) holds a test's |y - center| of
+    every branch end to end, branch k with ``sizes[k]`` values, except the
+    target branch's last one, which each of the test's candidate residuals
+    in ``raw_cand`` (B, G) fills. Returns the (B, G) masses. A test's donor
+    scores share one sorted pool with cumulative weights 1/(K n_k), searched
+    once; the target's observed scores are searched on their own.
     """
     K, m_K = sizes.size, int(sizes[-1])
     donor_sizes = sizes[:-1]
     n_donor = int(donor_sizes.sum())
-    donors, raw_last = residuals[:n_donor], residuals[n_donor:]
-    raw_cand = np.asarray(candidate_residuals, dtype=float)
+    donors, raw_last = residuals[:, :n_donor], residuals[:, n_donor:]
     if studentize:
-        scale = np.ones(K - 1)
-        for n, ks, vals in _size_groups(donors[None], donor_sizes):
+        scale = np.ones((residuals.shape[0], K - 1))
+        for n, ks, vals in _size_groups(donors, donor_sizes):
             if n > 1:
-                eps = np.sqrt((vals[0] ** 2).sum(axis=-1) / (n - 1))
-                scale[ks] = np.where(eps > 0, eps, 1.0)
-        donors = donors / np.repeat(scale, donor_sizes)
+                eps = np.sqrt((vals**2).sum(axis=-1) / (n - 1))
+                scale[:, ks] = np.where(eps > 0, eps, 1.0)
+        donors = donors / np.repeat(scale, donor_sizes, axis=1)
     # Within the target branch any shared scale cancels, so the sibling
     # comparison is on raw residual magnitudes in both modes.
-    below_target = np.searchsorted(np.sort(raw_last), raw_cand, side="left")
+    below_target = np.stack([np.searchsorted(r, c, side="left")
+                             for r, c in zip(np.sort(raw_last, axis=1), raw_cand)])
     if studentize and m_K > 1:
-        eps_cand = np.sqrt((np.sum(raw_last**2) + raw_cand**2) / (m_K - 1))
+        ssq = np.sum(raw_last**2, axis=1, keepdims=True)
+        eps_cand = np.sqrt((ssq + raw_cand**2) / (m_K - 1))
         own = raw_cand / np.where(eps_cand > 0, eps_cand, 1.0)
     else:
         own = raw_cand
     weights = np.repeat(1.0 / (K * np.maximum(donor_sizes, 1)), donor_sizes)
-    donor_mass = _mass_below(*_weighted_pool(donors[None], weights), own.reshape(1, -1))
-    return below_target / (K * m_K) + donor_mass.reshape(own.shape)
+    return below_target / (K * m_K) + _mass_below(*_weighted_pool(donors, weights), own)
 
 
-def _split_branches(xs, ys):
-    """The supervised split: the first ceil(n_k / 2) rows of each branch
-    train the regressors and the rest calibrate, n_k being the size of
-    ``ys[k]``. Returns the training x and y lists, then the calibration ones."""
-    n_train = [(np.size(y) + 1) // 2 for y in ys]
-    return ([x[:m] for x, m in zip(xs, n_train)], [y[:m] for y, m in zip(ys, n_train)],
-            [x[m:] for x, m in zip(xs, n_train)], [y[m:] for y, m in zip(ys, n_train)])
+def _split_branches(sizes):
+    """The supervised split of branches laid end to end, branch k with
+    ``sizes[k]`` rows: its first ceil(n_k / 2) rows train the regressors and
+    the rest calibrate. Returns the mask of training rows and the training
+    and calibration sizes."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    n_train = (sizes + 1) // 2
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) < np.repeat(ends - sizes + n_train, sizes), n_train, sizes - n_train
 
 
-def _adaptive_centers(reg, xs, c: float):
-    """Flat pooled fits and centers at the rows of the per-branch ``xs``, and
-    the sizes: the pooled fit where the branch fit lies within c confidence
-    bands of it, else the branch fit (one ``transforms.branch_fits`` pass)."""
-    mu_p, mu_b, sig, sizes = branch_fits(reg, xs)
-    return mu_p, np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b), sizes
+def _adaptive_centers(reg, x, sizes, c: float):
+    """Pooled fits and centers (B, N) at the rows x (B, N, d) of B tests,
+    each test's branches end to end, branch k with ``sizes[k]`` rows: the
+    pooled fit where the branch fit lies within c confidence bands of it,
+    else the branch fit (one ``transforms.branch_fits`` pass)."""
+    mu_p, mu_b, sig = branch_fits(reg, x, sizes)
+    return mu_p, np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b)
 
 
 def symmpi_set_randomsize(
@@ -846,10 +842,12 @@ def supervised_hierarchical_set(
     reg = fit_regressors(train_x, train_y)
     x_new = np.asarray(x_new, dtype=float).reshape((1,) + cal_x[-1].shape[1:])
     cal_x[-1] = np.concatenate([cal_x[-1], x_new])
-    _, centers, sizes = _adaptive_centers(reg, cal_x, c)
-    below = _supervised_block(np.abs(np.concatenate(cal_y) - centers[:-1]), sizes,
-                              np.abs(cands - centers[-1]), True)
-    return _rank_set(cands, below, alpha)
+    sizes = np.array([len(v) for v in cal_x], dtype=np.intp)
+    x = np.concatenate(cal_x)
+    _, centers = _adaptive_centers(reg, x.reshape(1, len(x), -1), sizes, c)
+    below = _supervised_block(np.abs(np.concatenate(cal_y) - centers[:, :-1]), sizes,
+                              np.abs(cands.reshape(1, -1) - centers[:, -1:]), True)
+    return _rank_set(cands, below.reshape(cands.shape), alpha)
 
 
 def hcp_first_obs_set(complete_branches, candidates, alpha: float) -> PredictionSet:

@@ -210,7 +210,10 @@ def cmd_predict_hierarchical(args) -> int:
         grid = calibrate.candidate_grid(np.concatenate(observed), args.grid)
         ps = calibrate.symmpi_set_randomsize(observed, grid, args.alpha, c=args.c)
     else:
-        tr_x, tr_y, cal_x, cal_y = calibrate._split_branches(reorder(xs), ys)
+        xs, sizes = reorder(xs), [y.size for y in ys]
+        train = np.split(calibrate._split_branches(sizes)[0], np.cumsum(sizes)[:-1])
+        tr_x, cal_x = [x[m] for x, m in zip(xs, train)], [x[~m] for x, m in zip(xs, train)]
+        tr_y, cal_y = [y[m] for y, m in zip(ys, train)], [y[~m] for y, m in zip(ys, train)]
         if not cal_y[-1].size:
             raise DataError("target branch needs at least one calibration point")
         x_new = cal_x[-1][-1]

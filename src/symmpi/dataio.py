@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -149,6 +150,10 @@ def _edges_to_matrix(cells, path):
             raise DataError(f"{path}: edge lines need 'u v [weight]'")
         u, v = int(row[0]), int(row[1])
         w = float(row[2]) if len(row) == 3 else 1.0
+        if u < 0 or v < 0:
+            raise DataError(f"{path}: vertex ids must be nonnegative, got edge {u} {v}")
+        if not math.isfinite(w):
+            raise DataError(f"{path}: edge weights must be finite, got {row[2]!r}")
         edges.append((u, v, w))
     n = max(max(u, v) for u, v, _ in edges) + 1
     A = np.zeros((n, n))

@@ -11,11 +11,14 @@ Set membership comes from the library's rank-form kernels in
 ``symmpi.calibrate``, run on each test's candidate grid with the truth
 appended; each alpha then only applies ``rank_member`` to the same masses.
 A trial first makes every test's draws, in the order a one-test loop makes
-them; unsupervised tests of equal branch sizes are then evaluated a block at
-a time (``_unsup_block``): one grid, one ``_hierarchical_block`` and one
-``centered_conformal_below`` call per method, and one count of lengths and
-coverage for the whole block. Supervised tests run one at a time, on the
-library's split (``_split_branches``) and donor search (``_supervised_block``).
+them; tests of equal branch sizes are then evaluated a block at a time, with
+one count of lengths and coverage per method for the whole block. An
+unsupervised block (``_unsup_block``) makes one grid and one
+``_hierarchical_block`` and ``centered_conformal_below`` call per method. A
+supervised block (``_sup_block``) runs the library's split
+(``_split_branches``), one fit of every test's regressors
+(``transforms._fit_block``), one pass of centers and one donor search
+(``_supervised_block``).
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ from .calibrate import (
     rank_member,
 )
 from .groups import sample_haar_orthogonal
-from .transforms import fit_linear, fit_regressors
+from .transforms import _fit_block, _fit_lines
 
 ALL_METHODS = ("symmpi", "conformal", "subsampling", "single_tree", "hcp")
 
-# Unsupervised tests of equal branch sizes are evaluated in blocks whose
+# Tests of equal branch sizes are evaluated in blocks whose
 # (tests x candidates) arrays hold at most this many floats: 8 tests at a
 # 2001-point grid. Larger blocks add peak memory for little time; on a 2-vCPU
 # host, blocks of 4 made table-1 cells about 4 % slower and the bench-table
@@ -224,11 +227,11 @@ def _picks(donor_branches, rng):
 
 def _draw_unsup(cfg, rng, methods):
     """One unsupervised test's draws, in the harness's order: the data, then
-    the subsampling picks. Returns (sizes, values end to end with the truth
-    last, picks or None)."""
+    the subsampling picks. Returns (sizes, (values end to end with the truth
+    last,), picks or None)."""
     branches = gen_unsup_ragged(cfg, rng) if cfg.random_sizes else list(gen_unsup(cfg, rng))
     picks = _picks(branches[:-1], rng) if "subsampling" in methods else None
-    return tuple(b.size for b in branches), np.concatenate(branches), picks
+    return tuple(b.size for b in branches), (np.concatenate(branches),), picks
 
 
 def _unsup_eval(branches, cfg, rng, methods):
@@ -240,41 +243,77 @@ def _unsup_eval(branches, cfg, rng, methods):
     return {m: r[:, :, 0] for m, r in res.items()}
 
 
+def _conformal_rows(cal_scores, own):
+    """``conformal_below`` of each test: rows of (B, m) and (B, G)."""
+    return np.stack([conformal_below(c, o) for c, o in zip(cal_scores, own)])
+
+
+def _sup_block(x, y, sizes, picks, cfg, methods):
+    """Rows of B supervised tests that share branch sizes.
+
+    ``x`` and ``y`` (B, T) hold each test's branches end to end, branch k
+    with ``sizes[k]`` rows, the truth as the target branch's final response;
+    ``picks`` (B, K - 1) holds the subsampling draws, a position in each
+    donor branch's calibration rows. Every method reads the calibration rows
+    of ``_split_branches``; the regressors of all B tests are one
+    ``_fit_block``. Returns, per method, the (alphas, 3, B) array of ``_rows``.
+    """
+    train, n_train, n_cal = _split_branches(sizes)
+    # compress keeps each test's rows contiguous, so that sums and searches
+    # run along a row as they do on one test
+    tr_x, tr_y = np.compress(train, x, axis=1)[..., None], np.compress(train, y, axis=1)
+    cal_x, cal_y = np.compress(~train, x, axis=1)[..., None], np.compress(~train, y, axis=1)
+    mu_p, center = _adaptive_centers(_fit_block(tr_x, tr_y, n_train), cal_x, n_cal, cfg.c)
+    obs_y, truth = cal_y[:, :-1], cal_y[:, -1]
+    gridp, spacing = _grid_frame(obs_y, truth, cfg)
+    pooled = np.abs(obs_y - mu_p[:, :-1])
+    own_pooled = np.abs(gridp - mu_p[:, -1:])
+
+    def single_tree():
+        # the target branch's own line; its rows end the training rows and
+        # the calibration rows, whose last is the truth's
+        m_tr, m_cal = int(n_train[-1]), int(n_cal[-1])
+        solo, _ = _fit_lines(tr_x[:, -m_tr:], tr_y[:, -m_tr:])
+        cal_scores = np.abs(cal_y[:, -m_cal:-1] - solo.predict(cal_x[:, -m_cal:-1]))
+        return _conformal_rows(cal_scores, np.abs(gridp - solo.predict(cal_x[:, -1:])))
+
+    starts = np.cumsum(n_cal) - n_cal
+    masses = {
+        "symmpi": lambda: _supervised_block(np.abs(obs_y - center[:, :-1]), n_cal,
+                                            np.abs(gridp - center[:, -1:]), cfg.studentize),
+        "conformal": lambda: _conformal_rows(pooled, own_pooled),
+        "subsampling": lambda: _conformal_rows(
+            np.take_along_axis(pooled, starts[:-1] + picks, axis=1), own_pooled),
+        "single_tree": single_tree,
+    }
+    return {m: _rows(masses[m](), cfg.alphas, spacing) for m in ALL_METHODS if m in methods}
+
+
+def _sup_picks(sizes, rng):
+    """The subsampling method's draws: a position in each donor branch's
+    calibration rows."""
+    return np.array([int(rng.integers(n)) for n in _split_branches(sizes)[2][:-1].tolist()])
+
+
+def _draw_sup(cfg, rng, methods):
+    """One supervised test's draws, in the harness's order: the data, then
+    the subsampling picks. Returns (sizes, (x, y end to end with the truth
+    last), picks or None)."""
+    xs, ys = gen_sup(cfg, rng)
+    sizes = tuple(y.size for y in ys)
+    picks = _sup_picks(sizes, rng) if "subsampling" in methods else None
+    return sizes, (np.concatenate(xs), np.concatenate(ys)), picks
+
+
 def _sup_eval(xs, ys, cfg, rng, methods):
     """Supervised evaluation of one test, (alphas, 3) rows per method;
-    per-branch ragged feature/response arrays, the truth last. Every
-    method reads the flat calibration rows of ``_split_branches``."""
-    tr_x, tr_y, cal_x, cal_y = _split_branches(xs, ys)
-    reg = fit_regressors(tr_x, tr_y)
-    mu_p, center, sizes = _adaptive_centers(reg, cal_x, cfg.c)
-    obs_y = np.concatenate(cal_y)
-    obs_y, truth = obs_y[:-1], obs_y[-1:]
-    gridp, spacing = _grid_frame(obs_y[None], truth, cfg)
-    gridp = gridp[0]
-    below = {}
-
-    if "symmpi" in methods:
-        below["symmpi"] = _supervised_block(np.abs(obs_y - center[:-1]), sizes,
-                                            np.abs(gridp - center[-1]), cfg.studentize)
-
-    pooled = np.abs(obs_y - mu_p[:-1])
-    own_pooled = np.abs(gridp - mu_p[-1])
-    if "conformal" in methods:
-        below["conformal"] = conformal_below(pooled, own_pooled)
-
-    if "subsampling" in methods:
-        starts = np.cumsum(sizes) - sizes
-        idx = [s + int(rng.integers(n)) for s, n in zip(starts[:-1], sizes[:-1])]
-        below["subsampling"] = conformal_below(pooled[idx], own_pooled)
-
-    if "single_tree" in methods:
-        solo = fit_linear(tr_x[-1], tr_y[-1])
-        cal_scores = np.abs(cal_y[-1][:-1] - solo.predict(cal_x[-1][:-1]))
-        own = np.abs(gridp - float(solo.predict(cal_x[-1][-1:])[0]))
-        below["single_tree"] = conformal_below(cal_scores, own)
-
-    rows = _rows(np.stack(list(below.values())), cfg.alphas, np.repeat(spacing, len(below)))
-    return {m: rows[:, :, i] for i, m in enumerate(below)}
+    per-branch feature/response arrays, the truth last. This is
+    ``_sup_block`` for one test."""
+    sizes = [np.size(y) for y in ys]
+    picks = _sup_picks(sizes, rng)[None] if "subsampling" in methods else None
+    res = _sup_block(np.concatenate(xs)[None], np.concatenate(ys)[None], sizes, picks, cfg,
+                     methods)
+    return {m: r[:, :, 0] for m, r in res.items()}
 
 
 # --------------------------------------------------------------------------
@@ -296,30 +335,26 @@ class BenchRow:
 
 def _run_trial(cfg: HierarchicalConfig, methods, trial: int):
     """Per (method, alpha index): the trial's mean finite length, coverage
-    and unbounded rate. Every test's draws come first, in order; unsupervised
-    tests of equal branch sizes are then evaluated in blocks."""
+    and unbounded rate. Every test's draws come first, in order; tests of
+    equal branch sizes are then evaluated in blocks (``_unsup_block`` or
+    ``_sup_block``)."""
     rng = np.random.default_rng((cfg.seed, trial))
     rows = {m: np.empty((len(cfg.alphas), 3, cfg.tests)) for m in methods}
-    if cfg.supervised:
-        for t in range(cfg.tests):
-            xs, ys = gen_sup(cfg, rng)
-            for m, r in _sup_eval(xs, ys, cfg, rng, methods).items():
-                rows[m][:, :, t] = r
-    else:
-        draws = [_draw_unsup(cfg, rng, methods) for _ in range(cfg.tests)]
-        by_sizes = {}
-        for t, (sizes, _, _) in enumerate(draws):
-            by_sizes.setdefault(sizes, []).append(t)
-        block = max(1, _TESTS_BLOCK_FLOATS // (cfg.grid_points + 1))
-        for sizes, tests in by_sizes.items():
-            for i in range(0, len(tests), block):
-                chunk = tests[i:i + block]
-                flat = np.stack([draws[t][1] for t in chunk])
-                picks = None
-                if "subsampling" in methods:
-                    picks = np.stack([draws[t][2] for t in chunk])
-                for m, r in _unsup_block(flat, sizes, picks, cfg, methods).items():
-                    rows[m][:, :, chunk] = r
+    draw, evaluate = (_draw_sup, _sup_block) if cfg.supervised else (_draw_unsup, _unsup_block)
+    draws = [draw(cfg, rng, methods) for _ in range(cfg.tests)]
+    by_sizes = {}
+    for t, (sizes, _, _) in enumerate(draws):
+        by_sizes.setdefault(sizes, []).append(t)
+    block = max(1, _TESTS_BLOCK_FLOATS // (cfg.grid_points + 1))
+    for sizes, tests in by_sizes.items():
+        for i in range(0, len(tests), block):
+            chunk = tests[i:i + block]
+            data = [np.stack(arrays) for arrays in zip(*(draws[t][1] for t in chunk))]
+            picks = None
+            if "subsampling" in methods:
+                picks = np.stack([draws[t][2] for t in chunk])
+            for m, r in evaluate(*data, sizes, picks, cfg, methods).items():
+                rows[m][:, :, chunk] = r
     summary = {}
     for m, r in rows.items():
         for ai in range(len(cfg.alphas)):

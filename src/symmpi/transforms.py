@@ -57,15 +57,20 @@ def hierarchical_unsup_transform(values, c: float = 2.0) -> np.ndarray:
 
 @dataclass
 class LinearModel:
-    """Least-squares fit with an intercept, plus its standard-error curve."""
+    """Least-squares fit with an intercept, plus its standard-error curve.
+
+    ``_fit_lines`` returns B fits in one model: ``coef`` (B, d + 1),
+    ``xtx_inv`` (B, d + 1, d + 1) and ``resid_sd`` (B,); ``predict`` then
+    takes x (B, n, d) and evaluates each fit at its own rows.
+    """
 
     coef: np.ndarray  # (d + 1,), intercept first
     xtx_inv: np.ndarray
     resid_sd: float  # residual SD with dof n - (d + 1)
 
     def predict(self, x) -> np.ndarray:
-        xa = _augment(x, self.coef.size - 1)
-        return xa @ self.coef
+        xa = _augment(x, self.coef.shape[-1] - 1)
+        return (xa @ self.coef[..., None])[..., 0]
 
     def se(self, x) -> np.ndarray:
         """Pointwise standard error of the fitted mean at x."""
@@ -92,16 +97,31 @@ def fit_linear(x, y) -> LinearModel:
     y = np.asarray(y, dtype=float).ravel()
     if x.ndim == 1:
         x = x[:, None]
-    xa = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
+    fits, _ = _fit_lines(x[None], y[None])
+    return LinearModel(coef=fits.coef[0], xtx_inv=fits.xtx_inv[0], resid_sd=float(fits.resid_sd[0]))
+
+
+def _fit_lines(x, y):
+    """``fit_linear`` of B designs at once: x (B, n, d), y (B, n).
+
+    One stacked SVD, and ``@`` wherever the one-design form multiplies, so
+    each fit has the bits it has alone. Returns the B fits as one
+    ``LinearModel`` and the residuals (B, n).
+    """
+    xa = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
     u, s, vt = np.linalg.svd(xa, full_matrices=False)
-    rank = int(np.count_nonzero(s > s.max(initial=0.0) * max(xa.shape) * np.finfo(float).eps))
-    if rank < xa.shape[1]:
-        raise ValueError(f"rank-deficient design: {x.shape[0]} points span rank {rank} < {xa.shape[1]}")
-    coef = vt.T @ ((u.T @ y) / s)
-    resid = y - xa @ coef
-    dof = max(x.shape[0] - xa.shape[1], 1)
-    resid_sd = float(np.sqrt(resid @ resid / dof))
-    return LinearModel(coef=coef, xtx_inv=(vt.T / s**2) @ vt, resid_sd=resid_sd)
+    tol = s.max(axis=-1, initial=0.0) * max(xa.shape[-2:]) * np.finfo(float).eps
+    rank = np.count_nonzero(s > tol[:, None], axis=-1)
+    short = np.flatnonzero(rank < xa.shape[-1])
+    if short.size:
+        raise ValueError(f"rank-deficient design: {x.shape[-2]} points span rank {rank[short[0]]} "
+                         f"< {xa.shape[-1]}")
+    v = np.swapaxes(vt, -1, -2)
+    coef = (v @ ((np.swapaxes(u, -1, -2) @ y[..., None]) / s[..., None]))[..., 0]
+    resid = y - (xa @ coef[..., None])[..., 0]
+    dof = max(x.shape[-2] - xa.shape[-1], 1)
+    resid_sd = np.sqrt((resid[:, None, :] @ resid[..., None])[:, 0, 0] / dof)
+    return LinearModel(coef=coef, xtx_inv=(v / s[:, None, :] ** 2) @ vt, resid_sd=resid_sd), resid
 
 
 def _fit_runs(x, y, n):
@@ -171,6 +191,10 @@ class RegressorBundle:
     per-branch residual SDs on the training data (used when tuning the
     centering constant). ``mu_k`` and ``sigma_k`` take a branch index, or an
     integer array of them that broadcasts against the points of x.
+
+    A bundle of B tests (``_fit_block``) holds B pooled fits, so ``mu``
+    takes x (B, n, d), and its rows are the B * K branches of the tests in
+    turn, so test b's branch k is row b * K + k.
     """
 
     pooled: LinearModel
@@ -188,11 +212,11 @@ class RegressorBundle:
         return self.pooled.predict(x)
 
     def mu_k(self, k, x) -> np.ndarray:
-        xa = _augment(x, self.pooled.coef.size - 1)
-        return xa @ self.pooled.coef + np.einsum("...i,...i->...", xa, self.coef[k])
+        xa = _augment(x, self.pooled.coef.shape[-1] - 1)
+        return self.mu(x) + np.einsum("...i,...i->...", xa, self.coef[k])
 
     def sigma_k(self, k, x) -> np.ndarray:
-        xa = _augment(x, self.pooled.coef.size - 1)
+        xa = _augment(x, self.pooled.coef.shape[-1] - 1)
         quad = np.einsum("...i,...ij,...j->...", xa, self.xtx_inv[k], xa)
         se = np.where(
             self.fitted[k],
@@ -210,7 +234,7 @@ def fit_regressors(train_x, train_y) -> RegressorBundle:
     on x; all K fits come from per-branch sums over the concatenated rows,
     taken about the branch means. Branches with fewer than 2 points fall back
     to the pooled fit. A rank-deficient branch raises ``ValueError`` as
-    ``fit_linear`` does.
+    ``fit_linear`` does. This is ``_fit_block`` for one test.
     """
     xs = [np.asarray(x, dtype=float) for x in train_x]
     ys = [np.asarray(y, dtype=float).ravel() for y in train_y]
@@ -219,30 +243,44 @@ def fit_regressors(train_x, train_y) -> RegressorBundle:
     sizes = np.array([y.size for y in ys])
     if [len(x) for x in xs] != sizes.tolist():
         raise ValueError("each branch needs one x row per y value")
-    flat_x, flat_y = np.concatenate(xs), np.concatenate(ys)
+    flat_x = np.concatenate(xs)
     flat_x = flat_x[:, None] if flat_x.ndim == 1 else flat_x.reshape(len(flat_x), -1)
-    pooled = fit_linear(flat_x, flat_y)
-    # pooled residuals; rows of fitted branches become branch-fit residuals
-    resid = flat_y - pooled.predict(flat_x)
+    reg = _fit_block(flat_x[None], np.concatenate(ys)[None], sizes)
+    fits = reg.pooled
+    reg.pooled = LinearModel(coef=fits.coef[0], xtx_inv=fits.xtx_inv[0],
+                             resid_sd=float(fits.resid_sd[0]))
+    return reg
 
-    K, d = sizes.size, flat_x.shape[1]
-    coef = np.zeros((K, d + 1))
-    xtx_inv = np.zeros((K, d + 1, d + 1))
-    resid_sd = np.zeros(K)
-    fitted = sizes >= 2
+
+def _fit_block(x, y, sizes) -> RegressorBundle:
+    """``fit_regressors`` of B tests that share their branch sizes: x
+    (B, N, d) and y (B, N) hold each test's training rows, its branches end
+    to end, branch k with ``sizes[k]`` rows. The pooled fits are one
+    ``_fit_lines`` call and the B * K branch corrections one ``_fit_runs``
+    call; each test's fits have the bits they have alone."""
+    B, N, d = x.shape
+    pooled, resid = _fit_lines(x, y)
+    # pooled residuals; rows of fitted branches become branch-fit residuals
+    flat_x, resid = x.reshape(B * N, d), resid.reshape(B * N)
+    runs = np.tile(sizes, B)
+    R = runs.size
+    coef = np.zeros((R, d + 1))
+    xtx_inv = np.zeros((R, d + 1, d + 1))
+    resid_sd = np.zeros(R)
+    fitted = runs >= 2
     if fitted.any():
         # plain slices when every branch is fitted, which skips the copies
         every = bool(fitted.all())
-        rows = slice(None) if every else np.repeat(fitted, sizes)
+        rows = slice(None) if every else np.repeat(fitted, runs)
         branches = slice(None) if every else fitted
         coef[branches], xtx_inv[branches], resid_sd[branches], resid[rows] = _fit_runs(
-            flat_x[rows], resid[rows], sizes[branches]
+            flat_x[rows], resid[rows], runs[branches]
         )
 
     # RMS residual per branch (0 for an empty one); the pooled fit has points
-    nonempty = sizes > 0
-    m = sizes[nonempty]
-    scales = np.zeros(K)
+    nonempty = runs > 0
+    m = runs[nonempty]
+    scales = np.zeros(R)
     scales[nonempty] = np.sqrt(np.add.reduceat(resid**2, np.cumsum(m) - m) / m)
     return RegressorBundle(
         pooled=pooled,
@@ -254,25 +292,25 @@ def fit_regressors(train_x, train_y) -> RegressorBundle:
     )
 
 
-def branch_fits(reg, xs):
-    """Pooled fit, branch fit and band at every point of the per-branch
-    feature arrays ``xs`` (ragged allowed), in one pass over their
-    concatenation. Returns the three as flat arrays and the branch sizes."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    sizes = np.array([x.shape[0] for x in xs], dtype=np.intp)
-    flat = np.concatenate(xs)
-    k = np.repeat(np.arange(len(xs)), sizes)
-    mu_p, mu_b, sig = reg.mu(flat), reg.mu_k(k, flat), reg.sigma_k(k, flat)
+def branch_fits(reg, x, sizes):
+    """Pooled fit, branch fit and band at the rows x (B, N, d) of B tests,
+    each test's branches end to end, branch k with ``sizes[k]`` rows; ``reg``
+    is the fit of the same B tests (B = 1: ``fit_regressors``). Returns the
+    three as (B, N) arrays."""
+    K = sizes.size
+    k = np.repeat(np.arange(K), sizes) + K * np.arange(x.shape[0])[:, None]
+    mu_p, mu_b, sig = reg.mu(x), reg.mu_k(k, x), reg.sigma_k(k, x)
     if np.any(sig <= 0):
         raise ValueError("degenerate confidence band: sigma_k(x) = 0 at a point")
-    return mu_p, mu_b, sig, sizes
+    return mu_p, mu_b, sig
 
 
 def _supervised_features(x, y, reg: RegressorBundle):
     """Per-point (resid_branch, resid_pooled, band) channels, shape (K, M, 3)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    mu_p, mu_b, sig, _ = branch_fits(reg, x)
+    K, M = y.shape
+    mu_p, mu_b, sig = branch_fits(reg, x.reshape(1, K * M, -1), np.full(K, M))
     return np.stack([y - mu_b.reshape(y.shape), y - mu_p.reshape(y.shape), sig.reshape(y.shape)],
                     axis=-1)
 

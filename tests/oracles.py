@@ -12,8 +12,11 @@ a time, and ``backtrack_automorphisms`` is the depth-first automorphism search.
 scores directly, without the staged message-passing path.
 ``hierarchical_below_loop`` and ``supervised_below_loop`` are the rank-form
 masses summed branch by branch, one sort and search per donor branch;
-``unsup_eval`` and ``run_trial`` are the benchmark harness one test at a
-time on those per-branch forms.
+``unsup_eval`` is the unsupervised benchmark harness one test at a time on
+those per-branch forms, ``sup_eval`` the supervised harness one test at a
+time (a hand-made split, then the library's one-test fits and searches),
+and ``run_trial`` a trial of either, each test evaluated as it is drawn.
+``intervals_loop`` walks a membership mask for its runs.
 ``loop_fit_regressors`` fits the branch corrections one ``fit_linear`` call
 per branch, ``coset_representatives_by_key`` splits a group by a dictionary
 keyed on tuples of probe scores, and ``read_hierarchical_rows`` reads a
@@ -32,12 +35,14 @@ from symmpi.calibrate import (
     PredictionSet,
     candidate_grid,
     centered_conformal_below,
+    conformal_below,
     finite_quantile,
     rank_member,
+    supervised_below,
     threshold_from_scores,
 )
 from symmpi.groups import CosetDecomposition, Permutation, iter_actions
-from symmpi.transforms import fit_linear
+from symmpi.transforms import branch_fits, fit_linear, fit_regressors
 
 
 @dataclass
@@ -296,19 +301,65 @@ def unsup_eval(branches, cfg, rng, methods):
     return {m: _test_rows(b, cfg.alphas, spacing) for m, b in below.items()}
 
 
+def sup_eval(xs, ys, cfg, rng, methods):
+    """The benchmark harness's supervised rows for one test, computed alone:
+    the split made by hand, the library's one-test fits and ``supervised_below``,
+    and each conformal method's calibration scores sorted on their own.
+    ``xs`` and ``ys`` are per-branch arrays, the truth last."""
+    n_train = [(np.size(y) + 1) // 2 for y in ys]
+    tr_x = [x[:m] for x, m in zip(xs, n_train)]
+    tr_y = [y[:m] for y, m in zip(ys, n_train)]
+    cal_x = [x[m:] for x, m in zip(xs, n_train)]
+    cal_y = [y[m:] for y, m in zip(ys, n_train)]
+    reg = fit_regressors(tr_x, tr_y)
+    sizes = np.array([x.size for x in cal_x])
+    flat_x = np.concatenate(cal_x)
+    mu_p, mu_b, sig = (f[0] for f in branch_fits(reg, flat_x.reshape(1, -1, 1), sizes))
+    center = np.where(np.abs(mu_b - mu_p) / sig <= cfg.c, mu_p, mu_b)
+    obs_y = np.concatenate(cal_y)
+    obs_y, truth = obs_y[:-1], obs_y[-1]
+    grid = candidate_grid(obs_y, cfg.grid_points, cfg.grid_pad_sd)
+    spacing = float(grid[1] - grid[0])
+    gridp = np.append(grid, truth)
+    below = {}
+    if "symmpi" in methods:
+        resid = np.split(np.abs(obs_y - center[:-1]), np.cumsum(sizes)[:-1])
+        below["symmpi"] = supervised_below(resid[:-1], resid[-1], np.abs(gridp - center[-1]),
+                                           cfg.studentize)
+    pooled = np.abs(obs_y - mu_p[:-1])
+    own_pooled = np.abs(gridp - mu_p[-1])
+    if "conformal" in methods:
+        below["conformal"] = conformal_below(pooled, own_pooled)
+    if "subsampling" in methods:
+        starts = np.cumsum(sizes) - sizes
+        idx = [s + int(rng.integers(n)) for s, n in zip(starts[:-1], sizes[:-1])]
+        below["subsampling"] = conformal_below(pooled[idx], own_pooled)
+    if "single_tree" in methods:
+        solo = fit_linear(tr_x[-1], tr_y[-1])
+        cal_scores = np.abs(cal_y[-1][:-1] - solo.predict(cal_x[-1][:-1]))
+        own = np.abs(gridp - float(solo.predict(cal_x[-1][-1:])[0]))
+        below["single_tree"] = conformal_below(cal_scores, own)
+    return {m: _test_rows(b, cfg.alphas, spacing) for m, b in below.items()}
+
+
 def run_trial(cfg, methods, trial):
-    """``sim._run_trial`` for an unsupervised config, one test at a time."""
-    from symmpi.sim import gen_unsup, gen_unsup_ragged
+    """``sim._run_trial`` one test at a time: ``sup_eval`` for a supervised
+    config, else ``unsup_eval``."""
+    from symmpi.sim import gen_sup, gen_unsup, gen_unsup_ragged
 
     rng = np.random.default_rng((cfg.seed, trial))
     rows = {m: [] for m in methods}
     for _ in range(cfg.tests):
-        if cfg.random_sizes:
-            branches = gen_unsup_ragged(cfg, rng)
+        if cfg.supervised:
+            res = sup_eval(*gen_sup(cfg, rng), cfg, rng, methods)
         else:
-            z = gen_unsup(cfg, rng)
-            branches = [z[k] for k in range(cfg.n_branches)]
-        for m, r in unsup_eval(branches, cfg, rng, methods).items():
+            if cfg.random_sizes:
+                branches = gen_unsup_ragged(cfg, rng)
+            else:
+                z = gen_unsup(cfg, rng)
+                branches = [z[k] for k in range(cfg.n_branches)]
+            res = unsup_eval(branches, cfg, rng, methods)
+        for m, r in res.items():
             rows[m].append(r)
     summary = {}
     for m, per_test in rows.items():
@@ -321,6 +372,23 @@ def run_trial(cfg, methods, trial):
                 sum(int(r[ai, 2]) for r in per_test) / cfg.tests,
             )
     return summary
+
+
+def intervals_loop(candidates, member):
+    """``PredictionSet.intervals`` by a walk over the candidates: each
+    maximal run of members as its first and last candidate values."""
+    out = []
+    i = 0
+    while i < member.size:
+        if member[i]:
+            j = i
+            while j + 1 < member.size and member[j + 1]:
+                j += 1
+            out.append((float(candidates[i]), float(candidates[j])))
+            i = j + 1
+        else:
+            i += 1
+    return out
 
 
 def conformal_members(cal_rows, own, alpha):

@@ -407,3 +407,18 @@ def test_predict_graph_ids_must_be_the_adjacency_vertices(tmp_path, capsys, ids)
     # the same values under the ids 0..3, in file order 3, 0, 1, 2, are a graph set
     vpath.write_text("vertex_id,value\n3,3.0\n0,0.0\n1,1.0\n2,\n")
     assert main(["predict-graph", str(vpath), str(apath), "--grid", "101"]) == 0
+
+
+@pytest.mark.parametrize("edges, message", [
+    ("0 1\n1 2\n2 -1\n", "vertex ids must be nonnegative, got edge 2 -1"),
+    ("0 1 inf\n1 2\n2 0\n", "edge weights must be finite, got 'inf'"),
+])
+def test_predict_graph_bad_edge_lines_are_data_errors(tmp_path, capsys, edges, message):
+    vpath = tmp_path / "values.csv"
+    vpath.write_text("vertex_id,value\n0,0.5\n1,1.5\n2,\n")
+    apath = tmp_path / "edges.txt"
+    apath.write_text(edges)
+    assert main(["predict-graph", str(vpath), str(apath)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

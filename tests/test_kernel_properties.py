@@ -24,12 +24,13 @@ branches, pooled-fallback and rank-deficient ones included.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from symmpi.baselines import single_tree_set, split_conformal_set
 from symmpi.calibrate import (
+    PredictionSet,
     WeightSpec,
     _hierarchical_block,
     candidate_grid,
@@ -57,8 +58,9 @@ from symmpi.groups import (
 )
 from symmpi.cli import PRESETS
 from symmpi.network import cluster_sum_set, tree_leaf_set
-from symmpi.sim import ALL_METHODS, HierarchicalConfig, _run_trial
-from symmpi.transforms import fit_regressors, hierarchical_unsup_transform
+from symmpi.sim import ALL_METHODS, HierarchicalConfig, _run_trial, _sup_eval
+from symmpi.transforms import (_fit_block, branch_fits, fit_regressors,
+                               hierarchical_unsup_transform)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 # alpha on a 0.01 grid keeps 1 - alpha well away from any branch-weighted mass
@@ -328,6 +330,71 @@ def test_batched_branch_fit_matches_loop_oracle(sizes, d, seed, degenerate):
     for f in (reg.mu_k, reg.sigma_k):
         each = np.concatenate([f(k, x_new) for k in range(len(sizes))])
         assert _largest_gap_within(f(flat_k, flat_x), each, 1e-14)
+
+
+@SETTINGS
+@given(sizes=st.lists(st.integers(0, 9), min_size=1, max_size=6), d=st.sampled_from([1, 2]),
+       tests=st.integers(1, 9), seed=SEED)
+def test_blocked_branch_fit_has_each_tests_bits(sizes, d, tests, seed):
+    """``_fit_block`` and ``branch_fits`` over B tests give every test the
+    bits that ``fit_regressors`` and ``branch_fits`` give it alone."""
+    sizes = np.array(sizes)
+    # a fitted branch (2 points or more) needs d + 1 of them for full rank
+    assume(sizes.sum() > d and all(n < 2 or n > d for n in sizes))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, (tests, sizes.sum(), d))
+    y = x @ rng.normal(0, 3, d) + rng.normal(0, 0.5, (tests, sizes.sum()))
+    x_cal = rng.uniform(-0.5, 0.5, (tests, sizes.sum(), d))
+    block = _fit_block(x, y, sizes)
+    fits = branch_fits(block, x_cal, sizes)
+    K = sizes.size
+    cuts = np.cumsum(sizes)[:-1]
+    for b in range(tests):
+        one = fit_regressors(np.split(x[b], cuts), np.split(y[b], cuts))
+        rows = slice(b * K, (b + 1) * K)
+        assert np.array_equal(block.pooled.coef[b], one.pooled.coef)
+        assert np.array_equal(block.pooled.xtx_inv[b], one.pooled.xtx_inv)
+        assert block.pooled.resid_sd[b] == one.pooled.resid_sd
+        for name in ("coef", "xtx_inv", "resid_sd", "fitted", "train_resid_sd"):
+            assert np.array_equal(getattr(block, name)[rows], getattr(one, name))
+        alone = branch_fits(one, x_cal[b:b + 1], sizes)
+        for f, g in zip(fits, alone):
+            assert np.array_equal(f[b], g[0])
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+@pytest.mark.parametrize("methods", [ALL_METHODS[:4], ("symmpi", "conformal", "single_tree")])
+@SETTINGS
+@given(branch_size=st.sampled_from([30, (20, 40), 6, (3, 8)]),
+       sigma2=st.sampled_from([0.0, 0.5, 10.0]), grid_points=st.sampled_from([21, 201, 2001]),
+       tests=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
+def test_blocked_supervised_trial_equals_per_test_loop(studentize, methods, branch_size, sigma2,
+                                                       grid_points, tests, seed):
+    # without subsampling no position is drawn after each test's data
+    cfg = HierarchicalConfig(n_branches=5, branch_size=branch_size, supervised=True,
+                             sigma2=sigma2, alphas=(0.05, 0.15, 0.3), tests=tests,
+                             grid_points=grid_points, seed=seed, studentize=studentize)
+    assert _run_trial(cfg, methods, 1) == oracles.run_trial(cfg, methods, 1)
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+@SETTINGS
+@given(sizes=st.lists(st.integers(2, 12), min_size=2, max_size=6), target=st.integers(3, 12),
+       methods=st.sampled_from([ALL_METHODS[:4], ("symmpi",), ("subsampling", "single_tree")]),
+       seed=SEED)
+def test_one_test_supervised_rows_equal_oracle(studentize, sizes, target, methods, seed):
+    sizes = sizes + [target]
+    cfg = HierarchicalConfig(n_branches=len(sizes), branch_size=(2, 12), supervised=True,
+                             alphas=(0.05, 0.15, 0.3), grid_points=201, studentize=studentize)
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(0, 2, len(sizes))
+    xs = [rng.uniform(-0.5, 0.5, n) for n in sizes]
+    ys = [t * x + rng.normal(0, 0.5, x.size) for t, x in zip(theta, xs)]
+    got = _sup_eval(xs, ys, cfg, np.random.default_rng(seed + 1), methods)
+    want = oracles.sup_eval(xs, ys, cfg, np.random.default_rng(seed + 1), methods)
+    assert list(got) == list(want)
+    for m in got:
+        assert np.array_equal(got[m], want[m])
 
 
 # ----------------------------------------------------------------------
@@ -661,3 +728,26 @@ def test_mc_set_without_batched_sampler_matches_oracle(kind, seed, draws, n_grid
         want = oracles.orbit_set_members(observed, grid, embed, _identity, psi, group, alpha,
                                          elements, u_prime=u_prime, own_first=True)
         assert np.array_equal(got.member, want)
+
+
+# ----------------------------------------------------------------------
+# Interval extraction
+# ----------------------------------------------------------------------
+
+
+@SETTINGS
+@given(mask=st.one_of(st.lists(st.booleans(), max_size=40),
+                      st.tuples(st.integers(0, 40), st.booleans()).map(lambda t: [t[1]] * t[0])),
+       start=st.floats(-5, 5), step=st.floats(0.01, 2))
+@example(mask=[], start=0.0, step=1.0)
+@example(mask=[True], start=0.0, step=1.0)
+@example(mask=[False], start=0.0, step=1.0)
+@example(mask=[True, False, False, True], start=0.0, step=1.0)
+@example(mask=[False, True, False], start=0.0, step=1.0)
+def test_intervals_equal_the_walk(mask, start, step):
+    """Empty, full, single-point and edge-touching masks included."""
+    member = np.array(mask, dtype=bool)
+    cands = start + step * np.arange(member.size)
+    got = PredictionSet(cands, member).intervals()
+    assert got == oracles.intervals_loop(cands, member)
+    assert all(type(v) is float for interval in got for v in interval)
