@@ -13,9 +13,11 @@ import numpy as np
 from .calibrate import (
     PredictionSet,
     _checked_candidates,
+    _interval_set,
     _rank_set,
-    centered_conformal_below,
-    conformal_below,
+    _rows_below,
+    centered_intervals,
+    score_intervals,
 )
 
 
@@ -37,16 +39,16 @@ def single_tree_set(
     them as the final value. The default score is the absolute deviation from
     the branch mean (candidate included); pass ``score(values) -> scores`` for
     alternatives such as plain absolute value. Unbounded whenever
-    ceil(M (1 - alpha)) exceeds the observed count.
+    ceil(M (1 - alpha)) exceeds the observed count. The default set is an
+    interval (``centered_intervals``); a custom score is ranked candidate by
+    candidate.
     """
     obs = np.asarray(branch_values, dtype=float).ravel()
     cands = _checked_candidates(candidates, alpha)
     if score is None:
-        below = centered_conformal_below(obs, cands)
-    else:
-        scored = np.array([np.asarray(score(np.append(obs, c)), dtype=float) for c in cands])
-        below = conformal_below(scored[:, :-1], scored[:, -1])
-    return _rank_set(cands, below, alpha)
+        return _interval_set(centered_intervals(obs[None], (alpha,)), cands)
+    scored = np.array([np.asarray(score(np.append(obs, c)), dtype=float) for c in cands])
+    return _rank_set(cands, _rows_below(scored[:, :-1], scored[:, -1]), alpha)
 
 
 def split_conformal_set(
@@ -62,17 +64,16 @@ def split_conformal_set(
     Unsupervised (``mu`` None): scores are absolute deviations from the grand
     average, candidate included in both the average and the quantile.
     Supervised: scores are |y - mu(x)| with the pooled regressor, and the
-    candidate scored at ``x_new``.
+    candidate scored at ``x_new``. Either set is an interval
+    (``centered_intervals``, ``score_intervals``).
     """
     obs = _pool(values)
     cands = _checked_candidates(candidates, alpha)
     if mu is None:
-        below = centered_conformal_below(obs, cands)
-    else:
-        cal = np.abs(obs - np.asarray(mu(_pool(x)), dtype=float))
-        pred = float(np.asarray(mu(np.array([x_new])), dtype=float)[0])
-        below = conformal_below(cal, np.abs(cands - pred))
-    return _rank_set(cands, below, alpha)
+        return _interval_set(centered_intervals(obs[None], (alpha,)), cands)
+    cal = np.abs(obs - np.asarray(mu(_pool(x)), dtype=float))
+    pred = float(np.asarray(mu(np.array([x_new])), dtype=float)[0])
+    return _interval_set(score_intervals(cal[None], (alpha,), np.full((1, 1), pred)), cands)
 
 
 def subsampling_set(

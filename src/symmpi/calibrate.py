@@ -6,11 +6,14 @@ score does not exceed it. Variants cover randomized exact-coverage sets,
 Monte-Carlo thresholds, weighted non-symmetric sets, ragged branch sizes, and
 the over-coverage diagnostic.
 
-For hierarchical and conformal sets the rule runs in rank form over the whole
-candidate grid at once (``rank_member`` and the ``*_below`` kernels): a
-candidate is kept when the (weighted) mass of calibration scores strictly
-below its own score is under 1 - alpha. This is the one implementation that
-the baselines, graph sets, benchmark harness and command line all call. The
+Every set keeps a candidate when the (weighted) mass of calibration scores
+strictly below its own score is under 1 - alpha (``rank_member``). The
+hierarchical sets run that rule in rank form over the whole candidate grid at
+once (the ``*_below`` kernels). The conformal sets, those of the baselines,
+the graph sets, ``hcp_first_obs_set`` and the benchmark harness, are
+intervals with closed-form ends (``ConformalIntervals``: order statistics of
+the points where a calibration score crosses the candidate's), and only
+candidates within rounding of an end go through the rank comparison. The
 orbit sets (``symmpi_set``, ``randomized_set`` and the weighted
 ``nonsym_set``) score every candidate's orbit in one batched sweep
 (``_score_blocks``). At alpha = 1 no set keeps anything.
@@ -19,6 +22,7 @@ orbit sets (``symmpi_set``, ``randomized_set`` and the weighted
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -501,51 +505,173 @@ def _mass_within(pool, cum, center, radius) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _branch_mass(values, sizes, center, radius, K: int) -> np.ndarray:
-    """Mass of each row's branch values strictly within ``radius`` of
-    ``center`` (both (B, G)), each branch weighing 1/K: ``values`` (B, N)
-    holds the branches end to end, branch k with ``sizes[k]`` values."""
-    return _mass_within(*_weighted_pool(values, np.repeat(1.0 / (K * sizes), sizes)), center,
-                        radius)
+def _rows_below(cal_rows, own) -> np.ndarray:
+    """Below-own mass of a self-inclusive conformal set whose G candidates
+    each bring their own calibration scores, rows of ``cal_rows`` (G, m);
+    each of the m + 1 pooled scores weighs the same."""
+    cal = np.asarray(cal_rows, dtype=float)
+    return (cal < np.asarray(own, dtype=float)[:, None]).sum(axis=1) / (cal.shape[-1] + 1)
 
 
-def conformal_below(cal_scores, own) -> np.ndarray:
-    """Below-own mass of a self-inclusive conformal set.
+# --------------------------------------------------------------------------
+# Conformal sets as intervals
+# --------------------------------------------------------------------------
 
-    ``cal_scores`` is one (m,) sample shared by every candidate, or (G, m)
-    with one row per candidate; ``own`` holds the G candidates' scores. Each
-    of the m + 1 pooled scores, the candidate's own included, weighs the same.
+# Relative width within which rounding may decide a comparison of a candidate
+# with an end of its set, against the magnitude of the candidate and the data
+# (rounding errors are near 1e-15 of it): such candidates, and every
+# candidate of a test without closed-form ends, are decided by the rank
+# comparison.
+_ENDS_ROUNDING = 2.0**-30
+
+
+def _rank_counts(n: int, alphas) -> np.ndarray:
+    """K at each alpha: among n equally weighted pooled scores, ``rank_member``
+    keeps a candidate exactly when fewer than K calibration scores lie
+    strictly below its own (K = 0 keeps nothing, K = n everything)."""
+    fractions = np.arange(n + 1) / n
+    return np.array([np.count_nonzero(rank_member(fractions, a)) for a in alphas])
+
+
+@dataclass
+class ConformalIntervals:
+    """Conformal sets of B tests at A alphas, each an interval [low, high] of
+    candidates, with the rank comparison kept for candidates at its ends.
+
+    Each calibration score lies strictly below a candidate's own exactly when
+    the candidate falls outside an interval [lo_i, hi_i], and a test's
+    intervals share a point. A candidate is kept while the mass of the
+    intervals it falls outside stays under 1 - alpha, so the set runs from a
+    (weighted) order statistic of the lo_i, counted from the top, to one of
+    the hi_i: with equal weights, the K-th largest lo_i and the K-th
+    smallest hi_i (``_rank_counts``). An empty set has low = inf and
+    high = -inf.
+
+    ``below(points, rows)`` is the rank form: the below-own mass of the
+    (B', P) ``points`` of the tests ``rows``, in the arithmetic of the
+    per-candidate sweep. A candidate c within _ENDS_ROUNDING * (scale + |c|)
+    of an end, a candidate that is not finite, and every candidate of a
+    ``ranked`` test (one without closed-form ends, or one whose weighted
+    order statistic lies within rounding of 1 - alpha), is decided by it, so
+    memberships are the rank form's bit for bit.
     """
-    own = np.asarray(own, dtype=float)
-    cal = np.asarray(cal_scores, dtype=float)
-    if cal.ndim == 1:
-        below = np.searchsorted(np.sort(cal), own, side="left")
+
+    low: np.ndarray  # (B, A)
+    high: np.ndarray  # (B, A)
+    alphas: tuple
+    scale: np.ndarray  # (B, 1): magnitude of the test's data
+    ranked: np.ndarray  # (B,) bool
+    below: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def member(self, candidates, rows=None) -> np.ndarray:
+        """Membership (A, B', G) of the candidates (B', G) of the tests
+        ``rows`` (default: all B)."""
+        cands = np.asarray(candidates, dtype=float)
+        sel = slice(None) if rows is None else np.asarray(rows)
+        low, high = self.low[sel].T[:, :, None], self.high[sel].T[:, :, None]
+        member = (cands >= low) & (cands <= high)
+        tol = _ENDS_ROUNDING * (self.scale[sel] + np.abs(cands))
+        near = (np.abs(cands - low) <= tol) | (np.abs(cands - high) <= tol)
+        near |= self.ranked[sel][:, None] | ~np.isfinite(cands)
+        for ai, i in zip(*np.nonzero(near.any(axis=2))):
+            cols = np.flatnonzero(near[ai, i])
+            b = i if rows is None else sel[i]
+            member[ai, i, cols] = rank_member(self.below(cands[i, cols][None], [b])[0],
+                                              self.alphas[ai])
+        return member
+
+
+def _intervals(lo, hi, alphas, below, scale, weights=None, ranked=False) -> ConformalIntervals:
+    """The sets of B tests whose calibration score i lies below a candidate's
+    own exactly outside [lo[:, i], hi[:, i]] (B, N). ``weights`` (N,) weigh
+    the scores; without them each of the N + 1 pooled scores weighs the same.
+    ``below``, ``scale`` and ``ranked`` as in ``ConformalIntervals``."""
+    alphas = tuple(alphas)
+    B, N = hi.shape
+    # non-finite data give ends of no use
+    ranked = np.isnan(lo).any(axis=1) | np.isnan(hi).any(axis=1) | ranked
+    if weights is None:
+        K = _rank_counts(N + 1, alphas)
+        empty = K == 0
     else:
-        below = (cal < own[:, None]).sum(axis=1)
-    return below / (cal.shape[-1] + 1)
+        for a in alphas:
+            _check_alpha(a)
+        level = np.array([(1.0 - a) - _LEVEL_EPS for a in alphas])
+        empty = level <= 0
+        # sums of the weights in another order may round to the other side
+        margin = 4 * N * np.finfo(float).eps
+    ends = []
+    for e in (hi, -lo):
+        if weights is None:
+            srt = np.sort(e, axis=1)
+            idx = np.maximum(K - 1, 0)
+        else:
+            order = np.argsort(e, axis=1)
+            srt = np.take_along_axis(e, order, axis=1)
+            cum = np.cumsum(weights[order], axis=1)[:, :, None]
+            idx = (cum < level).sum(axis=1)
+            ranked = ranked | (np.abs(cum - level) <= margin).any(axis=(1, 2))
+        # one past the last order statistic, everything is kept
+        end = np.concatenate([srt, np.full((B, 1), np.inf)], axis=1)
+        end = end[:, idx] if weights is None else np.take_along_axis(end, idx, axis=1)
+        ends.append(np.where(empty, -np.inf, end) if empty.any() else end)
+    return ConformalIntervals(-ends[1], ends[0], alphas, scale, ranked, below)
 
 
-def centered_conformal_below(values, candidates) -> np.ndarray:
-    """``conformal_below`` for scores |v - mean|, where the mean includes the candidate.
+def centered_intervals(values, alphas, total=None, n: int | None = None,
+                       weights=None) -> ConformalIntervals:
+    """Conformal sets on the scores |v - center|, center = (total + c) / n
+    moving with the candidate c: by default the mean of the m values of each
+    row of ``values`` (B, m) and the candidate, and each of the m + 1 pooled
+    scores weighs the same; ``weights`` (m,) weigh the values instead, and
+    the candidate's own score carries no mass below itself.
 
-    Two-dimensional ``candidates`` (B, G) with ``values`` (B, n) evaluate B
-    tests at once, row by row.
+    Value v's score lies below the candidate's exactly when
+    n (c - v)((n - 2) c - (2 total - n v)) > 0, that is outside [v, w] (or
+    [w, v]) with w = (2 total - n v) / (n - 2); every such interval holds
+    total / (n - 1), whose own score is zero. At n = 2 the scores tie
+    whatever the candidate, and the rank comparison decides every candidate.
     """
-    cands = np.asarray(candidates, dtype=float)
-    if cands.ndim < 2:
-        vals = np.asarray(values, dtype=float).reshape(1, -1)
-        return centered_conformal_below(vals, cands.reshape(1, -1)).reshape(cands.shape)
     vals = np.asarray(values, dtype=float)
-    n = vals.shape[1] + 1
-    centers = (vals.sum(axis=1, keepdims=True) + cands) / n
-    radius = cands - centers
-    np.abs(radius, out=radius)
-    srt = np.sort(vals, axis=1)
-    below = np.empty(cands.shape)
-    for row, s, m, r in zip(below, srt, centers, radius):
-        row[:] = _count_within(s, m, r)
-    below /= n
-    return below
+    B, m = vals.shape
+    total = vals.sum(axis=1, keepdims=True) if total is None else total
+    n = m + 1 if n is None else n
+    pooled = np.ones(m) if weights is None else weights
+
+    def below(points, rows):
+        center = (total[rows] + points) / n
+        mass = _mass_within(*_weighted_pool(vals[rows], pooled), center, np.abs(points - center))
+        return mass / (m + 1) if weights is None else mass
+
+    w = (2 * total - n * vals) / (n - 2) if n > 2 else vals
+    return _intervals(np.minimum(vals, w), np.maximum(vals, w), alphas, below,
+                      np.abs(vals).max(axis=1, keepdims=True, initial=0.0), weights,
+                      np.full(B, n <= 2))
+
+
+def score_intervals(scores, alphas, center=None) -> ConformalIntervals:
+    """Conformal sets on fixed calibration scores, rows of ``scores`` (B, m),
+    against each candidate's own score |c - center| (``center`` (B, 1)), or
+    the candidate c itself without a center; each of the m + 1 pooled scores
+    weighs the same. The set is center -+ the K-th smallest score, or runs up
+    to that score."""
+    d = np.asarray(scores, dtype=float)
+    m = d.shape[1]
+
+    def below(points, rows):
+        own = points if center is None else np.abs(points - center[rows])
+        return _mass_below(*_weighted_pool(d[rows], np.ones(m)), own) / (m + 1)
+
+    scale = np.abs(d).max(axis=1, keepdims=True, initial=0.0)
+    if center is None:
+        return _intervals(np.full(d.shape, -np.inf), d, alphas, below, scale)
+    return _intervals(center - d, center + d, alphas, below, np.abs(center) + scale)
+
+
+def _interval_set(intervals: ConformalIntervals, cands, meta=None) -> PredictionSet:
+    """The set of one test at one alpha over candidates of any shape."""
+    member = intervals.member(cands.reshape(1, -1)).reshape(cands.shape)
+    return PredictionSet(cands, member, unbounded=bool(member.all()), meta=meta or {})
 
 
 def _size_groups(values, sizes):
@@ -856,7 +982,8 @@ def hcp_first_obs_set(complete_branches, candidates, alpha: float) -> Prediction
     Scores are plain absolute deviations from the average of branch means
     (always-pool centering, unit scale), where the candidate counts as a
     branch of its own: it enters the average of means and carries weight 1/K
-    in the quantile. The benchmark's ``hcp`` method (``sim._hcp_below``)
+    in the quantile. The set is an interval (``centered_intervals`` with
+    weights 1/(K n_k)). The benchmark's ``hcp`` method (``sim._hcp_intervals``)
     differs: it leaves the candidate out of both.
     """
     cands = _checked_candidates(candidates, alpha)
@@ -864,11 +991,12 @@ def hcp_first_obs_set(complete_branches, candidates, alpha: float) -> Prediction
     if any(b.size == 0 for b in branches):
         raise ValueError("every complete branch must be nonempty")
     K = len(branches) + 1
-    grand = (sum(b.mean() for b in branches) + cands.reshape(1, -1)) / K
+    sizes = np.array([b.size for b in branches])
+    total = np.full((1, 1), sum(b.mean() for b in branches))
     # the candidate's own branch adds nothing: its score is not below itself
-    below = _branch_mass(np.concatenate(branches)[None], np.array([b.size for b in branches]),
-                         grand, np.abs(cands.reshape(1, -1) - grand), K)
-    return _rank_set(cands, below.reshape(cands.shape), alpha)
+    intervals = centered_intervals(np.concatenate(branches)[None], (alpha,), total, K,
+                                   np.repeat(1.0 / (K * sizes), sizes))
+    return _interval_set(intervals, cands)
 
 
 # --------------------------------------------------------------------------

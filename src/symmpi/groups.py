@@ -96,6 +96,9 @@ def sample_haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
     if p < 1:
         raise ValueError("p must be >= 1")
     g = rng.standard_normal((p, p))
+    if p == 1:
+        # the 1 x 1 QR is the draw's sign, +1 at zero
+        return np.where(g < 0, -1.0, 1.0)
     q, r = np.linalg.qr(g)
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0

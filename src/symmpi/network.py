@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import PredictionSet, _checked_candidates, _rank_set, conformal_below
+from .calibrate import (
+    PredictionSet,
+    _checked_candidates,
+    _interval_set,
+    _rank_set,
+    _rows_below,
+    score_intervals,
+)
 from .groups import GraphAutomorphismGroup, enumerate_automorphisms, orbit_of_index
 
 
@@ -42,13 +49,12 @@ def graph_vertex_set(
         return PredictionSet(cands, np.ones(cands.shape, dtype=bool), unbounded=True, meta=meta)
     others = vals[orbit[orbit != target]]
     if psi_kind == "last_coordinate":
-        cal, own = others, cands
-    elif psi_kind == "orbit_deviation":
+        return _interval_set(score_intervals(others[None], (alpha,)), cands, meta)
+    if psi_kind == "orbit_deviation":
         means = (others.sum() + cands) / orbit.size
-        cal, own = others[None, :] - means[:, None], cands - means
-    else:
-        raise ValueError(f"unknown psi_kind {psi_kind!r}")
-    return _rank_set(cands, conformal_below(cal, own), alpha, meta)
+        below = _rows_below(others[None, :] - means[:, None], cands - means)
+        return _rank_set(cands, below, alpha, meta)
+    raise ValueError(f"unknown psi_kind {psi_kind!r}")
 
 
 def tree_leaf_set(leaf_values, candidates, alpha: float) -> PredictionSet:
@@ -59,8 +65,8 @@ def tree_leaf_set(leaf_values, candidates, alpha: float) -> PredictionSet:
     """
     leaves = np.asarray(leaf_values, dtype=float)
     cands = _checked_candidates(candidates, alpha)
-    below = conformal_below(np.abs(leaves.ravel()[:-1]), np.abs(cands))
-    return _rank_set(cands, below, alpha)
+    return _interval_set(score_intervals(np.abs(leaves.ravel()[:-1])[None], (alpha,),
+                                         np.zeros((1, 1))), cands)
 
 
 @dataclass
@@ -114,4 +120,4 @@ def cluster_sum_set(branch_sums_observed, candidates, alpha: float) -> Predictio
     """
     sums = np.asarray(branch_sums_observed, dtype=float).ravel()
     cands = _checked_candidates(candidates, alpha)
-    return _rank_set(cands, conformal_below(np.abs(sums), np.abs(cands)), alpha)
+    return _interval_set(score_intervals(np.abs(sums)[None], (alpha,), np.zeros((1, 1))), cands)

@@ -7,14 +7,18 @@ and aggregate lengths and coverage indicators across trials. All randomness
 flows through per-trial generators keyed by (seed, trial) so results are
 reproducible under any worker count.
 
-Set membership comes from the library's rank-form kernels in
-``symmpi.calibrate``, run on each test's candidate grid with the truth
+The symmpi method's memberships come from the library's rank-form kernels
+in ``symmpi.calibrate``, run on each test's candidate grid with the truth
 appended; each alpha then only applies ``rank_member`` to the same masses.
+The conformal methods' sets are intervals with closed-form ends
+(``calibrate.ConformalIntervals``); their member counts on the uniform grid
+follow from the grid indices of the ends (``_interval_rows``), and only the
+grid points and truths within rounding of an end are ranked.
 A trial first makes every test's draws, in the order a one-test loop makes
 them; tests of equal branch sizes are then evaluated a block at a time, with
 one count of lengths and coverage per method for the whole block. An
-unsupervised block (``_unsup_block``) makes one grid and one
-``_hierarchical_block`` and ``centered_conformal_below`` call per method. A
+unsupervised block (``_unsup_block``) makes one grid, one
+``_hierarchical_block`` call and one set of intervals per conformal method. A
 supervised block (``_sup_block``) runs the library's split
 (``_split_branches``), one fit of every test's regressors
 (``transforms._fit_block``), one pass of centers and one donor search
@@ -29,17 +33,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import (
+    _ENDS_ROUNDING,
+    ConformalIntervals,
     PredictionSet,
     _adaptive_centers,
-    _branch_mass,
     _branch_stats,
     _candidate_rows,
     _hierarchical_block,
+    _intervals,
     _split_branches,
     _supervised_block,
-    centered_conformal_below,
-    conformal_below,
+    _mass_within,
+    _weighted_pool,
+    centered_intervals,
     rank_member,
+    score_intervals,
 )
 from .groups import sample_haar_orthogonal
 from .transforms import _fit_block, _fit_lines
@@ -155,20 +163,73 @@ def gen_rotational(n: int, p: int, scale: float, rng: np.random.Generator) -> np
 # --------------------------------------------------------------------------
 
 
-def _rows(below, alphas, spacing):
+def _tally(counts, covered, G: int, spacing):
     """Length, covered and unbounded of each row at each alpha, (alphas, 3, R),
-    from the (R, G) below-own masses, whose final candidate is the truth, and
-    the (R,) grid spacings."""
-    out = np.empty((len(alphas), 3, below.shape[0]))
-    for ai, alpha in enumerate(alphas):
-        member = rank_member(below, alpha)
-        out[ai, 0] = member[:, :-1].sum(axis=1)
-        out[ai, 1] = member[:, -1]
+    from the member counts among the G grid points, the truth's membership
+    (both (alphas, R)) and the (R,) grid spacings."""
+    out = np.stack([counts, covered, counts == G], axis=1).astype(float)
     lengths, unbounded = out[:, 0], out[:, 2]
-    np.equal(lengths, below.shape[1] - 1, out=unbounded)
     lengths *= spacing
     lengths[unbounded > 0] = np.inf
     return out
+
+
+def _rows(below, alphas, spacing):
+    """``_tally`` of the (R, G) below-own masses, whose final candidate is the
+    truth."""
+    member = np.stack([rank_member(below, alpha) for alpha in alphas])
+    return _tally(member[:, :, :-1].sum(axis=2), member[:, :, -1], below.shape[1] - 1, spacing)
+
+
+def _interval_rows(sets, gridp, spacing):
+    """``_tally`` of each of the conformal ``sets`` (``ConformalIntervals`` of
+    the same B tests and alphas) on each test's uniform grid with its truth
+    appended, (B, G + 1); every set at every alpha is one column of the count.
+
+    A set keeps the grid points between its ends. Each end lies between two
+    neighbouring grid points, and when the step is at least four rounding
+    widths the points beyond those are farther from it than rounding
+    reaches, so the member count is the points between the ends' neighbours
+    plus the neighbours that ``member`` keeps. A test without closed-form
+    ends, or with a finer grid, is counted point by point.
+    """
+    if not sets:
+        return []
+    B, G = gridp.shape[0], gridp.shape[1] - 1
+    A = len(sets[0].alphas)
+    C = len(sets) * A
+    lo, hi = gridp[:, :1], gridp[:, G - 1:G]
+    step = (hi - lo) / (G - 1)
+    # (B, 2, C, 2): the grid point at or below the low and the high end of
+    # each column, and the next one
+    ends = np.stack([np.concatenate([s.low for s in sets], axis=1),
+                     np.concatenate([s.high for s in sets], axis=1)], axis=1)
+    first = np.floor(np.clip((ends - lo[:, :, None]) / step[:, :, None], -3, G + 1))
+    idx = first.astype(np.intp)[..., None] + np.arange(2)
+    points = np.take_along_axis(gridp, np.clip(idx, 0, G - 1).reshape(B, -1), axis=1)
+    # every neighbour and truth in every column, (C, B, 4C + 1)
+    kept = np.concatenate([s.member(np.concatenate([points, gridp[:, G:]], axis=1))
+                           for s in sets])
+    # each column's own neighbours, (C, B, 2, 2)
+    diag = np.arange(C)
+    neighbours = kept[:, :, :-1].reshape(C, B, 2, C, 2)[diag, :, :, diag]
+    neighbours &= ((idx >= 0) & (idx < G)).transpose(2, 0, 1, 3)
+    lo_first, hi_pair = idx[:, 0, :, 0].T, idx[:, 1].transpose(1, 0, 2)
+    # the high end's neighbours that are not the low end's
+    apart = (hi_pair < lo_first[..., None]) | (hi_pair >= lo_first[..., None] + 2)
+    inner = np.maximum(np.minimum(hi_pair[..., 0], G) - np.maximum(lo_first + 2, 0), 0)
+    counts = (neighbours[:, :, 0].sum(axis=2) + (neighbours[:, :, 1] & apart).sum(axis=2)
+              + inner)
+    covered = kept[:, :, -1]
+    magnitude = np.maximum(np.abs(lo), np.abs(hi))
+    for k, s in enumerate(sets):
+        fine = (4 * _ENDS_ROUNDING * (s.scale + magnitude) >= step)[:, 0]
+        rows = np.flatnonzero(s.ranked | fine)
+        if rows.size:
+            member = s.member(gridp[rows], rows)
+            counts[k * A:(k + 1) * A, rows] = member[:, :, :-1].sum(axis=2)
+            covered[k * A:(k + 1) * A, rows] = member[:, :, -1]
+    return np.split(_tally(counts, covered, G, spacing), len(sets))
 
 
 def _grid_frame(observed, truth, cfg):
@@ -178,21 +239,30 @@ def _grid_frame(observed, truth, cfg):
     return np.concatenate([grid, truth[:, None]], axis=1), grid[:, 1] - grid[:, 0]
 
 
-def _hcp_below(donors, sizes, gridp):
-    """First-observation-of-a-new-branch masses, (B, G).
+def _hcp_intervals(donors, sizes, alphas) -> ConformalIntervals:
+    """The first-observation-of-a-new-branch sets of B tests.
 
     Scores are deviations from the average of the complete branches' means;
     the threshold is the branch-weighted quantile over those branches (each
-    contributing equal total mass regardless of its size). Unlike the
-    library's ``hcp_first_obs_set``, the candidate is left out of both the
-    average and the quantile.
+    contributing equal total mass regardless of its size), so the set is the
+    average -+ that quantile of |v - average|. Unlike the library's
+    ``hcp_first_obs_set``, the candidate is left out of both the average and
+    the quantile.
     """
     K = sizes.size
     means, _ = _branch_stats(donors, sizes)
     # the branch means added left to right, as Python's sum adds them
     grand = np.cumsum(means, axis=1)[:, -1:] / K
-    return _branch_mass(donors, sizes, np.broadcast_to(grand, gridp.shape), np.abs(gridp - grand),
-                        K)
+    weights = np.repeat(1.0 / (K * sizes), sizes)
+
+    def below(points, rows):
+        center = np.broadcast_to(grand[rows], points.shape)
+        return _mass_within(*_weighted_pool(donors[rows], weights), center,
+                            np.abs(points - center))
+
+    mirror = 2 * grand - donors
+    return _intervals(np.minimum(donors, mirror), np.maximum(donors, mirror), alphas, below,
+                      np.abs(donors).max(axis=1, keepdims=True), weights)
 
 
 def _unsup_block(flat, sizes, picks, cfg, methods):
@@ -208,44 +278,58 @@ def _unsup_block(flat, sizes, picks, cfg, methods):
     observed, truth = flat[:, :-1], flat[:, -1]
     donors, target = flat[:, :n_donor], flat[:, n_donor:-1]
     gridp, spacing = _grid_frame(observed, truth, cfg)
-    masses = {
-        "symmpi": lambda: _hierarchical_block(donors, sizes[:-1], target, gridp, cfg.c,
-                                              cfg.studentize),
-        "conformal": lambda: centered_conformal_below(observed, gridp),
-        "subsampling": lambda: centered_conformal_below(picks, gridp),
-        "single_tree": lambda: centered_conformal_below(target, gridp),
-        "hcp": lambda: _hcp_below(donors, sizes[:-1], gridp),
+    alphas = cfg.alphas
+    sets = {
+        "conformal": lambda: centered_intervals(observed, alphas),
+        "subsampling": lambda: centered_intervals(picks, alphas),
+        "single_tree": lambda: centered_intervals(target, alphas),
+        "hcp": lambda: _hcp_intervals(donors, sizes[:-1], alphas),
     }
-    # one method's (B, G) masses at a time, to keep the block's memory small
-    return {m: _rows(masses[m](), cfg.alphas, spacing) for m in ALL_METHODS if m in methods}
+    return _block_rows(methods, lambda: _hierarchical_block(donors, sizes[:-1], target, gridp,
+                                                            cfg.c, cfg.studentize),
+                       sets, gridp, spacing, alphas)
 
 
-def _picks(donor_branches, rng):
-    """The subsampling method's draws: one value of each donor branch."""
-    return np.array([b[int(rng.integers(b.size))] for b in donor_branches])
+def _block_rows(methods, symmpi, sets, gridp, spacing, alphas):
+    """Each method's (alphas, 3, B) rows: symmpi's from its masses
+    (``symmpi()``), the others' from their intervals (``sets[m]()``), counted
+    in one ``_interval_rows`` pass."""
+    rows = {"symmpi": _rows(symmpi(), alphas, spacing)} if "symmpi" in methods else {}
+    named = [m for m in sets if m in methods]
+    rows.update(zip(named, _interval_rows([sets[m]() for m in named], gridp, spacing)))
+    return {m: rows[m] for m in ALL_METHODS if m in methods}
+
+
+def _picks(flat, sizes, rng):
+    """The subsampling method's draws: one value of each donor branch of
+    ``flat``, whose branches lie end to end, branch k with ``sizes[k]``
+    values, the target branch last. One ``rng.integers`` call over the donor
+    sizes draws what one call per branch would."""
+    donor = np.asarray(sizes[:-1])
+    return flat[np.cumsum(donor) - donor + rng.integers(donor)]
 
 
 def _draw_unsup(cfg, rng, methods):
     """One unsupervised test's draws, in the harness's order: the data, then
     the subsampling picks. Returns (sizes, (values end to end with the truth
     last,), picks or None)."""
-    branches = gen_unsup_ragged(cfg, rng) if cfg.random_sizes else list(gen_unsup(cfg, rng))
-    picks = _picks(branches[:-1], rng) if "subsampling" in methods else None
-    return tuple(b.size for b in branches), (np.concatenate(branches),), picks
+    if cfg.random_sizes:
+        branches = gen_unsup_ragged(cfg, rng)
+        sizes, flat = tuple(b.size for b in branches), np.concatenate(branches)
+    else:
+        z = gen_unsup(cfg, rng)
+        sizes, flat = (z.shape[1],) * z.shape[0], z.reshape(-1)
+    picks = _picks(flat, sizes, rng) if "subsampling" in methods else None
+    return sizes, (flat,), picks
 
 
 def _unsup_eval(branches, cfg, rng, methods):
     """One test's (alphas, 3) rows per method; ``branches`` has the truth
     appended to the last one. This is ``_unsup_block`` for one test."""
-    picks = _picks(branches[:-1], rng)[None] if "subsampling" in methods else None
-    res = _unsup_block(np.concatenate(branches)[None], [np.size(b) for b in branches], picks,
-                       cfg, methods)
+    flat, sizes = np.concatenate(branches), [np.size(b) for b in branches]
+    picks = _picks(flat, sizes, rng)[None] if "subsampling" in methods else None
+    res = _unsup_block(flat[None], sizes, picks, cfg, methods)
     return {m: r[:, :, 0] for m, r in res.items()}
-
-
-def _conformal_rows(cal_scores, own):
-    """``conformal_below`` of each test: rows of (B, m) and (B, G)."""
-    return np.stack([conformal_below(c, o) for c, o in zip(cal_scores, own)])
 
 
 def _sup_block(x, y, sizes, picks, cfg, methods):
@@ -266,8 +350,7 @@ def _sup_block(x, y, sizes, picks, cfg, methods):
     mu_p, center = _adaptive_centers(_fit_block(tr_x, tr_y, n_train), cal_x, n_cal, cfg.c)
     obs_y, truth = cal_y[:, :-1], cal_y[:, -1]
     gridp, spacing = _grid_frame(obs_y, truth, cfg)
-    pooled = np.abs(obs_y - mu_p[:, :-1])
-    own_pooled = np.abs(gridp - mu_p[:, -1:])
+    pooled, alphas = np.abs(obs_y - mu_p[:, :-1]), cfg.alphas
 
     def single_tree():
         # the target branch's own line; its rows end the training rows and
@@ -275,24 +358,26 @@ def _sup_block(x, y, sizes, picks, cfg, methods):
         m_tr, m_cal = int(n_train[-1]), int(n_cal[-1])
         solo, _ = _fit_lines(tr_x[:, -m_tr:], tr_y[:, -m_tr:])
         cal_scores = np.abs(cal_y[:, -m_cal:-1] - solo.predict(cal_x[:, -m_cal:-1]))
-        return _conformal_rows(cal_scores, np.abs(gridp - solo.predict(cal_x[:, -1:])))
+        return score_intervals(cal_scores, alphas, solo.predict(cal_x[:, -1:]))
 
     starts = np.cumsum(n_cal) - n_cal
-    masses = {
-        "symmpi": lambda: _supervised_block(np.abs(obs_y - center[:, :-1]), n_cal,
-                                            np.abs(gridp - center[:, -1:]), cfg.studentize),
-        "conformal": lambda: _conformal_rows(pooled, own_pooled),
-        "subsampling": lambda: _conformal_rows(
-            np.take_along_axis(pooled, starts[:-1] + picks, axis=1), own_pooled),
+    sets = {
+        "conformal": lambda: score_intervals(pooled, alphas, mu_p[:, -1:]),
+        "subsampling": lambda: score_intervals(
+            np.take_along_axis(pooled, starts[:-1] + picks, axis=1), alphas, mu_p[:, -1:]),
         "single_tree": single_tree,
     }
-    return {m: _rows(masses[m](), cfg.alphas, spacing) for m in ALL_METHODS if m in methods}
+    return _block_rows(methods, lambda: _supervised_block(np.abs(obs_y - center[:, :-1]), n_cal,
+                                                          np.abs(gridp - center[:, -1:]),
+                                                          cfg.studentize),
+                       sets, gridp, spacing, alphas)
 
 
 def _sup_picks(sizes, rng):
     """The subsampling method's draws: a position in each donor branch's
-    calibration rows."""
-    return np.array([int(rng.integers(n)) for n in _split_branches(sizes)[2][:-1].tolist()])
+    calibration rows, from one ``rng.integers`` call (the stream of one call
+    per branch)."""
+    return rng.integers(_split_branches(sizes)[2][:-1])
 
 
 def _draw_sup(cfg, rng, methods):

@@ -17,6 +17,11 @@ those per-branch forms, ``sup_eval`` the supervised harness one test at a
 time (a hand-made split, then the library's one-test fits and searches),
 and ``run_trial`` a trial of either, each test evaluated as it is drawn.
 ``intervals_loop`` walks a membership mask for its runs.
+``conformal_below``, ``centered_conformal_below`` and ``hcp_below`` are the
+rank forms of the conformal sets and of the benchmark's ``hcp`` rule: the
+below-own mass of every candidate, searched candidate by candidate in the
+sorted calibration values, that ``calibrate.ConformalIntervals`` replaces by
+closed-form ends.
 ``loop_fit_regressors`` fits the branch corrections one ``fit_linear`` call
 per branch, ``coset_representatives_by_key`` splits a group by a dictionary
 keyed on tuples of probe scores, and ``read_hierarchical_rows`` reads a
@@ -33,9 +38,10 @@ import numpy as np
 
 from symmpi.calibrate import (
     PredictionSet,
+    _branch_stats,
+    _mass_within,
+    _weighted_pool,
     candidate_grid,
-    centered_conformal_below,
-    conformal_below,
     finite_quantile,
     rank_member,
     supervised_below,
@@ -183,6 +189,54 @@ def _count_within(sorted_vals, center, radius):
     hi = np.searchsorted(sorted_vals, center + radius, side="left")
     lo = np.searchsorted(sorted_vals, center - radius, side="right")
     return np.maximum(hi - lo, 0)
+
+
+def conformal_below(cal_scores, own):
+    """Below-own mass of a self-inclusive conformal set.
+
+    ``cal_scores`` is one (m,) sample shared by every candidate, or (G, m)
+    with one row per candidate; ``own`` holds the G candidates' scores. Each
+    of the m + 1 pooled scores, the candidate's own included, weighs the same.
+    """
+    own = np.asarray(own, dtype=float)
+    cal = np.asarray(cal_scores, dtype=float)
+    if cal.ndim == 1:
+        below = np.searchsorted(np.sort(cal), own, side="left")
+    else:
+        below = (cal < own[:, None]).sum(axis=1)
+    return below / (cal.shape[-1] + 1)
+
+
+def centered_conformal_below(values, candidates):
+    """``conformal_below`` for scores |v - mean|, where the mean includes the
+    candidate. Two-dimensional ``candidates`` (B, G) with ``values`` (B, n)
+    evaluate B tests at once, row by row."""
+    cands = np.asarray(candidates, dtype=float)
+    if cands.ndim < 2:
+        vals = np.asarray(values, dtype=float).reshape(1, -1)
+        return centered_conformal_below(vals, cands.reshape(1, -1)).reshape(cands.shape)
+    vals = np.asarray(values, dtype=float)
+    n = vals.shape[1] + 1
+    centers = (vals.sum(axis=1, keepdims=True) + cands) / n
+    radius = cands - centers
+    np.abs(radius, out=radius)
+    srt = np.sort(vals, axis=1)
+    below = np.empty(cands.shape)
+    for row, s, m, r in zip(below, srt, centers, radius):
+        row[:] = _count_within(s, m, r)
+    below /= n
+    return below
+
+
+def hcp_below(donors, sizes, gridp):
+    """The benchmark's ``hcp`` masses of B tests, (B, G): deviations from the
+    average of the complete branches' means, each branch weighing 1/K, the
+    candidate left out of both."""
+    K = sizes.size
+    means, _ = _branch_stats(donors, sizes)
+    grand = np.cumsum(means, axis=1)[:, -1:] / K
+    pool, cum = _weighted_pool(donors, np.repeat(1.0 / (K * sizes), sizes))
+    return _mass_within(pool, cum, np.broadcast_to(grand, gridp.shape), np.abs(gridp - grand))
 
 
 def _mean_sd(values):
@@ -425,7 +479,7 @@ def hcp_first_obs_members(complete_branches, candidates, alpha):
 
 
 def hcp_rows_members(donor_branches, candidates, alpha):
-    """Benchmark ``hcp`` (``sim._hcp_below``): the average of branch means and
+    """Benchmark ``hcp`` (``hcp_below``): the average of branch means and
     the branch-weighted quantile use the complete branches only."""
     branches = [np.asarray(b, dtype=float).ravel() for b in donor_branches]
     grand = sum(float(np.mean(b)) for b in branches) / len(branches)

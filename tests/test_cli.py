@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ def test_bench_rerun_is_byte_identical(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("preset", ["table1", "table1-random", "table2", "table2-random"])
+def test_bench_csv_matches_golden_output(preset, tmp_path, capsys):
+    # tests/golden holds each preset's CSV at this size; any change to a
+    # draw, a set or the arithmetic of a row shows as a byte difference
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--preset", preset, "--trials", "2", "--tests", "12", "--grid", "201",
+                 "--sigma2", "0.5", "10", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "golden" / f"bench_{preset}.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_bench_config_file_defaults_and_override(tmp_path, capsys):

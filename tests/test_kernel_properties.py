@@ -1,6 +1,9 @@
 """Property tests of the candidate sweeps in ``symmpi.calibrate``.
 
 Each rank-form kernel must match its per-candidate oracle (``oracles.py``),
+and the conformal sets given as intervals must match their rank forms bit for
+bit, in the library and in the harness's grid counts, also in the shapes
+where a candidate meets a calibration score or an end of its set;
 its sets must shrink as alpha grows, and reordering the donor branches must
 leave them unchanged. The orbit sweep behind ``symmpi_set`` and
 ``randomized_set`` must match the per-candidate orbit oracle in exact mode
@@ -33,14 +36,15 @@ from symmpi.calibrate import (
     PredictionSet,
     WeightSpec,
     _hierarchical_block,
+    _rows_below,
     candidate_grid,
-    centered_conformal_below,
-    conformal_below,
+    centered_intervals,
     hcp_first_obs_set,
     hierarchical_below,
     nonsym_set,
     randomized_set,
     rank_member,
+    score_intervals,
     supervised_below,
     supervised_hierarchical_set,
     symmpi_set,
@@ -58,7 +62,8 @@ from symmpi.groups import (
 )
 from symmpi.cli import PRESETS
 from symmpi.network import cluster_sum_set, tree_leaf_set
-from symmpi.sim import ALL_METHODS, HierarchicalConfig, _run_trial, _sup_eval
+from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _rows, _run_trial,
+                        _sup_eval)
 from symmpi.transforms import (_fit_block, branch_fits, fit_regressors,
                                hierarchical_unsup_transform)
 
@@ -402,32 +407,96 @@ def test_one_test_supervised_rows_equal_oracle(studentize, sizes, target, method
 # ----------------------------------------------------------------------
 
 
-@SETTINGS
-@given(n=st.integers(2, 60), seed=SEED, n_grid=GRID, alpha=ALPHA)
-def test_centered_conformal_matches_oracle(n, seed, n_grid, alpha):
-    # n >= 2: with one value, it and the candidate sit at the same distance
-    # from their mean, an exact tie that rounding breaks either way
-    vals = np.random.default_rng(seed).normal(0, 2, n)
-    grid = _grid(vals, n_grid)
-    want = oracles.centered_conformal_members(vals, grid, alpha)
-    assert np.array_equal(rank_member(centered_conformal_below(vals, grid), alpha), want)
-    assert np.array_equal(split_conformal_set(vals, grid, alpha).member, want)
-    assert np.array_equal(single_tree_set(vals, grid, alpha).member, want)
+# Shapes where a candidate meets a calibration score or an end of its set:
+# all-equal values, a grid over two values (its points fall on the values),
+# candidates placed on the set's ends, and alpha on a k / n boundary.
+SHAPES = st.sampled_from(["random", "equal", "two_values", "at_ends", "boundary"])
 
 
-@SETTINGS
-@given(n=st.integers(0, 60), seed=SEED, n_points=st.integers(11, 201), alpha=ALPHA)
-def test_fixed_score_conformal_matches_oracle(n, seed, n_points, alpha):
+def _conformal_case(shape, n, seed, n_grid, alpha, make_grid):
+    """Values, candidates and alpha of one conformal case of ``shape``."""
     rng = np.random.default_rng(seed)
     vals = rng.normal(0, 2, n)
-    grid = np.linspace(-6, 6, n_points) + rng.normal(0, 0.1)
+    if shape == "equal":
+        vals[:] = vals[:1]
+    if shape == "two_values":
+        vals = vals[:2] if n >= 2 else vals
+        # 5 (G - 1) / 5 steps span the data and 8 SDs: the values are grid points
+        return vals, candidate_grid(vals, 5 * n_grid[0] + 1), alpha
+    if shape == "boundary":
+        k = int(rng.integers(1, n + 1))
+        alpha = 1 - k / (n + 1)
+    return vals, make_grid(vals, n_grid), alpha
+
+
+@SETTINGS
+@given(n=st.integers(1, 60), seed=SEED, n_grid=GRID, alpha=ALPHA, shape=SHAPES)
+@example(n=1, seed=0, n_grid=(11, 0), alpha=0.6, shape="random")
+@example(n=3, seed=106823, n_grid=(11, 0), alpha=0.25, shape="equal")
+@example(n=2, seed=2, n_grid=(40, 2), alpha=0.4, shape="two_values")
+@example(n=7, seed=3, n_grid=(51, 3), alpha=0.2, shape="at_ends")
+@example(n=9, seed=4, n_grid=(31, 4), alpha=0.5, shape="boundary")
+def test_centered_conformal_matches_oracle(n, seed, n_grid, alpha, shape):
+    vals, grid, alpha = _conformal_case(shape, n, seed, n_grid, alpha, _grid)
+    intervals = centered_intervals(vals[None], (alpha,))
+    if shape == "at_ends":
+        ends = np.concatenate([intervals.low, intervals.high], axis=1).ravel()
+        grid = np.sort(np.concatenate([grid, ends[np.isfinite(ends)]]))
+    # the rank form, bit for bit, in every shape
+    want = rank_member(oracles.centered_conformal_below(vals, grid), alpha)
+    assert np.array_equal(intervals.member(grid[None])[0, 0], want)
+    assert np.array_equal(split_conformal_set(vals, grid, alpha).member, want)
+    assert np.array_equal(single_tree_set(vals, grid, alpha).member, want)
+    if shape != "at_ends":
+        # the harness's count on the uniform grid, a data value as the truth
+        gridp = np.append(grid, vals[0])[None]
+        spacing = gridp[:, 1] - gridp[:, 0]
+        want_rows = _rows(oracles.centered_conformal_below(vals[None], gridp), (alpha,), spacing)
+        assert np.array_equal(_interval_rows([intervals], gridp, spacing)[0], want_rows)
+    if shape in ("random", "boundary") and n >= 2:
+        # with one value, it and the candidate sit at the same distance from
+        # their mean, an exact tie that rounding breaks either way; on the
+        # other shapes a candidate's score ties a calibration score exactly
+        assert np.array_equal(want, oracles.centered_conformal_members(vals, grid, alpha))
+
+
+@SETTINGS
+@given(n=st.integers(0, 60), seed=SEED, n_points=st.integers(11, 201), alpha=ALPHA,
+       shape=SHAPES)
+@example(n=1, seed=0, n_points=11, alpha=0.4, shape="random")
+@example(n=6, seed=1, n_points=21, alpha=0.3, shape="equal")
+@example(n=2, seed=2, n_points=40, alpha=0.4, shape="two_values")
+@example(n=7, seed=3, n_points=51, alpha=0.2, shape="at_ends")
+@example(n=9, seed=4, n_points=31, alpha=0.5, shape="boundary")
+def test_fixed_score_conformal_matches_oracle(n, seed, n_points, alpha, shape):
+    def shifted_grid(vals, n_grid):
+        return np.linspace(-6, 6, n_grid[0]) + np.random.default_rng(seed).normal(0, 0.1)
+
+    if n == 0 and shape in ("two_values", "boundary"):
+        shape = "random"
+    vals, grid, alpha = _conformal_case(shape, n, seed, (n_points, seed), alpha, shifted_grid)
+    if shape == "at_ends":
+        q = score_intervals(np.abs(vals)[None], (alpha,), np.zeros((1, 1))).high.ravel()
+        grid = np.sort(np.concatenate([grid, q, -q])) if np.isfinite(q).all() else grid
     want = oracles.conformal_members(np.abs(vals), np.abs(grid), alpha)
-    assert np.array_equal(rank_member(conformal_below(np.abs(vals), np.abs(grid)), alpha), want)
+    rank = rank_member(oracles.conformal_below(np.abs(vals), np.abs(grid)), alpha)
+    assert np.array_equal(rank, want)
     assert np.array_equal(cluster_sum_set(vals, grid, alpha).member, want)
     assert np.array_equal(tree_leaf_set(np.append(vals, 0.0), grid, alpha).member, want)
+    one_sided = score_intervals(vals[None], (alpha,)).member(grid[None])[0, 0]
+    assert np.array_equal(one_sided, oracles.conformal_members(vals, grid, alpha))
+    intervals = score_intervals(np.abs(vals - 0.5)[None], (alpha,), np.full((1, 1), 0.5))
+    assert np.array_equal(intervals.member(grid[None])[0, 0],
+                          oracles.conformal_members(np.abs(vals - 0.5), np.abs(grid - 0.5), alpha))
+    if shape != "at_ends" and n:
+        gridp = np.append(grid, vals[0])[None]
+        spacing = gridp[:, 1] - gridp[:, 0]
+        below = oracles.conformal_below(np.abs(vals - 0.5), np.abs(gridp[0] - 0.5))[None]
+        assert np.array_equal(_interval_rows([intervals], gridp, spacing)[0],
+                              _rows(below, (alpha,), spacing))
     rows = np.abs(vals[None, :] - 0.1 * grid[:, None])
     want_rows = oracles.conformal_members(rows, np.abs(grid), alpha)
-    assert np.array_equal(rank_member(conformal_below(rows, np.abs(grid)), alpha), want_rows)
+    assert np.array_equal(rank_member(_rows_below(rows, np.abs(grid)), alpha), want_rows)
 
 
 @SETTINGS

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from symmpi.calibrate import candidate_grid, hcp_first_obs_set
+from symmpi.calibrate import candidate_grid, hcp_first_obs_set, rank_member
 from symmpi.sim import (
     HierarchicalConfig,
     _unsup_eval,
@@ -303,8 +303,11 @@ def test_hcp_rows_match_their_per_candidate_rule():
         grid = candidate_grid(np.concatenate(branches)[:-1], cfg.grid_points, cfg.grid_pad_sd)
         gridp = np.append(grid, branches[-1][-1])
         rows = _unsup_eval(branches, cfg, rng, ("hcp",))["hcp"]
+        sizes = np.array([b.size for b in donors])
+        below = oracles.hcp_below(np.concatenate(donors)[None], sizes, gridp[None])[0]
         for alpha, (length, covered, unbounded) in zip(cfg.alphas, rows):
             member = oracles.hcp_rows_members(donors, gridp, alpha)
+            assert np.array_equal(rank_member(below, alpha), member)
             assert covered == member[-1]
             assert unbounded == member[:-1].all()
             if not unbounded:
