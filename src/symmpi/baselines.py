@@ -47,8 +47,12 @@ def single_tree_set(
     cands = _checked_candidates(candidates, alpha)
     if score is None:
         return _interval_set(centered_intervals(obs[None], (alpha,)), cands)
-    scored = np.array([np.asarray(score(np.append(obs, c)), dtype=float) for c in cands])
-    return _rank_set(cands, _rows_below(scored[:, :-1], scored[:, -1]), alpha)
+
+    def below(finite):
+        scored = np.array([np.asarray(score(np.append(obs, c)), dtype=float) for c in finite])
+        return _rows_below(scored[:, :-1], scored[:, -1])
+
+    return _rank_set(cands, below, alpha)
 
 
 def split_conformal_set(

@@ -7,15 +7,18 @@ Monte-Carlo thresholds, weighted non-symmetric sets, ragged branch sizes, and
 the over-coverage diagnostic.
 
 Every set keeps a candidate when the (weighted) mass of calibration scores
-strictly below its own score is under 1 - alpha (``rank_member``). The
-hierarchical sets run that rule in rank form over the whole candidate grid at
-once (the ``*_below`` kernels). The conformal sets, those of the baselines,
-the graph sets, ``hcp_first_obs_set`` and the benchmark harness, are
-intervals with closed-form ends (``ConformalIntervals``: order statistics of
-the points where a calibration score crosses the candidate's), and only
-candidates within rounding of an end go through the rank comparison. The
-orbit sets (``symmpi_set``, ``randomized_set`` and the weighted
-``nonsym_set``) score every candidate's orbit in one batched sweep
+strictly below its own score is under 1 - alpha (``rank_member``), and no
+set keeps a candidate that is not finite. The studentized hierarchical set
+runs that rule in rank form over the whole candidate grid at once
+(``_rank_block``). The conformal sets, those of the baselines, the graph
+sets, ``hcp_first_obs_set`` and the benchmark harness, and the supervised
+SymmPI set are intervals with closed-form ends (``ConformalIntervals``:
+order statistics of the points where a calibration score crosses the
+candidate's); the unstudentized hierarchical set is the total weight less
+the holes, the intervals where a score is not below the candidate's own
+(``_hole_block``). Only candidates within rounding of an end go through the
+rank comparison. The orbit sets (``symmpi_set``, ``randomized_set`` and the
+weighted ``nonsym_set``) score every candidate's orbit in one batched sweep
 (``_score_blocks``). At alpha = 1 no set keeps anything.
 """
 
@@ -224,6 +227,14 @@ class PredictionSet:
             if np.abs(np.diff(self.candidates) - self.spacing).max() > tol:
                 raise ValueError("length needs uniformly spaced candidates")
         return float(self.member.sum()) * self.spacing
+
+    @property
+    def edge_clipped(self) -> bool:
+        """Whether a set that is not unbounded holds the first or the last
+        candidate: it may go on past the grid, and its length is then a lower
+        bound."""
+        return not self.unbounded and bool(self.member.size) and \
+            bool(self.member.flat[0] or self.member.flat[-1])
 
     def intervals(self) -> list[tuple[float, float]]:
         """Maximal runs of member candidates, as (low, high) candidate values."""
@@ -462,9 +473,21 @@ def rank_member(below, alpha: float) -> np.ndarray:
     return np.asarray(below) < (1.0 - alpha) - _LEVEL_EPS
 
 
-def _rank_set(candidates, below, alpha: float, meta=None) -> PredictionSet:
-    member = rank_member(below, alpha)
-    return PredictionSet(candidates, member, unbounded=bool(member.all()), meta=meta or {})
+def _finite_set(cands, member_of, meta=None) -> PredictionSet:
+    """The set whose members among the finite candidates are
+    ``member_of(finite candidates)``: a candidate that is not finite is never
+    a member."""
+    finite = np.isfinite(cands)
+    member = np.zeros(cands.shape, dtype=bool)
+    if finite.any():
+        member[finite] = member_of(cands[finite])
+    return PredictionSet(cands, member, unbounded=bool(member.all()), meta=meta or {})
+
+
+def _rank_set(cands, below, alpha: float, meta=None) -> PredictionSet:
+    """The set of the candidates whose below-own mass, ``below(finite
+    candidates)``, ``rank_member`` keeps."""
+    return _finite_set(cands, lambda finite: rank_member(below(finite), alpha), meta)
 
 
 def _count_within(sorted_vals, center, radius) -> np.ndarray:
@@ -572,7 +595,7 @@ class ConformalIntervals:
         member = (cands >= low) & (cands <= high)
         tol = _ENDS_ROUNDING * (self.scale[sel] + np.abs(cands))
         near = (np.abs(cands - low) <= tol) | (np.abs(cands - high) <= tol)
-        near |= self.ranked[sel][:, None] | ~np.isfinite(cands)
+        near |= self.ranked[sel][:, None]
         for ai, i in zip(*np.nonzero(near.any(axis=2))):
             cols = np.flatnonzero(near[ai, i])
             b = i if rows is None else sel[i]
@@ -670,8 +693,7 @@ def score_intervals(scores, alphas, center=None) -> ConformalIntervals:
 
 def _interval_set(intervals: ConformalIntervals, cands, meta=None) -> PredictionSet:
     """The set of one test at one alpha over candidates of any shape."""
-    member = intervals.member(cands.reshape(1, -1)).reshape(cands.shape)
-    return PredictionSet(cands, member, unbounded=bool(member.all()), meta=meta or {})
+    return _finite_set(cands, lambda finite: intervals.member(finite[None])[0, 0], meta)
 
 
 def _size_groups(values, sizes):
@@ -711,12 +733,9 @@ def hierarchical_below(observed_branches, candidates, c: float = 2.0, studentize
     scores only when ``studentize``. Each of branch k's points weighs
     1/(K n_k), so equal sizes give the flat pool.
 
-    This is ``_hierarchical_block`` for one test, the core the benchmark
-    harness runs on blocks of tests. Donors never centered at the grand mean
-    share one sorted pool of fixed scores, searched once; each donor's
-    candidates that are centered there form one interval of the grid, found
-    from its two ends; without ``studentize`` the donors centered there for
-    every candidate share a second pool.
+    This is ``_hierarchical_block`` for one test, the kernel the benchmark
+    harness runs on blocks of tests: the rank form (``_rank_block``) when
+    studentized, the holes of every score (``_hole_block``) when not.
     """
     cands = np.asarray(candidates, dtype=float)
     branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
@@ -744,17 +763,25 @@ def _target_sd(target, t_sum, cands, mean_t):
     return np.where(sd_t > 0, sd_t, 1.0)
 
 
-def _target_block(target, cands, donor_sum, K, c, studentize):
-    """The target branch's part of ``_hierarchical_block``: each candidate's
-    grand mean, its own score, and the mass of the observed target scores
-    below it, all (B, G). ``donor_sum`` (B, 1) adds up the donor means."""
-    n_o = target.shape[1]
-    n_t = n_o + 1
+def _target_frame(target, cands, donor_sum, K, c):
+    """The target branch with each candidate, all (B, G): its mean and SD,
+    the grand mean, and whether the target is centered there. ``donor_sum``
+    (B, 1) adds up the donor means."""
+    n_t = target.shape[1] + 1
     t_sum = target.sum(axis=1, keepdims=True)
     mean_t = (t_sum + cands) / n_t
     sd_t = _target_sd(target, t_sum, cands, mean_t)
     grand = (donor_sum + mean_t) / K
-    near_t = np.abs(mean_t - grand) <= c * sd_t / np.sqrt(n_t)
+    return mean_t, sd_t, grand, np.abs(mean_t - grand) <= c * sd_t / np.sqrt(n_t)
+
+
+def _target_block(target, cands, donor_sum, K, c, studentize):
+    """The target branch's part of ``_rank_block``: each candidate's grand
+    mean, its own score, and the mass of the observed target scores below
+    it, all (B, G)."""
+    n_o = target.shape[1]
+    n_t = n_o + 1
+    mean_t, sd_t, grand, near_t = _target_frame(target, cands, donor_sum, K, c)
     center_t = np.where(near_t, grand, mean_t)
     own = np.abs(cands - center_t)
     if studentize:
@@ -768,13 +795,84 @@ def _target_block(target, cands, donor_sum, K, c, studentize):
     return grand, own, siblings * (1.0 / (K * n_t))
 
 
+def _donor_frame(donors, sizes):
+    """The donor means and SDs (B, D) and their sum (B, 1), added left to
+    right as Python's sum adds them (0.0 without donors)."""
+    means, sds = _branch_stats(donors, sizes)
+    return means, sds, np.cumsum(means, axis=1)[:, -1:] if sizes.size else 0.0
+
+
 def _hierarchical_block(donors, sizes, target, cands, c, studentize):
     """``hierarchical_below`` of B tests that share their branch sizes.
 
     ``donors`` (B, N) holds each test's donor branches end to end, branch k
     with ``sizes[k]`` values; ``target`` (B, n_t - 1) holds the target
     branch's observed values and ``cands`` (B, G) the candidates. Returns the
-    (B, G) masses. Each row is computed as it would be alone.
+    (B, G) masses, each row computed as it would be alone: the rank form
+    when ``studentize``, else the holes' masses, which match the rank form's
+    to rounding (``_hole_block``).
+    """
+    if studentize:
+        return _rank_block(donors, sizes, target, cands, c, True)
+    return _hole_block(donors, sizes, target, cands, c)[0]
+
+
+def hierarchical_members(donors, sizes, target, cands, c, studentize, alphas,
+                         n_grid: int = 0) -> np.ndarray:
+    """Membership (A, B, G) of the candidates of ``_hierarchical_block``'s B
+    tests in their sets at each of the A ``alphas``, as the rank form decides
+    it. Without ``studentize`` the masses are the holes'; a mass within
+    rounding of a level is ranked. ``n_grid`` as in ``_hole_block``."""
+    if studentize:
+        below, exact = _rank_block(donors, sizes, target, cands, c, True), True
+    else:
+        below, exact = _hole_block(donors, sizes, target, cands, c, n_grid)
+    member = np.stack([rank_member(below, a) for a in alphas])
+    if studentize:
+        return member
+    # bounds the rounding of the hole masses' sums and of the rank form's
+    N = donors.shape[1] + target.shape[1] + sizes.size
+    margin = 16 * (cands.shape[1] + 8 * N) * np.finfo(float).eps
+    levels = [(1.0 - a) - _LEVEL_EPS for a in alphas]
+    if (sizes == target.shape[1] + 1).all():
+        # equal weights w: a mass is a multiple of w, so only levels within
+        # twice the margin of one can be near a mass
+        w = 1.0 / (target.shape[1] + 1) / (sizes.size + 1)
+        levels = [lv for lv in levels if abs(round(lv / w) * w - lv) <= 2 * margin]
+    unsure, gap = np.zeros(below.shape, dtype=bool), np.empty(below.shape)
+    for level in levels:
+        np.subtract(below, level, out=gap)
+        unsure |= np.abs(gap, out=gap) <= margin
+    unsure &= ~exact
+    if unsure.any():
+        ranked = _rank_at(donors, sizes, target, cands, unsure, c, False)
+        member[:, unsure] = np.stack([rank_member(ranked, a) for a in alphas])
+    return member
+
+
+def _rank_at(donors, sizes, target, cands, mask, c, studentize) -> np.ndarray:
+    """The rank form's masses of the candidates ``mask`` (B, G) selects, in
+    the order of ``cands[mask]``. Each test's candidates go in with its
+    smallest and largest, which fix the rank form's pools, so every mass has
+    the bits of a whole-row ``_rank_block`` call."""
+    rows, cols = np.nonzero(mask)
+    tests, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    # each test's row: its smallest and largest candidate, its selected
+    # ones, then its smallest again as padding
+    picks = np.repeat(np.argmin(cands[tests], axis=1)[:, None], counts.max() + 2, axis=1)
+    picks[:, 1] = np.argmax(cands[tests], axis=1)
+    slot = np.arange(rows.size) - np.repeat(first, counts) + 2
+    which = np.repeat(np.arange(tests.size), counts)
+    picks[which, slot] = cols
+    below = _rank_block(donors[tests], sizes, target[tests],
+                        np.take_along_axis(cands[tests], picks, axis=1), c, studentize)
+    return below[which, slot]
+
+
+def _rank_block(donors, sizes, target, cands, c, studentize):
+    """``_hierarchical_block`` in rank form: every score is compared with
+    every candidate's own. The exact decision, which the hole form leaves to
+    it where rounding could decide a comparison.
 
     Only the target branch moves with the candidate, so it alone is scored
     per candidate, one observed value at a time. A donor is centered at the
@@ -802,9 +900,7 @@ def _hierarchical_block(donors, sizes, target, cands, c, studentize):
     """
     D = sizes.size
     K = D + 1
-    means, sds = _branch_stats(donors, sizes)
-    # the donor means added left to right, as Python's sum adds them
-    donor_sum = np.cumsum(means, axis=1)[:, -1:] if D else 0.0
+    means, sds, donor_sum = _donor_frame(donors, sizes)
     grand, own, below = _target_block(target, cands, donor_sum, K, c, studentize)
     if not D or not cands.size:
         return below
@@ -844,6 +940,247 @@ def _hierarchical_block(donors, sizes, target, cands, c, studentize):
     return below
 
 
+def _locator(cands, n_grid):
+    """Each candidate's place in its row's ascending order (B, G), and
+    ``locate(e, w, side)``: for values e (B, ...) and widths w broadcasting
+    to them, how many of each row's candidates lie below e + side w (side
+    -1 or 1), and whether a candidate lies within 2 w of e.
+
+    With ``n_grid`` the first n_grid columns are a uniform ascending grid
+    (``_candidate_rows``), counted by arithmetic, and the rest are few: a
+    count may then be off by one within rounding of a candidate, which is
+    within 2 w of e."""
+    B, G = cands.shape
+    if not n_grid:
+        order = np.argsort(cands, axis=1, kind="stable")
+        srt = np.take_along_axis(cands, order, axis=1)
+        place = np.empty_like(order)
+        np.put_along_axis(place, order, np.broadcast_to(np.arange(G), (B, G)), axis=1)
+
+        def count(e):
+            return np.stack([np.searchsorted(s, r) for s, r in zip(srt, e.reshape(B, -1))]) \
+                .reshape(e.shape)
+
+        def locate(e, w, side):
+            return count(e + side * w), count(e + 2 * w) > count(e - 2 * w)
+
+        return place, locate
+    lo = cands[:, :1]
+    step = (cands[:, n_grid - 1:n_grid] - lo) / (n_grid - 1)
+    # the extras in grid steps, and how many grid points lie below each
+    extra = (cands[:, n_grid:] - lo) / step
+    under = np.clip(np.ceil(extra), 0, n_grid).astype(np.intp)
+    index = np.arange(n_grid)
+    # a grid point follows the extras below it; an extra, the grid points
+    # below it and the extras before it in ascending order
+    place = np.empty((B, G), dtype=np.intp)
+    place[:, :n_grid] = index
+    for u in under.T:
+        place[:, :n_grid] += index >= u[:, None]
+    place[:, n_grid:] = under + np.argsort(np.argsort(extra, axis=1, kind="stable"), axis=1)
+
+    def locate(e, w, side):
+        shape = (B,) + (1,) * (e.ndim - 1)
+        u = (e - lo.reshape(shape)) / step.reshape(shape)
+        reach = w / step.reshape(shape)
+        v = u + side * reach
+        n = np.clip(np.ceil(v), 0, n_grid)
+        # the grid point nearest e + side w on e's side, and the extras
+        near = np.abs(n - (side + 1) / 2 - u) <= 2 * reach
+        n = n.astype(np.intp)
+        for x in extra.T:
+            x = x.reshape(shape)
+            n += x < v
+            near |= np.abs(x - u) <= 2 * reach
+        return n, near
+
+    return place, locate
+
+
+def _hole_block(donors, sizes, target, cands, c, n_grid: int = 0):
+    """Unstudentized ``_hierarchical_block`` from the holes of every score:
+    the (B, G) masses, and the mask of the candidates whose mass the rank
+    form computed (``_rank_at``).
+
+    The target branch is centered at the grand mean or at its own mean,
+    decided per candidate in the rank form's arithmetic. In either state the
+    center moves linearly with the candidate c, slope 1/(K n_t) or 1/n_t, and
+    so does a donor's where it is centered at the grand mean, which holds for
+    c in one interval [kl, kh] (the grand mean is linear in c). Every score is
+    then |linear in c| on each piece, and with two observed target values or
+    more the candidate's own score has the larger slope, so a score is not
+    below the candidate's own exactly on one closed interval of c per piece,
+    its hole. A donor value's hole where it is centered at its mean, H, and
+    at the grand mean, H', count as H - (H ^ [kl, kh]) + (H' ^ [kl, kh]).
+    A candidate's mass is the total weight less that of the holes holding it:
+    one ``bincount`` of +-weight at the holes' places and one cumulative sum
+    over each test's candidates in ascending order, per target state.
+
+    The rank form decides every candidate within ``_ENDS_ROUNDING`` of the
+    magnitudes of a hole's end or of kl or kh (within that width of the grand
+    mean, for kl and kh), and every candidate of a test with fewer than two
+    observed target values (own and sibling scores then tie, or the own score
+    does not move), or with data that are not finite or are beyond 2^500.
+    Non-finite candidates take whatever mass the arithmetic gives them.
+    ``n_grid`` as in ``_locator``.
+    """
+    B, G = cands.shape
+    scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1, initial=0.0)
+    exact = np.repeat((~(scale <= 2.0**500) | (target.shape[1] < 2))[:, None], G, axis=1)
+    live = np.flatnonzero(~exact[:, 0])
+    if live.size == B:
+        exact, below = _hole_masses(donors, sizes, target, cands, c, scale[:, None], n_grid)
+    else:
+        below = np.empty((B, G))
+        if live.size:
+            exact[live], below[live] = _hole_masses(donors[live], sizes, target[live],
+                                                    cands[live], c, scale[live, None], n_grid)
+    if exact.any():
+        below[exact] = _rank_at(donors, sizes, target, cands, exact, c, False)
+    return below, exact
+
+
+def _hole_masses(donors, sizes, target, cands, c, scale, n_grid):
+    """``_hole_block`` of tests whose holes all exist: the mask of the
+    candidates within rounding of an end, and the masses of the others."""
+    B, G = cands.shape
+    D, n_o = sizes.size, target.shape[1]
+    K, n_t = D + 1, n_o + 1
+    means, sds, donor_sum = _donor_frame(donors, sizes)
+    place, locate = _locator(cands, n_grid)
+    # every candidate's rounding reaches no farther than this
+    reach = scale + np.abs(cands).max(axis=1, keepdims=True)
+    near_t = _target_near(target, cands, donor_sum, K, c, reach)
+    # the target's center cb + cs c in each state, near then far (B, 2, 1),
+    # and the states some candidate of each test is in
+    g1 = 1.0 / (K * n_t)
+    t_mean = target.sum(axis=1, keepdims=True) / n_t
+    g0 = (donor_sum + t_mean) / K
+    cb = np.stack([g0, t_mean], axis=1)
+    cs = np.array([[g1], [1.0 / n_t]])
+    a = 1.0 - cs  # the own score's slope
+    state = np.stack([near_t.any(axis=1), (~near_t).any(axis=1)], axis=1)[:, :, None]
+    # each donor's [kl, kh], where it is centered at the grand mean, in places
+    radius = c * sds / np.sqrt(sizes)
+    k_ends = np.stack([(means - radius - g0) / g1, (means + radius - g0) / g1], axis=1)
+    wk = _ENDS_ROUNDING * ((scale + radius) * (K * n_t) + reach)[:, None]
+    # counted from the first candidate within the width below kl to the last
+    # within it above kh
+    sides = np.array([-1, 1])[:, None]
+    k_span, near_k = locate(k_ends, wk, sides)
+    k_lo, k_hi = k_span[:, 0], k_span[:, 1]
+    never, always = k_lo >= k_hi, (k_lo == 0) & (k_hi == G)
+    # the holes that count: a donor value's own-mean hole unless its donor
+    # is always near, its grand-mean hole unless it is never near (kept as
+    # columns where that holds in some test), and every sibling's, each in
+    # the states some candidate is in; their ends (B, 2, M) in each state
+    branch = np.repeat(np.arange(D), sizes)
+    far = np.flatnonzero(~always.all(axis=0)[branch])
+    near = np.flatnonzero(~never.all(axis=0)[branch])
+    d = np.abs(donors[:, far] - means[:, branch[far]])[:, None, :]
+    v, t, g = donors[:, None, near], target[:, None, :], g0[:, :, None]
+    x1 = np.concatenate([(cb - d) / a, (v - g + cb) / (a + g1), np.broadcast_to(t, (B, 2, n_o))],
+                        axis=2)
+    x2 = np.concatenate([(cb + d) / a, (cb - v + g) / (a - g1), (2 * cb - t) / (1 - 2 * cs)],
+                        axis=2)
+    w = _ENDS_ROUNDING * reach[:, :, None, None]
+    ends = np.empty((B, 2) + x1.shape[1:])
+    np.minimum(x1, x2, out=ends[:, 0])
+    np.maximum(x1, x2, out=ends[:, 1])
+    span, near_ends = locate(ends, w, sides[:, :, None])
+    lo, hi = span[:, 0], span[:, 1]
+    k_first = np.concatenate([np.zeros((B, far.size), np.intp), k_lo[:, branch[near]],
+                              np.zeros((B, n_o), np.intp)], axis=1)[:, None]
+    k_stop = np.concatenate([np.full((B, far.size), G), k_hi[:, branch[near]],
+                             np.full((B, n_o), G)], axis=1)[:, None]
+    used = state & np.concatenate([~always[:, branch[far]], ~never[:, branch[near]],
+                                   np.ones((B, n_o), dtype=bool)], axis=1)[:, None]
+    inside = _zone_mask([(ends, w, near_ends & used[:, None]), (k_ends, wk, near_k)], place,
+                        locate)
+    # each hole adds its weight from its first place to its last: +w at the
+    # first and -w one past the last, in its test's and state's row of G + 1;
+    # a donor value's own-mean hole where its donor is near is taken back
+    w_donor = np.repeat(1.0 / (K * sizes), sizes)
+    weights = np.concatenate([w_donor[far], w_donor[near], np.full(n_o, 1.0 / (K * n_t))])
+    m = far.size
+    pieces = [(np.maximum(lo, k_first), np.minimum(hi, k_stop), used, weights),
+              (np.maximum(lo[:, :, :m], k_lo[:, None, branch[far]]),
+               np.minimum(hi[:, :, :m], k_hi[:, None, branch[far]]),
+               used[:, :, :m] & ~never[:, None, branch[far]], -w_donor[far])]
+    # one row of G + 1 per test and state that some candidate is in
+    rows = np.cumsum(state.ravel()).reshape(B, 2, 1) - 1
+    base = rows * (G + 1)
+    index, weight = [], []
+    for start, stop, keep, w in pieces:
+        keep = keep & (start < stop)
+        index += [(base + start)[keep], (base + stop)[keep]]
+        w = np.broadcast_to(w, keep.shape)[keep]
+        weight += [w, -w]
+    n_rows = int(rows.max()) + 1
+    held = np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n_rows * (G + 1))
+    np.cumsum(held.reshape(n_rows, G + 1), axis=1, out=held.reshape(n_rows, G + 1))
+    # each candidate's place in the row of its test and state
+    place += base[:, 1]
+    np.subtract(place, (base[:, 1] - base[:, 0]), out=place, where=near_t)
+    masses = np.take(held, place)
+    return inside, np.subtract((D + n_o / n_t) / K, masses, out=masses)
+
+
+def _target_near(target, cands, donor_sum, K, c, reach):
+    """``_target_frame``'s choice (B, G) to center the target branch at the
+    grand mean, from the sign of one quadratic.
+
+    With m_o the observed target mean, q_o its sum of squares and
+    y = c - m_o, the target is near where (mean_t - grand)^2 <= c^2 sd_t^2 / n_t,
+    that is where qa y^2 + qb y + qc <= 0 with qa = u1^2 - c^2 / n_t^2,
+    qb = 2 u1 d0 and qc = d0^2 - c^2 q_o / (n_o n_t) (u1 = (K - 1) / (K n_t),
+    d0 = ((K - 1) m_o - donor_sum) / K). Where the quadratic lies within a
+    bound of the rounding of both forms of zero, ``_target_frame`` decides.
+    The bound is 2^-40 (1 + |c|)^2 A^2 (1 + n_t A / (n_o sd_min)), A =
+    ``reach`` (B, 1) the magnitude of the data and candidates, sd_min =
+    sqrt(q_o / n_o) the smallest target SD: over 16 times the sum of the
+    first-order rounding of the rank form's comparison (its SD is computed
+    from a sum of squares) and of the quadratic. A target of equal observed
+    values (sd_min = 0) is decided by ``_target_frame`` throughout.
+    """
+    n_o = target.shape[1]
+    n_t = n_o + 1
+    m_o = target.sum(axis=1, keepdims=True) / n_o
+    q_o = ((target - m_o) ** 2).sum(axis=1, keepdims=True)
+    u1 = (K - 1) / (K * n_t)
+    d0 = ((K - 1) * m_o - donor_sum) / K
+    y = np.subtract(cands, m_o)
+    q = np.multiply(u1**2 - c**2 / n_t**2, y)
+    q += 2 * u1 * d0
+    q *= y
+    q += d0**2 - c**2 * q_o / (n_o * n_t)
+    sd_min = np.sqrt(q_o / n_o)
+    ratio = np.divide(n_t * reach, n_o * sd_min, out=np.full(reach.shape, np.inf),
+                      where=sd_min > 0)
+    bound = 2.0**-40 * (1 + abs(c)) ** 2 * reach**2 * (1 + ratio)
+    near = q <= 0
+    rows, cols = np.nonzero(np.abs(q, out=q) <= bound)
+    if rows.size:
+        s = donor_sum[rows] if np.ndim(donor_sum) else donor_sum
+        near[rows, cols] = _target_frame(target[rows], cands[rows, cols, None], s, K, c)[3][:, 0]
+    return near
+
+
+def _zone_mask(zones, place, locate) -> np.ndarray:
+    """Mask (B, G) of the candidates within 2 w of an end e: each of
+    ``zones`` is (e, w, near), ends (B, ...) of B tests, their widths and the
+    ends to take, with ``_locator``'s ``locate``."""
+    B, G = place.shape
+    inside = np.zeros((B, G), dtype=bool)
+    zones = [(e, w, near) for e, w, near in zones if near.any()]
+    for e, w, near in zones:
+        w = np.broadcast_to(w, e.shape)
+        first, stop = (locate(e, 2 * w, side)[0][near] for side in (-1, 1))
+        for b, f, s in zip(np.nonzero(near)[0], first, stop):
+            inside[b, f:s] = True
+    return np.take(inside, place + G * np.arange(B)[:, None]) if zones else inside
+
+
 def supervised_below(donor_residuals, target_residuals, candidate_residuals,
                      studentize: bool = True) -> np.ndarray:
     """Branch-weighted below-own mass of the supervised adaptive residual scores.
@@ -878,16 +1215,7 @@ def _supervised_block(residuals, sizes, raw_cand, studentize):
     once; the target's observed scores are searched on their own.
     """
     K, m_K = sizes.size, int(sizes[-1])
-    donor_sizes = sizes[:-1]
-    n_donor = int(donor_sizes.sum())
-    donors, raw_last = residuals[:, :n_donor], residuals[:, n_donor:]
-    if studentize:
-        scale = np.ones((residuals.shape[0], K - 1))
-        for n, ks, vals in _size_groups(donors, donor_sizes):
-            if n > 1:
-                eps = np.sqrt((vals**2).sum(axis=-1) / (n - 1))
-                scale[:, ks] = np.where(eps > 0, eps, 1.0)
-        donors = donors / np.repeat(scale, donor_sizes, axis=1)
+    donors, raw_last, weights = _donor_scores(residuals, sizes, studentize)
     # Within the target branch any shared scale cancels, so the sibling
     # comparison is on raw residual magnitudes in both modes.
     below_target = np.stack([np.searchsorted(r, c, side="left")
@@ -898,8 +1226,63 @@ def _supervised_block(residuals, sizes, raw_cand, studentize):
         own = raw_cand / np.where(eps_cand > 0, eps_cand, 1.0)
     else:
         own = raw_cand
-    weights = np.repeat(1.0 / (K * np.maximum(donor_sizes, 1)), donor_sizes)
     return below_target / (K * m_K) + _mass_below(*_weighted_pool(donors, weights), own)
+
+
+def _donor_scores(residuals, sizes, studentize):
+    """The donor scores (B, N - m_K) of ``_supervised_block``'s rows, each
+    branch's residuals divided by its RMS residual when ``studentize``, the
+    target's observed residuals (B, m_K - 1) and the donor weights 1/(K n_k)."""
+    donor_sizes = sizes[:-1]
+    n_donor = int(donor_sizes.sum())
+    donors, raw_last = residuals[:, :n_donor], residuals[:, n_donor:]
+    if studentize:
+        scale = np.ones((residuals.shape[0], donor_sizes.size))
+        for n, ks, vals in _size_groups(donors, donor_sizes):
+            if n > 1:
+                eps = np.sqrt((vals**2).sum(axis=-1) / (n - 1))
+                scale[:, ks] = np.where(eps > 0, eps, 1.0)
+        donors = donors / np.repeat(scale, donor_sizes, axis=1)
+    weights = np.repeat(1.0 / (sizes.size * np.maximum(donor_sizes, 1)), donor_sizes)
+    return donors, raw_last, weights
+
+
+def _supervised_intervals(residuals, sizes, center, alphas, studentize) -> ConformalIntervals:
+    """``_supervised_block``'s sets of B tests as intervals: the candidate c
+    has the raw residual r = |c - center| (``center`` (B, 1)).
+
+    Every score the candidate's own is compared with is fixed, and its own
+    score, r or, studentized, r / sqrt((ssq + r^2) / (m_K - 1)) with ssq the
+    target's observed residuals' sum of squares, never falls as r grows. So
+    a score lies below the candidate's own exactly when r passes a jump, and
+    each set is center -+ one jump: a sibling's jump is its raw residual, a
+    donor's its score d, or studentized d sqrt(ssq / ((m_K - 1) - d^2)),
+    never passed when d^2 >= m_K - 1. The weights are 1/(K n_k). A test
+    with a donor whose d^2 lies within 2^-20 of m_K - 1 (its jump is
+    ill-conditioned) is ranked; ``_supervised_block`` is the rank form.
+    """
+    K, m_K = sizes.size, int(sizes[-1])
+    donors, raw_last, weights = _donor_scores(residuals, sizes, studentize)
+    ranked = np.zeros(residuals.shape[0], dtype=bool)
+    jump = donors
+    if studentize and m_K > 1:
+        ssq = np.sum(raw_last**2, axis=1, keepdims=True)
+        gap = (m_K - 1) - donors**2
+        ranked = (np.abs(gap) <= 2.0**-20 * (m_K - 1)).any(axis=1)
+        jump = np.full(donors.shape, np.inf)
+        passed = gap > 0
+        jump[passed] = (donors * np.sqrt(ssq / np.where(passed, gap, 1.0)))[passed]
+    jumps = np.concatenate([jump, raw_last], axis=1)
+
+    def below(points, rows):
+        return _supervised_block(residuals[rows], sizes, np.abs(points - center[rows]),
+                                 studentize)
+
+    finite = np.where(np.isfinite(jumps), np.abs(jumps), 0.0)
+    scale = np.abs(center) + np.maximum(finite.max(axis=1, keepdims=True, initial=0.0),
+                                        np.abs(residuals).max(axis=1, keepdims=True, initial=0.0))
+    return _intervals(center - jumps, center + jumps, alphas, below, scale,
+                      np.concatenate([weights, np.full(m_K - 1, 1.0 / (K * m_K))]), ranked)
 
 
 def _split_branches(sizes):
@@ -935,7 +1318,7 @@ def symmpi_set_randomsize(
     block-permutation set.
     """
     cands = _checked_candidates(candidates, alpha)
-    return _rank_set(cands, hierarchical_below(observed_branches, cands, c), alpha)
+    return _rank_set(cands, lambda finite: hierarchical_below(observed_branches, finite, c), alpha)
 
 
 def supervised_hierarchical_set(
@@ -971,9 +1354,9 @@ def supervised_hierarchical_set(
     sizes = np.array([len(v) for v in cal_x], dtype=np.intp)
     x = np.concatenate(cal_x)
     _, centers = _adaptive_centers(reg, x.reshape(1, len(x), -1), sizes, c)
-    below = _supervised_block(np.abs(np.concatenate(cal_y) - centers[:, :-1]), sizes,
-                              np.abs(cands.reshape(1, -1) - centers[:, -1:]), True)
-    return _rank_set(cands, below.reshape(cands.shape), alpha)
+    intervals = _supervised_intervals(np.abs(np.concatenate(cal_y) - centers[:, :-1]), sizes,
+                                      centers[:, -1:], (alpha,), True)
+    return _interval_set(intervals, cands)
 
 
 def hcp_first_obs_set(complete_branches, candidates, alpha: float) -> PredictionSet:

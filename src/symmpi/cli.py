@@ -302,6 +302,9 @@ def _report_set(ps, args) -> None:
     if ps.unbounded:
         print("prediction set: unbounded (every candidate kept)")
     else:
+        if ps.edge_clipped:
+            print("warning: the set reaches an end of the candidate grid; its length is a "
+                  "lower bound", file=sys.stderr)
         print(f"length: {ps.length:.6g}")
         shown = ", ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in ivs[:4])
         more = "" if len(ivs) <= 4 else f" (+{len(ivs) - 4} more)"

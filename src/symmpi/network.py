@@ -51,8 +51,10 @@ def graph_vertex_set(
     if psi_kind == "last_coordinate":
         return _interval_set(score_intervals(others[None], (alpha,)), cands, meta)
     if psi_kind == "orbit_deviation":
-        means = (others.sum() + cands) / orbit.size
-        below = _rows_below(others[None, :] - means[:, None], cands - means)
+        def below(finite):
+            means = (others.sum() + finite) / orbit.size
+            return _rows_below(others[None, :] - means[:, None], finite - means)
+
         return _rank_set(cands, below, alpha, meta)
     raise ValueError(f"unknown psi_kind {psi_kind!r}")
 

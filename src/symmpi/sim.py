@@ -7,22 +7,24 @@ and aggregate lengths and coverage indicators across trials. All randomness
 flows through per-trial generators keyed by (seed, trial) so results are
 reproducible under any worker count.
 
-The symmpi method's memberships come from the library's rank-form kernels
-in ``symmpi.calibrate``, run on each test's candidate grid with the truth
-appended; each alpha then only applies ``rank_member`` to the same masses.
-The conformal methods' sets are intervals with closed-form ends
-(``calibrate.ConformalIntervals``); their member counts on the uniform grid
-follow from the grid indices of the ends (``_interval_rows``), and only the
-grid points and truths within rounding of an end are ranked.
+The symmpi method's memberships come from the library's kernels in
+``symmpi.calibrate``, run on each test's candidate grid with the truth
+appended: unsupervised, ``hierarchical_members`` (the holes of every score,
+or the rank form when studentized); supervised, intervals
+(``_supervised_intervals``). The conformal methods' sets are intervals with
+closed-form ends (``calibrate.ConformalIntervals``); the member counts of
+every interval set on the uniform grid follow from the grid indices of the
+ends (``_interval_rows``), and only the grid points and truths within
+rounding of an end are ranked.
 A trial first makes every test's draws, in the order a one-test loop makes
 them; tests of equal branch sizes are then evaluated a block at a time, with
 one count of lengths and coverage per method for the whole block. An
 unsupervised block (``_unsup_block``) makes one grid, one
-``_hierarchical_block`` call and one set of intervals per conformal method. A
-supervised block (``_sup_block``) runs the library's split
+``hierarchical_members`` call and one set of intervals per conformal method.
+A supervised block (``_sup_block``) runs the library's split
 (``_split_branches``), one fit of every test's regressors
-(``transforms._fit_block``), one pass of centers and one donor search
-(``_supervised_block``).
+(``transforms._fit_block``), one pass of centers and one set of intervals
+per method.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ from .calibrate import (
     _adaptive_centers,
     _branch_stats,
     _candidate_rows,
-    _hierarchical_block,
     _intervals,
-    _split_branches,
-    _supervised_block,
     _mass_within,
+    _split_branches,
+    _supervised_intervals,
     _weighted_pool,
     centered_intervals,
+    hierarchical_members,
     rank_member,
     score_intervals,
 )
@@ -174,11 +176,10 @@ def _tally(counts, covered, G: int, spacing):
     return out
 
 
-def _rows(below, alphas, spacing):
-    """``_tally`` of the (R, G) below-own masses, whose final candidate is the
-    truth."""
-    member = np.stack([rank_member(below, alpha) for alpha in alphas])
-    return _tally(member[:, :, :-1].sum(axis=2), member[:, :, -1], below.shape[1] - 1, spacing)
+def _member_rows(member, spacing):
+    """``_tally`` of the memberships (alphas, R, G) of R rows' candidates,
+    whose final candidate is the truth."""
+    return _tally(member[:, :, :-1].sum(axis=2), member[:, :, -1], member.shape[2] - 1, spacing)
 
 
 def _interval_rows(sets, gridp, spacing):
@@ -271,7 +272,7 @@ def _unsup_block(flat, sizes, picks, cfg, methods):
     ``flat`` (B, T) holds each test's branches end to end, branch k with
     ``sizes[k]`` values, and the truth as the target branch's final value;
     ``picks`` (B, K - 1) holds the subsampling draws. Returns, per method, the
-    (alphas, 3, B) array of ``_rows``.
+    (alphas, 3, B) array of ``_member_rows``.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     n_donor = int(sizes[:-1].sum())
@@ -285,16 +286,16 @@ def _unsup_block(flat, sizes, picks, cfg, methods):
         "single_tree": lambda: centered_intervals(target, alphas),
         "hcp": lambda: _hcp_intervals(donors, sizes[:-1], alphas),
     }
-    return _block_rows(methods, lambda: _hierarchical_block(donors, sizes[:-1], target, gridp,
-                                                            cfg.c, cfg.studentize),
-                       sets, gridp, spacing, alphas)
+    return _block_rows(methods, sets, gridp, spacing,
+                       lambda: hierarchical_members(donors, sizes[:-1], target, gridp, cfg.c,
+                                                    cfg.studentize, alphas, gridp.shape[1] - 1))
 
 
-def _block_rows(methods, symmpi, sets, gridp, spacing, alphas):
-    """Each method's (alphas, 3, B) rows: symmpi's from its masses
-    (``symmpi()``), the others' from their intervals (``sets[m]()``), counted
-    in one ``_interval_rows`` pass."""
-    rows = {"symmpi": _rows(symmpi(), alphas, spacing)} if "symmpi" in methods else {}
+def _block_rows(methods, sets, gridp, spacing, symmpi=None):
+    """Each method's (alphas, 3, B) rows: those of methods with intervals
+    (``sets[m]()``) counted in one ``_interval_rows`` pass, and symmpi's from
+    its memberships (``symmpi()``) when it has no intervals."""
+    rows = {"symmpi": _member_rows(symmpi(), spacing)} if symmpi and "symmpi" in methods else {}
     named = [m for m in sets if m in methods]
     rows.update(zip(named, _interval_rows([sets[m]() for m in named], gridp, spacing)))
     return {m: rows[m] for m in ALL_METHODS if m in methods}
@@ -340,7 +341,7 @@ def _sup_block(x, y, sizes, picks, cfg, methods):
     ``picks`` (B, K - 1) holds the subsampling draws, a position in each
     donor branch's calibration rows. Every method reads the calibration rows
     of ``_split_branches``; the regressors of all B tests are one
-    ``_fit_block``. Returns, per method, the (alphas, 3, B) array of ``_rows``.
+    ``_fit_block``. Returns, per method, the (alphas, 3, B) array of ``_member_rows``.
     """
     train, n_train, n_cal = _split_branches(sizes)
     # compress keeps each test's rows contiguous, so that sums and searches
@@ -362,15 +363,14 @@ def _sup_block(x, y, sizes, picks, cfg, methods):
 
     starts = np.cumsum(n_cal) - n_cal
     sets = {
+        "symmpi": lambda: _supervised_intervals(np.abs(obs_y - center[:, :-1]), n_cal,
+                                                center[:, -1:], alphas, cfg.studentize),
         "conformal": lambda: score_intervals(pooled, alphas, mu_p[:, -1:]),
         "subsampling": lambda: score_intervals(
             np.take_along_axis(pooled, starts[:-1] + picks, axis=1), alphas, mu_p[:, -1:]),
         "single_tree": single_tree,
     }
-    return _block_rows(methods, lambda: _supervised_block(np.abs(obs_y - center[:, :-1]), n_cal,
-                                                          np.abs(gridp - center[:, -1:]),
-                                                          cfg.studentize),
-                       sets, gridp, spacing, alphas)
+    return _block_rows(methods, sets, gridp, spacing)
 
 
 def _sup_picks(sizes, rng):

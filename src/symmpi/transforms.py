@@ -494,11 +494,30 @@ def optimize_c(x, y, reg: RegressorBundle, grid, default: float = 2.0) -> float:
 _PERMUTATION_BLOCK = 64
 
 
-def _pairwise(a, b) -> np.ndarray:
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    sq = np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
-    return np.sqrt(sq)
+# Rows of the distance matrix computed at once by ``_pairwise``.
+_PAIRWISE_BLOCK = 256
+
+
+def _pairwise(a) -> np.ndarray:
+    """Euclidean distances between the rows of ``a``, (n, n).
+
+    The Gram matrix a @ a.T comes from BLAS's symmetric product, so it is
+    exactly symmetric, and so is each distance computed from it: the upper
+    triangle is computed a block of rows at a time and mirrored.
+    """
+    sq_norm = np.sum(a * a, axis=1)
+    D = a @ a.T
+    n = len(a)
+    for i in range(0, n, _PAIRWISE_BLOCK):
+        j = min(i + _PAIRWISE_BLOCK, n)
+        upper = D[i:j, i:]
+        upper *= 2.0
+        sq = sq_norm[i:j, None] + sq_norm[None, i:]
+        sq -= upper
+        np.maximum(sq, 0.0, out=sq)
+        np.sqrt(sq, out=upper)
+        D[j:, i:j] = D[i:j, j:].T
+    return D
 
 
 def energy_permutation_test(
@@ -527,7 +546,7 @@ def energy_permutation_test(
         b = b[rng.choice(b.shape[0], max_points, replace=False)]
     na, nb = a.shape[0], b.shape[0]
     pooled = np.concatenate([a, b], axis=0)
-    D = _pairwise(pooled, pooled)
+    D = _pairwise(pooled)
     row_sum = D.sum(axis=1)
     total = row_sum.sum()
 

@@ -9,6 +9,7 @@ from symmpi.calibrate import (
     estimate_shift_gap,
     finite_quantile,
     hcp_first_obs_set,
+    hierarchical_below,
     nonsym_set,
     overcoverage_bound,
     randomized_set,
@@ -19,6 +20,8 @@ from symmpi.calibrate import (
     threshold,
     threshold_from_scores,
 )
+from symmpi.baselines import single_tree_set, split_conformal_set, subsampling_set
+from symmpi.network import cluster_sum_set, graph_vertex_set, tree_leaf_set
 from symmpi.groups import (
     BlockPermutationGroup,
     NotEnumerableError,
@@ -317,6 +320,62 @@ def test_orbit_sets_drop_candidates_with_nan_score():
     ran = randomized_set(obs, grid, append_embed, identity_map, last_coordinate,
                          SymmetricGroup(3), alpha=0.0, u_prime=0.5)
     assert det.member.tolist() == ran.member.tolist() == [True, False, True]
+
+
+def _supervised_case(grid):
+    rng = np.random.default_rng(3)
+    xs = [rng.uniform(-0.5, 0.5, n) for n in (4, 5, 4)]
+    ys = [k * x + rng.normal(0, 0.3, x.size) for k, x in enumerate(xs)]
+    return supervised_hierarchical_set([x[:2] for x in xs], [y[:2] for y in ys],
+                                       [x[2:] for x in xs], [y[2:] for y in ys], 0.1, grid, 0.3)
+
+
+NON_FINITE_BUILDERS = {
+    "split_conformal": lambda g: split_conformal_set([1.0, 2.0, 3.0], g, 0.5),
+    "single_tree": lambda g: single_tree_set([1.0, 2.0, 3.0], g, 0.5),
+    "single_tree_score": lambda g: single_tree_set([1.0, 2.0, 3.0], g, 0.5, score=np.abs),
+    "subsampling": lambda g: subsampling_set([[1.0, 2.0], [3.0], [2.5, 1.5]], g, 0.5,
+                                             np.random.default_rng(0)),
+    "hcp_first_obs": lambda g: hcp_first_obs_set([[1.0, 2.0], [3.0, 2.2], [2.5]], g, 0.4),
+    "graph_last": lambda g: graph_vertex_set([1.0, 2.0, 3.0, 0.0],
+                                             enumerate_automorphisms(np.zeros((4, 4))), 3, g, 0.4),
+    "graph_deviation": lambda g: graph_vertex_set([1.0, 2.0, 3.0, 0.0],
+                                                  enumerate_automorphisms(np.zeros((4, 4))), 3, g,
+                                                  0.4, psi_kind="orbit_deviation"),
+    "tree_leaf": lambda g: tree_leaf_set([1.0, -2.0, 3.0, 0.0], g, 0.4),
+    "cluster_sum": lambda g: cluster_sum_set([1.0, -2.0, 3.0], g, 0.4),
+    "randomsize": lambda g: symmpi_set_randomsize([[1.0, 2, 3], [2.0, 3, 4], [1.5]], g, 0.2),
+    "supervised": _supervised_case,
+}
+
+
+@pytest.mark.parametrize("builder", sorted(NON_FINITE_BUILDERS))
+def test_non_finite_candidates_are_never_members(builder):
+    # the finite candidates keep their memberships; RuntimeWarnings are errors
+    build = NON_FINITE_BUILDERS[builder]
+    finite = np.array([-50.0, 0.5, 1.5, 2.0, 2.5, 50.0])
+    grid = np.concatenate([[np.nan, np.inf], finite, [-np.inf]])
+    ps = build(grid)
+    assert not ps.member[[0, 1, -1]].any() and not ps.unbounded
+    assert np.array_equal(ps.member[2:-1], build(finite).member)
+
+
+def test_edge_clipped_sets():
+    grid = np.linspace(0.0, 4.0, 41)
+    # an interval set over a grid that starts inside it
+    values = [1.0, 2.0, 3.0, 2.5, 1.2]
+    assert split_conformal_set(values, np.linspace(1.5, 5, 36), 0.3).edge_clipped
+    assert not split_conformal_set(values, np.linspace(-9, 9, 41), 0.3).edge_clipped
+    # the hole form's masses, unstudentized
+    observed = [[1.0, 2.0, 3.5], [2.0, 3.0, 4.0], [1.5, 2.5]]
+    below = hierarchical_below(observed, grid[:12], studentize=False)
+    assert PredictionSet(grid[:12], rank_member(below, 0.3)).edge_clipped
+    # an orbit set; an unbounded set is not edge clipped
+    ps = symmpi_set(np.array([1.0, 2.0, 3.0]), grid, append_embed, identity_map,
+                    last_coordinate, SymmetricGroup(4), alpha=0.3)
+    assert ps.member[0] and not ps.unbounded and ps.edge_clipped
+    full = PredictionSet(grid, np.ones(grid.size, dtype=bool), unbounded=True)
+    assert not full.edge_clipped and not PredictionSet(grid[:0], grid[:0] > 0).edge_clipped
 
 
 def test_exact_orbit_set_memory_stays_bounded():

@@ -78,6 +78,23 @@ def test_bench_csv_matches_golden_output(preset, tmp_path, capsys):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("name, data, args", [
+    ("predict_sup_ragged_a0.1", "hier_sup_ragged.csv", ["--mode", "sup", "--alpha", "0.1"]),
+    ("predict_sup_ragged_a0.3", "hier_sup_ragged.csv", ["--mode", "sup", "--alpha", "0.3"]),
+    ("predict_unsup_fixed", "hier_fixed.csv", ["--alpha", "0.2"]),
+    ("predict_unsup_ragged", "hier_ragged.csv", ["--alpha", "0.2"]),
+])
+def test_predict_hierarchical_json_matches_golden_output(name, data, args, tmp_path, capsys):
+    # tests/golden holds the input files and each set's JSON at a 401-point
+    # grid: a supervised ragged file at two alphas, unsupervised fixed and
+    # ragged files
+    golden = Path(__file__).parent / "golden"
+    out = tmp_path / "set.json"
+    assert main(["predict-hierarchical", str(golden / data), *args, "--grid", "401",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (golden / f"{name}.json").read_bytes()
+
+
 def test_bench_config_file_defaults_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[bench]\npreset = table1\ntrials = 1\ntests = 2\nsigma2 = 1\n"

@@ -32,15 +32,22 @@ from hypothesis import strategies as st
 
 import oracles
 from symmpi.baselines import single_tree_set, split_conformal_set
+from symmpi import calibrate
 from symmpi.calibrate import (
     PredictionSet,
     WeightSpec,
+    _branch_stats,
     _hierarchical_block,
+    _hole_block,
+    _rank_block,
+    _supervised_block,
+    _supervised_intervals,
     _rows_below,
     candidate_grid,
     centered_intervals,
     hcp_first_obs_set,
     hierarchical_below,
+    hierarchical_members,
     nonsym_set,
     randomized_set,
     rank_member,
@@ -62,7 +69,7 @@ from symmpi.groups import (
 )
 from symmpi.cli import PRESETS
 from symmpi.network import cluster_sum_set, tree_leaf_set
-from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _rows, _run_trial,
+from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _member_rows, _run_trial,
                         _sup_eval)
 from symmpi.transforms import (_fit_block, branch_fits, fit_regressors,
                                hierarchical_unsup_transform)
@@ -96,6 +103,11 @@ def ragged_branches(draw, min_branches=2, max_branches=8):
         mu = rng.normal(0.0, spread)
         branches.append(np.full(n, mu + rng.normal()) if const else mu + rng.normal(0, 1, n))
     return branches
+
+
+def _rank_rows(below, alphas, spacing):
+    """The harness's rows (``_member_rows``) of the rank form's masses."""
+    return _member_rows(np.stack([rank_member(below, a) for a in alphas]), spacing)
 
 
 def _observed(branches):
@@ -217,6 +229,125 @@ def test_blocked_trial_equals_per_test_loop(studentize, preset, sigma2, grid_poi
     assert _run_trial(cfg, ALL_METHODS, 1) == oracles.run_trial(cfg, ALL_METHODS, 1)
 
 
+# The hole form of the unstudentized kernel against the rank form, in the
+# shapes where a comparison can tie or a hole cannot be formed: ragged sizes
+# with one-value donors, one observed target value (n_t = 2), K = 2 with
+# c = 0.5 (the target's quadratic loses its square term), branches of equal
+# values, data on two values with a grid through them, candidates placed on
+# the holes' ends and on the donors' switch points, and alpha on a k / n
+# boundary of the equal weights.
+HOLE_SHAPES = st.sampled_from(["random", "one_value_donors", "two_point_target", "k2_half",
+                               "equal", "two_values", "at_ends", "boundary"])
+
+
+def _hole_points(donors, sizes, target, c):
+    """The ends of every hole and every donor's switch points, (B, P), in
+    the hole form's closed forms (``calibrate._hole_masses``)."""
+    D, n_o = sizes.size, target.shape[1]
+    K, n_t = D + 1, n_o + 1
+    branch = np.repeat(np.arange(D), sizes)
+    means, sds = _branch_stats(donors, sizes)
+    donor_sum = np.cumsum(means, axis=1)[:, -1:]
+    g1, t_mean = 1.0 / (K * n_t), target.sum(axis=1, keepdims=True) / n_t
+    g0 = (donor_sum + t_mean) / K
+    radius = c * sds / np.sqrt(sizes)
+    points = [(means - radius - g0) / g1, (means + radius - g0) / g1]
+    d = np.abs(donors - means[:, branch])
+    for cb, cs in ((g0, g1), (t_mean, 1.0 / n_t)):
+        a = 1.0 - cs
+        points += [(cb - d) / a, (cb + d) / a, (donors - g0 + cb) / (a + g1),
+                   (cb - donors + g0) / (a - g1), target, (2 * cb - target) / (1 - 2 * cs)]
+    return np.concatenate(points, axis=1)
+
+
+@st.composite
+def hole_cases(draw):
+    """B tests sharing branch sizes in one of ``HOLE_SHAPES``: (donors,
+    sizes, target, candidates laid out as a uniform grid then extras, the
+    grid's size, c, alphas)."""
+    shape = draw(HOLE_SHAPES)
+    B = draw(st.integers(1, 5))
+    K = 2 if shape == "k2_half" else draw(st.integers(2, 7))
+    c = 0.5 if shape == "k2_half" else draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    sizes = np.array(draw(st.lists(st.integers(1, 9), min_size=K, max_size=K)))
+    if shape == "one_value_donors":
+        sizes[:-1:2] = 1
+    if shape == "two_point_target":
+        sizes[-1] = 2
+    if shape in ("equal", "boundary"):
+        sizes[:] = sizes[-1]
+    rng = np.random.default_rng(draw(SEED))
+    mu = rng.normal(0.0, rng.choice([0.0, 0.3, 3.0]), (B, K))
+    values = np.repeat(mu, sizes, axis=1) + rng.normal(0.0, 1.0, (B, sizes.sum()))
+    if shape == "equal":
+        values = np.repeat(mu, sizes, axis=1)
+    if shape == "two_values":
+        values = np.where(rng.uniform(size=values.shape) < 0.5, -0.7, 1.3)
+    values = np.round(values, 1) if rng.uniform() < 0.5 else values
+    n = int(sizes[:-1].sum())
+    donors, target, truth = values[:, :n], values[:, n:-1], values[:, -1:]
+    n_points = draw(st.integers(5, 60))
+    if shape == "two_values":
+        grid = np.stack([candidate_grid([-0.7, 1.3], 5 * n_points + 1)] * B)
+    else:
+        grid = np.stack([candidate_grid(np.append(d, t), n_points)
+                         for d, t in zip(donors, target)])
+    extras = truth
+    if shape == "at_ends":
+        # with one observed target value the hole form ranks every candidate
+        points = _hole_points(donors, sizes[:-1], target, c) if target.shape[1] > 1 else values
+        pick = rng.choice(points.shape[1], min(points.shape[1], 12), replace=False)
+        extras = np.concatenate([truth, points[:, pick]], axis=1)
+    alphas = (0.05, 0.15, draw(ALPHA))
+    if shape == "boundary":
+        alphas = (1 - int(rng.integers(1, K * sizes[-1])) / (K * sizes[-1]),) + alphas[1:]
+    cands = np.concatenate([grid, extras], axis=1)
+    return donors, sizes[:-1], target, cands, grid.shape[1], c, alphas
+
+
+@SETTINGS
+@given(case=hole_cases())
+@example(case=(np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0.1]]),
+               np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None], 61, 2.0,
+               (0.5, 0.15, 0.3)))
+def test_hole_form_matches_rank_form(case):
+    """Library (candidates in any order) and harness (a uniform grid and
+    extras) memberships equal the rank form's bit for bit; the masses
+    differ from it only by rounding."""
+    donors, sizes, target, cands, n_grid, c, alphas = case
+    rank = _rank_block(donors, sizes, target, cands, c, False)
+    want = np.stack([rank_member(rank, a) for a in alphas])
+    for grid in (0, n_grid):
+        got = hierarchical_members(donors, sizes, target, cands, c, False, alphas, grid)
+        assert np.array_equal(got, want)
+        below, exact = _hole_block(donors, sizes, target, cands, c, grid)
+        assert np.max(np.abs(below - rank)) <= 1e-12
+        assert np.array_equal(below[exact], rank[exact])
+    order = np.random.default_rng(0).permutation(cands.shape[1])
+    assert np.array_equal(
+        hierarchical_members(donors, sizes, target, cands[:, order], c, False, alphas),
+        want[:, :, order])
+    for b in range(donors.shape[0]):
+        observed = np.split(donors[b], np.cumsum(sizes)[:-1]) + [target[b]]
+        one = hierarchical_below(observed, cands[b], c, studentize=False)
+        assert np.array_equal(one, _hole_block(donors[b:b + 1], sizes, target[b:b + 1],
+                                               cands[b:b + 1], c)[0][0])
+
+
+def test_hole_form_needs_its_rounding_width(monkeypatch):
+    """Data and grid on a 0.1 lattice put a grid point on a hole's end, where
+    it ties a score exactly; without the rounding width the hole form decides
+    it otherwise than the rank form."""
+    donors, sizes, target = np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0.1]])
+    cands = np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None]
+    want = rank_member(_rank_block(donors, sizes, target, cands, 2.0, False), 0.5)
+    got = hierarchical_members(donors, sizes, target, cands, 2.0, False, (0.5,), 61)[0]
+    assert np.array_equal(got, want)
+    monkeypatch.setattr(calibrate, "_ENDS_ROUNDING", 0.0)
+    got = hierarchical_members(donors, sizes, target, cands, 2.0, False, (0.5,), 61)[0]
+    assert not np.array_equal(got, want)
+
+
 # ----------------------------------------------------------------------
 # Supervised hierarchical sets
 # ----------------------------------------------------------------------
@@ -282,6 +413,33 @@ def test_supervised_set_matches_oracle(K, seed, n_grid, alpha):
     ps = supervised_hierarchical_set(tr_x, tr_y, cal_x, cal_y, x_new, grid, alpha)
     want = oracles.supervised_set_members(tr_x, tr_y, cal_x, cal_y, x_new, grid, alpha)
     assert np.array_equal(ps.member, want)
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+@SETTINGS
+@given(res=residuals(), alpha=ALPHA, n_grid=GRID, at_ends=st.booleans(), center=st.floats(-3, 3))
+def test_supervised_intervals_match_rank_form(studentize, res, alpha, n_grid, at_ends, center):
+    """The intervals' memberships equal ``_supervised_block``'s rank form bit
+    for bit, in the library and in the harness's grid counts, also with
+    candidates on the ends."""
+    donors, target, _ = res
+    sizes = np.array([r.size for r in donors] + [target.size + 1])
+    residuals = np.concatenate(donors + [target])[None]
+    mid = np.full((1, 1), center)
+    sets = _supervised_intervals(residuals, sizes, mid, (alpha, 0.1), studentize)
+    grid = _grid(center + np.concatenate([-residuals[0], residuals[0]]), n_grid)
+    if at_ends:
+        ends = np.concatenate([sets.low, sets.high], axis=1).ravel()
+        grid = np.sort(np.concatenate([grid, ends[np.isfinite(ends)]]))
+    below = _supervised_block(residuals, sizes, np.abs(grid - center)[None], studentize)
+    want = np.stack([rank_member(below, a) for a in (alpha, 0.1)])
+    assert np.array_equal(sets.member(grid[None]), want)
+    if not at_ends:
+        gridp = np.append(grid, center + target[:1])[None]
+        spacing = gridp[:, 1] - gridp[:, 0]
+        below = _supervised_block(residuals, sizes, np.abs(gridp - center), studentize)
+        assert np.array_equal(_interval_rows([sets], gridp, spacing)[0],
+                              _rank_rows(below, (alpha, 0.1), spacing))
 
 
 def _largest_gap_within(got, want, rel):
@@ -451,7 +609,8 @@ def test_centered_conformal_matches_oracle(n, seed, n_grid, alpha, shape):
         # the harness's count on the uniform grid, a data value as the truth
         gridp = np.append(grid, vals[0])[None]
         spacing = gridp[:, 1] - gridp[:, 0]
-        want_rows = _rows(oracles.centered_conformal_below(vals[None], gridp), (alpha,), spacing)
+        want_rows = _rank_rows(oracles.centered_conformal_below(vals[None], gridp), (alpha,),
+                               spacing)
         assert np.array_equal(_interval_rows([intervals], gridp, spacing)[0], want_rows)
     if shape in ("random", "boundary") and n >= 2:
         # with one value, it and the candidate sit at the same distance from
@@ -493,7 +652,7 @@ def test_fixed_score_conformal_matches_oracle(n, seed, n_points, alpha, shape):
         spacing = gridp[:, 1] - gridp[:, 0]
         below = oracles.conformal_below(np.abs(vals - 0.5), np.abs(gridp[0] - 0.5))[None]
         assert np.array_equal(_interval_rows([intervals], gridp, spacing)[0],
-                              _rows(below, (alpha,), spacing))
+                              _rank_rows(below, (alpha,), spacing))
     rows = np.abs(vals[None, :] - 0.1 * grid[:, None])
     want_rows = oracles.conformal_members(rows, np.abs(grid), alpha)
     assert np.array_equal(rank_member(_rows_below(rows, np.abs(grid)), alpha), want_rows)
