@@ -817,7 +817,7 @@ def _hierarchical_block(donors, sizes, target, cands, c, studentize):
     return _hole_block(donors, sizes, target, cands, c)[0]
 
 
-def hierarchical_members(donors, sizes, target, cands, c, studentize, alphas,
+def _hierarchical_members(donors, sizes, target, cands, c, studentize, alphas,
                          n_grid: int = 0) -> np.ndarray:
     """Membership (A, B, G) of the candidates of ``_hierarchical_block``'s B
     tests in their sets at each of the A ``alphas``, as the rank form decides

@@ -15,6 +15,7 @@ import numpy as np
 from .calibrate import (
     PredictionSet,
     _checked_candidates,
+    _finite_set,
     _interval_set,
     _rank_set,
     _rows_below,
@@ -46,7 +47,7 @@ def graph_vertex_set(
     meta = {"orbit_size": int(orbit.size), "overcoverage_bound": stab / aut.order()}
     if orbit.size == 1:
         meta["trivial_orbit"] = True
-        return PredictionSet(cands, np.ones(cands.shape, dtype=bool), unbounded=True, meta=meta)
+        return _finite_set(cands, lambda finite: np.ones(finite.shape, dtype=bool), meta)
     others = vals[orbit[orbit != target]]
     if psi_kind == "last_coordinate":
         return _interval_set(score_intervals(others[None], (alpha,)), cands, meta)

@@ -9,7 +9,7 @@ reproducible under any worker count.
 
 The symmpi method's memberships come from the library's kernels in
 ``symmpi.calibrate``, run on each test's candidate grid with the truth
-appended: unsupervised, ``hierarchical_members`` (the holes of every score,
+appended: unsupervised, ``_hierarchical_members`` (the holes of every score,
 or the rank form when studentized); supervised, intervals
 (``_supervised_intervals``). The conformal methods' sets are intervals with
 closed-form ends (``calibrate.ConformalIntervals``); the member counts of
@@ -20,7 +20,7 @@ A trial first makes every test's draws, in the order a one-test loop makes
 them; tests of equal branch sizes are then evaluated a block at a time, with
 one count of lengths and coverage per method for the whole block. An
 unsupervised block (``_unsup_block``) makes one grid, one
-``hierarchical_members`` call and one set of intervals per conformal method.
+``_hierarchical_members`` call and one set of intervals per conformal method.
 A supervised block (``_sup_block``) runs the library's split
 (``_split_branches``), one fit of every test's regressors
 (``transforms._fit_block``), one pass of centers and one set of intervals
@@ -41,13 +41,13 @@ from .calibrate import (
     _adaptive_centers,
     _branch_stats,
     _candidate_rows,
+    _hierarchical_members,
     _intervals,
     _mass_within,
     _split_branches,
     _supervised_intervals,
     _weighted_pool,
     centered_intervals,
-    hierarchical_members,
     rank_member,
     score_intervals,
 )
@@ -287,7 +287,7 @@ def _unsup_block(flat, sizes, picks, cfg, methods):
         "hcp": lambda: _hcp_intervals(donors, sizes[:-1], alphas),
     }
     return _block_rows(methods, sets, gridp, spacing,
-                       lambda: hierarchical_members(donors, sizes[:-1], target, gridp, cfg.c,
+                       lambda: _hierarchical_members(donors, sizes[:-1], target, gridp, cfg.c,
                                                     cfg.studentize, alphas, gridp.shape[1] - 1))
 
 

@@ -342,6 +342,8 @@ NON_FINITE_BUILDERS = {
     "graph_deviation": lambda g: graph_vertex_set([1.0, 2.0, 3.0, 0.0],
                                                   enumerate_automorphisms(np.zeros((4, 4))), 3, g,
                                                   0.4, psi_kind="orbit_deviation"),
+    "graph_trivial": lambda g: graph_vertex_set([1.0, 2.0, 0.0], enumerate_automorphisms(
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])), 2, g, 0.4),
     "tree_leaf": lambda g: tree_leaf_set([1.0, -2.0, 3.0, 0.0], g, 0.4),
     "cluster_sum": lambda g: cluster_sum_set([1.0, -2.0, 3.0], g, 0.4),
     "randomsize": lambda g: symmpi_set_randomsize([[1.0, 2, 3], [2.0, 3, 4], [1.5]], g, 0.2),

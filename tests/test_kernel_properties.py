@@ -38,6 +38,7 @@ from symmpi.calibrate import (
     WeightSpec,
     _branch_stats,
     _hierarchical_block,
+    _hierarchical_members,
     _hole_block,
     _rank_block,
     _supervised_block,
@@ -47,7 +48,6 @@ from symmpi.calibrate import (
     centered_intervals,
     hcp_first_obs_set,
     hierarchical_below,
-    hierarchical_members,
     nonsym_set,
     randomized_set,
     rank_member,
@@ -130,7 +130,7 @@ def test_hierarchical_kernel_matches_oracle(branches, n_grid, alpha, studentize)
     assume(not (len(observed) == 2 and np.ptp(observed[0]) == 0 and observed[1].size == 0))
     grid = _grid(np.concatenate(observed), n_grid)
     got = rank_member(hierarchical_below(observed, grid, 2.0, studentize), alpha)
-    want = oracles.hierarchical_members(observed, grid, alpha, 2.0, studentize)
+    want = oracles._hierarchical_members(observed, grid, alpha, 2.0, studentize)
     assert np.array_equal(got, want)
 
 
@@ -213,7 +213,7 @@ def test_blocked_hierarchical_kernel_equals_single_tests(studentize, block, alph
         # count and the per-candidate scores break such ties by rounding
         tied = len(obs) == 2 and np.ptp(obs[0]) == 0 and obs[1].size == 0
         if off_data and not tied:
-            want = oracles.hierarchical_members(obs, cands[b], alpha, 2.0, studentize)
+            want = oracles._hierarchical_members(obs, cands[b], alpha, 2.0, studentize)
             assert np.array_equal(rank_member(got[b], alpha), want)
 
 
@@ -318,14 +318,14 @@ def test_hole_form_matches_rank_form(case):
     rank = _rank_block(donors, sizes, target, cands, c, False)
     want = np.stack([rank_member(rank, a) for a in alphas])
     for grid in (0, n_grid):
-        got = hierarchical_members(donors, sizes, target, cands, c, False, alphas, grid)
+        got = _hierarchical_members(donors, sizes, target, cands, c, False, alphas, grid)
         assert np.array_equal(got, want)
         below, exact = _hole_block(donors, sizes, target, cands, c, grid)
         assert np.max(np.abs(below - rank)) <= 1e-12
         assert np.array_equal(below[exact], rank[exact])
     order = np.random.default_rng(0).permutation(cands.shape[1])
     assert np.array_equal(
-        hierarchical_members(donors, sizes, target, cands[:, order], c, False, alphas),
+        _hierarchical_members(donors, sizes, target, cands[:, order], c, False, alphas),
         want[:, :, order])
     for b in range(donors.shape[0]):
         observed = np.split(donors[b], np.cumsum(sizes)[:-1]) + [target[b]]
@@ -341,10 +341,10 @@ def test_hole_form_needs_its_rounding_width(monkeypatch):
     donors, sizes, target = np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0.1]])
     cands = np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None]
     want = rank_member(_rank_block(donors, sizes, target, cands, 2.0, False), 0.5)
-    got = hierarchical_members(donors, sizes, target, cands, 2.0, False, (0.5,), 61)[0]
+    got = _hierarchical_members(donors, sizes, target, cands, 2.0, False, (0.5,), 61)[0]
     assert np.array_equal(got, want)
     monkeypatch.setattr(calibrate, "_ENDS_ROUNDING", 0.0)
-    got = hierarchical_members(donors, sizes, target, cands, 2.0, False, (0.5,), 61)[0]
+    got = _hierarchical_members(donors, sizes, target, cands, 2.0, False, (0.5,), 61)[0]
     assert not np.array_equal(got, want)
 
 
