@@ -341,11 +341,13 @@ def test_hole_form_needs_its_rounding_width(monkeypatch):
     donors, sizes, target = np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0.1]])
     cands = np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None]
     want = rank_member(_rank_block(donors, sizes, target, cands, 2.0, False), 0.5)
-    got = _hierarchical_members(donors, sizes, target, cands, 2.0, False, (0.5,), 61)[0]
-    assert np.array_equal(got, want)
+    for n_grid in (0, 61):
+        got = rank_member(_hole_block(donors, sizes, target, cands, 2.0, n_grid)[0], 0.5)
+        assert np.array_equal(got, want)
     monkeypatch.setattr(calibrate, "_ENDS_ROUNDING", 0.0)
-    got = _hierarchical_members(donors, sizes, target, cands, 2.0, False, (0.5,), 61)[0]
-    assert not np.array_equal(got, want)
+    for n_grid in (0, 61):
+        got = rank_member(_hole_block(donors, sizes, target, cands, 2.0, n_grid)[0], 0.5)
+        assert not np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
