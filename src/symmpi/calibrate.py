@@ -1121,7 +1121,9 @@ def _hole_masses(donors, sizes, target, cands, c, scale, n_grid):
         w = np.broadcast_to(w, keep.shape)[keep]
         weight += [w, -w]
     n_rows = int(rows.max()) + 1
-    held = np.bincount(np.concatenate(index), np.concatenate(weight), minlength=n_rows * (G + 1))
+    # without any entry bincount returns integers
+    held = np.bincount(np.concatenate(index), np.concatenate(weight),
+                       minlength=n_rows * (G + 1)).astype(float, copy=False)
     np.cumsum(held.reshape(n_rows, G + 1), axis=1, out=held.reshape(n_rows, G + 1))
     # each candidate's place in the row of its test and state
     place += base[:, 1]

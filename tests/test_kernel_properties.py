@@ -235,9 +235,9 @@ def test_blocked_trial_equals_per_test_loop(studentize, preset, sigma2, grid_poi
 # c = 0.5 (the target's quadratic loses its square term), branches of equal
 # values, data on two values with a grid through them, candidates placed on
 # the holes' ends and on the donors' switch points, and alpha on a k / n
-# boundary of the equal weights.
+# boundary of the equal weights; and candidates beyond every hole.
 HOLE_SHAPES = st.sampled_from(["random", "one_value_donors", "two_point_target", "k2_half",
-                               "equal", "two_values", "at_ends", "boundary"])
+                               "equal", "two_values", "at_ends", "boundary", "far"])
 
 
 def _hole_points(donors, sizes, target, c):
@@ -293,6 +293,8 @@ def hole_cases(draw):
         grid = np.stack([candidate_grid(np.append(d, t), n_points)
                          for d, t in zip(donors, target)])
     extras = truth
+    if shape == "far":
+        grid, extras = grid + 100 * (np.ptp(values) + 1), truth + 100 * (np.ptp(values) + 1)
     if shape == "at_ends":
         # with one observed target value the hole form ranks every candidate
         points = _hole_points(donors, sizes[:-1], target, c) if target.shape[1] > 1 else values
