@@ -8,15 +8,16 @@ the over-coverage diagnostic.
 
 Every set keeps a candidate when the (weighted) mass of calibration scores
 strictly below its own score is under 1 - alpha (``rank_member``), and no
-set keeps a candidate that is not finite. The studentized hierarchical set
-runs that rule in rank form over the whole candidate grid at once
-(``_rank_block``). The conformal sets, those of the baselines, the graph
+set keeps a candidate that is not finite. The hierarchical set runs that
+rule in rank form over the whole candidate grid at once
+(``_hierarchical_block``). The conformal sets, those of the baselines, the graph
 sets, ``hcp_first_obs_set`` and the benchmark harness, and the supervised
 SymmPI set are intervals with closed-form ends (``ConformalIntervals``:
 order statistics of the points where a calibration score crosses the
-candidate's); the unstudentized hierarchical set is the total weight less
-the holes, the intervals where a score is not below the candidate's own
-(``_hole_block``). Only candidates within rounding of an end go through the
+candidate's); in the benchmark harness, a block of unstudentized
+hierarchical tests takes the total weight less the holes, the intervals
+where a score is not below the candidate's own (``_hole_block``). Only
+candidates within rounding of an end go through the
 rank comparison. The orbit sets (``symmpi_set``, ``randomized_set`` and the
 weighted ``nonsym_set``) score every candidate's orbit in one batched sweep
 (``_score_blocks``). At alpha = 1 no set keeps anything.
@@ -733,9 +734,8 @@ def hierarchical_below(observed_branches, candidates, c: float = 2.0, studentize
     scores only when ``studentize``. Each of branch k's points weighs
     1/(K n_k), so equal sizes give the flat pool.
 
-    This is ``_hierarchical_block`` for one test, the kernel the benchmark
-    harness runs on blocks of tests: the rank form (``_rank_block``) when
-    studentized, the holes of every score (``_hole_block``) when not.
+    This is ``_hierarchical_block`` for one test, the rank form the
+    benchmark harness runs on a lone test (``_hierarchical_members``).
     """
     cands = np.asarray(candidates, dtype=float)
     branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
@@ -776,9 +776,9 @@ def _target_frame(target, cands, donor_sum, K, c):
 
 
 def _target_block(target, cands, donor_sum, K, c, studentize):
-    """The target branch's part of ``_rank_block``: each candidate's grand
-    mean, its own score, and the mass of the observed target scores below
-    it, all (B, G)."""
+    """The target branch's part of ``_hierarchical_block``: each candidate's
+    grand mean, its own score, and the mass of the observed target scores
+    below it, all (B, G). ``donor_sum`` (B, 1) adds up the donor means."""
     n_o = target.shape[1]
     n_t = n_o + 1
     mean_t, sd_t, grand, near_t = _target_frame(target, cands, donor_sum, K, c)
@@ -802,38 +802,21 @@ def _donor_frame(donors, sizes):
     return means, sds, np.cumsum(means, axis=1)[:, -1:] if sizes.size else 0.0
 
 
-def _hierarchical_block(donors, sizes, target, cands, c, studentize):
-    """``hierarchical_below`` of B tests that share their branch sizes.
-
-    ``donors`` (B, N) holds each test's donor branches end to end, branch k
-    with ``sizes[k]`` values; ``target`` (B, n_t - 1) holds the target
-    branch's observed values and ``cands`` (B, G) the candidates. Returns the
-    (B, G) masses, each row computed as it would be alone: the rank form
-    when ``studentize``, else the holes' masses, which match the rank form's
-    to rounding (``_hole_block``).
-    """
-    if studentize:
-        return _rank_block(donors, sizes, target, cands, c, True)
-    return _hole_block(donors, sizes, target, cands, c)[0]
-
-
 def _hierarchical_members(donors, sizes, target, cands, c, studentize, alphas,
-                         n_grid: int = 0) -> np.ndarray:
+                          n_grid: int) -> np.ndarray:
     """Membership (A, B, G) of the candidates of ``_hierarchical_block``'s B
     tests in their sets at each of the A ``alphas``, as the rank form decides
-    it. Without ``studentize`` the masses of two tests or more are the
-    holes', and a mass within rounding of a level is ranked; a lone test
-    would pay the hole form's fixed cost of about 100 numpy calls alone
-    (1.1 ms against the rank form's 0.7 on a K = 20 random-size test), so
-    it is ranked. ``n_grid`` as in ``_hole_block``."""
-    ranked = studentize or len(cands) == 1
-    if ranked:
-        below, exact = _rank_block(donors, sizes, target, cands, c, studentize), True
-    else:
-        below, exact = _hole_block(donors, sizes, target, cands, c, n_grid)
+    it, for candidates in the harness layout (``_locator``). Without
+    ``studentize`` the masses of two tests or more are the holes', and a mass
+    within rounding of a level is ranked; a lone test, as in
+    ``hierarchical_below``, is ranked whole: alone it would pay the hole
+    form's fixed cost of about 100 numpy calls (1.1 ms against the rank
+    form's 0.7 on a K = 20 random-size test)."""
+    if studentize or len(cands) == 1:
+        below = _hierarchical_block(donors, sizes, target, cands, c, studentize)
+        return np.stack([rank_member(below, a) for a in alphas])
+    below, exact = _hole_block(donors, sizes, target, cands, c, n_grid)
     member = np.stack([rank_member(below, a) for a in alphas])
-    if ranked:
-        return member
     # bounds the rounding of the hole masses' sums and of the rank form's
     N = donors.shape[1] + target.shape[1] + sizes.size
     margin = 16 * (cands.shape[1] + 8 * N) * np.finfo(float).eps
@@ -858,9 +841,11 @@ def _rank_at(donors, sizes, target, cands, mask, c, studentize) -> np.ndarray:
     """The rank form's masses of the candidates ``mask`` (B, G) selects, in
     the order of ``cands[mask]``. Each test's candidates go in with its
     smallest and largest, which fix the rank form's pools, so every mass has
-    the bits of a whole-row ``_rank_block`` call."""
+    the bits of a whole-row ``_hierarchical_block`` call."""
     rows, cols = np.nonzero(mask)
-    tests, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    # rows comes sorted: each test's first entry and count
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    tests, counts = rows[first], np.diff(first, append=rows.size)
     # each test's row: its smallest and largest candidate, its selected
     # ones, then its smallest again as padding
     picks = np.repeat(np.argmin(cands[tests], axis=1)[:, None], counts.max() + 2, axis=1)
@@ -868,15 +853,21 @@ def _rank_at(donors, sizes, target, cands, mask, c, studentize) -> np.ndarray:
     slot = np.arange(rows.size) - np.repeat(first, counts) + 2
     which = np.repeat(np.arange(tests.size), counts)
     picks[which, slot] = cols
-    below = _rank_block(donors[tests], sizes, target[tests],
+    below = _hierarchical_block(donors[tests], sizes, target[tests],
                         np.take_along_axis(cands[tests], picks, axis=1), c, studentize)
     return below[which, slot]
 
 
-def _rank_block(donors, sizes, target, cands, c, studentize):
-    """``_hierarchical_block`` in rank form: every score is compared with
-    every candidate's own. The exact decision, which the hole form leaves to
-    it where rounding could decide a comparison.
+def _hierarchical_block(donors, sizes, target, cands, c, studentize):
+    """``hierarchical_below`` of B tests that share their branch sizes, in
+    rank form: every score is compared with every candidate's own. The exact
+    decision, which the hole form leaves to it where rounding could decide a
+    comparison.
+
+    ``donors`` (B, N) holds each test's donor branches end to end, branch k
+    with ``sizes[k]`` values; ``target`` (B, n_t - 1) holds the target
+    branch's observed values and ``cands`` (B, G) the candidates. Returns the
+    (B, G) masses. Each row is computed as it would be alone.
 
     Only the target branch moves with the candidate, so it alone is scored
     per candidate, one observed value at a time. A donor is centered at the
@@ -950,25 +941,13 @@ def _locator(cands, n_grid):
     to them, how many of each row's candidates lie below e + side w (side
     -1 or 1), and whether a candidate lies within 2 w of e.
 
-    With ``n_grid`` the first n_grid columns are a uniform ascending grid
-    (``_candidate_rows``), counted by arithmetic, and the rest are few: a
-    count may then be off by one within rounding of a candidate, which is
-    within 2 w of e."""
+    The candidates are in the harness layout: the first n_grid columns of
+    each row are a uniform ascending grid (``_candidate_rows``), counted by
+    arithmetic, and the rest are few. A count may be off by one within
+    rounding of a candidate, which is within 2 w of e. (Sorting the
+    candidates and searching them row by row took 8.8 ms per bench-table
+    block of 8 tests against 2.9.)"""
     B, G = cands.shape
-    if not n_grid:
-        order = np.argsort(cands, axis=1, kind="stable")
-        srt = np.take_along_axis(cands, order, axis=1)
-        place = np.empty_like(order)
-        np.put_along_axis(place, order, np.broadcast_to(np.arange(G), (B, G)), axis=1)
-
-        def count(e):
-            return np.stack([np.searchsorted(s, r) for s, r in zip(srt, e.reshape(B, -1))]) \
-                .reshape(e.shape)
-
-        def locate(e, w, side):
-            return count(e + side * w), count(e + 2 * w) > count(e - 2 * w)
-
-        return place, locate
     lo = cands[:, :1]
     step = (cands[:, n_grid - 1:n_grid] - lo) / (n_grid - 1)
     # the extras in grid steps, and how many grid points lie below each
@@ -1001,7 +980,7 @@ def _locator(cands, n_grid):
     return place, locate
 
 
-def _hole_block(donors, sizes, target, cands, c, n_grid: int = 0):
+def _hole_block(donors, sizes, target, cands, c, n_grid: int):
     """Unstudentized ``_hierarchical_block`` from the holes of every score:
     the (B, G) masses, and the mask of the candidates whose mass the rank
     form computed (``_rank_at``).
@@ -1026,7 +1005,8 @@ def _hole_block(donors, sizes, target, cands, c, n_grid: int = 0):
     observed target values (own and sibling scores then tie, or the own score
     does not move), or with data that are not finite or are beyond 2^500.
     Non-finite candidates take whatever mass the arithmetic gives them.
-    ``n_grid`` as in ``_locator``.
+    The candidates are in ``_locator``'s layout, a uniform grid of
+    ``n_grid`` points then extras.
     """
     B, G = cands.shape
     scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1, initial=0.0)

@@ -10,9 +10,9 @@ reproducible under any worker count.
 The symmpi method's memberships come from the library's kernels in
 ``symmpi.calibrate``, run on each test's candidate grid with the truth
 appended: unsupervised, ``_hierarchical_members`` (the holes of every score,
-or the rank form when studentized); supervised, intervals
-(``_supervised_intervals``). The conformal methods' sets are intervals with
-closed-form ends (``calibrate.ConformalIntervals``); the member counts of
+or the rank form when studentized or for a block of one test); supervised,
+intervals (``_supervised_intervals``). The conformal methods' sets are
+intervals with closed-form ends (``calibrate.ConformalIntervals``); the member counts of
 every interval set on the uniform grid follow from the grid indices of the
 ends (``_interval_rows``), and only the grid points and truths within
 rounding of an end are ranked.

@@ -125,7 +125,7 @@ def _weighted_threshold(branch_scores, alpha):
     return finite_quantile(values, 1.0 - alpha, weights)
 
 
-def _hierarchical_members(observed_branches, candidates, alpha, c=2.0, studentize=True):
+def hierarchical_members(observed_branches, candidates, alpha, c=2.0, studentize=True):
     """Unsupervised hierarchical set: the candidate completes the last branch."""
     branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
     member = []

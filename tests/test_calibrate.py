@@ -5,11 +5,11 @@ import oracles
 from symmpi.calibrate import (
     PredictionSet,
     WeightSpec,
+    _hierarchical_members,
     candidate_grid,
     estimate_shift_gap,
     finite_quantile,
     hcp_first_obs_set,
-    hierarchical_below,
     nonsym_set,
     overcoverage_bound,
     randomized_set,
@@ -368,10 +368,12 @@ def test_edge_clipped_sets():
     values = [1.0, 2.0, 3.0, 2.5, 1.2]
     assert split_conformal_set(values, np.linspace(1.5, 5, 36), 0.3).edge_clipped
     assert not split_conformal_set(values, np.linspace(-9, 9, 41), 0.3).edge_clipped
-    # the hole form's masses, unstudentized
-    observed = [[1.0, 2.0, 3.5], [2.0, 3.0, 4.0], [1.5, 2.5]]
-    below = hierarchical_below(observed, grid[:12], studentize=False)
-    assert PredictionSet(grid[:12], rank_member(below, 0.3)).edge_clipped
+    # the hole form's memberships, in the harness's block of two tests
+    donors = np.array([[1.0, 2.0, 3.5, 2.0, 3.0, 4.0]] * 2)
+    target = np.array([[1.5, 2.5], [1.6, 2.4]])
+    member = _hierarchical_members(donors, np.array([3, 3]), target, np.stack([grid[:12]] * 2),
+                                   2.0, False, (0.3,), 12)
+    assert all(PredictionSet(grid[:12], m).edge_clipped for m in member[0])
     # an orbit set; an unbounded set is not edge clipped
     ps = symmpi_set(np.array([1.0, 2.0, 3.0]), grid, append_embed, identity_map,
                     last_coordinate, SymmetricGroup(4), alpha=0.3)

@@ -40,7 +40,6 @@ from symmpi.calibrate import (
     _hierarchical_block,
     _hierarchical_members,
     _hole_block,
-    _rank_block,
     _supervised_block,
     _supervised_intervals,
     _rows_below,
@@ -130,7 +129,7 @@ def test_hierarchical_kernel_matches_oracle(branches, n_grid, alpha, studentize)
     assume(not (len(observed) == 2 and np.ptp(observed[0]) == 0 and observed[1].size == 0))
     grid = _grid(np.concatenate(observed), n_grid)
     got = rank_member(hierarchical_below(observed, grid, 2.0, studentize), alpha)
-    want = oracles._hierarchical_members(observed, grid, alpha, 2.0, studentize)
+    want = oracles.hierarchical_members(observed, grid, alpha, 2.0, studentize)
     assert np.array_equal(got, want)
 
 
@@ -213,7 +212,7 @@ def test_blocked_hierarchical_kernel_equals_single_tests(studentize, block, alph
         # count and the per-candidate scores break such ties by rounding
         tied = len(obs) == 2 and np.ptp(obs[0]) == 0 and obs[1].size == 0
         if off_data and not tied:
-            want = oracles._hierarchical_members(obs, cands[b], alpha, 2.0, studentize)
+            want = oracles.hierarchical_members(obs, cands[b], alpha, 2.0, studentize)
             assert np.array_equal(rank_member(got[b], alpha), want)
 
 
@@ -313,27 +312,25 @@ def hole_cases(draw):
                np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None], 61, 2.0,
                (0.5, 0.15, 0.3)))
 def test_hole_form_matches_rank_form(case):
-    """Library (candidates in any order) and harness (a uniform grid and
-    extras) memberships equal the rank form's bit for bit; the masses
-    differ from it only by rounding."""
+    """Harness memberships (a uniform grid and extras) equal the rank form's
+    bit for bit, and so the library's; the hole masses differ from the rank
+    form's only by rounding, also for a block of one test, which the harness
+    ranks."""
     donors, sizes, target, cands, n_grid, c, alphas = case
-    rank = _rank_block(donors, sizes, target, cands, c, False)
+    rank = _hierarchical_block(donors, sizes, target, cands, c, False)
     want = np.stack([rank_member(rank, a) for a in alphas])
-    for grid in (0, n_grid):
-        got = _hierarchical_members(donors, sizes, target, cands, c, False, alphas, grid)
-        assert np.array_equal(got, want)
-        below, exact = _hole_block(donors, sizes, target, cands, c, grid)
-        assert np.max(np.abs(below - rank)) <= 1e-12
-        assert np.array_equal(below[exact], rank[exact])
-    order = np.random.default_rng(0).permutation(cands.shape[1])
-    assert np.array_equal(
-        _hierarchical_members(donors, sizes, target, cands[:, order], c, False, alphas),
-        want[:, :, order])
+    got = _hierarchical_members(donors, sizes, target, cands, c, False, alphas, n_grid)
+    assert np.array_equal(got, want)
+    below, exact = _hole_block(donors, sizes, target, cands, c, n_grid)
+    assert np.max(np.abs(below - rank)) <= 1e-12
+    assert np.array_equal(below[exact], rank[exact])
     for b in range(donors.shape[0]):
         observed = np.split(donors[b], np.cumsum(sizes)[:-1]) + [target[b]]
         one = hierarchical_below(observed, cands[b], c, studentize=False)
-        assert np.array_equal(one, _hole_block(donors[b:b + 1], sizes, target[b:b + 1],
-                                               cands[b:b + 1], c)[0][0])
+        assert np.array_equal(one, rank[b])
+        assert np.array_equal(_hierarchical_members(donors[b:b + 1], sizes, target[b:b + 1],
+                                                    cands[b:b + 1], c, False, alphas, n_grid),
+                              want[:, b:b + 1])
 
 
 def test_hole_form_needs_its_rounding_width(monkeypatch):
@@ -342,14 +339,12 @@ def test_hole_form_needs_its_rounding_width(monkeypatch):
     it otherwise than the rank form."""
     donors, sizes, target = np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0.1]])
     cands = np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None]
-    want = rank_member(_rank_block(donors, sizes, target, cands, 2.0, False), 0.5)
-    for n_grid in (0, 61):
-        got = rank_member(_hole_block(donors, sizes, target, cands, 2.0, n_grid)[0], 0.5)
-        assert np.array_equal(got, want)
+    want = rank_member(_hierarchical_block(donors, sizes, target, cands, 2.0, False), 0.5)
+    got = rank_member(_hole_block(donors, sizes, target, cands, 2.0, 61)[0], 0.5)
+    assert np.array_equal(got, want)
     monkeypatch.setattr(calibrate, "_ENDS_ROUNDING", 0.0)
-    for n_grid in (0, 61):
-        got = rank_member(_hole_block(donors, sizes, target, cands, 2.0, n_grid)[0], 0.5)
-        assert not np.array_equal(got, want)
+    got = rank_member(_hole_block(donors, sizes, target, cands, 2.0, 61)[0], 0.5)
+    assert not np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
