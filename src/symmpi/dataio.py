@@ -115,7 +115,12 @@ def read_graph_values_csv(path):
 
 
 def read_adjacency(path):
-    """Adjacency from a dense CSV (optional header) or an edge list "u v [w]"."""
+    """Adjacency from a dense CSV (optional header) or an edge list "u v [w]".
+
+    A file with no comma on its first line is an edge list. A comma file is
+    an edge list too when its lines have 2 or 3 cells and there are not as
+    many lines as cells; otherwise it is a square matrix.
+    """
     with open(path) as fh:
         text = fh.read()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -133,10 +138,15 @@ def read_adjacency(path):
         raise DataError(f"{path}: no edges or matrix rows")
     cells = [ln.split(delim) for ln in body]
     widths = {len(c) for c in cells}
-    if widths <= {2, 3} and len(cells) != max(widths):
+    if delim is None or (widths <= {2, 3} and len(cells) != max(widths)):
         return _edges_to_matrix(cells, path)
     if len(widths) == 1 and len(cells) == len(cells[0]):
         A = np.array([[float(v) for v in row] for row in cells])
+        bad = np.argwhere(~np.isfinite(A))
+        if bad.size:
+            r, c = bad[0]
+            raise DataError(f"{path}: adjacency entries must be finite, got {cells[r][c]!r} "
+                            f"between vertices {r} and {c}")
         if not np.array_equal(A, A.T):
             raise DataError(f"{path}: adjacency must be symmetric")
         return A

@@ -474,8 +474,8 @@ def sample_actions(group: GroupAction, shape, draws: int, rng: np.random.Generat
 # --------------------------------------------------------------------------
 
 AUTOMORPHISM_BRUTE_FORCE_CAP = 10
-# Entries of the (assignments, candidates, assigned vertices) comparison
-# array built at once while enumerating automorphisms.
+# Entries of the parent masks (vertices i..n-1 by images) gathered at once
+# while enumerating automorphisms.
 _AUTOMORPHISM_BLOCK = 1 << 18
 
 
@@ -505,11 +505,18 @@ def enumerate_automorphisms(
 ) -> GraphAutomorphismGroup:
     """All vertex permutations g with g A g^T = A (exact weight equality).
 
-    Exhaustive search over degree-signature-compatible assignments up to
-    ``cap`` vertices, extending all partial assignments one vertex at a time
-    and listing the automorphisms in lexicographic order; larger graphs
-    require an explicit generator list, which is verified and closed under
-    the group operations.
+    Up to ``cap`` vertices, a search with forward checking assigns the
+    vertices in index order, one level for all partial assignments at a
+    time. Every partial assignment of the vertices before i carries a mask
+    allowed[v, k] of the images k each later vertex v may still take: those
+    with its loop weight and incident-weight multiset, unused, and with
+    A[v, u] == A[k, g(u)] for every assigned u. Vertex i takes each image
+    its mask allows, and assigning i -> j ANDs the precomputed table
+    keep[i, j][v, k] = (A[v, i] == A[k, j]) & (k != j) into the masks of the
+    later vertices. The automorphisms come out in
+    lexicographic order, the order a depth-first search finds them. Larger
+    graphs require an explicit generator list, which is verified and closed
+    under the group operations.
     """
     A = np.asarray(adjacency, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -531,25 +538,38 @@ def enumerate_automorphisms(
 
     # Vertices can only map to vertices with the same loop weight and
     # incident-weight multiset.
-    sig = [(A[i, i], tuple(sorted(A[i].tolist()))) for i in range(n)]
-    candidates = [np.array([j for j in range(n) if sig[j] == sig[i]], dtype=np.int64)
-                  for i in range(n)]
+    ordered = np.sort(A, axis=1)
+    signature = ((A.diagonal()[:, None] == A.diagonal())
+                 & (ordered[:, None] == ordered).all(axis=2))
+    # keep[u, j] flattens the (v, k) table A[u, v] == A[j, k] and k != j,
+    # which is A[v, u] == A[k, j] as A is symmetric.
+    keep = A[:, None, :, None] == A[None, :, None, :]
+    keep &= ~np.eye(n, dtype=bool)[:, None, :]
+    keep = keep.reshape(n, n, n * n)
 
-    # Extend every partial assignment of vertices 0..i-1 by each compatible
-    # image of vertex i: unused, and A[i, u] == A[j, image(u)] for all u < i.
-    # Rows stay in lexicographic order, the order a depth-first search finds.
-    partial = np.zeros((1, 0), dtype=np.int64)
-    for i, cand in enumerate(candidates):
-        step = max(1, _AUTOMORPHISM_BLOCK // (cand.size * max(i, 1)))
-        grown = []
-        for lo in range(0, partial.shape[0], step):
-            rows = partial[lo : lo + step]
-            ok = ~(rows[:, :, None] == cand).any(axis=1)
-            ok &= (A[cand[None, :, None], rows[:, None, :]] == A[i, :i]).all(axis=2)
-            r, c = np.nonzero(ok)
-            grown.append(np.column_stack([rows[r], cand[c]]))
-        partial = np.concatenate(grown)
-    return GraphAutomorphismGroup(A, partial)
+    # Level i extends every partial assignment of vertices 0..i-1 by each
+    # image of vertex i that its mask allows; rows of ``allowed`` hold the
+    # flattened (n - i, n) masks of vertices i..n-1. np.flatnonzero keeps the
+    # extensions in lexicographic order; each level records the row each one
+    # extends and the image it adds, and the maps are read back from them.
+    allowed = signature.reshape(1, n * n)
+    levels = []
+    for i in range(n):
+        rows, images = np.divmod(np.flatnonzero(allowed[:, :n]), n)
+        levels.append((rows, images))
+        later = np.take(keep[i, :, (i + 1) * n :], images, axis=0)
+        step = max(1, _AUTOMORPHISM_BLOCK // allowed.shape[1])
+        for lo in range(0, rows.size, step):
+            later[lo : lo + step] &= np.take(allowed, rows[lo : lo + step], axis=0)[:, n:]
+        allowed = later
+
+    maps = np.empty((allowed.shape[0], n), dtype=np.int64)
+    at = np.arange(allowed.shape[0])
+    for i in range(n - 1, -1, -1):
+        rows, images = levels.pop()
+        maps[:, i] = images[at]
+        at = rows[at]
+    return GraphAutomorphismGroup(A, maps)
 
 
 def orbit_of_index(group: GroupAction, i: int) -> tuple[np.ndarray, int]:

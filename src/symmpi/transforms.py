@@ -37,14 +37,16 @@ def hierarchical_unsup_transform(values, c: float = 2.0) -> np.ndarray:
     z = np.asarray(values, dtype=float)
     if z.ndim < 2 or z.shape[-1] < 1:
         raise ValueError("expected a (..., K, M) array with M >= 1")
-    M = z.shape[-1]
-    branch_mean = z.mean(axis=-1, keepdims=True)
+    K, M = z.shape[-2:]
+    # The arithmetic of z.mean() and z.std(ddof=1), without their dispatch.
+    branch_mean = np.add.reduce(z, axis=-1, keepdims=True) / M
     if M == 1:
         sd = np.ones_like(branch_mean)
     else:
-        sd = z.std(axis=-1, ddof=1, keepdims=True)
+        dev = z - branch_mean
+        sd = np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / (M - 1))
     safe_sd = np.where(sd > 0, sd, 1.0)
-    grand = branch_mean.mean(axis=-2, keepdims=True)
+    grand = np.add.reduce(branch_mean, axis=-2, keepdims=True) / K
     near = np.abs(branch_mean - grand) <= c * safe_sd / np.sqrt(M)
     center = np.where(near, grand, branch_mean)
     return np.abs(z - center) / safe_sd

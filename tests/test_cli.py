@@ -438,9 +438,21 @@ def test_predict_graph_ids_must_be_the_adjacency_vertices(tmp_path, capsys, ids)
     assert main(["predict-graph", str(vpath), str(apath), "--grid", "101"]) == 0
 
 
+@pytest.mark.parametrize("edges, order", [("0 1\n1 2\n", 2), ("0 1 1\n1 2 1\n2 0 1\n", 6)])
+def test_predict_graph_reads_square_edge_lists_as_edges(tmp_path, capsys, edges, order):
+    vpath = tmp_path / "values.csv"
+    vpath.write_text("vertex_id,value\n0,\n1,1.5\n2,0.5\n")
+    apath = tmp_path / "edges.txt"
+    apath.write_text(edges)
+    assert main(["predict-graph", str(vpath), str(apath), "--grid", "101"]) == 0
+    assert f"automorphisms: {order}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("edges, message", [
     ("0 1\n1 2\n2 -1\n", "vertex ids must be nonnegative, got edge 2 -1"),
     ("0 1 inf\n1 2\n2 0\n", "edge weights must be finite, got 'inf'"),
+    ("0,1,0\n1,0,inf\n0,inf,0\n", "entries must be finite, got 'inf' between vertices 1 and 2"),
+    ("0,1,nan\n1,0,1\nnan,1,0\n", "entries must be finite, got 'nan' between vertices 0 and 2"),
 ])
 def test_predict_graph_bad_edge_lines_are_data_errors(tmp_path, capsys, edges, message):
     vpath = tmp_path / "values.csv"

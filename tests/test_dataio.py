@@ -96,6 +96,28 @@ def test_read_adjacency_dense_and_edges(tmp_path):
         read_adjacency(dense)  # asymmetric dense matrix
 
 
+@pytest.mark.parametrize("text, edges", [
+    ("0 1\n1 2\n", {(0, 1): 1.0, (1, 2): 1.0}),  # as many lines as cells
+    ("0 1 1\n1 2 1\n2 0 1\n", {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}),
+    ("u v w\n0 1 2.5\n1 2 1\n", {(0, 1): 2.5, (1, 2): 1.0}),
+])
+def test_whitespace_adjacency_is_an_edge_list(tmp_path, text, edges):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    want = np.zeros((3, 3))
+    for (u, v), w in edges.items():
+        want[u, v] = want[v, u] = w
+    assert np.array_equal(read_adjacency(path), want)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_non_finite_dense_adjacency_is_data_error(tmp_path, cell):
+    path = tmp_path / "a.csv"
+    path.write_text(f"a,b,c\n0,1,0\n1,0,{cell}\n0,{cell},0\n")
+    with pytest.raises(DataError, match=f"finite, got '{cell}' between vertices 1 and 2"):
+        read_adjacency(path)
+
+
 def test_read_generators(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("1 2 0\n0,2,1\n")

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import oracles
 from symmpi.baselines import single_tree_set, split_conformal_set
-from symmpi import calibrate
+from symmpi import calibrate, groups
 from symmpi.calibrate import (
     PredictionSet,
     WeightSpec,
@@ -778,6 +778,33 @@ def test_exact_orbit_set_matches_oracle_graph(n, seed, n_grid, alpha, u):
     grid = _tied_grid(observed, rng, n_grid)
     _assert_sweep_matches_oracle(observed, grid, _append, _identity, _last, aut, alpha, u,
                                  list(aut.elements()))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Symmetric adjacencies of 1-8 vertices with loops, from a few weights so
+    that vertices tie; a zero's mirror may be -0.0."""
+    n = draw(st.integers(1, 8))
+    weights = st.sampled_from([0.0, 0.0, -0.0, 1.0, 1.0, 2.0, 0.5])
+    cells = np.array(draw(st.lists(weights, min_size=n * n, max_size=n * n))).reshape(n, n)
+    flips = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    A = np.where(upper, cells, cells.T)
+    return np.where(~upper & flips & (A == 0.0), -A, A)
+
+
+K7_PLUS_ISOLATED = np.pad(1.0 - np.eye(7), ((0, 1), (0, 1)))
+
+
+@SETTINGS
+@given(A=weighted_graphs())
+@example(A=K7_PLUS_ISOLATED)
+def test_automorphism_search_matches_backtracking(A):
+    want = np.array([g.mapping for g in oracles.backtrack_automorphisms(A)])
+    assert np.array_equal(enumerate_automorphisms(A)._maps, want)
+    with pytest.MonkeyPatch.context() as mp:  # one extension per chunk
+        mp.setattr(groups, "_AUTOMORPHISM_BLOCK", 1)
+        assert np.array_equal(enumerate_automorphisms(A)._maps, want)
 
 
 @SETTINGS

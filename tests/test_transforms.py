@@ -94,6 +94,32 @@ def test_unsup_batched_matches_loop():
         assert np.allclose(batched[i], hierarchical_unsup_transform(z[i], 2.0), atol=1e-15)
 
 
+def _unsup_by_mean_and_std(z, c):
+    """hierarchical_unsup_transform written with ndarray.mean and .std."""
+    M = z.shape[-1]
+    branch_mean = z.mean(axis=-1, keepdims=True)
+    sd = np.ones_like(branch_mean) if M == 1 else z.std(axis=-1, ddof=1, keepdims=True)
+    safe_sd = np.where(sd > 0, sd, 1.0)
+    grand = branch_mean.mean(axis=-2, keepdims=True)
+    near = np.abs(branch_mean - grand) <= c * safe_sd / np.sqrt(M)
+    center = np.where(near, grand, branch_mean)
+    return np.abs(z - center) / safe_sd
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 4), (2, 3), (5, 7), (4, 2, 3),
+                                   (2, 3, 4, 5)])
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 3e299, 1e300])
+def test_unsup_has_the_bits_of_mean_and_std(shape, scale):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    z = rng.normal(size=shape) + 3 * rng.normal(size=shape[:-1] + (1,))
+    z[..., :1, :] = z[..., :1, :1]  # the first branch has zero spread
+    z *= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in (0.0, 0.7, 2.0, np.inf):
+            got = hierarchical_unsup_transform(z, c)
+            assert got.tobytes() == _unsup_by_mean_and_std(z, c).tobytes()
+
+
 # ----------------------------------------------------------------------
 # message passing formulations
 # ----------------------------------------------------------------------
