@@ -22,7 +22,9 @@ The few constructions where a score ties the candidate's exactly whatever
 the data, and rounding breaks the tie differently in the two forms, are left
 out where they arise. The batched fit of every branch's regression
 correction must match the one-branch-at-a-time ``fit_linear`` loop on ragged
-branches, pooled-fallback and rank-deficient ones included.
+branches, pooled-fallback and rank-deficient ones included. The automorphism
+search must list the backtracking oracle's automorphisms in its order on
+weighted graphs with loops and tied weights, also in chunks of one extension.
 """
 
 import numpy as np
