@@ -26,6 +26,7 @@ weighted ``nonsym_set``) score every candidate's orbit in one batched sweep
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -124,8 +125,8 @@ def _orbit_actions(group: GroupAction, shape, cosets, mode, mc_draws, rng):
             return actions_of(group, cosets.representatives, shape)
         return iter_actions(group, shape, batch)
     if mode == "mc":
-        if mc_draws is None or mc_draws < 1:
-            raise ValueError("Monte-Carlo mode needs mc_draws >= 1")
+        if not isinstance(mc_draws, numbers.Integral) or mc_draws < 1:
+            raise ValueError(f"mc_draws must be a positive integer, got {mc_draws!r}")
         if rng is None:
             raise ValueError("Monte-Carlo mode needs an rng")
         return sample_actions(group, shape, mc_draws, rng, batch)
@@ -262,8 +263,12 @@ def _checked_candidates(candidates, alpha: float) -> np.ndarray:
 
 def candidate_grid(values, n_points: int = 2001, pad_sd: float = 4.0) -> np.ndarray:
     """Uniform grid of ``n_points`` >= 2 over the data range widened by
-    ``pad_sd`` sample SDs."""
+    ``pad_sd`` sample SDs; ``values`` must be non-empty and finite."""
     v = np.asarray(values, dtype=float).reshape(1, -1)
+    if v.size == 0:
+        raise ValueError("a candidate grid needs at least one data value")
+    if not np.isfinite(v).all():
+        raise ValueError("a candidate grid needs finite data values, got NaN or inf")
     return _candidate_rows(v, n_points, pad_sd)[0]
 
 
@@ -297,8 +302,22 @@ def _tie_delta(below: int, ties: int, m: int, level: float) -> float:
 
 def _completed_points(observed, cands, embed, V) -> np.ndarray:
     """V(embed(observed, c)) of every candidate c, stacked: (G, *shape).
-    ``embed`` and ``V`` take one data point, so they are called per candidate."""
-    return np.stack([np.asarray(V(embed(observed, c)), dtype=float) for c in cands])
+
+    ``embed`` takes one candidate, so it is called per candidate; V is called
+    on stacks of the embedded points of at most about ``_BLOCK_FLOATS``
+    floats, and must return one row per stacked point."""
+    embedded = [embed(observed, c) for c in cands]
+    step = max(1, _BLOCK_FLOATS // np.size(embedded[0]))
+    blocks = []
+    for lo in range(0, len(embedded), step):
+        stack = np.stack(embedded[lo : lo + step])
+        out = np.asarray(V(stack), dtype=float)
+        if out.ndim == 0 or out.shape[0] != stack.shape[0]:
+            raise ValueError(
+                f"V returned shape {out.shape} for a stack of {stack.shape[0]} points: "
+                "V must be vectorized over leading axes, one output row per point")
+        blocks.append(out)
+    return np.concatenate(blocks)
 
 
 def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
@@ -316,7 +335,10 @@ def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
     """
     cands = _checked_candidates(candidates, alpha)
     points = _completed_points(observed, cands, embed, V)
-    own = np.array([float(psi(z)) for z in points])
+    own = np.asarray(psi(points), dtype=float)
+    if own.shape != points.shape[:1]:
+        raise ValueError(f"psi returned shape {own.shape} for {points.shape[0]} points: "
+                         "psi must be vectorized over leading axes, one score per point")
     below = np.zeros(own.size, dtype=np.int64)
     ties = np.zeros(own.size, dtype=np.int64)
     m = 0
@@ -363,14 +385,16 @@ def symmpi_set(
 ) -> PredictionSet:
     """Keep each candidate whose completed-data score is within its orbit quantile.
 
-    ``embed(observed, candidate)`` must rebuild the full data point; ``V``
-    maps it to score space and ``psi`` to a scalar. ``psi`` must be
-    vectorized over leading axes: given an (..., *shape) array of points it
-    returns their (...) scores. The orbit is enumerated once per set
-    (``mode='exact'``, over ``cosets`` when given) or sampled once per set
-    (``mode='mc'``: ``mc_draws`` draws from ``rng`` that every candidate
-    shares; each candidate keeps its marginal validity). ``meta`` records
-    the mode and the orbit sample size m (``orbit_size``).
+    ``embed(observed, candidate)`` must rebuild the full data point from one
+    candidate; ``V`` maps it to score space and ``psi`` to a scalar. ``V``
+    and ``psi`` must be vectorized over leading axes: ``embed``'s points of
+    all candidates are stacked and ``V`` is called on the (G, *shape) stack,
+    ``V(stack)[i]`` being ``V(stack[i])``; given an (..., *shape) array of
+    points ``psi`` returns their (...) scores. The orbit is enumerated once
+    per set (``mode='exact'``, over ``cosets`` when given) or sampled once
+    per set (``mode='mc'``: ``mc_draws`` draws from ``rng`` that every
+    candidate shares; each candidate keeps its marginal validity). ``meta``
+    records the mode and the orbit sample size m (``orbit_size``).
     """
     return _orbit_set(observed, candidates, embed, V, psi, group, alpha, None,
                       cosets, mode, mc_draws, rng)
@@ -393,8 +417,10 @@ def randomized_set(
 ) -> PredictionSet:
     """Randomized variant with exact coverage: ties at the threshold are kept
     only when the shared uniform draw ``u_prime`` falls below the tie mass.
-    Arguments as for ``symmpi_set``; given a generator seeded as
-    ``symmpi_set``'s, it sees the same draws and its set is a subset."""
+    Arguments as for ``symmpi_set``, with ``V`` and ``psi`` vectorized over
+    leading axes (``V(stack)[i]`` is ``V(stack[i])``); given a generator
+    seeded as ``symmpi_set``'s, it sees the same draws and its set is a
+    subset."""
     return _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
                       cosets, mode, mc_draws, rng)
 
@@ -430,18 +456,22 @@ def nonsym_set(
 
     One representative g is drawn from the weight distribution; each candidate
     is kept when its g-aligned score is within the weighted quantile of the
-    representative scores of the realigned data. The realigned points
-    V(g^-1 . z) of all candidates are stacked and every representative acts
-    on them in one sweep, as in ``symmpi_set``; the rule runs in rank form
-    (``rank_member``) on the weight of representative scores strictly below
-    each candidate's own. ``meta['drawn_rep']`` is the index of g.
+    representative scores of the realigned data. g^-1 acts on each
+    candidate's completed point z, and ``V`` maps the stack of all of them to
+    the realigned points V(g^-1 . z) in one call: like ``psi`` it must be
+    vectorized over leading axes, ``V(stack)[i]`` being ``V(stack[i])``, as
+    in ``symmpi_set``. Every representative acts on the stack in one sweep;
+    the rule runs in rank form (``rank_member``) on the weight of
+    representative scores strictly below each candidate's own.
+    ``meta['drawn_rep']`` is the index of g.
     """
     cands = _checked_candidates(candidates, alpha)
     reps, weights = spec.representatives, spec.weights
     g_idx = int(rng.choice(len(reps), p=weights))
     g = reps[g_idx]
     g_inv = group.inverse(g)
-    points = _completed_points(observed, cands, embed, lambda z: V(group.act(g_inv, z)))
+    points = _completed_points(observed, cands,
+                               lambda o, c: group.act(g_inv, embed(o, c)), V)
     shape = points.shape[1:]
     own = np.concatenate([s[:, 0] for _, s in
                           _score_blocks(points, psi, actions_of(group, [g], shape))])

@@ -33,6 +33,7 @@ from symmpi.groups import (
     default_probes,
     enumerate_automorphisms,
 )
+from symmpi.transforms import hierarchical_unsup_transform
 
 
 def last_coordinate(z):
@@ -191,6 +192,27 @@ def test_threshold_mc_requires_rng_and_draws():
         threshold(np.zeros(3), last_coordinate, SymmetricGroup(3), 0.1, mode="mc")
     with pytest.raises(ValueError):
         threshold(np.zeros(3), last_coordinate, SymmetricGroup(3), 0.1, mode="mc", mc_draws=4)
+
+
+@pytest.mark.parametrize("draws", [2.5, 0, -3, None])
+def test_mc_draws_must_be_a_positive_integer(draws):
+    obs, grid = np.array([0.3, -1.0, 0.8]), np.linspace(-2, 2, 9)
+    with pytest.raises(ValueError, match="mc_draws must be a positive integer"):
+        symmpi_set(obs, grid, append_embed, identity_map, last_coordinate, SymmetricGroup(4),
+                   0.2, mode="mc", mc_draws=draws, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="mc_draws must be a positive integer"):
+        threshold(np.zeros(3), last_coordinate, SymmetricGroup(3), 0.1, mode="mc",
+                  mc_draws=draws, rng=np.random.default_rng(0))
+
+
+def test_mc_draws_accepts_numpy_integers():
+    obs, grid = np.array([0.3, -1.0, 0.8]), np.linspace(-2, 2, 9)
+    sets = [symmpi_set(obs, grid, append_embed, identity_map, last_coordinate,
+                       SymmetricGroup(4), 0.2, mode="mc", mc_draws=draws,
+                       rng=np.random.default_rng(3))
+            for draws in (np.int64(5), 5)]
+    assert np.array_equal(sets[0].member, sets[1].member)
+    assert sets[0].meta == {"mode": "mc", "orbit_size": 6}
 
 
 def test_threshold_exact_rejects_continuous_group():
@@ -397,6 +419,57 @@ def test_exact_orbit_set_memory_stays_bounded():
         tracemalloc.stop()
     assert ps.meta == {"mode": "exact", "orbit_size": 5040}
     assert peak < 16 * 2**20
+
+
+def _block_embed(observed, cand):
+    return np.append(observed, cand).reshape(2, 3)
+
+
+def _last_entry(z):
+    return np.asarray(z)[..., -1, -1]
+
+
+@pytest.mark.parametrize("V", [lambda z: z.ravel(), lambda z: float(np.sum(z))],
+                         ids=["flattened", "scalar"])
+def test_orbit_sets_need_one_V_row_per_candidate(V):
+    # V is called once on the (G, 2, 3) stack of completed points
+    obs, grid = np.arange(5.0), np.linspace(-1, 6, 11)
+    group = BlockPermutationGroup(2, 3)
+    with pytest.raises(ValueError, match="V must be vectorized over leading axes"):
+        symmpi_set(obs, grid, _block_embed, V, _last_entry, group, 0.2)
+    with pytest.raises(ValueError, match="V must be vectorized over leading axes"):
+        randomized_set(obs, grid, _block_embed, V, _last_entry, group, 0.2, 0.5)
+    reps = list(group.elements())[:3]
+    with pytest.raises(ValueError, match="V must be vectorized over leading axes"):
+        nonsym_set(obs, grid, _block_embed, V, _last_entry, WeightSpec(reps, np.full(3, 1 / 3)),
+                   group, 0.2, np.random.default_rng(0))
+
+
+def test_orbit_sets_call_V_on_bounded_stacks(monkeypatch):
+    # 11 candidates of 6 floats, at most 16 stacked floats per V call
+    from symmpi import calibrate
+
+    obs, grid = np.array([0.2, -1.1, 0.4, 1.3, 0.9]), np.linspace(-3, 3, 11)
+    group = BlockPermutationGroup(2, 3)
+    want = symmpi_set(obs, grid, _block_embed, hierarchical_unsup_transform, _last_entry,
+                      group, 0.2)
+    stacks = []
+
+    def V(z):
+        stacks.append(z.shape)
+        return hierarchical_unsup_transform(z)
+
+    monkeypatch.setattr(calibrate, "_BLOCK_FLOATS", 16)
+    got = symmpi_set(obs, grid, _block_embed, V, _last_entry, group, 0.2)
+    assert stacks == [(2, 2, 3)] * 5 + [(1, 2, 3)]
+    assert np.array_equal(got.member, want.member) and got.meta == want.meta
+
+
+def test_orbit_sets_need_one_psi_score_per_candidate():
+    obs, grid = np.array([0.3, -1.0, 0.8]), np.linspace(-2, 2, 9)
+    with pytest.raises(ValueError, match="psi must be vectorized over leading axes"):
+        symmpi_set(obs, grid, append_embed, identity_map, lambda z: float(np.max(z)),
+                   SymmetricGroup(4), 0.2)
 
 
 # ----------------------------------------------------------------------
@@ -667,6 +740,14 @@ def test_candidate_grid_spans_data():
     assert grid.size == 101
     assert grid[0] <= v.min() - 3.9 * v.std()
     assert grid[-1] >= v.max() + 3.9 * v.std()
+
+
+@pytest.mark.parametrize("values, problem", [
+    ([1.0, np.nan, 2.0], "finite"), ([1.0, np.inf], "finite"), ([-np.inf, 0.0], "finite"),
+    ([], "at least one data value")])
+def test_candidate_grid_rejects_empty_or_non_finite_values(values, problem):
+    with pytest.raises(ValueError, match=problem):
+        candidate_grid(values, 5)
 
 
 def test_grids_need_two_points():

@@ -94,6 +94,23 @@ def test_unsup_batched_matches_loop():
         assert np.allclose(batched[i], hierarchical_unsup_transform(z[i], 2.0), atol=1e-15)
 
 
+@pytest.mark.parametrize("K", [1, 2, 8, 9, 20, 130])
+@pytest.mark.parametrize("M", [1, 2, 15])
+def test_unsup_stack_has_the_bits_of_per_point_calls(K, M):
+    # the orbit sets call V once on the (G, K, M) stack of candidates' points
+    # and must score as the per-point calls do; K >= 8 reaches the reductions
+    # that numpy may order differently on a stack
+    rng = np.random.default_rng(K * 100 + M)
+    z = rng.normal(size=(7, K, M)) * rng.uniform(0.1, 50, (7, K, 1)) \
+        + rng.normal(0, 20, (7, K, 1))
+    z[1, 0] = 3.0  # one branch without spread
+    z[2] = -1.5  # no spread in any branch
+    for c in (0.0, 2.0, np.inf):
+        batched = hierarchical_unsup_transform(z, c)
+        per_point = np.stack([hierarchical_unsup_transform(x, c) for x in z])
+        assert batched.tobytes() == per_point.tobytes()
+
+
 def _unsup_by_mean_and_std(z, c):
     """hierarchical_unsup_transform written with ndarray.mean and .std."""
     M = z.shape[-1]
