@@ -25,7 +25,6 @@ from .transforms import (
     RegressorBundle,
     TreeGraph,
     check_distributional_equivariance,
-    coordinatewise_score,
     energy_permutation_test,
     fit_regressors,
     five_step_supervised_scores,
@@ -33,8 +32,6 @@ from .transforms import (
     hierarchical_unsup_transform,
     interpolation_unsup_scores,
     mpgnn_forward,
-    optimize_c,
-    simple_unsup_scores,
 )
 from .calibrate import (
     ConformalIntervals,

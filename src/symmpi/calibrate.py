@@ -45,6 +45,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
 
 
+def _check_draws(mc_draws) -> None:
+    if not isinstance(mc_draws, numbers.Integral) or mc_draws < 1:
+        raise ValueError(f"mc_draws must be a positive integer, got {mc_draws!r}")
+
+
 def finite_quantile(values, level: float, weights=None) -> float:
     """Smallest x among ``values`` whose cumulative weight reaches ``level``.
 
@@ -125,8 +130,7 @@ def _orbit_actions(group: GroupAction, shape, cosets, mode, mc_draws, rng):
             return actions_of(group, cosets.representatives, shape)
         return iter_actions(group, shape, batch)
     if mode == "mc":
-        if not isinstance(mc_draws, numbers.Integral) or mc_draws < 1:
-            raise ValueError(f"mc_draws must be a positive integer, got {mc_draws!r}")
+        _check_draws(mc_draws)
         if rng is None:
             raise ValueError("Monte-Carlo mode needs an rng")
         return sample_actions(group, shape, mc_draws, rng, batch)

@@ -246,6 +246,8 @@ def cmd_predict_graph(args) -> int:
 
 
 def cmd_predict_rotation(args) -> int:
+    if args.mc < 1:
+        raise UsageError(f"--mc must be at least 1, got {args.mc}")
     pts = np.loadtxt(args.data, delimiter=",", ndmin=2)
     if pts.shape[1] < 2:
         raise DataError("rotation data needs at least two coordinates per point")

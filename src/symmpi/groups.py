@@ -93,16 +93,24 @@ def sample_haar_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
     The R-diagonal sign correction Q <- Q diag(sign(R_ii)) makes the law
     exactly uniform rather than merely orthogonal.
     """
+    return _haar_matrices(p, 1, rng)[0]
+
+
+def _haar_matrices(p: int, draws: int, rng: np.random.Generator) -> np.ndarray:
+    """``draws`` Haar-uniform p x p orthogonal matrices, (draws, p, p), from
+    one Gaussian draw and one stacked QR (Mezzadri, "How to generate random
+    matrices from the classical compact groups", 2007): the matrices and the
+    stream of ``draws`` successive ``sample_haar_orthogonal`` calls."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    g = rng.standard_normal((p, p))
+    g = rng.standard_normal((draws, p, p))
     if p == 1:
         # the 1 x 1 QR is the draw's sign, +1 at zero
         return np.where(g < 0, -1.0, 1.0)
     q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=1, axis2=2))
     d[d == 0] = 1.0
-    return q * d
+    return q * d[:, None, :]
 
 
 _LEX_TAIL = 7  # trailing positions of a lexicographic permutation read from a table

@@ -41,6 +41,9 @@ from .calibrate import (
     _adaptive_centers,
     _branch_stats,
     _candidate_rows,
+    _check_draws,
+    _checked_candidates,
+    _finite_set,
     _hierarchical_members,
     _intervals,
     _mass_within,
@@ -51,7 +54,7 @@ from .calibrate import (
     rank_member,
     score_intervals,
 )
-from .groups import sample_haar_orthogonal
+from .groups import _haar_matrices
 from .transforms import _fit_block, _fit_lines
 
 ALL_METHODS = ("symmpi", "conformal", "subsampling", "single_tree", "hcp")
@@ -528,6 +531,8 @@ def _rotation_draws(z, mc_draws: int, rng: np.random.Generator):
     coordinate is its projection on it in law). Returns the scores of the
     draws that picked an observed point, and the directions of those that
     picked the held-out one, (draws, p)."""
+    _check_draws(mc_draws)
+    _check_finite(z)
     n, p = z.shape
     idx = rng.integers(0, n + 1, mc_draws)
     W = rng.standard_normal((mc_draws, p))
@@ -535,6 +540,19 @@ def _rotation_draws(z, mc_draws: int, rng: np.random.Generator):
     fixed_mask = idx < n
     fixed_scores = -np.abs(np.einsum("mp,mp->m", Wn[fixed_mask], z[idx[fixed_mask]]))
     return fixed_scores, Wn[~fixed_mask]
+
+
+def _check_finite(*data) -> None:
+    if not all(np.isfinite(d).all() for d in data):
+        raise ValueError("the observed data of a rotation set must be finite, got NaN or inf")
+
+
+def _mc_member(own, fixed, drawn, alpha: float) -> np.ndarray:
+    """``rank_member`` of the share of the F draws at observed points
+    (``fixed``, (F,)) and of each candidate's D draws at the held-out point
+    (``drawn``, (C, D)) that score below its own (``own``, (C,)), of F + D + 1."""
+    below = (fixed[None, :] < own[:, None]).sum(axis=1) + (drawn < own[:, None]).sum(axis=1)
+    return rank_member(below / (fixed.size + drawn.shape[1] + 1), alpha)
 
 
 def rotation_region(
@@ -551,10 +569,11 @@ def rotation_region(
     projections (a rotated vector's first coordinate matches w.z/||w|| in
     law). Away from the first axis the kept region is the complement of a
     vertical strip |z_1| < C, so the grid scans candidates (x, h, 0, ...)
-    at the observed RMS transverse height h; points very close to the axis
-    itself are always covered (their own score is their orbit minimum).
-    The boundary C is in ``meta['strip_halfwidth']``. The grid needs
-    ``grid_points`` >= 2.
+    at the observed RMS transverse height h (candidates x when p = 1);
+    points very close to the axis itself are always covered (their own
+    score is their orbit minimum). The boundary C is in
+    ``meta['strip_halfwidth']``. The grid needs ``grid_points`` >= 2,
+    ``mc_draws`` is a positive integer and the observed points are finite.
     """
     if grid_points < 2:
         raise ValueError(f"a candidate grid needs at least 2 points, got {grid_points}")
@@ -566,13 +585,10 @@ def rotation_region(
     height = float(np.sqrt(np.mean(z[:, 1:] ** 2))) if p > 1 else 0.0
     radius = float(np.abs(z).max()) * 1.5 + 1.0
     grid = np.linspace(-radius, radius, grid_points)
-    own = -np.abs(grid)
     # candidate draw scores at the representative point (x, h, 0, ...)
     trans = w_cand[:, 1] * height if p > 1 else 0.0
-    cand_scores = -np.abs(w_cand[:, 0][None, :] * grid[:, None] + trans[None, :])
-    below = (fixed_scores[None, :] < own[:, None]).sum(axis=1)
-    below = below + (cand_scores < own[:, None]).sum(axis=1)
-    member = rank_member(below / (mc_draws + 1), alpha)
+    member = _mc_member(-np.abs(grid), fixed_scores,
+                        -np.abs(w_cand[:, 0][None, :] * grid[:, None] + trans), alpha)
     kept = np.abs(grid[member])
     strip = float(kept.min()) if member.any() and not member.all() else 0.0
     return PredictionSet(
@@ -590,16 +606,18 @@ def rotation_region_covers(
     mc_draws: int = 400,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Membership of each fresh point in its own completed-data region."""
+    """Membership of each fresh point in its own completed-data region; a
+    point with a coordinate that is not finite is never covered. The observed
+    points must be finite."""
     rng = rng or np.random.default_rng()
     z = np.asarray(observed, dtype=float)
     tp = np.atleast_2d(np.asarray(test_points, dtype=float))
     fixed_scores, w_cand = _rotation_draws(z, mc_draws, rng)
-    cand_scores = -np.abs(tp @ w_cand.T)
-    own = -np.abs(tp[:, 0])
-    below = (fixed_scores[None, :] < own[:, None]).sum(axis=1)
-    below = below + (cand_scores < own[:, None]).sum(axis=1)
-    return rank_member(below / (mc_draws + 1), alpha)
+    finite = np.isfinite(tp).all(axis=1)
+    member = np.zeros(finite.shape, dtype=bool)
+    tp = tp[finite]
+    member[finite] = _mc_member(-np.abs(tp[:, 0]), fixed_scores, -np.abs(tp @ w_cand.T), alpha)
+    return member
 
 
 def rotation_supervised_set(
@@ -614,32 +632,36 @@ def rotation_supervised_set(
 ) -> PredictionSet:
     """Supervised set under joint permutation-rotation invariance of features.
 
-    ``score(y_values, x_points)`` must return nonconformity values and be
-    vectorized; calibration scores are sampled at rotated feature vectors
-    while each candidate's own score uses the unrotated ``x_new``.
+    Each of ``mc_draws`` draws picks one of the n observed points or the
+    held-out one, and a Haar rotation of its features; each candidate's own
+    score uses the unrotated ``x_new``. ``score(y_values, x_points)`` is
+    called on stacks of rows, possibly none, and must be row-wise:
+    ``score(y, x)[i]`` equals ``score(y[i:i+1], x[i:i+1])[0]``. ``x``, ``y``
+    and ``x_new`` must be finite; a candidate that is not finite is never a
+    member.
     """
+    _check_draws(mc_draws)
+    cands = _checked_candidates(candidates, alpha)
     rng = rng or np.random.default_rng()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     x_new = np.asarray(x_new, dtype=float)
-    cands = np.asarray(candidates, dtype=float)
+    _check_finite(x, y, x_new)
     n, p = x.shape
     idx = rng.integers(0, n + 1, mc_draws)
-    rotations = [sample_haar_orthogonal(p, rng) for _ in range(mc_draws)]
+    R = _haar_matrices(p, mc_draws, rng)
+    picked = idx < n
+    at = idx[picked]
 
-    fixed_scores = []
-    cand_cols = []
-    for j, O in zip(idx, rotations):
-        if j < n:
-            fixed_scores.append(float(score(np.array([y[j]]), (O @ x[j])[None, :])[0]))
-        else:
-            xr = np.tile(O @ x_new, (cands.size, 1))
-            cand_cols.append(np.asarray(score(cands, xr), dtype=float))
-    fixed_scores = np.asarray(fixed_scores)
-    cand_mat = np.stack(cand_cols, axis=1) if cand_cols else np.empty((cands.size, 0))
-    own = np.asarray(score(cands, np.tile(x_new, (cands.size, 1))), dtype=float)
+    def rows(y_values, x_points):
+        return np.asarray(score(y_values, x_points), dtype=float)
 
-    below = (fixed_scores[None, :] < own[:, None]).sum(axis=1)
-    below = below + (cand_mat < own[:, None]).sum(axis=1)
-    member = rank_member(below / (mc_draws + 1), alpha)
-    return PredictionSet(cands, member, unbounded=bool(member.all()))
+    fixed = rows(y[at], (R[picked] @ x[at, :, None])[..., 0])
+    x_drawn = R[~picked] @ x_new
+
+    def member_of(c):
+        own = rows(c, np.tile(x_new, (c.size, 1)))
+        drawn = rows(np.tile(c, len(x_drawn)), np.repeat(x_drawn, c.size, axis=0))
+        return _mc_member(own, fixed, drawn.reshape(len(x_drawn), c.size).T, alpha)
+
+    return _finite_set(cands, member_of)

@@ -5,6 +5,14 @@ or their branch mean and standardize by a within-branch scale, so that
 heterogeneous branches still produce comparable scores. Each transform comes
 with an equivalent staged message-passing formulation over the two-layer tree,
 kept as an independent computation path for cross-checking.
+
+The message-passing forms (``mpgnn_forward``, ``TreeGraph``,
+``interpolation_unsup_scores``, ``five_step_supervised_scores``) stand for
+the SymmPI paper's result that a message-passing graph neural network whose
+layers treat every neighbour alike is distributionally equivariant under
+the automorphisms of its graph; the hierarchical scores are such a network
+on the two-layer tree, run in stages. A score that centers every branch at
+its own mean is ``hierarchical_unsup_transform(z, 0.0)``.
 """
 
 from __future__ import annotations
@@ -14,16 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _BAND_FLOOR = 1e-12
-
-
-def coordinatewise_score(z, score) -> np.ndarray:
-    """Apply ``score(value, z)`` to every coordinate of z.
-
-    ``score`` may depend on the whole vector, but only through
-    order-insensitive summaries, so the result permutes with the input.
-    """
-    z = np.asarray(z, dtype=float)
-    return np.array([float(score(v, z)) for v in z])
 
 
 def hierarchical_unsup_transform(values, c: float = 2.0) -> np.ndarray:
@@ -419,19 +417,6 @@ def interpolation_unsup_scores(values, c: float = 2.0) -> np.ndarray:
     return np.abs(z - center[..., None]) / branch[..., 1][..., None]
 
 
-def simple_unsup_scores(values) -> np.ndarray:
-    """Plain branch-centered variant: |z - branch mean| / branch SD."""
-    z = np.asarray(values, dtype=float)
-    M = z.shape[-1]
-    mean = z.mean(axis=-1, keepdims=True)
-    if M == 1:
-        sd = np.ones_like(mean)
-    else:
-        sd = np.sqrt(np.sum((z - mean) ** 2, axis=-1, keepdims=True) / (M - 1))
-    sd = np.where(sd > 0, sd, 1.0)
-    return np.abs(z - mean) / sd
-
-
 def five_step_supervised_scores(features, c: float = 2.0) -> np.ndarray:
     """Staged message-passing evaluation of the supervised scores.
 
@@ -457,34 +442,6 @@ def five_step_supervised_scores(features, c: float = 2.0) -> np.ndarray:
         scale = np.where(scale > 0, scale, 1.0)
     # Step 5: leaves divide by their branch node value.
     return leaves[..., 0] / scale
-
-
-def optimize_c(x, y, reg: RegressorBundle, grid, default: float = 2.0) -> float:
-    """Pick the centering constant minimizing the scaled squared residual loss.
-
-    The loss sums raw adaptive residuals squared over calibration points,
-    each branch divided by its training residual variance; it is invariant to
-    branch and within-branch relabeling, so the selection preserves validity.
-    Ties prefer ``default`` when it attains the minimum, else the smallest
-    minimizer.
-    """
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("candidate grid for c is empty")
-    feats = _supervised_features(x, y, reg)
-    rb, rp, sig = feats[..., 0], feats[..., 1], feats[..., 2]
-    scale = reg.train_resid_sd[: feats.shape[0]] ** 2
-    losses = []
-    for c in grid:
-        near = np.abs((rp - rb) / sig) <= c
-        raw = np.where(near, rp, rb)
-        losses.append(float(np.sum(raw**2 / scale[:, None])))
-    losses = np.asarray(losses)
-    best = losses.min()
-    minimizers = [g for g, l in zip(grid, losses) if l <= best * (1 + 1e-12) + 1e-300]
-    if default in minimizers:
-        return default
-    return min(minimizers)
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,8 @@ those per-branch forms, ``sup_eval`` the supervised harness one test at a
 time (a hand-made split, then the library's one-test fits and searches),
 and ``run_trial`` a trial of either, each test evaluated as it is drawn.
 ``intervals_loop`` walks a membership mask for its runs.
+``rotation_supervised_members`` is ``sim.rotation_supervised_set`` one
+Monte-Carlo draw at a time: one Haar matrix and one ``score`` call per draw.
 ``conformal_below``, ``centered_conformal_below`` and ``hcp_below`` are the
 rank forms of the conformal sets and of the benchmark's ``hcp`` rule: the
 below-own mass of every candidate, searched candidate by candidate in the
@@ -47,7 +49,8 @@ from symmpi.calibrate import (
     supervised_below,
     threshold_from_scores,
 )
-from symmpi.groups import CosetDecomposition, Permutation, iter_actions
+from symmpi.groups import (CosetDecomposition, Permutation, iter_actions,
+                           sample_haar_orthogonal)
 from symmpi.transforms import branch_fits, fit_linear, fit_regressors
 
 
@@ -485,6 +488,31 @@ def hcp_rows_members(donor_branches, candidates, alpha):
     grand = sum(float(np.mean(b)) for b in branches) / len(branches)
     t = _weighted_threshold([np.abs(b - grand) for b in branches], alpha)
     return np.abs(np.asarray(candidates, dtype=float) - grand) <= t
+
+
+def rotation_supervised_members(x, y, x_new, score, candidates, alpha, mc_draws, rng):
+    """The members of ``rotation_supervised_set`` (finite candidates): the
+    index draws first, then per draw one ``sample_haar_orthogonal`` matrix
+    and one ``score`` call, at an observed point or at every candidate."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    x_new = np.asarray(x_new, dtype=float)
+    cands = np.asarray(candidates, dtype=float)
+    n, p = x.shape
+    idx = rng.integers(0, n + 1, mc_draws)
+    rotations = [sample_haar_orthogonal(p, rng) for _ in range(mc_draws)]
+    fixed, cand_cols = [], []
+    for j, O in zip(idx, rotations):
+        if j < n:
+            fixed.append(float(score(np.array([y[j]]), (O @ x[j])[None, :])[0]))
+        else:
+            cand_cols.append(np.asarray(score(cands, np.tile(O @ x_new, (cands.size, 1))),
+                                        dtype=float))
+    fixed = np.asarray(fixed)
+    cand_mat = np.stack(cand_cols, axis=1) if cand_cols else np.empty((cands.size, 0))
+    own = np.asarray(score(cands, np.tile(x_new, (cands.size, 1))), dtype=float)
+    below = (fixed[None, :] < own[:, None]).sum(axis=1) + (cand_mat < own[:, None]).sum(axis=1)
+    return rank_member(below / (mc_draws + 1), alpha)
 
 
 def orbit_set_members(observed, candidates, embed, V, psi, group, alpha, elements,

@@ -363,6 +363,12 @@ def test_grid_below_two_points_is_usage_error(argv, points, capsys):
     assert "a grid needs at least 2 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_mc_draws_below_one_is_usage_error(draws, capsys):
+    assert main(["predict-rotation", "points.csv", "--mc", draws]) == 2
+    assert f"usage error: --mc must be at least 1, got {draws}" in capsys.readouterr().err
+
+
 def test_predict_hierarchical_short_rows_are_data_errors(tmp_path, capsys):
     rows = ["b0,0.1,1.0", "b0,0.4,2.0", "b1,0.3,1.5", "b1,0.7,0.5"]
     data = tmp_path / "h.csv"

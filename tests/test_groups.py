@@ -10,6 +10,7 @@ from symmpi.groups import (
     Permutation,
     SymmetricGroup,
     TrivialGroup,
+    _haar_matrices,
     coset_representatives,
     default_probes,
     enumerate_automorphisms,
@@ -69,6 +70,16 @@ def test_haar_left_invariance():
     b = np.array([sample_haar_orthogonal(p, rng)[:, 0] for _ in range(10_000)])
     _, pval = energy_permutation_test(a, b, rng)
     assert pval > 0.01
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 6])
+@pytest.mark.parametrize("k", [1, 7])
+def test_stacked_haar_draws_are_successive_single_draws(p, k):
+    stacked, single = np.random.default_rng(p * k), np.random.default_rng(p * k)
+    got = _haar_matrices(p, k, stacked)
+    want = np.stack([sample_haar_orthogonal(p, single) for _ in range(k)])
+    assert got.shape == (k, p, p) and np.array_equal(got, want)
+    assert stacked.bit_generator.state == single.bit_generator.state
 
 
 def test_haar_rejects_zero_dimension():

@@ -1,0 +1,38 @@
+"""Every module of the package, other than ``__init__`` (which re-exports),
+uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symmpi"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_the_package_has_modules():
+    assert "calibrate.py" in MODULES and "sim.py" in MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_an_unused_import_is_found():
+    source = "from __future__ import annotations\nimport numpy as np\nfrom .groups import a, b\n"
+    assert unused_imports(source + "x = np.zeros(a)\n") == ["b (line 3)"]

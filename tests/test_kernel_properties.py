@@ -22,9 +22,11 @@ The few constructions where a score ties the candidate's exactly whatever
 the data, and rounding breaks the tie differently in the two forms, are left
 out where they arise. The batched fit of every branch's regression
 correction must match the one-branch-at-a-time ``fit_linear`` loop on ragged
-branches, pooled-fallback and rank-deficient ones included. The automorphism
-search must list the backtracking oracle's automorphisms in its order on
-weighted graphs with loops and tied weights, also in chunks of one extension.
+branches, pooled-fallback and rank-deficient ones included. The supervised
+rotation set, its Monte-Carlo draws stacked, must match the
+one-draw-at-a-time oracle bit for bit. The automorphism search must list
+the backtracking oracle's automorphisms in its order on weighted graphs with
+loops and tied weights, also in chunks of one extension.
 """
 
 import numpy as np
@@ -71,7 +73,7 @@ from symmpi.groups import (
 from symmpi.cli import PRESETS
 from symmpi.network import cluster_sum_set, tree_leaf_set
 from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _member_rows, _run_trial,
-                        _sup_eval)
+                        _sup_eval, rotation_supervised_set)
 from symmpi.transforms import (_fit_block, branch_fits, fit_regressors,
                                hierarchical_unsup_transform)
 
@@ -984,6 +986,46 @@ def test_mc_set_without_batched_sampler_matches_oracle(kind, seed, draws, n_grid
         want = oracles.orbit_set_members(observed, grid, embed, _identity, psi, group, alpha,
                                          elements, u_prime=u_prime, own_first=True)
         assert np.array_equal(got.member, want)
+
+
+# ----------------------------------------------------------------------
+# The supervised rotation set: stacked draws against one draw at a time
+# ----------------------------------------------------------------------
+
+
+def _radial_score(y, x):
+    return np.abs(y - np.linalg.norm(x, axis=1))
+
+
+def _projection_score(y, x):
+    return np.abs(y - (0.7 * x[:, 0] - 0.2 * x[:, -1]))
+
+
+@SETTINGS
+@given(seed=SEED, draw_seed=SEED, p=st.integers(1, 6), n=st.integers(1, 20),
+       draws=st.integers(1, 500), n_cand=st.integers(1, 30),
+       alpha=st.one_of(st.sampled_from([0.0, 1.0]), ALPHA),
+       score=st.sampled_from([_radial_score, _projection_score]))
+# draws that pick only observed points, then only the held-out point
+@example(seed=0, draw_seed=36, p=2, n=1, draws=4, n_cand=5, alpha=0.3, score=_radial_score)
+@example(seed=1, draw_seed=4, p=3, n=1, draws=4, n_cand=5, alpha=0.3, score=_radial_score)
+@example(seed=2, draw_seed=23, p=1, n=3, draws=5, n_cand=7, alpha=0.5,
+         score=_projection_score)
+@example(seed=3, draw_seed=197, p=6, n=3, draws=5, n_cand=7, alpha=0.5,
+         score=_projection_score)
+def test_rotation_supervised_set_matches_per_draw_oracle(seed, draw_seed, p, n, draws, n_cand,
+                                                         alpha, score):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    y = np.linalg.norm(x, axis=1) + rng.normal(0, 0.5, n)
+    x_new = rng.normal(size=p)
+    cands = np.linspace(-2.0, 4.0, n_cand)
+    got = rotation_supervised_set(x, y, x_new, score, cands, alpha, draws,
+                                  np.random.default_rng(draw_seed))
+    want = oracles.rotation_supervised_members(x, y, x_new, score, cands, alpha, draws,
+                                               np.random.default_rng(draw_seed))
+    assert np.array_equal(got.member, want)
+    assert got.unbounded == bool(want.all())
 
 
 # ----------------------------------------------------------------------

@@ -218,6 +218,85 @@ def test_rotation_supervised_classification_coverage():
     assert covered / trials >= 1 - alpha - 3 * se
 
 
+def test_rotation_supervised_set_keeps_no_non_finite_candidate():
+    rng = np.random.default_rng(14)
+    x, x_new = rng.normal(size=(8, 2)), rng.normal(size=2)
+    args = (x, np.linalg.norm(x, axis=1) + rng.normal(0, 0.5, 8), x_new, radial_regression_score)
+    # the fitted value itself, whose own score is the smallest there is
+    fit = float(np.linalg.norm(x_new))
+    ps = rotation_supervised_set(*args, [np.nan, fit, np.inf, -np.inf], 0.2, 50,
+                                 np.random.default_rng(0))
+    alone = rotation_supervised_set(*args, [fit], 0.2, 50, np.random.default_rng(0))
+    assert alone.member.all()
+    assert ps.member.tolist() == [False, True, False, False] and not ps.unbounded
+    with pytest.raises(ValueError, match="candidate grid is empty"):
+        rotation_supervised_set(*args, [], 0.2, 50, np.random.default_rng(0))
+
+
+def test_rotation_region_covers_no_point_that_is_not_finite():
+    rng = np.random.default_rng(15)
+    pts = gen_rotational(10, 2, 30.0, rng)
+    fresh = gen_rotational(6, 2, 30.0, rng)
+    fresh[1, 0], fresh[3, 1], fresh[4] = np.nan, np.inf, -np.inf
+    got = rotation_region_covers(pts, fresh, 0.05, 99, np.random.default_rng(0))
+    finite = [0, 2, 5]
+    want = rotation_region_covers(pts, fresh[finite], 0.05, 99, np.random.default_rng(0))
+    assert want.all()
+    assert got.tolist() == [True, False, True, False, False, True]
+
+
+def test_rotation_region_on_one_dimensional_points():
+    pts = gen_rotational(9, 1, 4.0, np.random.default_rng(16))
+    ps = rotation_region(pts, 0.2, mc_draws=99, rng=np.random.default_rng(0), grid_points=201)
+    covers = rotation_region_covers(pts, ps.candidates[:, None], 0.2, 99,
+                                    np.random.default_rng(0))
+    assert np.array_equal(ps.member, covers)
+    assert 0 < ps.member.sum() < ps.member.size
+    assert ps.meta["transverse_height"] == 0.0 and ps.meta["strip_halfwidth"] > 0
+
+
+def test_rotation_sets_reject_observed_data_that_is_not_finite():
+    pts = np.random.default_rng(18).normal(size=(6, 2))
+    grid = np.linspace(-2.0, 4.0, 9)
+    for bad in (np.nan, np.inf):
+        z = pts.copy()
+        z[2, 1] = bad
+        y = pts[:, 0].copy()
+        y[1] = bad
+        x_new = np.array([0.3, bad])
+        calls = [lambda: rotation_region(z, 0.2, 20, np.random.default_rng(0)),
+                 lambda: rotation_region_covers(z, pts[:2], 0.2, 20, np.random.default_rng(0))]
+        calls += [lambda a=args: rotation_supervised_set(*a, radial_regression_score, grid, 0.2,
+                                                         20, np.random.default_rng(0))
+                  for args in ((z, pts[:, 0], pts[0]), (pts, y, pts[0]), (pts, pts[:, 0], x_new))]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+
+
+def _rotation_builders():
+    pts = np.random.default_rng(17).normal(size=(6, 2))
+    score = radial_regression_score
+    grid = np.linspace(-2.0, 4.0, 9)
+    return {
+        "rotation_region": lambda d: rotation_region(pts, 0.2, d, np.random.default_rng(0),
+                                                     grid_points=51).member,
+        "rotation_region_covers": lambda d: rotation_region_covers(
+            pts, pts[:3], 0.2, d, np.random.default_rng(0)),
+        "rotation_supervised_set": lambda d: rotation_supervised_set(
+            pts, pts[:, 0], pts[0], score, grid, 0.2, d, np.random.default_rng(0)).member,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_rotation_builders()))
+def test_rotation_sets_take_a_positive_integer_draw_count(name):
+    build = _rotation_builders()[name]
+    for draws in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="mc_draws must be a positive integer"):
+            build(draws)
+    assert np.array_equal(build(np.int64(5)), build(5))
+
+
 # ----------------------------------------------------------------------
 # Benchmark harness
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ from symmpi.groups import BlockPermutationGroup, SymmetricGroup, sample_block_pe
 from symmpi.transforms import (
     TreeGraph,
     check_distributional_equivariance,
-    coordinatewise_score,
     fit_linear,
     fit_regressors,
     five_step_supervised_scores,
@@ -14,31 +13,8 @@ from symmpi.transforms import (
     hierarchical_unsup_transform,
     interpolation_unsup_scores,
     mpgnn_forward,
-    optimize_c,
-    simple_unsup_scores,
     _supervised_features,
 )
-
-
-# ----------------------------------------------------------------------
-# coordinatewise scores
-# ----------------------------------------------------------------------
-
-
-def test_coordinatewise_identity():
-    out = coordinatewise_score([3.0, 1.0, 2.0], lambda v, z: v)
-    assert np.array_equal(out, [3.0, 1.0, 2.0])
-
-
-def test_coordinatewise_mean_deviation():
-    out = coordinatewise_score([0.0, 2.0, 4.0], lambda v, z: abs(v - z.mean()))
-    assert np.array_equal(out, [2.0, 0.0, 2.0])
-
-
-def test_coordinatewise_supervised_residual():
-    mu = lambda x: 0.0
-    out = coordinatewise_score([1.0, -2.0], lambda y, z: abs(y - mu(None)))
-    assert np.array_equal(out, [1.0, 2.0])
 
 
 # ----------------------------------------------------------------------
@@ -149,12 +125,6 @@ def test_interpolation_pipeline_equals_transform():
         assert np.allclose(
             interpolation_unsup_scores(z, c), hierarchical_unsup_transform(z, c), atol=1e-12
         )
-
-
-def test_simple_pipeline_equals_branch_centering():
-    rng = np.random.default_rng(4)
-    z = rng.normal(size=(3, 4)) + rng.normal(size=(3, 1)) * 5
-    assert np.allclose(simple_unsup_scores(z), hierarchical_unsup_transform(z, 0.0), atol=1e-12)
 
 
 def test_mpgnn_identity_network():
@@ -310,44 +280,6 @@ def test_sup_transform_rejects_degenerate_band():
     _, x, y = make_sup_case(np.random.default_rng(10))
     with pytest.raises(ValueError):
         hierarchical_sup_transform(x, y, ZeroBand(), 2.0)
-
-
-# ----------------------------------------------------------------------
-# choosing c
-# ----------------------------------------------------------------------
-
-
-def test_optimize_c_prefers_default_on_flat_loss():
-    x = np.linspace(-1, 1, 8)
-    reg = fit_regressors([x, x], [x, x])
-    cx = np.stack([np.linspace(-1, 1, 4)] * 2)
-    cy = cx.copy()
-    assert optimize_c(cx, cy, reg, [0.5, 1.0, 2.0, 4.0]) == 2.0
-
-
-def test_optimize_c_activates_branch_centering_when_separated():
-    rng = np.random.default_rng(11)
-    x = np.linspace(-0.5, 0.5, 12)
-    tr_y = [8 * x + rng.normal(0, 0.3, 12), -8 * x + rng.normal(0, 0.3, 12)]
-    reg = fit_regressors([x, x], tr_y)
-    cx = np.stack([x[:6], x[:6]])
-    cy = np.stack([8 * cx[0], -8 * cx[1]]) + rng.normal(0, 0.3, (2, 6))
-    grid = [0.5, 2.0, 1e9]
-    best = optimize_c(cx, cy, reg, grid)
-    assert best < 1e9
-    # the selected c's loss beats always-pooled centering
-    feats = _supervised_features(cx, cy, reg)
-    rb, rp, sig = feats[..., 0], feats[..., 1], feats[..., 2]
-    loss = lambda c: float(
-        np.sum(np.where(np.abs((rp - rb) / sig) <= c, rp, rb) ** 2 / reg.train_resid_sd[:, None] ** 2)
-    )
-    assert loss(best) < loss(1e9)
-
-
-def test_optimize_c_singleton_grid():
-    x = np.linspace(-1, 1, 6)
-    reg = fit_regressors([x], [x])
-    assert optimize_c(np.array([x[:3]]), np.array([x[:3]]), reg, [2.0]) == 2.0
 
 
 # ----------------------------------------------------------------------
