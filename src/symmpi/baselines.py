@@ -13,10 +13,11 @@ import numpy as np
 from .calibrate import (
     PredictionSet,
     _checked_candidates,
+    _finite_set,
     _interval_set,
-    _rank_set,
     _rows_below,
     centered_intervals,
+    rank_member,
     score_intervals,
 )
 
@@ -52,7 +53,7 @@ def single_tree_set(
         scored = np.array([np.asarray(score(np.append(obs, c)), dtype=float) for c in finite])
         return _rows_below(scored[:, :-1], scored[:, -1])
 
-    return _rank_set(cands, below, alpha)
+    return _finite_set(cands, lambda finite: rank_member(below(finite), alpha))
 
 
 def split_conformal_set(

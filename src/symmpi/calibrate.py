@@ -7,20 +7,22 @@ Monte-Carlo thresholds, weighted non-symmetric sets, ragged branch sizes, and
 the over-coverage diagnostic.
 
 Every set keeps a candidate when the (weighted) mass of calibration scores
-strictly below its own score is under 1 - alpha (``rank_member``), and no
-set keeps a candidate that is not finite. The hierarchical set runs that
-rule in rank form over the whole candidate grid at once
-(``_hierarchical_block``). The conformal sets, those of the baselines, the graph
-sets, ``hcp_first_obs_set`` and the benchmark harness, and the supervised
-SymmPI set are intervals with closed-form ends (``ConformalIntervals``:
-order statistics of the points where a calibration score crosses the
+strictly below its own score is under 1 - alpha (``rank_member``), and is
+assembled from its finite candidates by ``_finite_set``, so no set keeps a
+candidate that is not finite. The hierarchical set runs that rule in rank
+form over the whole candidate grid at once (``_hierarchical_block``). The
+conformal sets, those of the baselines, the graph sets,
+``hcp_first_obs_set`` and the benchmark harness, and the supervised SymmPI
+set are intervals with closed-form ends (``ConformalIntervals``: order
+statistics of the points where a calibration score crosses the
 candidate's); in the benchmark harness, a block of unstudentized
 hierarchical tests takes the total weight less the holes, the intervals
 where a score is not below the candidate's own (``_hole_block``). Only
-candidates within rounding of an end go through the
-rank comparison. The orbit sets (``symmpi_set``, ``randomized_set`` and the
-weighted ``nonsym_set``) score every candidate's orbit in one batched sweep
-(``_score_blocks``). At alpha = 1 no set keeps anything.
+candidates within rounding of an end go through the rank comparison. The
+orbit sets (``symmpi_set``, ``randomized_set`` and the weighted
+``nonsym_set``) score every candidate's orbit in one batched sweep
+(``_score_blocks``) and cut at ``rank_member``'s count (``_rank_count``),
+as the interval sets do. At alpha = 1 no set keeps anything.
 """
 
 from __future__ import annotations
@@ -97,20 +99,20 @@ def threshold_from_scores(scores, alpha: float, weights=None) -> Threshold:
     s = np.asarray(scores, dtype=float).ravel()
     level = 1.0 - alpha
     t = finite_quantile(s, level, weights)
-    if weights is None:
-        w = np.full(s.size, 1.0 / s.size)
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        w = w / w.sum()
+    w = np.ones(s.size) if weights is None else np.asarray(weights, dtype=float).ravel()
+    w = w / w.sum()
     cdf = float(np.sum(w[s <= t]))
     cdf_left = float(np.sum(w[s < t]))
-    jump = cdf - cdf_left
+    return Threshold(value=t, cdf_at_t=cdf, cdf_left=cdf_left, jump=cdf - cdf_left,
+                     delta=_tie_share(cdf_left, cdf, level))
+
+
+def _tie_share(below: float, at_or_below: float, level: float) -> float:
+    """``Threshold.delta`` from the score masses below and at or below it."""
+    jump = at_or_below - below
     if jump <= 0.0:
-        delta = 0.0
-    else:
-        delta = (level - cdf_left) / jump
-        delta = min(max(delta, 0.0), 1.0)
-    return Threshold(value=t, cdf_at_t=cdf, cdf_left=cdf_left, jump=jump, delta=delta)
+        return 0.0
+    return min(max((level - below) / jump, 0.0), 1.0)
 
 
 # Floats of acted data that the orbit sweep builds at once: it bounds the
@@ -294,16 +296,6 @@ def _candidate_rows(values, n_points: int, pad_sd: float) -> np.ndarray:
     return grid
 
 
-def _tie_delta(below: int, ties: int, m: int, level: float) -> float:
-    """``Threshold.delta`` for an own score that is the threshold, with
-    ``below`` of the m equally weighted orbit scores under it and ``ties``
-    equal to it, in ``threshold_from_scores``' arithmetic."""
-    w = np.full(below + ties, 1.0 / m)
-    cdf_left = float(np.sum(w[:below]))
-    jump = float(np.sum(w)) - cdf_left
-    return min(max((level - cdf_left) / jump, 0.0), 1.0)
-
-
 def _completed_points(observed, cands, embed, V) -> np.ndarray:
     """V(embed(observed, c)) of every candidate c, stacked: (G, *shape).
 
@@ -328,49 +320,47 @@ def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
                cosets, mode, mc_draws, rng) -> PredictionSet:
     """The orbit-quantile set of every candidate from one sweep of the orbit.
 
-    The candidates' completed points are stacked, and the group elements (or
-    the draws, shared by all candidates) act on all of them block by block.
-    Each candidate keeps two counts: orbit scores strictly below its own
-    score, and scores equal to it. With m orbit scores and
-    k = ceil((1 - alpha) m), a candidate is kept when fewer than k lie below
-    it. With ``u_prime`` (the randomized set) it is kept when fewer than k
-    lie at or below it, or when its score is the threshold and
-    u_prime < delta.
+    The finite candidates' completed points are stacked, and the group
+    elements (or the draws, shared by all candidates) act on all of them
+    block by block. A candidate is kept when fewer than K of the m orbit
+    scores lie strictly below its own (K of ``_rank_count``); with
+    ``u_prime`` (the randomized set), when fewer than K lie at or below it,
+    or when its score is the threshold and u_prime is under ``_tie_share``.
     """
     cands = _checked_candidates(candidates, alpha)
-    points = _completed_points(observed, cands, embed, V)
-    own = np.asarray(psi(points), dtype=float)
-    if own.shape != points.shape[:1]:
-        raise ValueError(f"psi returned shape {own.shape} for {points.shape[0]} points: "
-                         "psi must be vectorized over leading axes, one score per point")
-    below = np.zeros(own.size, dtype=np.int64)
-    ties = np.zeros(own.size, dtype=np.int64)
-    m = 0
-    actions = _orbit_actions(group, points.shape[1:], cosets, mode, mc_draws, rng)
-    for lo, scores in _score_blocks(points, psi, actions):
-        hi = lo + scores.shape[0]
-        below[lo:hi] += (scores < own[lo:hi, None]).sum(axis=1)
-        ties[lo:hi] += (scores == own[lo:hi, None]).sum(axis=1)
-        if lo == 0:
-            m += scores.shape[1]
-    if mode == "mc":  # the point's own score is part of the sample
-        ties += 1
-        m += 1
-    level = 1.0 - alpha
-    k = min(int(np.ceil(level * m - _LEVEL_EPS)), m)  # 0 at alpha = 1: nothing is kept
-    if u_prime is None:
-        member = below <= k - 1
-    else:
-        member = below + ties <= k - 1
-        deltas: dict[tuple[int, int], float] = {}
-        for i in np.flatnonzero(~member & (below <= k - 1)):
-            key = (int(below[i]), int(ties[i]))
-            if key not in deltas:
-                deltas[key] = _tie_delta(*key, m, level)
-            member[i] = u_prime < deltas[key]
-    member &= ~np.isnan(own)
-    return PredictionSet(cands, member, unbounded=bool(member.all()),
-                         meta={"mode": mode, "orbit_size": m})
+    meta = {"mode": mode}
+
+    def member_of(finite):
+        points = _completed_points(observed, finite, embed, V)
+        own = np.asarray(psi(points), dtype=float)
+        if own.shape != points.shape[:1]:
+            raise ValueError(f"psi returned shape {own.shape} for {points.shape[0]} points: "
+                             "psi must be vectorized over leading axes, one score per point")
+        below, ties = np.zeros((2, own.size), dtype=np.int64)
+        m = 0
+        actions = _orbit_actions(group, points.shape[1:], cosets, mode, mc_draws, rng)
+        for lo, scores in _score_blocks(points, psi, actions):
+            hi = lo + scores.shape[0]
+            below[lo:hi] += (scores < own[lo:hi, None]).sum(axis=1)
+            ties[lo:hi] += (scores == own[lo:hi, None]).sum(axis=1)
+            if lo == 0:
+                m += scores.shape[1]
+        if mode == "mc":  # the point's own score is part of the sample
+            ties += 1
+            m += 1
+        meta["orbit_size"] = m
+        K = _rank_count(m, alpha)
+        if u_prime is None:
+            return (below < K) & ~np.isnan(own)
+        member = below + ties < K
+        tied = ~member & (below < K)
+        for b, t in set(zip(below[tied].tolist(), ties[tied].tolist())):
+            w = np.full(b + t, 1.0 / m)  # threshold_from_scores' sums of equal weights
+            share = _tie_share(float(np.sum(w[:b])), float(np.sum(w)), 1.0 - alpha)
+            member[tied & (below == b) & (ties == t)] = u_prime < share
+        return member & ~np.isnan(own)
+
+    return _finite_set(cands, member_of, meta)
 
 
 def symmpi_set(
@@ -398,7 +388,9 @@ def symmpi_set(
     per set (``mode='exact'``, over ``cosets`` when given) or sampled once
     per set (``mode='mc'``: ``mc_draws`` draws from ``rng`` that every
     candidate shares; each candidate keeps its marginal validity). ``meta``
-    records the mode and the orbit sample size m (``orbit_size``).
+    records the mode and the orbit sample size m (``orbit_size``). Only the
+    finite candidates are embedded and can be members: a grid with none
+    gives the empty set, draws nothing and has no ``orbit_size``.
     """
     return _orbit_set(observed, candidates, embed, V, psi, group, alpha, None,
                       cosets, mode, mc_draws, rng)
@@ -420,9 +412,8 @@ def randomized_set(
     rng: np.random.Generator | None = None,
 ) -> PredictionSet:
     """Randomized variant with exact coverage: ties at the threshold are kept
-    only when the shared uniform draw ``u_prime`` falls below the tie mass.
-    Arguments as for ``symmpi_set``, with ``V`` and ``psi`` vectorized over
-    leading axes (``V(stack)[i]`` is ``V(stack[i])``); given a generator
+    only when the shared uniform draw ``u_prime`` falls below the tie mass
+    (``Threshold.delta``). Arguments as for ``symmpi_set``; given a generator
     seeded as ``symmpi_set``'s, it sees the same draws and its set is a
     subset."""
     return _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
@@ -474,20 +465,23 @@ def nonsym_set(
     g_idx = int(rng.choice(len(reps), p=weights))
     g = reps[g_idx]
     g_inv = group.inverse(g)
-    points = _completed_points(observed, cands,
-                               lambda o, c: group.act(g_inv, embed(o, c)), V)
-    shape = points.shape[1:]
-    own = np.concatenate([s[:, 0] for _, s in
-                          _score_blocks(points, psi, actions_of(group, [g], shape))])
-    below = np.zeros(own.size)
-    col = 0
-    for lo, scores in _score_blocks(points, psi, actions_of(group, reps, shape)):
-        if lo == 0:
-            first, col = col, col + scores.shape[1]
-        hi = lo + scores.shape[0]
-        below[lo:hi] += (scores < own[lo:hi, None]) @ weights[first:col]
-    member = rank_member(below, alpha) & ~np.isnan(own)
-    return PredictionSet(cands, member, unbounded=bool(member.all()), meta={"drawn_rep": g_idx})
+
+    def member_of(finite):
+        points = _completed_points(observed, finite,
+                                   lambda o, c: group.act(g_inv, embed(o, c)), V)
+        shape = points.shape[1:]
+        own = np.concatenate([s[:, 0] for _, s in
+                              _score_blocks(points, psi, actions_of(group, [g], shape))])
+        below = np.zeros(own.size)
+        col = 0
+        for lo, scores in _score_blocks(points, psi, actions_of(group, reps, shape)):
+            if lo == 0:
+                first, col = col, col + scores.shape[1]
+            hi = lo + scores.shape[0]
+            below[lo:hi] += (scores < own[lo:hi, None]) @ weights[first:col]
+        return rank_member(below, alpha) & ~np.isnan(own)
+
+    return _finite_set(cands, member_of, {"drawn_rep": g_idx})
 
 
 # --------------------------------------------------------------------------
@@ -504,8 +498,13 @@ def rank_member(below, alpha: float) -> np.ndarray:
     is the same as its score being at most the self-inclusive 1 - alpha
     quantile; at alpha = 1 nothing is kept.
     """
+    return np.asarray(below) < _level(alpha)
+
+
+def _level(alpha: float) -> float:
+    """``rank_member``'s bound, 1 - alpha less the float guard; checks alpha."""
     _check_alpha(alpha)
-    return np.asarray(below) < (1.0 - alpha) - _LEVEL_EPS
+    return (1.0 - alpha) - _LEVEL_EPS
 
 
 def _finite_set(cands, member_of, meta=None) -> PredictionSet:
@@ -517,12 +516,6 @@ def _finite_set(cands, member_of, meta=None) -> PredictionSet:
     if finite.any():
         member[finite] = member_of(cands[finite])
     return PredictionSet(cands, member, unbounded=bool(member.all()), meta=meta or {})
-
-
-def _rank_set(cands, below, alpha: float, meta=None) -> PredictionSet:
-    """The set of the candidates whose below-own mass, ``below(finite
-    candidates)``, ``rank_member`` keeps."""
-    return _finite_set(cands, lambda finite: rank_member(below(finite), alpha), meta)
 
 
 def _count_within(sorted_vals, center, radius) -> np.ndarray:
@@ -583,12 +576,18 @@ def _rows_below(cal_rows, own) -> np.ndarray:
 _ENDS_ROUNDING = 2.0**-30
 
 
-def _rank_counts(n: int, alphas) -> np.ndarray:
-    """K at each alpha: among n equally weighted pooled scores, ``rank_member``
-    keeps a candidate exactly when fewer than K calibration scores lie
-    strictly below its own (K = 0 keeps nothing, K = n everything)."""
-    fractions = np.arange(n + 1) / n
-    return np.array([np.count_nonzero(rank_member(fractions, a)) for a in alphas])
+def _rank_count(n: int, alpha: float) -> int:
+    """K: among n equally weighted pooled scores, ``rank_member`` keeps a
+    candidate exactly when fewer than K calibration scores lie strictly below
+    its own (K = 0 keeps nothing, K = n everything). K counts the j in 0..n
+    with ``rank_member(j / n)``; a pass tests at most 1024 of them, so n may
+    be a group's order."""
+    lo, hi = 0, n + 1  # rank_member(j / n) holds for every j < lo and no j >= hi
+    while lo < hi:
+        step = -(-(hi - lo) // 1024)
+        kept = int(np.count_nonzero(rank_member(np.arange(lo, hi, step, float) / n, alpha)))
+        lo, hi = lo + max(step * (kept - 1) + 1, 0), min(lo + step * kept, hi)
+    return lo
 
 
 @dataclass
@@ -602,7 +601,7 @@ class ConformalIntervals:
     intervals it falls outside stays under 1 - alpha, so the set runs from a
     (weighted) order statistic of the lo_i, counted from the top, to one of
     the hi_i: with equal weights, the K-th largest lo_i and the K-th
-    smallest hi_i (``_rank_counts``). An empty set has low = inf and
+    smallest hi_i (``_rank_count``). An empty set has low = inf and
     high = -inf.
 
     ``below(points, rows)`` is the rank form: the below-own mass of the
@@ -649,12 +648,10 @@ def _intervals(lo, hi, alphas, below, scale, weights=None, ranked=False) -> Conf
     # non-finite data give ends of no use
     ranked = np.isnan(lo).any(axis=1) | np.isnan(hi).any(axis=1) | ranked
     if weights is None:
-        K = _rank_counts(N + 1, alphas)
+        K = np.array([_rank_count(N + 1, a) for a in alphas])
         empty = K == 0
     else:
-        for a in alphas:
-            _check_alpha(a)
-        level = np.array([(1.0 - a) - _LEVEL_EPS for a in alphas])
+        level = np.array([_level(a) for a in alphas])
         empty = level <= 0
         # sums of the weights in another order may round to the other side
         margin = 4 * N * np.finfo(float).eps
@@ -854,7 +851,7 @@ def _hierarchical_members(donors, sizes, target, cands, c, studentize, alphas,
     # bounds the rounding of the hole masses' sums and of the rank form's
     N = donors.shape[1] + target.shape[1] + sizes.size
     margin = 16 * (cands.shape[1] + 8 * N) * np.finfo(float).eps
-    levels = [(1.0 - a) - _LEVEL_EPS for a in alphas]
+    levels = [_level(a) for a in alphas]
     if (sizes == target.shape[1] + 1).all():
         # equal weights w: a mass is a multiple of w, so only levels within
         # twice the margin of one can be near a mass
@@ -1212,8 +1209,9 @@ def supervised_below(donor_residuals, target_residuals, candidate_residuals,
     included for the target branch), else raw magnitudes are compared. Each of
     branch k's points weighs 1/(K n_k).
 
-    This is ``_supervised_block`` for one test, on per-branch lists: the core
-    that ``supervised_hierarchical_set`` and the benchmark harness run.
+    This is ``_supervised_block`` for one test, on per-branch lists: the rank
+    form of ``_supervised_intervals``, which ``supervised_hierarchical_set``
+    and the benchmark harness run.
     """
     donors = [np.asarray(r, dtype=float).ravel() for r in donor_residuals]
     target = np.asarray(target_residuals, dtype=float).ravel()
@@ -1338,7 +1336,8 @@ def symmpi_set_randomsize(
     block-permutation set.
     """
     cands = _checked_candidates(candidates, alpha)
-    return _rank_set(cands, lambda finite: hierarchical_below(observed_branches, finite, c), alpha)
+    return _finite_set(cands, lambda finite: rank_member(
+        hierarchical_below(observed_branches, finite, c), alpha))
 
 
 def supervised_hierarchical_set(

@@ -32,7 +32,10 @@ EQUIVARIANCE_MAPS = ("hier-unsup", "identity", "median-dev", "sort")
 
 def _alpha(text: str) -> float:
     """argparse type for a miscoverage level, checked as the library checks it."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"alpha must be a number, got {text!r}") from None
     try:
         calibrate._check_alpha(value)
     except ValueError as exc:
@@ -42,7 +45,10 @@ def _alpha(text: str) -> float:
 
 def _grid_points(text: str) -> int:
     """argparse type for a candidate grid size: an integer of at least 2."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"a grid size must be an integer, got {text!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError(f"a grid needs at least 2 points, got {value}")
     return value
@@ -249,8 +255,6 @@ def cmd_predict_rotation(args) -> int:
     if args.mc < 1:
         raise UsageError(f"--mc must be at least 1, got {args.mc}")
     pts = np.loadtxt(args.data, delimiter=",", ndmin=2)
-    if pts.shape[1] < 2:
-        raise DataError("rotation data needs at least two coordinates per point")
     if not np.isfinite(pts).all():
         raise DataError("rotation coordinates must be finite numbers")
     rng = np.random.default_rng(args.seed)

@@ -17,8 +17,8 @@ from .calibrate import (
     _checked_candidates,
     _finite_set,
     _interval_set,
-    _rank_set,
     _rows_below,
+    rank_member,
     score_intervals,
 )
 from .groups import GraphAutomorphismGroup, enumerate_automorphisms, orbit_of_index
@@ -56,7 +56,7 @@ def graph_vertex_set(
             means = (others.sum() + finite) / orbit.size
             return _rows_below(others[None, :] - means[:, None], finite - means)
 
-        return _rank_set(cands, below, alpha, meta)
+        return _finite_set(cands, lambda finite: rank_member(below(finite), alpha), meta)
     raise ValueError(f"unknown psi_kind {psi_kind!r}")
 
 

@@ -587,16 +587,12 @@ def rotation_region(
     grid = np.linspace(-radius, radius, grid_points)
     # candidate draw scores at the representative point (x, h, 0, ...)
     trans = w_cand[:, 1] * height if p > 1 else 0.0
-    member = _mc_member(-np.abs(grid), fixed_scores,
-                        -np.abs(w_cand[:, 0][None, :] * grid[:, None] + trans), alpha)
-    kept = np.abs(grid[member])
-    strip = float(kept.min()) if member.any() and not member.all() else 0.0
-    return PredictionSet(
-        grid,
-        member,
-        unbounded=bool(member.all()),
-        meta={"strip_halfwidth": strip, "mc_draws": mc_draws, "transverse_height": height},
-    )
+    ps = _finite_set(grid, lambda x: _mc_member(
+        -np.abs(x), fixed_scores, -np.abs(w_cand[:, 0][None, :] * x[:, None] + trans), alpha))
+    kept = np.abs(grid[ps.member])
+    strip = float(kept.min()) if kept.size and not ps.unbounded else 0.0
+    ps.meta.update(strip_halfwidth=strip, mc_draws=mc_draws, transverse_height=height)
+    return ps
 
 
 def rotation_region_covers(

@@ -370,6 +370,21 @@ NON_FINITE_BUILDERS = {
     "cluster_sum": lambda g: cluster_sum_set([1.0, -2.0, 3.0], g, 0.4),
     "randomsize": lambda g: symmpi_set_randomsize([[1.0, 2, 3], [2.0, 3, 4], [1.5]], g, 0.2),
     "supervised": _supervised_case,
+    "orbit_exact": lambda g: symmpi_set([1.0, 2.0, 3.0], g, append_embed, identity_map,
+                                        last_coordinate, SymmetricGroup(4), 0.1),
+    "orbit_mc": lambda g: symmpi_set([1.0, 2.0, 3.0], g, append_embed, identity_map,
+                                     last_coordinate, SymmetricGroup(4), 0.1, mode="mc",
+                                     mc_draws=30, rng=np.random.default_rng(4)),
+    "orbit_randomized": lambda g: randomized_set([1.0, 2.0, 3.0], g, append_embed, identity_map,
+                                                 last_coordinate, SymmetricGroup(4), 0.3, 0.5),
+    "orbit_nonsym": lambda g: nonsym_set([1.0, 2.0, 3.0], g, append_embed, identity_map,
+                                         last_coordinate,
+                                         WeightSpec(swap_with_last_cosets(4)[0],
+                                                    [0.1, 0.2, 0.3, 0.4]),
+                                         SymmetricGroup(4), 0.1, np.random.default_rng(5)),
+    "orbit_block_hierarchical": lambda g: symmpi_set([0.2, -1.1, 0.4, 1.3, 0.9], g, _block_embed,
+                                                     hierarchical_unsup_transform, _last_entry,
+                                                     BlockPermutationGroup(2, 3), 0.2),
 }
 
 

@@ -322,6 +322,33 @@ def test_predict_rotation(tmp_path, capsys):
     assert "strip half-width" in capsys.readouterr().out
 
 
+def test_predict_rotation_one_coordinate(tmp_path, capsys):
+    # p = 1: the region is the complement of a strip around zero on the line
+    data = tmp_path / "line.csv"
+    data.write_text("0.5\n-1.2\n2.0\n0.3\n")
+    out = tmp_path / "line.json"
+    assert main(["predict-rotation", str(data), "--alpha", "0.5", "--seed", "1", "--grid", "101",
+                 "--out", str(out)]) == 0
+    assert "strip half-width: 0.56" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert len(payload["candidates"]) == 101 and payload["transverse_height"] == 0.0
+    assert np.allclose(payload["intervals"], [[-4.0, -0.56], [0.56, 4.0]])
+
+
+@pytest.mark.parametrize("option, value, text", [
+    ("--alpha", "x", "alpha must be a number, got 'x'"),
+    ("--grid", "x", "a grid size must be an integer, got 'x'"),
+    ("--grid", "2.5", "a grid size must be an integer, got '2.5'"),
+])
+@pytest.mark.parametrize("argv", [["bench", "--preset", "table1"], ["predict-rotation", "p.csv"]])
+def test_unparsable_option_values_are_usage_errors(argv, option, value, text, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv + [option, value])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: {text}" in err and "invalid" not in err
+
+
 def test_equivariance_cli_pass_and_fail(capsys):
     assert main(["test-equivariance", "--map", "hier-unsup", "--samples", "2000",
                  "--seed", "0"]) == 0

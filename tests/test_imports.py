@@ -1,5 +1,6 @@
 """Every module of the package, other than ``__init__`` (which re-exports),
-uses each name it imports."""
+uses each name it imports, and only ``calibrate._finite_set`` builds a
+``PredictionSet``, so every set takes its members one way."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,34 @@ def test_module_uses_every_import(module):
 def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport numpy as np\nfrom .groups import a, b\n"
     assert unused_imports(source + "x = np.zeros(a)\n") == ["b (line 3)"]
+
+
+def prediction_set_calls(source: str) -> list[str]:
+    """The dotted scopes (functions and classes) of each ``PredictionSet(...)``
+    call in ``source``; a call at module level is in ``<module>``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "PredictionSet":
+                    found.append(".".join(scope) or "<module>")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_prediction_sets_are_built_in_one_place():
+    calls = [f"{module[:-3]}.{scope}" for module in MODULES
+             for scope in prediction_set_calls((PACKAGE / module).read_text())]
+    assert calls == ["calibrate._finite_set"]
+
+
+def test_a_prediction_set_call_is_found():
+    source = ("ps = calibrate.PredictionSet(c, m)\n"
+              "def build(c):\n    return [PredictionSet(c, m) for m in (lambda: 0,)]\n")
+    assert prediction_set_calls(source) == ["<module>", "build"]
