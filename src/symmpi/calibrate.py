@@ -55,8 +55,11 @@ def _check_draws(mc_draws) -> None:
 def finite_quantile(values, level: float, weights=None) -> float:
     """Smallest x among ``values`` whose cumulative weight reaches ``level``.
 
-    Unweighted inputs get equal weights 1/m. Returns +inf when the level
-    exceeds the total weight (only possible for level > 1).
+    Unweighted inputs get equal weights 1/m, and the quantile is the K-th
+    smallest value, K being the count of the sets' rank rule
+    (``_count_under``: at level = 1 - alpha, ``_rank_count(m, alpha)``), or
+    the smallest value when K = 0. Returns +inf when the level exceeds the
+    total weight (only possible for level > 1).
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
@@ -64,8 +67,7 @@ def finite_quantile(values, level: float, weights=None) -> float:
     if weights is None:
         if level > 1.0 + _LEVEL_EPS:
             return float("inf")
-        k = int(np.ceil(level * v.size - _LEVEL_EPS))
-        k = min(max(k, 1), v.size)
+        k = min(max(_count_under(v.size, level - _LEVEL_EPS), 1), v.size)
         return float(np.partition(v, k - 1)[k - 1])
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape != v.shape:
@@ -580,12 +582,18 @@ def _rank_count(n: int, alpha: float) -> int:
     """K: among n equally weighted pooled scores, ``rank_member`` keeps a
     candidate exactly when fewer than K calibration scores lie strictly below
     its own (K = 0 keeps nothing, K = n everything). K counts the j in 0..n
-    with ``rank_member(j / n)``; a pass tests at most 1024 of them, so n may
-    be a group's order."""
-    lo, hi = 0, n + 1  # rank_member(j / n) holds for every j < lo and no j >= hi
+    with ``rank_member(j / n)``."""
+    return _count_under(n, _level(alpha))
+
+
+def _count_under(n: int, bound: float) -> int:
+    """The number of j in 0..n with j / n < bound, the comparison of
+    ``rank_member`` at ``bound = _level(alpha)``. A pass tests at most 1024
+    of them, so n may be a group's order."""
+    lo, hi = 0, n + 1  # j / n < bound for every j < lo and no j >= hi
     while lo < hi:
         step = -(-(hi - lo) // 1024)
-        kept = int(np.count_nonzero(rank_member(np.arange(lo, hi, step, float) / n, alpha)))
+        kept = int(np.count_nonzero(np.arange(lo, hi, step, float) / n < bound))
         lo, hi = lo + max(step * (kept - 1) + 1, 0), min(lo + step * kept, hi)
     return lo
 

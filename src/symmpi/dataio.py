@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -18,22 +20,100 @@ class DataError(ValueError):
     """Malformed input file or schema violation."""
 
 
+def _csv_text(path) -> str:
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+def _quote_free(text) -> bool:
+    """Whether splitting on newlines and commas gives the rows ``csv.reader``
+    would: the text has no quote, carriage return or NUL."""
+    return not ('"' in text or "\r" in text or "\0" in text)
+
+
+def _csv_rows(text) -> list[list[str]]:
+    """The rows of CSV text as lists of cells, without blank rows (rows whose
+    cells are all empty or whitespace).
+
+    Quote-free text is split on newlines and commas; any other text goes
+    through ``csv.reader``, which reads quoted cells and every line ending.
+    """
+    if _quote_free(text):
+        rows = list(map(str.split, text.split("\n"), repeat(",")))
+    else:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    return list(compress(rows, map(str.strip, map("".join, rows))))
+
+
+def _line_width(text):
+    """The number of cells on every line of quote-free text, one final
+    newline ending the last line, or None when the lines differ in it."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    commas = set(map(str.count, lines, repeat(",")))
+    return commas.pop() + 1 if len(commas) == 1 else None
+
+
+def _csv_table(text):
+    """The rows of CSV text by columns: (head, cols, row), where ``head`` is
+    the first row, ``cols[j]`` the j-th cells of the other rows, for every j
+    below the shortest row's length, and ``row(i)`` the i-th other row; None
+    when the text has no rows. Blank rows are skipped, as ``_csv_rows``
+    skips them.
+
+    When the text is quote-free, all its lines have one width, and neither
+    the first line nor any other row's first cell is blank, so that no row
+    is blank, one split on commas gives every cell and the columns are
+    slices of it. Any other text is read row by row, by ``_csv_rows``.
+    """
+    w = _quote_free(text) and _line_width(text)
+    if w:
+        cells = text.replace("\n", ",").split(",")
+        if text.endswith("\n"):
+            cells.pop()
+        head, cols = cells[:w], [cells[w + j::w] for j in range(w)]
+        if "".join(head).strip() and all(map(str.strip, cols[0])):
+            return head, cols, lambda i: cells[w * (i + 1):w * (i + 2)]
+    rows = _csv_rows(text)
+    if not rows:
+        return None
+    head, body = rows[0], rows[1:]
+    return head, list(zip(*body)) or [()] * len(head), body.__getitem__
+
+
+def _not_a_number(path, columns, row):
+    """The DataError naming the first cell that ``float`` does not parse in
+    ``columns``, pairs of a column name and its (row index, cell) pairs;
+    ``row(i)`` is the row of index i."""
+    for name, cells in columns:
+        for i, cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return DataError(f"{path}: row {','.join(row(i))!r} has {cell.strip()!r} in "
+                                 f"column {name!r}, which is not a number")
+    return None
+
+
 def read_hierarchical_csv(path):
     """Read branch data: columns branch_id, [x...,] y; blank y marks the target.
 
     Every row has at least as many cells as the header (a blank trailing y
     cell, as in ``b1,0.5,``, still counts); a shorter row, or an x or given
-    y cell that is not a finite number, is a DataError.
+    y cell that is not a finite number, is a DataError, and one that is not
+    a number is named with its row and column. Each column is parsed in one
+    pass, by ``float``.
 
     Returns (branch_ids, xs, ys, target), where xs is None for unsupervised
     files, ys holds per-branch value arrays with NaN at the target slot, and
     target is (branch_index, row_index).
     """
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if "".join(r).strip()]  # skip blank rows
-    if not rows:
+    table = _csv_table(_csv_text(path))
+    if table is None:
         raise DataError(f"{path}: empty file")
-    header = [c.strip().lower() for c in rows[0]]
+    head, cols, row = table
+    header = [c.strip().lower() for c in head]
     if "branch_id" not in header:
         raise DataError(f"{path}: need a header row with branch_id and y/value columns")
     bcol = header.index("branch_id")
@@ -45,21 +125,30 @@ def read_hierarchical_csv(path):
         raise DataError(f"{path}: no y or value column")
     xcols = [i for i, name in enumerate(header) if name == "x" or name.startswith("x_")]
 
-    body = rows[1:]
-    short = next((r for r in body if len(r) < len(header)), None)
-    if short is not None:
+    n = len(cols[0])
+    if len(cols) < len(header):
+        short = next(r for r in map(row, range(n)) if len(r) < len(header))
         raise DataError(f"{path}: row {','.join(short)!r} has {len(short)} cells, "
                         f"the header has {len(header)}")
-    ids = [r[bcol].strip() for r in body]
-    ycells = [r[ycol].strip() for r in body]
-    y = np.array([float(c) if c else np.nan for c in ycells])
-    x = np.array([[float(r[i]) for r in body] for i in xcols]).T if xcols else None
-    given = np.array([bool(c) for c in ycells])
-    if not np.isfinite(y[given]).all() or (x is not None and not np.isfinite(x).all()):
+    ids = list(map(str.strip, cols[bcol]))
+    ycells = list(map(str.strip, cols[ycol]))
+    gcells = list(filter(None, ycells))
+    try:
+        given = np.fromiter(map(float, gcells), float, len(gcells))
+        x = None
+        if xcols:
+            x = np.array([np.fromiter(map(float, cols[i]), float, n) for i in xcols]).T
+    except ValueError:
+        columns = [(header[ycol], [(i, c) for i, c in enumerate(ycells) if c])]
+        columns += [(header[i], enumerate(cols[i])) for i in xcols]
+        raise _not_a_number(path, columns, row) from None
+    y = np.full(n, np.nan)
+    y[np.fromiter(map(bool, ycells), bool, n)] = given
+    if not np.isfinite(given).all() or (x is not None and not np.isfinite(x).all()):
         raise DataError(f"{path}: x and y values must be finite numbers")
     order = list(dict.fromkeys(ids))
     code = {b: i for i, b in enumerate(order)}
-    branch = np.array([code[b] for b in ids], dtype=np.intp)
+    branch = np.fromiter(map(code.__getitem__, ids), np.intp, n)
 
     missing = np.flatnonzero(np.isnan(y))
     if missing.size > 1:
@@ -70,11 +159,14 @@ def read_hierarchical_csv(path):
     target = (bi, int(np.count_nonzero(branch[: missing[0]] == bi)))
     # rows grouped by branch, in file order within each
     by_branch = np.argsort(branch, kind="stable")
-    cuts = np.cumsum(np.bincount(branch, minlength=len(order)))[:-1]
-    ys = np.split(y[by_branch], cuts)
+    ends = np.cumsum(np.bincount(branch, minlength=len(order))).tolist()
+    spans = list(zip([0] + ends, ends))
+    y = y[by_branch]
+    ys = [y[lo:hi] for lo, hi in spans]
     xs = None
     if xcols:
-        xs = np.split(x[by_branch, 0] if len(xcols) == 1 else x[by_branch], cuts)
+        x = x[by_branch, 0] if len(xcols) == 1 else x[by_branch]
+        xs = [x[lo:hi] for lo, hi in spans]
     return order, xs, ys, target
 
 
@@ -86,9 +178,7 @@ def read_graph_values_csv(path):
     DataError; a row that ends before its value cell leaves that vertex
     unobserved.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r and any(c.strip() for c in r)]
+    rows = _csv_rows(_csv_text(path))
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [c.strip().lower() for c in rows[0]]

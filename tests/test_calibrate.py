@@ -137,6 +137,19 @@ def test_threshold_s4_cdf_bookkeeping():
     assert th.delta == pytest.approx(0.2)
 
 
+def test_threshold_cuts_where_the_set_does():
+    # 1 - alpha exceeds 4/5 by less than the float guard: the threshold and the
+    # set both cut at rank_member's count, 96 of the 120 orbit scores
+    observed, alpha = np.array([1.0, 2.0, 3.0, 4.0]), 0.2 - 5e-10
+    G = SymmetricGroup(5)
+    th = threshold(np.append(observed, 5.0), last_coordinate, G, alpha)
+    assert th.value == 4.0
+    assert finite_quantile(np.repeat(np.arange(1.0, 6.0), 24), 1.0 - alpha) == 4.0
+    ps = symmpi_set(observed, np.array([4.0, 5.0]), append_embed, identity_map,
+                    last_coordinate, G, alpha)
+    assert ps.member.tolist() == [True, False]
+
+
 def test_threshold_invariance_over_orbit():
     rng = np.random.default_rng(1)
     G = SymmetricGroup(5)

@@ -457,7 +457,22 @@ def test_non_finite_values_are_data_errors(tmp_path, capsys, command, text):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("ids", [(0, 1, 2, 4), (0, 1, 1, 3), (1, 2, 3, 4)])
+@pytest.mark.parametrize("mode, text, message", [
+    ("unsup", "branch_id,y\na,1\na,abc\nb,3\nb,\n",
+     "row 'a,abc' has 'abc' in column 'y', which is not a number"),
+    ("sup", "branch_id,x,y\na,0.1,1\na,0.2,2\nb, zz ,3\nb,0.4,\nb,0.5,4\n",
+     "row 'b, zz ,3' has 'zz' in column 'x', which is not a number"),
+])
+def test_cells_that_are_not_numbers_are_named(tmp_path, capsys, mode, text, message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    assert main(["predict-hierarchical", str(data), "--mode", mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {data}: {message}\n"
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("ids",[(0, 1, 2, 4), (0, 1, 1, 3), (1, 2, 3, 4)])
 def test_predict_graph_ids_must_be_the_adjacency_vertices(tmp_path, capsys, ids):
     vpath = tmp_path / "values.csv"
     vpath.write_text("vertex_id,value\n" + "".join(

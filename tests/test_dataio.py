@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from symmpi.calibrate import PredictionSet
@@ -161,3 +166,120 @@ def test_write_bench_rows_inf_handling(tmp_path):
 
     payload = json.load(open(pj))
     assert payload[0]["mean_length"] == "Inf"
+
+
+# ----------------------------------------------------------------------
+# read_hierarchical_csv against the row-by-row oracle
+# ----------------------------------------------------------------------
+
+# whitespace that str.strip and float take off a cell, some of which
+# str.splitlines would also break a line on
+PAD = st.sampled_from(["", " ", "\t", " \t ", "\x0b", "\x85", "\u2028", "\xa0"])
+NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def branch_files(draw):
+    """A branch CSV and how it is written: ragged branches whose rows are
+    interleaved, one target cell anywhere, padded cells, extra trailing
+    cells, blank lines, and quoted or quote-free text with one line ending.
+    A file with every row as wide as the header and no blank line can be
+    read by columns."""
+    n_x = draw(st.integers(0, 3))
+    extra, blank = draw(st.booleans()), draw(st.booleans())  # trailing cells, blank lines
+    quoted = draw(st.booleans())
+    # a third of the files are quote-free with "\n" endings: split, not read by csv.reader
+    split = not quoted and draw(st.booleans())
+    ending = "\n" if split else draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    rows = [(b, i) for b, n in enumerate(sizes) for i in range(n)]
+    rows = draw(st.permutations(rows))
+    target = draw(st.sampled_from(rows))
+
+    def cell(text):
+        if quoted and ("," in text or draw(st.booleans())):
+            return '"' + draw(PAD) + text + draw(PAD) + '"'
+        return draw(PAD) + text + draw(PAD)
+
+    xnames = ["x"] if n_x == 1 else [f"x_{j}" for j in range(n_x)]
+    lines = [",".join(cell(name) for name in ["branch_id", *xnames, "y"])]
+    for b, i in rows:
+        name = f"b,{b}" if quoted and b % 2 else f"b{b}"
+        y = "" if (b, i) == target else draw(NUMBER)
+        cells = [name, *(draw(NUMBER) for _ in xnames), y]
+        if extra:
+            cells += draw(st.lists(st.sampled_from(["", " ", "note", "1.5"]), max_size=2))
+        lines.append(",".join(map(cell, cells)))
+        if blank and draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", ",", " , ,\t", ",,", "\x1c,\x0c"])))
+    return ending.join(lines) + ending * draw(st.integers(0, 2))
+
+
+def assert_reads_as_row_reader(path):
+    order, xs, ys, target = read_hierarchical_csv(path)
+    want = oracles.read_hierarchical_rows(path)
+    assert order == want[0] and target == want[3]
+    assert (xs is None) == (want[1] is None)
+    for got, ref in zip((xs or []) + ys, (want[1] or []) + want[2]):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=branch_files())
+def test_read_hierarchical_matches_row_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "branches.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert_reads_as_row_reader(path)
+
+
+@pytest.mark.parametrize("text", [
+    "branch_id,x,y\n,0.1,1\nb,0.2,2\n,0.3,\n",  # rows of the branch ''
+    "branch_id,y\nb,1\n , \nb,\n",  # a blank row as wide as the header
+    ",\nbranch_id,y\nb,1\nb,\n",  # a blank line before the header
+    "branch_id,y\nb0,1,note,2\nb1,\nb1,2\n",  # 10 cells, 4 rows wide; one row is wider
+])
+def test_read_hierarchical_rows_not_split_by_columns(tmp_path, text):
+    # quote-free files that one split into columns would misread
+    path = tmp_path / "h.csv"
+    path.write_text(text)
+    assert_reads_as_row_reader(path)
+
+
+@pytest.mark.parametrize("text, cell", [
+    ("branch_id,x,y\na,0.1,1\na,?,2\nb,-,3\nb,0.4,\n", "row 'a,?,2' has '?' in column 'x'"),
+    ("branch_id,x,y\na,0.1,1\na,?,2\nb,0.3,-\nb,0.4,\n", "row 'b,0.3,-' has '-' in column 'y'"),
+    ("branch_id,x_1,x_2,y\na,0.1,?,1\na,-,0,2\nb,0.4,0,\n",
+     "row 'a,-,0,2' has '-' in column 'x_1'"),
+])
+def test_the_first_cell_that_is_not_a_number_is_named(tmp_path, text, cell):
+    # the y column first, then each x column in header order, each from the top
+    path = tmp_path / "h.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        read_hierarchical_csv(path)
+    assert str(err.value) == f"{path}: {cell}, which is not a number"
+
+
+@pytest.mark.parametrize("lines", [
+    ["branch_id,x,y", "a,0.1,1", "a,0.2", "b,0.3,"],  # a short row
+    ["branch_id,y", "a,1", "b,2"],  # no target
+    ["branch_id,y", "a,", "b,"],  # two targets
+    ["branch_id,y", "a,1", "a,inf", "b,"],  # a value that is not finite
+    ["branch_id,x,y", "a,0.1,1", "a,0.2,2", "b,0x3,"],  # a cell that is not a number
+    ["branch_id,y", " , ", ""],  # no rows but the header
+])
+def test_read_hierarchical_errors_are_the_same_on_every_path(tmp_path, lines):
+    path = tmp_path / "bad.csv"
+    messages = []
+    # by columns where every row is as wide as the header, then split row by
+    # row (blank lines between the rows), then by csv.reader
+    for ending in ("\n", "\n\n", "\r\n"):
+        with open(path, "w", newline="") as fh:
+            fh.write(ending.join(lines) + ending)
+        with pytest.raises(DataError) as err:
+            read_hierarchical_csv(path)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]

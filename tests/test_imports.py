@@ -1,6 +1,8 @@
 """Every module of the package, other than ``__init__`` (which re-exports),
-uses each name it imports, and only ``calibrate._finite_set`` builds a
-``PredictionSet``, so every set takes its members one way."""
+uses each name it imports; only ``calibrate._finite_set`` builds a
+``PredictionSet``, so every set takes its members one way; and only
+``dataio._csv_rows`` calls ``csv.reader``, so every CSV reader splits its
+text one way."""
 
 import ast
 from pathlib import Path
@@ -39,23 +41,39 @@ def test_an_unused_import_is_found():
     assert unused_imports(source + "x = np.zeros(a)\n") == ["b (line 3)"]
 
 
-def prediction_set_calls(source: str) -> list[str]:
-    """The dotted scopes (functions and classes) of each ``PredictionSet(...)``
-    call in ``source``; a call at module level is in ``<module>``."""
+def call_scopes(source: str, called) -> list[str]:
+    """The dotted scopes (functions and classes) of each call in ``source``
+    whose function node satisfies ``called``; a call at module level is in
+    ``<module>``."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "PredictionSet":
-                    found.append(".".join(scope) or "<module>")
+            if isinstance(child, ast.Call) and called(child.func):
+                found.append(".".join(scope) or "<module>")
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, scope + [child.name] if named else scope)
 
     visit(ast.parse(source), [])
     return found
+
+
+def prediction_set_calls(source: str) -> list[str]:
+    """The scopes of each ``PredictionSet(...)`` call in ``source``."""
+    def called(func):
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == "PredictionSet"
+
+    return call_scopes(source, called)
+
+
+def csv_reader_calls(source: str) -> list[str]:
+    """The scopes of each ``csv.reader(...)`` call in ``source``."""
+    def called(func):
+        return (isinstance(func, ast.Attribute) and func.attr == "reader"
+                and isinstance(func.value, ast.Name) and func.value.id == "csv")
+
+    return call_scopes(source, called)
 
 
 def test_prediction_sets_are_built_in_one_place():
@@ -68,3 +86,15 @@ def test_a_prediction_set_call_is_found():
     source = ("ps = calibrate.PredictionSet(c, m)\n"
               "def build(c):\n    return [PredictionSet(c, m) for m in (lambda: 0,)]\n")
     assert prediction_set_calls(source) == ["<module>", "build"]
+
+
+def test_csv_text_is_split_in_one_place():
+    calls = [f"{module[:-3]}.{scope}" for module in MODULES
+             for scope in csv_reader_calls((PACKAGE / module).read_text())]
+    assert calls == ["dataio._csv_rows"]
+
+
+def test_a_csv_reader_call_is_found():
+    source = ("rows = list(csv.reader(fh))\n"
+              "def read(fh):\n    return [r for r in csv.reader(fh)], reader(fh), csv.writer(fh)\n")
+    assert csv_reader_calls(source) == ["<module>", "read"]
