@@ -32,16 +32,9 @@ def _quote_free(text) -> bool:
 
 
 def _csv_rows(text) -> list[list[str]]:
-    """The rows of CSV text as lists of cells, without blank rows (rows whose
-    cells are all empty or whitespace).
-
-    Quote-free text is split on newlines and commas; any other text goes
-    through ``csv.reader``, which reads quoted cells and every line ending.
-    """
-    if _quote_free(text):
-        rows = list(map(str.split, text.split("\n"), repeat(",")))
-    else:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+    """The rows of CSV text as lists of cells, read by ``csv.reader``, without
+    blank rows (rows whose cells are all empty or whitespace)."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     return list(compress(rows, map(str.strip, map("".join, rows))))
 
 

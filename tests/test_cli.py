@@ -472,7 +472,7 @@ def test_cells_that_are_not_numbers_are_named(tmp_path, capsys, mode, text, mess
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("ids",[(0, 1, 2, 4), (0, 1, 1, 3), (1, 2, 3, 4)])
+@pytest.mark.parametrize("ids", [(0, 1, 2, 4), (0, 1, 1, 3), (1, 2, 3, 4)])
 def test_predict_graph_ids_must_be_the_adjacency_vertices(tmp_path, capsys, ids):
     vpath = tmp_path / "values.csv"
     vpath.write_text("vertex_id,value\n" + "".join(

@@ -188,7 +188,7 @@ def branch_files(draw):
     n_x = draw(st.integers(0, 3))
     extra, blank = draw(st.booleans()), draw(st.booleans())  # trailing cells, blank lines
     quoted = draw(st.booleans())
-    # a third of the files are quote-free with "\n" endings: split, not read by csv.reader
+    # a third of the files are quote-free with "\n" endings, which may be split by columns
     split = not quoted and draw(st.booleans())
     ending = "\n" if split else draw(st.sampled_from(["\n", "\r\n", "\r"]))
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
@@ -274,8 +274,8 @@ def test_the_first_cell_that_is_not_a_number_is_named(tmp_path, text, cell):
 def test_read_hierarchical_errors_are_the_same_on_every_path(tmp_path, lines):
     path = tmp_path / "bad.csv"
     messages = []
-    # by columns where every row is as wide as the header, then split row by
-    # row (blank lines between the rows), then by csv.reader
+    # by columns where every row is as wide as the header, then by csv.reader
+    # with blank lines between the rows, then with "\r\n" endings
     for ending in ("\n", "\n\n", "\r\n"):
         with open(path, "w", newline="") as fh:
             fh.write(ending.join(lines) + ending)

@@ -1,8 +1,8 @@
 """Every module of the package, other than ``__init__`` (which re-exports),
 uses each name it imports; only ``calibrate._finite_set`` builds a
 ``PredictionSet``, so every set takes its members one way; and only
-``dataio._csv_rows`` calls ``csv.reader``, so every CSV reader splits its
-text one way."""
+``dataio._csv_rows`` calls ``csv.reader``, so every CSV reader that goes
+row by row reads its text one way."""
 
 import ast
 from pathlib import Path
