@@ -2,6 +2,9 @@
 
 Every command is deterministic given --seed. Exit codes: 0 success, 2 usage
 error, 3 data error, 4 internal invariant violation.
+
+Each command is declared once, in ``COMMANDS``; ``main`` declares the
+arguments of the one it runs, and checks ``--config`` keys against them.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,116 +56,6 @@ def _grid_points(text: str) -> int:
     if value < 2:
         raise argparse.ArgumentTypeError(f"a grid needs at least 2 points, got {value}")
     return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="symmpi", description=__doc__)
-    parser.add_argument("--config", help="INI file whose [<subcommand>] section supplies defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("bench", help="run a benchmark table")
-    b.add_argument("--preset", required=True, choices=sorted(PRESETS))
-    b.add_argument("--alpha", type=_alpha, nargs="+", default=[0.05, 0.15])
-    b.add_argument("--sigma2", type=float, nargs="+", default=[10.0])
-    b.add_argument("--branches", type=int, default=20)
-    b.add_argument("--trials", type=int, default=40)
-    b.add_argument("--tests", type=int, default=100)
-    b.add_argument("--c", type=float, default=2.0)
-    b.add_argument("--grid", type=_grid_points, default=2001)
-    b.add_argument("--studentize", action="store_true",
-                   help="divide scores by the within-branch scale (see docs)")
-    b.add_argument("--methods", nargs="+", default=None)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--threads", type=int, default=1)
-    b.add_argument("--out", default=None)
-    b.add_argument("--format", choices=["csv", "json"], default="csv")
-    b.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("predict-hierarchical", help="prediction set from a branch CSV")
-    p.add_argument("data")
-    p.add_argument("--alpha", type=_alpha, default=0.1)
-    p.add_argument("--mode", choices=["unsup", "sup"], default="unsup")
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--grid", type=_grid_points, default=2001)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
-    p.set_defaults(func=cmd_predict_hierarchical)
-
-    g = sub.add_parser("predict-graph", help="vertex prediction set from value/adjacency CSVs")
-    g.add_argument("values")
-    g.add_argument("adjacency")
-    g.add_argument("--alpha", type=_alpha, default=0.1)
-    g.add_argument("--generators", default=None, help="file of permutations, one per line")
-    g.add_argument("--cap", type=int, default=10)
-    g.add_argument("--grid", type=_grid_points, default=2001)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", default=None)
-    g.add_argument("--format", choices=["csv", "json"], default="json")
-    g.set_defaults(func=cmd_predict_graph)
-
-    r = sub.add_parser("predict-rotation", help="strip-complement region from a point CSV")
-    r.add_argument("data")
-    r.add_argument("--alpha", type=_alpha, default=0.05)
-    r.add_argument("--mc", type=int, default=400)
-    r.add_argument("--grid", type=_grid_points, default=2001)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--out", default=None)
-    r.add_argument("--format", choices=["csv", "json"], default="json")
-    r.set_defaults(func=cmd_predict_rotation)
-
-    t = sub.add_parser("test-equivariance", help="two-sample test of a builtin map")
-    t.add_argument("--map", required=True, dest="map_name")
-    t.add_argument("--group", choices=["auto", "permutation", "block"], default="auto")
-    t.add_argument("--samples", type=int, default=10_000)
-    t.add_argument("--seed", type=int, default=0)
-    t.set_defaults(func=cmd_test_equivariance)
-    return parser
-
-
-def _apply_config(parser, argv):
-    """Use [<subcommand>] keys from --config as parser defaults."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        raise UsageError("--config needs a file path")
-    if not argv[i + 2 :]:
-        raise UsageError("--config requires a subcommand")
-    command = argv[i + 2]
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise DataError(f"config file {path} not found")
-    if not cp.has_section(command):
-        return argv
-    subparser = None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            subparser = action.choices.get(command)
-    if subparser is None:
-        raise UsageError(f"unknown subcommand {command!r}")
-    known = {}
-    for action in subparser._actions:
-        for opt in action.option_strings:
-            known[opt.lstrip("-")] = action
-    extra = []
-    for key, value in cp.items(command):
-        if key not in known:
-            raise UsageError(f"unknown config key {key!r} in [{command}]")
-        action = known[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            if value.strip().lower() in ("1", "true", "yes"):
-                extra.append(f"--{key}")
-        else:
-            extra.extend([f"--{key}"] + value.split())
-    # config-derived options go right after the subcommand so explicit
-    # flags, parsed later, win
-    out = argv[: i + 3] + extra + argv[i + 3 :]
-    del out[i : i + 2]
-    return out
 
 
 def cmd_bench(args) -> int:
@@ -320,20 +214,125 @@ def _report_set(ps, args) -> None:
         print(f"wrote {args.out}")
 
 
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    args: tuple  # (name or flag, add_argument keywords) pairs, in help order
+
+
+GRID = ("--grid", dict(type=_grid_points, default=2001))
+SEED = ("--seed", dict(type=int, default=0))
+OUT = ("--out", dict(default=None))
+FORMAT = ("--format", dict(choices=["csv", "json"], default="json"))
+
+COMMANDS = {
+    "bench": Command("run a benchmark table", cmd_bench, (
+        ("--preset", dict(required=True, choices=sorted(PRESETS))),
+        ("--alpha", dict(type=_alpha, nargs="+", default=[0.05, 0.15])),
+        ("--sigma2", dict(type=float, nargs="+", default=[10.0])),
+        ("--branches", dict(type=int, default=20)),
+        ("--trials", dict(type=int, default=40)),
+        ("--tests", dict(type=int, default=100)),
+        ("--c", dict(type=float, default=2.0)),
+        GRID,
+        ("--studentize", dict(action="store_true",
+                              help="divide scores by the within-branch scale (see docs)")),
+        ("--methods", dict(nargs="+", default=None)),
+        SEED,
+        ("--threads", dict(type=int, default=1)),
+        OUT,
+        ("--format", dict(FORMAT[1], default="csv")),
+    )),
+    "predict-hierarchical": Command("prediction set from a branch CSV", cmd_predict_hierarchical, (
+        ("data", {}),
+        ("--alpha", dict(type=_alpha, default=0.1)),
+        ("--mode", dict(choices=["unsup", "sup"], default="unsup")),
+        ("--c", dict(type=float, default=2.0)),
+        GRID, SEED, OUT, FORMAT,
+    )),
+    "predict-graph": Command(
+        "vertex prediction set from value/adjacency CSVs", cmd_predict_graph, (
+        ("values", {}),
+        ("adjacency", {}),
+        ("--alpha", dict(type=_alpha, default=0.1)),
+        ("--generators", dict(default=None, help="file of permutations, one per line")),
+        ("--cap", dict(type=int, default=10)),
+        GRID, SEED, OUT, FORMAT,
+    )),
+    "predict-rotation": Command("strip-complement region from a point CSV", cmd_predict_rotation, (
+        ("data", {}),
+        ("--alpha", dict(type=_alpha, default=0.05)),
+        ("--mc", dict(type=int, default=400)),
+        GRID, SEED, OUT, FORMAT,
+    )),
+    "test-equivariance": Command("two-sample test of a builtin map", cmd_test_equivariance, (
+        ("--map", dict(required=True, dest="map_name")),
+        ("--group", dict(choices=["auto", "permutation", "block"], default="auto")),
+        ("--samples", dict(type=int, default=10_000)),
+        SEED,
+    )),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser that lists every command by its help and declares the
+    arguments of ``command`` only."""
+    # -h shows the docstring less its last paragraph
+    parser = argparse.ArgumentParser(prog="symmpi", description=__doc__.rsplit("\n\n", 1)[0],
+                                     allow_abbrev=False)
+    parser.add_argument("--config", help="INI file whose [<subcommand>] section supplies defaults")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for arg, kwargs in cmd.args if name == command else ():
+            p.add_argument(arg, **kwargs)
+    return parser
+
+
+def _apply_config(argv):
+    """argv less a leading ``--config PATH`` or ``--config=PATH``, with the
+    keys of that INI file's [<command>] section as options right after the
+    command, so explicit flags, parsed later, win."""
+    if argv and argv[0].startswith("--config="):
+        argv = argv[0].split("=", 1) + argv[1:]
+    if argv[:1] != ["--config"]:
+        return argv
+    if len(argv) == 1:
+        raise UsageError("--config needs a file path")
+    path, argv = argv[1], argv[2:]
+    if not argv:
+        raise UsageError("--config requires a subcommand")
+    command = argv[0]
+    cp = configparser.ConfigParser()
+    if not cp.read(path):
+        raise DataError(f"config file {path} not found")
+    if not cp.has_section(command):
+        return argv
+    if command not in COMMANDS:
+        raise UsageError(f"unknown subcommand {command!r}")
+    known = {arg[2:]: kwargs for arg, kwargs in COMMANDS[command].args if arg.startswith("--")}
+    extra = []
+    for key, value in cp.items(command):
+        if key not in known:
+            raise UsageError(f"unknown config key {key!r} in [{command}]")
+        if known[key].get("action") != "store_true":
+            extra.extend([f"--{key}"] + value.split())
+        elif value.strip().lower() in ("1", "true", "yes"):
+            extra.append(f"--{key}")
+    return argv[:1] + extra + argv[1:]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
-        return args.func(args)
+        argv = _apply_config(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        return COMMANDS[args.command].handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except AssertionError as exc:

@@ -75,6 +75,13 @@ def _csv_table(text):
     return head, list(zip(*body)) or [()] * len(head), body.__getitem__
 
 
+def _bad_cell(path, row, cell, column, kind="a number"):
+    """The DataError naming a cell of ``row`` (a list of cells) that is not
+    ``kind``."""
+    return DataError(f"{path}: row {','.join(row)!r} has {cell.strip()!r} in column {column!r}, "
+                     f"which is not {kind}")
+
+
 def _not_a_number(path, columns, row):
     """The DataError naming the first cell that ``float`` does not parse in
     ``columns``, pairs of a column name and its (row index, cell) pairs;
@@ -84,8 +91,7 @@ def _not_a_number(path, columns, row):
             try:
                 float(cell)
             except ValueError:
-                return DataError(f"{path}: row {','.join(row(i))!r} has {cell.strip()!r} in "
-                                 f"column {name!r}, which is not a number")
+                return _bad_cell(path, row(i), cell, name)
     return None
 
 
@@ -167,9 +173,10 @@ def read_graph_values_csv(path):
     """Read vertex values: columns vertex_id, value; blank value = unobserved.
 
     The ids are 0..n-1, each once, in any order, and a given value is a finite
-    number; anything else is a DataError. A row without a vertex_id cell is a
-    DataError; a row that ends before its value cell leaves that vertex
-    unobserved.
+    number; anything else is a DataError, and an id that is not an integer or
+    a value that is not a number is named with its row and column. A row
+    without a vertex_id cell is a DataError; a row that ends before its value
+    cell leaves that vertex unobserved.
     """
     rows = _csv_rows(_csv_text(path))
     if not rows:
@@ -182,9 +189,15 @@ def read_graph_values_csv(path):
     for r in rows[1:]:
         if vcol >= len(r):
             raise DataError(f"{path}: row {','.join(r)!r} has {len(r)} cells and no vertex_id")
-        ids.append(int(r[vcol]))
+        try:
+            ids.append(int(r[vcol]))
+        except ValueError:
+            raise _bad_cell(path, r, r[vcol], header[vcol], "an integer") from None
         raw = r[col].strip() if col < len(r) else ""
-        vals.append(float(raw) if raw else np.nan)
+        try:
+            vals.append(float(raw) if raw else np.nan)
+        except ValueError:
+            raise _bad_cell(path, r, raw, header[col]) from None
         if raw and not np.isfinite(vals[-1]):
             raise DataError(f"{path}: vertex {ids[-1]} has the non-finite value {raw!r}")
     if sorted(ids) != list(range(len(ids))):

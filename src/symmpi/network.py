@@ -17,8 +17,6 @@ from .calibrate import (
     _checked_candidates,
     _finite_set,
     _interval_set,
-    _rows_below,
-    rank_member,
     score_intervals,
 )
 from .groups import GraphAutomorphismGroup, enumerate_automorphisms, orbit_of_index
@@ -38,9 +36,12 @@ def graph_vertex_set(
     With ``psi_kind='last_coordinate'`` a candidate v is kept when
     v <= Q_{1-alpha} of the orbit values (candidate included); with
     ``'orbit_deviation'`` the score is the gap between the target value and
-    its orbit average. A size-one orbit gives no calibration information and
-    is flagged (full grid kept).
+    its orbit average. That average is the same for every value a candidate
+    is compared with, so the two kinds give the same set. A size-one orbit
+    gives no calibration information and is flagged (full grid kept).
     """
+    if psi_kind not in ("last_coordinate", "orbit_deviation"):
+        raise ValueError(f"unknown psi_kind {psi_kind!r}")
     vals = np.asarray(values, dtype=float)
     cands = _checked_candidates(candidates, alpha)
     orbit, stab = orbit_of_index(aut, target)
@@ -49,15 +50,7 @@ def graph_vertex_set(
         meta["trivial_orbit"] = True
         return _finite_set(cands, lambda finite: np.ones(finite.shape, dtype=bool), meta)
     others = vals[orbit[orbit != target]]
-    if psi_kind == "last_coordinate":
-        return _interval_set(score_intervals(others[None], (alpha,)), cands, meta)
-    if psi_kind == "orbit_deviation":
-        def below(finite):
-            means = (others.sum() + finite) / orbit.size
-            return _rows_below(others[None, :] - means[:, None], finite - means)
-
-        return _finite_set(cands, lambda finite: rank_member(below(finite), alpha), meta)
-    raise ValueError(f"unknown psi_kind {psi_kind!r}")
+    return _interval_set(score_intervals(others[None], (alpha,)), cands, meta)
 
 
 def tree_leaf_set(leaf_values, candidates, alpha: float) -> PredictionSet:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from symmpi.calibrate import candidate_grid, supervised_hierarchical_set
+from symmpi import cli
 from symmpi.cli import main
 from symmpi.dataio import prediction_set_payload
 
@@ -110,6 +111,83 @@ def test_bench_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[bench]\npreset = table1\nbogus_key = 1\n")
     assert main(["--config", str(cfg), "bench"]) == 2
+
+
+def handed_args(monkeypatch, argv):
+    """The namespace that ``main(argv)`` hands its command's handler."""
+    seen = []
+    for name, command in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            command._replace(handler=lambda args: seen.append(args) or 0))
+    assert main(argv) == 0
+    (args,) = seen
+    return args
+
+
+def test_config_spellings_give_the_same_output(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_hier_csv(data, [np.arange(4.0), np.arange(5.0) / 2], target=(1, 4))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[predict-hierarchical]\nalpha = 0.3\ngrid = 101\n")
+    out = tmp_path / "set.json"
+    outputs = []
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert main(spelling + ["predict-hierarchical", str(data), "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0][1])["candidates"]) == 101
+    # an abbreviation of --config is not taken for it
+    with pytest.raises(SystemExit) as e:
+        main(["--conf", str(cfg), "predict-hierarchical", str(data)])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("section, argv, expected", [
+    ("studentize = yes", [], {"studentize": True, "alpha": [0.05, 0.15]}),
+    ("studentize = no", [], {"studentize": False}),
+    ("studentize = no", ["--studentize"], {"studentize": True}),
+    ("alpha = 0.05 0.2 0.3", [], {"alpha": [0.05, 0.2, 0.3], "studentize": False}),
+    ("alpha = 0.05 0.2\nstudentize = true", ["--alpha", "0.4"],
+     {"alpha": [0.4], "studentize": True}),
+])
+def test_config_keys_of_flags_and_lists(tmp_path, monkeypatch, section, argv, expected):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[other]\nx = 1\n[bench]\npreset = table1\n{section}\n")
+    args = handed_args(monkeypatch, ["--config", str(cfg), "bench"] + argv)
+    assert args.preset == "table1"
+    assert {key: getattr(args, key) for key in expected} == expected
+
+
+@pytest.mark.parametrize("text, command, message", [
+    ("[bench]\npreset = table1\nbogus_key = 1\n", "bench",
+     "unknown config key 'bogus_key' in [bench]"),
+    ("[predict-graph]\nvalues = v.csv\n", "predict-graph",
+     "unknown config key 'values' in [predict-graph]"),
+    ("[bogus]\nx = 1\n", "bogus", "unknown subcommand 'bogus'"),
+])
+def test_config_sections_and_keys_must_be_declared(tmp_path, capsys, text, command, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert main(spelling + [command]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_a_call_declares_only_its_own_arguments(tmp_path, monkeypatch, capsys):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command: built.append(build(command)) or built[-1])
+    data = tmp_path / "d.csv"
+    write_hier_csv(data, [np.arange(4.0), np.arange(5.0) / 2], target=(1, 4))
+    assert main(["predict-hierarchical", str(data), "--grid", "101"]) == 0
+    (parser,) = built
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["bench", "--help"])
+    assert capsys.readouterr().out.startswith("usage: symmpi bench [-h]\n")
+    with pytest.raises(SystemExit):
+        parser.parse_args(["bench", "--preset", "table1"])
+    assert "unrecognized arguments: --preset table1" in capsys.readouterr().err
 
 
 def test_predict_hierarchical_zero_spread_data(tmp_path, capsys):
@@ -470,6 +548,22 @@ def test_cells_that_are_not_numbers_are_named(tmp_path, capsys, mode, text, mess
     captured = capsys.readouterr()
     assert captured.err == f"data error: {data}: {message}\n"
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0.5\nx,1.5\n2,\n", "row 'x,1.5' has 'x' in column 'vertex_id', which is not an integer"),
+    ("0,0.5\n1.0,1.5\n2,\n",
+     "row '1.0,1.5' has '1.0' in column 'vertex_id', which is not an integer"),
+    ("0,0.5\n1, abc\n2,\n", "row '1, abc' has 'abc' in column 'value', which is not a number"),
+])
+def test_predict_graph_cells_that_are_not_numbers_are_named(tmp_path, capsys, rows, message):
+    vpath = tmp_path / "values.csv"
+    vpath.write_text("vertex_id,value\n" + rows)
+    apath = tmp_path / "cycle3.txt"
+    apath.write_text("0 1\n1 2\n2 0\n")
+    assert main(["predict-graph", str(vpath), str(apath)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {vpath}: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("ids", [(0, 1, 2, 4), (0, 1, 1, 3), (1, 2, 3, 4)])

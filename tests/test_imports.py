@@ -2,7 +2,9 @@
 uses each name it imports; only ``calibrate._finite_set`` builds a
 ``PredictionSet``, so every set takes its members one way; and only
 ``dataio._csv_rows`` calls ``csv.reader``, so every CSV reader that goes
-row by row reads its text one way."""
+row by row reads its text one way; and no module reaches into argparse's
+private names or a parser's ``_actions``, so the command line is read from
+its declarations alone."""
 
 import ast
 from pathlib import Path
@@ -98,3 +100,30 @@ def test_a_csv_reader_call_is_found():
     source = ("rows = list(csv.reader(fh))\n"
               "def read(fh):\n    return [r for r in csv.reader(fh)], reader(fh), csv.writer(fh)\n")
     assert csv_reader_calls(source) == ["<module>", "read"]
+
+
+def private_argparse_uses(source: str) -> list[str]:
+    """Each private ``argparse`` name and each ``._actions`` in ``source``,
+    with its line, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "argparse":
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and (node.attr == "_actions" or (
+                node.attr.startswith("_") and isinstance(node.value, ast.Name)
+                and node.value.id == "argparse")):
+            found.append((node.lineno, node.attr))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_uses_private_argparse_names(module):
+    assert private_argparse_uses((PACKAGE / module).read_text()) == []
+
+
+def test_a_private_argparse_use_is_found():
+    source = ("import argparse\nfrom argparse import ArgumentParser, _StoreTrueAction\n"
+              "for action in parser._actions:\n"
+              "    if isinstance(action, argparse._SubParsersAction): argparse.Namespace()\n")
+    assert private_argparse_uses(source) == [
+        "_StoreTrueAction (line 2)", "_actions (line 3)", "_SubParsersAction (line 4)"]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symmpi.calibrate import finite_quantile
-from symmpi.groups import enumerate_automorphisms
+from symmpi.calibrate import _rows_below, candidate_grid, finite_quantile, rank_member
+from symmpi.groups import enumerate_automorphisms, orbit_of_index
 from symmpi.network import cluster_sum_set, coarsen_graph, graph_vertex_set, tree_leaf_set
 from symmpi.transforms import TreeGraph
 
@@ -68,6 +70,41 @@ def test_orbit_deviation_psi():
         pool = np.append(others, c)
         dev = pool - pool.mean()
         assert m == ((c - pool.mean()) <= finite_quantile(dev, 0.75))
+
+
+GRAPHS = {"cycle": cycle_graph, "path": path_graph, "edgeless": lambda n: np.zeros((n, n))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(GRAPHS)), st.integers(3, 8), st.data())
+def test_orbit_deviation_is_the_last_coordinate_set(graph, n, data):
+    # values on a 0.1 lattice, some tied, offset by up to 1e6: the orbit mean
+    # of each candidate is on both sides of every deviation comparison, so
+    # the deviation rule, run per candidate as a rank count, keeps the
+    # candidates that the last-coordinate rule keeps
+    offset = data.draw(st.sampled_from([0.0, -250.0, 1e6]))
+    lattice = data.draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    vals = offset + np.array(lattice) / 10
+    target = data.draw(st.integers(0, n - 1))
+    alpha = data.draw(st.sampled_from([0.1, 0.25, 0.4, 0.7]))
+    aut = enumerate_automorphisms(GRAPHS[graph](n))
+    observed = np.delete(vals, target)
+    cands = np.concatenate([candidate_grid(observed, 41), observed])
+    last = graph_vertex_set(vals, aut, target, cands, alpha)
+    dev = graph_vertex_set(vals, aut, target, cands, alpha, psi_kind="orbit_deviation")
+    assert np.array_equal(dev.member, last.member) and dev.meta == last.meta
+    orbit, _ = orbit_of_index(aut, target)
+    if orbit.size > 1:
+        others = vals[orbit[orbit != target]]
+        means = (others.sum() + cands) / orbit.size
+        below = _rows_below(others[None, :] - means[:, None], cands - means)
+        assert np.array_equal(dev.member, rank_member(below, alpha))
+
+
+def test_unknown_psi_kind_is_rejected():
+    aut = enumerate_automorphisms(path_graph(3))
+    with pytest.raises(ValueError, match="unknown psi_kind 'mean'"):
+        graph_vertex_set([1.0, np.nan, 2.0], aut, 1, [0.0, 1.0], 0.2, psi_kind="mean")
 
 
 def test_relabeling_invariance_exact():
