@@ -276,9 +276,8 @@ COMMANDS = {
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser that lists every command by its help and declares the
-    arguments of ``command`` only."""
-    # -h shows the docstring less its last paragraph
+    """The parser that lists every command by its help and declares the arguments
+    of ``command`` only; -h shows the module docstring less its last paragraph."""
     parser = argparse.ArgumentParser(prog="symmpi", description=__doc__.rsplit("\n\n", 1)[0],
                                      allow_abbrev=False)
     parser.add_argument("--config", help="INI file whose [<subcommand>] section supplies defaults")
@@ -291,19 +290,16 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 
 
 def _apply_config(argv):
-    """argv less a leading ``--config PATH`` or ``--config=PATH``, with the
-    keys of that INI file's [<command>] section as options right after the
-    command, so explicit flags, parsed later, win."""
+    """argv less a leading ``--config PATH`` or ``--config=PATH``, with that INI file's
+    [<command>] keys as options right after the command: explicit flags, parsed later, win."""
     if argv and argv[0].startswith("--config="):
         argv = argv[0].split("=", 1) + argv[1:]
     if argv[:1] != ["--config"]:
         return argv
-    if len(argv) == 1:
-        raise UsageError("--config needs a file path")
-    path, argv = argv[1], argv[2:]
-    if not argv:
-        raise UsageError("--config requires a subcommand")
-    command = argv[0]
+    if len(argv) < 3:
+        raise UsageError("--config needs a file path" if len(argv) == 1
+                         else "--config requires a subcommand")
+    path, command, argv = argv[1], argv[2], argv[2:]
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise DataError(f"config file {path} not found")
@@ -324,9 +320,8 @@ def _apply_config(argv):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
+        argv = _apply_config(list(sys.argv[1:] if argv is None else argv))
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         return COMMANDS[args.command].handler(args)
     except UsageError as exc:

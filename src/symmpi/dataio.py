@@ -76,8 +76,7 @@ def _csv_table(text):
 
 
 def _bad_cell(path, row, cell, column, kind="a number"):
-    """The DataError naming a cell of ``row`` (a list of cells) that is not
-    ``kind``."""
+    """The DataError naming a cell of ``row``, a list of cells, that is not ``kind``."""
     return DataError(f"{path}: row {','.join(row)!r} has {cell.strip()!r} in column {column!r}, "
                      f"which is not {kind}")
 

@@ -173,6 +173,16 @@ def test_config_sections_and_keys_must_be_declared(tmp_path, capsys, text, comma
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--config"], "--config needs a file path"),
+    (["--config", "run.ini"], "--config requires a subcommand"),
+    (["--config=run.ini"], "--config requires a subcommand"),
+])
+def test_config_needs_a_path_and_a_command(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_a_call_declares_only_its_own_arguments(tmp_path, monkeypatch, capsys):
     built, build = [], cli.build_parser
     monkeypatch.setattr(cli, "build_parser",
