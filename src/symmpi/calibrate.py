@@ -21,8 +21,11 @@ where a score is not below the candidate's own (``_hole_block``). Only
 candidates within rounding of an end go through the rank comparison. The
 orbit sets (``symmpi_set``, ``randomized_set`` and the weighted
 ``nonsym_set``) score every candidate's orbit in one batched sweep
-(``_score_blocks``) and cut at ``rank_member``'s count (``_rank_count``),
-as the interval sets do. At alpha = 1 no set keeps anything.
+(``_score_blocks``: a permutation group's batch of elements or Monte-Carlo
+draws acts on a block of the stacked completed points by one ``np.take``
+gather) and cut at ``rank_member``'s count (``_rank_count``), as the
+interval sets do; only ``randomized_set`` also counts the orbit scores tied
+with each candidate's own. At alpha = 1 no set keeps anything.
 """
 
 from __future__ import annotations
@@ -120,9 +123,9 @@ def _tie_share(below: float, at_or_below: float, level: float) -> float:
 # Floats of acted data that the orbit sweep builds at once: it bounds the
 # sweep's working memory whatever the group order and candidate count. glibc
 # trims the heap top once twice the largest freed block lies free there; at
-# 2^16 the draws and image arrays of a Monte-Carlo set nearly made up that
-# much, so whether each set re-faulted ~100 pages hung on unrelated
-# allocations.
+# 2^16 the draw arrays of a Monte-Carlo set (its inverse images, and then
+# their argsort too) nearly made up that much, so whether each set re-faulted
+# ~100 pages hung on unrelated allocations.
 _BLOCK_FLOATS = 1 << 17
 
 
@@ -143,7 +146,8 @@ def _orbit_actions(group: GroupAction, shape, cosets, mode, mc_draws, rng):
 
 def _score_blocks(points, psi, actions):
     """psi over the orbit of every point, in blocks of about ``_BLOCK_FLOATS``
-    acted floats at most: yields (first row, (rows, B) scores)."""
+    acted floats at most: yields (first row, (rows, B) scores). Of each
+    batch's elements only their number B is read."""
     G, n = points.shape[0], math.prod(points.shape[1:])
     for elements, act in actions:
         B = len(elements)
@@ -328,6 +332,7 @@ def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
     scores lie strictly below its own (K of ``_rank_count``); with
     ``u_prime`` (the randomized set), when fewer than K lie at or below it,
     or when its score is the threshold and u_prime is under ``_tie_share``.
+    Only the randomized set counts the scores tied with a candidate's own.
     """
     cands = _checked_candidates(candidates, alpha)
     meta = {"mode": mode}
@@ -344,7 +349,8 @@ def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
         for lo, scores in _score_blocks(points, psi, actions):
             hi = lo + scores.shape[0]
             below[lo:hi] += (scores < own[lo:hi, None]).sum(axis=1)
-            ties[lo:hi] += (scores == own[lo:hi, None]).sum(axis=1)
+            if u_prime is not None:
+                ties[lo:hi] += (scores == own[lo:hi, None]).sum(axis=1)
             if lo == 0:
                 m += scores.shape[1]
         if mode == "mc":  # the point's own score is part of the sample

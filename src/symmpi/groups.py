@@ -399,7 +399,8 @@ class GraphAutomorphismGroup(PermutationGroup):
 
 def _index_action(inverse_maps: np.ndarray, shape: tuple):
     """Act on data points of ``shape`` with the rows of a (B, n) inverse-map
-    array: copy b of a flattened point x is x[inverse_maps[b]]."""
+    array: copy b of a flattened point x is x[inverse_maps[b]], gathered by
+    ``np.take`` as in ``Permutation.act``."""
     n = math.prod(shape)
     if inverse_maps.shape[1] != n:
         raise ValueError(f"group acts on {inverse_maps.shape[1]} entries, data points have {n}")
@@ -408,7 +409,7 @@ def _index_action(inverse_maps: np.ndarray, shape: tuple):
     def act(x):
         x = np.asarray(x)
         lead = x.shape[: x.ndim - len(shape)]
-        return x.reshape(lead + (n,))[..., inverse_maps].reshape(lead + (B,) + shape)
+        return np.take(x.reshape(lead + (n,)), inverse_maps, axis=-1).reshape(lead + (B,) + shape)
 
     return act
 
@@ -462,8 +463,11 @@ def sample_actions(group: GroupAction, shape, draws: int, rng: np.random.Generat
     """``draws`` uniform group elements, as batched actions like ``iter_actions``.
 
     Groups with ``act_uniform_batch`` draw up to ``batch_size`` elements at a
-    time by acting on the index array arange(n) in the points' shape; the
-    others draw ``group.sample`` one element after another.
+    time by acting on the index array arange(n) in the points' shape, and
+    yield each batch as its (b, n) array of inverse images: the drawn element
+    of row r is ``Permutation(np.argsort(row))``, and its copy of a flattened
+    point x is x[row]. The others draw ``group.sample`` one element after
+    another and yield them as ``actions_of`` does.
     """
     shape = tuple(shape)
     n = math.prod(shape)
@@ -472,7 +476,7 @@ def sample_actions(group: GroupAction, shape, draws: int, rng: np.random.Generat
         if hasattr(group, "act_uniform_batch"):
             index = np.broadcast_to(np.arange(n).reshape(shape), (b,) + shape).copy()
             inverse_maps = np.asarray(group.act_uniform_batch(rng, index)).reshape(b, n)
-            yield np.argsort(inverse_maps, axis=1), _index_action(inverse_maps, shape)
+            yield inverse_maps, _index_action(inverse_maps, shape)
         else:
             yield from actions_of(group, [group.sample(rng) for _ in range(b)], shape)
 

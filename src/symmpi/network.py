@@ -28,20 +28,16 @@ def graph_vertex_set(
     target: int,
     candidates,
     alpha: float,
-    psi_kind: str = "last_coordinate",
 ) -> PredictionSet:
     """Prediction set for one unobserved vertex via its orbit quantile.
 
     ``values`` holds the vertex data with any placeholder at ``target``.
-    With ``psi_kind='last_coordinate'`` a candidate v is kept when
-    v <= Q_{1-alpha} of the orbit values (candidate included); with
-    ``'orbit_deviation'`` the score is the gap between the target value and
-    its orbit average. That average is the same for every value a candidate
-    is compared with, so the two kinds give the same set. A size-one orbit
-    gives no calibration information and is flagged (full grid kept).
+    A candidate v is kept when v <= Q_{1-alpha} of the orbit values
+    (candidate included). Scoring the gap between the target value and its
+    orbit average gives the same set, as that average is the same for every
+    value a candidate is compared with. A size-one orbit gives no
+    calibration information and is flagged (full grid kept).
     """
-    if psi_kind not in ("last_coordinate", "orbit_deviation"):
-        raise ValueError(f"unknown psi_kind {psi_kind!r}")
     vals = np.asarray(values, dtype=float)
     cands = _checked_candidates(candidates, alpha)
     orbit, stab = orbit_of_index(aut, target)

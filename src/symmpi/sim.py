@@ -29,7 +29,6 @@ per method.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -472,6 +471,10 @@ def run_benchmark(
         raise ValueError("the first-observation method is unsupervised-only here")
     trials = list(range(cfg.trials))
     if threads > 1:
+        # imported here: the executor pulls in multiprocessing, which no
+        # single-threaded run or CLI call needs at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             per_trial = list(
                 pool.map(_run_trial, [cfg] * len(trials), [methods] * len(trials), trials)

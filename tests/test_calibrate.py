@@ -374,9 +374,8 @@ NON_FINITE_BUILDERS = {
     "hcp_first_obs": lambda g: hcp_first_obs_set([[1.0, 2.0], [3.0, 2.2], [2.5]], g, 0.4),
     "graph_last": lambda g: graph_vertex_set([1.0, 2.0, 3.0, 0.0],
                                              enumerate_automorphisms(np.zeros((4, 4))), 3, g, 0.4),
-    "graph_deviation": lambda g: graph_vertex_set([1.0, 2.0, 3.0, 0.0],
-                                                  enumerate_automorphisms(np.zeros((4, 4))), 3, g,
-                                                  0.4, psi_kind="orbit_deviation"),
+    "graph_star": lambda g: graph_vertex_set([1.0, 2.0, 3.0, 0.0], enumerate_automorphisms(
+        np.array([[0.0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])), 3, g, 0.4),
     "graph_trivial": lambda g: graph_vertex_set([1.0, 2.0, 0.0], enumerate_automorphisms(
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])), 2, g, 0.4),
     "tree_leaf": lambda g: tree_leaf_set([1.0, -2.0, 3.0, 0.0], g, 0.4),

@@ -11,9 +11,11 @@ from symmpi.groups import (
     SymmetricGroup,
     TrivialGroup,
     _haar_matrices,
+    actions_of,
     coset_representatives,
     default_probes,
     enumerate_automorphisms,
+    iter_actions,
     orbit_of_index,
     sample_block_permutation,
     sample_haar_orthogonal,
@@ -277,6 +279,50 @@ def test_sample_actions_act_like_sampled_elements():
     rng = np.random.default_rng(15)
     want = np.array([aut.act(aut.sample(rng), z) for _ in range(25)])
     assert np.array_equal(got, want)
+
+
+BATCHED_GROUPS = {
+    "symmetric": lambda: SymmetricGroup(4),
+    "block": lambda: BlockPermutationGroup(2, 3),
+    "cycle": lambda: enumerate_automorphisms(cycle_graph(5)),
+}
+
+
+def _acted_per_element(group, elements, points):
+    """group.act of each element on the stacked points, stacked after their
+    leading axes: the layout of a batched action's copies."""
+    lead = points.ndim - len(group.shape)
+    return np.stack([group.act(g, points) for g in elements], axis=lead)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_GROUPS))
+def test_batched_actions_act_like_group_act(name):
+    group = BATCHED_GROUPS[name]()
+    rng = np.random.default_rng(17)
+    points = rng.normal(size=(2, 3) + group.shape)
+    members = {tuple(g.mapping.tolist()) for g in group.elements()}
+    # every element, in batches of 7 images
+    seen = 0
+    for maps, act in iter_actions(group, group.shape, 7):
+        elements = [Permutation(m) for m in maps]
+        assert np.array_equal(act(points), _acted_per_element(group, elements, points))
+        seen += len(elements)
+    assert seen == group.order()
+    # given representatives, in one batch
+    reps = [group.sample(rng) for _ in range(5)]
+    [(maps, act)] = actions_of(group, reps, group.shape)
+    assert np.array_equal(maps, [g.mapping for g in reps])
+    assert np.array_equal(act(points), _acted_per_element(group, reps, points))
+    # Monte-Carlo draws in batches of 10; a batched sampler yields the
+    # inverse images of its draws, the others the images of group.sample's
+    batched = hasattr(group, "act_uniform_batch")
+    drawn = 0
+    for maps, act in sample_actions(group, group.shape, 25, np.random.default_rng(18), 10):
+        elements = [Permutation(np.argsort(m) if batched else m) for m in maps]
+        assert {tuple(g.mapping.tolist()) for g in elements} <= members
+        assert np.array_equal(act(points), _acted_per_element(group, elements, points))
+        drawn += len(elements)
+    assert drawn == 25
 
 
 # ----------------------------------------------------------------------

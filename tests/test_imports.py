@@ -4,9 +4,13 @@ uses each name it imports; only ``calibrate._finite_set`` builds a
 ``dataio._csv_rows`` calls ``csv.reader``, so every CSV reader that goes
 row by row reads its text one way; and no module reaches into argparse's
 private names or a parser's ``_actions``, so the command line is read from
-its declarations alone."""
+its declarations alone. Importing the command line loads no
+``multiprocessing``: only a benchmark run on several threads needs it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,13 @@ def test_a_private_argparse_use_is_found():
               "    if isinstance(action, argparse._SubParsersAction): argparse.Namespace()\n")
     assert private_argparse_uses(source) == [
         "_StoreTrueAction (line 2)", "_actions (line 3)", "_SubParsersAction (line 4)"]
+
+
+def test_the_command_line_imports_no_multiprocessing():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = ("import sys, symmpi.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

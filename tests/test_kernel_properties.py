@@ -6,18 +6,18 @@ bit, in the library and in the harness's grid counts, also in the shapes
 where a candidate meets a calibration score or an end of its set;
 its sets must shrink as alpha grows, and reordering the donor branches must
 leave them unchanged. The orbit sweep behind ``symmpi_set`` and
-``randomized_set`` must match the per-candidate orbit oracle in exact mode
-(and for groups without a batched sampler, in Monte-Carlo mode with the same
-draws); in Monte-Carlo mode the randomized set must lie within the
-deterministic one, and a candidate's membership must not depend on the rest
-of the grid. Hypothesis picks shapes, seeds and alpha. The orbit tests put
-the data values on the grid and repeat values, so that scores tie on
-purpose. The weighted ``nonsym_set`` must match its per-candidate oracle,
-with some representatives of weight zero. For the rank-form kernels the
-data come from a seeded numpy generator and candidates from a grid, so a
-candidate's score ties a calibration score only where the construction
-forces it: a two-point branch centered at its own mean, which the kernel
-breaks as the oracle does.
+``randomized_set`` must match the per-candidate orbit oracle in exact mode,
+and in Monte-Carlo mode on the elements its draws stand for, with or
+without a batched sampler; in Monte-Carlo mode the randomized set must lie
+within the deterministic one, and a candidate's membership must not depend
+on the rest of the grid. Hypothesis picks shapes, seeds and alpha. The
+orbit tests put the data values on the grid and repeat values, so that
+scores tie on purpose. The weighted ``nonsym_set`` must match its
+per-candidate oracle, with some representatives of weight zero. For the
+rank-form kernels the data come from a seeded numpy generator and
+candidates from a grid, so a candidate's score ties a calibration score
+only where the construction forces it: a two-point branch centered at its
+own mean, which the kernel breaks as the oracle does.
 The few constructions where a score ties the candidate's exactly whatever
 the data, and rounding breaks the tie differently in the two forms, are left
 out where they arise. The batched fit of every branch's regression
@@ -28,6 +28,8 @@ one-draw-at-a-time oracle bit for bit. The automorphism search must list
 the backtracking oracle's automorphisms in its order on weighted graphs with
 loops and tied weights, also in chunks of one extension.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -986,6 +988,33 @@ def test_mc_set_without_batched_sampler_matches_oracle(kind, seed, draws, n_grid
         want = oracles.orbit_set_members(observed, grid, embed, _identity, psi, group, alpha,
                                          elements, u_prime=u_prime, own_first=True)
         assert np.array_equal(got.member, want)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["sn", "block"]), seed=SEED, draws=st.integers(1, 60),
+       n_grid=st.integers(2, 30), alpha=ALPHA, u=U_PRIME)
+def test_mc_set_with_batched_sampler_matches_oracle(kind, seed, draws, n_grid, alpha, u):
+    # groups with act_uniform_batch draw all the draws in one call on the
+    # index points (at most 30 entries, so one batch holds them all); row r
+    # of the acted index is the inverse of the element that draw r stands for
+    observed, embed, V, psi, group = _mc_case(kind, seed)
+    grid = _tied_grid(observed, np.random.default_rng(seed), n_grid)
+    index = np.broadcast_to(np.arange(math.prod(group.shape)).reshape(group.shape),
+                            (draws,) + group.shape).copy()
+    inverse = group.act_uniform_batch(np.random.default_rng(seed), index).reshape(draws, -1)
+    elements = [Permutation(np.argsort(row)) for row in inverse]
+    kw = dict(mode="mc", mc_draws=draws)
+    for u_prime in (None, u):
+        if u_prime is None:
+            got = symmpi_set(observed, grid, embed, V, psi, group, alpha,
+                             rng=np.random.default_rng(seed), **kw)
+        else:
+            got = randomized_set(observed, grid, embed, V, psi, group, alpha, u_prime,
+                                 rng=np.random.default_rng(seed), **kw)
+        want = oracles.orbit_set_members(observed, grid, embed, V, psi, group, alpha,
+                                         elements, u_prime=u_prime, own_first=True)
+        assert np.array_equal(got.member, want)
+        assert got.meta == {"mode": "mc", "orbit_size": draws + 1}
 
 
 # ----------------------------------------------------------------------

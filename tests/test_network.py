@@ -64,7 +64,7 @@ def test_orbit_deviation_psi():
     aut = enumerate_automorphisms(cycle_graph(4))
     vals = rng.normal(size=4)
     grid = np.linspace(-3, 3, 41)
-    ps = graph_vertex_set(vals, aut, 0, grid, alpha=0.25, psi_kind="orbit_deviation")
+    ps = graph_vertex_set(vals, aut, 0, grid, alpha=0.25)
     others = np.delete(vals, 0)
     for c, m in zip(grid, ps.member):
         pool = np.append(others, c)
@@ -91,20 +91,12 @@ def test_orbit_deviation_is_the_last_coordinate_set(graph, n, data):
     observed = np.delete(vals, target)
     cands = np.concatenate([candidate_grid(observed, 41), observed])
     last = graph_vertex_set(vals, aut, target, cands, alpha)
-    dev = graph_vertex_set(vals, aut, target, cands, alpha, psi_kind="orbit_deviation")
-    assert np.array_equal(dev.member, last.member) and dev.meta == last.meta
     orbit, _ = orbit_of_index(aut, target)
     if orbit.size > 1:
         others = vals[orbit[orbit != target]]
         means = (others.sum() + cands) / orbit.size
         below = _rows_below(others[None, :] - means[:, None], cands - means)
-        assert np.array_equal(dev.member, rank_member(below, alpha))
-
-
-def test_unknown_psi_kind_is_rejected():
-    aut = enumerate_automorphisms(path_graph(3))
-    with pytest.raises(ValueError, match="unknown psi_kind 'mean'"):
-        graph_vertex_set([1.0, np.nan, 2.0], aut, 1, [0.0, 1.0], 0.2, psi_kind="mean")
+        assert np.array_equal(last.member, rank_member(below, alpha))
 
 
 def test_relabeling_invariance_exact():
