@@ -16,9 +16,10 @@ conformal sets, those of the baselines, the graph sets,
 set are intervals with closed-form ends (``ConformalIntervals``: order
 statistics of the points where a calibration score crosses the
 candidate's); in the benchmark harness, a block of unstudentized
-hierarchical tests takes the total weight less the holes, the intervals
-where a score is not below the candidate's own (``_hole_block``). Only
-candidates within rounding of an end go through the rank comparison. The
+hierarchical tests is counted from the holes, the intervals where a score is
+not below the candidate's own (``symmpi.holes``), which read only a member
+count per test and the truth's membership. Only candidates within rounding
+of an end go through the rank comparison. The
 orbit sets (``symmpi_set``, ``randomized_set`` and the weighted
 ``nonsym_set``) score every candidate's orbit in one batched sweep
 (``_score_blocks``: a permutation group's batch of elements or Monte-Carlo
@@ -284,9 +285,11 @@ def candidate_grid(values, n_points: int = 2001, pad_sd: float = 4.0) -> np.ndar
     return _candidate_rows(v, n_points, pad_sd)[0]
 
 
-def _candidate_rows(values, n_points: int, pad_sd: float) -> np.ndarray:
-    """``candidate_grid`` of each row of ``values`` (B, n), as (B, n_points),
-    in ``np.std`` and ``np.linspace``'s arithmetic."""
+def _candidate_rows(values, n_points: int, pad_sd: float, extra: int = 0) -> np.ndarray:
+    """``candidate_grid`` of each row of ``values`` (B, n), in ``np.std`` and
+    ``np.linspace``'s arithmetic: the first n_points columns of a
+    (B, n_points + extra) array, whose last ``extra`` columns are left
+    unset."""
     if n_points < 2:
         raise ValueError(f"a candidate grid needs at least 2 points, got {n_points}")
     n = values.shape[1]
@@ -297,8 +300,10 @@ def _candidate_rows(values, n_points: int, pad_sd: float) -> np.ndarray:
         sd = np.where(sd > 0, sd, np.maximum(np.abs(mean[:, 0]), 1.0) * 1e-3)
     lo = values.min(axis=1) - pad_sd * sd
     hi = values.max(axis=1) + pad_sd * sd
-    grid = np.arange(n_points) * ((hi - lo) / (n_points - 1))[:, None] + lo[:, None]
-    grid[:, -1] = hi
+    grid = np.empty((values.shape[0], n_points + extra))
+    np.multiply(np.arange(n_points), ((hi - lo) / (n_points - 1))[:, None], out=grid[:, :n_points])
+    grid[:, :n_points] += lo[:, None]
+    grid[:, n_points - 1] = hi
     return grid
 
 
@@ -780,7 +785,7 @@ def hierarchical_below(observed_branches, candidates, c: float = 2.0, studentize
     1/(K n_k), so equal sizes give the flat pool.
 
     This is ``_hierarchical_block`` for one test, the rank form the
-    benchmark harness runs on a lone test (``_hierarchical_members``).
+    benchmark harness runs on a lone test (``holes._hierarchical_counts``).
     """
     cands = np.asarray(candidates, dtype=float)
     branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
@@ -845,62 +850,6 @@ def _donor_frame(donors, sizes):
     right as Python's sum adds them (0.0 without donors)."""
     means, sds = _branch_stats(donors, sizes)
     return means, sds, np.cumsum(means, axis=1)[:, -1:] if sizes.size else 0.0
-
-
-def _hierarchical_members(donors, sizes, target, cands, c, studentize, alphas,
-                          n_grid: int) -> np.ndarray:
-    """Membership (A, B, G) of the candidates of ``_hierarchical_block``'s B
-    tests in their sets at each of the A ``alphas``, as the rank form decides
-    it, for candidates in the harness layout (``_locator``). Without
-    ``studentize`` the masses of two tests or more are the holes', and a mass
-    within rounding of a level is ranked; a lone test, as in
-    ``hierarchical_below``, is ranked whole: alone it would pay the hole
-    form's fixed cost of about 100 numpy calls (1.1 ms against the rank
-    form's 0.7 on a K = 20 random-size test)."""
-    if studentize or len(cands) == 1:
-        below = _hierarchical_block(donors, sizes, target, cands, c, studentize)
-        return np.stack([rank_member(below, a) for a in alphas])
-    below, exact = _hole_block(donors, sizes, target, cands, c, n_grid)
-    member = np.stack([rank_member(below, a) for a in alphas])
-    # bounds the rounding of the hole masses' sums and of the rank form's
-    N = donors.shape[1] + target.shape[1] + sizes.size
-    margin = 16 * (cands.shape[1] + 8 * N) * np.finfo(float).eps
-    levels = [_level(a) for a in alphas]
-    if (sizes == target.shape[1] + 1).all():
-        # equal weights w: a mass is a multiple of w, so only levels within
-        # twice the margin of one can be near a mass
-        w = 1.0 / (target.shape[1] + 1) / (sizes.size + 1)
-        levels = [lv for lv in levels if abs(round(lv / w) * w - lv) <= 2 * margin]
-    unsure, gap = np.zeros(below.shape, dtype=bool), np.empty(below.shape)
-    for level in levels:
-        np.subtract(below, level, out=gap)
-        unsure |= np.abs(gap, out=gap) <= margin
-    unsure &= ~exact
-    if unsure.any():
-        ranked = _rank_at(donors, sizes, target, cands, unsure, c, False)
-        member[:, unsure] = np.stack([rank_member(ranked, a) for a in alphas])
-    return member
-
-
-def _rank_at(donors, sizes, target, cands, mask, c, studentize) -> np.ndarray:
-    """The rank form's masses of the candidates ``mask`` (B, G) selects, in
-    the order of ``cands[mask]``. Each test's candidates go in with its
-    smallest and largest, which fix the rank form's pools, so every mass has
-    the bits of a whole-row ``_hierarchical_block`` call."""
-    rows, cols = np.nonzero(mask)
-    # rows comes sorted: each test's first entry and count
-    first = np.flatnonzero(np.diff(rows, prepend=-1))
-    tests, counts = rows[first], np.diff(first, append=rows.size)
-    # each test's row: its smallest and largest candidate, its selected
-    # ones, then its smallest again as padding
-    picks = np.repeat(np.argmin(cands[tests], axis=1)[:, None], counts.max() + 2, axis=1)
-    picks[:, 1] = np.argmax(cands[tests], axis=1)
-    slot = np.arange(rows.size) - np.repeat(first, counts) + 2
-    which = np.repeat(np.arange(tests.size), counts)
-    picks[which, slot] = cols
-    below = _hierarchical_block(donors[tests], sizes, target[tests],
-                        np.take_along_axis(cands[tests], picks, axis=1), c, studentize)
-    return below[which, slot]
 
 
 def _hierarchical_block(donors, sizes, target, cands, c, studentize):
@@ -978,238 +927,6 @@ def _hierarchical_block(donors, sizes, target, cands, c, studentize):
                 count[near] = _count_within(np.sort(vals), grand[b, near], own[b, near] * s_k)
         below[b] += count * weights[starts[k]]
     return below
-
-
-def _locator(cands, n_grid):
-    """Each candidate's place in its row's ascending order (B, G), and
-    ``locate(e, w, side)``: for values e (B, ...) and widths w broadcasting
-    to them, how many of each row's candidates lie below e + side w (side
-    -1 or 1), and whether a candidate lies within 2 w of e.
-
-    The candidates are in the harness layout: the first n_grid columns of
-    each row are a uniform ascending grid (``_candidate_rows``), counted by
-    arithmetic, and the rest are few. A count may be off by one within
-    rounding of a candidate, which is within 2 w of e. (Sorting the
-    candidates and searching them row by row took 8.8 ms per bench-table
-    block of 8 tests against 2.9.)"""
-    B, G = cands.shape
-    lo = cands[:, :1]
-    step = (cands[:, n_grid - 1:n_grid] - lo) / (n_grid - 1)
-    # the extras in grid steps, and how many grid points lie below each
-    extra = (cands[:, n_grid:] - lo) / step
-    under = np.clip(np.ceil(extra), 0, n_grid).astype(np.intp)
-    index = np.arange(n_grid)
-    # a grid point follows the extras below it; an extra, the grid points
-    # below it and the extras before it in ascending order
-    place = np.empty((B, G), dtype=np.intp)
-    place[:, :n_grid] = index
-    for u in under.T:
-        place[:, :n_grid] += index >= u[:, None]
-    place[:, n_grid:] = under + np.argsort(np.argsort(extra, axis=1, kind="stable"), axis=1)
-
-    def locate(e, w, side):
-        shape = (B,) + (1,) * (e.ndim - 1)
-        u = (e - lo.reshape(shape)) / step.reshape(shape)
-        reach = w / step.reshape(shape)
-        v = u + side * reach
-        n = np.clip(np.ceil(v), 0, n_grid)
-        # the grid point nearest e + side w on e's side, and the extras
-        near = np.abs(n - (side + 1) / 2 - u) <= 2 * reach
-        n = n.astype(np.intp)
-        for x in extra.T:
-            x = x.reshape(shape)
-            n += x < v
-            near |= np.abs(x - u) <= 2 * reach
-        return n, near
-
-    return place, locate
-
-
-def _hole_block(donors, sizes, target, cands, c, n_grid: int):
-    """Unstudentized ``_hierarchical_block`` from the holes of every score:
-    the (B, G) masses, and the mask of the candidates whose mass the rank
-    form computed (``_rank_at``).
-
-    The target branch is centered at the grand mean or at its own mean,
-    decided per candidate in the rank form's arithmetic. In either state the
-    center moves linearly with the candidate c, slope 1/(K n_t) or 1/n_t, and
-    so does a donor's where it is centered at the grand mean, which holds for
-    c in one interval [kl, kh] (the grand mean is linear in c). Every score is
-    then |linear in c| on each piece, and with two observed target values or
-    more the candidate's own score has the larger slope, so a score is not
-    below the candidate's own exactly on one closed interval of c per piece,
-    its hole. A donor value's hole where it is centered at its mean, H, and
-    at the grand mean, H', count as H - (H ^ [kl, kh]) + (H' ^ [kl, kh]).
-    A candidate's mass is the total weight less that of the holes holding it:
-    one ``bincount`` of +-weight at the holes' places and one cumulative sum
-    over each test's candidates in ascending order, per target state.
-
-    The rank form decides every candidate within ``_ENDS_ROUNDING`` of the
-    magnitudes of a hole's end or of kl or kh (within that width of the grand
-    mean, for kl and kh), and every candidate of a test with fewer than two
-    observed target values (own and sibling scores then tie, or the own score
-    does not move), or with data that are not finite or are beyond 2^500.
-    Non-finite candidates take whatever mass the arithmetic gives them.
-    The candidates are in ``_locator``'s layout, a uniform grid of
-    ``n_grid`` points then extras.
-    """
-    B, G = cands.shape
-    scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1, initial=0.0)
-    exact = np.repeat((~(scale <= 2.0**500) | (target.shape[1] < 2))[:, None], G, axis=1)
-    live = np.flatnonzero(~exact[:, 0])
-    if live.size == B:
-        exact, below = _hole_masses(donors, sizes, target, cands, c, scale[:, None], n_grid)
-    else:
-        below = np.empty((B, G))
-        if live.size:
-            exact[live], below[live] = _hole_masses(donors[live], sizes, target[live],
-                                                    cands[live], c, scale[live, None], n_grid)
-    if exact.any():
-        below[exact] = _rank_at(donors, sizes, target, cands, exact, c, False)
-    return below, exact
-
-
-def _hole_masses(donors, sizes, target, cands, c, scale, n_grid):
-    """``_hole_block`` of tests whose holes all exist: the mask of the
-    candidates within rounding of an end, and the masses of the others."""
-    B, G = cands.shape
-    D, n_o = sizes.size, target.shape[1]
-    K, n_t = D + 1, n_o + 1
-    means, sds, donor_sum = _donor_frame(donors, sizes)
-    place, locate = _locator(cands, n_grid)
-    # every candidate's rounding reaches no farther than this
-    reach = scale + np.abs(cands).max(axis=1, keepdims=True)
-    near_t = _target_near(target, cands, donor_sum, K, c, reach)
-    # the target's center cb + cs c in each state, near then far (B, 2, 1),
-    # and the states some candidate of each test is in
-    g1 = 1.0 / (K * n_t)
-    t_mean = target.sum(axis=1, keepdims=True) / n_t
-    g0 = (donor_sum + t_mean) / K
-    cb = np.stack([g0, t_mean], axis=1)
-    cs = np.array([[g1], [1.0 / n_t]])
-    a = 1.0 - cs  # the own score's slope
-    state = np.stack([near_t.any(axis=1), (~near_t).any(axis=1)], axis=1)[:, :, None]
-    # each donor's [kl, kh], where it is centered at the grand mean, in places
-    radius = c * sds / np.sqrt(sizes)
-    k_ends = np.stack([(means - radius - g0) / g1, (means + radius - g0) / g1], axis=1)
-    wk = _ENDS_ROUNDING * ((scale + radius) * (K * n_t) + reach)[:, None]
-    # counted from the first candidate within the width below kl to the last
-    # within it above kh
-    sides = np.array([-1, 1])[:, None]
-    k_span, near_k = locate(k_ends, wk, sides)
-    k_lo, k_hi = k_span[:, 0], k_span[:, 1]
-    never, always = k_lo >= k_hi, (k_lo == 0) & (k_hi == G)
-    # the holes that count: a donor value's own-mean hole unless its donor
-    # is always near, its grand-mean hole unless it is never near (kept as
-    # columns where that holds in some test), and every sibling's, each in
-    # the states some candidate is in; their ends (B, 2, M) in each state
-    branch = np.repeat(np.arange(D), sizes)
-    far = np.flatnonzero(~always.all(axis=0)[branch])
-    near = np.flatnonzero(~never.all(axis=0)[branch])
-    d = np.abs(donors[:, far] - means[:, branch[far]])[:, None, :]
-    v, t, g = donors[:, None, near], target[:, None, :], g0[:, :, None]
-    x1 = np.concatenate([(cb - d) / a, (v - g + cb) / (a + g1), np.broadcast_to(t, (B, 2, n_o))],
-                        axis=2)
-    x2 = np.concatenate([(cb + d) / a, (cb - v + g) / (a - g1), (2 * cb - t) / (1 - 2 * cs)],
-                        axis=2)
-    w = _ENDS_ROUNDING * reach[:, :, None, None]
-    ends = np.empty((B, 2) + x1.shape[1:])
-    np.minimum(x1, x2, out=ends[:, 0])
-    np.maximum(x1, x2, out=ends[:, 1])
-    span, near_ends = locate(ends, w, sides[:, :, None])
-    lo, hi = span[:, 0], span[:, 1]
-    k_first = np.concatenate([np.zeros((B, far.size), np.intp), k_lo[:, branch[near]],
-                              np.zeros((B, n_o), np.intp)], axis=1)[:, None]
-    k_stop = np.concatenate([np.full((B, far.size), G), k_hi[:, branch[near]],
-                             np.full((B, n_o), G)], axis=1)[:, None]
-    used = state & np.concatenate([~always[:, branch[far]], ~never[:, branch[near]],
-                                   np.ones((B, n_o), dtype=bool)], axis=1)[:, None]
-    inside = _zone_mask([(ends, w, near_ends & used[:, None]), (k_ends, wk, near_k)], place,
-                        locate)
-    # each hole adds its weight from its first place to its last: +w at the
-    # first and -w one past the last, in its test's and state's row of G + 1;
-    # a donor value's own-mean hole where its donor is near is taken back
-    w_donor = np.repeat(1.0 / (K * sizes), sizes)
-    weights = np.concatenate([w_donor[far], w_donor[near], np.full(n_o, 1.0 / (K * n_t))])
-    m = far.size
-    pieces = [(np.maximum(lo, k_first), np.minimum(hi, k_stop), used, weights),
-              (np.maximum(lo[:, :, :m], k_lo[:, None, branch[far]]),
-               np.minimum(hi[:, :, :m], k_hi[:, None, branch[far]]),
-               used[:, :, :m] & ~never[:, None, branch[far]], -w_donor[far])]
-    # one row of G + 1 per test and state that some candidate is in
-    rows = np.cumsum(state.ravel()).reshape(B, 2, 1) - 1
-    base = rows * (G + 1)
-    index, weight = [], []
-    for start, stop, keep, w in pieces:
-        keep = keep & (start < stop)
-        index += [(base + start)[keep], (base + stop)[keep]]
-        w = np.broadcast_to(w, keep.shape)[keep]
-        weight += [w, -w]
-    n_rows = int(rows.max()) + 1
-    # without any entry bincount returns integers
-    held = np.bincount(np.concatenate(index), np.concatenate(weight),
-                       minlength=n_rows * (G + 1)).astype(float, copy=False)
-    np.cumsum(held.reshape(n_rows, G + 1), axis=1, out=held.reshape(n_rows, G + 1))
-    # each candidate's place in the row of its test and state
-    place += base[:, 1]
-    np.subtract(place, (base[:, 1] - base[:, 0]), out=place, where=near_t)
-    masses = np.take(held, place)
-    return inside, np.subtract((D + n_o / n_t) / K, masses, out=masses)
-
-
-def _target_near(target, cands, donor_sum, K, c, reach):
-    """``_target_frame``'s choice (B, G) to center the target branch at the
-    grand mean, from the sign of one quadratic.
-
-    With m_o the observed target mean, q_o its sum of squares and
-    y = c - m_o, the target is near where (mean_t - grand)^2 <= c^2 sd_t^2 / n_t,
-    that is where qa y^2 + qb y + qc <= 0 with qa = u1^2 - c^2 / n_t^2,
-    qb = 2 u1 d0 and qc = d0^2 - c^2 q_o / (n_o n_t) (u1 = (K - 1) / (K n_t),
-    d0 = ((K - 1) m_o - donor_sum) / K). Where the quadratic lies within a
-    bound of the rounding of both forms of zero, ``_target_frame`` decides.
-    The bound is 2^-40 (1 + |c|)^2 A^2 (1 + n_t A / (n_o sd_min)), A =
-    ``reach`` (B, 1) the magnitude of the data and candidates, sd_min =
-    sqrt(q_o / n_o) the smallest target SD: over 16 times the sum of the
-    first-order rounding of the rank form's comparison (its SD is computed
-    from a sum of squares) and of the quadratic. A target of equal observed
-    values (sd_min = 0) is decided by ``_target_frame`` throughout.
-    """
-    n_o = target.shape[1]
-    n_t = n_o + 1
-    m_o = target.sum(axis=1, keepdims=True) / n_o
-    q_o = ((target - m_o) ** 2).sum(axis=1, keepdims=True)
-    u1 = (K - 1) / (K * n_t)
-    d0 = ((K - 1) * m_o - donor_sum) / K
-    y = np.subtract(cands, m_o)
-    q = np.multiply(u1**2 - c**2 / n_t**2, y)
-    q += 2 * u1 * d0
-    q *= y
-    q += d0**2 - c**2 * q_o / (n_o * n_t)
-    sd_min = np.sqrt(q_o / n_o)
-    ratio = np.divide(n_t * reach, n_o * sd_min, out=np.full(reach.shape, np.inf),
-                      where=sd_min > 0)
-    bound = 2.0**-40 * (1 + abs(c)) ** 2 * reach**2 * (1 + ratio)
-    near = q <= 0
-    rows, cols = np.nonzero(np.abs(q, out=q) <= bound)
-    if rows.size:
-        s = donor_sum[rows] if np.ndim(donor_sum) else donor_sum
-        near[rows, cols] = _target_frame(target[rows], cands[rows, cols, None], s, K, c)[3][:, 0]
-    return near
-
-
-def _zone_mask(zones, place, locate) -> np.ndarray:
-    """Mask (B, G) of the candidates within 2 w of an end e: each of
-    ``zones`` is (e, w, near), ends (B, ...) of B tests, their widths and the
-    ends to take, with ``_locator``'s ``locate``."""
-    B, G = place.shape
-    inside = np.zeros((B, G), dtype=bool)
-    zones = [(e, w, near) for e, w, near in zones if near.any()]
-    for e, w, near in zones:
-        w = np.broadcast_to(w, e.shape)
-        first, stop = (locate(e, 2 * w, side)[0][near] for side in (-1, 1))
-        for b, f, s in zip(np.nonzero(near)[0], first, stop):
-            inside[b, f:s] = True
-    return np.take(inside, place + G * np.arange(B)[:, None]) if zones else inside
 
 
 def supervised_below(donor_residuals, target_residuals, candidate_residuals,

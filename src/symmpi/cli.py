@@ -59,6 +59,9 @@ def _grid_points(text: str) -> int:
 
 
 def cmd_bench(args) -> int:
+    for name in ("trials", "tests", "threads"):
+        if getattr(args, name) < 1:
+            raise UsageError(f"--{name} must be at least 1, got {getattr(args, name)}")
     preset = PRESETS[args.preset]
     methods = tuple(args.methods) if args.methods else (
         ("symmpi", "conformal", "hcp", "single_tree")

@@ -7,20 +7,22 @@ and aggregate lengths and coverage indicators across trials. All randomness
 flows through per-trial generators keyed by (seed, trial) so results are
 reproducible under any worker count.
 
-The symmpi method's memberships come from the library's kernels in
-``symmpi.calibrate``, run on each test's candidate grid with the truth
-appended: unsupervised, ``_hierarchical_members`` (the holes of every score,
-or the rank form when studentized or for a block of one test); supervised,
-intervals (``_supervised_intervals``). The conformal methods' sets are
-intervals with closed-form ends (``calibrate.ConformalIntervals``); the member counts of
-every interval set on the uniform grid follow from the grid indices of the
-ends (``_interval_rows``), and only the grid points and truths within
-rounding of an end are ranked.
+The symmpi method's member counts come from the library's kernels, run on
+each test's candidate grid with the truth appended: unsupervised,
+``holes._hierarchical_counts`` (the holes of every score, counted segment by
+segment along the grid, or the rank form when studentized or for a block of
+one test); supervised, intervals (``calibrate._supervised_intervals``). The
+conformal methods' sets are intervals with closed-form ends
+(``calibrate.ConformalIntervals``); the member counts of every interval set
+on the uniform grid follow from the grid indices of the ends
+(``_interval_rows``), and only the grid points and truths within rounding of
+an end are ranked.
 A trial first makes every test's draws, in the order a one-test loop makes
-them; tests of equal branch sizes are then evaluated a block at a time, with
-one count of lengths and coverage per method for the whole block. An
-unsupervised block (``_unsup_block``) makes one grid, one
-``_hierarchical_members`` call and one set of intervals per conformal method.
+them; tests of equal branch sizes are then evaluated a block at a time, a
+whole trial of the presets' sizes unless the scores are studentized, with
+one count of lengths and coverage per method for the whole block.
+An unsupervised block (``_unsup_block``) makes one grid, one
+``_hierarchical_counts`` call and one set of intervals per conformal method.
 A supervised block (``_sup_block``) runs the library's split
 (``_split_branches``), one fit of every test's regressors
 (``transforms._fit_block``), one pass of centers and one set of intervals
@@ -30,6 +32,7 @@ per method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .calibrate import (
     _check_draws,
     _checked_candidates,
     _finite_set,
-    _hierarchical_members,
     _intervals,
     _mass_within,
     _split_branches,
@@ -54,16 +56,22 @@ from .calibrate import (
     score_intervals,
 )
 from .groups import _haar_matrices
+from .holes import _hierarchical_counts
 from .transforms import _fit_block, _fit_lines
 
 ALL_METHODS = ("symmpi", "conformal", "subsampling", "single_tree", "hcp")
 
 # Tests of equal branch sizes are evaluated in blocks whose
-# (tests x candidates) arrays hold at most this many floats: 8 tests at a
-# 2001-point grid. Larger blocks add peak memory for little time; on a 2-vCPU
-# host, blocks of 4 made table-1 cells about 4 % slower and the bench-table
-# workload's peak memory 0.6 MB smaller.
-_TESTS_BLOCK_FLOATS = 1 << 14
+# (tests x candidates) arrays hold at most this many floats: a trial of up to
+# 65 tests at a 2001-point grid, beyond which the kernels' arrays grow with
+# the tests, not with the grid. On a 2-vCPU host, bench-table's median op
+# time fell 29 % when 8-test blocks became whole trials counted by the event
+# kernel of ``symmpi.holes``. Studentized runs keep blocks of at most the
+# second, 8 tests: the unsupervised rank form builds several
+# (tests x candidates) arrays per donor, and whole-trial studentized blocks
+# raised the peak memory of a studentized bench process.
+_TESTS_BLOCK_FLOATS = 1 << 17
+_STUDENTIZED_BLOCK_FLOATS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,12 @@ class HierarchicalConfig:
     def __post_init__(self):
         if self.n_branches < 1:
             raise ValueError("need at least one branch")
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.tests < 1:
+            raise ValueError(f"tests must be at least 1, got {self.tests}")
+        if not len(self.alphas):
+            raise ValueError("need at least one alpha")
         if self.noise_sd <= 0:
             raise ValueError("noise_sd must be positive")
         if self.sigma2 < 0:
@@ -143,18 +157,26 @@ def gen_sup(cfg: HierarchicalConfig, rng: np.random.Generator):
     Returns per-branch lists (x_k, y_k); sizes are cfg.branch_size or drawn
     from it when it is a tuple.
     """
+    sizes, x, y = _sup_arrays(cfg, rng)
+    bounds = np.cumsum(sizes)[:-1]
+    return np.split(x, bounds), np.split(y, bounds)
+
+
+def _sup_arrays(cfg: HierarchicalConfig, rng: np.random.Generator):
+    """``gen_sup``'s draws with the branches end to end: the sizes, x and y.
+    Each branch's x and noise are drawn in turn, and y is formed once."""
     K = cfg.n_branches
     if cfg.random_sizes:
         sizes = rng.choice(np.asarray(cfg.branch_size), size=K)
     else:
         sizes = np.full(K, cfg.branch_size)
     theta = rng.normal(0.0, cfg.sigma2, K)
-    xs, ys = [], []
-    for k, n in enumerate(sizes):
-        x = rng.uniform(cfg.x_low, cfg.x_high, int(n))
-        xs.append(x)
-        ys.append(theta[k] * x + rng.normal(0.0, cfg.noise_sd, int(n)))
-    return xs, ys
+    xs, noise = [], []
+    for n in sizes.tolist():
+        xs.append(rng.uniform(cfg.x_low, cfg.x_high, n))
+        noise.append(rng.normal(0.0, cfg.noise_sd, n))
+    x = np.concatenate(xs)
+    return sizes, x, np.repeat(theta, sizes) * x + np.concatenate(noise)
 
 
 def gen_rotational(n: int, p: int, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -176,12 +198,6 @@ def _tally(counts, covered, G: int, spacing):
     lengths *= spacing
     lengths[unbounded > 0] = np.inf
     return out
-
-
-def _member_rows(member, spacing):
-    """``_tally`` of the memberships (alphas, R, G) of R rows' candidates,
-    whose final candidate is the truth."""
-    return _tally(member[:, :, :-1].sum(axis=2), member[:, :, -1], member.shape[2] - 1, spacing)
 
 
 def _interval_rows(sets, gridp, spacing):
@@ -238,8 +254,9 @@ def _interval_rows(sets, gridp, spacing):
 def _grid_frame(observed, truth, cfg):
     """Each test's candidate grid over its observed values (B, n), with its
     truth appended, and the grid spacings."""
-    grid = _candidate_rows(observed, cfg.grid_points, cfg.grid_pad_sd)
-    return np.concatenate([grid, truth[:, None]], axis=1), grid[:, 1] - grid[:, 0]
+    gridp = _candidate_rows(observed, cfg.grid_points, cfg.grid_pad_sd, extra=1)
+    gridp[:, -1] = truth
+    return gridp, gridp[:, 1] - gridp[:, 0]
 
 
 def _hcp_intervals(donors, sizes, alphas) -> ConformalIntervals:
@@ -274,7 +291,7 @@ def _unsup_block(flat, sizes, picks, cfg, methods):
     ``flat`` (B, T) holds each test's branches end to end, branch k with
     ``sizes[k]`` values, and the truth as the target branch's final value;
     ``picks`` (B, K - 1) holds the subsampling draws. Returns, per method, the
-    (alphas, 3, B) array of ``_member_rows``.
+    (alphas, 3, B) array of ``_tally``.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     n_donor = int(sizes[:-1].sum())
@@ -289,15 +306,19 @@ def _unsup_block(flat, sizes, picks, cfg, methods):
         "hcp": lambda: _hcp_intervals(donors, sizes[:-1], alphas),
     }
     return _block_rows(methods, sets, gridp, spacing,
-                       lambda: _hierarchical_members(donors, sizes[:-1], target, gridp, cfg.c,
+                       lambda: _hierarchical_counts(donors, sizes[:-1], target, gridp, cfg.c,
                                                     cfg.studentize, alphas, gridp.shape[1] - 1))
 
 
 def _block_rows(methods, sets, gridp, spacing, symmpi=None):
     """Each method's (alphas, 3, B) rows: those of methods with intervals
     (``sets[m]()``) counted in one ``_interval_rows`` pass, and symmpi's from
-    its memberships (``symmpi()``) when it has no intervals."""
-    rows = {"symmpi": _member_rows(symmpi(), spacing)} if symmpi and "symmpi" in methods else {}
+    its member counts and the truth's membership (``symmpi()``) when it has no
+    intervals."""
+    rows = {}
+    if symmpi and "symmpi" in methods:
+        counts, covered = symmpi()
+        rows["symmpi"] = _tally(counts, covered[:, :, 0], gridp.shape[1] - 1, spacing)
     named = [m for m in sets if m in methods]
     rows.update(zip(named, _interval_rows([sets[m]() for m in named], gridp, spacing)))
     return {m: rows[m] for m in ALL_METHODS if m in methods}
@@ -343,7 +364,7 @@ def _sup_block(x, y, sizes, picks, cfg, methods):
     ``picks`` (B, K - 1) holds the subsampling draws, a position in each
     donor branch's calibration rows. Every method reads the calibration rows
     of ``_split_branches``; the regressors of all B tests are one
-    ``_fit_block``. Returns, per method, the (alphas, 3, B) array of ``_member_rows``.
+    ``_fit_block``. Returns, per method, the (alphas, 3, B) array of ``_tally``.
     """
     train, n_train, n_cal = _split_branches(sizes)
     # compress keeps each test's rows contiguous, so that sums and searches
@@ -375,21 +396,30 @@ def _sup_block(x, y, sizes, picks, cfg, methods):
     return _block_rows(methods, sets, gridp, spacing)
 
 
+@lru_cache(maxsize=16)
+def _donor_cal_sizes(sizes: tuple) -> np.ndarray:
+    """The donor branches' calibration sizes of ``_split_branches(sizes)``,
+    read-only: one split per sizes tuple."""
+    n_cal = _split_branches(sizes)[2][:-1]
+    n_cal.flags.writeable = False
+    return n_cal
+
+
 def _sup_picks(sizes, rng):
     """The subsampling method's draws: a position in each donor branch's
     calibration rows, from one ``rng.integers`` call (the stream of one call
     per branch)."""
-    return rng.integers(_split_branches(sizes)[2][:-1])
+    return rng.integers(_donor_cal_sizes(tuple(sizes)))
 
 
 def _draw_sup(cfg, rng, methods):
     """One supervised test's draws, in the harness's order: the data, then
     the subsampling picks. Returns (sizes, (x, y end to end with the truth
     last), picks or None)."""
-    xs, ys = gen_sup(cfg, rng)
-    sizes = tuple(y.size for y in ys)
+    sizes, x, y = _sup_arrays(cfg, rng)
+    sizes = tuple(sizes.tolist())
     picks = _sup_picks(sizes, rng) if "subsampling" in methods else None
-    return sizes, (np.concatenate(xs), np.concatenate(ys)), picks
+    return sizes, (x, y), picks
 
 
 def _sup_eval(xs, ys, cfg, rng, methods):
@@ -432,7 +462,8 @@ def _run_trial(cfg: HierarchicalConfig, methods, trial: int):
     by_sizes = {}
     for t, (sizes, _, _) in enumerate(draws):
         by_sizes.setdefault(sizes, []).append(t)
-    block = max(1, _TESTS_BLOCK_FLOATS // (cfg.grid_points + 1))
+    block = max(1, (_STUDENTIZED_BLOCK_FLOATS if cfg.studentize else _TESTS_BLOCK_FLOATS)
+                // (cfg.grid_points + 1))
     for sizes, tests in by_sizes.items():
         for i in range(0, len(tests), block):
             chunk = tests[i:i + block]

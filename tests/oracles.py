@@ -17,6 +17,9 @@ those per-branch forms, ``sup_eval`` the supervised harness one test at a
 time (a hand-made split, then the library's one-test fits and searches),
 and ``run_trial`` a trial of either, each test evaluated as it is drawn.
 ``intervals_loop`` walks a membership mask for its runs.
+``hole_members`` is the membership view of the harness's hole counts
+(``holes._hierarchical_counts``): every candidate looked up in the same
+holes one by one, as the candidates after the grid are.
 ``rotation_supervised_members`` is ``sim.rotation_supervised_set`` one
 Monte-Carlo draw at a time: one Haar matrix and one ``score`` call per draw.
 ``conformal_below``, ``centered_conformal_below`` and ``hcp_below`` are the
@@ -429,6 +432,17 @@ def run_trial(cfg, methods, trial):
                 sum(int(r[ai, 2]) for r in per_test) / cfg.tests,
             )
     return summary
+
+
+def hole_members(donors, sizes, target, cands, c, alphas, n_grid):
+    """Memberships (A, B, G) of the candidates (B, G) in the harness layout,
+    a uniform grid of ``n_grid`` points then extras, as the hole form decides
+    them (the rank form for a lone test): the same call with every
+    candidate also appended after the grid, read off those extras."""
+    from symmpi.holes import _hierarchical_counts
+
+    both = np.concatenate([cands[:, :n_grid], cands], axis=1)
+    return _hierarchical_counts(donors, sizes, target, both, c, False, alphas, n_grid)[1]
 
 
 def intervals_loop(candidates, member):

@@ -5,7 +5,6 @@ import oracles
 from symmpi.calibrate import (
     PredictionSet,
     WeightSpec,
-    _hierarchical_members,
     candidate_grid,
     estimate_shift_gap,
     finite_quantile,
@@ -420,8 +419,8 @@ def test_edge_clipped_sets():
     # the hole form's memberships, in the harness's block of two tests
     donors = np.array([[1.0, 2.0, 3.5, 2.0, 3.0, 4.0]] * 2)
     target = np.array([[1.5, 2.5], [1.6, 2.4]])
-    member = _hierarchical_members(donors, np.array([3, 3]), target, np.stack([grid[:12]] * 2),
-                                   2.0, False, (0.3,), 12)
+    member = oracles.hole_members(donors, np.array([3, 3]), target, np.stack([grid[:12]] * 2),
+                                  2.0, (0.3,), 12)
     assert all(PredictionSet(grid[:12], m).edge_clipped for m in member[0])
     # an orbit set; an unbounded set is not edge clipped
     ps = symmpi_set(np.array([1.0, 2.0, 3.0]), grid, append_embed, identity_map,

@@ -484,6 +484,13 @@ def test_mc_draws_below_one_is_usage_error(draws, capsys):
     assert f"usage error: --mc must be at least 1, got {draws}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--tests", "0"), ("--trials", "0"),
+                                           ("--tests", "-2"), ("--threads", "0")])
+def test_bench_counts_below_one_are_usage_errors(option, value, capsys):
+    assert main(["bench", "--preset", "table1", option, value]) == 2
+    assert f"usage error: {option} must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_predict_hierarchical_short_rows_are_data_errors(tmp_path, capsys):
     rows = ["b0,0.1,1.0", "b0,0.4,2.0", "b1,0.3,1.5", "b1,0.7,0.5"]
     data = tmp_path / "h.csv"

@@ -44,8 +44,6 @@ from symmpi.calibrate import (
     WeightSpec,
     _branch_stats,
     _hierarchical_block,
-    _hierarchical_members,
-    _hole_block,
     _supervised_block,
     _supervised_intervals,
     _rows_below,
@@ -73,8 +71,10 @@ from symmpi.groups import (
     enumerate_automorphisms,
 )
 from symmpi.cli import PRESETS
+from symmpi import holes, sim
+from symmpi.holes import _hierarchical_counts, _target_near
 from symmpi.network import cluster_sum_set, tree_leaf_set
-from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _member_rows, _run_trial,
+from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _run_trial, _tally,
                         _sup_eval, rotation_supervised_set)
 from symmpi.transforms import (_fit_block, branch_fits, fit_regressors,
                                hierarchical_unsup_transform)
@@ -111,8 +111,10 @@ def ragged_branches(draw, min_branches=2, max_branches=8):
 
 
 def _rank_rows(below, alphas, spacing):
-    """The harness's rows (``_member_rows``) of the rank form's masses."""
-    return _member_rows(np.stack([rank_member(below, a) for a in alphas]), spacing)
+    """The harness's rows (``_tally``) of the rank form's masses, the final
+    candidate being the truth."""
+    member = np.stack([rank_member(below, a) for a in alphas])
+    return _tally(member[:, :, :-1].sum(axis=2), member[:, :, -1], member.shape[2] - 1, spacing)
 
 
 def _observed(branches):
@@ -239,15 +241,17 @@ def test_blocked_trial_equals_per_test_loop(studentize, preset, sigma2, grid_poi
 # with one-value donors, one observed target value (n_t = 2), K = 2 with
 # c = 0.5 (the target's quadratic loses its square term), branches of equal
 # values, data on two values with a grid through them, candidates placed on
-# the holes' ends and on the donors' switch points, and alpha on a k / n
-# boundary of the equal weights; and candidates beyond every hole.
+# the holes' ends and on the donors' switch points, after the grid or on it,
+# and alpha on a k / n boundary of the equal weights; and candidates beyond
+# every hole.
 HOLE_SHAPES = st.sampled_from(["random", "one_value_donors", "two_point_target", "k2_half",
-                               "equal", "two_values", "at_ends", "boundary", "far"])
+                               "equal", "two_values", "at_ends", "grid_at_ends", "boundary",
+                               "far"])
 
 
 def _hole_points(donors, sizes, target, c):
     """The ends of every hole and every donor's switch points, (B, P), in
-    the hole form's closed forms (``calibrate._hole_masses``)."""
+    the hole form's closed forms (``holes._hole_grid``)."""
     D, n_o = sizes.size, target.shape[1]
     K, n_t = D + 1, n_o + 1
     branch = np.repeat(np.arange(D), sizes)
@@ -300,11 +304,18 @@ def hole_cases(draw):
     extras = truth
     if shape == "far":
         grid, extras = grid + 100 * (np.ptp(values) + 1), truth + 100 * (np.ptp(values) + 1)
-    if shape == "at_ends":
+    if shape in ("at_ends", "grid_at_ends"):
         # with one observed target value the hole form ranks every candidate
         points = _hole_points(donors, sizes[:-1], target, c) if target.shape[1] > 1 else values
         pick = rng.choice(points.shape[1], min(points.shape[1], 12), replace=False)
-        extras = np.concatenate([truth, points[:, pick]], axis=1)
+        if shape == "at_ends":
+            extras = np.concatenate([truth, points[:, pick]], axis=1)
+        else:
+            # the grid moved, each test's by its own shift, to put its
+            # nearest point on one of the picked points
+            at = points[np.arange(B), pick[np.arange(B) % pick.size]][:, None]
+            near = np.abs(grid - at).argmin(axis=1)[:, None]
+            grid = grid + (at - np.take_along_axis(grid, near, axis=1))
     alphas = (0.05, 0.15, draw(ALPHA))
     if shape == "boundary":
         alphas = (1 - int(rng.integers(1, K * sizes[-1])) / (K * sizes[-1]),) + alphas[1:]
@@ -312,45 +323,111 @@ def hole_cases(draw):
     return donors, sizes[:-1], target, cands, grid.shape[1], c, alphas
 
 
+HOLE_EXAMPLE = (np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0.1]]),
+                np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None], 61, 2.0,
+                (0.5, 0.15, 0.3))
+
+
 @SETTINGS
 @given(case=hole_cases())
-@example(case=(np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0.1]]),
-               np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None], 61, 2.0,
-               (0.5, 0.15, 0.3)))
+@example(case=HOLE_EXAMPLE)
+def test_hole_counts_are_the_rank_forms(case):
+    """What the harness reads of a block, each test's member count on its
+    grid and the memberships of the candidates after it (the truth, and in
+    some shapes points on the holes' ends), equals the rank form's member
+    sums and memberships."""
+    donors, sizes, target, cands, n_grid, c, alphas = case
+    rank = _hierarchical_block(donors, sizes, target, cands, c, False)
+    want = np.stack([rank_member(rank, a) for a in alphas])
+    counts, extra = _hierarchical_counts(donors, sizes, target, cands, c, False, alphas, n_grid)
+    assert np.array_equal(counts, want[:, :, :n_grid].sum(axis=2))
+    assert np.array_equal(extra, want[:, :, n_grid:])
+
+
+@SETTINGS
+@given(case=hole_cases())
+@example(case=HOLE_EXAMPLE)
 def test_hole_form_matches_rank_form(case):
-    """Harness memberships (a uniform grid and extras) equal the rank form's
-    bit for bit, and so the library's; the hole masses differ from the rank
-    form's only by rounding, also for a block of one test, which the harness
+    """Harness memberships (a uniform grid and extras), in the membership
+    view of the hole counts' events, equal the rank form's bit for bit, and
+    so the library's, also for a block of one test, which the harness
     ranks."""
     donors, sizes, target, cands, n_grid, c, alphas = case
     rank = _hierarchical_block(donors, sizes, target, cands, c, False)
     want = np.stack([rank_member(rank, a) for a in alphas])
-    got = _hierarchical_members(donors, sizes, target, cands, c, False, alphas, n_grid)
+    got = oracles.hole_members(donors, sizes, target, cands, c, alphas, n_grid)
     assert np.array_equal(got, want)
-    below, exact = _hole_block(donors, sizes, target, cands, c, n_grid)
-    assert np.max(np.abs(below - rank)) <= 1e-12
-    assert np.array_equal(below[exact], rank[exact])
     for b in range(donors.shape[0]):
         observed = np.split(donors[b], np.cumsum(sizes)[:-1]) + [target[b]]
         one = hierarchical_below(observed, cands[b], c, studentize=False)
         assert np.array_equal(one, rank[b])
-        assert np.array_equal(_hierarchical_members(donors[b:b + 1], sizes, target[b:b + 1],
-                                                    cands[b:b + 1], c, False, alphas, n_grid),
+        assert np.array_equal(oracles.hole_members(donors[b:b + 1], sizes, target[b:b + 1],
+                                                   cands[b:b + 1], c, alphas, n_grid),
                               want[:, b:b + 1])
+
+
+def _harness_block(cfg, tests, trial=0):
+    """The donors, sizes, target and candidates of a block of the harness's
+    first ``tests`` unsupervised tests of a trial."""
+    rng = np.random.default_rng((cfg.seed, trial))
+    flat = np.stack([sim._draw_unsup(cfg, rng, ())[1][0] for _ in range(tests)])
+    n = (cfg.n_branches - 1) * cfg.branch_size
+    gridp, _ = sim._grid_frame(flat[:, :-1], flat[:, -1], cfg)
+    return flat[:, :n], np.full(cfg.n_branches - 1, cfg.branch_size), flat[:, n:-1], gridp
+
+
+@pytest.mark.parametrize("sigma2", [10.0, 2.0, 0.5, 0.0])
+def test_hole_counts_on_harness_blocks(sigma2):
+    """Table-1 blocks, with tests whose grid is in both target states: the
+    counts and the truth's membership are the rank form's."""
+    cfg = HierarchicalConfig(sigma2=sigma2, alphas=(0.05, 0.15, 0.5), seed=20)
+    donors, sizes, target, cands = _harness_block(cfg, 24)
+    donor_sum = _branch_stats(donors, sizes)[0].sum(axis=1, keepdims=True)
+    reach = np.abs(np.concatenate([donors, target, cands], axis=1)).max(axis=1, keepdims=True)
+    near = _target_near(target, cands[:, :-1], donor_sum, cfg.n_branches, cfg.c, reach)
+    assert (near.any(axis=1) & ~near.all(axis=1)).any()
+    rank = _hierarchical_block(donors, sizes, target, cands, cfg.c, False)
+    want = np.stack([rank_member(rank, a) for a in cfg.alphas])
+    counts, extra = _hierarchical_counts(donors, sizes, target, cands, cfg.c, False, cfg.alphas,
+                                         cfg.grid_points)
+    assert np.array_equal(counts, want[:, :, :-1].sum(axis=2))
+    assert np.array_equal(extra, want[:, :, -1:])
+
+
+def test_hole_counts_memory_stays_small():
+    """One 40-test unstudentized table-1 block at the 2001-point grid keeps
+    its traced peak under 3 MB (1.2-1.8 MB across branch spreads), where the
+    dense form of the hole ends, (tests, states, ends, holes) arrays placed
+    on every grid point, took 6.8 MB."""
+    import tracemalloc
+
+    cfg = HierarchicalConfig(seed=21)
+    donors, sizes, target, cands = _harness_block(cfg, 40)
+    tracemalloc.start()
+    try:
+        _hierarchical_counts(donors, sizes, target, cands, cfg.c, False, cfg.alphas,
+                             cfg.grid_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_hole_form_needs_its_rounding_width(monkeypatch):
     """Data and grid on a 0.1 lattice put a grid point on a hole's end, where
     it ties a score exactly; without the rounding width the hole form decides
     it otherwise than the rank form."""
-    donors, sizes, target = np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0.1]])
-    cands = np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None]
-    want = rank_member(_hierarchical_block(donors, sizes, target, cands, 2.0, False), 0.5)
-    got = rank_member(_hole_block(donors, sizes, target, cands, 2.0, 61)[0], 0.5)
-    assert np.array_equal(got, want)
-    monkeypatch.setattr(calibrate, "_ENDS_ROUNDING", 0.0)
-    got = rank_member(_hole_block(donors, sizes, target, cands, 2.0, 61)[0], 0.5)
-    assert not np.array_equal(got, want)
+    donors, sizes, target, cands, n_grid, c, alphas = HOLE_EXAMPLE
+    want = rank_member(_hierarchical_block(donors, sizes, target, cands, c, False), 0.5)
+    counts, extra = _hierarchical_counts(np.repeat(donors, 2, axis=0), sizes,
+                                         np.repeat(target, 2, axis=0),
+                                         np.repeat(cands, 2, axis=0), c, False, (0.5,), n_grid)
+    assert counts[0, 0] == want[0, :n_grid].sum() and extra[0, 0, 0] == want[0, -1]
+    monkeypatch.setattr(holes, "_ENDS_ROUNDING", 0.0)
+    counts, extra = _hierarchical_counts(np.repeat(donors, 2, axis=0), sizes,
+                                         np.repeat(target, 2, axis=0),
+                                         np.repeat(cands, 2, axis=0), c, False, (0.5,), n_grid)
+    assert counts[0, 0] != want[0, :n_grid].sum() or extra[0, 0, 0] != want[0, -1]
 
 
 # ----------------------------------------------------------------------

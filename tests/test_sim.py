@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from symmpi import sim
 from symmpi.calibrate import candidate_grid, hcp_first_obs_set, rank_member
 from symmpi.sim import (
     HierarchicalConfig,
@@ -315,6 +316,37 @@ def test_benchmark_seed_determinism():
     b = run_benchmark(cfg, methods=("symmpi", "conformal", "subsampling"))
     for ra, rb in zip(a, b):
         assert ra == rb
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+@pytest.mark.parametrize("supervised, branch_size", [(False, 6), (False, (3, 4)), (True, 8),
+                                                     (True, (6, 8))])
+def test_benchmark_rows_do_not_depend_on_the_block(supervised, branch_size, studentize,
+                                                   monkeypatch):
+    """Rows are the same with blocks of one test, of 8 tests and of a whole
+    trial; sizes of 3 or 4 values in 3 branches make tests that share their
+    sizes."""
+    methods = ("symmpi", "conformal", "subsampling", "single_tree")
+    cfg = small_cfg(n_branches=3, branch_size=branch_size, supervised=supervised,
+                    studentize=studentize, alphas=(0.05, 0.15, 0.3), tests=12, grid_points=201)
+    rows = []
+    for tests in (1, 8, cfg.tests):
+        floats = tests * (cfg.grid_points + 1)
+        monkeypatch.setattr(sim, "_TESTS_BLOCK_FLOATS", floats)
+        monkeypatch.setattr(sim, "_STUDENTIZED_BLOCK_FLOATS", floats)
+        rows.append(repr(run_benchmark(cfg, methods=methods + ("hcp",) * (not supervised))))
+    assert rows[0] == rows[1] == rows[2]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("trials", 0, "trials must be at least 1, got 0"),
+    ("tests", 0, "tests must be at least 1, got 0"),
+    ("tests", -2, "tests must be at least 1, got -2"),
+    ("alphas", (), "need at least one alpha"),
+])
+def test_config_needs_a_test_a_trial_and_an_alpha(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        HierarchicalConfig(**{field: value})
 
 
 def test_benchmark_thread_count_does_not_change_results():
