@@ -40,7 +40,7 @@ import numpy as np
 
 from .groups import (CosetDecomposition, GroupAction, actions_of, coset_representatives,
                      iter_actions, sample_actions)
-from .transforms import branch_fits, fit_regressors
+from .transforms import _fit_block, _training_rows, branch_fits
 
 # Guard against float fuzz in level * n (e.g. 0.95 * 20 = 19.000000000000004).
 _LEVEL_EPS = 1e-9
@@ -787,15 +787,26 @@ def hierarchical_below(observed_branches, candidates, c: float = 2.0, studentize
     This is ``_hierarchical_block`` for one test, the rank form the
     benchmark harness runs on a lone test (``holes._hierarchical_counts``).
     """
-    cands = np.asarray(candidates, dtype=float)
+    values, sizes = _branch_rows(observed_branches)
+    return _flat_below(values, sizes, np.asarray(candidates, dtype=float), c, studentize)
+
+
+def _branch_rows(observed_branches):
+    """The branches end to end and their sizes; every branch but the last
+    must be nonempty."""
     branches = [np.asarray(b, dtype=float).ravel() for b in observed_branches]
-    donors = branches[:-1]
-    if any(b.size == 0 for b in donors):
+    if any(b.size == 0 for b in branches[:-1]):
         raise ValueError("every branch must be nonempty")
-    sizes = np.array([b.size for b in donors], dtype=np.intp)
-    flat = np.concatenate(donors)[None] if donors else np.empty((1, 0))
-    below = _hierarchical_block(flat, sizes, branches[-1][None], cands.reshape(1, -1), c,
-                                studentize)
+    return np.concatenate(branches), np.array([b.size for b in branches], dtype=np.intp)
+
+
+def _flat_below(values, sizes, cands, c, studentize):
+    """``hierarchical_below`` on flat rows: ``values`` holds the donor
+    branches end to end, branch k with ``sizes[k]`` values, then the target
+    branch's ``sizes[-1]`` observed values."""
+    n_donor = values.size - sizes[-1]
+    below = _hierarchical_block(values[None, :n_donor], sizes[:-1], values[None, n_donor:],
+                                cands.reshape(1, -1), c, studentize)
     return below.reshape(cands.shape)
 
 
@@ -1045,13 +1056,39 @@ def _split_branches(sizes):
     return np.arange(ends[-1]) < np.repeat(ends - sizes + n_train, sizes), n_train, sizes - n_train
 
 
-def _adaptive_centers(reg, x, sizes, c: float):
-    """Pooled fits and centers (B, N) at the rows x (B, N, d) of B tests,
-    each test's branches end to end, branch k with ``sizes[k]`` rows: the
-    pooled fit where the branch fit lies within c confidence bands of it,
-    else the branch fit (one ``transforms.branch_fits`` pass)."""
-    mu_p, mu_b, sig = branch_fits(reg, x, sizes)
+def _fit_centers(tr_x, tr_y, n_train, cal_x, n_cal, c: float):
+    """Pooled fits and adaptive centers (B, N) of B tests at their
+    calibration rows ``cal_x`` (B, N, d), branch k with ``n_cal[k]`` rows,
+    from one fit of their training rows ``tr_x`` (B, T, d) and ``tr_y``
+    (B, T), branch k with ``n_train[k]`` rows (``transforms._fit_block``):
+    the pooled fit where the branch fit lies within c confidence bands of
+    it, else the branch fit (one ``transforms.branch_fits`` pass)."""
+    mu_p, mu_b, sig = branch_fits(_fit_block(tr_x, tr_y, n_train), cal_x, n_cal)
     return mu_p, np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b)
+
+
+def _supervised_set(tr_x, tr_y, n_train, cal_x, cal_y, n_cal, cands, alpha: float, c: float):
+    """``supervised_hierarchical_set`` on flat rows, the candidates checked:
+    ``tr_x`` (T, d) and ``tr_y`` (T,) hold the training rows, branch k's
+    ``n_train[k]`` end to end; ``cal_x`` (N, d) the calibration rows, branch
+    k's ``n_cal[k]``, the target's x last, and ``cal_y`` (N - 1,) every
+    response but the target's. The fit, centers and intervals are the
+    harness's (``sim._sup_block``) for one test."""
+    if not n_cal[:-1].all():
+        raise ValueError("every donor branch needs a calibration value")
+    _, centers = _fit_centers(tr_x[None], tr_y[None], n_train, cal_x[None], n_cal, c)
+    intervals = _supervised_intervals(np.abs(cal_y - centers[:, :-1]), n_cal, centers[:, -1:],
+                                      (alpha,), True)
+    return _interval_set(intervals, cands)
+
+
+def _randomsize_set(values, sizes, cands, alpha: float, c: float) -> PredictionSet:
+    """``symmpi_set_randomsize`` on flat rows, the candidates checked:
+    ``values`` holds the donor branches end to end, branch k with
+    ``sizes[k]`` values, then the target branch's ``sizes[-1]`` observed
+    values."""
+    return _finite_set(cands, lambda finite: rank_member(
+        _flat_below(values, sizes, finite, c, True), alpha))
 
 
 def symmpi_set_randomsize(
@@ -1067,8 +1104,7 @@ def symmpi_set_randomsize(
     block-permutation set.
     """
     cands = _checked_candidates(candidates, alpha)
-    return _finite_set(cands, lambda finite: rank_member(
-        hierarchical_below(observed_branches, finite, c), alpha))
+    return _randomsize_set(*_branch_rows(observed_branches), cands, alpha, c)
 
 
 def supervised_hierarchical_set(
@@ -1090,23 +1126,20 @@ def supervised_hierarchical_set(
     branch-weighted score quantile. Ragged branch sizes are allowed, but
     every donor branch needs a calibration value: an empty one would carry
     its weight 1/K and no score, so the set could not reach 1 - alpha.
+    The lists are laid end to end for ``_supervised_set``.
     """
     cands = _checked_candidates(candidates, alpha)
     cal_x = [np.asarray(v, dtype=float) for v in cal_x]
     cal_y = [np.asarray(v, dtype=float).ravel() for v in cal_y]
     if [len(x) for x in cal_x] != [y.size for y in cal_y]:
         raise ValueError("each calibration branch needs one x row per y value")
-    if any(y.size == 0 for y in cal_y[:-1]):
-        raise ValueError("every donor branch needs a calibration value")
-    reg = fit_regressors(train_x, train_y)
+    tr_x, tr_y, n_train = _training_rows(train_x, train_y)
     x_new = np.asarray(x_new, dtype=float).reshape((1,) + cal_x[-1].shape[1:])
     cal_x[-1] = np.concatenate([cal_x[-1], x_new])
-    sizes = np.array([len(v) for v in cal_x], dtype=np.intp)
+    n_cal = np.array([len(v) for v in cal_x], dtype=np.intp)
     x = np.concatenate(cal_x)
-    _, centers = _adaptive_centers(reg, x.reshape(1, len(x), -1), sizes, c)
-    intervals = _supervised_intervals(np.abs(np.concatenate(cal_y) - centers[:, :-1]), sizes,
-                                      centers[:, -1:], (alpha,), True)
-    return _interval_set(intervals, cands)
+    return _supervised_set(tr_x, tr_y, n_train, x.reshape(len(x), -1), np.concatenate(cal_y),
+                           n_cal, cands, alpha, c)
 
 
 def hcp_first_obs_set(complete_branches, candidates, alpha: float) -> PredictionSet:
@@ -1156,7 +1189,12 @@ def estimate_shift_gap(samples_a, samples_b, nu=None, bins: int = 64) -> float:
     else:
         a = np.asarray(samples_a, dtype=float).ravel()
         b = np.asarray(samples_b, dtype=float).ravel()
-    support = np.unique(np.concatenate([a, b]))
+    # the distinct values, as np.unique gives them: NaNs sort last and count
+    # as one value
+    values = np.sort(np.concatenate([a, b]))
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = (values[1:] != values[:-1]) & ~np.isnan(values[:-1])
+    support = values[first]
     if support.size <= bins:
         pa = np.array([np.mean(a == s) for s in support])
         pb = np.array([np.mean(b == s) for s in support])

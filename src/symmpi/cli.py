@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import calibrate, dataio, groups, network, sim, transforms
+from . import calibrate, dataio, groups, network, transforms
 from .dataio import DataError
 
 
@@ -59,6 +59,8 @@ def _grid_points(text: str) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import sim
+
     for name in ("trials", "tests", "threads"):
         if getattr(args, name) < 1:
             raise UsageError(f"--{name} must be at least 1, got {getattr(args, name)}")
@@ -92,39 +94,36 @@ def cmd_bench(args) -> int:
 
 
 def cmd_predict_hierarchical(args) -> int:
-    order, xs, ys, target = dataio.read_hierarchical_csv(args.data)
-    if args.mode == "sup" and xs is None:
+    order, branch, x, y, target = dataio.read_branch_rows(args.data)
+    if args.mode == "sup" and x is None:
         raise DataError("supervised mode needs x columns")
-    bi, ri = target
     # Move the target branch last and the target row to its end; both moves
     # are symmetries of the model, and the split/quantile conventions assume
-    # this position: the target row is then always a calibration row.
-    def reorder(seq):
-        seq = list(seq)
-        seq.append(seq.pop(bi))
-        seq[-1] = seq[-1][np.r_[np.delete(np.arange(len(seq[-1])), ri), ri]]
-        return seq
-
-    ys = reorder(ys)
+    # this position: the target row is then always a calibration row. One
+    # stable sort puts the other branches in order of first appearance and
+    # keeps each branch's rows in file order.
+    bi = branch[target]
+    key = np.where(branch == bi, len(order), branch)
+    key[target] = len(order) + 1
+    perm = np.argsort(key, kind="stable")
+    sizes = np.bincount(branch)
+    sizes = np.append(np.delete(sizes, bi), sizes[bi])
     if args.mode == "unsup":
         # The branch-weighted quantile reduces to the flat one for equal
         # sizes, so ragged and fixed data share a single path.
-        observed = ys[:-1] + [ys[-1][:-1]]
-        grid = calibrate.candidate_grid(np.concatenate(observed), args.grid)
-        ps = calibrate.symmpi_set_randomsize(observed, grid, args.alpha, c=args.c)
+        observed = y[perm[:-1]]
+        sizes[-1] -= 1
+        grid = calibrate.candidate_grid(observed, args.grid)
+        ps = calibrate._randomsize_set(observed, sizes, grid, args.alpha, args.c)
     else:
-        xs, sizes = reorder(xs), [y.size for y in ys]
-        train = np.split(calibrate._split_branches(sizes)[0], np.cumsum(sizes)[:-1])
-        tr_x, cal_x = [x[m] for x, m in zip(xs, train)], [x[~m] for x, m in zip(xs, train)]
-        tr_y, cal_y = [y[m] for y, m in zip(ys, train)], [y[~m] for y, m in zip(ys, train)]
-        if not cal_y[-1].size:
+        train, n_train, n_cal = calibrate._split_branches(sizes)
+        if not n_cal[-1]:
             raise DataError("target branch needs at least one calibration point")
-        x_new = cal_x[-1][-1]
-        cal_x[-1], cal_y[-1] = cal_x[-1][:-1], cal_y[-1][:-1]
-        grid = calibrate.candidate_grid(np.concatenate(cal_y), args.grid)
-        ps = calibrate.supervised_hierarchical_set(
-            tr_x, tr_y, cal_x, cal_y, x_new, grid, args.alpha, c=args.c
-        )
+        tr, cal = np.compress(train, perm), np.compress(~train, perm)
+        cal_y = y[cal[:-1]]
+        grid = calibrate.candidate_grid(cal_y, args.grid)
+        ps = calibrate._supervised_set(x[tr], y[tr], n_train, x[cal], cal_y, n_cal, grid,
+                                       args.alpha, args.c)
     _report_set(ps, args)
     return 0
 
@@ -151,6 +150,8 @@ def cmd_predict_graph(args) -> int:
 def cmd_predict_rotation(args) -> int:
     if args.mc < 1:
         raise UsageError(f"--mc must be at least 1, got {args.mc}")
+    from . import sim
+
     pts = np.loadtxt(args.data, delimiter=",", ndmin=2)
     if not np.isfinite(pts).all():
         raise DataError("rotation coordinates must be finite numbers")

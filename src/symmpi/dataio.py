@@ -6,14 +6,14 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict
-from itertools import compress, repeat
+from dataclasses import asdict, dataclass, fields
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
 from .calibrate import PredictionSet
 from .groups import Permutation
-from .sim import BenchRow
 
 
 class DataError(ValueError):
@@ -23,6 +23,9 @@ class DataError(ValueError):
 def _csv_text(path) -> str:
     with open(path, newline="") as fh:
         return fh.read()
+
+
+_COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 def _quote_free(text) -> bool:
@@ -38,41 +41,58 @@ def _csv_rows(text) -> list[list[str]]:
     return list(compress(rows, map(str.strip, map("".join, rows))))
 
 
-def _line_width(text):
+def _row_width(text):
     """The number of cells on every line of quote-free text, one final
-    newline ending the last line, or None when the lines differ in it."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    commas = set(map(str.count, lines, repeat(",")))
-    return commas.pop() + 1 if len(commas) == 1 else None
+    newline ending the last line, or None when the lines differ in it.
+
+    Commas and newlines are ASCII bytes, which UTF-8 never uses inside a
+    multibyte sequence, so the separators of the encoded text are the
+    text's, in order. The lines have w cells each exactly when, with the
+    last line ended, every w-th separator is a newline and no other is:
+    one numpy pass over the bytes.
+    """
+    if not text:
+        return None
+    first = text.find("\n")
+    w = text.count(",", 0, len(text) if first < 0 else first) + 1
+    codes = np.frombuffer(text.encode(), np.uint8)
+    seps = codes[np.flatnonzero((codes == _COMMA) | (codes == _NEWLINE))]
+    if not text.endswith("\n"):
+        seps = np.append(seps, _NEWLINE)
+    if seps.size % w:
+        return None
+    ends = seps.reshape(-1, w) == _NEWLINE
+    return w if ends[:, -1].all() and not ends[:, :-1].any() else None
 
 
 def _csv_table(text):
     """The rows of CSV text by columns: (head, cols, row), where ``head`` is
     the first row, ``cols[j]`` the j-th cells of the other rows, for every j
-    below the shortest row's length, and ``row(i)`` the i-th other row; None
-    when the text has no rows. Blank rows are skipped, as ``_csv_rows``
-    skips them.
+    below the shortest row's length, the first column's stripped, and
+    ``row(i)`` the i-th other row; None when the text has no rows. Blank
+    rows are skipped, as ``_csv_rows`` skips them.
 
     When the text is quote-free, all its lines have one width, and neither
     the first line nor any other row's first cell is blank, so that no row
     is blank, one split on commas gives every cell and the columns are
     slices of it. Any other text is read row by row, by ``_csv_rows``.
     """
-    w = _quote_free(text) and _line_width(text)
+    w = _quote_free(text) and _row_width(text)
     if w:
         cells = text.replace("\n", ",").split(",")
         if text.endswith("\n"):
             cells.pop()
         head, cols = cells[:w], [cells[w + j::w] for j in range(w)]
-        if "".join(head).strip() and all(map(str.strip, cols[0])):
+        cols[0] = list(map(str.strip, cols[0]))
+        if "".join(head).strip() and all(cols[0]):
             return head, cols, lambda i: cells[w * (i + 1):w * (i + 2)]
     rows = _csv_rows(text)
     if not rows:
         return None
     head, body = rows[0], rows[1:]
-    return head, list(zip(*body)) or [()] * len(head), body.__getitem__
+    cols = list(zip(*body)) or [()] * len(head)
+    cols[0] = list(map(str.strip, cols[0]))
+    return head, cols, body.__getitem__
 
 
 def _bad_cell(path, row, cell, column, kind="a number"):
@@ -94,18 +114,27 @@ def _not_a_number(path, columns, row):
     return None
 
 
-def read_hierarchical_csv(path):
-    """Read branch data: columns branch_id, [x...,] y; blank y marks the target.
+class BranchRows(NamedTuple):
+    """A branch file's rows, in file order: ``branch`` (n,) holds each row's
+    index into ``order``, the branch ids in order of first appearance; ``x``
+    (n, d) the x columns, or None for unsupervised files; ``y`` (n,) the
+    responses, NaN at ``target``, the row of the one blank y cell."""
+
+    order: list
+    branch: np.ndarray
+    x: np.ndarray | None
+    y: np.ndarray
+    target: int
+
+
+def read_branch_rows(path) -> BranchRows:
+    """Read branch data by columns: branch_id, [x...,] y; blank y marks the target.
 
     Every row has at least as many cells as the header (a blank trailing y
     cell, as in ``b1,0.5,``, still counts); a shorter row, or an x or given
     y cell that is not a finite number, is a DataError, and one that is not
-    a number is named with its row and column. Each column is parsed in one
-    pass, by ``float``.
-
-    Returns (branch_ids, xs, ys, target), where xs is None for unsupervised
-    files, ys holds per-branch value arrays with NaN at the target slot, and
-    target is (branch_index, row_index).
+    a number is named with its row and column. Each column is stripped or
+    parsed, by ``float``, in one pass.
     """
     table = _csv_table(_csv_text(path))
     if table is None:
@@ -128,44 +157,59 @@ def read_hierarchical_csv(path):
         short = next(r for r in map(row, range(n)) if len(r) < len(header))
         raise DataError(f"{path}: row {','.join(short)!r} has {len(short)} cells, "
                         f"the header has {len(header)}")
-    ids = list(map(str.strip, cols[bcol]))
-    ycells = list(map(str.strip, cols[ycol]))
-    gcells = list(filter(None, ycells))
+    # the first column comes stripped
+    ids, ycells = (cols[j] if j == 0 else list(map(str.strip, cols[j])) for j in (bcol, ycol))
+    if ycells.count("") == 1:
+        blank = [ycells.index("")]
+    else:
+        blank = [i for i, c in enumerate(ycells) if not c]
+    filled = ycells.copy()
+    for i in blank:
+        filled[i] = "nan"  # a blank cell reads as NaN, which no given value may be
+    x = None
     try:
-        given = np.fromiter(map(float, gcells), float, len(gcells))
-        x = None
+        y = np.fromiter(map(float, filled), float, n)
         if xcols:
-            x = np.array([np.fromiter(map(float, cols[i]), float, n) for i in xcols]).T
+            x = np.empty((n, len(xcols)))
+            for j, i in enumerate(xcols):
+                x[:, j] = np.fromiter(map(float, cols[i]), float, n)
     except ValueError:
         columns = [(header[ycol], [(i, c) for i, c in enumerate(ycells) if c])]
         columns += [(header[i], enumerate(cols[i])) for i in xcols]
         raise _not_a_number(path, columns, row) from None
-    y = np.full(n, np.nan)
-    y[np.fromiter(map(bool, ycells), bool, n)] = given
-    if not np.isfinite(given).all() or (x is not None and not np.isfinite(x).all()):
+    given = np.isfinite(y)
+    given[blank] = True
+    if not given.all() or (x is not None and not np.isfinite(x).all()):
         raise DataError(f"{path}: x and y values must be finite numbers")
-    order = list(dict.fromkeys(ids))
-    code = {b: i for i, b in enumerate(order)}
-    branch = np.fromiter(map(code.__getitem__, ids), np.intp, n)
-
-    missing = np.flatnonzero(np.isnan(y))
-    if missing.size > 1:
+    if len(blank) > 1:
         raise DataError(f"{path}: more than one missing target value")
-    if missing.size == 0:
+    if not blank:
         raise DataError(f"{path}: no missing target value (leave one y empty)")
-    bi = int(branch[missing[0]])
-    target = (bi, int(np.count_nonzero(branch[: missing[0]] == bi)))
-    # rows grouped by branch, in file order within each
+    code = {b: i for i, b in enumerate(dict.fromkeys(ids))}
+    branch = np.fromiter(map(code.__getitem__, ids), np.intp, n)
+    return BranchRows(list(code), branch, x, y, blank[0])
+
+
+def read_hierarchical_csv(path):
+    """``read_branch_rows`` grouped by branch.
+
+    Returns (branch_ids, xs, ys, target), where xs is None for unsupervised
+    files, ys holds per-branch value arrays with NaN at the target slot, and
+    target is (branch_index, row_index); rows keep their file order within a
+    branch, and a single x column gives 1-d xs.
+    """
+    order, branch, x, y, t = read_branch_rows(path)
     by_branch = np.argsort(branch, kind="stable")
     ends = np.cumsum(np.bincount(branch, minlength=len(order))).tolist()
     spans = list(zip([0] + ends, ends))
     y = y[by_branch]
     ys = [y[lo:hi] for lo, hi in spans]
     xs = None
-    if xcols:
-        x = x[by_branch, 0] if len(xcols) == 1 else x[by_branch]
+    if x is not None:
+        x = x[by_branch, 0] if x.shape[1] == 1 else x[by_branch]
         xs = [x[lo:hi] for lo, hi in spans]
-    return order, xs, ys, target
+    bi = int(branch[t])
+    return order, xs, ys, (bi, int(np.count_nonzero(branch[:t] == bi)))
 
 
 def read_graph_values_csv(path):
@@ -313,16 +357,22 @@ def write_prediction_set(ps: PredictionSet, path: str, fmt: str = "json") -> Non
         raise DataError(f"unknown format {fmt!r}")
 
 
-BENCH_FIELDS = [
-    "method",
-    "alpha",
-    "sigma2",
-    "mean_length",
-    "se_length",
-    "mean_coverage",
-    "se_coverage",
-    "unbounded_rate",
-]
+@dataclass
+class BenchRow:
+    """One row of a benchmark table: a method's mean set length and coverage,
+    with their standard errors, at one alpha and one sigma2."""
+
+    method: str
+    alpha: float
+    sigma2: float
+    mean_length: float
+    se_length: float
+    mean_coverage: float
+    se_coverage: float
+    unbounded_rate: float
+
+
+BENCH_FIELDS = [f.name for f in fields(BenchRow)]
 
 
 def write_bench_rows(rows: list[BenchRow], path: str, fmt: str = "csv") -> None:

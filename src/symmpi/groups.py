@@ -590,17 +590,13 @@ def orbit_of_index(group: GroupAction, i: int) -> tuple[np.ndarray, int]:
     Returns the sorted orbit and the stabilizer size, which satisfy
     |orbit| * |stabilizer| = |G|.
     """
-    orbit: set[int] = set()
-    stab = 0
-    total = 0
+    counts = 0  # per index, the elements that map i to it
     for maps in group.iter_mapping_batches():
-        images = maps[:, i]
-        orbit.update(np.unique(images).tolist())
-        stab += int(np.sum(images == i))
-        total += maps.shape[0]
-    if len(orbit) * stab != total:
+        counts = counts + np.bincount(maps[:, i], minlength=maps.shape[1])
+    orbit, stab = np.flatnonzero(counts).astype(np.int64, copy=False), int(counts[i])
+    if orbit.size * stab != counts.sum():
         raise AssertionError("orbit-stabilizer identity violated")
-    return np.array(sorted(orbit), dtype=np.int64), stab
+    return orbit, stab
 
 
 @dataclass(frozen=True)

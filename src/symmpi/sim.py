@@ -24,9 +24,9 @@ one count of lengths and coverage per method for the whole block.
 An unsupervised block (``_unsup_block``) makes one grid, one
 ``_hierarchical_counts`` call and one set of intervals per conformal method.
 A supervised block (``_sup_block``) runs the library's split
-(``_split_branches``), one fit of every test's regressors
-(``transforms._fit_block``), one pass of centers and one set of intervals
-per method.
+(``_split_branches``), one fit of every test's regressors and one pass of
+centers (``calibrate._fit_centers``, which the library's and the command
+line's supervised set run on one test) and one set of intervals per method.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from .calibrate import (
     _ENDS_ROUNDING,
     ConformalIntervals,
     PredictionSet,
-    _adaptive_centers,
     _branch_stats,
     _candidate_rows,
     _check_draws,
     _checked_candidates,
     _finite_set,
+    _fit_centers,
     _intervals,
     _mass_within,
     _split_branches,
@@ -55,9 +55,10 @@ from .calibrate import (
     rank_member,
     score_intervals,
 )
+from .dataio import BenchRow
 from .groups import _haar_matrices
 from .holes import _hierarchical_counts
-from .transforms import _fit_block, _fit_lines
+from .transforms import _fit_lines
 
 ALL_METHODS = ("symmpi", "conformal", "subsampling", "single_tree", "hcp")
 
@@ -363,15 +364,16 @@ def _sup_block(x, y, sizes, picks, cfg, methods):
     with ``sizes[k]`` rows, the truth as the target branch's final response;
     ``picks`` (B, K - 1) holds the subsampling draws, a position in each
     donor branch's calibration rows. Every method reads the calibration rows
-    of ``_split_branches``; the regressors of all B tests are one
-    ``_fit_block``. Returns, per method, the (alphas, 3, B) array of ``_tally``.
+    of ``_split_branches``; the regressors and centers of all B tests are one
+    ``_fit_centers`` call. Returns, per method, the (alphas, 3, B) array of
+    ``_tally``.
     """
     train, n_train, n_cal = _split_branches(sizes)
     # compress keeps each test's rows contiguous, so that sums and searches
     # run along a row as they do on one test
     tr_x, tr_y = np.compress(train, x, axis=1)[..., None], np.compress(train, y, axis=1)
     cal_x, cal_y = np.compress(~train, x, axis=1)[..., None], np.compress(~train, y, axis=1)
-    mu_p, center = _adaptive_centers(_fit_block(tr_x, tr_y, n_train), cal_x, n_cal, cfg.c)
+    mu_p, center = _fit_centers(tr_x, tr_y, n_train, cal_x, n_cal, cfg.c)
     obs_y, truth = cal_y[:, :-1], cal_y[:, -1]
     gridp, spacing = _grid_frame(obs_y, truth, cfg)
     pooled, alphas = np.abs(obs_y - mu_p[:, :-1]), cfg.alphas
@@ -436,18 +438,6 @@ def _sup_eval(xs, ys, cfg, rng, methods):
 # --------------------------------------------------------------------------
 # Benchmark driver
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class BenchRow:
-    method: str
-    alpha: float
-    sigma2: float
-    mean_length: float
-    se_length: float
-    mean_coverage: float
-    se_coverage: float
-    unbounded_rate: float
 
 
 def _run_trial(cfg: HierarchicalConfig, methods, trial: int):

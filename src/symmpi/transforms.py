@@ -236,6 +236,17 @@ def fit_regressors(train_x, train_y) -> RegressorBundle:
     to the pooled fit. A rank-deficient branch raises ``ValueError`` as
     ``fit_linear`` does. This is ``_fit_block`` for one test.
     """
+    x, y, sizes = _training_rows(train_x, train_y)
+    reg = _fit_block(x[None], y[None], sizes)
+    fits = reg.pooled
+    reg.pooled = LinearModel(coef=fits.coef[0], xtx_inv=fits.xtx_inv[0],
+                             resid_sd=float(fits.resid_sd[0]))
+    return reg
+
+
+def _training_rows(train_x, train_y):
+    """Per-branch training sequences end to end: x (N, d), y (N,) and the
+    branch sizes, once each branch is checked to have one x row per y value."""
     xs = [np.asarray(x, dtype=float) for x in train_x]
     ys = [np.asarray(y, dtype=float).ravel() for y in train_y]
     if len(xs) != len(ys) or not xs:
@@ -243,13 +254,8 @@ def fit_regressors(train_x, train_y) -> RegressorBundle:
     sizes = np.array([y.size for y in ys])
     if [len(x) for x in xs] != sizes.tolist():
         raise ValueError("each branch needs one x row per y value")
-    flat_x = np.concatenate(xs)
-    flat_x = flat_x[:, None] if flat_x.ndim == 1 else flat_x.reshape(len(flat_x), -1)
-    reg = _fit_block(flat_x[None], np.concatenate(ys)[None], sizes)
-    fits = reg.pooled
-    reg.pooled = LinearModel(coef=fits.coef[0], xtx_inv=fits.xtx_inv[0],
-                             resid_sd=float(fits.resid_sd[0]))
-    return reg
+    x = np.concatenate(xs)
+    return x[:, None] if x.ndim == 1 else x.reshape(len(x), -1), np.concatenate(ys), sizes
 
 
 def _fit_block(x, y, sizes) -> RegressorBundle:

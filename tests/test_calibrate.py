@@ -730,6 +730,16 @@ def test_estimate_shift_gap_discrete_oracle():
     assert abs(estimate_shift_gap(a, b) - exact) <= 0.02
 
 
+def test_estimate_shift_gap_counts_nans_as_one_value():
+    # 63 values and the NaNs fill the 64 points of the exact count only when
+    # the NaNs are one point, as np.unique makes them; a histogram would put
+    # 0 and 0.001 in one bin. A NaN matches no sample.
+    a = np.r_[0.0, 0.001, np.arange(1.0, 62.0)]
+    assert estimate_shift_gap(a, [0.001, np.nan, np.nan]) == pytest.approx(
+        0.5 * ((1 / 3 - 1 / 63) + 62 / 63), abs=1e-15)
+    assert estimate_shift_gap([0.0, np.nan, -0.0, np.nan], [0.0, 1.0]) == 0.25
+
+
 # ----------------------------------------------------------------------
 # PredictionSet mechanics
 # ----------------------------------------------------------------------

@@ -1,14 +1,19 @@
 import csv
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symmpi.calibrate import candidate_grid, supervised_hierarchical_set
+from symmpi.calibrate import candidate_grid, supervised_hierarchical_set, symmpi_set_randomsize
 from symmpi import cli
 from symmpi.cli import main
-from symmpi.dataio import prediction_set_payload
+from symmpi.dataio import prediction_set_payload, write_prediction_set
 
 
 def write_hier_csv(path, branches, target=None, xs=None):
@@ -307,6 +312,80 @@ def test_predict_hierarchical_supervised_is_the_library_set_on_a_ragged_file(tmp
                                      candidate_grid(np.concatenate(cal_y), 301), 0.2)
     assert 0 < ps.member.sum() < ps.member.size
     assert json.load(open(out)) == json.loads(json.dumps(prediction_set_payload(ps)))
+
+
+@st.composite
+def set_files(draw):
+    """A branch file whose set the library builds: (mode, rows, target,
+    alpha, number of x columns), where ``rows`` holds the (branch, x, y)
+    rows in file order, interleaved across ragged branches, and ``target``
+    is the row whose y is blank: in the first branch of the file, the last
+    row of a branch, a row of a branch's training half, or any row."""
+    mode = draw(st.sampled_from(["unsup", "sup"]))
+    d = draw(st.sampled_from([1, 2])) if mode == "sup" else 0
+    # supervised branches keep a calibration row; with two x columns every
+    # fitted branch needs three training rows
+    low = {0: 1, 1: 2, 2: 5}[d]
+    sizes = draw(st.lists(st.integers(low, low + 5), min_size=1 if d == 0 else 2, max_size=5))
+    sizes[0] += sum(sizes) < 2  # a value besides the target's, for the grid
+    slots = draw(st.permutations([(b, i) for b, n in enumerate(sizes) for i in range(n)]))
+    where = draw(st.sampled_from(["first branch", "last row", "training half", "any"]))
+    b = slots[0][0] if where == "first branch" else draw(st.integers(0, len(sizes) - 1))
+    i = {"last row": sizes[b] - 1, "training half": (sizes[b] - 1) // 2}.get(where)
+    if i is None:
+        i = draw(st.integers(0, sizes[b] - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.normal(0.0, 3.0, (len(sizes), max(d, 1)))
+    mu = rng.normal(0.0, draw(st.sampled_from([0.0, 0.5, 5.0])), len(sizes))
+    rows = []
+    for k, _ in slots:
+        x = rng.uniform(-0.5, 0.5, d)
+        rows.append((k, x, float(mu[k] + x @ theta[k, :d] + rng.normal(0.0, 0.5))))
+    target = slots.index((b, i))
+    return mode, rows, target, draw(st.sampled_from([0.1, 0.2, 0.35])), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=set_files())
+def test_predict_hierarchical_is_the_library_set(case):
+    """The command line's JSON is the library's set, built by hand from the
+    per-branch lists in either mode."""
+    mode, rows, target, alpha, d = case
+    xnames = ["x"] if d == 1 else [f"x_{j}" for j in range(d)]
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out, want = (Path(tmp) / name for name in ("h.csv", "cli.json", "lib.json"))
+        with open(data, "w", newline="") as fh:
+            fh.write(",".join(["branch_id", *xnames, "y"]) + "\n")
+            for r, (k, x, y) in enumerate(rows):
+                cells = [f"b{k}", *map(repr, x.tolist()), "" if r == target else repr(y)]
+                fh.write(",".join(cells) + "\n")
+        with redirect_stdout(io.StringIO()):
+            assert main(["predict-hierarchical", str(data), "--mode", mode, "--alpha",
+                         str(alpha), "--grid", "101", "--out", str(out)]) == 0
+
+        # by hand: the other branches in order of first appearance, then the
+        # target's branch with the target row moved to its end
+        bt = rows[target][0]
+        order = [k for k in dict.fromkeys(k for k, _, _ in rows) if k != bt] + [bt]
+        picked = [[r for r in range(len(rows)) if rows[r][0] == k and r != target]
+                  for k in order]
+        picked[-1].append(target)
+        bx = [np.array([rows[r][1] for r in rs]) for rs in picked]
+        by = [np.array([rows[r][2] for r in rs]) for rs in picked]
+        if mode == "unsup":
+            observed = by[:-1] + [by[-1][:-1]]
+            ps = symmpi_set_randomsize(observed, candidate_grid(np.concatenate(observed), 101),
+                                       alpha)
+        else:
+            bx = [x[:, 0] for x in bx] if d == 1 else bx
+            m = [(y.size + 1) // 2 for y in by]
+            tr_x, tr_y = [x[:n] for x, n in zip(bx, m)], [y[:n] for y, n in zip(by, m)]
+            cal_x, cal_y = [x[n:] for x, n in zip(bx, m)], [y[n:] for y, n in zip(by, m)]
+            x_new, cal_x[-1], cal_y[-1] = cal_x[-1][-1], cal_x[-1][:-1], cal_y[-1][:-1]
+            ps = supervised_hierarchical_set(tr_x, tr_y, cal_x, cal_y, x_new,
+                                             candidate_grid(np.concatenate(cal_y), 101), alpha)
+        write_prediction_set(ps, want)
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_predict_hierarchical_supervised_one_row_donor_is_data_error(tmp_path, capsys):

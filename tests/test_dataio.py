@@ -10,6 +10,7 @@ import oracles
 from symmpi.calibrate import PredictionSet
 from symmpi.dataio import (
     DataError,
+    _row_width,
     prediction_set_payload,
     read_adjacency,
     read_generators,
@@ -246,6 +247,34 @@ def test_read_hierarchical_rows_not_split_by_columns(tmp_path, text):
     path = tmp_path / "h.csv"
     path.write_text(text)
     assert_reads_as_row_reader(path)
+
+
+@pytest.mark.parametrize("text, width", [
+    # comma totals that balance across lines of different widths
+    ("branch_id,y\nb0,1,\n\nb1,\n", None),  # a long line and a blank one
+    ("branch_id,x,y\nb0,0.1,1,7\nb0,0.2\nb1,0.3,\n", None),  # a long line and a short one
+    ("branch_id,y\nb0,1,\nb1", None),  # the same, and no final newline
+    ("branch_id,x,y\nb0,0.1,1\nb1,0.2,", 3),  # no final newline
+    # padding that is whitespace to str.strip and float, in one or more UTF-8 bytes
+    ("branch_id,\x85x\xa0,y\u2028\n\xa0b0\x85,0.1\u2028,1\nb1,\u20280.2,\x85\n", 3),
+    ("\u2028branch_id\xa0,y\n\x85b0,\u20281\xa0\n\xa0b1\u2028,\x85\nb0,2\n", 2),
+])
+def test_row_width_is_checked_by_position(tmp_path, text, width):
+    # a file of one width reads by columns, any other by rows; either way it
+    # reads as the row reader does, or raises what the row-by-row path raises
+    assert _row_width(text) == width
+    path, by_rows = tmp_path / "h.csv", tmp_path / "rows.csv"
+    for name, body in ((path, text), (by_rows, text.replace("\n", "\r\n"))):
+        with open(name, "w", newline="") as fh:
+            fh.write(body)
+    try:
+        read_hierarchical_csv(by_rows)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            read_hierarchical_csv(path)
+        assert str(err.value) == str(exc).replace(str(by_rows), str(path))
+    else:
+        assert_reads_as_row_reader(path)
 
 
 @pytest.mark.parametrize("text, cell", [

@@ -5,7 +5,10 @@ uses each name it imports; only ``calibrate._finite_set`` builds a
 row by row reads its text one way; and no module reaches into argparse's
 private names or a parser's ``_actions``, so the command line is read from
 its declarations alone. Importing the command line loads no
-``multiprocessing``: only a benchmark run on several threads needs it."""
+``multiprocessing``, which only a benchmark run on several threads needs,
+and not the harness (``sim``, ``holes``), which only ``bench`` and
+``predict-rotation`` run. Orbits and the shift gap load no
+``numpy.ma``."""
 
 import ast
 import os
@@ -133,11 +136,36 @@ def test_a_private_argparse_use_is_found():
         "_StoreTrueAction (line 2)", "_actions (line 3)", "_SubParsersAction (line 4)"]
 
 
-def test_the_command_line_imports_no_multiprocessing():
+def run_probe(probe: str) -> str:
+    """The standard output of ``probe`` run in a fresh interpreter that
+    imports the package from this tree."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = ("import sys, symmpi.cli\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_the_command_line_imports_no_multiprocessing():
+    probe = ("import sys, symmpi.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+             "             or m in ('symmpi.sim', 'symmpi.holes')))")
+    assert run_probe(probe) == "[]"
+
+
+def test_orbits_and_the_shift_gap_load_no_masked_arrays():
+    # np.unique imports numpy.ma on its first call
+    probe = ("import sys\n"
+             "import numpy as np\n"
+             "from symmpi import calibrate, groups, network\n"
+             "A = np.zeros((5, 5))\n"
+             "A[0, 1:] = A[1:, 0] = 1.0\n"
+             "aut = groups.enumerate_automorphisms(A)\n"
+             "values = np.array([0.0, 1.0, 2.0, np.nan, 4.0])\n"
+             "ps = network.graph_vertex_set(values, aut, 3, np.linspace(-1, 5, 13), 0.2)\n"
+             "assert ps.meta['orbit_size'] == 4, ps.meta\n"
+             "assert groups.orbit_of_index(aut, 0)[0].tolist() == [0]\n"
+             "calibrate.estimate_shift_gap([1.0, 2.0, np.nan], [2.0, 3.0, 3.0])\n"
+             "calibrate.estimate_shift_gap(np.arange(100.0), np.arange(50.0))\n"
+             "print('numpy.ma' in sys.modules)")
+    assert run_probe(probe) == "False"
