@@ -5,7 +5,10 @@ automorphism groups are permutation groups sharing one element form, a
 ``Permutation`` of the flattened data point; orthogonal matrices act on point
 clouds. Plus uniform sampling, orbits, stabilizers, and cosets. All finite
 groups expose batched enumeration so that downstream quantile computations
-stay vectorized.
+stay vectorized. A graph automorphism group is held as a stabilizer chain
+(``symmpi.chains``), found by a search pruned with colour refinement or built
+by Schreier–Sims from generators: its order and orbits need no enumeration,
+and its elements are listed only when asked for.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .chains import StabilizerChain, WeightedGraph, checked_adjacency
 
 
 class NotEnumerableError(TypeError):
@@ -283,6 +288,10 @@ class SymmetricGroup(PermutationGroup):
         """Images in lexicographic order."""
         return lex_permutation_batches(self.n, batch_size)
 
+    def _index_orbit(self, i: int) -> tuple[np.ndarray, int]:
+        range(self.n)[i]  # an IndexError outside the points
+        return np.arange(self.n, dtype=np.int64), math.factorial(self.n - 1)
+
     def act_uniform_batch(self, rng, z):
         """Apply an independent uniform permutation to each row of z (..., n)."""
         z = np.asarray(z)
@@ -322,6 +331,11 @@ class BlockPermutationGroup(PermutationGroup):
             o, t = np.divmod(np.arange(start, min(start + batch_size, total)), per_outer)
             digits = np.stack(np.unravel_index(t, (inner.shape[0],) * K), axis=1)
             yield (outer[o][:, :, None] * M + inner[digits]).reshape(-1, K * M)
+
+    def _index_orbit(self, i: int) -> tuple[np.ndarray, int]:
+        n = self.K * self.M
+        range(n)[i]  # an IndexError outside the points
+        return np.arange(n, dtype=np.int64), self.order() // n
 
     def act_uniform_batch(self, rng, z):
         """Apply an independent uniform block permutation per row of z (..., K, M)
@@ -363,33 +377,71 @@ class OrthogonalGroup(GroupAction):
 
 
 class GraphAutomorphismGroup(PermutationGroup):
-    """The explicitly enumerated automorphisms of a weighted graph.
+    """The automorphisms of a weighted graph, held as a stabilizer chain.
 
-    ``elements`` lists them as Permutations or as the rows of an (|G|, n)
-    array of images; the group keeps that array.
+    The chain is for the base 0, 1, ..., n-1 (Sims 1970): strong generators
+    and, for each vertex v, its basic orbit, the images of v under the
+    automorphisms that fix 0..v-1. The order is the product of the basic
+    orbit sizes and every vertex's orbit comes from the generators, so
+    neither lists an element. ``iter_mapping_batches``, ``elements`` and
+    ``sample`` list the elements, in lexicographic order of their images.
+
+    ``GraphAutomorphismGroup(A, elements)`` takes every automorphism of A,
+    as Permutations or as the rows of an (|G|, n) image array, and checks
+    that they are automorphisms of A and form a group.
     """
 
     def __init__(self, adjacency: np.ndarray, elements):
-        self.adjacency = np.asarray(adjacency, dtype=float)
-        self.shape = (self.n,)
+        A = checked_adjacency(adjacency)
+        n = A.shape[0]
         maps = elements if isinstance(elements, np.ndarray) else [g.mapping for g in elements]
-        self._maps = np.asarray(maps, dtype=np.int64).reshape(len(maps), self.n)
-        if not (self._maps == np.arange(self.n)).all(axis=1).any():
+        maps = np.asarray(maps, dtype=np.int64).reshape(len(maps), n)
+        if not (maps == np.arange(n)).all(axis=1).any():
             raise ValueError("automorphism list must contain the identity")
+        if not (np.sort(maps, axis=1) == np.arange(n)).all():
+            raise ValueError("automorphism list rows must be bijections on [0, n)")
+        graph = WeightedGraph(A)
+        for g in maps:
+            if not graph.preserves(g.tolist()):
+                raise ValueError(f"{Permutation(g)!r} is not an automorphism")
+        if _first_occurrences(maps).size != len(maps):
+            raise ValueError("automorphism list repeats an element")
+        chain = StabilizerChain.generated_by(n, maps, bound=len(maps))
+        if chain.order != len(maps):
+            raise ValueError(f"automorphism list is not a group: its {len(maps)} elements "
+                             f"generate more than {len(maps)} automorphisms")
+        self._hold(A, chain)
+
+    @classmethod
+    def _from_chain(cls, adjacency: np.ndarray, chain: StabilizerChain) -> "GraphAutomorphismGroup":
+        group = cls.__new__(cls)
+        group._hold(adjacency, chain)
+        return group
+
+    def _hold(self, adjacency, chain):
+        self.adjacency = adjacency
+        self.shape = (self.n,)
+        self._chain = chain
+        self._listed = None  # every element, listed by the first ``sample``
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
     def sample(self, rng) -> Permutation:
-        return Permutation(self._maps[int(rng.integers(len(self._maps)))], validate=False)
+        if self._listed is None:
+            self._listed = np.concatenate(list(self._chain.lex_batches(250_000)))
+        return Permutation(self._listed[int(rng.integers(len(self._listed)))], validate=False)
 
     def order(self) -> int:
-        return len(self._maps)
+        return self._chain.order
 
     def iter_mapping_batches(self, batch_size: int = 250_000):
-        for start in range(0, self._maps.shape[0], batch_size):
-            yield self._maps[start : start + batch_size]
+        return self._chain.lex_batches(batch_size)
+
+    def _index_orbit(self, i: int) -> tuple[np.ndarray, int]:
+        orbit = self._chain.orbit_of(range(self.n)[i])
+        return orbit, self._chain.order // orbit.size
 
 
 # --------------------------------------------------------------------------
@@ -486,28 +538,6 @@ def sample_actions(group: GroupAction, shape, draws: int, rng: np.random.Generat
 # --------------------------------------------------------------------------
 
 AUTOMORPHISM_BRUTE_FORCE_CAP = 10
-# Entries of the parent masks (vertices i..n-1 by images) gathered at once
-# while enumerating automorphisms.
-_AUTOMORPHISM_BLOCK = 1 << 18
-
-
-def close_permutations(generators: list[Permutation]) -> list[Permutation]:
-    """Close a set of permutations under composition (and hence inversion)."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = generators[0].n
-    found = {Permutation.identity(n)}
-    frontier = list(found)
-    while frontier:
-        new = []
-        for g in generators:
-            for h in frontier:
-                c = g.compose(h)
-                if c not in found:
-                    found.add(c)
-                    new.append(c)
-        frontier = new
-    return sorted(found, key=lambda g: tuple(g.mapping.tolist()))
 
 
 def enumerate_automorphisms(
@@ -515,81 +545,47 @@ def enumerate_automorphisms(
     cap: int = AUTOMORPHISM_BRUTE_FORCE_CAP,
     generators: list[Permutation] | None = None,
 ) -> GraphAutomorphismGroup:
-    """All vertex permutations g with g A g^T = A (exact weight equality).
+    """The vertex permutations g with g A g^T = A (exact weight equality),
+    as a stabilizer chain.
 
-    Up to ``cap`` vertices, a search with forward checking assigns the
-    vertices in index order, one level for all partial assignments at a
-    time. Every partial assignment of the vertices before i carries a mask
-    allowed[v, k] of the images k each later vertex v may still take: those
-    with its loop weight and incident-weight multiset, unused, and with
-    A[v, u] == A[k, g(u)] for every assigned u. Vertex i takes each image
-    its mask allows, and assigning i -> j ANDs the precomputed table
-    keep[i, j][v, k] = (A[v, i] == A[k, j]) & (k != j) into the masks of the
-    later vertices. The automorphisms come out in
-    lexicographic order, the order a depth-first search finds them. Larger
-    graphs require an explicit generator list, which is verified and closed
-    under the group operations.
+    Up to ``cap`` vertices the chain comes from a search pruned by colour
+    refinement (``StabilizerChain.of_graph``). A larger graph requires an
+    explicit generator list: each generator is checked to be an
+    automorphism, and Schreier–Sims builds the chain of the group they
+    generate. No element is listed until one is asked for.
     """
-    A = np.asarray(adjacency, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
-    if not np.array_equal(A, A.T):
-        raise ValueError("adjacency must be symmetric")
+    A = checked_adjacency(adjacency)
     n = A.shape[0]
 
     if generators is not None:
+        if not generators:
+            raise ValueError("need at least one generator")
+        graph = WeightedGraph(A)
         for g in generators:
             if g.n != n:
                 raise ValueError("generator degree does not match the graph")
-            if not np.array_equal(A[np.ix_(g.mapping, g.mapping)], A):
+            if not graph.preserves(g.mapping.tolist()):
                 raise ValueError(f"{g!r} is not an automorphism")
-        return GraphAutomorphismGroup(A, close_permutations(generators))
+        chain = StabilizerChain.generated_by(n, [g.mapping for g in generators])
+        return GraphAutomorphismGroup._from_chain(A, chain)
 
     if n > cap:
         raise ValueError(f"graph has {n} > {cap} vertices; supply generators instead")
-
-    # Vertices can only map to vertices with the same loop weight and
-    # incident-weight multiset.
-    ordered = np.sort(A, axis=1)
-    signature = ((A.diagonal()[:, None] == A.diagonal())
-                 & (ordered[:, None] == ordered).all(axis=2))
-    # keep[u, j] flattens the (v, k) table A[u, v] == A[j, k] and k != j,
-    # which is A[v, u] == A[k, j] as A is symmetric.
-    keep = A[:, None, :, None] == A[None, :, None, :]
-    keep &= ~np.eye(n, dtype=bool)[:, None, :]
-    keep = keep.reshape(n, n, n * n)
-
-    # Level i extends every partial assignment of vertices 0..i-1 by each
-    # image of vertex i that its mask allows; rows of ``allowed`` hold the
-    # flattened (n - i, n) masks of vertices i..n-1. np.flatnonzero keeps the
-    # extensions in lexicographic order; each level records the row each one
-    # extends and the image it adds, and the maps are read back from them.
-    allowed = signature.reshape(1, n * n)
-    levels = []
-    for i in range(n):
-        rows, images = np.divmod(np.flatnonzero(allowed[:, :n]), n)
-        levels.append((rows, images))
-        later = np.take(keep[i, :, (i + 1) * n :], images, axis=0)
-        step = max(1, _AUTOMORPHISM_BLOCK // allowed.shape[1])
-        for lo in range(0, rows.size, step):
-            later[lo : lo + step] &= np.take(allowed, rows[lo : lo + step], axis=0)[:, n:]
-        allowed = later
-
-    maps = np.empty((allowed.shape[0], n), dtype=np.int64)
-    at = np.arange(allowed.shape[0])
-    for i in range(n - 1, -1, -1):
-        rows, images = levels.pop()
-        maps[:, i] = images[at]
-        at = rows[at]
-    return GraphAutomorphismGroup(A, maps)
+    return GraphAutomorphismGroup._from_chain(A, StabilizerChain.of_graph(WeightedGraph(A), n))
 
 
 def orbit_of_index(group: GroupAction, i: int) -> tuple[np.ndarray, int]:
     """Orbit {g(i)} of an index under a finite permutation-like group.
 
     Returns the sorted orbit and the stabilizer size, which satisfy
-    |orbit| * |stabilizer| = |G|.
+    |orbit| * |stabilizer| = |G|. The symmetric and block groups are
+    transitive, and a graph automorphism group reads the orbit from its
+    stabilizer chain; other groups count, over their elements, those that
+    map i to each index.
     """
+    closed_form = getattr(group, "_index_orbit", None)
+    if closed_form is not None:
+        return closed_form(i)
     counts = 0  # per index, the elements that map i to it
     for maps in group.iter_mapping_batches():
         counts = counts + np.bincount(maps[:, i], minlength=maps.shape[1])

@@ -8,6 +8,9 @@ forms agree for 0 < alpha < 1; at alpha = 1 the rank form keeps nothing.
 ``orbit_set_members`` does the same over a group orbit, one element at a time,
 ``nonsym_members`` over weighted coset representatives, one representative at
 a time, and ``backtrack_automorphisms`` is the depth-first automorphism search.
+``tree_automorphism_count`` counts a tree's automorphisms from its rooted
+subtrees, without a search, and ``random_tree`` draws the trees it is checked on;
+``permutation_closure`` closes generators under composition one product at a time.
 ``supervised_scores_from_features`` evaluates the supervised adaptive residual
 scores directly, without the staged message-passing path.
 ``hierarchical_below_loop`` and ``supervised_below_loop`` are the rank-form
@@ -37,6 +40,7 @@ list the images of S_n and of the block group in the enumeration order of
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -617,6 +621,76 @@ def backtrack_automorphisms(adjacency):
 
     backtrack(0)
     return found
+
+
+def permutation_closure(maps):
+    """The permutations the rows of an image array generate, as sorted tuples,
+    by composing each generator with each new element until none is new."""
+    n = maps.shape[1]
+    found = {tuple(range(n))}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for g in maps:
+            for h in frontier:
+                c = tuple(g[list(h)].tolist())
+                if c not in found:
+                    found.add(c)
+                    new.append(c)
+        frontier = new
+    return sorted(found)
+
+
+def random_tree(n, seed):
+    """Adjacency of a random recursive tree (each vertex joins a uniformly
+    drawn earlier one) under a random relabelling."""
+    rng = np.random.default_rng(seed)
+    parents = [int(rng.integers(i)) for i in range(1, n)]
+    label = rng.permutation(n)
+    A = np.zeros((n, n))
+    for child, parent in enumerate(parents, 1):
+        A[label[child], label[parent]] = A[label[parent], label[child]] = 1.0
+    return A
+
+
+def tree_automorphism_count(adjacency):
+    """The order of a tree's automorphism group, counted on the tree rooted at
+    its centre (the one or two vertices left after peeling leaves layer by
+    layer): a rooted subtree's count is the product of its children's counts
+    and of the factorial of each class of isomorphic children, the classes
+    read from the AHU canonical forms. With two centres the tree is the two
+    halves of the central edge, swapped when they are isomorphic."""
+    A = np.asarray(adjacency)
+    n = A.shape[0]
+    neighbours = [np.flatnonzero(A[v]).tolist() for v in range(n)]
+    degree = [len(w) for w in neighbours]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    removed, remaining = set(), n
+    while remaining > 2:
+        remaining -= len(layer)
+        removed.update(layer)
+        next_layer = []
+        for leaf in layer:
+            for w in neighbours[leaf]:
+                if w not in removed:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        next_layer.append(w)
+        layer = next_layer
+    centres = [v for v in range(n) if v not in removed]
+
+    def rooted(v, parent):
+        children = [rooted(w, v) for w in neighbours[v] if w != parent]
+        forms = sorted(form for form, _ in children)
+        count = math.prod(c for _, c in children)
+        for _, same in itertools.groupby(forms):
+            count *= math.factorial(len(list(same)))
+        return "(" + "".join(forms) + ")", count
+
+    if len(centres) == 1:
+        return rooted(centres[0], -1)[1]
+    (fa, ca), (fb, cb) = rooted(centres[0], centres[1]), rooted(centres[1], centres[0])
+    return ca * cb * (2 if fa == fb else 1)
 
 
 def symmetric_maps(n):

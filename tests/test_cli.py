@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmpi.calibrate import candidate_grid, supervised_hierarchical_set, symmpi_set_randomsize
+import oracles
+from symmpi.calibrate import (candidate_grid, score_intervals, supervised_hierarchical_set,
+                              symmpi_set_randomsize)
 from symmpi import cli
 from symmpi.cli import main
 from symmpi.dataio import prediction_set_payload, write_prediction_set
@@ -435,6 +437,36 @@ def test_predict_graph_cycle6(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "orbit size: 6" in text
     assert "automorphisms: 12" in text
+
+
+def test_predict_graph_star_beyond_the_default_cap(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    vals = rng.normal(size=13)
+    vpath, apath = write_graph_files(tmp_path, vals, [(0, j) for j in range(1, 13)], missing=12)
+    out = tmp_path / "g.json"
+    assert main(["predict-graph", vpath, apath, "--cap", "13", "--alpha", "0.2",
+                 "--grid", "301", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "automorphisms: 479001600" in text
+    assert "orbit size: 12" in text
+    grid = candidate_grid(vals[:12], 301)
+    want = score_intervals(vals[1:12][None], (0.2,)).member(grid[None])[0, 0]
+    assert json.loads(out.read_text())["member"] == want.astype(int).tolist()
+
+
+def test_predict_graph_on_a_1000_vertex_tree(tmp_path, capsys):
+    A = oracles.random_tree(1000, 5)
+    edges = [(u, v) for u, v in zip(*np.nonzero(np.triu(A)))]
+    # a leaf with a sibling leaf, so that its orbit is not trivial
+    leaves = np.flatnonzero(A.sum(axis=1) == 1)
+    parent = A[leaves].argmax(axis=1)
+    target = int(leaves[np.flatnonzero(np.bincount(parent)[parent] > 1)[0]])
+    vals = np.random.default_rng(13).normal(size=1000)
+    vpath, apath = write_graph_files(tmp_path, vals, edges, missing=target)
+    assert main(["predict-graph", vpath, apath, "--cap", "1000", "--grid", "101"]) == 0
+    text = capsys.readouterr().out
+    assert f"automorphisms: {oracles.tree_automorphism_count(A)}\n" in text
+    assert "trivial" not in text
 
 
 def test_predict_graph_edgeless(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,56 @@ def test_automorphism_group_from_image_array():
         GraphAutomorphismGroup(cycle_graph(4), maps[1:2])
 
 
+def test_automorphism_list_must_be_a_group_of_automorphisms():
+    A = cycle_graph(4)
+    maps = np.concatenate(list(enumerate_automorphisms(A).iter_mapping_batches()))
+    with pytest.raises(ValueError, match="is not an automorphism"):
+        GraphAutomorphismGroup(A, np.vstack([maps[:1], [[1, 0, 2, 3]]]))
+    # the identity and two reflections: three automorphisms that are no group
+    with pytest.raises(ValueError, match="not a group"):
+        GraphAutomorphismGroup(A, maps[:3])
+    with pytest.raises(ValueError, match="repeats an element"):
+        GraphAutomorphismGroup(A, np.vstack([maps, maps[1:2]]))
+    with pytest.raises(ValueError, match="bijections"):
+        GraphAutomorphismGroup(A, np.vstack([maps, [[0, 0, 2, 3]]]))
+
+
+def test_automorphisms_reject_non_finite_weights():
+    A = np.zeros((3, 3))
+    A[0, 2] = A[2, 0] = np.nan
+    with pytest.raises(ValueError, match="adjacency entries must be finite, got nan "
+                                         "between vertices 0 and 2"):
+        enumerate_automorphisms(A)
+    A[0, 2] = A[2, 0] = np.inf
+    with pytest.raises(ValueError, match="must be finite, got inf"):
+        enumerate_automorphisms(A, generators=[Permutation([2, 1, 0])])
+
+
+def star_graph(leaves):
+    A = np.zeros((leaves + 1, leaves + 1))
+    A[0, 1:] = A[1:, 0] = 1.0
+    return A
+
+
+def test_star_automorphisms_without_listing():
+    aut = enumerate_automorphisms(star_graph(40), cap=41)
+    assert aut.order() == math.factorial(40)
+    orbit, stab = orbit_of_index(aut, 17)
+    assert np.array_equal(orbit, np.arange(1, 41)) and stab == math.factorial(39)
+    orbit, stab = orbit_of_index(aut, 0)
+    assert orbit.tolist() == [0] and stab == math.factorial(40)
+    assert enumerate_automorphisms(star_graph(60), cap=61).order() == math.factorial(60)
+
+
+def test_random_tree_order_is_the_rooted_tree_count():
+    A = oracles.random_tree(200, 7)
+    aut = enumerate_automorphisms(A, cap=200)
+    assert aut.order() == oracles.tree_automorphism_count(A)
+    for i in range(200):
+        orbit, stab = orbit_of_index(aut, i)
+        assert i in orbit and orbit.size * stab == aut.order()
+
+
 def test_automorphisms_edgeless_graph():
     aut = enumerate_automorphisms(np.zeros((3, 3)))
     assert aut.order() == 6
@@ -440,6 +492,32 @@ def test_orbit_stabilizer_every_index():
         for i in range(n):
             orbit, stab = orbit_of_index(group, i)
             assert orbit.size * stab == group.order()
+
+
+@pytest.mark.parametrize("group", [SymmetricGroup(5), BlockPermutationGroup(2, 3)],
+                         ids=["S5", "block-2-3"])
+def test_closed_form_orbits_match_enumeration(group):
+    n = math.prod(group.shape)
+    maps = np.concatenate(list(group.iter_mapping_batches()))
+    for i in range(n):
+        counts = np.bincount(maps[:, i], minlength=n)
+        orbit, stab = orbit_of_index(group, i)
+        assert np.array_equal(orbit, np.flatnonzero(counts)) and stab == counts[i]
+
+
+def test_closed_form_orbits_list_no_element(monkeypatch):
+    def refuse(self, batch_size=250_000):
+        raise AssertionError("the group was listed")
+
+    monkeypatch.setattr(SymmetricGroup, "iter_mapping_batches", refuse)
+    monkeypatch.setattr(BlockPermutationGroup, "iter_mapping_batches", refuse)
+    orbit, stab = orbit_of_index(SymmetricGroup(13), 12)
+    assert np.array_equal(orbit, np.arange(13)) and stab == math.factorial(12)
+    orbit, stab = orbit_of_index(BlockPermutationGroup(4, 5), 7)
+    assert np.array_equal(orbit, np.arange(20))
+    assert stab == math.factorial(4) * math.factorial(5) ** 4 // 20
+    with pytest.raises(IndexError):
+        orbit_of_index(SymmetricGroup(13), 13)
 
 
 def last_coordinate(z):

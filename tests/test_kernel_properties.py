@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 
 import oracles
 from symmpi.baselines import single_tree_set, split_conformal_set
-from symmpi import calibrate, groups
+from symmpi import calibrate
 from symmpi.calibrate import (
     PredictionSet,
     WeightSpec,
@@ -69,6 +69,7 @@ from symmpi.groups import (
     coset_representatives,
     default_probes,
     enumerate_automorphisms,
+    orbit_of_index,
 )
 from symmpi.cli import PRESETS
 from symmpi import holes, sim
@@ -884,10 +885,34 @@ K7_PLUS_ISOLATED = np.pad(1.0 - np.eye(7), ((0, 1), (0, 1)))
 @example(A=K7_PLUS_ISOLATED)
 def test_automorphism_search_matches_backtracking(A):
     want = np.array([g.mapping for g in oracles.backtrack_automorphisms(A)])
-    assert np.array_equal(enumerate_automorphisms(A)._maps, want)
-    with pytest.MonkeyPatch.context() as mp:  # one extension per chunk
-        mp.setattr(groups, "_AUTOMORPHISM_BLOCK", 1)
-        assert np.array_equal(enumerate_automorphisms(A)._maps, want)
+    aut = enumerate_automorphisms(A)
+    assert np.array_equal(np.concatenate(list(aut.iter_mapping_batches())), want)
+    # batches of 3 rows cut across the levels of the listing
+    batches = list(aut.iter_mapping_batches(3))
+    assert [len(b) for b in batches[:-1]] == [3] * (len(batches) - 1)
+    assert np.array_equal(np.concatenate(batches), want)
+
+
+@SETTINGS
+@given(A=weighted_graphs(), data=st.data())
+@example(A=K7_PLUS_ISOLATED, data=None)
+def test_automorphism_chain_matches_backtracking(A, data):
+    want = np.array([g.mapping for g in oracles.backtrack_automorphisms(A)])
+    n = A.shape[0]
+    aut = enumerate_automorphisms(A)
+    assert aut.order() == len(want)
+    for i in range(n):
+        counts = np.bincount(want[:, i], minlength=n)
+        orbit, stab = orbit_of_index(aut, i)
+        assert np.array_equal(orbit, np.flatnonzero(counts)) and stab == counts[i]
+    assert [g.mapping.tolist() for g in aut.elements()] == want.tolist()
+    if data is None:
+        return
+    picks = data.draw(st.lists(st.integers(0, len(want) - 1), min_size=1, max_size=4))
+    generated = enumerate_automorphisms(A, generators=[Permutation(want[k]) for k in picks])
+    listed = [tuple(g.mapping.tolist()) for g in generated.elements()]
+    assert listed == oracles.permutation_closure(want[picks])
+    assert generated.order() == len(listed)
 
 
 @SETTINGS
