@@ -298,12 +298,12 @@ class _Orbits:
         return np.array([self.find(i) for i in range(len(self.parent))], dtype=np.int64)
 
 
-def _transversal(v: int, generators: list, n: int) -> dict:
-    """Each point of v's orbit under the generators (image arrays on n
-    points), mapped to a product of them that takes v there, by a
-    breadth-first search."""
-    t = {v: np.arange(n)}
-    queue = [v]
+def _grow(t: dict, generators: list) -> dict:
+    """Extend a transversal, a dict from orbit points to elements (image
+    arrays) that map the base point there, to the whole orbit under the
+    generators by a breadth-first search from the points it holds, which
+    keep their elements."""
+    queue = list(t)
     for b in queue:
         for g in generators:
             c = int(g[b])
@@ -313,14 +313,13 @@ def _transversal(v: int, generators: list, n: int) -> dict:
     return t
 
 
-def _schreier_sims(n: int, rows, bound: int | None = None) -> tuple[list, dict]:
+def _schreier_sims(n: int, rows) -> tuple[list, dict]:
     """Strong generators and transversals for the base 0..n-1 of the group
     the rows of an (m, n) image array generate, by incremental Schreier–Sims
     (Sims 1970; Seress, "Permutation Group Algorithms", 2003, sec. 4.2).
 
-    Each row not yet in the group joins it; building stops early once the
-    order passes ``bound``. Returns the strong generators as (first moved
-    point, images) pairs, those whose first moved point is l or later
+    Each row not yet in the group joins it. Returns the strong generators as
+    (first moved point, images) pairs, those whose first moved point is l or later
     generating G_l, and for each l whose basic orbit has more than one
     point a dict from each orbit point b to an element of G_l that maps l
     to b. Transversals only ever gain points, so a Schreier generator
@@ -332,19 +331,8 @@ def _schreier_sims(n: int, rows, bound: int | None = None) -> tuple[list, dict]:
     def extend(l, h):
         # the orbit of l once h joins the generators of G_l
         t = trans.setdefault(l, {l: ident})
-        queue = []
-        for b in list(t):
-            c = int(h[b])
-            if c not in t:
-                t[c] = h[t[b]]
-                queue.append(c)
-        gens = [g for f, g in strong if f >= l] if queue else []
-        for b in queue:
-            for g in gens:
-                c = int(g[b])
-                if c not in t:
-                    t[c] = g[t[b]]
-                    queue.append(c)
+        if any(int(h[b]) not in t for b in t):
+            _grow(t, [g for f, g in strong if f >= l])
 
     def sift(h):
         # the failing level and what is left of h there, or None when h sifts to the identity
@@ -394,8 +382,6 @@ def _schreier_sims(n: int, rows, bound: int | None = None) -> tuple[list, dict]:
         if found is not None:
             add(*found, -1)
             complete(found[1])
-            if bound is not None and math.prod(len(t) for t in trans.values()) > bound:
-                break
     return strong, {l: t for l, t in trans.items() if len(t) > 1}
 
 
@@ -418,10 +404,9 @@ class StabilizerChain:
         self.order = math.prod(len(orbit) for _, orbit in levels)
 
     @classmethod
-    def generated_by(cls, n: int, rows, bound: int | None = None) -> "StabilizerChain":
-        """The chain of the group the rows of an (m, n) image array generate;
-        building stops early once the order passes ``bound``."""
-        strong, trans = _schreier_sims(n, rows, bound)
+    def generated_by(cls, n: int, rows) -> "StabilizerChain":
+        """The chain of the group the rows of an (m, n) image array generate."""
+        strong, trans = _schreier_sims(n, rows)
         orbits = _Orbits(n)
         for _, g in strong:
             orbits.add(g.tolist())
@@ -479,8 +464,24 @@ class StabilizerChain:
     def transversal(self, v: int, orbit: np.ndarray) -> np.ndarray:
         """(len(orbit), n) images of elements of G_v mapping v to each orbit
         point in turn."""
-        t = _transversal(v, [g for f, g in self.generators if f >= v], self.n)
+        t = _grow({v: np.arange(self.n)}, [g for f, g in self.generators if f >= v])
         return np.stack([t[u] for u in orbit.tolist()])
+
+    def contains(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row of an (m, n) image array is an element: all rows
+        sift through the levels at once, each composed with the inverse of
+        the transversal element that maps v to its image of v."""
+        h = np.asarray(rows, dtype=np.int64)
+        member = np.ones(len(h), dtype=bool)
+        at = np.full(self.n, -1)  # each basic-orbit point's position in its orbit
+        for v, orbit in self.levels:
+            inverses = np.argsort(self.transversal(v, orbit), axis=1)
+            at[orbit] = np.arange(orbit.size)
+            k = at[h[:, v]]
+            member &= k >= 0  # a row that fails here is composed with any element
+            h = np.take_along_axis(inverses[k], h, axis=1)
+            at[orbit] = -1
+        return member & (h == np.arange(self.n)).all(axis=1)
 
     def lex_batches(self, batch_size: int = 250_000):
         """Every element in lexicographic order of its images, as (B, n)

@@ -206,6 +206,18 @@ class GroupAction:
         """Yield (m, n) integer arrays of permutation images, if applicable."""
         raise NotEnumerableError(f"{type(self).__name__} has no permutation form")
 
+    def _index_orbit(self, i: int) -> tuple[np.ndarray, int]:
+        """The sorted orbit of index i and its stabilizer's size (see
+        ``orbit_of_index``): the elements that map i to each index, counted
+        over the listing."""
+        counts = 0  # per index, the elements that map i to it
+        for maps in self.iter_mapping_batches():
+            counts = counts + np.bincount(maps[:, i], minlength=maps.shape[1])
+        orbit, stab = np.flatnonzero(counts).astype(np.int64, copy=False), int(counts[i])
+        if orbit.size * stab != counts.sum():
+            raise AssertionError("orbit-stabilizer identity violated")
+        return orbit, stab
+
 
 class TrivialGroup(GroupAction):
     """The one-element group; acts as the identity on anything."""
@@ -388,7 +400,8 @@ class GraphAutomorphismGroup(PermutationGroup):
 
     ``GraphAutomorphismGroup(A, elements)`` takes every automorphism of A,
     as Permutations or as the rows of an (|G|, n) image array, and checks
-    that they are automorphisms of A and form a group.
+    that they are distinct automorphisms of A and form a group, that is
+    that the group they generate has no more elements than they are.
     """
 
     def __init__(self, adjacency: np.ndarray, elements):
@@ -400,13 +413,20 @@ class GraphAutomorphismGroup(PermutationGroup):
             raise ValueError("automorphism list must contain the identity")
         if not (np.sort(maps, axis=1) == np.arange(n)).all():
             raise ValueError("automorphism list rows must be bijections on [0, n)")
-        graph = WeightedGraph(A)
-        for g in maps:
-            if not graph.preserves(g.tolist()):
-                raise ValueError(f"{Permutation(g)!r} is not an automorphism")
         if _first_occurrences(maps).size != len(maps):
             raise ValueError("automorphism list repeats an element")
-        chain = StabilizerChain.generated_by(n, maps, bound=len(maps))
+        # the rows outside the group generated so far join its generators
+        generators, chain = [], StabilizerChain.generated_by(n, [])
+        block = 1 + 2**20 // (n * n + 1)
+        for lo in range(0, len(maps), block):
+            rows = maps[lo : lo + block]
+            bad = np.flatnonzero((A[rows[:, :, None], rows[:, None, :]] != A).any(axis=(1, 2)))
+            if bad.size:
+                raise ValueError(f"{Permutation(rows[bad[0]])!r} is not an automorphism")
+            while (out := np.flatnonzero(~chain.contains(rows))).size:
+                generators.append(rows[out[0]])
+                chain = StabilizerChain.generated_by(n, generators)
+                rows = rows[out[0] + 1 :]
         if chain.order != len(maps):
             raise ValueError(f"automorphism list is not a group: its {len(maps)} elements "
                              f"generate more than {len(maps)} automorphisms")
@@ -583,16 +603,7 @@ def orbit_of_index(group: GroupAction, i: int) -> tuple[np.ndarray, int]:
     stabilizer chain; other groups count, over their elements, those that
     map i to each index.
     """
-    closed_form = getattr(group, "_index_orbit", None)
-    if closed_form is not None:
-        return closed_form(i)
-    counts = 0  # per index, the elements that map i to it
-    for maps in group.iter_mapping_batches():
-        counts = counts + np.bincount(maps[:, i], minlength=maps.shape[1])
-    orbit, stab = np.flatnonzero(counts).astype(np.int64, copy=False), int(counts[i])
-    if orbit.size * stab != counts.sum():
-        raise AssertionError("orbit-stabilizer identity violated")
-    return orbit, stab
+    return group._index_orbit(i)
 
 
 @dataclass(frozen=True)

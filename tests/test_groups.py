@@ -372,6 +372,21 @@ def test_automorphism_list_must_be_a_group_of_automorphisms():
         GraphAutomorphismGroup(A, np.vstack([maps, [[0, 0, 2, 3]]]))
 
 
+def test_automorphism_list_in_any_order_over_several_blocks():
+    # S_8's 40320 rows are checked in blocks; shuffled, rows outside the
+    # group generated so far turn up in every block
+    A = np.zeros((8, 8))
+    maps = np.concatenate(list(SymmetricGroup(8).iter_mapping_batches()))
+    maps = maps[np.random.default_rng(3).permutation(len(maps))]
+    group = GraphAutomorphismGroup(A, maps)
+    assert group.order() == math.factorial(8)
+    assert np.array_equal(np.concatenate(list(group.iter_mapping_batches())),
+                          np.concatenate(list(SymmetricGroup(8).iter_mapping_batches())))
+    identity = int(np.flatnonzero((maps == np.arange(8)).all(axis=1))[0])
+    with pytest.raises(ValueError, match="not a group"):
+        GraphAutomorphismGroup(A, np.delete(maps, (identity + 1) % len(maps), axis=0))
+
+
 def test_automorphisms_reject_non_finite_weights():
     A = np.zeros((3, 3))
     A[0, 2] = A[2, 0] = np.nan
@@ -518,6 +533,12 @@ def test_closed_form_orbits_list_no_element(monkeypatch):
     assert stab == math.factorial(4) * math.factorial(5) ** 4 // 20
     with pytest.raises(IndexError):
         orbit_of_index(SymmetricGroup(13), 13)
+
+
+def test_orbits_of_groups_without_permutation_form():
+    for group in [OrthogonalGroup(2), TrivialGroup()]:
+        with pytest.raises(NotEnumerableError):
+            orbit_of_index(group, 0)
 
 
 def last_coordinate(z):
