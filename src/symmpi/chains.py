@@ -7,13 +7,15 @@ need no enumeration, and it lists its elements in lexicographic order. It is
 built by Schreier–Sims from generators, or for a graph's automorphisms by a
 search pruned with colour refinement (McKay & Piperno, "Practical graph
 isomorphism, II", 2014) that finds one automorphism per point of each basic
-orbit. ``groups.GraphAutomorphismGroup`` holds one.
+orbit. It also gives the element of any rank in that order without listing
+the others. ``groups.GraphAutomorphismGroup`` holds one.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -483,6 +485,16 @@ class StabilizerChain:
             at[orbit] = -1
         return member & (h == np.arange(self.n)).all(axis=1)
 
+    @cached_property
+    def _lex_levels(self) -> list:
+        """Each level's basic orbit, its transversal (``transversal``) and
+        the order of the group fixing the level's point and those before."""
+        steps = [(orbit, self.transversal(v, orbit)) for v, orbit in self.levels]
+        below = [1] * (len(steps) + 1)
+        for k in range(len(steps) - 1, -1, -1):
+            below[k] = below[k + 1] * len(steps[k][0])
+        return [(orbit, trans, order) for (orbit, trans), order in zip(steps, below)]
+
     def lex_batches(self, batch_size: int = 250_000):
         """Every element in lexicographic order of its images, as (B, n)
         arrays of ``batch_size`` rows (the last may be shorter).
@@ -494,17 +506,14 @@ class StabilizerChain:
         every level lists the elements in lexicographic order.
         """
         n = self.n
-        steps = [(v, orbit, self.transversal(v, orbit)) for v, orbit in self.levels]
-        below = [1] * (len(steps) + 1)  # the order of G_v at each level
-        for k in range(len(steps) - 1, -1, -1):
-            below[k] = below[k + 1] * len(steps[k][1])
+        steps = self._lex_levels
 
         def expand(prefixes, k):
             if k == len(steps):
                 yield prefixes
                 return
-            v, orbit, trans = steps[k]
-            step = max(1, batch_size // below[k])
+            orbit, trans, order = steps[k]
+            step = max(1, batch_size // order)
             for lo in range(0, len(prefixes), step):
                 p = prefixes[lo : lo + step]
                 picks = trans[np.argsort(p[:, orbit], axis=1)]
@@ -520,3 +529,16 @@ class StabilizerChain:
                 pending, count = [rows[batch_size:]], count - batch_size
         if count:
             yield np.concatenate(pending)
+
+    def element(self, r: int) -> np.ndarray:
+        """The element of rank r (0 <= r < order) in the order of
+        ``lex_batches``, without listing the others: at each level, with
+        |G_v'| elements in each coset, the digit (r // |G_v'|) % |orbit|
+        ranks the coset p t_u G_v' to take among the cosets ordered by p(u).
+        """
+        p = np.arange(self.n, dtype=np.int64)
+        for orbit, trans, order in self._lex_levels:
+            size = len(orbit)
+            u = np.argsort(p[orbit])[r // (order // size) % size]
+            p = p[trans[u]]
+        return p

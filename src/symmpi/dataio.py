@@ -257,8 +257,9 @@ def read_adjacency(path):
     """Adjacency from a dense CSV (optional header) or an edge list "u v [w]".
 
     A file with no comma on its first line is an edge list. A comma file is
-    an edge list too when its lines have 2 or 3 cells and there are not as
-    many lines as cells; otherwise it is a square matrix.
+    a square matrix when its n lines (after the header) have n cells each,
+    and an edge list otherwise. A matrix is split into cells once and parsed
+    in one ``float`` pass.
     """
     with open(path) as fh:
         text = fh.read()
@@ -275,21 +276,20 @@ def read_adjacency(path):
     body = lines[1:] if has_header else lines
     if not body:
         raise DataError(f"{path}: no edges or matrix rows")
-    cells = [ln.split(delim) for ln in body]
-    widths = {len(c) for c in cells}
-    if delim is None or (widths <= {2, 3} and len(cells) != max(widths)):
-        return _edges_to_matrix(cells, path)
-    if len(widths) == 1 and len(cells) == len(cells[0]):
-        A = np.array([[float(v) for v in row] for row in cells])
-        bad = np.argwhere(~np.isfinite(A))
-        if bad.size:
-            r, c = bad[0]
-            raise DataError(f"{path}: adjacency entries must be finite, got {cells[r][c]!r} "
-                            f"between vertices {r} and {c}")
-        if not np.array_equal(A, A.T):
-            raise DataError(f"{path}: adjacency must be symmetric")
-        return A
-    return _edges_to_matrix(cells, path)
+    n = len(body)
+    if delim is None or {ln.count(",") for ln in body} != {n - 1}:
+        return _edges_to_matrix([ln.split(delim) for ln in body], path)
+    # n lines of n cells: a matrix, split once and parsed in one pass
+    cells = ",".join(body).split(",")
+    A = np.fromiter(map(float, cells), float, n * n).reshape(n, n)
+    bad = np.flatnonzero(~np.isfinite(A))
+    if bad.size:
+        r, c = divmod(int(bad[0]), n)
+        raise DataError(f"{path}: adjacency entries must be finite, got {cells[bad[0]]!r} "
+                        f"between vertices {r} and {c}")
+    if not np.array_equal(A, A.T):
+        raise DataError(f"{path}: adjacency must be symmetric")
+    return A
 
 
 def _edges_to_matrix(cells, path):

@@ -395,8 +395,9 @@ class GraphAutomorphismGroup(PermutationGroup):
     and, for each vertex v, its basic orbit, the images of v under the
     automorphisms that fix 0..v-1. The order is the product of the basic
     orbit sizes and every vertex's orbit comes from the generators, so
-    neither lists an element. ``iter_mapping_batches``, ``elements`` and
-    ``sample`` list the elements, in lexicographic order of their images.
+    neither lists an element. ``iter_mapping_batches`` and ``elements`` list
+    the elements, in lexicographic order of their images; ``sample`` draws
+    a rank in that order and builds that one element.
 
     ``GraphAutomorphismGroup(A, elements)`` takes every automorphism of A,
     as Permutations or as the rows of an (|G|, n) image array, and checks
@@ -442,16 +443,19 @@ class GraphAutomorphismGroup(PermutationGroup):
         self.adjacency = adjacency
         self.shape = (self.n,)
         self._chain = chain
-        self._listed = None  # every element, listed by the first ``sample``
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
     def sample(self, rng) -> Permutation:
-        if self._listed is None:
-            self._listed = np.concatenate(list(self._chain.lex_batches(250_000)))
-        return Permutation(self._listed[int(rng.integers(len(self._listed)))], validate=False)
+        """The element of rank ``rng.integers(order)`` in lexicographic
+        order, found from the chain without listing the elements."""
+        order = self._chain.order
+        if order > 2**63:
+            raise ValueError(f"cannot draw uniformly from a group of order {order}: "
+                             "rng.integers takes orders up to 2**63")
+        return Permutation(self._chain.element(int(rng.integers(order))), validate=False)
 
     def order(self) -> int:
         return self._chain.order

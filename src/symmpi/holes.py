@@ -30,8 +30,9 @@ def _hierarchical_counts(donors, sizes, target, cands, c, studentize, alphas, n_
     (A, B, X) of the X candidates after it. Without ``studentize`` the sets
     of two tests or more are counted from their holes (``_hole_counts``); a
     lone test, as in ``hierarchical_below``, is ranked whole: alone it would
-    pay the hole form's fixed cost, about 1.2 ms of numpy calls on a 2-vCPU
-    host, where the rank form takes about 0.7 ms on a K = 20 test."""
+    pay the hole form's fixed cost, about 1.2 ms of numpy calls on a K = 20,
+    M = 15 test at the 2001-point grid, where the rank form takes about
+    0.4 ms (timeit minima on a 2-vCPU host, numpy 2.4)."""
     if studentize or len(cands) == 1:
         below = _hierarchical_block(donors, sizes, target, cands, c, studentize)
         member = np.stack([rank_member(below, a) for a in alphas])
@@ -79,8 +80,9 @@ def _hole_counts(donors, sizes, target, cands, c, alphas, n_grid: int):
     in one target state (``_target_runs``) are events on the line of grid
     indices, sorted by test, state and index: between two events of a test
     and state the mass is constant, so the grid points there are members
-    together and are counted by their number (``_hole_grid``). The extras
-    are looked up in the holes one by one.
+    together and are counted by their number (``_hole_grid``, which forms
+    each kind of hole for both states at once). The extras are looked up in
+    the holes one by one.
 
     The rank form decides every candidate within ``_ENDS_ROUNDING`` of the
     magnitudes of a hole's end or of kl or kh (within that width of the grand
@@ -137,7 +139,8 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
     x_far = ~_target_near(target, cands[:, n_grid:], donor_sum, K, c, reach)
     ux = (cands[:, n_grid:] - lo) / step
     # the states some candidate of each test is in (B, 2), near then far
-    state = np.stack([~x_far, x_far], axis=1).any(axis=2)
+    x_state = np.stack([~x_far, x_far], axis=1)
+    state = x_state.any(axis=2)
     state[runs[0], runs[3]] = True
     # the target's center cb + cs c in each state (B, 2, 1)
     g1 = 1.0 / (K * n_t)
@@ -173,12 +176,12 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
     k_test = np.repeat(np.arange(B), D)
     zone(u_kl.reshape(-1), k_test, r_k.reshape(-1))
     zone(u_kh.reshape(-1), k_test, r_k.reshape(-1))
-    # each piece: its test and state, its first and last position, and its
-    # code, twice its weight's index in ``weights``, plus one where the piece
-    # takes its weight back; every piece that holds a grid point opens and
-    # closes at an event (``_hole_events``), and every extra gets the signed
-    # weights of the pieces that hold it in its state. The pieces go state
-    # by state, which halves their arrays.
+    # each piece: its row (2 test + state), its first and last position, and
+    # its code, twice its weight's index in ``weights``, plus one where the
+    # piece takes its weight back; every piece that holds a grid point opens
+    # and closes at an event (``_hole_events``), and every extra gets the
+    # signed weights of the pieces that hold it in its state. Each kind of
+    # piece is formed for both states at once, on (B, 2, n) arrays.
     # (np.unique would import numpy.ma, a megabyte of memory, for this)
     weights = np.array(sorted({*(1.0 / (K * sizes)).tolist(), g1}))
     signed = np.stack([weights, -weights], axis=1).reshape(-1)
@@ -188,71 +191,64 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
     bits = _event_bits(B, n_grid, weights.size)
     events = [_run_events(runs, bits, signed.size)]
     x_held = np.zeros((B, X))
+    # whether each extra is in each row's state (2 B, X)
+    x_in = x_state.reshape(2 * B, X)
+    # the grid's first point and step, (B, 1, 1) against (B, 2, n) arrays
+    lo3, step3 = lo[:, None], step[:, None]
 
     def select(used, first, last):
-        """The pieces that ``used`` (B, n) selects, with their ends (B, n):
-        their tests, columns and ends; their ends' zones go to the rank
-        form."""
-        n = used.shape[1]
+        """The pieces that ``used`` (B, 2, n) selects, with their ends
+        (B, 2, n): their rows, columns and ends; their ends' zones go to the
+        rank form."""
+        n = used.shape[2]
         idx = np.flatnonzero(used).astype(np.int32)
-        test = idx // n
-        col = idx - n * test
+        row = idx // n
+        col = idx - n * row
         first, last = first.reshape(-1).take(idx), last.reshape(-1).take(idx)
-        zone(first, test, r_end.take(test))
-        zone(last, test, r_end.take(test))
-        return test, col, first, last
+        r = r_end.take(row >> 1)
+        zone(first, row >> 1, r)
+        zone(last, row >> 1, r)
+        return row, col, first, last
 
-    def add(test, s, first, last, code, clip=None):
-        """Adds the pieces of the tests ``test`` in state s, each cut to its
-        donor's [kl, kh] when ``clip`` gives the donors' flat indices."""
+    def add(row, first, last, code, clip=None):
+        """Adds the pieces of the rows ``row``, each cut to its donor's
+        [kl, kh] when ``clip`` gives the donors' flat indices."""
         if clip is not None:
             first = np.maximum(first, u_kl.reshape(-1).take(clip))
             last = np.minimum(last, u_kh.reshape(-1).take(clip))
-        events.append(_hole_events(2 * test + s, first, last, code, n_grid, bits))
+        events.append(_hole_events(row, first, last, code, n_grid, bits))
+        test = row >> 1
         for x in range(X):
             e = ux[:, x].take(test)
-            inside = np.flatnonzero((x_far[:, x] == s).take(test) & (first <= e) & (e <= last))
+            inside = np.flatnonzero(x_in[:, x].take(row) & (first <= e) & (e <= last))
             x_held[:, x] += np.bincount(test.take(inside), signed.take(code.take(inside)),
                                         minlength=B)
 
-    def own_mean(s, d):
-        """A donor value's hole where its donor is centered at its mean,
-        unless it is always near, and its part within [kl, kh] taken back
-        unless never."""
-        test, col, first, last = select(state[:, s, None] & ~always[:, branch],
-                                        ((cb[:, s] - d) / a[s] - lo) / step,
-                                        ((cb[:, s] + d) / a[s] - lo) / step)
-        add(test, s, first, last, w_code.take(col))
-        at = test * D + branch.take(col)
-        back = np.flatnonzero(~never.reshape(-1).take(at))
-        add(test.take(back), s, first.take(back), last.take(back),
-            w_code.take(col.take(back)) + 1, clip=at.take(back))
-
-    def grand_mean(s):
-        """Its hole where its donor is centered at the grand mean, unless
-        never."""
-        x1 = ((donors - g0 + cb[:, s]) / (a[s] + g1) - lo) / step
-        x2 = ((cb[:, s] - donors + g0) / (a[s] - g1) - lo) / step
-        first = np.minimum(x1, x2)
-        test, col, first, last = select(state[:, s, None] & ~never[:, branch], first,
-                                        np.maximum(x1, x2, out=x2))
-        add(test, s, first, last, w_code.take(col), clip=test * D + branch.take(col))
-
-    def siblings(s):
-        """Every sibling's hole."""
-        x1 = (target - lo) / step
-        x2 = ((2 * cb[:, s] - target) / (1 - 2 * cs[s]) - lo) / step
-        first = np.minimum(x1, x2)
-        test, _, first, last = select(np.broadcast_to(state[:, s, None], x1.shape), first,
-                                      np.maximum(x1, x2, out=x2))
-        add(test, s, first, last, np.full(test.size, 2 * np.searchsorted(weights, g1)))
-
-    d = np.abs(donors - means[:, branch])
-    for s in (0, 1):
-        own_mean(s, d)
-        grand_mean(s)
-        siblings(s)
+    # a donor value's hole where its donor is centered at its mean, unless
+    # it is always near, and its part within [kl, kh] taken back unless never
+    d = np.abs(donors - means[:, branch])[:, None]
+    row, col, first, last = select(state[:, :, None] & ~always[:, None, branch],
+                                   ((cb - d) / a - lo3) / step3, ((cb + d) / a - lo3) / step3)
     del d
+    add(row, first, last, w_code.take(col))
+    at = (row >> 1) * D + branch.take(col)
+    back = np.flatnonzero(~never.reshape(-1).take(at))
+    add(row.take(back), first.take(back), last.take(back), w_code.take(col.take(back)) + 1,
+        clip=at.take(back))
+    # its hole where its donor is centered at the grand mean, unless never
+    x1 = ((donors[:, None] - g0[:, None] + cb) / (a + g1) - lo3) / step3
+    x2 = ((cb - donors[:, None] + g0[:, None]) / (a - g1) - lo3) / step3
+    first = np.minimum(x1, x2)
+    row, col, first, last = select(state[:, :, None] & ~never[:, None, branch], first,
+                                   np.maximum(x1, x2, out=x2))
+    add(row, first, last, w_code.take(col), clip=(row >> 1) * D + branch.take(col))
+    # every sibling's hole
+    x1 = ((target - lo) / step)[:, None]
+    x2 = ((2 * cb - target[:, None]) / (1 - 2 * cs) - lo3) / step3
+    first = np.minimum(x1, x2)
+    row, _, first, last = select(np.broadcast_to(state[:, :, None], x2.shape), first,
+                                 np.maximum(x1, x2, out=x2))
+    add(row, first, last, np.full(row.size, 2 * np.searchsorted(weights, g1)))
     total = (D + n_o / n_t) / K
     mass, (seg_test, seg_first, seg_len, seg_below) = _hole_segments(events, signed, runs,
                                                                      n_grid, bits, total)

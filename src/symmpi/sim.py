@@ -5,7 +5,7 @@ Benchmarks draw fresh hierarchical datasets, build each method's prediction
 set for the final observation of the last branch on a shared candidate grid,
 and aggregate lengths and coverage indicators across trials. All randomness
 flows through per-trial generators keyed by (seed, trial) so results are
-reproducible under any worker count.
+reproducible under any worker count and any grouping of tests into blocks.
 
 The symmpi method's member counts come from the library's kernels, run on
 each test's candidate grid with the truth appended: unsupervised,
@@ -17,10 +17,13 @@ conformal methods' sets are intervals with closed-form ends
 on the uniform grid follow from the grid indices of the ends
 (``_interval_rows``), and only the grid points and truths within rounding of
 an end are ranked.
-A trial first makes every test's draws, in the order a one-test loop makes
-them; tests of equal branch sizes are then evaluated a block at a time, a
-whole trial of the presets' sizes unless the scores are studentized, with
-one count of lengths and coverage per method for the whole block.
+Trials are drawn in order, each test's draws in the order a one-test loop
+makes them (``_run_trials``). Tests of equal branch sizes gather in pending
+blocks that may span trials, and all pending tests are evaluated once they
+number one block (65 tests at the default grid unless the scores are
+studentized), with one count of lengths and coverage per method for each
+block. Several threads run contiguous chunks of the trials through the
+same function.
 An unsupervised block (``_unsup_block``) makes one grid, one
 ``_hierarchical_counts`` call and one set of intervals per conformal method.
 A supervised block (``_sup_block``) runs the library's split
@@ -33,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -63,14 +68,14 @@ from .transforms import _fit_lines
 ALL_METHODS = ("symmpi", "conformal", "subsampling", "single_tree", "hcp")
 
 # Tests of equal branch sizes are evaluated in blocks whose
-# (tests x candidates) arrays hold at most this many floats: a trial of up to
-# 65 tests at a 2001-point grid, beyond which the kernels' arrays grow with
-# the tests, not with the grid. On a 2-vCPU host, bench-table's median op
-# time fell 29 % when 8-test blocks became whole trials counted by the event
-# kernel of ``symmpi.holes``. Studentized runs keep blocks of at most the
-# second, 8 tests: the unsupervised rank form builds several
-# (tests x candidates) arrays per donor, and whole-trial studentized blocks
-# raised the peak memory of a studentized bench process.
+# (tests x candidates) arrays hold at most this many floats: 65 tests at a
+# 2001-point grid, from one trial or several, beyond which the kernels'
+# arrays grow with the tests, not with the grid. On a 2-vCPU host,
+# bench-table's median op time fell 29 % when 8-test blocks became whole
+# trials counted by the event kernel of ``symmpi.holes``. Studentized runs
+# keep blocks of at most the second, 8 tests: the unsupervised rank form
+# builds several (tests x candidates) arrays per donor, and whole-trial
+# studentized blocks raised the peak memory of a studentized bench process.
 _TESTS_BLOCK_FLOATS = 1 << 17
 _STUDENTIZED_BLOCK_FLOATS = 1 << 14
 
@@ -165,19 +170,25 @@ def gen_sup(cfg: HierarchicalConfig, rng: np.random.Generator):
 
 def _sup_arrays(cfg: HierarchicalConfig, rng: np.random.Generator):
     """``gen_sup``'s draws with the branches end to end: the sizes, x and y.
-    Each branch's x and noise are drawn in turn, and y is formed once."""
+
+    Each branch's uniforms and standard normals are drawn in turn into two
+    rows, and x, the noise and y are formed once. ``x_low + (x_high - x_low)
+    u`` and ``0.0 + noise_sd z`` are the generator's own ``uniform`` and
+    ``normal`` arithmetic, so the arrays and the stream are those of one
+    ``uniform`` and one ``normal`` call per branch."""
     K = cfg.n_branches
     if cfg.random_sizes:
         sizes = rng.choice(np.asarray(cfg.branch_size), size=K)
     else:
         sizes = np.full(K, cfg.branch_size)
     theta = rng.normal(0.0, cfg.sigma2, K)
-    xs, noise = [], []
-    for n in sizes.tolist():
-        xs.append(rng.uniform(cfg.x_low, cfg.x_high, n))
-        noise.append(rng.normal(0.0, cfg.noise_sd, n))
-    x = np.concatenate(xs)
-    return sizes, x, np.repeat(theta, sizes) * x + np.concatenate(noise)
+    ends = np.cumsum(sizes).tolist()
+    u, z = np.empty(ends[-1]), np.empty(ends[-1])
+    for start, end in zip([0] + ends, ends):
+        rng.random(out=u[start:end])
+        rng.standard_normal(out=z[start:end])
+    x = cfg.x_low + (cfg.x_high - cfg.x_low) * u
+    return sizes, x, np.repeat(theta, sizes) * x + (0.0 + cfg.noise_sd * z)
 
 
 def gen_rotational(n: int, p: int, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -440,29 +451,60 @@ def _sup_eval(xs, ys, cfg, rng, methods):
 # --------------------------------------------------------------------------
 
 
-def _run_trial(cfg: HierarchicalConfig, methods, trial: int):
-    """Per (method, alpha index): the trial's mean finite length, coverage
-    and unbounded rate. Every test's draws come first, in order; tests of
-    equal branch sizes are then evaluated in blocks (``_unsup_block`` or
-    ``_sup_block``)."""
-    rng = np.random.default_rng((cfg.seed, trial))
-    rows = {m: np.empty((len(cfg.alphas), 3, cfg.tests)) for m in methods}
+def _run_trials(cfg: HierarchicalConfig, methods, trials) -> list[dict]:
+    """Per trial of ``trials``, in order: its mean finite length, coverage
+    and unbounded rate per (method, alpha index).
+
+    Each trial draws its tests in order from its own generator, keyed by
+    (seed, trial). Tests of equal branch sizes gather in pending blocks that
+    may span trials; once the pending tests number one block, all of them
+    are evaluated (``_unsup_block`` or ``_sup_block``), and so are the last
+    ones. A trial's tests are independent rows of their blocks, so its
+    summary does not depend on the blocks, nor on which trials share a call.
+    """
     draw, evaluate = (_draw_sup, _sup_block) if cfg.supervised else (_draw_unsup, _unsup_block)
-    draws = [draw(cfg, rng, methods) for _ in range(cfg.tests)]
-    by_sizes = {}
-    for t, (sizes, _, _) in enumerate(draws):
-        by_sizes.setdefault(sizes, []).append(t)
     block = max(1, (_STUDENTIZED_BLOCK_FLOATS if cfg.studentize else _TESTS_BLOCK_FLOATS)
                 // (cfg.grid_points + 1))
-    for sizes, tests in by_sizes.items():
-        for i in range(0, len(tests), block):
-            chunk = tests[i:i + block]
-            data = [np.stack(arrays) for arrays in zip(*(draws[t][1] for t in chunk))]
-            picks = None
-            if "subsampling" in methods:
-                picks = np.stack([draws[t][2] for t in chunk])
-            for m, r in evaluate(*data, sizes, picks, cfg, methods).items():
-                rows[m][:, :, chunk] = r
+    shape = (len(cfg.alphas), 3, cfg.tests)
+    rows, summaries = {}, []  # the rows of the trials not yet summarized
+    pending, held = {}, 0  # sizes: [(trial index, test, draws)]
+
+    def flush(complete):
+        """Evaluates every pending test, then summarizes the trials before
+        the ``complete``-th."""
+        for sizes, tests in pending.items():
+            data = [np.stack(arrays) for arrays in zip(*(d[1] for _, _, d in tests))]
+            picks = np.stack([d[2] for _, _, d in tests]) if "subsampling" in methods else None
+            res = evaluate(*data, sizes, picks, cfg, methods)
+            # the block's tests by trial, in order
+            j = 0
+            for k, run in groupby(tests, itemgetter(0)):
+                t = [test for _, test, _ in run]
+                for m, r in res.items():
+                    rows[k][m][:, :, t] = r[:, :, j:j + len(t)]
+                j += len(t)
+        pending.clear()
+        for k in [k for k in rows if k < complete]:
+            summaries.append(_trial_summary(rows.pop(k), cfg))
+
+    for k, trial in enumerate(trials):
+        rng = np.random.default_rng((cfg.seed, trial))
+        rows[k] = {m: np.empty(shape) for m in methods}
+        for t in range(cfg.tests):
+            d = draw(cfg, rng, methods)
+            pending.setdefault(d[0], []).append((k, t, d))
+            held += 1
+            if held == block:
+                flush(k)
+                held = 0
+    flush(len(trials))
+    return summaries
+
+
+def _trial_summary(rows, cfg) -> dict:
+    """One trial's mean finite length, coverage and unbounded rate per
+    (method, alpha index), from its tests' rows, (alphas, 3, tests) per
+    method."""
     summary = {}
     for m, r in rows.items():
         for ai in range(len(cfg.alphas)):
@@ -490,18 +532,20 @@ def run_benchmark(
             raise ValueError(f"unknown method {m!r}")
     if cfg.supervised and "hcp" in methods:
         raise ValueError("the first-observation method is unsupervised-only here")
-    trials = list(range(cfg.trials))
     if threads > 1:
         # imported here: the executor pulls in multiprocessing, which no
         # single-threaded run or CLI call needs at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(
-                pool.map(_run_trial, [cfg] * len(trials), [methods] * len(trials), trials)
-            )
+        # contiguous chunks of trials, one per worker
+        parts = min(threads, cfg.trials)
+        chunks = [range(i * cfg.trials // parts, (i + 1) * cfg.trials // parts)
+                  for i in range(parts)]
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            per_trial = [s for part in pool.map(_run_trials, [cfg] * parts, [methods] * parts,
+                                                  chunks) for s in part]
     else:
-        per_trial = [_run_trial(cfg, methods, t) for t in trials]
+        per_trial = _run_trials(cfg, methods, range(cfg.trials))
 
     rows = []
     for ai, alpha in enumerate(cfg.alphas):

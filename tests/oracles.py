@@ -18,7 +18,9 @@ masses summed branch by branch, one sort and search per donor branch;
 ``unsup_eval`` is the unsupervised benchmark harness one test at a time on
 those per-branch forms, ``sup_eval`` the supervised harness one test at a
 time (a hand-made split, then the library's one-test fits and searches),
-and ``run_trial`` a trial of either, each test evaluated as it is drawn.
+and ``run_trial`` a trial of either, each test evaluated as it is drawn;
+its supervised draws are ``sup_arrays``, one ``uniform`` and one ``normal``
+call per branch.
 ``intervals_loop`` walks a membership mask for its runs.
 ``hole_members`` is the membership view of the harness's hole counts
 (``holes._hierarchical_counts``): every candidate looked up in the same
@@ -406,16 +408,37 @@ def sup_eval(xs, ys, cfg, rng, methods):
     return {m: _test_rows(b, cfg.alphas, spacing) for m, b in below.items()}
 
 
+def sup_arrays(cfg, rng):
+    """``sim._sup_arrays``'s draws, the sizes, x and y of a supervised test
+    with the branches end to end, by one ``uniform`` and one ``normal`` call
+    per branch."""
+    K = cfg.n_branches
+    if cfg.random_sizes:
+        sizes = rng.choice(np.asarray(cfg.branch_size), size=K)
+    else:
+        sizes = np.full(K, cfg.branch_size)
+    theta = rng.normal(0.0, cfg.sigma2, K)
+    xs, noise = [], []
+    for n in sizes.tolist():
+        xs.append(rng.uniform(cfg.x_low, cfg.x_high, n))
+        noise.append(rng.normal(0.0, cfg.noise_sd, n))
+    x = np.concatenate(xs)
+    return sizes, x, np.repeat(theta, sizes) * x + np.concatenate(noise)
+
+
 def run_trial(cfg, methods, trial):
-    """``sim._run_trial`` one test at a time: ``sup_eval`` for a supervised
-    config, else ``unsup_eval``."""
-    from symmpi.sim import gen_sup, gen_unsup, gen_unsup_ragged
+    """One trial of ``sim._run_trials`` one test at a time: ``sup_eval`` on
+    the draws of ``sup_arrays`` for a supervised config, else
+    ``unsup_eval``."""
+    from symmpi.sim import gen_unsup, gen_unsup_ragged
 
     rng = np.random.default_rng((cfg.seed, trial))
     rows = {m: [] for m in methods}
     for _ in range(cfg.tests):
         if cfg.supervised:
-            res = sup_eval(*gen_sup(cfg, rng), cfg, rng, methods)
+            sizes, x, y = sup_arrays(cfg, rng)
+            bounds = np.cumsum(sizes)[:-1]
+            res = sup_eval(np.split(x, bounds), np.split(y, bounds), cfg, rng, methods)
         else:
             if cfg.random_sizes:
                 branches = gen_unsup_ragged(cfg, rng)

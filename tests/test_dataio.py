@@ -124,6 +124,29 @@ def test_non_finite_dense_adjacency_is_data_error(tmp_path, cell):
         read_adjacency(path)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    # a cell that is not a number: float's own message, the first such cell
+    ("a,b,c\n\n0,1,x\n1,0, y \nx,1,0\n", ValueError,
+     "could not convert string to float: 'x'"),
+    ("0,1,2\n1,0, abc \n2,1,0\n", ValueError, "could not convert string to float: ' abc'"),
+    ("0,1,2\n1,0,3\n2,-inf,0\n\n", DataError,
+     "adjacency entries must be finite, got '-inf' between vertices 2 and 1"),
+    ("  0,1,0\n0,0,1  \n\n0,1,0\n", DataError, "adjacency must be symmetric"),
+])
+def test_dense_adjacency_keeps_its_messages(tmp_path, text, error, message):
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        read_adjacency(path)
+    assert str(info.value) in (message, f"{path}: {message}")
+
+
+def test_dense_adjacency_skips_blank_lines_and_a_header(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("\n  u,v,w\n\n0, 1,2.5\n1,0,3\n\n2.5,3 ,0\n\n")
+    assert np.array_equal(read_adjacency(path), [[0, 1, 2.5], [1, 0, 3], [2.5, 3, 0]])
+
+
 def test_read_generators(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("1 2 0\n0,2,1\n")

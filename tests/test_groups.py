@@ -414,6 +414,65 @@ def test_star_automorphisms_without_listing():
     assert enumerate_automorphisms(star_graph(60), cap=61).order() == math.factorial(60)
 
 
+def graph_of(n, edges):
+    A = np.zeros((n, n))
+    for u, v in edges:
+        A[u, v] = A[v, u] = 1.0
+    return A
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_of(10, outer + spokes + inner)
+
+
+def cube_graph():
+    return graph_of(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)])
+
+
+@pytest.mark.parametrize("name, A, order", [
+    ("petersen", petersen_graph(), 120),
+    ("cube", cube_graph(), 48),
+    ("K33", graph_of(6, [(u, v) for u in range(3) for v in range(3, 6)]), 72),
+    ("C10", cycle_graph(10), 20),
+])
+def test_graph_sample_is_the_listed_element_of_the_drawn_rank(name, A, order):
+    # the rank of rng.integers(order) in the lexicographic listing, built
+    # without the listing, in the same stream
+    aut = enumerate_automorphisms(A)
+    listed = np.concatenate(list(aut.iter_mapping_batches()))
+    assert aut.order() == len(listed) == order
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10):
+            assert np.array_equal(aut.sample(rng).mapping, listed[ref.integers(order)])
+        assert rng.random() == ref.random()
+    for r in (0, 1, order // 2, order - 1):
+        assert np.array_equal(aut._chain.element(r), listed[r])
+
+
+def test_graph_sample_needs_no_listing():
+    import tracemalloc
+
+    aut = enumerate_automorphisms(star_graph(12), cap=13)  # 12! elements
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    g = aut.sample(rng)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**20
+    assert g.mapping[0] == 0 and sorted(g.mapping.tolist()) == list(range(13))
+
+
+def test_graph_sample_refuses_an_order_beyond_integers():
+    aut = enumerate_automorphisms(star_graph(21), cap=22)  # 21! > 2**63
+    with pytest.raises(ValueError, match="group of order 51090942171709440000"):
+        aut.sample(np.random.default_rng(0))
+    assert enumerate_automorphisms(star_graph(20), cap=21).sample(np.random.default_rng(0)).n == 21
+
+
 def test_random_tree_order_is_the_rooted_tree_count():
     A = oracles.random_tree(200, 7)
     aut = enumerate_automorphisms(A, cap=200)

@@ -75,7 +75,7 @@ from symmpi.cli import PRESETS
 from symmpi import holes, sim
 from symmpi.holes import _hierarchical_counts, _target_near
 from symmpi.network import cluster_sum_set, tree_leaf_set
-from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _run_trial, _tally,
+from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _run_trials, _tally,
                         _sup_eval, rotation_supervised_set)
 from symmpi.transforms import (_fit_block, branch_fits, fit_regressors,
                                hierarchical_unsup_transform)
@@ -234,7 +234,7 @@ def test_blocked_trial_equals_per_test_loop(studentize, preset, sigma2, grid_poi
     cfg = HierarchicalConfig(n_branches=6, branch_size=PRESETS[preset]["branch_size"],
                              sigma2=sigma2, alphas=(0.05, 0.15, 0.3), tests=tests,
                              grid_points=grid_points, seed=seed, studentize=studentize)
-    assert _run_trial(cfg, ALL_METHODS, 1) == oracles.run_trial(cfg, ALL_METHODS, 1)
+    assert _run_trials(cfg, ALL_METHODS, [1])[0] == oracles.run_trial(cfg, ALL_METHODS, 1)
 
 
 # The hole form of the unstudentized kernel against the rank form, in the
@@ -620,7 +620,7 @@ def test_blocked_supervised_trial_equals_per_test_loop(studentize, methods, bran
     cfg = HierarchicalConfig(n_branches=5, branch_size=branch_size, supervised=True,
                              sigma2=sigma2, alphas=(0.05, 0.15, 0.3), tests=tests,
                              grid_points=grid_points, seed=seed, studentize=studentize)
-    assert _run_trial(cfg, methods, 1) == oracles.run_trial(cfg, methods, 1)
+    assert _run_trials(cfg, methods, [1])[0] == oracles.run_trial(cfg, methods, 1)
 
 
 @pytest.mark.parametrize("studentize", [False, True])

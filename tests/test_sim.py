@@ -74,6 +74,20 @@ def test_gen_sup_ols_recovers_slopes():
         assert abs(slope - t) <= 3 * se
 
 
+@pytest.mark.parametrize("branch_size", [7, (2, 5, 9)])
+def test_sup_arrays_are_one_uniform_and_one_normal_call_per_branch(branch_size):
+    # the rows drawn with ``random`` and ``standard_normal`` and scaled once
+    # have the bits, and leave the stream, of the per-branch calls
+    cfg = HierarchicalConfig(n_branches=6, branch_size=branch_size, sigma2=3.0,
+                             supervised=True)
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = sim._sup_arrays(cfg, rng), oracles.sup_arrays(cfg, ref)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert rng.random() == ref.random()
+
+
 def test_gen_unsup_ragged_sizes():
     rng = np.random.default_rng(5)
     cfg = HierarchicalConfig(n_branches=30, branch_size=(10, 20), sigma2=1.0)
@@ -323,19 +337,20 @@ def test_benchmark_seed_determinism():
                                                      (True, (6, 8))])
 def test_benchmark_rows_do_not_depend_on_the_block(supervised, branch_size, studentize,
                                                    monkeypatch):
-    """Rows are the same with blocks of one test, of 8 tests and of a whole
-    trial; sizes of 3 or 4 values in 3 branches make tests that share their
-    sizes."""
+    """Rows are the same with blocks of one test, of 8 tests, of a trial's
+    12 and of all three trials' 36, so that blocks span trials; sizes of 3
+    or 4 values in 3 branches make tests that share their sizes."""
     methods = ("symmpi", "conformal", "subsampling", "single_tree")
     cfg = small_cfg(n_branches=3, branch_size=branch_size, supervised=supervised,
-                    studentize=studentize, alphas=(0.05, 0.15, 0.3), tests=12, grid_points=201)
+                    studentize=studentize, alphas=(0.05, 0.15, 0.3), trials=3, tests=12,
+                    grid_points=201)
     rows = []
-    for tests in (1, 8, cfg.tests):
+    for tests in (1, 8, cfg.tests, cfg.trials * cfg.tests):
         floats = tests * (cfg.grid_points + 1)
         monkeypatch.setattr(sim, "_TESTS_BLOCK_FLOATS", floats)
         monkeypatch.setattr(sim, "_STUDENTIZED_BLOCK_FLOATS", floats)
         rows.append(repr(run_benchmark(cfg, methods=methods + ("hcp",) * (not supervised))))
-    assert rows[0] == rows[1] == rows[2]
+    assert rows[0] == rows[1] == rows[2] == rows[3]
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -355,6 +370,17 @@ def test_benchmark_thread_count_does_not_change_results():
     b = run_benchmark(cfg, methods=("symmpi", "conformal"), threads=2)
     for ra, rb in zip(a, b):
         assert ra == rb
+
+
+@pytest.mark.parametrize("supervised, branch_size", [(False, 6), (False, (3, 4)), (True, 8)])
+def test_benchmark_threads_split_an_odd_trial_count(supervised, branch_size):
+    # three trials over two workers: one takes a trial, the other two, and
+    # each streams its trials through blocks of its own
+    cfg = small_cfg(n_branches=3, branch_size=branch_size, supervised=supervised, trials=3,
+                    tests=7, grid_points=101)
+    methods = ("symmpi", "conformal", "subsampling", "single_tree")
+    assert (repr(run_benchmark(cfg, methods=methods))
+            == repr(run_benchmark(cfg, methods=methods, threads=2)))
 
 
 def test_benchmark_single_tree_reports_inf():
