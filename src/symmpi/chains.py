@@ -489,11 +489,11 @@ class StabilizerChain:
     def _lex_levels(self) -> list:
         """Each level's basic orbit, its transversal (``transversal``) and
         the order of the group fixing the level's point and those before."""
-        steps = [(orbit, self.transversal(v, orbit)) for v, orbit in self.levels]
-        below = [1] * (len(steps) + 1)
-        for k in range(len(steps) - 1, -1, -1):
-            below[k] = below[k + 1] * len(steps[k][0])
-        return [(orbit, trans, order) for (orbit, trans), order in zip(steps, below)]
+        levels, order = [], 1
+        for v, orbit in reversed(self.levels):
+            order *= len(orbit)
+            levels.append((orbit, self.transversal(v, orbit), order))
+        return levels[::-1]
 
     def lex_batches(self, batch_size: int = 250_000):
         """Every element in lexicographic order of its images, as (B, n)
