@@ -23,15 +23,11 @@ from .transforms import (
     EquivarianceReport,
     LinearModel,
     RegressorBundle,
-    TreeGraph,
     check_distributional_equivariance,
     energy_permutation_test,
     fit_regressors,
-    five_step_supervised_scores,
     hierarchical_sup_transform,
     hierarchical_unsup_transform,
-    interpolation_unsup_scores,
-    mpgnn_forward,
 )
 from .calibrate import (
     ConformalIntervals,
@@ -49,7 +45,6 @@ from .calibrate import (
     randomized_set,
     rank_member,
     score_intervals,
-    supervised_below,
     supervised_hierarchical_set,
     symmpi_set,
     symmpi_set_randomsize,

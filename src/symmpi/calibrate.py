@@ -19,7 +19,8 @@ candidate's); in the benchmark harness, a block of unstudentized
 hierarchical tests is counted from the holes, the intervals where a score is
 not below the candidate's own (``symmpi.holes``), which read only a member
 count per test and the truth's membership. Only candidates within rounding
-of an end go through the rank comparison. The
+of an end go through the rank comparison; for the centered scores it sets
+each |v - center| against the candidate's own as computed. The
 orbit sets (``symmpi_set``, ``randomized_set`` and the weighted
 ``nonsym_set``) score every candidate's orbit in one batched sweep
 (``_score_blocks``: a permutation group's batch of elements or Monte-Carlo
@@ -100,13 +101,17 @@ class Threshold:
 
 
 def threshold_from_scores(scores, alpha: float, weights=None) -> Threshold:
-    """Threshold plus CDF left limit, jump, and tie-breaking probability."""
+    """Threshold plus CDF left limit, jump, and tie-breaking probability.
+    Weights without a positive total raise ``ValueError``."""
     _check_alpha(alpha)
     s = np.asarray(scores, dtype=float).ravel()
     level = 1.0 - alpha
     t = finite_quantile(s, level, weights)
     w = np.ones(s.size) if weights is None else np.asarray(weights, dtype=float).ravel()
-    w = w / w.sum()
+    total = w.sum()
+    if not total > 0:
+        raise ValueError("weights must have a positive total")
+    w = w / total
     cdf = float(np.sum(w[s <= t]))
     cdf_left = float(np.sum(w[s < t]))
     return Threshold(value=t, cdf_at_t=cdf, cdf_left=cdf_left, jump=cdf - cdf_left,
@@ -705,17 +710,19 @@ def centered_intervals(values, alphas, total=None, n: int | None = None,
     [w, v]) with w = (2 total - n v) / (n - 2); every such interval holds
     total / (n - 1), whose own score is zero. At n = 2 the scores tie
     whatever the candidate, and the rank comparison decides every candidate.
+    The rank comparison sets each |v - center| against |c - center| as
+    computed, so a value tied with the candidate is never counted below it.
     """
     vals = np.asarray(values, dtype=float)
     B, m = vals.shape
     total = vals.sum(axis=1, keepdims=True) if total is None else total
     n = m + 1 if n is None else n
-    pooled = np.ones(m) if weights is None else weights
 
     def below(points, rows):
         center = (total[rows] + points) / n
-        mass = _mass_within(*_weighted_pool(vals[rows], pooled), center, np.abs(points - center))
-        return mass / (m + 1) if weights is None else mass
+        hit = (np.abs(vals[rows][:, None, :] - center[:, :, None])
+               < np.abs(points - center)[:, :, None])
+        return hit.sum(axis=2) / (m + 1) if weights is None else hit @ weights
 
     w = (2 * total - n * vals) / (n - 2) if n > 2 else vals
     return _intervals(np.minimum(vals, w), np.maximum(vals, w), alphas, below,
@@ -940,37 +947,19 @@ def _hierarchical_block(donors, sizes, target, cands, c, studentize):
     return below
 
 
-def supervised_below(donor_residuals, target_residuals, candidate_residuals,
-                     studentize: bool = True) -> np.ndarray:
-    """Branch-weighted below-own mass of the supervised adaptive residual scores.
-
-    ``donor_residuals`` holds each complete branch's |y - center|,
-    ``target_residuals`` the target branch's observed ones and
-    ``candidate_residuals`` each candidate's. With ``studentize`` a branch's
-    scores are divided by its RMS residual (denominator n - 1, the candidate
-    included for the target branch), else raw magnitudes are compared. Each of
-    branch k's points weighs 1/(K n_k).
-
-    This is ``_supervised_block`` for one test, on per-branch lists: the rank
-    form of ``_supervised_intervals``, which ``supervised_hierarchical_set``
-    and the benchmark harness run.
-    """
-    donors = [np.asarray(r, dtype=float).ravel() for r in donor_residuals]
-    target = np.asarray(target_residuals, dtype=float).ravel()
-    sizes = np.array([r.size for r in donors] + [target.size + 1], dtype=np.intp)
-    cands = np.asarray(candidate_residuals, dtype=float)
-    below = _supervised_block(np.concatenate(donors + [target])[None], sizes,
-                              cands.reshape(1, -1), studentize)
-    return below.reshape(cands.shape)
-
-
 def _supervised_block(residuals, sizes, raw_cand, studentize):
-    """``supervised_below`` of B tests that share branch sizes, on flat rows.
+    """Branch-weighted below-own mass of the supervised adaptive residual
+    scores of B tests that share branch sizes, on flat rows: the rank form of
+    ``_supervised_intervals``, which ``supervised_hierarchical_set`` and the
+    benchmark harness run.
 
     Each row of ``residuals`` (B, N - 1) holds a test's |y - center| of
     every branch end to end, branch k with ``sizes[k]`` values, except the
     target branch's last one, which each of the test's candidate residuals
-    in ``raw_cand`` (B, G) fills. Returns the (B, G) masses. A test's donor
+    in ``raw_cand`` (B, G) fills. With ``studentize`` a branch's scores are
+    divided by its RMS residual (denominator n - 1, the candidate included
+    for the target branch), else raw magnitudes are compared. Each of branch
+    k's points weighs 1/(K n_k). Returns the (B, G) masses. A test's donor
     scores share one sorted pool with cumulative weights 1/(K n_k), searched
     once; the target's observed scores are searched on their own.
     """
@@ -1181,7 +1170,8 @@ def estimate_shift_gap(samples_a, samples_b, nu=None, bins: int = 64) -> float:
     """Empirical total-variation distance between two score samples.
 
     A diagnostic, not a certified bound: discrete supports are matched
-    exactly, continuous ones through a shared histogram.
+    exactly, continuous ones through a shared histogram. An empty sample
+    raises ``ValueError``.
     """
     if nu is not None:
         a = np.asarray([float(nu(x)) for x in samples_a])
@@ -1189,6 +1179,8 @@ def estimate_shift_gap(samples_a, samples_b, nu=None, bins: int = 64) -> float:
     else:
         a = np.asarray(samples_a, dtype=float).ravel()
         b = np.asarray(samples_b, dtype=float).ravel()
+    if not (a.size and b.size):
+        raise ValueError("both samples must be nonempty")
     # the distinct values, as np.unique gives them: NaNs sort last and count
     # as one value
     values = np.sort(np.concatenate([a, b]))

@@ -190,28 +190,6 @@ def read_branch_rows(path) -> BranchRows:
     return BranchRows(list(code), branch, x, y, blank[0])
 
 
-def read_hierarchical_csv(path):
-    """``read_branch_rows`` grouped by branch.
-
-    Returns (branch_ids, xs, ys, target), where xs is None for unsupervised
-    files, ys holds per-branch value arrays with NaN at the target slot, and
-    target is (branch_index, row_index); rows keep their file order within a
-    branch, and a single x column gives 1-d xs.
-    """
-    order, branch, x, y, t = read_branch_rows(path)
-    by_branch = np.argsort(branch, kind="stable")
-    ends = np.cumsum(np.bincount(branch, minlength=len(order))).tolist()
-    spans = list(zip([0] + ends, ends))
-    y = y[by_branch]
-    ys = [y[lo:hi] for lo, hi in spans]
-    xs = None
-    if x is not None:
-        x = x[by_branch, 0] if x.shape[1] == 1 else x[by_branch]
-        xs = [x[lo:hi] for lo, hi in spans]
-    bi = int(branch[t])
-    return order, xs, ys, (bi, int(np.count_nonzero(branch[:t] == bi)))
-
-
 def read_graph_values_csv(path):
     """Read vertex values: columns vertex_id, value; blank value = unobserved.
 

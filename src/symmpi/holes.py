@@ -260,16 +260,10 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
     N = donors.shape[1] + n_o + D
     # bounds the rounding of the hole masses' sums and of the rank form's
     margin = 16 * (G + 8 * N) * np.finfo(float).eps
-    near_levels = levels
-    if (sizes == n_t).all():
-        # equal weights w: a mass is a multiple of w, so only levels within
-        # twice the margin of one can be near a mass
-        w = 1.0 / n_t / K
-        near_levels = [lv for lv in levels if abs(round(lv / w) * w - lv) <= 2 * margin]
     counts = np.stack([np.bincount(seg_test, seg_len * (seg_below < lv), minlength=B)
                        for lv in levels])
     unsure = np.zeros(seg_below.shape, dtype=bool)
-    for lv in near_levels:
+    for lv in levels:
         unsure |= np.abs(seg_below - lv) <= margin
     ranges.append((seg_test[unsure], seg_first[unsure], seg_first[unsure] + seg_len[unsure]))
     r_test, r_col = _grid_cells(ranges, n_grid)
@@ -285,7 +279,7 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
     if X:
         # each extra's mass: the total less the pieces that hold it in its state
         x_below = total - x_held
-        for lv in near_levels:
+        for lv in levels:
             x_ranked |= np.abs(x_below - lv) <= margin
         member = np.stack([x_below < lv for lv in levels])
         xb, xc = np.nonzero(x_ranked)

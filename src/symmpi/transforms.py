@@ -2,18 +2,10 @@
 
 The hierarchical transforms adaptively center observations at the grand mean
 or their branch mean and standardize by a within-branch scale, so that
-heterogeneous branches still produce comparable scores. Each transform comes
-with an equivalent staged message-passing formulation over the two-layer tree,
-kept as an independent computation path for cross-checking.
-
-The message-passing forms (``mpgnn_forward``, ``TreeGraph``,
-``interpolation_unsup_scores``, ``five_step_supervised_scores``) stand for
-the SymmPI paper's result that a message-passing graph neural network whose
-layers treat every neighbour alike is distributionally equivariant under
-the automorphisms of its graph; the hierarchical scores are such a network
-on the two-layer tree, run in stages. A score that centers every branch at
-its own mean is ``hierarchical_unsup_transform(z, 0.0)``.
-"""
+heterogeneous branches still produce comparable scores. A score that centers
+every branch at its own mean is ``hierarchical_unsup_transform(z, 0.0)``.
+The tests keep the paper's message-passing forms of both transforms as
+references (``tests/oracles.py``)."""
 
 from __future__ import annotations
 
@@ -311,143 +303,30 @@ def branch_fits(reg, x, sizes):
     return mu_p, mu_b, sig
 
 
-def _supervised_features(x, y, reg: RegressorBundle):
-    """Per-point (resid_branch, resid_pooled, band) channels, shape (K, M, 3)."""
+def hierarchical_sup_transform(x, y, reg: RegressorBundle, c: float = 2.0) -> np.ndarray:
+    """Supervised adaptive scores for calibration data (K, M) given fitted
+    regressors.
+
+    With rb and rp the residuals of y from the branch and pooled fits and
+    gap = rb - rp, a point is gated when |gap / band| <= c, and its score is
+    |rb - gap * gate|, the pooled residual where gated and else the branch
+    one, divided by its branch's RMS score (denominator M - 1; 1 when
+    M == 1 or the RMS is 0). Every step treats the points of a branch, and
+    the branches, alike, so the map is block-permutation equivariant.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     K, M = y.shape
     mu_p, mu_b, sig = branch_fits(reg, x.reshape(1, K * M, -1), np.full(K, M))
-    return np.stack([y - mu_b.reshape(y.shape), y - mu_p.reshape(y.shape), sig.reshape(y.shape)],
-                    axis=-1)
-
-
-def hierarchical_sup_transform(x, y, reg: RegressorBundle, c: float = 2.0) -> np.ndarray:
-    """Supervised adaptive scores for calibration data (K, M) given fitted
-    regressors; computed through the staged message-passing path so the map
-    is deterministically block-permutation equivariant."""
-    feats = _supervised_features(x, y, reg)
-    return five_step_supervised_scores(feats, c)
-
-
-# --------------------------------------------------------------------------
-# Message passing on graphs and on the two-layer tree
-# --------------------------------------------------------------------------
-
-
-def mpgnn_forward(features, neighbors, layers) -> np.ndarray:
-    """Generic message passing: z_i <- l0(z_i, sum_{j in N(i)} l1(z_i, z_j)).
-
-    ``features`` is (n_nodes, channels), ``neighbors`` a list of index lists,
-    ``layers`` a sequence of (l0, l1) pairs applied in order.
-    """
-    z = np.asarray(features, dtype=float)
-    for lam0, lam1 in layers:
-        agg = []
-        for i, nbrs in enumerate(neighbors):
-            if nbrs:
-                agg.append(np.sum([lam1(z[i], z[j]) for j in nbrs], axis=0))
-            else:
-                agg.append(np.zeros_like(z[i]))
-        z = np.array([lam0(z[i], agg[i]) for i in range(len(neighbors))])
-    return z
-
-
-@dataclass
-class TreeGraph:
-    """Depth-two rooted tree: a root, K branch nodes, and K x M leaves."""
-
-    root: float
-    branch_values: np.ndarray  # (K,)
-    leaf_values: np.ndarray  # (K, M)
-
-    def __post_init__(self):
-        self.branch_values = np.asarray(self.branch_values, dtype=float)
-        self.leaf_values = np.asarray(self.leaf_values, dtype=float)
-        if self.leaf_values.shape[0] != self.branch_values.size:
-            raise ValueError("one row of leaves per branch node")
-
-    @property
-    def K(self) -> int:
-        return self.branch_values.size
-
-    @property
-    def M(self) -> int:
-        return self.leaf_values.shape[1]
-
-    def node_count(self) -> int:
-        return 1 + self.K + self.K * self.M
-
-    def values(self) -> np.ndarray:
-        """Node values in (root, branches, leaves row-major) order."""
-        return np.concatenate([[self.root], self.branch_values, self.leaf_values.ravel()])
-
-    def adjacency(self) -> np.ndarray:
-        """0/1 adjacency with each node linked precisely to its children."""
-        n = self.node_count()
-        A = np.zeros((n, n))
-        for k in range(self.K):
-            A[0, 1 + k] = A[1 + k, 0] = 1.0
-            for i in range(self.M):
-                leaf = 1 + self.K + k * self.M + i
-                A[1 + k, leaf] = A[leaf, 1 + k] = 1.0
-        return A
-
-    def neighbors(self) -> list:
-        A = self.adjacency()
-        return [np.nonzero(A[i])[0].tolist() for i in range(self.node_count())]
-
-
-def interpolation_unsup_scores(values, c: float = 2.0) -> np.ndarray:
-    """Two-channel message-passing form of the unsupervised transform.
-
-    Stage 0 loads branch nodes with (mean, sd) summaries of their leaves;
-    stage 1 turns the first channel into the standardized mean gap from the
-    root average; stage 2 resolves each branch node to its centering value;
-    stage 3 scores the leaves. Must agree with
-    ``hierarchical_unsup_transform`` to floating-point accuracy.
-    """
-    z = np.asarray(values, dtype=float)
-    K, M = z.shape[-2], z.shape[-1]
-    # Stage 0: summaries flow leaves -> branch nodes -> root.
-    branch = np.stack(
-        [z.mean(axis=-1), z.std(axis=-1, ddof=1) if M > 1 else np.ones(z.shape[:-1])],
-        axis=-1,
-    )
-    branch[..., 1] = np.where(branch[..., 1] > 0, branch[..., 1], 1.0)
-    root_mean = branch[..., 0].mean(axis=-1)
-    # Stage 1: standardized distance of each branch mean from the root value.
-    gap = np.abs(branch[..., 0] - root_mean[..., None]) / (branch[..., 1] / np.sqrt(M))
-    # Stage 2: branch nodes resolve to their centering value.
-    center = np.where(gap <= c, root_mean[..., None], branch[..., 0])
-    # Stage 3: leaves score against their branch node.
-    return np.abs(z - center[..., None]) / branch[..., 1][..., None]
-
-
-def five_step_supervised_scores(features, c: float = 2.0) -> np.ndarray:
-    """Staged message-passing evaluation of the supervised scores.
-
-    Step 1 initializes leaf channels (branch residual, pooled residual, band)
-    and all-ones branch nodes; step 2 rewrites the third channel as the gated
-    fit gap; step 3 folds it into an absolute residual; step 4 aggregates the
-    within-branch RMS onto the branch nodes; step 5 rescales the leaves.
-    """
-    f = np.asarray(features, dtype=float)
-    K, M = f.shape[-3], f.shape[-2]
-    leaves = f.copy()  # step 1: channels (resid_branch, resid_pooled, band)
-    # Step 2: third channel <- (mu(x) - mu_k(x)) * 1{|mu(x) - mu_k(x)| <= c band}.
-    gap = leaves[..., 0] - leaves[..., 1]  # mu(x) - mu_k(x)
-    gate = (np.abs(gap / leaves[..., 2]) <= c).astype(float)
-    leaves[..., 2] = gap * gate
-    # Step 3: first channel <- |resid_branch - gated gap|.
-    leaves[..., 0] = np.abs(leaves[..., 0] - leaves[..., 2])
-    # Step 4: branch nodes aggregate sum of squares / (M - 1).
+    rb = y - mu_b.reshape(y.shape)
+    rp = y - mu_p.reshape(y.shape)
+    gap = rb - rp
+    gate = np.abs(gap / sig.reshape(y.shape)) <= c
+    raw = np.abs(rb - gap * gate)
     if M == 1:
-        scale = np.ones(leaves.shape[:-2] + (1,))
-    else:
-        scale = np.sqrt(np.sum(leaves[..., 0] ** 2, axis=-1, keepdims=True) / (M - 1))
-        scale = np.where(scale > 0, scale, 1.0)
-    # Step 5: leaves divide by their branch node value.
-    return leaves[..., 0] / scale
+        return raw
+    scale = np.sqrt(np.sum(raw**2, axis=-1, keepdims=True) / (M - 1))
+    return raw / np.where(scale > 0, scale, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -499,12 +378,17 @@ def energy_permutation_test(
     the subsample. The permutations are drawn one ``rng.permutation`` call
     at a time, and their masks are scored as columns of one matrix product,
     ``_PERMUTATION_BLOCK`` columns at a time; the observed mask is the first
-    column of the first block.
+    column of the first block. An empty sample, or one with an entry that is
+    not finite, raises ``ValueError``: its statistic would be NaN.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share their dimension")
+    if not (a.size and b.size):
+        raise ValueError("samples must be nonempty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("sample entries must be finite")
     if a.shape[0] > max_points:
         a = a[rng.choice(a.shape[0], max_points, replace=False)]
     if b.shape[0] > max_points:

@@ -11,12 +11,20 @@ a time, and ``backtrack_automorphisms`` is the depth-first automorphism search.
 ``tree_automorphism_count`` counts a tree's automorphisms from its rooted
 subtrees, without a search, and ``random_tree`` draws the trees it is checked on;
 ``permutation_closure`` closes generators under composition one product at a time.
-``supervised_scores_from_features`` evaluates the supervised adaptive residual
-scores directly, without the staged message-passing path.
-``hierarchical_below_loop`` and ``supervised_below_loop`` are the rank-form
-masses summed branch by branch, one sort and search per donor branch;
-``unsup_eval`` is the unsupervised benchmark harness one test at a time on
-those per-branch forms, ``sup_eval`` the supervised harness one test at a
+The message-passing forms (``mpgnn_forward``, ``TreeGraph``,
+``interpolation_unsup_scores``, ``five_step_supervised_scores``) stand for
+the SymmPI paper's result that a message-passing graph neural network whose
+layers treat every neighbour alike is distributionally equivariant under
+the automorphisms of its graph; the hierarchical scores are such a network
+on the two-layer tree, run in stages. ``five_step_supervised_scores`` takes
+the per-point channels of ``supervised_features``, and
+``supervised_scores_from_features`` evaluates the same scores directly,
+without the staged path.
+``supervised_below`` is ``calibrate._supervised_block`` for one test on
+per-branch lists. ``hierarchical_below_loop`` and ``supervised_below_loop``
+are the rank-form masses summed branch by branch, one sort and search per
+donor branch; ``unsup_eval`` is the unsupervised benchmark harness one test
+at a time on those per-branch forms, ``sup_eval`` the supervised harness one test at a
 time (a hand-made split, then the library's one-test fits and searches),
 and ``run_trial`` a trial of either, each test evaluated as it is drawn;
 its supervised draws are ``sup_arrays``, one ``uniform`` and one ``normal``
@@ -30,12 +38,14 @@ Monte-Carlo draw at a time: one Haar matrix and one ``score`` call per draw.
 ``conformal_below``, ``centered_conformal_below`` and ``hcp_below`` are the
 rank forms of the conformal sets and of the benchmark's ``hcp`` rule: the
 below-own mass of every candidate, searched candidate by candidate in the
-sorted calibration values, that ``calibrate.ConformalIntervals`` replaces by
-closed-form ends.
+sorted calibration values (for the centered scores, each value's score
+compared with the candidate's), that ``calibrate.ConformalIntervals``
+replaces by closed-form ends.
 ``loop_fit_regressors`` fits the branch corrections one ``fit_linear`` call
 per branch, ``coset_representatives_by_key`` splits a group by a dictionary
-keyed on tuples of probe scores, and ``read_hierarchical_rows`` reads a
-branch data file one row at a time. ``symmetric_maps`` and ``block_maps``
+keyed on tuples of probe scores, ``read_hierarchical_csv`` groups the rows
+of ``dataio.read_branch_rows`` by branch, and ``read_hierarchical_rows``
+reads a branch data file one row at a time. ``symmetric_maps`` and ``block_maps``
 list the images of S_n and of the block group in the enumeration order of
 ``itertools.permutations`` and ``itertools.product``.
 """
@@ -51,16 +61,17 @@ from symmpi.calibrate import (
     PredictionSet,
     _branch_stats,
     _mass_within,
+    _supervised_block,
     _weighted_pool,
     candidate_grid,
     finite_quantile,
     rank_member,
-    supervised_below,
     threshold_from_scores,
 )
+from symmpi.dataio import read_branch_rows
 from symmpi.groups import (CosetDecomposition, Permutation, iter_actions,
                            sample_haar_orthogonal)
-from symmpi.transforms import branch_fits, fit_linear, fit_regressors
+from symmpi.transforms import RegressorBundle, branch_fits, fit_linear, fit_regressors
 
 
 @dataclass
@@ -221,8 +232,9 @@ def conformal_below(cal_scores, own):
 
 def centered_conformal_below(values, candidates):
     """``conformal_below`` for scores |v - mean|, where the mean includes the
-    candidate. Two-dimensional ``candidates`` (B, G) with ``values`` (B, n)
-    evaluate B tests at once, row by row."""
+    candidate: each value's score compared with the candidate's as computed.
+    Two-dimensional ``candidates`` (B, G) with ``values`` (B, n) evaluate B
+    tests at once, row by row."""
     cands = np.asarray(candidates, dtype=float)
     if cands.ndim < 2:
         vals = np.asarray(values, dtype=float).reshape(1, -1)
@@ -230,12 +242,9 @@ def centered_conformal_below(values, candidates):
     vals = np.asarray(values, dtype=float)
     n = vals.shape[1] + 1
     centers = (vals.sum(axis=1, keepdims=True) + cands) / n
-    radius = cands - centers
-    np.abs(radius, out=radius)
-    srt = np.sort(vals, axis=1)
     below = np.empty(cands.shape)
-    for row, s, m, r in zip(below, srt, centers, radius):
-        row[:] = _count_within(s, m, r)
+    for row, v, m, c in zip(below, vals, centers, cands):
+        row[:] = (np.abs(v[None, :] - m[:, None]) < np.abs(c - m)[:, None]).sum(axis=1)
     below /= n
     return below
 
@@ -296,6 +305,20 @@ def hierarchical_below_loop(observed_branches, candidates, c=2.0, studentize=Tru
         count[near] = _count_within(np.sort(b), grand[near], own[near] * scale)
         below += count * (1.0 / (K * b.size))
     return below
+
+
+def supervised_below(donor_residuals, target_residuals, candidate_residuals, studentize=True):
+    """``calibrate._supervised_block`` for one test, on per-branch lists:
+    ``donor_residuals`` holds each complete branch's |y - center|,
+    ``target_residuals`` the target branch's observed ones and
+    ``candidate_residuals`` each candidate's."""
+    donors = [np.asarray(r, dtype=float).ravel() for r in donor_residuals]
+    target = np.asarray(target_residuals, dtype=float).ravel()
+    sizes = np.array([r.size for r in donors] + [target.size + 1], dtype=np.intp)
+    cands = np.asarray(candidate_residuals, dtype=float)
+    below = _supervised_block(np.concatenate(donors + [target])[None], sizes,
+                              cands.reshape(1, -1), studentize)
+    return below.reshape(cands.shape)
 
 
 def supervised_below_loop(donor_residuals, target_residuals, candidate_residuals,
@@ -595,6 +618,132 @@ def nonsym_members(observed, candidates, embed, V, psi, spec, group, alpha, rng)
     return PredictionSet(cands, member, unbounded=bool(member.all()), meta={"drawn_rep": g_idx})
 
 
+def mpgnn_forward(features, neighbors, layers) -> np.ndarray:
+    """Generic message passing: z_i <- l0(z_i, sum_{j in N(i)} l1(z_i, z_j)).
+
+    ``features`` is (n_nodes, channels), ``neighbors`` a list of index lists,
+    ``layers`` a sequence of (l0, l1) pairs applied in order.
+    """
+    z = np.asarray(features, dtype=float)
+    for lam0, lam1 in layers:
+        agg = []
+        for i, nbrs in enumerate(neighbors):
+            if nbrs:
+                agg.append(np.sum([lam1(z[i], z[j]) for j in nbrs], axis=0))
+            else:
+                agg.append(np.zeros_like(z[i]))
+        z = np.array([lam0(z[i], agg[i]) for i in range(len(neighbors))])
+    return z
+
+
+@dataclass
+class TreeGraph:
+    """Depth-two rooted tree: a root, K branch nodes, and K x M leaves."""
+
+    root: float
+    branch_values: np.ndarray  # (K,)
+    leaf_values: np.ndarray  # (K, M)
+
+    def __post_init__(self):
+        self.branch_values = np.asarray(self.branch_values, dtype=float)
+        self.leaf_values = np.asarray(self.leaf_values, dtype=float)
+        if self.leaf_values.shape[0] != self.branch_values.size:
+            raise ValueError("one row of leaves per branch node")
+
+    @property
+    def K(self) -> int:
+        return self.branch_values.size
+
+    @property
+    def M(self) -> int:
+        return self.leaf_values.shape[1]
+
+    def node_count(self) -> int:
+        return 1 + self.K + self.K * self.M
+
+    def values(self) -> np.ndarray:
+        """Node values in (root, branches, leaves row-major) order."""
+        return np.concatenate([[self.root], self.branch_values, self.leaf_values.ravel()])
+
+    def adjacency(self) -> np.ndarray:
+        """0/1 adjacency with each node linked precisely to its children."""
+        n = self.node_count()
+        A = np.zeros((n, n))
+        for k in range(self.K):
+            A[0, 1 + k] = A[1 + k, 0] = 1.0
+            for i in range(self.M):
+                leaf = 1 + self.K + k * self.M + i
+                A[1 + k, leaf] = A[leaf, 1 + k] = 1.0
+        return A
+
+    def neighbors(self) -> list:
+        A = self.adjacency()
+        return [np.nonzero(A[i])[0].tolist() for i in range(self.node_count())]
+
+
+def interpolation_unsup_scores(values, c: float = 2.0) -> np.ndarray:
+    """Two-channel message-passing form of the unsupervised transform.
+
+    Stage 0 loads branch nodes with (mean, sd) summaries of their leaves;
+    stage 1 turns the first channel into the standardized mean gap from the
+    root average; stage 2 resolves each branch node to its centering value;
+    stage 3 scores the leaves. Must agree with
+    ``hierarchical_unsup_transform`` to floating-point accuracy.
+    """
+    z = np.asarray(values, dtype=float)
+    K, M = z.shape[-2], z.shape[-1]
+    # Stage 0: summaries flow leaves -> branch nodes -> root.
+    branch = np.stack(
+        [z.mean(axis=-1), z.std(axis=-1, ddof=1) if M > 1 else np.ones(z.shape[:-1])],
+        axis=-1,
+    )
+    branch[..., 1] = np.where(branch[..., 1] > 0, branch[..., 1], 1.0)
+    root_mean = branch[..., 0].mean(axis=-1)
+    # Stage 1: standardized distance of each branch mean from the root value.
+    gap = np.abs(branch[..., 0] - root_mean[..., None]) / (branch[..., 1] / np.sqrt(M))
+    # Stage 2: branch nodes resolve to their centering value.
+    center = np.where(gap <= c, root_mean[..., None], branch[..., 0])
+    # Stage 3: leaves score against their branch node.
+    return np.abs(z - center[..., None]) / branch[..., 1][..., None]
+
+
+def supervised_features(x, y, reg: RegressorBundle):
+    """Per-point (resid_branch, resid_pooled, band) channels, shape (K, M, 3)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    K, M = y.shape
+    mu_p, mu_b, sig = branch_fits(reg, x.reshape(1, K * M, -1), np.full(K, M))
+    return np.stack([y - mu_b.reshape(y.shape), y - mu_p.reshape(y.shape), sig.reshape(y.shape)],
+                    axis=-1)
+
+
+def five_step_supervised_scores(features, c: float = 2.0) -> np.ndarray:
+    """Staged message-passing evaluation of the supervised scores.
+
+    Step 1 initializes leaf channels (branch residual, pooled residual, band)
+    and all-ones branch nodes; step 2 rewrites the third channel as the gated
+    fit gap; step 3 folds it into an absolute residual; step 4 aggregates the
+    within-branch RMS onto the branch nodes; step 5 rescales the leaves.
+    """
+    f = np.asarray(features, dtype=float)
+    K, M = f.shape[-3], f.shape[-2]
+    leaves = f.copy()  # step 1: channels (resid_branch, resid_pooled, band)
+    # Step 2: third channel <- (mu(x) - mu_k(x)) * 1{|mu(x) - mu_k(x)| <= c band}.
+    gap = leaves[..., 0] - leaves[..., 1]  # mu(x) - mu_k(x)
+    gate = (np.abs(gap / leaves[..., 2]) <= c).astype(float)
+    leaves[..., 2] = gap * gate
+    # Step 3: first channel <- |resid_branch - gated gap|.
+    leaves[..., 0] = np.abs(leaves[..., 0] - leaves[..., 2])
+    # Step 4: branch nodes aggregate sum of squares / (M - 1).
+    if M == 1:
+        scale = np.ones(leaves.shape[:-2] + (1,))
+    else:
+        scale = np.sqrt(np.sum(leaves[..., 0] ** 2, axis=-1, keepdims=True) / (M - 1))
+        scale = np.where(scale > 0, scale, 1.0)
+    # Step 5: leaves divide by their branch node value.
+    return leaves[..., 0] / scale
+
+
 def supervised_scores_from_features(features, c: float = 2.0) -> np.ndarray:
     """Direct evaluation of the supervised adaptive residual scores.
 
@@ -753,9 +902,31 @@ def coset_representatives_by_key(group, psi, probes):
     )
 
 
+def read_hierarchical_csv(path):
+    """``dataio.read_branch_rows`` grouped by branch.
+
+    Returns (branch_ids, xs, ys, target), where xs is None for unsupervised
+    files, ys holds per-branch value arrays with NaN at the target slot, and
+    target is (branch_index, row_index); rows keep their file order within a
+    branch, and a single x column gives 1-d xs.
+    """
+    order, branch, x, y, t = read_branch_rows(path)
+    by_branch = np.argsort(branch, kind="stable")
+    ends = np.cumsum(np.bincount(branch, minlength=len(order))).tolist()
+    spans = list(zip([0] + ends, ends))
+    y = y[by_branch]
+    ys = [y[lo:hi] for lo, hi in spans]
+    xs = None
+    if x is not None:
+        x = x[by_branch, 0] if x.shape[1] == 1 else x[by_branch]
+        xs = [x[lo:hi] for lo, hi in spans]
+    bi = int(branch[t])
+    return order, xs, ys, (bi, int(np.count_nonzero(branch[:t] == bi)))
+
+
 def read_hierarchical_rows(path):
-    """``dataio.read_hierarchical_csv`` one row at a time, for well-formed
-    files: (branch ids, per-branch x arrays or None, y arrays, target)."""
+    """``read_hierarchical_csv`` one row at a time, for well-formed files:
+    (branch ids, per-branch x arrays or None, y arrays, target)."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     header = [c.strip().lower() for c in rows[0]]

@@ -114,6 +114,12 @@ def test_threshold_from_scores_invariants():
             assert th.delta == 0.0
 
 
+def test_threshold_from_scores_rejects_weights_without_mass():
+    for weights in ([0.0, 0.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="positive total"):
+            threshold_from_scores([1.0, 2.0], 0.2, weights)
+
+
 def test_threshold_trivial_group():
     th = threshold(np.array([2.5]), last_coordinate, TrivialGroup(), alpha=0.3)
     assert th.value == 2.5
@@ -738,6 +744,12 @@ def test_estimate_shift_gap_counts_nans_as_one_value():
     assert estimate_shift_gap(a, [0.001, np.nan, np.nan]) == pytest.approx(
         0.5 * ((1 / 3 - 1 / 63) + 62 / 63), abs=1e-15)
     assert estimate_shift_gap([0.0, np.nan, -0.0, np.nan], [0.0, 1.0]) == 0.25
+
+
+@pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], []), ([], [])])
+def test_estimate_shift_gap_rejects_empty_samples(a, b):
+    with pytest.raises(ValueError, match="nonempty"):
+        estimate_shift_gap(a, b)
 
 
 # ----------------------------------------------------------------------

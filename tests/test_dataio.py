@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import read_hierarchical_csv
 from symmpi.calibrate import PredictionSet
 from symmpi.dataio import (
     DataError,
@@ -15,7 +16,6 @@ from symmpi.dataio import (
     read_adjacency,
     read_generators,
     read_graph_values_csv,
-    read_hierarchical_csv,
     write_bench_rows,
     write_prediction_set,
 )

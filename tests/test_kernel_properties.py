@@ -37,6 +37,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import supervised_below
 from symmpi.baselines import single_tree_set, split_conformal_set
 from symmpi import calibrate
 from symmpi.calibrate import (
@@ -55,7 +56,6 @@ from symmpi.calibrate import (
     randomized_set,
     rank_member,
     score_intervals,
-    supervised_below,
     supervised_hierarchical_set,
     symmpi_set,
     symmpi_set_randomsize,

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import TreeGraph
 from symmpi.calibrate import _rows_below, candidate_grid, finite_quantile, rank_member
 from symmpi.groups import enumerate_automorphisms, orbit_of_index
 from symmpi.network import cluster_sum_set, coarsen_graph, graph_vertex_set, tree_leaf_set
-from symmpi.transforms import TreeGraph
 
 
 def cycle_graph(n):

@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 import oracles
-from symmpi.groups import BlockPermutationGroup, SymmetricGroup, sample_block_permutation
-from symmpi.transforms import (
+from oracles import (
     TreeGraph,
-    check_distributional_equivariance,
-    fit_linear,
-    fit_regressors,
     five_step_supervised_scores,
-    hierarchical_sup_transform,
-    hierarchical_unsup_transform,
     interpolation_unsup_scores,
     mpgnn_forward,
-    _supervised_features,
+    supervised_features,
+)
+from symmpi.groups import BlockPermutationGroup, SymmetricGroup, sample_block_permutation
+from symmpi.transforms import (
+    branch_fits,
+    check_distributional_equivariance,
+    energy_permutation_test,
+    fit_linear,
+    fit_regressors,
+    hierarchical_sup_transform,
+    hierarchical_unsup_transform,
 )
 
 
@@ -244,11 +248,25 @@ def test_five_step_pipeline_equals_direct_formula():
     rng = np.random.default_rng(8)
     for _ in range(10):
         reg, x, y = make_sup_case(rng, K=3, M=4)
-        feats = _supervised_features(x, y, reg)
+        feats = supervised_features(x, y, reg)
         direct = oracles.supervised_scores_from_features(feats, 2.0)
         staged = five_step_supervised_scores(feats, 2.0)
         assert np.allclose(direct, staged, atol=1e-12)
-        assert np.allclose(hierarchical_sup_transform(x, y, reg, 2.0), direct, atol=1e-12)
+        assert hierarchical_sup_transform(x, y, reg, 2.0).tobytes() == staged.tobytes()
+    # one to five branches of one to six points, one or two x columns; a
+    # branch whose y is its pooled fit scores zero at c = inf, so its RMS
+    # divisor is 1
+    for _ in range(200):
+        K, M, d = (int(v) for v in rng.integers((1, 1, 1), (6, 7, 3)))
+        tr_x = [rng.uniform(-1, 1, (6, d)) for _ in range(K)]
+        tr_y = [x @ rng.normal(0, 3, d) + rng.normal(0, 0.2, 6) for x in tr_x]
+        reg = fit_regressors(tr_x, tr_y)
+        x = rng.uniform(-1, 1, (K, M, d))
+        y = rng.normal(0, 2, (K, M))
+        y[0] = branch_fits(reg, x.reshape(1, K * M, d), np.full(K, M))[0].reshape(K, M)[0]
+        for c in (0.0, 0.7, 2.0, np.inf):
+            staged = five_step_supervised_scores(supervised_features(x, y, reg), c)
+            assert hierarchical_sup_transform(x, y, reg, c).tobytes() == staged.tobytes()
 
 
 def test_five_step_block_equivariance():
@@ -356,3 +374,16 @@ def test_checker_rejects_small_samples():
         check_distributional_equivariance(
             lambda z: z, exchangeable_sampler, SymmetricGroup(6), 10, rng
         )
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.empty((0, 2)), np.ones((3, 2))),
+    (np.ones((3, 2)), np.empty((0, 2))),
+    ([[0.0], [np.nan]], [[1.0], [2.0]]),
+    ([[0.0], [1.0]], [[np.inf], [2.0]]),
+])
+def test_energy_test_rejects_empty_and_non_finite_samples(a, b):
+    # the statistic would be NaN, which no permutation reaches, so the
+    # p-value would read as the smallest possible
+    with pytest.raises(ValueError):
+        energy_permutation_test(a, b, np.random.default_rng(0), n_permutations=9)
