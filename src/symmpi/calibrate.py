@@ -64,7 +64,8 @@ def finite_quantile(values, level: float, weights=None) -> float:
     smallest value, K being the count of the sets' rank rule
     (``_count_under``: at level = 1 - alpha, ``_rank_count(m, alpha)``), or
     the smallest value when K = 0. Returns +inf when the level exceeds the
-    total weight (only possible for level > 1).
+    total weight (only possible for level > 1). Weights without a positive
+    total raise ``ValueError``.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
@@ -79,6 +80,8 @@ def finite_quantile(values, level: float, weights=None) -> float:
         raise ValueError("weights must match values")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
+    if not w.sum() > 0:
+        raise ValueError("weights must have a positive total")
     order = np.argsort(v, kind="stable")
     cum = np.cumsum(w[order])
     idx = np.searchsorted(cum, level - _LEVEL_EPS, side="left")
@@ -108,10 +111,7 @@ def threshold_from_scores(scores, alpha: float, weights=None) -> Threshold:
     level = 1.0 - alpha
     t = finite_quantile(s, level, weights)
     w = np.ones(s.size) if weights is None else np.asarray(weights, dtype=float).ravel()
-    total = w.sum()
-    if not total > 0:
-        raise ValueError("weights must have a positive total")
-    w = w / total
+    w = w / w.sum()
     cdf = float(np.sum(w[s <= t]))
     cdf_left = float(np.sum(w[s < t]))
     return Threshold(value=t, cdf_at_t=cdf, cdf_left=cdf_left, jump=cdf - cdf_left,
@@ -730,23 +730,26 @@ def centered_intervals(values, alphas, total=None, n: int | None = None,
                       np.full(B, n <= 2))
 
 
-def score_intervals(scores, alphas, center=None) -> ConformalIntervals:
+def score_intervals(scores, alphas, center=None, weights=None) -> ConformalIntervals:
     """Conformal sets on fixed calibration scores, rows of ``scores`` (B, m),
     against each candidate's own score |c - center| (``center`` (B, 1)), or
     the candidate c itself without a center; each of the m + 1 pooled scores
-    weighs the same. The set is center -+ the K-th smallest score, or runs up
-    to that score."""
+    weighs the same, or ``weights`` (m,) weigh the scores and the
+    candidate's own carries no mass below itself. The set is center -+ the
+    K-th smallest score, or runs up to that score."""
     d = np.asarray(scores, dtype=float)
     m = d.shape[1]
+    pooled = np.ones(m) if weights is None else weights
 
     def below(points, rows):
         own = points if center is None else np.abs(points - center[rows])
-        return _mass_below(*_weighted_pool(d[rows], np.ones(m)), own) / (m + 1)
+        mass = _mass_below(*_weighted_pool(d[rows], pooled), own)
+        return mass / (m + 1) if weights is None else mass
 
     scale = np.abs(d).max(axis=1, keepdims=True, initial=0.0)
     if center is None:
-        return _intervals(np.full(d.shape, -np.inf), d, alphas, below, scale)
-    return _intervals(center - d, center + d, alphas, below, np.abs(center) + scale)
+        return _intervals(np.full(d.shape, -np.inf), d, alphas, below, scale, weights)
+    return _intervals(center - d, center + d, alphas, below, np.abs(center) + scale, weights)
 
 
 def _interval_set(intervals: ConformalIntervals, cands, meta=None) -> PredictionSet:

@@ -463,36 +463,16 @@ class StabilizerChain:
         """The sorted orbit of point i under the group."""
         return np.flatnonzero(self.labels == self.labels[i])
 
-    def transversal(self, v: int, orbit: np.ndarray) -> np.ndarray:
-        """(len(orbit), n) images of elements of G_v mapping v to each orbit
-        point in turn."""
-        t = _grow({v: np.arange(self.n)}, [g for f, g in self.generators if f >= v])
-        return np.stack([t[u] for u in orbit.tolist()])
-
-    def contains(self, rows: np.ndarray) -> np.ndarray:
-        """Whether each row of an (m, n) image array is an element: all rows
-        sift through the levels at once, each composed with the inverse of
-        the transversal element that maps v to its image of v."""
-        h = np.asarray(rows, dtype=np.int64)
-        member = np.ones(len(h), dtype=bool)
-        at = np.full(self.n, -1)  # each basic-orbit point's position in its orbit
-        for v, orbit in self.levels:
-            inverses = np.argsort(self.transversal(v, orbit), axis=1)
-            at[orbit] = np.arange(orbit.size)
-            k = at[h[:, v]]
-            member &= k >= 0  # a row that fails here is composed with any element
-            h = np.take_along_axis(inverses[k], h, axis=1)
-            at[orbit] = -1
-        return member & (h == np.arange(self.n)).all(axis=1)
-
     @cached_property
     def _lex_levels(self) -> list:
-        """Each level's basic orbit, its transversal (``transversal``) and
-        the order of the group fixing the level's point and those before."""
+        """Each level's basic orbit, its transversal ((len(orbit), n) images
+        of elements of G_v mapping v to each orbit point in turn) and the
+        order of the group fixing the level's point and those before."""
         levels, order = [], 1
         for v, orbit in reversed(self.levels):
             order *= len(orbit)
-            levels.append((orbit, self.transversal(v, orbit), order))
+            t = _grow({v: np.arange(self.n)}, [g for f, g in self.generators if f >= v])
+            levels.append((orbit, np.stack([t[u] for u in orbit.tolist()]), order))
         return levels[::-1]
 
     def lex_batches(self, batch_size: int = 250_000):

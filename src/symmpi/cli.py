@@ -261,7 +261,7 @@ COMMANDS = {
         ("adjacency", {}),
         ("--alpha", dict(type=_alpha, default=0.1)),
         ("--generators", dict(default=None, help="file of permutations, one per line")),
-        ("--cap", dict(type=int, default=10)),
+        ("--cap", dict(type=int, default=groups.AUTOMORPHISM_SEARCH_CAP)),
         GRID, SEED, OUT, FORMAT,
     )),
     "predict-rotation": Command("strip-complement region from a point CSV", cmd_predict_rotation, (

@@ -399,47 +399,11 @@ class GraphAutomorphismGroup(PermutationGroup):
     the elements, in lexicographic order of their images; ``sample`` draws
     a rank in that order and builds that one element.
 
-    ``GraphAutomorphismGroup(A, elements)`` takes every automorphism of A,
-    as Permutations or as the rows of an (|G|, n) image array, and checks
-    that they are distinct automorphisms of A and form a group, that is
-    that the group they generate has no more elements than they are.
+    ``enumerate_automorphisms`` builds the group and its chain; this
+    constructor only holds them.
     """
 
-    def __init__(self, adjacency: np.ndarray, elements):
-        A = checked_adjacency(adjacency)
-        n = A.shape[0]
-        maps = elements if isinstance(elements, np.ndarray) else [g.mapping for g in elements]
-        maps = np.asarray(maps, dtype=np.int64).reshape(len(maps), n)
-        if not (maps == np.arange(n)).all(axis=1).any():
-            raise ValueError("automorphism list must contain the identity")
-        if not (np.sort(maps, axis=1) == np.arange(n)).all():
-            raise ValueError("automorphism list rows must be bijections on [0, n)")
-        if _first_occurrences(maps).size != len(maps):
-            raise ValueError("automorphism list repeats an element")
-        # the rows outside the group generated so far join its generators
-        generators, chain = [], StabilizerChain.generated_by(n, [])
-        block = 1 + 2**20 // (n * n + 1)
-        for lo in range(0, len(maps), block):
-            rows = maps[lo : lo + block]
-            bad = np.flatnonzero((A[rows[:, :, None], rows[:, None, :]] != A).any(axis=(1, 2)))
-            if bad.size:
-                raise ValueError(f"{Permutation(rows[bad[0]])!r} is not an automorphism")
-            while (out := np.flatnonzero(~chain.contains(rows))).size:
-                generators.append(rows[out[0]])
-                chain = StabilizerChain.generated_by(n, generators)
-                rows = rows[out[0] + 1 :]
-        if chain.order != len(maps):
-            raise ValueError(f"automorphism list is not a group: its {len(maps)} elements "
-                             f"generate more than {len(maps)} automorphisms")
-        self._hold(A, chain)
-
-    @classmethod
-    def _from_chain(cls, adjacency: np.ndarray, chain: StabilizerChain) -> "GraphAutomorphismGroup":
-        group = cls.__new__(cls)
-        group._hold(adjacency, chain)
-        return group
-
-    def _hold(self, adjacency, chain):
+    def __init__(self, adjacency: np.ndarray, chain: StabilizerChain):
         self.adjacency = adjacency
         self.shape = (self.n,)
         self._chain = chain
@@ -561,12 +525,12 @@ def sample_actions(group: GroupAction, shape, draws: int, rng: np.random.Generat
 # Automorphism enumeration and orbit machinery
 # --------------------------------------------------------------------------
 
-AUTOMORPHISM_BRUTE_FORCE_CAP = 10
+AUTOMORPHISM_SEARCH_CAP = 10
 
 
 def enumerate_automorphisms(
     adjacency,
-    cap: int = AUTOMORPHISM_BRUTE_FORCE_CAP,
+    cap: int = AUTOMORPHISM_SEARCH_CAP,
     generators: list[Permutation] | None = None,
 ) -> GraphAutomorphismGroup:
     """The vertex permutations g with g A g^T = A (exact weight equality),
@@ -591,11 +555,11 @@ def enumerate_automorphisms(
             if not graph.preserves(g.mapping.tolist()):
                 raise ValueError(f"{g!r} is not an automorphism")
         chain = StabilizerChain.generated_by(n, [g.mapping for g in generators])
-        return GraphAutomorphismGroup._from_chain(A, chain)
+        return GraphAutomorphismGroup(A, chain)
 
     if n > cap:
         raise ValueError(f"graph has {n} > {cap} vertices; supply generators instead")
-    return GraphAutomorphismGroup._from_chain(A, StabilizerChain.of_graph(WeightedGraph(A), n))
+    return GraphAutomorphismGroup(A, StabilizerChain.of_graph(WeightedGraph(A), n))
 
 
 def orbit_of_index(group: GroupAction, i: int) -> tuple[np.ndarray, int]:

@@ -19,7 +19,8 @@ from .calibrate import (
     _interval_set,
     score_intervals,
 )
-from .groups import GraphAutomorphismGroup, enumerate_automorphisms, orbit_of_index
+from .groups import (AUTOMORPHISM_SEARCH_CAP, GraphAutomorphismGroup, enumerate_automorphisms,
+                     orbit_of_index)
 
 
 def graph_vertex_set(
@@ -72,7 +73,7 @@ class CoarsenedGraph:
     def n_clusters(self) -> int:
         return self.multi_adjacency.shape[0]
 
-    def automorphism_group(self, cap: int = 10) -> GraphAutomorphismGroup:
+    def automorphism_group(self, cap: int = AUTOMORPHISM_SEARCH_CAP) -> GraphAutomorphismGroup:
         return enumerate_automorphisms(self.multi_adjacency, cap=cap)
 
 

@@ -51,11 +51,8 @@ from .calibrate import (
     _checked_candidates,
     _finite_set,
     _fit_centers,
-    _intervals,
-    _mass_within,
     _split_branches,
     _supervised_intervals,
-    _weighted_pool,
     centered_intervals,
     rank_member,
     score_intervals,
@@ -285,16 +282,8 @@ def _hcp_intervals(donors, sizes, alphas) -> ConformalIntervals:
     means, _ = _branch_stats(donors, sizes)
     # the branch means added left to right, as Python's sum adds them
     grand = np.cumsum(means, axis=1)[:, -1:] / K
-    weights = np.repeat(1.0 / (K * sizes), sizes)
-
-    def below(points, rows):
-        center = np.broadcast_to(grand[rows], points.shape)
-        return _mass_within(*_weighted_pool(donors[rows], weights), center,
-                            np.abs(points - center))
-
-    mirror = 2 * grand - donors
-    return _intervals(np.minimum(donors, mirror), np.maximum(donors, mirror), alphas, below,
-                      np.abs(donors).max(axis=1, keepdims=True), weights)
+    return score_intervals(np.abs(donors - grand), alphas, grand,
+                           np.repeat(1.0 / (K * sizes), sizes))
 
 
 def _unsup_block(flat, sizes, picks, cfg, methods):

@@ -378,11 +378,12 @@ def energy_permutation_test(
     the subsample. The permutations are drawn one ``rng.permutation`` call
     at a time, and their masks are scored as columns of one matrix product,
     ``_PERMUTATION_BLOCK`` columns at a time; the observed mask is the first
-    column of the first block. An empty sample, or one with an entry that is
+    column of the first block. A sample is an (n, d) array of n points, or
+    a 1-d array of n scalars. An empty sample, or one with an entry that is
     not finite, raises ``ValueError``: its statistic would be NaN.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = (np.asarray(x, dtype=float) for x in (a, b))
+    a, b = (x.reshape(-1, 1) if x.ndim < 2 else x for x in (a, b))
     if a.shape[1] != b.shape[1]:
         raise ValueError("samples must share their dimension")
     if not (a.size and b.size):

@@ -38,9 +38,9 @@ Monte-Carlo draw at a time: one Haar matrix and one ``score`` call per draw.
 ``conformal_below``, ``centered_conformal_below`` and ``hcp_below`` are the
 rank forms of the conformal sets and of the benchmark's ``hcp`` rule: the
 below-own mass of every candidate, searched candidate by candidate in the
-sorted calibration values (for the centered scores, each value's score
-compared with the candidate's), that ``calibrate.ConformalIntervals``
-replaces by closed-form ends.
+sorted calibration values (for the centered and ``hcp`` scores, each
+value's score compared with the candidate's), that
+``calibrate.ConformalIntervals`` replaces by closed-form ends.
 ``loop_fit_regressors`` fits the branch corrections one ``fit_linear`` call
 per branch, ``coset_representatives_by_key`` splits a group by a dictionary
 keyed on tuples of probe scores, ``read_hierarchical_csv`` groups the rows
@@ -60,9 +60,7 @@ import numpy as np
 from symmpi.calibrate import (
     PredictionSet,
     _branch_stats,
-    _mass_within,
     _supervised_block,
-    _weighted_pool,
     candidate_grid,
     finite_quantile,
     rank_member,
@@ -252,12 +250,13 @@ def centered_conformal_below(values, candidates):
 def hcp_below(donors, sizes, gridp):
     """The benchmark's ``hcp`` masses of B tests, (B, G): deviations from the
     average of the complete branches' means, each branch weighing 1/K, the
-    candidate left out of both."""
+    candidate left out of both; each value's score compared with the
+    candidate's as computed."""
     K = sizes.size
     means, _ = _branch_stats(donors, sizes)
     grand = np.cumsum(means, axis=1)[:, -1:] / K
-    pool, cum = _weighted_pool(donors, np.repeat(1.0 / (K * sizes), sizes))
-    return _mass_within(pool, cum, np.broadcast_to(grand, gridp.shape), np.abs(gridp - grand))
+    hit = np.abs(donors - grand)[:, None, :] < np.abs(gridp - grand)[:, :, None]
+    return hit @ np.repeat(1.0 / (K * sizes), sizes)
 
 
 def _mean_sd(values):

@@ -80,6 +80,13 @@ def test_finite_quantile_edges():
         finite_quantile([1, 2], 0.5, [0.6])
 
 
+def test_finite_quantile_rejects_weights_without_mass():
+    for weights in ([0.0, 0.0], [0.0, np.nan]):
+        for level in (0.9, 0.0):
+            with pytest.raises(ValueError, match="positive total"):
+                finite_quantile([1.0, 2.0], level, weights)
+
+
 def test_finite_quantile_float_level_guard():
     # 0.95 * 20 evaluates to 19.000000000000004 in floating point
     vals = np.arange(1.0, 21.0)

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from symmpi.groups import (
     BlockPermutationGroup,
-    GraphAutomorphismGroup,
     NotEnumerableError,
     OrthogonalGroup,
     Permutation,
@@ -348,43 +347,19 @@ def test_automorphisms_match_backtracking_in_order():
         assert got == want
 
 
-def test_automorphism_group_from_image_array():
-    listed = enumerate_automorphisms(cycle_graph(4))
-    maps = np.concatenate(list(listed.iter_mapping_batches()))
-    from_array = GraphAutomorphismGroup(cycle_graph(4), maps)
-    assert from_array.order() == listed.order() == 8
-    assert list(from_array.elements()) == list(listed.elements())
-    with pytest.raises(ValueError):
-        GraphAutomorphismGroup(cycle_graph(4), maps[1:2])
-
-
-def test_automorphism_list_must_be_a_group_of_automorphisms():
-    A = cycle_graph(4)
-    maps = np.concatenate(list(enumerate_automorphisms(A).iter_mapping_batches()))
-    with pytest.raises(ValueError, match="is not an automorphism"):
-        GraphAutomorphismGroup(A, np.vstack([maps[:1], [[1, 0, 2, 3]]]))
-    # the identity and two reflections: three automorphisms that are no group
-    with pytest.raises(ValueError, match="not a group"):
-        GraphAutomorphismGroup(A, maps[:3])
-    with pytest.raises(ValueError, match="repeats an element"):
-        GraphAutomorphismGroup(A, np.vstack([maps, maps[1:2]]))
-    with pytest.raises(ValueError, match="bijections"):
-        GraphAutomorphismGroup(A, np.vstack([maps, [[0, 0, 2, 3]]]))
-
-
-def test_automorphism_list_in_any_order_over_several_blocks():
-    # S_8's 40320 rows are checked in blocks; shuffled, rows outside the
-    # group generated so far turn up in every block
-    A = np.zeros((8, 8))
-    maps = np.concatenate(list(SymmetricGroup(8).iter_mapping_batches()))
-    maps = maps[np.random.default_rng(3).permutation(len(maps))]
-    group = GraphAutomorphismGroup(A, maps)
-    assert group.order() == math.factorial(8)
-    assert np.array_equal(np.concatenate(list(group.iter_mapping_batches())),
-                          np.concatenate(list(SymmetricGroup(8).iter_mapping_batches())))
-    identity = int(np.flatnonzero((maps == np.arange(8)).all(axis=1))[0])
-    with pytest.raises(ValueError, match="not a group"):
-        GraphAutomorphismGroup(A, np.delete(maps, (identity + 1) % len(maps), axis=0))
+def test_every_element_as_generators_gives_the_searched_group():
+    # each element list of a group also generates it, so Schreier–Sims on
+    # the whole list rebuilds the group the search finds
+    for A in (cycle_graph(4), petersen_graph(), cube_graph()):
+        searched = enumerate_automorphisms(A)
+        listed = list(searched.elements())
+        rebuilt = enumerate_automorphisms(A, generators=listed[::-1])
+        assert rebuilt.order() == searched.order() == len(listed)
+        for i in range(A.shape[0]):
+            for got, want in zip(orbit_of_index(rebuilt, i), orbit_of_index(searched, i)):
+                assert np.array_equal(got, want)
+        assert [g.mapping.tolist() for g in rebuilt.elements()] == [
+            g.mapping.tolist() for g in listed]
 
 
 def test_automorphisms_reject_non_finite_weights():

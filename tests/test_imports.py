@@ -1,6 +1,8 @@
 """Every module of the package, other than ``__init__`` (which re-exports),
 uses each name it imports; only ``calibrate._finite_set`` builds a
-``PredictionSet``, so every set takes its members one way; and only
+``PredictionSet``, so every set takes its members one way; only
+``groups`` builds a ``GraphAutomorphismGroup``, so every graph group comes
+from ``enumerate_automorphisms``' stabilizer chain; and only
 ``dataio._csv_rows`` calls ``csv.reader``, so every CSV reader that goes
 row by row reads its text one way; and no module reaches into argparse's
 private names or a parser's ``_actions``, so the command line is read from
@@ -67,13 +69,17 @@ def call_scopes(source: str, called) -> list[str]:
     return found
 
 
-def prediction_set_calls(source: str) -> list[str]:
-    """The scopes of each ``PredictionSet(...)`` call in ``source``."""
+def named_calls(source: str, name: str) -> list[str]:
+    """The scopes of each ``name(...)`` or ``x.name(...)`` call in ``source``."""
     def called(func):
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        return name == "PredictionSet"
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
 
     return call_scopes(source, called)
+
+
+def prediction_set_calls(source: str) -> list[str]:
+    """The scopes of each ``PredictionSet(...)`` call in ``source``."""
+    return named_calls(source, "PredictionSet")
 
 
 def csv_reader_calls(source: str) -> list[str]:
@@ -95,6 +101,12 @@ def test_a_prediction_set_call_is_found():
     source = ("ps = calibrate.PredictionSet(c, m)\n"
               "def build(c):\n    return [PredictionSet(c, m) for m in (lambda: 0,)]\n")
     assert prediction_set_calls(source) == ["<module>", "build"]
+
+
+def test_graph_groups_are_built_in_one_place():
+    calls = [f"{module[:-3]}.{scope}" for module in MODULES
+             for scope in named_calls((PACKAGE / module).read_text(), "GraphAutomorphismGroup")]
+    assert set(calls) == {"groups.enumerate_automorphisms"}
 
 
 def test_csv_text_is_split_in_one_place():

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from symmpi import sim
-from symmpi.calibrate import candidate_grid, hcp_first_obs_set, rank_member
+from symmpi.calibrate import _branch_stats, candidate_grid, hcp_first_obs_set, rank_member
 from symmpi.sim import (
     HierarchicalConfig,
     _unsup_eval,
@@ -467,3 +467,33 @@ def test_hcp_rows_and_library_first_obs_set_are_different_rules():
     kept = grid[oracles.hcp_rows_members(donors, grid, 0.3)]
     assert 0.0 <= kept.min() and kept.max() <= 3.0
     assert length == pytest.approx(3.0, abs=2 * (grid[1] - grid[0]))
+
+
+def test_hcp_rows_keep_a_candidate_tied_with_a_donor():
+    # the average of the branch means is -0.5375; the donor 0.5 ties the
+    # candidate 0.5 and does not count below it, so the mass below is 5/12
+    donors = [np.array([-1.2, 1.3, 0.5]), np.array([-2.0]), np.array([-1.5, 1.7, 0.7]),
+              np.array([0.0, -1.3])]
+    cfg = HierarchicalConfig(n_branches=5, grid_points=101, alphas=(0.5,))
+    [(_, covered, _)] = _unsup_eval(donors + [np.array([0.5])], cfg, None, ("hcp",))["hcp"]
+    assert covered
+    assert oracles.hcp_rows_members(donors, [0.5], 0.5).all()
+
+
+def test_hcp_rows_compare_scores_directly_on_a_lattice():
+    # donors on a 0.1 lattice, candidates at the donor values and at their
+    # mirror images about the average of the branch means, so that scores
+    # tie: a donor counts below a candidate exactly when its score, as
+    # computed, is below the candidate's
+    rng = np.random.default_rng(25)
+    sizes = np.array([3, 1, 3, 2])
+    alphas = (0.2, 0.5, 0.7)
+    donors = rng.integers(-20, 21, (2000, sizes.sum())) / 10
+    grand = np.cumsum(_branch_stats(donors, sizes)[0], axis=1)[:, -1:] / sizes.size
+    cands = np.concatenate([donors, 2 * grand - donors], axis=1)
+    weights = np.repeat(1.0 / (sizes.size * sizes), sizes)
+    below = (np.abs(donors - grand)[:, None, :] < np.abs(cands - grand)[:, :, None]) @ weights
+    member = sim._hcp_intervals(donors, sizes, alphas).member(cands)
+    for kept, alpha in zip(member, alphas):
+        assert np.array_equal(kept, rank_member(below, alpha))
+        assert np.array_equal(kept, rank_member(oracles.hcp_below(donors, sizes, cands), alpha))

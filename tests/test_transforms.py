@@ -376,6 +376,14 @@ def test_checker_rejects_small_samples():
         )
 
 
+def test_energy_test_reads_a_1d_sample_as_scalar_points():
+    a, b = np.arange(50.0), np.arange(50.0) + 100
+    _, p_flat = energy_permutation_test(a, b, np.random.default_rng(0), n_permutations=99)
+    _, p_cols = energy_permutation_test(a[:, None], b[:, None], np.random.default_rng(0),
+                                        n_permutations=99)
+    assert p_flat == p_cols == 0.01
+
+
 @pytest.mark.parametrize("a, b", [
     (np.empty((0, 2)), np.ones((3, 2))),
     (np.ones((3, 2)), np.empty((0, 2))),
