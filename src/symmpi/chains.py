@@ -3,21 +3,35 @@ graph's automorphism group as one.
 
 A ``StabilizerChain`` holds a group on n points by strong generators and
 basic orbits for the base 0, 1, ..., n-1 (Sims 1970): its order and orbits
-need no enumeration, and it lists its elements in lexicographic order. It is
-built by Schreier–Sims from generators, or for a graph's automorphisms by a
-search pruned with colour refinement (McKay & Piperno, "Practical graph
-isomorphism, II", 2014) that finds one automorphism per point of each basic
-orbit. It also gives the element of any rank in that order without listing
-the others. ``groups.GraphAutomorphismGroup`` holds one.
+need no enumeration, it lists its elements in lexicographic order, and it
+draws uniform elements at any order. It is built in closed form for the
+symmetric and block groups, by Schreier–Sims from generators, or for a
+graph's automorphisms by a search pruned with colour refinement (McKay &
+Piperno, "Practical graph isomorphism, II", 2014) that finds one
+automorphism per point of each basic orbit. Every ``groups.PermutationGroup``
+holds one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
-from functools import cached_property
+from collections.abc import Iterable
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+_LEX_TAIL = 7  # most points of a listing's tail, read from a cached table
+
+
+@lru_cache(maxsize=None)
+def _lex_table(m: int) -> np.ndarray:
+    """Read-only (m!, m) table of the permutations of range(m) in
+    lexicographic order; one empty row for m = 0."""
+    table = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def checked_adjacency(adjacency) -> np.ndarray:
@@ -387,18 +401,43 @@ def _schreier_sims(n: int, rows) -> tuple[list, dict]:
     return strong, {l: t for l, t in trans.items() if len(t) > 1}
 
 
+class _BlockGenerators:
+    """The strong generators of the block group on K blocks of M points, as
+    (first moved point, images) pairs: the adjacent transpositions within
+    each block and the swaps of adjacent blocks. They are made each time
+    they are iterated, so that a chain read only for its order and orbits
+    holds none of their n^2 images."""
+
+    def __init__(self, K: int, M: int):
+        self.K, self.M = K, M
+
+    def __iter__(self):
+        K, M = self.K, self.M
+        ident = np.arange(K * M, dtype=np.int64)
+        for v in range(K * M):
+            k, i = divmod(v, M)
+            if i < M - 1:
+                g = ident.copy()
+                g[v], g[v + 1] = v + 1, v
+                yield v, g
+            if i == 0 and k < K - 1:
+                g = ident.copy()
+                g[v : v + M], g[v + M : v + 2 * M] = ident[v + M : v + 2 * M], ident[v : v + M]
+                yield v, g
+
+
 class StabilizerChain:
     """A permutation group on n points, by its stabilizer chain for the base
     0, 1, ..., n-1.
 
-    ``generators`` pairs each strong generator with its first moved point;
+    ``generators`` yields each strong generator with its first moved point;
     those whose first moved point is v or later generate G_v, the elements
     fixing 0..v-1. ``levels`` pairs each v whose basic orbit (the images of
     v under G_v) has more than one point with that orbit, sorted, and
     ``labels`` names each point's orbit under the whole group.
     """
 
-    def __init__(self, n: int, generators: list, levels: list, labels: np.ndarray):
+    def __init__(self, n: int, generators: Iterable, levels: list, labels: np.ndarray):
         self.n = n
         self.generators = generators
         self.levels = levels
@@ -459,21 +498,56 @@ class StabilizerChain:
                 levels.append((v, np.array(sorted(orbit), dtype=np.int64)))
         return cls(n, generators, levels[::-1], orbits.labels())
 
+    @classmethod
+    @lru_cache(maxsize=8)
+    def of_blocks(cls, K: int, M: int) -> "StabilizerChain":
+        """The chain of the block group on K blocks of M points, and of the
+        symmetric group on M points when K = 1, in closed form. Groups of
+        one shape share it, with its transversals, once it is built.
+
+        Point kM + i's basic orbit is [kM, n) when i = 0, as G_kM moves any
+        later block onto block k, and [kM + i, (k+1)M) otherwise, as G_kM+i
+        keeps block k in place; the group is transitive.
+        """
+        n = K * M
+        ident = np.arange(n, dtype=np.int64)
+        levels = []
+        for v in range(n):
+            k, i = divmod(v, M)
+            end = n if i == 0 else (k + 1) * M
+            if end - v > 1:
+                levels.append((v, ident[v:end]))
+        return cls(n, _BlockGenerators(K, M), levels, np.zeros(n, dtype=np.int64))
+
     def orbit_of(self, i: int) -> np.ndarray:
         """The sorted orbit of point i under the group."""
         return np.flatnonzero(self.labels == self.labels[i])
 
+    def _transversal(self, v: int) -> np.ndarray:
+        """The (len(orbit), n) images of elements of G_v that map v to each
+        point of its basic orbit in turn."""
+        t = _grow({v: np.arange(self.n)}, [g for f, g in self.generators if f >= v])
+        return np.array([t[u] for u in sorted(t)])
+
     @cached_property
-    def _lex_levels(self) -> list:
-        """Each level's basic orbit, its transversal ((len(orbit), n) images
-        of elements of G_v mapping v to each orbit point in turn) and the
-        order of the group fixing the level's point and those before."""
-        levels, order = [], 1
-        for v, orbit in reversed(self.levels):
-            order *= len(orbit)
-            t = _grow({v: np.arange(self.n)}, [g for f, g in self.generators if f >= v])
-            levels.append((orbit, np.stack([t[u] for u in orbit.tolist()]), order))
-        return levels[::-1]
+    def _lex_levels(self) -> tuple[list, int, np.ndarray]:
+        """The listing's levels: each level before the tail as its basic
+        orbit, its transversal and the order of G_v, then the tail's first
+        point t and the lexicographic table of the permutations of n - t
+        points.
+
+        The tail starts at the first level v with n - v <= 7 whose G_v has
+        order (n - v)!, so is the symmetric group on v..n-1, and needs no
+        transversal. Without one, t = n and the table has one empty row.
+        """
+        head, t, order = [], self.n, self.order
+        for v, orbit in self.levels:
+            if self.n - v <= _LEX_TAIL and order == math.factorial(self.n - v):
+                t = v
+                break
+            head.append((orbit, self._transversal(v), order))
+            order //= len(orbit)
+        return head, t, _lex_table(self.n - t)
 
     def lex_batches(self, batch_size: int = 250_000):
         """Every element in lexicographic order of its images, as (B, n)
@@ -483,42 +557,56 @@ class StabilizerChain:
         transversal elements of the levels before v are p t_u G_{v'}, one
         coset for each point u of v's basic orbit, with v' the next level;
         their image of v is p(u), so putting the cosets in order of p(u) at
-        every level lists the elements in lexicographic order.
+        every level lists the elements in lexicographic order. At the tail
+        t, the elements p G_t keep p's images of 0..t-1 and arrange its
+        images of t..n-1, sorted, in the table's orders.
         """
         n = self.n
-        steps = self._lex_levels
+        head, t, table = self._lex_levels
 
         def expand(prefixes, k):
-            if k == len(steps):
-                yield prefixes
+            if k < len(head):
+                orbit, trans, order = head[k]
+                step = max(1, batch_size // order)
+                for lo in range(0, len(prefixes), step):
+                    p = prefixes[lo : lo + step]
+                    picks = trans[np.argsort(p[:, orbit], axis=1)]
+                    yield from expand(p[np.arange(len(p))[:, None, None], picks].reshape(-1, n),
+                                      k + 1)
                 return
-            orbit, trans, order = steps[k]
-            step = max(1, batch_size // order)
+            step = max(1, batch_size // len(table))
             for lo in range(0, len(prefixes), step):
-                p = prefixes[lo : lo + step]
-                picks = trans[np.argsort(p[:, orbit], axis=1)]
-                yield from expand(p[np.arange(len(p))[:, None, None], picks].reshape(-1, n), k + 1)
+                p = prefixes[lo : lo + step].copy()
+                p[:, t:].sort(axis=1)
+                for start in range(0, len(table), batch_size):
+                    part = table[start : start + batch_size]
+                    index = np.empty((len(part), n), dtype=np.int64)
+                    index[:, :t] = np.arange(t)
+                    index[:, t:] = part + t
+                    yield np.take(p, index, axis=1).reshape(-1, n)
 
         pending, count = [], 0
         for block in expand(np.arange(n, dtype=np.int64)[None], 0):
             pending.append(block)
             count += len(block)
             while count >= batch_size:
-                rows = np.concatenate(pending)
+                rows = np.concatenate(pending) if len(pending) > 1 else pending[0]
                 yield rows[:batch_size]
                 pending, count = [rows[batch_size:]], count - batch_size
         if count:
-            yield np.concatenate(pending)
+            yield np.concatenate(pending) if len(pending) > 1 else pending[0]
 
-    def element(self, r: int) -> np.ndarray:
-        """The element of rank r (0 <= r < order) in the order of
-        ``lex_batches``, without listing the others: at each level, with
-        |G_v'| elements in each coset, the digit (r // |G_v'|) % |orbit|
-        ranks the coset p t_u G_v' to take among the cosets ordered by p(u).
-        """
+    @cached_property
+    def _transversals(self) -> list:
+        """Every level's transversal, in level order."""
+        return [self._transversal(v) for v, _ in self.levels]
+
+    def random_element(self, rng: np.random.Generator) -> np.ndarray:
+        """A uniform element, at any order: the product t_0 t_1 ... of one
+        uniform pick from each level's transversal, in level order. Each
+        element is one such product, as G_v is the disjoint union of the
+        cosets t_u G_{v'} of its transversal's elements."""
         p = np.arange(self.n, dtype=np.int64)
-        for orbit, trans, order in self._lex_levels:
-            size = len(orbit)
-            u = np.argsort(p[orbit])[r // (order // size) % size]
-            p = p[trans[u]]
+        for trans in self._transversals:
+            p = p[trans[rng.integers(len(trans))]]
         return p

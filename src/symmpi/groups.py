@@ -5,10 +5,12 @@ automorphism groups are permutation groups sharing one element form, a
 ``Permutation`` of the flattened data point; orthogonal matrices act on point
 clouds. Plus uniform sampling, orbits, stabilizers, and cosets. All finite
 groups expose batched enumeration so that downstream quantile computations
-stay vectorized. A graph automorphism group is held as a stabilizer chain
-(``symmpi.chains``), found by a search pruned with colour refinement or built
-by Schreier–Sims from generators: its order and orbits need no enumeration,
-and its elements are listed only when asked for.
+stay vectorized. Every permutation group is held as a stabilizer chain
+(``symmpi.chains``): in closed form for the symmetric and block groups, and
+for a graph's automorphisms found by a search pruned with colour refinement
+or built by Schreier–Sims from generators. Its order and orbits need no
+enumeration, and its elements are listed, in lexicographic order of their
+images, only when asked for.
 """
 
 from __future__ import annotations
@@ -118,57 +120,6 @@ def _haar_matrices(p: int, draws: int, rng: np.random.Generator) -> np.ndarray:
     return q * d[:, None, :]
 
 
-_LEX_TAIL = 7  # trailing positions of a lexicographic permutation read from a table
-
-
-def _lex_unrank(n: int, ranks: np.ndarray) -> np.ndarray:
-    """Permutations of range(n) at the given lexicographic ranks: digit j of
-    the rank in the factorial base picks image j among the symbols left."""
-    B = ranks.size
-    left = np.broadcast_to(np.arange(n, dtype=np.int64), (B, n))
-    out = np.empty((B, n), dtype=np.int64)
-    for j in range(n):
-        digit, ranks = np.divmod(ranks, math.factorial(n - 1 - j))
-        out[:, j] = left[np.arange(B), digit]
-        left = left[np.arange(n - j) != digit[:, None]].reshape(B, n - j - 1)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _lex_table(n: int) -> np.ndarray:
-    """Read-only lexicographic table of the n! permutations of range(n)."""
-    table = _lex_unrank(n, np.arange(math.factorial(n)))
-    table.flags.writeable = False
-    return table
-
-
-def lex_permutation_batches(n: int, batch_size: int = 250_000):
-    """All permutations of range(n) in lexicographic order, the order of
-    ``itertools.permutations``, as (B, n) int64 arrays of up to ``batch_size`` rows.
-
-    For n <= 7 the batches are cut from the cached table of S_n. For larger
-    n, the permutations sharing their first n - 7 images (their head) form a
-    run of 7! rows whose last 7 images are the symbols left, arranged as the
-    rows of the table of S_7; each batch is cut from whole runs.
-    """
-    t = min(n, _LEX_TAIL)
-    table = _lex_table(t)
-    run = table.shape[0]
-    total = math.factorial(n)
-    for start in range(0, total, batch_size):
-        stop = min(start + batch_size, total)
-        if n == t:
-            yield table[start:stop].copy()
-            continue
-        h0, h1 = start // run, -(-stop // run)
-        # a run's first permutation lists the symbols left in increasing order
-        first = _lex_unrank(n, np.arange(h0, h1) * run)
-        rows = np.empty((h1 - h0, run, n), dtype=np.int64)
-        rows[:, :, : n - t] = first[:, None, : n - t]
-        rows[:, :, n - t :] = first[:, n - t :][:, table]
-        yield rows.reshape(-1, n)[start - h0 * run : stop - h0 * run]
-
-
 # --------------------------------------------------------------------------
 # Group action contracts
 # --------------------------------------------------------------------------
@@ -206,18 +157,6 @@ class GroupAction:
         """Yield (m, n) integer arrays of permutation images, if applicable."""
         raise NotEnumerableError(f"{type(self).__name__} has no permutation form")
 
-    def _index_orbit(self, i: int) -> tuple[np.ndarray, int]:
-        """The sorted orbit of index i and its stabilizer's size (see
-        ``orbit_of_index``): the elements that map i to each index, counted
-        over the listing."""
-        counts = 0  # per index, the elements that map i to it
-        for maps in self.iter_mapping_batches():
-            counts = counts + np.bincount(maps[:, i], minlength=maps.shape[1])
-        orbit, stab = np.flatnonzero(counts).astype(np.int64, copy=False), int(counts[i])
-        if orbit.size * stab != counts.sum():
-            raise AssertionError("orbit-stabilizer identity violated")
-        return orbit, stab
-
 
 class TrivialGroup(GroupAction):
     """The one-element group; acts as the identity on anything."""
@@ -248,12 +187,27 @@ class PermutationGroup(GroupAction):
     """A finite group of permutations of a data point's entries.
 
     Every element is a ``Permutation`` of the flattened point: entry i of a
-    point of ``shape`` moves to entry g(i). Subclasses give the shape, the
-    order, ``sample`` and ``iter_mapping_batches``, whose order is the order
-    of ``elements``.
+    point of ``shape`` moves to entry g(i). The group is held as a
+    stabilizer chain for the base 0..n-1, which gives its order and orbits
+    and lists its elements in lexicographic order of their images.
+    Subclasses give the shape, ``sample`` and the chain: a graph group's
+    constructor takes it, and the symmetric and block groups name their
+    ``_blocks`` (K, M), whose closed-form chain is built on first use.
     """
 
     shape: tuple
+    _blocks: tuple
+
+    @functools.cached_property
+    def _chain(self) -> StabilizerChain:
+        return StabilizerChain.of_blocks(*self._blocks)
+
+    def order(self) -> int:
+        return self._chain.order
+
+    def iter_mapping_batches(self, batch_size: int = 250_000):
+        """(B, n) arrays of the elements' images, in lexicographic order."""
+        return self._chain.lex_batches(batch_size)
 
     def identity(self) -> Permutation:
         return Permutation.identity(math.prod(self.shape))
@@ -289,20 +243,10 @@ class SymmetricGroup(PermutationGroup):
             raise ValueError("n must be >= 1")
         self.n = n
         self.shape = (n,)
+        self._blocks = (1, n)
 
     def sample(self, rng) -> Permutation:
         return sample_uniform_permutation(self.n, rng)
-
-    def order(self) -> int:
-        return math.factorial(self.n)
-
-    def iter_mapping_batches(self, batch_size: int = 250_000):
-        """Images in lexicographic order."""
-        return lex_permutation_batches(self.n, batch_size)
-
-    def _index_orbit(self, i: int) -> tuple[np.ndarray, int]:
-        range(self.n)[i]  # an IndexError outside the points
-        return np.arange(self.n, dtype=np.int64), math.factorial(self.n - 1)
 
     def act_uniform_batch(self, rng, z):
         """Apply an independent uniform permutation to each row of z (..., n)."""
@@ -323,31 +267,10 @@ class BlockPermutationGroup(PermutationGroup):
         self.K = K
         self.M = M
         self.shape = (K, M)
+        self._blocks = (K, M)
 
     def sample(self, rng) -> Permutation:
         return sample_block_permutation(self.K, self.M, rng)
-
-    def order(self) -> int:
-        return math.factorial(self.K) * math.factorial(self.M) ** self.K
-
-    def iter_mapping_batches(self, batch_size: int = 250_000):
-        """Flat images, outer permutations in lexicographic order: element
-        number o * (M!)^K + t pairs the o-th outer permutation with the inner
-        permutations whose lexicographic indices are the base-M! digits of t."""
-        K, M = self.K, self.M
-        outer = next(lex_permutation_batches(K, math.factorial(K)))
-        inner = next(lex_permutation_batches(M, math.factorial(M)))
-        per_outer = inner.shape[0] ** K
-        total = outer.shape[0] * per_outer
-        for start in range(0, total, batch_size):
-            o, t = np.divmod(np.arange(start, min(start + batch_size, total)), per_outer)
-            digits = np.stack(np.unravel_index(t, (inner.shape[0],) * K), axis=1)
-            yield (outer[o][:, :, None] * M + inner[digits]).reshape(-1, K * M)
-
-    def _index_orbit(self, i: int) -> tuple[np.ndarray, int]:
-        n = self.K * self.M
-        range(n)[i]  # an IndexError outside the points
-        return np.arange(n, dtype=np.int64), self.order() // n
 
     def act_uniform_batch(self, rng, z):
         """Apply an independent uniform block permutation per row of z (..., K, M)
@@ -395,9 +318,7 @@ class GraphAutomorphismGroup(PermutationGroup):
     and, for each vertex v, its basic orbit, the images of v under the
     automorphisms that fix 0..v-1. The order is the product of the basic
     orbit sizes and every vertex's orbit comes from the generators, so
-    neither lists an element. ``iter_mapping_batches`` and ``elements`` list
-    the elements, in lexicographic order of their images; ``sample`` draws
-    a rank in that order and builds that one element.
+    neither lists an element.
 
     ``enumerate_automorphisms`` builds the group and its chain; this
     constructor only holds them.
@@ -413,23 +334,9 @@ class GraphAutomorphismGroup(PermutationGroup):
         return self.adjacency.shape[0]
 
     def sample(self, rng) -> Permutation:
-        """The element of rank ``rng.integers(order)`` in lexicographic
-        order, found from the chain without listing the elements."""
-        order = self._chain.order
-        if order > 2**63:
-            raise ValueError(f"cannot draw uniformly from a group of order {order}: "
-                             "rng.integers takes orders up to 2**63")
-        return Permutation(self._chain.element(int(rng.integers(order))), validate=False)
-
-    def order(self) -> int:
-        return self._chain.order
-
-    def iter_mapping_batches(self, batch_size: int = 250_000):
-        return self._chain.lex_batches(batch_size)
-
-    def _index_orbit(self, i: int) -> tuple[np.ndarray, int]:
-        orbit = self._chain.orbit_of(range(self.n)[i])
-        return orbit, self._chain.order // orbit.size
+        """A uniform element drawn through the chain, one transversal pick
+        per level, without listing the elements."""
+        return Permutation(self._chain.random_element(rng), validate=False)
 
 
 # --------------------------------------------------------------------------
@@ -563,15 +470,16 @@ def enumerate_automorphisms(
 
 
 def orbit_of_index(group: GroupAction, i: int) -> tuple[np.ndarray, int]:
-    """Orbit {g(i)} of an index under a finite permutation-like group.
+    """Orbit {g(i)} of an index under a permutation group.
 
     Returns the sorted orbit and the stabilizer size, which satisfy
-    |orbit| * |stabilizer| = |G|. The symmetric and block groups are
-    transitive, and a graph automorphism group reads the orbit from its
-    stabilizer chain; other groups count, over their elements, those that
-    map i to each index.
+    |orbit| * |stabilizer| = |G|, both read from the group's stabilizer
+    chain without listing an element.
     """
-    return group._index_orbit(i)
+    if not isinstance(group, PermutationGroup):
+        raise NotEnumerableError(f"{type(group).__name__} has no permutation form")
+    orbit = group._chain.orbit_of(range(math.prod(group.shape))[i])
+    return orbit, group._chain.order // orbit.size
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,8 @@ keyed on tuples of probe scores, ``read_hierarchical_csv`` groups the rows
 of ``dataio.read_branch_rows`` by branch, and ``read_hierarchical_rows``
 reads a branch data file one row at a time. ``symmetric_maps`` and ``block_maps``
 list the images of S_n and of the block group in the enumeration order of
-``itertools.permutations`` and ``itertools.product``.
+``itertools.permutations`` and ``itertools.product``. ``counting_orbit`` is
+``groups.orbit_of_index`` counted over a group's listed elements.
 """
 
 import csv
@@ -877,6 +878,18 @@ def block_maps(K, M):
     return np.array([(np.array(outer)[:, None] * M + inner[list(t)]).ravel()
                      for outer in itertools.permutations(range(K))
                      for t in itertools.product(range(len(inner)), repeat=K)], dtype=np.int64)
+
+
+def counting_orbit(group, i):
+    """The sorted orbit of index i and its stabilizer's size, from the
+    elements that map i to each index, counted over the listing."""
+    counts = 0
+    for maps in group.iter_mapping_batches():
+        counts = counts + np.bincount(maps[:, i], minlength=maps.shape[1])
+    orbit, stab = np.flatnonzero(counts).astype(np.int64, copy=False), int(counts[i])
+    if orbit.size * stab != counts.sum():
+        raise AssertionError("orbit-stabilizer identity violated")
+    return orbit, stab
 
 
 def coset_representatives_by_key(group, psi, probes):

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from symmpi.calibrate import symmpi_set
+from symmpi.chains import StabilizerChain, WeightedGraph
 from symmpi.groups import (
     BlockPermutationGroup,
     NotEnumerableError,
@@ -238,10 +241,14 @@ def test_block_group_order_formula():
         assert sum(1 for _ in G.elements()) == math.factorial(K) * math.factorial(M) ** K
 
 
+BLOCK_SHAPES = [(K, M) for K in (1, 2, 3) for M in (1, 2, 3)] + [(4, 2)]
+
+
 def test_block_mapping_batches_follow_element_order():
-    for K, M in [(2, 2), (2, 3), (3, 2)]:
+    # lexicographic in the flat images, as every permutation group lists
+    for K, M in BLOCK_SHAPES:
         G = BlockPermutationGroup(K, M)
-        want = oracles.block_maps(K, M)
+        want = np.array(sorted(oracles.block_maps(K, M).tolist()), dtype=np.int64)
         for batch_size in (250_000, 7):
             got = np.concatenate(list(G.iter_mapping_batches(batch_size)))
             assert np.array_equal(got, want)
@@ -249,15 +256,33 @@ def test_block_mapping_batches_follow_element_order():
 
 
 def test_symmetric_mapping_batches_follow_itertools_order():
-    for n in range(1, 8):
+    # S_8 is the first listed through a chain level before its 7-point tail
+    for n in range(1, 9):
         want = oracles.symmetric_maps(n)
-        for batch_size in (5, 96, 250_000):
-            batches = list(SymmetricGroup(n).iter_mapping_batches(batch_size))
-            assert all(b.shape[0] <= batch_size for b in batches)
+        for batch_size in (5, 96, None):
+            G = SymmetricGroup(n)
+            batches = list(G.iter_mapping_batches() if batch_size is None
+                           else G.iter_mapping_batches(batch_size))
+            assert all(b.shape[0] <= (batch_size or 250_000) for b in batches)
             got = np.concatenate(batches)
             assert got.dtype == np.int64 and np.array_equal(got, want)
     assert np.array_equal([g.mapping for g in SymmetricGroup(4).elements()],
                           oracles.symmetric_maps(4))
+
+
+@pytest.mark.parametrize("group", [SymmetricGroup(n) for n in range(1, 9)]
+                         + [BlockPermutationGroup(K, M) for K, M in BLOCK_SHAPES],
+                         ids=[f"S{n}" for n in range(1, 9)]
+                         + [f"block-{K}-{M}" for K, M in BLOCK_SHAPES])
+def test_closed_form_chains_match_schreier_sims(group):
+    chain = group._chain
+    built = StabilizerChain.generated_by(chain.n, [g for _, g in chain.generators])
+    assert [v for v, _ in chain.levels] == [v for v, _ in built.levels]
+    for (_, orbit), (_, want) in zip(chain.levels, built.levels):
+        assert np.array_equal(orbit, want)
+    K, M = group._blocks
+    assert chain.order == built.order == math.factorial(K) * math.factorial(M) ** K
+    assert np.array_equal(chain.labels == chain.labels[0], built.labels == built.labels[0])
 
 
 def test_block_uniform_batch_accepts_flat_points():
@@ -413,19 +438,28 @@ def cube_graph():
     ("K33", graph_of(6, [(u, v) for u in range(3) for v in range(3, 6)]), 72),
     ("C10", cycle_graph(10), 20),
 ])
-def test_graph_sample_is_the_listed_element_of_the_drawn_rank(name, A, order):
-    # the rank of rng.integers(order) in the lexicographic listing, built
-    # without the listing, in the same stream
+def test_graph_chain_draws_cover_each_element_once(name, A, order):
+    # a draw is one transversal pick per level, in level order; over all
+    # picks, the products are the group's elements, each exactly once
     aut = enumerate_automorphisms(A)
-    listed = np.concatenate(list(aut.iter_mapping_batches()))
-    assert aut.order() == len(listed) == order
-    for seed in range(20):
+    transversals = aut._chain._transversals
+    products = []
+    for picks in itertools.product(*(range(len(t)) for t in transversals)):
+        p = np.arange(aut.n)
+        for t, u in zip(transversals, picks):
+            p = p[t[u]]
+        products.append(tuple(p.tolist()))
+    listed = [tuple(g.mapping.tolist()) for g in aut.elements()]
+    assert len(products) == len(listed) == order
+    assert sorted(products) == listed
+    for seed in range(5):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(10):
-            assert np.array_equal(aut.sample(rng).mapping, listed[ref.integers(order)])
+            p = np.arange(aut.n)
+            for t in transversals:
+                p = p[t[ref.integers(len(t))]]
+            assert np.array_equal(aut.sample(rng).mapping, p)
         assert rng.random() == ref.random()
-    for r in (0, 1, order // 2, order - 1):
-        assert np.array_equal(aut._chain.element(r), listed[r])
 
 
 def test_graph_sample_needs_no_listing():
@@ -441,11 +475,24 @@ def test_graph_sample_needs_no_listing():
     assert g.mapping[0] == 0 and sorted(g.mapping.tolist()) == list(range(13))
 
 
-def test_graph_sample_refuses_an_order_beyond_integers():
-    aut = enumerate_automorphisms(star_graph(21), cap=22)  # 21! > 2**63
-    with pytest.raises(ValueError, match="group of order 51090942171709440000"):
-        aut.sample(np.random.default_rng(0))
-    assert enumerate_automorphisms(star_graph(20), cap=21).sample(np.random.default_rng(0)).n == 21
+def test_graph_sample_runs_monte_carlo_beyond_integer_orders():
+    # the seeded tree's group has order about 2.3e57, past rng.integers
+    A = oracles.random_tree(1000, 5)
+    aut = enumerate_automorphisms(A, cap=1000)
+    assert aut.order() > 2**63
+    graph = WeightedGraph(A)
+    rng = np.random.default_rng(0)
+    assert all(graph.preserves(aut.sample(rng).mapping.tolist()) for _ in range(20))
+    target = max(range(1000), key=lambda i: orbit_of_index(aut, i)[0].size)
+    orbit = orbit_of_index(aut, target)[0]
+    assert orbit.size >= 5
+    observed = np.delete(np.arange(1000.0), target)
+    candidates = np.array([orbit.min() - 1.0, orbit.max() + 1.0])
+    ps = symmpi_set(observed, candidates, lambda o, c: np.insert(o, target, c), lambda z: z,
+                    lambda z: np.asarray(z)[..., target], aut, 0.3, mode="mc", mc_draws=300,
+                    rng=rng)
+    # below every other orbit value the candidate is kept, above them it is not
+    assert ps.member.tolist() == [True, False]
 
 
 def test_random_tree_order_is_the_rooted_tree_count():
@@ -543,28 +590,40 @@ def test_orbit_stabilizer_every_index():
             assert orbit.size * stab == group.order()
 
 
-@pytest.mark.parametrize("group", [SymmetricGroup(5), BlockPermutationGroup(2, 3)],
-                         ids=["S5", "block-2-3"])
+@pytest.mark.parametrize("group", [SymmetricGroup(n) for n in range(1, 7)]
+                         + [BlockPermutationGroup(K, M) for K in (1, 2, 3) for M in (1, 2, 3)],
+                         ids=[f"S{n}" for n in range(1, 7)]
+                         + [f"block-{K}-{M}" for K in (1, 2, 3) for M in (1, 2, 3)])
 def test_closed_form_orbits_match_enumeration(group):
-    n = math.prod(group.shape)
-    maps = np.concatenate(list(group.iter_mapping_batches()))
-    for i in range(n):
-        counts = np.bincount(maps[:, i], minlength=n)
-        orbit, stab = orbit_of_index(group, i)
-        assert np.array_equal(orbit, np.flatnonzero(counts)) and stab == counts[i]
+    for i in range(math.prod(group.shape)):
+        for got, want in zip(orbit_of_index(group, i), oracles.counting_orbit(group, i)):
+            assert np.array_equal(got, want)
+
+
+def test_graph_orbits_match_enumeration():
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        upper = np.triu(rng.choice([0.0, 0.0, 1.0, 2.0], (n, n)), 1)
+        aut = enumerate_automorphisms(upper + upper.T)
+        for i in range(n):
+            for got, want in zip(orbit_of_index(aut, i), oracles.counting_orbit(aut, i)):
+                assert np.array_equal(got, want)
 
 
 def test_closed_form_orbits_list_no_element(monkeypatch):
     def refuse(self, batch_size=250_000):
         raise AssertionError("the group was listed")
 
-    monkeypatch.setattr(SymmetricGroup, "iter_mapping_batches", refuse)
-    monkeypatch.setattr(BlockPermutationGroup, "iter_mapping_batches", refuse)
+    monkeypatch.setattr(StabilizerChain, "lex_batches", refuse)
     orbit, stab = orbit_of_index(SymmetricGroup(13), 12)
     assert np.array_equal(orbit, np.arange(13)) and stab == math.factorial(12)
     orbit, stab = orbit_of_index(BlockPermutationGroup(4, 5), 7)
     assert np.array_equal(orbit, np.arange(20))
     assert stab == math.factorial(4) * math.factorial(5) ** 4 // 20
+    star = enumerate_automorphisms(star_graph(12), cap=13)
+    orbit, stab = orbit_of_index(star, 5)
+    assert np.array_equal(orbit, np.arange(1, 13)) and stab == math.factorial(11)
     with pytest.raises(IndexError):
         orbit_of_index(SymmetricGroup(13), 13)
 

@@ -2,7 +2,10 @@
 uses each name it imports; only ``calibrate._finite_set`` builds a
 ``PredictionSet``, so every set takes its members one way; only
 ``groups`` builds a ``GraphAutomorphismGroup``, so every graph group comes
-from ``enumerate_automorphisms``' stabilizer chain; and only
+from ``enumerate_automorphisms``' stabilizer chain; no subclass of
+``PermutationGroup`` defines ``order``, ``iter_mapping_batches`` or
+``_index_orbit``, so every permutation group is counted, listed and orbited
+through its stabilizer chain; and only
 ``dataio._csv_rows`` calls ``csv.reader``, so every CSV reader that goes
 row by row reads its text one way; and no module reaches into argparse's
 private names or a parser's ``_actions``, so the command line is read from
@@ -109,6 +112,38 @@ def test_graph_groups_are_built_in_one_place():
     assert set(calls) == {"groups.enumerate_automorphisms"}
 
 
+CHAIN_ANSWERS = ("order", "iter_mapping_batches", "_index_orbit")
+
+
+def permutation_group_overrides(source: str) -> list[str]:
+    """Each ``Class.method`` in ``source`` where a subclass of
+    ``PermutationGroup``, directly or through a class defined before it,
+    defines one of ``CHAIN_ANSWERS``."""
+    subclasses, found = {"PermutationGroup"}, []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                (b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)) in subclasses
+                for b in node.bases):
+            subclasses.add(node.name)
+            found += [f"{node.name}.{f.name}" for f in node.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and f.name in CHAIN_ANSWERS]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_permutation_groups_answer_through_their_chain(module):
+    assert permutation_group_overrides((PACKAGE / module).read_text()) == []
+
+
+def test_a_permutation_group_override_is_found():
+    source = ("class A(groups.PermutationGroup):\n    def order(self):\n        return 1\n"
+              "class B(A):\n    def sample(self, rng): pass\n"
+              "    def _index_orbit(self, i): pass\n"
+              "class C:\n    def iter_mapping_batches(self): pass\n")
+    assert permutation_group_overrides(source) == ["A.order", "B._index_orbit"]
+
+
 def test_csv_text_is_split_in_one_place():
     calls = [f"{module[:-3]}.{scope}" for module in MODULES
              for scope in csv_reader_calls((PACKAGE / module).read_text())]
@@ -177,6 +212,8 @@ def test_orbits_and_the_shift_gap_load_no_masked_arrays():
              "ps = network.graph_vertex_set(values, aut, 3, np.linspace(-1, 5, 13), 0.2)\n"
              "assert ps.meta['orbit_size'] == 4, ps.meta\n"
              "assert groups.orbit_of_index(aut, 0)[0].tolist() == [0]\n"
+             "assert groups.orbit_of_index(groups.BlockPermutationGroup(2, 3), 4)[1] == 12\n"
+             "assert len(list(groups.SymmetricGroup(8).iter_mapping_batches())[0]) == 40320\n"
              "calibrate.estimate_shift_gap([1.0, 2.0, np.nan], [2.0, 3.0, 3.0])\n"
              "calibrate.estimate_shift_gap(np.arange(100.0), np.arange(50.0))\n"
              "print('numpy.ma' in sys.modules)")
