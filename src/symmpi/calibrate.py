@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (CosetDecomposition, GroupAction, actions_of, coset_representatives,
-                     iter_actions, sample_actions)
+from .groups import (CosetDecomposition, GroupAction, _listed_actions, actions_of,
+                     coset_representatives, sample_actions)
 from .transforms import _fit_block, _training_rows, branch_fits
 
 # Guard against float fuzz in level * n (e.g. 0.95 * 20 = 19.000000000000004).
@@ -136,12 +136,15 @@ _BLOCK_FLOATS = 1 << 17
 
 
 def _orbit_actions(group: GroupAction, shape, cosets, mode, mc_draws, rng):
-    """The orbit's group elements as batched actions (see ``groups.iter_actions``)."""
+    """The orbit's group elements as batched actions (see ``groups.iter_actions``).
+
+    A whole group's listed images act unpaired, as their inverses: the sweep
+    reads only how many elements a batch holds."""
     batch = max(1, _BLOCK_FLOATS // math.prod(shape))
     if mode == "exact":
         if cosets is not None:
             return actions_of(group, cosets.representatives, shape)
-        return iter_actions(group, shape, batch)
+        return _listed_actions(group, shape, batch, paired=False)
     if mode == "mc":
         _check_draws(mc_draws)
         if rng is None:
@@ -177,7 +180,8 @@ def orbit_scores(
     """Values of psi over the orbit of z_tilde.
 
     Exact mode enumerates coset representatives when given (the quantile only
-    depends on them), else the full group; it requires a finite group.
+    depends on them), in their order, else the full group, in an unspecified
+    order; it requires a finite group.
     Monte-Carlo mode returns psi(z_tilde) itself followed by ``mc_draws``
     sampled orbit values -- the point's own score is part of the sample.
     ``psi`` must be vectorized over leading axes.
@@ -315,14 +319,16 @@ def _candidate_rows(values, n_points: int, pad_sd: float, extra: int = 0) -> np.
 def _completed_points(observed, cands, embed, V) -> np.ndarray:
     """V(embed(observed, c)) of every candidate c, stacked: (G, *shape).
 
-    ``embed`` takes one candidate, so it is called per candidate; V is called
-    on stacks of the embedded points of at most about ``_BLOCK_FLOATS``
-    floats, and must return one row per stacked point."""
-    embedded = [embed(observed, c) for c in cands]
+    ``embed`` takes one candidate, a Python float, so it is called per
+    candidate, and its points are gathered by one ``np.array`` call, which
+    raises on ragged shapes; V is called on stacks of the embedded points of
+    at most about ``_BLOCK_FLOATS`` floats, and must return one row per
+    stacked point."""
+    embedded = np.array([embed(observed, c) for c in cands.tolist()])
     step = max(1, _BLOCK_FLOATS // np.size(embedded[0]))
     blocks = []
     for lo in range(0, len(embedded), step):
-        stack = np.stack(embedded[lo : lo + step])
+        stack = embedded[lo : lo + step]
         out = np.asarray(V(stack), dtype=float)
         if out.ndim == 0 or out.shape[0] != stack.shape[0]:
             raise ValueError(

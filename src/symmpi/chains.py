@@ -23,15 +23,21 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 _LEX_TAIL = 7  # most points of a listing's tail, read from a cached table
+# most entries of a listing kept with its chain: those of the tail's table,
+# and so fewer rows than an orbit sweep's batch of images
+_KEPT_ENTRIES = math.factorial(_LEX_TAIL) * _LEX_TAIL
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
 def _lex_table(m: int) -> np.ndarray:
     """Read-only (m!, m) table of the permutations of range(m) in
     lexicographic order; one empty row for m = 0."""
-    table = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
-    table.flags.writeable = False
-    return table
+    return _read_only(np.array(list(itertools.permutations(range(m))), dtype=np.int64))
 
 
 def checked_adjacency(adjacency) -> np.ndarray:
@@ -549,9 +555,31 @@ class StabilizerChain:
             order //= len(orbit)
         return head, t, _lex_table(self.n - t)
 
+    @cached_property
+    def listing(self) -> np.ndarray | None:
+        """Every element's images in lexicographic order, one read-only
+        (order, n) array, kept for a group of at most 7!·7 entries (else
+        None). Groups that share the chain share it; the symmetric group on
+        up to 7 points is the tail's table itself."""
+        if self.order * self.n > _KEPT_ENTRIES:
+            return None
+        _, t, table = self._lex_levels
+        if t == 0:
+            return table
+        return _read_only(np.concatenate(list(self._lex_stream(self.order))))
+
     def lex_batches(self, batch_size: int = 250_000):
-        """Every element in lexicographic order of its images, as (B, n)
-        arrays of ``batch_size`` rows (the last may be shorter).
+        """Every element in lexicographic order of its images, as read-only
+        (B, n) arrays of ``batch_size`` rows (the last may be shorter):
+        slices of the kept ``listing`` when there is one."""
+        listing = self.listing
+        if listing is None:
+            return self._lex_stream(batch_size)
+        return (listing[lo : lo + batch_size] for lo in range(0, len(listing), batch_size))
+
+    def _lex_stream(self, batch_size: int):
+        """``lex_batches`` built from the chain's levels and the tail's table,
+        each batch a new read-only array or a read-only view of one.
 
         The elements sharing the images p(0..v-1) of a product p of
         transversal elements of the levels before v are p t_u G_{v'}, one
@@ -591,10 +619,10 @@ class StabilizerChain:
             count += len(block)
             while count >= batch_size:
                 rows = np.concatenate(pending) if len(pending) > 1 else pending[0]
-                yield rows[:batch_size]
+                yield _read_only(rows[:batch_size])
                 pending, count = [rows[batch_size:]], count - batch_size
         if count:
-            yield np.concatenate(pending) if len(pending) > 1 else pending[0]
+            yield _read_only(np.concatenate(pending) if len(pending) > 1 else pending[0])
 
     @cached_property
     def _transversals(self) -> list:

@@ -279,18 +279,42 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser that lists every command by its help and declares the arguments
-    of ``command`` only; -h shows the module docstring less its last paragraph."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser that lists every command by its help; -h shows the module
+    docstring less its last paragraph. It declares no command's arguments:
+    ``_command_parser`` parses those."""
     parser = argparse.ArgumentParser(prog="symmpi", description=__doc__.rsplit("\n\n", 1)[0],
                                      allow_abbrev=False)
     parser.add_argument("--config", help="INI file whose [<subcommand>] section supplies defaults")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        for arg, kwargs in cmd.args if name == command else ():
-            p.add_argument(arg, **kwargs)
+        sub.add_parser(name, help=cmd.help)
     return parser
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command's arguments, made as ``add_parser`` makes the
+    subparser: the same prog, no description and the default ``allow_abbrev``,
+    so its help and its errors are the subparser's."""
+    parser = argparse.ArgumentParser(prog=f"symmpi {command}")
+    for arg, kwargs in COMMANDS[command].args:
+        parser.add_argument(arg, **kwargs)
+    return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """argv parsed by its command's parser when it names one, into the
+    namespace ``build_parser`` gives (``--config`` was read by
+    ``_apply_config``). The arguments that parser leaves over are refused by
+    ``build_parser``'s, which reports a subparser's unrecognized arguments;
+    it parses every other argv."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(config=None, command=argv[0]))
+        if extra:
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
+    return build_parser().parse_args(argv)
 
 
 def _apply_config(argv):
@@ -326,7 +350,7 @@ def _apply_config(argv):
 def main(argv=None) -> int:
     try:
         argv = _apply_config(list(sys.argv[1:] if argv is None else argv))
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse_args(argv)
         return COMMANDS[args.command].handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -206,7 +206,8 @@ class PermutationGroup(GroupAction):
         return self._chain.order
 
     def iter_mapping_batches(self, batch_size: int = 250_000):
-        """(B, n) arrays of the elements' images, in lexicographic order."""
+        """Read-only (B, n) arrays of the elements' images, in lexicographic
+        order."""
         return self._chain.lex_batches(batch_size)
 
     def identity(self) -> Permutation:
@@ -394,6 +395,15 @@ def iter_actions(group: GroupAction, shape, batch_size: int = 250_000):
     element at a time, acting through ``group.act``. A group with neither
     form raises NotEnumerableError.
     """
+    return _listed_actions(group, shape, batch_size, paired=True)
+
+
+def _listed_actions(group: GroupAction, shape, batch_size: int, paired: bool):
+    """``iter_actions``' pairs when ``paired``. Otherwise each batch of
+    images acts by the images themselves, which saves their argsort: copy b
+    of a flattened point x is x[maps[b]], its copy under the inverse of
+    element b. A group holds the inverse of each of its elements, so the
+    unpaired actions sweep the same orbit, in another order."""
     shape = tuple(shape)
     try:
         batches = group.iter_mapping_batches(batch_size)
@@ -402,7 +412,7 @@ def iter_actions(group: GroupAction, shape, batch_size: int = 250_000):
             yield [g], _element_action(group, g, shape)
         return
     for maps in batches:
-        yield maps, _index_action(np.argsort(maps, axis=1), shape)
+        yield maps, _index_action(np.argsort(maps, axis=1) if paired else maps, shape)
 
 
 def sample_actions(group: GroupAction, shape, draws: int, rng: np.random.Generator,

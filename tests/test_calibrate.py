@@ -412,6 +412,44 @@ NON_FINITE_BUILDERS = {
 }
 
 
+ORBIT_BUILDERS = {
+    "exact": lambda g, embed: symmpi_set([1.0, 2.0], g, embed, identity_map, last_coordinate,
+                                         SymmetricGroup(3), 0.2),
+    "randomized": lambda g, embed: randomized_set([1.0, 2.0], g, embed, identity_map,
+                                                  last_coordinate, SymmetricGroup(3), 0.2, 0.5),
+    "mc": lambda g, embed: symmpi_set([1.0, 2.0], g, embed, identity_map, last_coordinate,
+                                      SymmetricGroup(3), 0.2, mode="mc", mc_draws=20,
+                                      rng=np.random.default_rng(6)),
+    "nonsym": lambda g, embed: nonsym_set([1.0, 2.0], g, embed, identity_map, last_coordinate,
+                                          WeightSpec(swap_with_last_cosets(3)[0], [0.2, 0.3, 0.5]),
+                                          SymmetricGroup(3), 0.2, np.random.default_rng(7)),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(ORBIT_BUILDERS))
+def test_embed_receives_each_finite_candidate_as_a_float(builder):
+    grid = np.array([0.1, np.nan, -2.5, np.inf, 1 / 3, 5e-324, -0.0, 2.0])
+    seen = []
+
+    def embed(observed, cand):
+        seen.append(cand)
+        return np.append(observed, cand)
+
+    ORBIT_BUILDERS[builder](grid, embed)
+    assert [type(c) for c in seen] == [float] * 6
+    # bit for bit, in candidate order: -0.0 and the subnormal too
+    assert np.array_equal(np.array(seen).view(np.int64), grid[np.isfinite(grid)].view(np.int64))
+
+
+@pytest.mark.parametrize("builder", sorted(ORBIT_BUILDERS))
+def test_ragged_embedded_points_raise(builder):
+    def embed(observed, cand):
+        return np.append(observed, [cand] * (1 if cand < 1 else 2))
+
+    with pytest.raises(ValueError):
+        ORBIT_BUILDERS[builder](np.array([0.0, 2.0]), embed)
+
+
 @pytest.mark.parametrize("builder", sorted(NON_FINITE_BUILDERS))
 def test_non_finite_candidates_are_never_members(builder):
     # the finite candidates keep their memberships; RuntimeWarnings are errors

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -191,20 +192,71 @@ def test_config_needs_a_path_and_a_command(argv, message, capsys):
 
 
 def test_a_call_declares_only_its_own_arguments(tmp_path, monkeypatch, capsys):
-    built, build = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda command: built.append(build(command)) or built[-1])
+    # a known command is parsed by its own parser alone; build_parser only
+    # refuses the arguments that parser leaves over
+    built, make = [], cli._command_parser
+    monkeypatch.setattr(cli, "_command_parser",
+                        lambda command: built.append(make(command)) or built[-1])
+    full, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: full.append(build()) or full[-1])
     data = tmp_path / "d.csv"
     write_hier_csv(data, [np.arange(4.0), np.arange(5.0) / 2], target=(1, 4))
     assert main(["predict-hierarchical", str(data), "--grid", "101"]) == 0
     (parser,) = built
+    assert full == []
+    own = {arg for arg, _ in cli.COMMANDS["predict-hierarchical"].args if arg.startswith("--")}
+    others = {arg for cmd in cli.COMMANDS.values() for arg, _ in cmd.args
+              if arg.startswith("--")} - own
+    usage = parser.format_usage()
+    assert all(f"[{arg} " in usage for arg in own)
+    for arg in sorted(others):
+        assert arg in parser.parse_known_args([str(data), arg, "1"])[1]
     capsys.readouterr()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["bench", "--help"])
-    assert capsys.readouterr().out.startswith("usage: symmpi bench [-h]\n")
-    with pytest.raises(SystemExit):
-        parser.parse_args(["bench", "--preset", "table1"])
-    assert "unrecognized arguments: --preset table1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["predict-hierarchical", str(data), "--preset", "table1"])
+    (top,) = full
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (top.format_usage() + "symmpi: error: "
+                                       "unrecognized arguments: --preset table1\n")
+
+
+def _full_parser(command):
+    """``build_parser()`` with ``command``'s arguments declared on its subparser."""
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for arg, kwargs in cli.COMMANDS[command].args:
+        sub.choices[command].add_argument(arg, **kwargs)
+    return parser
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_command_parser_helps_as_its_subparser(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _full_parser(command).parse_args([command, "-h"])
+    assert exc.value.code == 0
+    want = capsys.readouterr().out
+    assert cli._command_parser(command).format_help() == want
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out == want
+
+
+CALLS = {
+    "bench": ["--preset", "table1", "--alpha", "0.1", "0.2", "--studentize"],
+    "predict-hierarchical": ["d.csv", "--mode", "sup", "--grid", "101"],
+    "predict-graph": ["v.csv", "a.csv", "--cap", "8", "--format", "csv"],
+    "predict-rotation": ["p.csv", "--mc", "50", "--out", "r.json"],
+    "test-equivariance": ["--map", "mean", "--samples", "20"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_command_call_parses_as_through_the_full_parser(command):
+    # the namespace holds the top-level options as build_parser gives them,
+    # so a top-level option added there must be added to _parse_args too
+    argv = [command, *CALLS[command]]
+    assert cli._parse_args(argv) == _full_parser(command).parse_args(argv)
+    assert vars(cli.build_parser().parse_args([command])).keys() < vars(cli._parse_args(argv)).keys()
 
 
 def test_predict_hierarchical_zero_spread_data(tmp_path, capsys):

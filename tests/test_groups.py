@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from symmpi.calibrate import symmpi_set
+from symmpi.calibrate import _BLOCK_FLOATS, symmpi_set
 from symmpi.chains import StabilizerChain, WeightedGraph
 from symmpi.groups import (
     BlockPermutationGroup,
+    GraphAutomorphismGroup,
     NotEnumerableError,
     OrthogonalGroup,
     Permutation,
@@ -268,6 +269,46 @@ def test_symmetric_mapping_batches_follow_itertools_order():
             assert got.dtype == np.int64 and np.array_equal(got, want)
     assert np.array_equal([g.mapping for g in SymmetricGroup(4).elements()],
                           oracles.symmetric_maps(4))
+
+
+KEPT_LISTINGS = {
+    "S6": lambda: SymmetricGroup(6),
+    "S7": lambda: SymmetricGroup(7),
+    "block-2-3": lambda: BlockPermutationGroup(2, 3),
+    "block-3-3": lambda: BlockPermutationGroup(3, 3),
+    "block-2-4": lambda: BlockPermutationGroup(2, 4),
+    "cycle-6": lambda: enumerate_automorphisms(cycle_graph(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_LISTINGS))
+def test_small_listings_are_kept_with_their_chain(name):
+    group, again = KEPT_LISTINGS[name](), KEPT_LISTINGS[name]()
+    listing = group._chain.listing
+    n = listing.shape[1]
+    assert listing.size <= math.factorial(7) * 7 and len(listing) <= _BLOCK_FLOATS // n
+    assert np.array_equal(listing, np.concatenate(list(group._chain._lex_stream(5))))
+    assert not listing.flags.writeable
+    with pytest.raises(ValueError):
+        listing[0, 0] = 1
+    batches = list(group.iter_mapping_batches(7))
+    assert all(not b.flags.writeable for b in batches)
+    assert np.array_equal(np.concatenate(batches), listing)
+    if isinstance(group, GraphAutomorphismGroup):  # one chain per graph group
+        assert again._chain.listing is not listing
+    else:  # one chain per shape
+        assert again._chain.listing is listing
+
+
+def test_large_listings_are_not_kept():
+    for group in (SymmetricGroup(8), BlockPermutationGroup(2, 5),
+                  enumerate_automorphisms(np.zeros((8, 8)))):
+        assert group._chain.listing is None
+        first = next(iter(group.iter_mapping_batches(1000)))
+        assert first.shape == (1000, math.prod(group.shape))
+        # read-only as a kept listing's slices are, whatever the group's size
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
 
 
 @pytest.mark.parametrize("group", [SymmetricGroup(n) for n in range(1, 9)]

@@ -7,9 +7,10 @@ where a candidate meets a calibration score or an end of its set;
 its sets must shrink as alpha grows, and reordering the donor branches must
 leave them unchanged. The orbit sweep behind ``symmpi_set`` and
 ``randomized_set`` must match the per-candidate orbit oracle in exact mode,
-and in Monte-Carlo mode on the elements its draws stand for, with or
-without a batched sampler; in Monte-Carlo mode the randomized set must lie
-within the deterministic one, and a candidate's membership must not depend
+also where an element and its inverse score differently, and in Monte-Carlo
+mode on the elements its draws stand for, with or without a batched
+sampler; in Monte-Carlo mode the randomized set must lie within the
+deterministic one, and a candidate's membership must not depend
 on the rest of the grid. Hypothesis picks shapes, seeds and alpha. The
 orbit tests put the data values on the grid and repeat values, so that
 scores tie on purpose. The weighted ``nonsym_set`` must match its
@@ -817,7 +818,7 @@ def _assert_sweep_matches_oracle(observed, grid, embed, V, psi, group, alpha, u,
                                          elements, u_prime=u)
     assert np.array_equal(det.member, want)
     assert np.array_equal(ran.member, want_ran)
-    assert det.meta == {"mode": "exact", "orbit_size": len(elements)}
+    assert det.meta == ran.meta == {"mode": "exact", "orbit_size": len(elements)}
 
 
 @SETTINGS
@@ -862,6 +863,41 @@ def test_exact_orbit_set_matches_oracle_graph(n, seed, n_grid, alpha, u):
     grid = _tied_grid(observed, rng, n_grid)
     _assert_sweep_matches_oracle(observed, grid, _append, _identity, _last, aut, alpha, u,
                                  list(aut.elements()))
+
+
+def _several_coordinates(z):
+    z = np.asarray(z)
+    return z[..., 0] - 2 * z[..., -1] ** 2
+
+
+def _uneven(z):
+    """A V that is not the identity and treats each coordinate differently."""
+    z = np.asarray(z, dtype=float)
+    return z + 0.5 * np.roll(z, 1, axis=-1) ** 2 + np.arange(z.shape[-1])
+
+
+def _random_graph_group(rng):
+    n = int(rng.integers(1, 8))
+    A = np.triu(rng.choice([0.0, 0.0, 1.0, 2.0], (n, n)), 1)
+    return enumerate_automorphisms(A + A.T)
+
+
+@SETTINGS
+@given(source=st.sampled_from(["S4", "block-2-2", "block-2-3", "graph"]), seed=SEED,
+       n_grid=st.integers(2, 12), alpha=ALPHA, u=U_PRIME)
+def test_exact_orbit_set_acting_by_listed_images_matches_oracle(source, seed, n_grid, alpha, u):
+    # the sweep acts by each listed image array itself, as the element's
+    # inverse; psi reads several coordinates and V is not the identity, so
+    # an element and its inverse score differently, and only the counts over
+    # the whole group agree
+    rng = np.random.default_rng(seed)
+    group = {"S4": lambda: SymmetricGroup(4), "block-2-2": lambda: BlockPermutationGroup(2, 2),
+             "block-2-3": lambda: BlockPermutationGroup(2, 3),
+             "graph": lambda: _random_graph_group(rng)}[source]()
+    observed = _tied_values(rng, math.prod(group.shape) - 1)
+    grid = _tied_grid(observed, rng, n_grid)
+    _assert_sweep_matches_oracle(observed, grid, _append, _uneven, _several_coordinates, group,
+                                 alpha, u, list(group.elements()))
 
 
 @st.composite
