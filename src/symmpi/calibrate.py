@@ -135,12 +135,21 @@ def _tie_share(below: float, at_or_below: float, level: float) -> float:
 _BLOCK_FLOATS = 1 << 17
 
 
+def _point_floats(shape) -> int:
+    """The floats of one point of ``shape``; an empty point raises
+    ``ValueError``, as no orbit of it can be scored."""
+    n = math.prod(shape)
+    if n == 0:
+        raise ValueError(f"cannot score the orbit of an empty point (shape {tuple(shape)})")
+    return n
+
+
 def _orbit_actions(group: GroupAction, shape, cosets, mode, mc_draws, rng):
     """The orbit's group elements as batched actions (see ``groups.iter_actions``).
 
     A whole group's listed images act unpaired, as their inverses: the sweep
     reads only how many elements a batch holds."""
-    batch = max(1, _BLOCK_FLOATS // math.prod(shape))
+    batch = max(1, _BLOCK_FLOATS // _point_floats(shape))
     if mode == "exact":
         if cosets is not None:
             return actions_of(group, cosets.representatives, shape)
@@ -157,7 +166,7 @@ def _score_blocks(points, psi, actions):
     """psi over the orbit of every point, in blocks of about ``_BLOCK_FLOATS``
     acted floats at most: yields (first row, (rows, B) scores). Of each
     batch's elements only their number B is read."""
-    G, n = points.shape[0], math.prod(points.shape[1:])
+    G, n = points.shape[0], _point_floats(points.shape[1:])
     for elements, act in actions:
         B = len(elements)
         step = max(1, _BLOCK_FLOATS // (B * n))
@@ -325,7 +334,7 @@ def _completed_points(observed, cands, embed, V) -> np.ndarray:
     at most about ``_BLOCK_FLOATS`` floats, and must return one row per
     stacked point."""
     embedded = np.array([embed(observed, c) for c in cands.tolist()])
-    step = max(1, _BLOCK_FLOATS // np.size(embedded[0]))
+    step = max(1, _BLOCK_FLOATS // _point_floats(embedded.shape[1:]))
     blocks = []
     for lo in range(0, len(embedded), step):
         stack = embedded[lo : lo + step]
@@ -671,7 +680,8 @@ class ConformalIntervals:
 def _intervals(lo, hi, alphas, below, scale, weights=None, ranked=False) -> ConformalIntervals:
     """The sets of B tests whose calibration score i lies below a candidate's
     own exactly outside [lo[:, i], hi[:, i]] (B, N). ``weights`` (N,) weigh
-    the scores; without them each of the N + 1 pooled scores weighs the same.
+    the scores, and one that is negative or NaN raises ``ValueError``;
+    without them each of the N + 1 pooled scores weighs the same.
     ``below``, ``scale`` and ``ranked`` as in ``ConformalIntervals``."""
     alphas = tuple(alphas)
     B, N = hi.shape
@@ -681,10 +691,10 @@ def _intervals(lo, hi, alphas, below, scale, weights=None, ranked=False) -> Conf
         K = np.array([_rank_count(N + 1, a) for a in alphas])
         empty = K == 0
     else:
+        if not (weights >= 0).all():  # NaN fails too
+            raise ValueError("weights must be nonnegative")
         level = np.array([_level(a) for a in alphas])
         empty = level <= 0
-        # sums of the weights in another order may round to the other side
-        margin = 4 * N * np.finfo(float).eps
     ends = []
     for e in (hi, -lo):
         if weights is None:
@@ -693,9 +703,8 @@ def _intervals(lo, hi, alphas, below, scale, weights=None, ranked=False) -> Conf
         else:
             order = np.argsort(e, axis=1)
             srt = np.take_along_axis(e, order, axis=1)
-            cum = np.cumsum(weights[order], axis=1)[:, :, None]
-            idx = (cum < level).sum(axis=1)
-            ranked = ranked | (np.abs(cum - level) <= margin).any(axis=(1, 2))
+            idx, near = _weighted_ends(np.cumsum(weights[order], axis=1), level)
+            ranked = ranked | near
         # one past the last order statistic, everything is kept
         end = np.concatenate([srt, np.full((B, 1), np.inf)], axis=1)
         end = end[:, idx] if weights is None else np.take_along_axis(end, idx, axis=1)
@@ -703,13 +712,32 @@ def _intervals(lo, hi, alphas, below, scale, weights=None, ranked=False) -> Conf
     return ConformalIntervals(-ends[1], ends[0], alphas, scale, ranked, below)
 
 
+def _weighted_ends(cum, level):
+    """Where each row's cumulative weights ``cum`` (B, N) reach each level
+    (A,): the count idx (B, A) of sums under the level, and whether some sum
+    of the row lies within rounding of some level (B,), where sums of the
+    weights in another order may round to the other side. The weights are
+    nonnegative, so the sums rise along a row: idx is one search per row,
+    and the sums nearest a level are the two on either side of idx."""
+    idx = np.empty((cum.shape[0], level.size), dtype=np.intp)
+    for b, c in enumerate(cum):
+        idx[b] = np.searchsorted(c, level, side="left")
+    bounded = np.empty((cum.shape[0], cum.shape[1] + 2))
+    bounded[:, 0], bounded[:, -1], bounded[:, 1:-1] = -np.inf, np.inf, cum
+    under = np.take_along_axis(bounded, idx, axis=1)
+    over = np.take_along_axis(bounded, idx + 1, axis=1)
+    margin = 4 * cum.shape[1] * np.finfo(float).eps
+    near = (level - under <= margin) | (over - level <= margin)
+    return idx, near.any(axis=1)
+
+
 def centered_intervals(values, alphas, total=None, n: int | None = None,
                        weights=None) -> ConformalIntervals:
     """Conformal sets on the scores |v - center|, center = (total + c) / n
     moving with the candidate c: by default the mean of the m values of each
     row of ``values`` (B, m) and the candidate, and each of the m + 1 pooled
-    scores weighs the same; ``weights`` (m,) weigh the values instead, and
-    the candidate's own score carries no mass below itself.
+    scores weighs the same; nonnegative ``weights`` (m,) weigh the values
+    instead, and the candidate's own score carries no mass below itself.
 
     Value v's score lies below the candidate's exactly when
     n (c - v)((n - 2) c - (2 total - n v)) > 0, that is outside [v, w] (or
@@ -740,8 +768,8 @@ def score_intervals(scores, alphas, center=None, weights=None) -> ConformalInter
     """Conformal sets on fixed calibration scores, rows of ``scores`` (B, m),
     against each candidate's own score |c - center| (``center`` (B, 1)), or
     the candidate c itself without a center; each of the m + 1 pooled scores
-    weighs the same, or ``weights`` (m,) weigh the scores and the
-    candidate's own carries no mass below itself. The set is center -+ the
+    weighs the same, or nonnegative ``weights`` (m,) weigh the scores and
+    the candidate's own carries no mass below itself. The set is center -+ the
     K-th smallest score, or runs up to that score."""
     d = np.asarray(scores, dtype=float)
     m = d.shape[1]

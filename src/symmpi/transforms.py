@@ -134,7 +134,7 @@ def _fit_runs(x, y, n):
     # per run: [scatter of x about its mean | cross products of x and y]
     cross = np.add.reduceat(dev[:, :d, None] * dev[:, None, :], starts)
     x_bar = mean[:, :d]
-    _check_ranks(x, n, starts)
+    _check_ranks(x, n, starts, cross[:, :, :d], x_bar)
     scatter_inv = np.linalg.inv(cross[:, :, :d])
     slope = (scatter_inv @ cross[:, :, d:])[:, :, 0]
     shift = (scatter_inv @ x_bar[:, :, None])[:, :, 0]
@@ -152,20 +152,30 @@ def _fit_runs(x, y, n):
     return coef, xtx_inv, np.sqrt(rss / np.maximum(n - (d + 1), 1)), resid
 
 
-def _check_ranks(x, n, starts):
-    """Raise for the first run whose design [1, x] is rank-deficient.
+def _check_ranks(x, n, starts, scatter, x_bar):
+    """Raise for the first run whose design [1, x] is rank-deficient, from
+    each run's ``scatter`` of x about its mean ``x_bar``.
 
-    The decision is ``np.linalg.matrix_rank``'s. A run whose Gram matrix has
-    smallest to largest eigenvalue ratio of at least 1e-8 (singular values at
-    least 1e-4 apart) is full rank by that rule, since rounding moves those
+    The decision is ``np.linalg.matrix_rank``'s. A run whose Gram matrix
+    [[n, n m'], [n m, S + n m m']] (m its mean, S its scatter) has smallest
+    to largest eigenvalue ratio of at least 1e-8 (singular values at least
+    1e-4 apart) is full rank by that rule, since rounding moves those
     eigenvalues by far less than 1e-8 of the largest; only the runs below,
     and those with non-finite values, are passed to ``matrix_rank``, on their
     own rows.
     """
-    xa = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
-    eig = np.linalg.eigvalsh(np.add.reduceat(xa[:, :, None] * xa[:, None, :], starts))
-    for r in np.flatnonzero(~(eig[:, 0] >= 1e-8 * eig[:, -1])):
-        rank = np.linalg.matrix_rank(xa[starts[r]:starts[r] + n[r]])
+    d = x.shape[1]
+    gram = np.empty((n.size, d + 1, d + 1))
+    gram[:, 0, 0] = n
+    gram[:, 0, 1:] = gram[:, 1:, 0] = n[:, None] * x_bar
+    gram[:, 1:, 1:] = scatter + n[:, None, None] * x_bar[:, :, None] * x_bar[:, None, :]
+    # a non-finite Gram matrix may stop eigvalsh; its run goes to matrix_rank
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    gram[~finite] = np.eye(d + 1)
+    eig = np.linalg.eigvalsh(gram)
+    for r in np.flatnonzero(~finite | ~(eig[:, 0] >= 1e-8 * eig[:, -1])):
+        xa = np.concatenate([np.ones((n[r], 1)), x[starts[r]:starts[r] + n[r]]], axis=1)
+        rank = np.linalg.matrix_rank(xa)
         if rank < xa.shape[1]:
             raise ValueError(f"rank-deficient design: {n[r]} points span rank {rank} < {xa.shape[1]}")
 

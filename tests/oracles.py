@@ -30,6 +30,10 @@ and ``run_trial`` a trial of either, each test evaluated as it is drawn;
 its supervised draws are ``sup_arrays``, one ``uniform`` and one ``normal``
 call per branch.
 ``intervals_loop`` walks a membership mask for its runs.
+``weighted_interval_ends`` is the comparison form of the weighted ends of
+``calibrate._intervals``, every cumulative weight against every level, and
+``first_rank_error`` checks the runs of ``transforms._fit_runs`` one
+``matrix_rank`` call at a time.
 ``hole_members`` is the membership view of the harness's hole counts
 (``holes._hierarchical_counts``): every candidate looked up in the same
 holes one by one, as the candidates after the grid are.
@@ -61,6 +65,7 @@ import numpy as np
 from symmpi.calibrate import (
     PredictionSet,
     _branch_stats,
+    _level,
     _supervised_block,
     candidate_grid,
     finite_quantile,
@@ -510,6 +515,49 @@ def intervals_loop(candidates, member):
         else:
             i += 1
     return out
+
+
+def weighted_interval_ends(lo, hi, alphas, weights, ranked=False):
+    """The ends (low, high, each (B, A)) and the ``ranked`` flags (B,) that
+    ``calibrate._intervals`` gives weighted scores, by comparing every
+    cumulative weight of each row with every level in one (B, N, A) array:
+    an end's index counts the sums under the level, and a row is ranked
+    when some sum lies within rounding of some level."""
+    B, N = hi.shape
+    ranked = np.isnan(lo).any(axis=1) | np.isnan(hi).any(axis=1) | ranked
+    level = np.array([_level(a) for a in alphas])
+    empty = level <= 0
+    margin = 4 * N * np.finfo(float).eps
+    ends = []
+    for e in (hi, -lo):
+        order = np.argsort(e, axis=1)
+        srt = np.take_along_axis(e, order, axis=1)
+        cum = np.cumsum(weights[order], axis=1)[:, :, None]
+        idx = (cum < level).sum(axis=1)
+        ranked = ranked | (np.abs(cum - level) <= margin).any(axis=(1, 2))
+        end = np.concatenate([srt, np.full((B, 1), np.inf)], axis=1)
+        end = np.take_along_axis(end, idx, axis=1)
+        ends.append(np.where(empty, -np.inf, end) if empty.any() else end)
+    return -ends[1], ends[0], ranked
+
+
+def first_rank_error(x, n):
+    """The error ``transforms._fit_runs`` raises for the runs of sizes ``n``
+    of the rows x (N, d), or None: the first run whose design [1, x] is
+    rank-deficient by ``np.linalg.matrix_rank``, or whose ``matrix_rank``
+    call raises, checked run by run."""
+    start = 0
+    for size in n.tolist():
+        xa = np.concatenate([np.ones((size, 1)), x[start:start + size]], axis=1)
+        start += size
+        try:
+            rank = np.linalg.matrix_rank(xa)
+        except np.linalg.LinAlgError as err:
+            return err
+        if rank < xa.shape[1]:
+            return ValueError(f"rank-deficient design: {size} points span rank {rank} "
+                              f"< {xa.shape[1]}")
+    return None
 
 
 def conformal_members(cal_rows, own, alpha):

@@ -10,6 +10,7 @@ from symmpi.calibrate import (
     finite_quantile,
     hcp_first_obs_set,
     nonsym_set,
+    orbit_scores,
     overcoverage_bound,
     randomized_set,
     rank_member,
@@ -448,6 +449,20 @@ def test_ragged_embedded_points_raise(builder):
 
     with pytest.raises(ValueError):
         ORBIT_BUILDERS[builder](np.array([0.0, 2.0]), embed)
+
+
+@pytest.mark.parametrize("builder", sorted(ORBIT_BUILDERS))
+def test_empty_embedded_points_raise(builder):
+    # nonsym_set acts on each embedded point first, and the group refuses it
+    with pytest.raises(ValueError, match="does not match" if builder == "nonsym" else "empty point"):
+        ORBIT_BUILDERS[builder](np.array([0.0, 1.0]), lambda observed, cand: np.empty(0))
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_orbit_scores_of_an_empty_point_raise(mode):
+    with pytest.raises(ValueError, match="empty point"):
+        orbit_scores(np.empty(0), last_coordinate, SymmetricGroup(3), mode=mode, mc_draws=5,
+                     rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("builder", sorted(NON_FINITE_BUILDERS))

@@ -23,14 +23,20 @@ The few constructions where a score ties the candidate's exactly whatever
 the data, and rounding breaks the tie differently in the two forms, are left
 out where they arise. The batched fit of every branch's regression
 correction must match the one-branch-at-a-time ``fit_linear`` loop on ragged
-branches, pooled-fallback and rank-deficient ones included. The supervised
+branches, pooled-fallback and rank-deficient ones included, and its rank
+screen must raise where ``np.linalg.matrix_rank`` finds the first deficient
+run. The weighted ends of the interval sets must equal the comparison form's
+bit for bit on tied ends, zero and repeated weights, cumulative sums at a
+level and NaN ends. The supervised
 rotation set, its Monte-Carlo draws stacked, must match the
 one-draw-at-a-time oracle bit for bit. The automorphism search must list
 the backtracking oracle's automorphisms in its order on weighted graphs with
 loops and tied weights, also in chunks of one extension.
 """
 
+import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,7 +79,7 @@ from symmpi.groups import (
     orbit_of_index,
 )
 from symmpi.cli import PRESETS
-from symmpi import holes, sim
+from symmpi import holes, sim, transforms
 from symmpi.holes import _hierarchical_counts, _target_near
 from symmpi.network import cluster_sum_set, tree_leaf_set
 from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _run_trials, _tally,
@@ -85,6 +91,9 @@ SETTINGS = settings(max_examples=40, deadline=None)
 # alpha on a 0.01 grid keeps 1 - alpha well away from any branch-weighted mass
 # that differs from it, so summation order cannot flip a decision
 ALPHA = st.integers(1, 99).map(lambda k: k / 100)
+# the weighted ends' alphas: multiples of 1/4, 0 and 1 (the empty set) among
+# them, whose levels the cumulative sums of weights k/8 meet, or ALPHA's
+ALPHAS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | ALPHA, min_size=1, max_size=3)
 SEED = st.integers(0, 2**32 - 1)
 GRID = st.tuples(st.integers(11, 201), SEED)
 
@@ -607,6 +616,162 @@ def test_blocked_branch_fit_has_each_tests_bits(sizes, d, tests, seed):
         alone = branch_fits(one, x_cal[b:b + 1], sizes)
         for f, g in zip(fits, alone):
             assert np.array_equal(f[b], g[0])
+
+
+@st.composite
+def rank_runs(draw):
+    """Rows x (N, d) in runs of 2-8, each run of one kind: spread, constant,
+    two repeated values, 1e8 + 1e-8 j (steps under the spacing of floats
+    there), collinear columns (d = 2), or spread with a non-finite entry."""
+    d = draw(st.sampled_from([1, 2]))
+    kinds = ["spread", "constant", "two_values", "tiny_steps", "non_finite"]
+    kinds += ["collinear"] if d == 2 else []
+    runs = draw(st.lists(st.tuples(st.integers(2, 8), st.sampled_from(kinds)),
+                         min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(SEED))
+    xs = []
+    for n, kind in runs:
+        x = rng.normal(0, 2, (n, d))
+        if kind == "constant":
+            x[:] = x[0]
+        elif kind == "two_values":
+            x = x[rng.integers(0, 2, n)]
+        elif kind == "tiny_steps":
+            x[:, 0] = 1e8 + 1e-8 * np.arange(n)
+        elif kind == "collinear":
+            x[:, 1] = rng.normal() * x[:, 0] + rng.normal()
+        elif kind == "non_finite":
+            x[rng.integers(n), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+        xs.append(x)
+    return np.concatenate(xs), np.array([n for n, _ in runs])
+
+
+@SETTINGS
+@given(runs=rank_runs(), seed=SEED)
+def test_rank_screen_raises_as_matrix_rank(runs, seed):
+    """``_fit_runs`` raises exactly when some run's design [1, x] is
+    rank-deficient by ``np.linalg.matrix_rank``, or that call raises, with
+    the error of the first such run; so does ``_fit_block`` on finite rows
+    whose pooled design is full rank."""
+    x, n = runs
+    y = np.random.default_rng(seed).normal(size=x.shape[0])
+    want = oracles.first_rank_error(x, n)
+    # inf - inf in the sums about the run means warns, as it did before
+    with np.errstate(invalid="ignore" if np.isinf(x).any() else "warn"):
+        if want is None:
+            transforms._fit_runs(x, y, n)
+        else:
+            with pytest.raises(type(want)) as got:
+                transforms._fit_runs(x, y, n)
+            assert str(got.value) == str(want)
+    if np.isfinite(x).all():
+        # a spread first branch makes the pooled design full rank
+        lead = np.random.default_rng(seed).normal(0, 2, (9, x.shape[1] + 1))
+        rows = np.concatenate([lead[:, 1:], x])[None]
+        fit = lambda: _fit_block(rows, np.append(lead[:, 0], y)[None], np.append(9, n))
+        if want is None:
+            fit()
+        else:
+            with pytest.raises(type(want)) as got:
+                fit()
+            assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("scales", [(1.0,), (0.5, 500.0), (0.5, 5.0, 500.0)])
+def test_rank_screen_passes_full_rank_runs_on_mixed_scales(scales):
+    """Runs whose columns span very different scales, Gram eigenvalue ratio
+    about 1e-6, pass the screen without a ``matrix_rank`` call."""
+    rng = np.random.default_rng(0)
+    n = np.full(20, 15)
+    x = rng.uniform(-1, 1, (n.sum(), len(scales))) * np.array(scales)
+    y = rng.normal(size=n.sum())
+    with mock.patch.object(np.linalg, "matrix_rank", side_effect=AssertionError):
+        transforms._fit_runs(x, y, n)
+
+
+@st.composite
+def weighted_scores(draw):
+    """Scores (B, N), B = 0 too, on a coarse lattice, so that ends tie, with
+    a NaN at times; weights k/8 with k in 0..2, zero and repeated, at times
+    one of them the level of the first alpha or a float either side of it,
+    where a cumulative sum lands; alphas from ALPHAS."""
+    B, N = draw(st.integers(0, 4)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(SEED))
+    scores = rng.integers(0, 5, (B, N)) / 2
+    if B and draw(st.booleans()):
+        scores[rng.integers(B), rng.integers(N)] = np.nan
+    alphas = draw(ALPHAS)
+    weights = rng.integers(0, 3, N) / 8
+    if alphas[0] < 1 and draw(st.booleans()):
+        level = calibrate._level(alphas[0])
+        weights[0] = np.nextafter(level, draw(st.sampled_from([-1.0, level, 2.0])))
+        scores[:, 0] = -1.0  # first in order, so its weight is a cumulative sum
+    return scores, weights, alphas
+
+
+def _assert_weighted_ends_match_oracle(build):
+    """The ``low``, ``high`` and ``ranked`` of the weighted ``_intervals``
+    call that ``build()`` makes, bit for bit against the comparison form."""
+    calls = []
+    real = calibrate._intervals
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(real).bind(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    with mock.patch.object(calibrate, "_intervals", spy):
+        sets = build()
+    (call,) = calls
+    call.apply_defaults()
+    a = call.arguments
+    want = oracles.weighted_interval_ends(a["lo"], a["hi"], a["alphas"], a["weights"],
+                                          a["ranked"])
+    for got, exp in zip((sets.low, sets.high, sets.ranked), want):
+        assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
+
+
+@SETTINGS
+@given(case=weighted_scores(), centered=st.booleans())
+def test_weighted_score_intervals_match_comparison_form(case, centered):
+    scores, weights, alphas = case
+    center = np.linspace(-1.0, 1.0, scores.shape[0])[:, None] if centered else None
+    _assert_weighted_ends_match_oracle(
+        lambda: score_intervals(np.abs(scores), alphas, center, weights))
+
+
+@SETTINGS
+@given(case=weighted_scores(), shift=st.sampled_from([0.0, 0.5]))
+def test_weighted_centered_intervals_match_comparison_form(case, shift):
+    values, weights, alphas = case
+    _assert_weighted_ends_match_oracle(
+        lambda: centered_intervals(values + shift, alphas, weights=weights))
+
+
+@pytest.mark.parametrize("studentize", [False, True])
+@SETTINGS
+@given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=5), seed=SEED,
+       nan=st.booleans(), alphas=ALPHAS)
+def test_supervised_interval_ends_match_comparison_form(studentize, sizes, seed, nan, alphas):
+    """Branch weights 1/(K n_k), repeated, on tied residuals, a NaN at times."""
+    sizes = np.array(sizes)
+    rng = np.random.default_rng(seed)
+    residuals = rng.integers(0, 4, (3, sizes.sum() - 1)) / 2
+    if nan:
+        residuals[rng.integers(3), rng.integers(sizes.sum() - 1)] = np.nan
+    center = np.array([[0.0], [1.0], [-2.5]])
+    _assert_weighted_ends_match_oracle(
+        lambda: _supervised_intervals(residuals, sizes, center, alphas, studentize))
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: score_intervals(np.ones((1, 3)), (0.2,), weights=w),
+    lambda w: score_intervals(np.ones((1, 3)), (0.2,), np.zeros((1, 1)), weights=w),
+    lambda w: centered_intervals(np.arange(3.0)[None], (0.2,), weights=w),
+])
+@pytest.mark.parametrize("weights", [[0.5, -0.25, 0.75], [0.5, np.nan, 0.5]])
+def test_weighted_intervals_reject_negative_weights(build, weights):
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        build(np.array(weights))
 
 
 @pytest.mark.parametrize("studentize", [False, True])
