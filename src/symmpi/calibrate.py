@@ -52,6 +52,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
 
 
+def _check_c(c: float) -> None:
+    """The centering threshold c of the hierarchical scores: a branch is
+    centered at the grand mean within c of its standard errors, so c is a
+    nonnegative number (infinite centers every branch there)."""
+    if not c >= 0:  # NaN fails too
+        raise ValueError(f"c must be nonnegative, got {c!r}")
+
+
 def _check_draws(mc_draws) -> None:
     if not isinstance(mc_draws, numbers.Integral) or mc_draws < 1:
         raise ValueError(f"mc_draws must be a positive integer, got {mc_draws!r}")
@@ -831,6 +839,7 @@ def hierarchical_below(observed_branches, candidates, c: float = 2.0, studentize
     This is ``_hierarchical_block`` for one test, the rank form the
     benchmark harness runs on a lone test (``holes._hierarchical_counts``).
     """
+    _check_c(c)
     values, sizes = _branch_rows(observed_branches)
     return _flat_below(values, sizes, np.asarray(candidates, dtype=float), c, studentize)
 
@@ -1130,6 +1139,7 @@ def symmpi_set_randomsize(
     block-permutation set.
     """
     cands = _checked_candidates(candidates, alpha)
+    _check_c(c)
     return _randomsize_set(*_branch_rows(observed_branches), cands, alpha, c)
 
 
@@ -1155,6 +1165,7 @@ def supervised_hierarchical_set(
     The lists are laid end to end for ``_supervised_set``.
     """
     cands = _checked_candidates(candidates, alpha)
+    _check_c(c)
     cal_x = [np.asarray(v, dtype=float) for v in cal_x]
     cal_y = [np.asarray(v, dtype=float).ravel() for v in cal_y]
     if [len(x) for x in cal_x] != [y.size for y in cal_y]:

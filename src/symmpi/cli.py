@@ -47,6 +47,20 @@ def _alpha(text: str) -> float:
     return value
 
 
+def _c(text: str) -> float:
+    """argparse type for the centering threshold c, checked as the library
+    checks it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"c must be a number, got {text!r}") from None
+    try:
+        calibrate._check_c(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _grid_points(text: str) -> int:
     """argparse type for a candidate grid size: an integer of at least 2."""
     try:
@@ -238,7 +252,7 @@ COMMANDS = {
         ("--branches", dict(type=int, default=20)),
         ("--trials", dict(type=int, default=40)),
         ("--tests", dict(type=int, default=100)),
-        ("--c", dict(type=float, default=2.0)),
+        ("--c", dict(type=_c, default=2.0)),
         GRID,
         ("--studentize", dict(action="store_true",
                               help="divide scores by the within-branch scale (see docs)")),
@@ -252,7 +266,7 @@ COMMANDS = {
         ("data", {}),
         ("--alpha", dict(type=_alpha, default=0.1)),
         ("--mode", dict(choices=["unsup", "sup"], default="unsup")),
-        ("--c", dict(type=float, default=2.0)),
+        ("--c", dict(type=_c, default=2.0)),
         GRID, SEED, OUT, FORMAT,
     )),
     "predict-graph": Command(

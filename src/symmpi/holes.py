@@ -10,9 +10,11 @@ less that of the holes holding it (``_hole_counts``). The holes' ends, and
 the ends of the runs of grid points in one target state, are sorted as events
 on each test's line of grid indices; between two events the mass is
 constant, so the members among the grid points there are counted by their
-number, in arrays that grow with the holes, not with the grid. Candidates
-within rounding of an end or of a level go to the rank form, so the counts
-are the rank form's, whatever order the masses are summed in.
+number, in arrays that grow with the holes, not with the grid. A hole that
+lies, with its ends' rounding reach, beyond every candidate of its test and
+target state is not formed (``_hole_grid`` says why that is exact).
+Candidates within rounding of an end or of a level go to the rank form, so
+the counts are the rank form's, whatever order the masses are summed in.
 """
 
 from __future__ import annotations
@@ -81,8 +83,9 @@ def _hole_counts(donors, sizes, target, cands, c, alphas, n_grid: int):
     indices, sorted by test, state and index: between two events of a test
     and state the mass is constant, so the grid points there are members
     together and are counted by their number (``_hole_grid``, which forms
-    each kind of hole for both states at once). The extras are looked up in
-    the holes one by one.
+    only the holes that reach some candidate of their state, all kinds and
+    both states in one pass). The extras are looked up in the holes one by
+    one.
 
     The rank form decides every candidate within ``_ENDS_ROUNDING`` of the
     magnitudes of a hole's end or of kl or kh (within that width of the grand
@@ -90,12 +93,15 @@ def _hole_counts(donors, sizes, target, cands, c, alphas, n_grid: int):
     leaves open, every candidate whose mass lies within rounding of a level,
     and every candidate of a test with fewer than two observed target values
     (own and sibling scores then tie, or the own score does not move), or
-    with data that are not finite or are beyond 2^500. Extras that are not
+    with data that are not finite or are beyond 2^500 / (1 + |c|); and every
+    candidate where c is beyond 2^500, infinite included. The donors'
+    switch points and the target's quadratic hold c times the data, and
+    its square, which would overflow past those bounds. Extras that are not
     finite take whatever mass the arithmetic gives them.
     """
     B, G = cands.shape
     scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1, initial=0.0)
-    whole = ~(scale <= 2.0**500) | (target.shape[1] < 2)
+    whole = ~(scale <= 2.0**500 / (1.0 + abs(c))) | (target.shape[1] < 2 or not c <= 2.0**500)
     counts = np.zeros((len(alphas), B))
     extra = np.zeros((len(alphas), B, G - n_grid), dtype=bool)
     rows = np.repeat(np.flatnonzero(whole), G)
@@ -125,7 +131,29 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
     candidates (rows, cols) left to the rank form, whose share of the counts
     is taken out. Positions are kept on each test's line of grid indices,
     u = (x - lo) / step, where the grid's own points are 0, 1, ...,
-    n_grid - 1 within rounding."""
+    n_grid - 1 within rounding.
+
+    A row (2 test + state) spans the positions from its first to its last
+    candidate in its state: grid points (``_target_runs``) and extras. A
+    piece whose [first - 2 r, last + 2 r] misses its row's span, r its
+    test's rounding reach, is not formed into events, and the counts do not
+    change:
+
+    - its events would lie outside every run of its row, where
+      ``_hole_segments`` counts nothing;
+    - it holds no extra in its own state;
+    - its zones could rank only candidates in the other state, whose masses
+      it has no part in;
+    - its +w and -w, which cancel before or after the row's runs, would add
+      only rounding, which ``margin`` bounds.
+
+    Each kind of piece is tested on its ends, for both states at once, and
+    a take-back goes with its own-mean hole; a piece cut to [kl, kh] is
+    tested again after the cut. On table-1 blocks about a quarter of the
+    pieces go. The pieces left, of all four kinds, are zoned, cut and turned
+    into events in one pass: a block's cost is mostly its count of numpy
+    calls and of fresh arrays.
+    """
     B, G = cands.shape
     X = G - n_grid
     D, n_o = sizes.size, target.shape[1]
@@ -138,10 +166,8 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
     runs = _target_runs(target, grid, donor_sum, K, c, reach)
     x_far = ~_target_near(target, cands[:, n_grid:], donor_sum, K, c, reach)
     ux = (cands[:, n_grid:] - lo) / step
-    # the states some candidate of each test is in (B, 2), near then far
+    # whether each extra is in each state (B, 2, X), near then far
     x_state = np.stack([~x_far, x_far], axis=1)
-    state = x_state.any(axis=2)
-    state[runs[0], runs[3]] = True
     # the target's center cb + cs c in each state (B, 2, 1)
     g1 = 1.0 / (K * n_t)
     t_mean = target.sum(axis=1, keepdims=True) / n_t
@@ -159,96 +185,119 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
     below_lo = _grid_index(u_kl - r_k, n_grid) + (ux[:, None] < (u_kl - r_k)[..., None]).sum(2)
     below_hi = _grid_index(u_kh + r_k, n_grid) + (ux[:, None] < (u_kh + r_k)[..., None]).sum(2)
     never, always = below_lo >= below_hi, (below_lo == 0) & (below_hi == G)
-
-    ranges = []  # spans of grid points left to the rank form: (tests, first, stop)
-    x_ranked = np.zeros((B, X), dtype=bool)
-
-    def zone(u, test, r):
-        """Leaves the candidates within 2 r of the positions u of the tests
-        ``test`` to the rank form."""
-        r = 2 * r
-        hit = np.flatnonzero(np.abs(u - np.rint(u)) <= r)
-        ranges.append((test[hit], _grid_index(u[hit] - r[hit], n_grid),
-                       _grid_index(u[hit] + r[hit], n_grid)))
-        for x in range(X):
-            x_ranked[test[np.abs(u - ux[:, x].take(test)) <= r], x] = True
-
-    k_test = np.repeat(np.arange(B), D)
-    zone(u_kl.reshape(-1), k_test, r_k.reshape(-1))
-    zone(u_kh.reshape(-1), k_test, r_k.reshape(-1))
-    # each piece: its row (2 test + state), its first and last position, and
-    # its code, twice its weight's index in ``weights``, plus one where the
-    # piece takes its weight back; every piece that holds a grid point opens
-    # and closes at an event (``_hole_events``), and every extra gets the
-    # signed weights of the pieces that hold it in its state. Each kind of
-    # piece is formed for both states at once, on (B, 2, n) arrays.
-    # (np.unique would import numpy.ma, a megabyte of memory, for this)
-    weights = np.array(sorted({*(1.0 / (K * sizes)).tolist(), g1}))
-    signed = np.stack([weights, -weights], axis=1).reshape(-1)
-    branch = np.repeat(np.arange(D), sizes)
-    w_code = 2 * np.searchsorted(weights, 1.0 / (K * sizes))[branch]
+    # each row's span (B, 2, 1), widened by twice its test's rounding reach
+    # r_end; a row without candidates spans nothing (inf to -inf)
     r_end = _ENDS_ROUNDING * (reach / step)[:, 0]
-    bits = _event_bits(B, n_grid, weights.size)
-    events = [_run_events(runs, bits, signed.size)]
-    x_held = np.zeros((B, X))
-    # whether each extra is in each row's state (2 B, X)
-    x_in = x_state.reshape(2 * B, X)
+    run_b, run_first, run_stop, run_state = runs
+    span_lo, span_hi = np.full(2 * B, np.inf), np.full(2 * B, -np.inf)
+    np.minimum.at(span_lo, 2 * run_b + run_state, run_first)
+    np.maximum.at(span_hi, 2 * run_b + run_state, run_stop - 1)
+    span_lo, span_hi = span_lo.reshape(B, 2), span_hi.reshape(B, 2)
+    if X:
+        # an extra that is not a number lies in no piece and spans nothing
+        at = np.where(x_state, ux[:, None], np.nan)
+        span_lo = np.fmin(span_lo, np.fmin.reduce(at, axis=2))
+        span_hi = np.fmax(span_hi, np.fmax.reduce(at, axis=2))
+    span_lo = (span_lo - 2 * r_end[:, None])[:, :, None]
+    span_hi = (span_hi + 2 * r_end[:, None])[:, :, None]
     # the grid's first point and step, (B, 1, 1) against (B, 2, n) arrays
     lo3, step3 = lo[:, None], step[:, None]
 
-    def select(used, first, last):
-        """The pieces that ``used`` (B, 2, n) selects, with their ends
-        (B, 2, n): their rows, columns and ends; their ends' zones go to the
-        rank form."""
-        n = used.shape[2]
-        idx = np.flatnonzero(used).astype(np.int32)
+    def select(first, last, used=None):
+        """The pieces with ends ``first`` and ``last`` (B, 2, n) that meet
+        their rows' spans, and that ``used`` selects: their rows, columns
+        and ends."""
+        meet = (last >= span_lo) & (first <= span_hi)
+        if used is not None:
+            meet &= used
+        n = meet.shape[2]
+        idx = np.flatnonzero(meet).astype(np.int32)
         row = idx // n
-        col = idx - n * row
-        first, last = first.reshape(-1).take(idx), last.reshape(-1).take(idx)
-        r = r_end.take(row >> 1)
-        zone(first, row >> 1, r)
-        zone(last, row >> 1, r)
-        return row, col, first, last
+        return row, idx - n * row, first.reshape(-1).take(idx), last.reshape(-1).take(idx)
 
-    def add(row, first, last, code, clip=None):
-        """Adds the pieces of the rows ``row``, each cut to its donor's
-        [kl, kh] when ``clip`` gives the donors' flat indices."""
-        if clip is not None:
-            first = np.maximum(first, u_kl.reshape(-1).take(clip))
-            last = np.minimum(last, u_kh.reshape(-1).take(clip))
-        events.append(_hole_events(row, first, last, code, n_grid, bits))
-        test = row >> 1
-        for x in range(X):
-            e = ux[:, x].take(test)
-            inside = np.flatnonzero(x_in[:, x].take(row) & (first <= e) & (e <= last))
-            x_held[:, x] += np.bincount(test.take(inside), signed.take(code.take(inside)),
-                                        minlength=B)
-
+    branch = np.repeat(np.arange(D), sizes)
     # a donor value's hole where its donor is centered at its mean, unless
     # it is always near, and its part within [kl, kh] taken back unless never
     d = np.abs(donors - means[:, branch])[:, None]
-    row, col, first, last = select(state[:, :, None] & ~always[:, None, branch],
-                                   ((cb - d) / a - lo3) / step3, ((cb + d) / a - lo3) / step3)
+    own = select(((cb - d) / a - lo3) / step3, ((cb + d) / a - lo3) / step3,
+                 ~always[:, None, branch])
     del d
-    add(row, first, last, w_code.take(col))
-    at = (row >> 1) * D + branch.take(col)
-    back = np.flatnonzero(~never.reshape(-1).take(at))
-    add(row.take(back), first.take(back), last.take(back), w_code.take(col.take(back)) + 1,
-        clip=at.take(back))
+    own_at = (own[0] >> 1) * D + branch.take(own[1])
+    back = np.flatnonzero(~never.reshape(-1).take(own_at))
     # its hole where its donor is centered at the grand mean, unless never
     x1 = ((donors[:, None] - g0[:, None] + cb) / (a + g1) - lo3) / step3
     x2 = ((cb - donors[:, None] + g0[:, None]) / (a - g1) - lo3) / step3
-    first = np.minimum(x1, x2)
-    row, col, first, last = select(state[:, :, None] & ~never[:, None, branch], first,
-                                   np.maximum(x1, x2, out=x2))
-    add(row, first, last, w_code.take(col), clip=(row >> 1) * D + branch.take(col))
+    grand = select(np.minimum(x1, x2), np.maximum(x1, x2, out=x2), ~never[:, None, branch])
     # every sibling's hole
     x1 = ((target - lo) / step)[:, None]
     x2 = ((2 * cb - target[:, None]) / (1 - 2 * cs) - lo3) / step3
-    first = np.minimum(x1, x2)
-    row, _, first, last = select(np.broadcast_to(state[:, :, None], x2.shape), first,
-                                 np.maximum(x1, x2, out=x2))
-    add(row, first, last, np.full(row.size, 2 * np.searchsorted(weights, g1)))
+    sib = select(np.minimum(x1, x2), np.maximum(x1, x2, out=x2))
+    del x1, x2
+
+    # every piece, in the order own-mean holes, siblings, grand-mean holes,
+    # take-backs: its row, its first and last position, and its code, twice
+    # its weight's index in ``weights``, plus one where the piece takes its
+    # weight back. The last two kinds are cut to their donors' [kl, kh].
+    # Every piece that holds a grid point opens and closes at an event
+    # (``_hole_events``), and every extra gets the signed weights of the
+    # pieces that hold it in its state.
+    # (np.unique would import numpy.ma, a megabyte of memory, for this)
+    weights = np.array(sorted({*(1.0 / (K * sizes)).tolist(), g1}))
+    signed = np.stack([weights, -weights], axis=1).reshape(-1)
+    w_code = 2 * np.searchsorted(weights, 1.0 / (K * sizes))[branch]
+    row, first, last = (np.concatenate([own[i], sib[i], grand[i], own[i].take(back)])
+                        for i in (0, 2, 3))
+    code = np.concatenate([w_code.take(own[1]),
+                           np.full(sib[0].size, 2 * np.searchsorted(weights, g1)),
+                           w_code.take(grand[1]), w_code.take(own[1].take(back)) + 1])
+    clip = np.concatenate([(grand[0] >> 1) * D + branch.take(grand[1]), own_at.take(back)])
+    zoned = row.size - back.size
+    del own, grand, sib, own_at, back
+    test = row >> 1
+
+    # the candidates within 2 r of the donors' kl and kh, and of the pieces'
+    # ends before the cut, go to the rank form. The ends within the largest
+    # 2 r of a grid point or an extra are picked first, then held to their
+    # own test's r, so no array of the pieces' r is formed.
+    k_test = np.repeat(np.arange(B), D)
+    ends = [(u_kl.reshape(-1), k_test, 2 * r_k.reshape(-1)),
+            (u_kh.reshape(-1), k_test, 2 * r_k.reshape(-1))]
+    # each piece's extras' positions
+    e = [ux[:, x].take(test) for x in range(X)]
+    r_max, gap = 2 * r_end.max(), np.empty(zoned)
+    for u in (first[:zoned], last[:zoned]):
+        near = np.abs(np.subtract(u, np.rint(u, out=gap), out=gap), out=gap) <= r_max
+        for ex in e:
+            near |= np.abs(np.subtract(u, ex[:zoned], out=gap), out=gap) <= r_max
+        at = np.flatnonzero(near)
+        ends.append((u.take(at), test.take(at), 2 * r_end.take(test.take(at))))
+    del gap, near
+    u, z_test, r = (np.concatenate(v) for v in zip(*ends))
+    hit = np.flatnonzero(np.abs(u - np.rint(u)) <= r)
+    # spans of grid points left to the rank form: (tests, first, stop)
+    ranges = [(z_test[hit], _grid_index(u[hit] - r[hit], n_grid),
+               _grid_index(u[hit] + r[hit], n_grid))]
+    x_ranked = np.zeros((B, X), dtype=bool)
+    for x in range(X):
+        x_ranked[z_test[np.abs(u - ux[:, x].take(z_test)) <= r], x] = True
+    cut = row.size - clip.size
+    np.maximum(first[cut:], u_kl.reshape(-1).take(clip), out=first[cut:])
+    np.minimum(last[cut:], u_kh.reshape(-1).take(clip), out=last[cut:])
+    # a piece cut to [kl, kh] may miss its row's span: it is not formed
+    # into events
+    meets = (last >= span_lo.reshape(-1).take(row)) & (first <= span_hi.reshape(-1).take(row))
+
+    bits = _event_bits(B, n_grid, weights.size)
+    events = [_run_events(runs, bits, signed.size),
+              _hole_events(row, first, last, code, meets, n_grid, bits)]
+    x_held = np.zeros((B, X))
+    # whether each extra is in each row's state (2 B, X)
+    x_in = x_state.reshape(2 * B, X)
+    for x, ex in enumerate(e):
+        inside = np.flatnonzero(x_in[:, x].take(row) & (first <= ex) & (ex <= last))
+        x_held[:, x] = np.bincount(test.take(inside), signed.take(code.take(inside)), minlength=B)
+    # the pieces are done with, and freed before the sort's arrays are made
+    del row, first, last, code, test, e, meets
     total = (D + n_o / n_t) / K
     mass, (seg_test, seg_first, seg_len, seg_below) = _hole_segments(events, signed, runs,
                                                                      n_grid, bits, total)
@@ -267,7 +316,6 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
         unsure |= np.abs(seg_below - lv) <= margin
     ranges.append((seg_test[unsure], seg_first[unsure], seg_first[unsure] + seg_len[unsure]))
     r_test, r_col = _grid_cells(ranges, n_grid)
-    run_b, run_first, _, run_state = runs
     line = n_grid + 1
     r_state = run_state[np.searchsorted(run_b * line + run_first, r_test * line + r_col,
                                         side="right") - 1]
@@ -296,15 +344,16 @@ def _event_bits(B: int, n_grid: int, n_weights: int):
     return bits + (np.int32 if fits else np.int64,)
 
 
-def _hole_events(row, first, last, code, n_grid: int, bits):
-    """The event keys of the pieces of ``_hole_grid`` that hold a grid
-    point: a piece holds the grid points at or beyond position ``first`` and
-    not beyond ``last``, opens at the first of them with its code and closes
-    one past the last with the other sign. A key orders its event by row
-    (2 test + state), grid index and code."""
+def _hole_events(row, first, last, code, meets, n_grid: int, bits):
+    """The event keys of the pieces of ``_hole_grid`` that meet their rows'
+    spans (``meets``) and hold a grid point: a piece holds the grid points
+    at or beyond position ``first`` and not beyond ``last``, opens at the
+    first of them with its code and closes one past the last with the other
+    sign. A key orders its event by row (2 test + state), grid index and
+    code."""
     bits_n, bits_c, dtype = bits
     lo_n, hi_n = _grid_index(first, n_grid), _grid_index(last, n_grid)
-    keep = np.flatnonzero(lo_n < hi_n)
+    keep = np.flatnonzero((lo_n < hi_n) & meets)
     head = (row.take(keep).astype(dtype) << (bits_n + bits_c)) | code.take(keep).astype(dtype)
     return np.concatenate([head | (lo_n.take(keep).astype(dtype) << bits_c),
                            (head ^ 1) | (hi_n.take(keep).astype(dtype) << bits_c)])
@@ -332,20 +381,24 @@ def _hole_segments(events, signed, runs, n_grid: int, bits, total):
     ``events``, which it empties: ``mass(rows, cols)``, the mass
     of the grid points ``cols`` of ``rows``, and the segments between events
     that hold grid points in their row's state (``_target_runs``), as
-    (tests, first grid indices, lengths, masses). After the sort, the
-    cumulative sum of the events' weights (``signed`` by code) gives every
-    event's mass; only the last event at each grid index of a row, its cell,
-    is kept."""
+    (tests, first grid indices, lengths, masses). After the sort, equal
+    keys, about nine events in ten on table-1 blocks, are summed as one: a
+    key's weight (``signed`` by its code) times its count. The cumulative
+    sum of those gives every key's mass; only the last key at each grid
+    index of a row, its cell, is kept."""
     bits_n, bits_c, _ = bits
     key = np.concatenate(events)
     events.clear()
     key.sort()
+    # each distinct key and its count
+    last = np.flatnonzero(np.append(key[1:] != key[:-1], True))
+    count = np.diff(last, prepend=-1)
+    key = key.take(last)
+    held = np.append(signed, [0.0, 0.0]).take(key & (1 << bits_c) - 1) * count
     cell = key >> bits_c
+    del key, count
     last = np.flatnonzero(np.append(cell[1:] != cell[:-1], True))
     cell = cell.take(last)
-    # each event's code, in place of its key
-    held = np.append(signed, [0.0, 0.0]).take(np.bitwise_and(key, (1 << bits_c) - 1, out=key))
-    del key
     held = np.cumsum(held, out=held).take(last)
 
     def mass(rows, cols, at=None):

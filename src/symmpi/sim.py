@@ -47,6 +47,7 @@ from .calibrate import (
     PredictionSet,
     _branch_stats,
     _candidate_rows,
+    _check_c,
     _check_draws,
     _checked_candidates,
     _finite_set,
@@ -117,10 +118,11 @@ class HierarchicalConfig:
             raise ValueError(f"tests must be at least 1, got {self.tests}")
         if not len(self.alphas):
             raise ValueError("need at least one alpha")
-        if self.noise_sd <= 0:
-            raise ValueError("noise_sd must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not self.noise_sd > 0:  # NaN fails too
+            raise ValueError(f"noise_sd must be positive, got {self.noise_sd!r}")
+        if not self.sigma2 >= 0:
+            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2!r}")
+        _check_c(self.c)
 
     @property
     def random_sizes(self) -> bool:
@@ -279,6 +281,9 @@ def _hcp_intervals(donors, sizes, alphas) -> ConformalIntervals:
     the quantile.
     """
     K = sizes.size
+    if not K:
+        # no complete branch, no score: the set keeps every candidate
+        return score_intervals(donors, alphas, np.zeros((donors.shape[0], 1)), np.ones(0))
     means, _ = _branch_stats(donors, sizes)
     # the branch means added left to right, as Python's sum adds them
     grand = np.cumsum(means, axis=1)[:, -1:] / K
@@ -328,9 +333,10 @@ def _block_rows(methods, sets, gridp, spacing, symmpi=None):
 def _picks(flat, sizes, rng):
     """The subsampling method's draws: one value of each donor branch of
     ``flat``, whose branches lie end to end, branch k with ``sizes[k]``
-    values, the target branch last. One ``rng.integers`` call over the donor
-    sizes draws what one call per branch would."""
-    donor = np.asarray(sizes[:-1])
+    values, the target branch last; none without donors. One
+    ``rng.integers`` call over the donor sizes draws what one call per branch
+    would."""
+    donor = np.asarray(sizes[:-1], dtype=np.intp)
     return flat[np.cumsum(donor) - donor + rng.integers(donor)]
 
 

@@ -9,6 +9,7 @@ from symmpi.calibrate import (
     estimate_shift_gap,
     finite_quantile,
     hcp_first_obs_set,
+    hierarchical_below,
     nonsym_set,
     orbit_scores,
     overcoverage_bound,
@@ -949,3 +950,31 @@ def test_set_builders_keep_nothing_at_alpha_one():
     for name, call in callers.items():
         out = call(1.0)
         assert not np.any(getattr(out, "member", out)), name
+
+
+@pytest.mark.parametrize("c", [-1.0, -0.3, float("nan"), -float("inf")])
+def test_hierarchical_entry_points_reject_a_negative_or_nan_c(c):
+    branches = [np.array([0.1, 0.4, -0.2]), np.array([1.0, 1.3]), np.array([0.5, 0.7])]
+    grid = np.linspace(-2.0, 3.0, 21)
+    calls = [
+        lambda: hierarchical_below(branches, grid, c),
+        lambda: symmpi_set_randomsize(branches, grid, 0.2, c),
+        lambda: supervised_hierarchical_set(
+            [np.zeros((2, 1)), np.ones((2, 1))], [np.array([0.1, 0.2]), np.array([0.3, 0.1])],
+            [np.zeros((2, 1)), np.ones((1, 1))], [np.array([0.2, 0.0]), np.array([])],
+            np.ones(1), grid, 0.2, c),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="c must be nonnegative"):
+            call()
+
+
+def test_hierarchical_sets_take_an_infinite_c():
+    """c = inf centers every branch at the grand mean: the set is the one of
+    any c beyond every branch's distance to it."""
+    rng = np.random.default_rng(4)
+    branches = [rng.normal(m, 1.0, 5) for m in (0.0, 3.0, -2.0)] + [rng.normal(1.0, 1.0, 4)]
+    grid = candidate_grid(np.concatenate(branches), 201)
+    big = symmpi_set_randomsize(branches, grid, 0.2, 1e6)
+    inf = symmpi_set_randomsize(branches, grid, 0.2, float("inf"))
+    assert np.array_equal(inf.member, big.member)

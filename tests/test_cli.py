@@ -627,6 +627,56 @@ def test_alpha_outside_unit_interval_is_usage_error(argv, capsys):
     assert "alpha must be in [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "-0.3", "nan", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["bench", "--preset", "table1"],
+    ["predict-hierarchical", "data.csv"],
+])
+def test_c_that_is_negative_or_not_a_number_is_usage_error(argv, value, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv + [f"--c={value}"])
+    assert e.value.code == 2
+    assert "argument --c: c must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bench", "--preset", "table1"], ["predict-hierarchical", "d.csv"]])
+def test_c_that_is_no_number_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--c", "two"])
+    assert e.value.code == 2
+    assert "argument --c: c must be a number, got 'two'" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c, sigma2", [("inf", ["0.5", "10"]), ("1e150", ["1e10"]),
+                                       ("1e140", ["1e10", "1e-6"])])
+def test_bench_with_huge_c_warns_of_nothing(c, sigma2, capsys):
+    """c = inf is valid: every branch is centered at the grand mean. The
+    harness's hole count of the unstudentized sets ranks a test whole where
+    c, or c times its data, would overflow the hole form's arithmetic, so
+    it warns of nothing."""
+    assert main(["bench", "--preset", "table1", "--trials", "1", "--tests", "6", "--grid", "101",
+                 "--sigma2", *sigma2, "--c", c, "--methods", "symmpi"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2 * len(sigma2) and all("symmpi" in r for r in rows)
+
+
+@pytest.mark.parametrize("preset, method", [("table1", "subsampling"), ("table1-random", "hcp"),
+                                            ("table2", "subsampling"),
+                                            ("table2-random", "subsampling")])
+def test_bench_on_one_branch_gives_donor_methods_unbounded_sets(preset, method, tmp_path):
+    """With one branch there is no donor branch: the subsampling and
+    first-observation sets keep every candidate, as the library's sets do
+    without calibration scores."""
+    out = tmp_path / "one.csv"
+    assert main(["bench", "--preset", preset, "--branches", "1", "--trials", "1", "--tests", "2",
+                 "--grid", "51", "--out", str(out)]) == 0
+    rows = [r for r in csv.DictReader(open(out)) if r["method"] == method]
+    assert len(rows) == 2
+    assert all(float(r["unbounded_rate"]) == 1.0 and float(r["mean_coverage"]) == 1.0
+               for r in rows)
+
+
 @pytest.mark.parametrize("points", ["0", "1"])
 @pytest.mark.parametrize("argv", [
     ["bench", "--preset", "table1"],

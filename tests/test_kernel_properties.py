@@ -48,6 +48,7 @@ from oracles import supervised_below
 from symmpi.baselines import single_tree_set, split_conformal_set
 from symmpi import calibrate
 from symmpi.calibrate import (
+    _ENDS_ROUNDING,
     PredictionSet,
     WeightSpec,
     _branch_stats,
@@ -254,10 +255,13 @@ def test_blocked_trial_equals_per_test_loop(studentize, preset, sigma2, grid_poi
 # values, data on two values with a grid through them, candidates placed on
 # the holes' ends and on the donors' switch points, after the grid or on it,
 # and alpha on a k / n boundary of the equal weights; and candidates beyond
-# every hole.
+# every hole. For the span cut of ``holes._hole_grid``: branch effects of SD
+# 10, so the target's near run is narrow, with extras in each state, beyond
+# the grid on both sides, and on the holes' ends and within rounding reach of
+# them, where a piece of the other state that is cut would have zoned them.
 HOLE_SHAPES = st.sampled_from(["random", "one_value_donors", "two_point_target", "k2_half",
                                "equal", "two_values", "at_ends", "grid_at_ends", "boundary",
-                               "far"])
+                               "far", "span_edges"])
 
 
 def _hole_points(donors, sizes, target, c):
@@ -298,6 +302,8 @@ def hole_cases(draw):
         sizes[:] = sizes[-1]
     rng = np.random.default_rng(draw(SEED))
     mu = rng.normal(0.0, rng.choice([0.0, 0.3, 3.0]), (B, K))
+    if shape == "span_edges":
+        mu = rng.normal(0.0, 10.0, (B, K))
     values = np.repeat(mu, sizes, axis=1) + rng.normal(0.0, 1.0, (B, sizes.sum()))
     if shape == "equal":
         values = np.repeat(mu, sizes, axis=1)
@@ -327,6 +333,27 @@ def hole_cases(draw):
             at = points[np.arange(B), pick[np.arange(B) % pick.size]][:, None]
             near = np.abs(grid - at).argmin(axis=1)[:, None]
             grid = grid + (at - np.take_along_axis(grid, near, axis=1))
+    if shape == "span_edges":
+        D = sizes.size - 1
+        n_t = target.shape[1] + 1
+        # where the target's mean is the grand mean, in the near state
+        donor_sum = np.cumsum(_branch_stats(donors, sizes[:-1])[0], axis=1)[:, -1:]
+        at_grand = n_t * donor_sum / D - target.sum(axis=1, keepdims=True)
+        width = grid[:, -1:] - grid[:, :1]
+        beyond = np.concatenate([grid[:, :1] - 0.5 * width - 1, grid[:, -1:] + 2 * width + 1],
+                                axis=1)
+        points = _hole_points(donors, sizes[:-1], target, c) if target.shape[1] > 1 else values
+        pick = points[:, rng.choice(points.shape[1], min(points.shape[1], 4), replace=False)]
+        # within the zones' half-width, 2^-29 of the reach, of the ends
+        nudge = 2.0**-31 * (np.abs(values).max(axis=1, keepdims=True)
+                            + np.abs(points).max(axis=1, keepdims=True))
+        # the outermost ends, nudged inward only, so that they may end their
+        # states' spans
+        outer = np.concatenate([points.min(axis=1, keepdims=True),
+                                points.max(axis=1, keepdims=True)], axis=1)
+        extras = np.concatenate([truth, at_grand, beyond[:, rng.integers(3):], pick,
+                                 pick - nudge, pick + nudge, outer, outer + [[1, -1]] * nudge],
+                                axis=1)
     alphas = (0.05, 0.15, draw(ALPHA))
     if shape == "boundary":
         alphas = (1 - int(rng.integers(1, K * sizes[-1])) / (K * sizes[-1]),) + alphas[1:]
@@ -338,10 +365,20 @@ HOLE_EXAMPLE = (np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0
                 np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None], 61, 2.0,
                 (0.5, 0.15, 0.3))
 
+# A lattice block where a grid point at the end of its state's span ties a
+# hole's end, of a piece just beyond the span: the cut keeps the piece for
+# its zone only because it widens the span by the zones' reach.
+SPAN_EXAMPLE = (np.array([[0.4, 0.2, -0.1], [0.3, -0.1, -0.3]]), np.array([3]),
+                np.array([[-0.5, -0.1], [-0.2, -0.1]]),
+                np.stack([np.append(np.arange(-11, 12) / 10, [-0.4, -0.0, -2.5]),
+                          np.append(np.arange(-11, 12) / 10, [0.6, 1.2, -0.4])]),
+                23, 0.5, (0.05, 0.15, 0.25, 0.3, 0.5))
+
 
 @SETTINGS
 @given(case=hole_cases())
 @example(case=HOLE_EXAMPLE)
+@example(case=SPAN_EXAMPLE)
 def test_hole_counts_are_the_rank_forms(case):
     """What the harness reads of a block, each test's member count on its
     grid and the memberships of the candidates after it (the truth, and in
@@ -377,6 +414,72 @@ def test_hole_form_matches_rank_form(case):
                               want[:, b:b + 1])
 
 
+def _row_spans(donors, sizes, target, cands, c, n_grid):
+    """Each row's (2 test + state) span on its grid's line as the hole form
+    cuts by it, flat (2 B,): from its first to its last candidate in its
+    state, grid points and extras, widened by twice its test's rounding
+    reach; inf to -inf for a row without candidates."""
+    B = len(cands)
+    scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1, keepdims=True)
+    reach = scale + np.abs(cands).max(axis=1, keepdims=True)
+    grid = cands[:, :n_grid]
+    lo, step = grid[:, :1], (grid[:, -1:] - grid[:, :1]) / (n_grid - 1)
+    donor_sum = np.cumsum(_branch_stats(donors, sizes)[0], axis=1)[:, -1:]
+    K = sizes.size + 1
+    span_lo, span_hi = np.full((B, 2), np.inf), np.full((B, 2), -np.inf)
+    for b, first, stop, state in zip(*holes._target_runs(target, grid, donor_sum, K, c, reach)):
+        span_lo[b, state] = min(span_lo[b, state], first)
+        span_hi[b, state] = max(span_hi[b, state], stop - 1)
+    far = ~_target_near(target, cands[:, n_grid:], donor_sum, K, c, reach)
+    ux = (cands[:, n_grid:] - lo) / step
+    for b, x in zip(*np.nonzero(~np.isnan(ux))):
+        state = int(far[b, x])
+        span_lo[b, state] = min(span_lo[b, state], ux[b, x])
+        span_hi[b, state] = max(span_hi[b, state], ux[b, x])
+    r = 2 * _ENDS_ROUNDING * reach / step
+    return (span_lo - r).reshape(-1), (span_hi + r).reshape(-1)
+
+
+def _spied_hole_counts(donors, sizes, target, cands, c, alphas, n_grid):
+    """``_hierarchical_counts`` of unstudentized sets, with a spy on
+    ``holes._hole_events`` that asserts every piece formed into events
+    meets its row's span (``_row_spans``). Returns the counts, the extras'
+    memberships and the number of pieces formed."""
+    scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1)
+    live = np.flatnonzero((scale <= 2.0**500 / (1.0 + abs(c))) & (target.shape[1] > 1)
+                          & (c <= 2.0**500))
+    span_lo, span_hi = _row_spans(donors[live], sizes, target[live], cands[live], c, n_grid)
+    formed = []
+    events = holes._hole_events
+
+    def spy(row, first, last, code, meets, n, bits):
+        missed = meets & ~((last >= span_lo[row]) & (first <= span_hi[row]))
+        assert not missed.any(), (row[missed], first[missed], last[missed])
+        formed.append(int(meets.sum()))
+        return events(row, first, last, code, meets, n, bits)
+
+    with mock.patch.object(holes, "_hole_events", spy):
+        counts, extra = _hierarchical_counts(donors, sizes, target, cands, c, False, alphas,
+                                             n_grid)
+    assert len(formed) == (live.size > 0 and len(cands) > 1)
+    return counts, extra, sum(formed)
+
+
+@SETTINGS
+@given(case=hole_cases())
+@example(case=HOLE_EXAMPLE)
+@example(case=SPAN_EXAMPLE)
+def test_hole_form_forms_only_pieces_that_meet_their_rows_spans(case):
+    """The span cut: no piece that misses its row's span is formed into
+    events, and the counts stay the rank form's."""
+    donors, sizes, target, cands, n_grid, c, alphas = case
+    rank = _hierarchical_block(donors, sizes, target, cands, c, False)
+    want = np.stack([rank_member(rank, a) for a in alphas])
+    counts, extra, _ = _spied_hole_counts(donors, sizes, target, cands, c, alphas, n_grid)
+    assert np.array_equal(counts, want[:, :, :n_grid].sum(axis=2))
+    assert np.array_equal(extra, want[:, :, n_grid:])
+
+
 def _harness_block(cfg, tests, trial=0):
     """The donors, sizes, target and candidates of a block of the harness's
     first ``tests`` unsupervised tests of a trial."""
@@ -390,7 +493,8 @@ def _harness_block(cfg, tests, trial=0):
 @pytest.mark.parametrize("sigma2", [10.0, 2.0, 0.5, 0.0])
 def test_hole_counts_on_harness_blocks(sigma2):
     """Table-1 blocks, with tests whose grid is in both target states: the
-    counts and the truth's membership are the rank form's."""
+    counts and the truth's membership are the rank form's, and every piece
+    formed meets its row's span."""
     cfg = HierarchicalConfig(sigma2=sigma2, alphas=(0.05, 0.15, 0.5), seed=20)
     donors, sizes, target, cands = _harness_block(cfg, 24)
     donor_sum = _branch_stats(donors, sizes)[0].sum(axis=1, keepdims=True)
@@ -399,8 +503,28 @@ def test_hole_counts_on_harness_blocks(sigma2):
     assert (near.any(axis=1) & ~near.all(axis=1)).any()
     rank = _hierarchical_block(donors, sizes, target, cands, cfg.c, False)
     want = np.stack([rank_member(rank, a) for a in cfg.alphas])
-    counts, extra = _hierarchical_counts(donors, sizes, target, cands, cfg.c, False, cfg.alphas,
-                                         cfg.grid_points)
+    counts, extra, formed = _spied_hole_counts(donors, sizes, target, cands, cfg.c, cfg.alphas,
+                                               cfg.grid_points)
+    assert formed > 0
+    assert np.array_equal(counts, want[:, :, :-1].sum(axis=2))
+    assert np.array_equal(extra, want[:, :, -1:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c, sigma2", [(1e140, 1e10), (1e140, 0.5), (1e150, 1e10),
+                                       (float("inf"), 0.5)])
+def test_hole_counts_with_huge_c_are_the_rank_forms(c, sigma2):
+    """A c whose product with the data would overflow the hole form's
+    arithmetic sends the test to the rank form whole, without warnings;
+    a smaller huge c is counted by the holes. Either way the counts are the
+    rank form's."""
+    cfg = HierarchicalConfig(sigma2=sigma2, alphas=(0.05, 0.15, 0.5), seed=20, c=c)
+    donors, sizes, target, cands = _harness_block(cfg, 8)
+    rank = _hierarchical_block(donors, sizes, target, cands, c, False)
+    want = np.stack([rank_member(rank, a) for a in cfg.alphas])
+    counts, extra, formed = _spied_hole_counts(donors, sizes, target, cands, c, cfg.alphas,
+                                               cfg.grid_points)
+    assert (formed > 0) == (c * np.abs(donors).max() < 2.0**500)
     assert np.array_equal(counts, want[:, :, :-1].sum(axis=2))
     assert np.array_equal(extra, want[:, :, -1:])
 

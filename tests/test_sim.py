@@ -88,6 +88,20 @@ def test_sup_arrays_are_one_uniform_and_one_normal_call_per_branch(branch_size):
         assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("sizes", [(4, 7, 1, 5), [3, 3, 2], (6,)])
+def test_picks_are_one_draw_per_donor_branch(sizes):
+    # one value of each donor branch, from the stream of one ``integers``
+    # call per branch; without donor branches none, and no draw
+    flat = np.arange(sum(sizes), dtype=float)
+    starts = np.cumsum(sizes) - sizes
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sim._picks(flat, sizes, rng)
+        want = [flat[s + int(ref.integers(n))] for s, n in zip(starts[:-1], sizes[:-1])]
+        assert got.dtype == flat.dtype and got.tolist() == want
+        assert rng.random() == ref.random()
+
+
 def test_gen_unsup_ragged_sizes():
     rng = np.random.default_rng(5)
     cfg = HierarchicalConfig(n_branches=30, branch_size=(10, 20), sigma2=1.0)
@@ -362,6 +376,25 @@ def test_benchmark_rows_do_not_depend_on_the_block(supervised, branch_size, stud
 def test_config_needs_a_test_a_trial_and_an_alpha(field, value, message):
     with pytest.raises(ValueError, match=message):
         HierarchicalConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("c", -1.0, "c must be nonnegative, got -1.0"),
+    ("c", -0.3, "c must be nonnegative, got -0.3"),
+    ("c", float("nan"), "c must be nonnegative, got nan"),
+    ("sigma2", -0.5, "sigma2 must be nonnegative, got -0.5"),
+    ("sigma2", float("nan"), "sigma2 must be nonnegative, got nan"),
+    ("noise_sd", 0.0, "noise_sd must be positive, got 0.0"),
+    ("noise_sd", float("nan"), "noise_sd must be positive, got nan"),
+])
+def test_config_rejects_negative_and_nan_parameters(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        HierarchicalConfig(**{field: value})
+
+
+def test_config_takes_an_infinite_c():
+    assert HierarchicalConfig(c=float("inf")).c == float("inf")
+    assert HierarchicalConfig(c=0.0).c == 0.0
 
 
 def test_benchmark_thread_count_does_not_change_results():
