@@ -34,30 +34,48 @@ PRESETS = {
 EQUIVARIANCE_MAPS = ("hier-unsup", "identity", "median-dev", "sort")
 
 
-def _alpha(text: str) -> float:
-    """argparse type for a miscoverage level, checked as the library checks it."""
+def _number(text: str, name: str, check) -> float:
+    """The body of an argparse type for a number option: ``text`` as a float,
+    checked by the library's ``check``."""
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"alpha must be a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}") from None
     try:
-        calibrate._check_alpha(value)
+        check(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
+def _alpha(text: str) -> float:
+    """argparse type for a miscoverage level, checked as the library checks it."""
+    return _number(text, "alpha", calibrate._check_alpha)
+
+
 def _c(text: str) -> float:
     """argparse type for the centering threshold c, checked as the library
     checks it."""
+    return _number(text, "c", calibrate._check_c)
+
+
+def _sigma2(text: str) -> float:
+    """argparse type for the benchmark's sigma2, checked as
+    ``sim.HierarchicalConfig`` checks it."""
+    from . import sim
+
+    return _number(text, "sigma2", sim._check_sigma2)
+
+
+def _seed(text: str) -> int:
+    """argparse type for a seed: a nonnegative integer, as numpy's
+    generators take."""
     try:
-        value = float(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"c must be a number, got {text!r}") from None
-    try:
-        calibrate._check_c(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"a seed must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be nonnegative, got {value}")
     return value
 
 
@@ -75,7 +93,7 @@ def _grid_points(text: str) -> int:
 def cmd_bench(args) -> int:
     from . import sim
 
-    for name in ("trials", "tests", "threads"):
+    for name in ("branches", "trials", "tests", "threads"):
         if getattr(args, name) < 1:
             raise UsageError(f"--{name} must be at least 1, got {getattr(args, name)}")
     preset = PRESETS[args.preset]
@@ -240,7 +258,7 @@ class Command(NamedTuple):
 
 
 GRID = ("--grid", dict(type=_grid_points, default=2001))
-SEED = ("--seed", dict(type=int, default=0))
+SEED = ("--seed", dict(type=_seed, default=0))
 OUT = ("--out", dict(default=None))
 FORMAT = ("--format", dict(choices=["csv", "json"], default="json"))
 
@@ -248,7 +266,7 @@ COMMANDS = {
     "bench": Command("run a benchmark table", cmd_bench, (
         ("--preset", dict(required=True, choices=sorted(PRESETS))),
         ("--alpha", dict(type=_alpha, nargs="+", default=[0.05, 0.15])),
-        ("--sigma2", dict(type=float, nargs="+", default=[10.0])),
+        ("--sigma2", dict(type=_sigma2, nargs="+", default=[10.0])),
         ("--branches", dict(type=int, default=20)),
         ("--trials", dict(type=int, default=40)),
         ("--tests", dict(type=int, default=100)),

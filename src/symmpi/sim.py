@@ -78,6 +78,12 @@ _TESTS_BLOCK_FLOATS = 1 << 17
 _STUDENTIZED_BLOCK_FLOATS = 1 << 14
 
 
+def _check_sigma2(sigma2: float) -> None:
+    """The benchmark's spread of branch effects: a nonnegative number."""
+    if not sigma2 >= 0:  # NaN fails too
+        raise ValueError(f"sigma2 must be nonnegative, got {sigma2!r}")
+
+
 @dataclass(frozen=True)
 class HierarchicalConfig:
     """Benchmark configuration for the two-layer hierarchical model.
@@ -120,8 +126,7 @@ class HierarchicalConfig:
             raise ValueError("need at least one alpha")
         if not self.noise_sd > 0:  # NaN fails too
             raise ValueError(f"noise_sd must be positive, got {self.noise_sd!r}")
-        if not self.sigma2 >= 0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2!r}")
+        _check_sigma2(self.sigma2)
         _check_c(self.c)
 
     @property

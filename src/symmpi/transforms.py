@@ -49,7 +49,8 @@ def hierarchical_unsup_transform(values, c: float = 2.0) -> np.ndarray:
 
 @dataclass
 class LinearModel:
-    """Least-squares fit with an intercept, plus its standard-error curve.
+    """Least-squares fit with an intercept (``_fit_runs``), plus its
+    standard-error curve.
 
     ``_fit_lines`` returns B fits in one model: ``coef`` (B, d + 1),
     ``xtx_inv`` (B, d + 1, d + 1) and ``resid_sd`` (B,); ``predict`` then
@@ -83,8 +84,8 @@ def _augment(x, d: int) -> np.ndarray:
 
 
 def fit_linear(x, y) -> LinearModel:
-    """OLS with intercept from one SVD of the design; raises on a
-    rank-deficient design (``np.linalg.matrix_rank``'s tolerance)."""
+    """OLS with intercept, by ``_fit_runs``; raises on a rank-deficient
+    design (``np.linalg.matrix_rank``'s decision)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if x.ndim == 1:
@@ -94,47 +95,37 @@ def fit_linear(x, y) -> LinearModel:
 
 
 def _fit_lines(x, y):
-    """``fit_linear`` of B designs at once: x (B, n, d), y (B, n).
-
-    One stacked SVD, and ``@`` wherever the one-design form multiplies, so
-    each fit has the bits it has alone. Returns the B fits as one
-    ``LinearModel`` and the residuals (B, n).
-    """
-    xa = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
-    u, s, vt = np.linalg.svd(xa, full_matrices=False)
-    tol = s.max(axis=-1, initial=0.0) * max(xa.shape[-2:]) * np.finfo(float).eps
-    rank = np.count_nonzero(s > tol[:, None], axis=-1)
-    short = np.flatnonzero(rank < xa.shape[-1])
-    if short.size:
-        raise ValueError(f"rank-deficient design: {x.shape[-2]} points span rank {rank[short[0]]} "
-                         f"< {xa.shape[-1]}")
-    v = np.swapaxes(vt, -1, -2)
-    coef = (v @ ((np.swapaxes(u, -1, -2) @ y[..., None]) / s[..., None]))[..., 0]
-    resid = y - (xa @ coef[..., None])[..., 0]
-    dof = max(x.shape[-2] - xa.shape[-1], 1)
-    resid_sd = np.sqrt((resid[:, None, :] @ resid[..., None])[:, 0, 0] / dof)
-    return LinearModel(coef=coef, xtx_inv=(v / s[:, None, :] ** 2) @ vt, resid_sd=resid_sd), resid
+    """``fit_linear`` of B designs at once, x (B, n, d) and y (B, n), as one
+    ``_fit_runs`` call with a run per design. Returns the B fits as one
+    ``LinearModel`` and the residuals (B, n)."""
+    B, n, d = x.shape
+    if n == 0:
+        raise ValueError(f"rank-deficient design: 0 points span rank 0 < {d + 1}")
+    coef, xtx_inv, resid_sd, resid = _fit_runs(x.reshape(B * n, d), y.reshape(B * n), np.full(B, n))
+    return LinearModel(coef=coef, xtx_inv=xtx_inv, resid_sd=resid_sd), resid.reshape(B, n)
 
 
 def _fit_runs(x, y, n):
     """OLS with intercept of y on the rows of x, within each run of
     consecutive rows of sizes ``n`` (each at least 1), from sums about the
-    run means.
+    run means: the package's one least-squares routine.
 
     Returns each run's coefficients (R, d + 1), inverse Gram matrix
     (R, d + 1, d + 1) and residual SD (dof n - (d + 1), at least 1), and the
-    residual of every row. A rank-deficient run raises ``fit_linear``'s
-    ``ValueError``.
+    residual of every row. A rank-deficient run raises ``ValueError``, and a
+    run with a NaN x ``matrix_rank``'s ``LinAlgError`` (``_check_ranks``).
     """
     d = x.shape[1]
     starts = np.cumsum(n) - n
     xy = np.concatenate([x, y[:, None]], axis=1)
-    mean = np.add.reduceat(xy, starts) / n[:, None]
-    dev = xy - np.repeat(mean, n, axis=0)
-    # per run: [scatter of x about its mean | cross products of x and y]
-    cross = np.add.reduceat(dev[:, :d, None] * dev[:, None, :], starts)
-    x_bar = mean[:, :d]
-    _check_ranks(x, n, starts, cross[:, :, :d], x_bar)
+    # an infinite x makes inf - inf here; _check_ranks then raises for its run
+    with np.errstate(invalid="ignore"):
+        mean = np.add.reduceat(xy, starts) / n[:, None]
+        dev = xy - np.repeat(mean, n, axis=0)
+        # per run: [scatter of x about its mean | cross products of x and y]
+        cross = np.add.reduceat(dev[:, :d, None] * dev[:, None, :], starts)
+        x_bar = mean[:, :d]
+        _check_ranks(x, n, starts, cross[:, :, :d], x_bar)
     scatter_inv = np.linalg.inv(cross[:, :, :d])
     slope = (scatter_inv @ cross[:, :, d:])[:, :, 0]
     shift = (scatter_inv @ x_bar[:, :, None])[:, :, 0]
@@ -264,8 +255,9 @@ def _fit_block(x, y, sizes) -> RegressorBundle:
     """``fit_regressors`` of B tests that share their branch sizes: x
     (B, N, d) and y (B, N) hold each test's training rows, its branches end
     to end, branch k with ``sizes[k]`` rows. The pooled fits are one
-    ``_fit_lines`` call and the B * K branch corrections one ``_fit_runs``
-    call; each test's fits have the bits they have alone."""
+    ``_fit_runs`` call with a run per test (``_fit_lines``), and the B * K
+    branch corrections another with a run per fitted branch; each test's fits
+    have the bits they have alone."""
     B, N, d = x.shape
     pooled, resid = _fit_lines(x, y)
     # pooled residuals; rows of fitted branches become branch-fit residuals

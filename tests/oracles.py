@@ -45,9 +45,14 @@ below-own mass of every candidate, searched candidate by candidate in the
 sorted calibration values (for the centered and ``hcp`` scores, each
 value's score compared with the candidate's), that
 ``calibrate.ConformalIntervals`` replaces by closed-form ends.
-``loop_fit_regressors`` fits the branch corrections one ``fit_linear`` call
-per branch, ``coset_representatives_by_key`` splits a group by a dictionary
-keyed on tuples of probe scores, ``read_hierarchical_csv`` groups the rows
+``svd_fit_lines`` is least squares by one stacked SVD of the designs, the
+reference for ``transforms._fit_runs``, the package's one least-squares
+routine; ``svd_fit_linear`` is ``fit_linear`` by it, and
+``loop_fit_regressors`` fits the pooled line and then the branch corrections
+one ``svd_fit_linear`` call per branch. ``sup_eval``, which must give the
+harness's exact values, fits by ``fit_linear``.
+``coset_representatives_by_key`` splits a group by a dictionary keyed on
+tuples of probe scores, ``read_hierarchical_csv`` groups the rows
 of ``dataio.read_branch_rows`` by branch, and ``read_hierarchical_rows``
 reads a branch data file one row at a time. ``symmetric_maps`` and ``block_maps``
 list the images of S_n and of the block group in the enumeration order of
@@ -75,7 +80,8 @@ from symmpi.calibrate import (
 from symmpi.dataio import read_branch_rows
 from symmpi.groups import (CosetDecomposition, Permutation, iter_actions,
                            sample_haar_orthogonal)
-from symmpi.transforms import RegressorBundle, branch_fits, fit_linear, fit_regressors
+from symmpi.transforms import (LinearModel, RegressorBundle, branch_fits, fit_linear,
+                               fit_regressors)
 
 
 @dataclass
@@ -103,19 +109,48 @@ class LoopRegressors:
         return np.maximum(se, 1e-12)
 
 
+def svd_fit_lines(x, y):
+    """OLS with intercept of B designs at once, x (B, n, d) and y (B, n), from
+    one stacked SVD of the designs [1, x]; a design below full rank by the
+    SVD's tolerance (``np.linalg.matrix_rank``'s) raises ``ValueError``.
+    Returns the B fits as one ``LinearModel`` and the residuals (B, n)."""
+    xa = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
+    u, s, vt = np.linalg.svd(xa, full_matrices=False)
+    tol = s.max(axis=-1, initial=0.0) * max(xa.shape[-2:]) * np.finfo(float).eps
+    rank = np.count_nonzero(s > tol[:, None], axis=-1)
+    short = np.flatnonzero(rank < xa.shape[-1])
+    if short.size:
+        raise ValueError(f"rank-deficient design: {x.shape[-2]} points span rank {rank[short[0]]} "
+                         f"< {xa.shape[-1]}")
+    v = np.swapaxes(vt, -1, -2)
+    coef = (v @ ((np.swapaxes(u, -1, -2) @ y[..., None]) / s[..., None]))[..., 0]
+    resid = y - (xa @ coef[..., None])[..., 0]
+    dof = max(x.shape[-2] - xa.shape[-1], 1)
+    resid_sd = np.sqrt((resid[:, None, :] @ resid[..., None])[:, 0, 0] / dof)
+    return LinearModel(coef=coef, xtx_inv=(v / s[:, None, :] ** 2) @ vt, resid_sd=resid_sd), resid
+
+
+def svd_fit_linear(x, y):
+    """``fit_linear`` by ``svd_fit_lines``: x (n,) or (n, d), y (n,)."""
+    x = np.asarray(x, dtype=float)
+    x = x[:, None] if x.ndim == 1 else x
+    fits, _ = svd_fit_lines(x[None], np.asarray(y, dtype=float).ravel()[None])
+    return LinearModel(coef=fits.coef[0], xtx_inv=fits.xtx_inv[0], resid_sd=float(fits.resid_sd[0]))
+
+
 def loop_fit_regressors(train_x, train_y):
-    """``fit_regressors`` one branch at a time: the pooled OLS fit, then
-    ``fit_linear`` on each branch's pooled residuals (branches of fewer than
-    2 points fall back to the pooled fit)."""
+    """``fit_regressors`` one branch at a time by ``svd_fit_linear``: the
+    pooled OLS fit, then the fit of each branch's pooled residuals (branches
+    of fewer than 2 points fall back to the pooled fit)."""
     xs = [np.asarray(x, dtype=float) for x in train_x]
     ys = [np.asarray(y, dtype=float).ravel() for y in train_y]
     flat_x = np.concatenate([x.reshape(x.shape[0], -1) if x.ndim > 1 else x[:, None] for x in xs])
-    pooled = fit_linear(flat_x, np.concatenate(ys))
+    pooled = svd_fit_linear(flat_x, np.concatenate(ys))
     models, scales = [], []
     for x, y in zip(xs, ys):
         resid = y - pooled.predict(x)
         if y.size >= 2:
-            model = fit_linear(x, resid)
+            model = svd_fit_linear(x, resid)
             fitted = resid - model.predict(x)
         else:
             model = None

@@ -698,10 +698,31 @@ def test_mc_draws_below_one_is_usage_error(draws, capsys):
 
 
 @pytest.mark.parametrize("option, value", [("--tests", "0"), ("--trials", "0"),
-                                           ("--tests", "-2"), ("--threads", "0")])
+                                           ("--tests", "-2"), ("--threads", "0"),
+                                           ("--branches", "0"), ("--sigma2", "-1"),
+                                           ("--sigma2", "nan")])
 def test_bench_counts_below_one_are_usage_errors(option, value, capsys):
-    assert main(["bench", "--preset", "table1", option, value]) == 2
-    assert f"usage error: {option} must be at least 1, got {value}" in capsys.readouterr().err
+    """A count below 1, and a negative or NaN sigma2 (refused by its argparse
+    type, as --c is), are usage errors that name their option."""
+    if option == "--sigma2":
+        with pytest.raises(SystemExit) as e:
+            main(["bench", "--preset", "table1", option, value])
+        assert e.value.code == 2
+        want = f"argument --sigma2: sigma2 must be nonnegative, got {float(value)!r}"
+    else:
+        assert main(["bench", "--preset", "table1", option, value]) == 2
+        want = f"usage error: {option} must be at least 1, got {value}"
+    assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [("-1", "must be nonnegative, got -1"),
+                                            ("1.5", "must be an integer, got '1.5'")])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_negative_seed_is_a_usage_error(command, value, message, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command, *CALLS[command], "--seed", value])
+    assert e.value.code == 2
+    assert f"argument --seed: a seed {message}" in capsys.readouterr().err
 
 
 def test_predict_hierarchical_short_rows_are_data_errors(tmp_path, capsys):

@@ -7,7 +7,10 @@ from ``enumerate_automorphisms``' stabilizer chain; no subclass of
 ``_index_orbit``, so every permutation group is counted, listed and orbited
 through its stabilizer chain; and only
 ``dataio._csv_rows`` calls ``csv.reader``, so every CSV reader that goes
-row by row reads its text one way; and no module reaches into argparse's
+row by row reads its text one way; no module calls ``np.linalg``'s
+``svd``, ``lstsq``, ``pinv`` or ``solve``, and only ``transforms._fit_runs``
+calls ``inv``, so every least-squares fit comes from that one routine; and
+no module reaches into argparse's
 private names or a parser's ``_actions``, so the command line is read from
 its declarations alone. Importing the command line loads no
 ``multiprocessing``, which only a benchmark run on several threads needs,
@@ -154,6 +157,30 @@ def test_a_csv_reader_call_is_found():
     source = ("rows = list(csv.reader(fh))\n"
               "def read(fh):\n    return [r for r in csv.reader(fh)], reader(fh), csv.writer(fh)\n")
     assert csv_reader_calls(source) == ["<module>", "read"]
+
+
+LEAST_SQUARES = ("svd", "lstsq", "pinv", "solve", "inv")
+
+
+def least_squares_calls(source: str) -> list[str]:
+    """``scope: name`` for each call in ``source`` of a name in
+    ``LEAST_SQUARES``, as ``np.linalg.name(...)``, ``linalg.name(...)`` or
+    ``name(...)``."""
+    return [f"{scope}: {name}" for name in LEAST_SQUARES for scope in named_calls(source, name)]
+
+
+def test_least_squares_is_solved_in_one_place():
+    calls = [f"{module[:-3]}.{call}" for module in MODULES
+             for call in least_squares_calls((PACKAGE / module).read_text())]
+    assert calls == ["transforms._fit_runs: inv"]
+
+
+def test_a_least_squares_call_is_found():
+    source = ("u, s, vt = np.linalg.svd(a)\n"
+              "def fit(a, b):\n    return linalg.lstsq(a, b), pinv(a), np.linalg.solve(a, b)\n"
+              "class M:\n    def band(self):\n        return np.linalg.inv(self.a), np.linalg.det(a)\n")
+    assert least_squares_calls(source) == ["<module>: svd", "fit: lstsq", "fit: pinv",
+                                           "fit: solve", "M.band: inv"]
 
 
 def private_argparse_uses(source: str) -> list[str]:

@@ -22,10 +22,12 @@ own mean, which the kernel breaks as the oracle does.
 The few constructions where a score ties the candidate's exactly whatever
 the data, and rounding breaks the tie differently in the two forms, are left
 out where they arise. The batched fit of every branch's regression
-correction must match the one-branch-at-a-time ``fit_linear`` loop on ragged
+correction must match the one-branch-at-a-time SVD loop on ragged
 branches, pooled-fallback and rank-deficient ones included, and its rank
 screen must raise where ``np.linalg.matrix_rank`` finds the first deficient
-run. The weighted ends of the interval sets must equal the comparison form's
+run. ``fit_linear`` and the pooled fits must match the SVD reference on
+offset and scaled designs, and raise its error on each kind of deficient
+design. The weighted ends of the interval sets must equal the comparison form's
 bit for bit on tied ends, zero and repeated weights, cumulative sums at a
 level and NaN ends. The supervised
 rotation set, its Monte-Carlo draws stacked, must match the
@@ -85,7 +87,7 @@ from symmpi.holes import _hierarchical_counts, _target_near
 from symmpi.network import cluster_sum_set, tree_leaf_set
 from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _run_trials, _tally,
                         _sup_eval, rotation_supervised_set)
-from symmpi.transforms import (_fit_block, branch_fits, fit_regressors,
+from symmpi.transforms import (LinearModel, _fit_block, branch_fits, fit_linear, fit_regressors,
                                hierarchical_unsup_transform)
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -713,6 +715,80 @@ def test_batched_branch_fit_matches_loop_oracle(sizes, d, seed, degenerate):
 
 
 @SETTINGS
+@given(d=st.sampled_from([1, 2]), n=st.integers(2, 30), tests=st.integers(1, 4),
+       offset=st.floats(-1e6, 1e6), log_scale=st.floats(-2, 3.3), seed=SEED)
+@example(d=1, n=12, tests=2, offset=1e6, log_scale=3.3, seed=0)
+@example(d=2, n=12, tests=2, offset=-1e6, log_scale=3.3, seed=1)
+def test_fits_match_the_svd_reference(d, n, tests, offset, log_scale, seed):
+    """``fit_linear``, the pooled model of ``fit_regressors`` and the pooled
+    rows of ``_fit_block`` match the stacked-SVD reference on x offset by up
+    to 1e6, where the design [1, x - mean(x)] has condition number under 1e4.
+
+    The offset leaves the fitted line well conditioned, so its values at
+    points among the rows agree within 1e-10 of the largest, and the
+    residual SD within 1e-10 of the largest |y| (the scale of the
+    reference's rounding in y minus its fit). The coefficients and the
+    inverse Gram matrix are as ill-conditioned as the design [1, x] itself,
+    whose condition number the offset makes up to 1e10: they agree within
+    1e-12 times it, of their largest entry."""
+    rng = np.random.default_rng(seed)
+    assume(n > d)
+    scale = 10.0**log_scale * 10.0 ** rng.uniform(0, 1, d)
+    x = offset + scale * rng.uniform(-0.5, 0.5, (tests, n, d))
+    y = x @ rng.normal(0, 3, d) + rng.normal(0, 0.5, (tests, n))
+    ones = np.ones((tests, n, 1))
+    centered = np.concatenate([ones, x - x.mean(axis=1, keepdims=True)], axis=2)
+    cond = np.linalg.cond(np.concatenate([ones, x], axis=2))
+    assume((np.linalg.cond(centered) < 1e4).all() and (cond < 1e10).all())
+    want, _ = oracles.svd_fit_lines(x, y)
+    block = _fit_block(x, y, np.array([n]))
+    x_new = x[0, rng.integers(n, size=7)] + scale * rng.uniform(-0.5, 0.5, (7, d))
+    for b in range(tests):
+        ref = LinearModel(want.coef[b], want.xtx_inv[b], float(want.resid_sd[b]))
+        row = LinearModel(block.pooled.coef[b], block.pooled.xtx_inv[b],
+                          float(block.pooled.resid_sd[b]))
+        for got in (fit_linear(x[b], y[b]), fit_regressors([x[b]], [y[b]]).pooled, row):
+            assert _largest_gap_within(got.predict(x_new), ref.predict(x_new), 1e-10)
+            assert abs(got.resid_sd - ref.resid_sd) <= 1e-10 * np.max(np.abs(y[b]))
+            assert _largest_gap_within(got.coef, ref.coef, 1e-12 * cond[b])
+            assert _largest_gap_within(got.xtx_inv, ref.xtx_inv, 1e-12 * cond[b])
+
+
+DEFICIENT = [(d, kind) for d in (1, 2)
+             for kind in ("no rows", "one row", "d rows", "constant", "collinear", "nan", "inf",
+                          "-inf") if d == 2 or kind != "collinear"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d, kind", DEFICIENT)
+def test_deficient_designs_raise_the_svd_references_error(d, kind):
+    """``fit_linear``, ``fit_regressors`` and ``_fit_block`` raise the
+    stacked-SVD reference's exception, type and message, on designs of 0, 1
+    and d rows, constant x, collinear columns and a NaN or infinite x, and
+    warn of nothing on the way."""
+    n = {"no rows": 0, "one row": 1, "d rows": d}.get(kind, 6)
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(0, 2, (n, d)), rng.normal(size=n)
+    if kind == "constant":
+        x[:] = x[0]
+    elif kind == "collinear":
+        x[:, 1] = 2 * x[:, 0] + 1
+    elif kind in ("nan", "inf", "-inf"):
+        x[2, d - 1] = float(kind)
+    with pytest.raises(Exception) as ref:
+        oracles.svd_fit_linear(x, y)
+    fits = [lambda: fit_linear(x, y), lambda: _fit_block(x[None], y[None], np.array([n]))]
+    # fit_regressors reads a branch of 0 rows and d = 2 columns by
+    # reshape(0, -1), which numpy refuses before any fit
+    if n or d == 1:
+        fits.append(lambda: fit_regressors([x[:, 0] if d == 1 else x], [y]))
+    for fit in fits:
+        with pytest.raises(Exception) as got:
+            fit()
+        assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
+
+
+@SETTINGS
 @given(sizes=st.lists(st.integers(0, 9), min_size=1, max_size=6), d=st.sampled_from([1, 2]),
        tests=st.integers(1, 9), seed=SEED)
 def test_blocked_branch_fit_has_each_tests_bits(sizes, d, tests, seed):
@@ -780,14 +856,12 @@ def test_rank_screen_raises_as_matrix_rank(runs, seed):
     x, n = runs
     y = np.random.default_rng(seed).normal(size=x.shape[0])
     want = oracles.first_rank_error(x, n)
-    # inf - inf in the sums about the run means warns, as it did before
-    with np.errstate(invalid="ignore" if np.isinf(x).any() else "warn"):
-        if want is None:
+    if want is None:
+        transforms._fit_runs(x, y, n)
+    else:
+        with pytest.raises(type(want)) as got:
             transforms._fit_runs(x, y, n)
-        else:
-            with pytest.raises(type(want)) as got:
-                transforms._fit_runs(x, y, n)
-            assert str(got.value) == str(want)
+        assert str(got.value) == str(want)
     if np.isfinite(x).all():
         # a spread first branch makes the pooled design full rank
         lead = np.random.default_rng(seed).normal(0, 2, (9, x.shape[1] + 1))
