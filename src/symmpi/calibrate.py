@@ -3,8 +3,8 @@
 The core recipe: score the completed data, take the 1-alpha quantile of the
 score over the (sampled or enumerated) group orbit, and keep candidates whose
 score does not exceed it. Variants cover randomized exact-coverage sets,
-Monte-Carlo thresholds, weighted non-symmetric sets, ragged branch sizes, and
-the over-coverage diagnostic.
+Monte-Carlo thresholds, weighted non-symmetric sets, rotation sets, ragged
+branch sizes, and the over-coverage diagnostic.
 
 Every set keeps a candidate when the (weighted) mass of calibration scores
 strictly below its own score is under 1 - alpha (``rank_member``), and is
@@ -15,19 +15,18 @@ conformal sets, those of the baselines, the graph sets,
 ``hcp_first_obs_set`` and the benchmark harness, and the supervised SymmPI
 set are intervals with closed-form ends (``ConformalIntervals``: order
 statistics of the points where a calibration score crosses the
-candidate's); in the benchmark harness, a block of unstudentized
-hierarchical tests is counted from the holes, the intervals where a score is
-not below the candidate's own (``symmpi.holes``), which read only a member
-count per test and the truth's membership. Only candidates within rounding
-of an end go through the rank comparison; for the centered scores it sets
-each |v - center| against the candidate's own as computed. The
-orbit sets (``symmpi_set``, ``randomized_set`` and the weighted
-``nonsym_set``) score every candidate's orbit in one batched sweep
-(``_score_blocks``: a permutation group's batch of elements or Monte-Carlo
-draws acts on a block of the stacked completed points by one ``np.take``
-gather) and cut at ``rank_member``'s count (``_rank_count``), as the
-interval sets do; only ``randomized_set`` also counts the orbit scores tied
-with each candidate's own. At alpha = 1 no set keeps anything.
+candidate's); the harness counts a block of unstudentized hierarchical
+tests from the holes where a score is not below the candidate's own
+(``symmpi.holes``). Only candidates within rounding of an end go through
+the rank comparison; for the centered scores it sets each |v - center|
+against the candidate's own as computed. The orbit sets (``symmpi_set``,
+``randomized_set`` and the weighted ``nonsym_set``) count each candidate's
+orbit scores below its own in one batched sweep (``_orbit_counts``), and the
+unweighted ones cut at ``rank_member``'s count (``_rank_count``), as the
+interval sets and the Monte-Carlo rotation sets (``rotation_region`` and
+its kin) do; ``randomized_set`` also counts the ties, whose share comes from
+the one ``Threshold`` constructor (``_threshold_at``). At alpha = 1 no set
+keeps anything.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (CosetDecomposition, GroupAction, _listed_actions, actions_of,
-                     coset_representatives, sample_actions)
+from .groups import (CosetDecomposition, GroupAction, _haar_matrices, _listed_actions,
+                     actions_of, coset_representatives, sample_actions)
 from .transforms import _fit_block, _training_rows, branch_fits
 
 # Guard against float fuzz in level * n (e.g. 0.95 * 20 = 19.000000000000004).
@@ -120,18 +119,16 @@ def threshold_from_scores(scores, alpha: float, weights=None) -> Threshold:
     t = finite_quantile(s, level, weights)
     w = np.ones(s.size) if weights is None else np.asarray(weights, dtype=float).ravel()
     w = w / w.sum()
-    cdf = float(np.sum(w[s <= t]))
-    cdf_left = float(np.sum(w[s < t]))
-    return Threshold(value=t, cdf_at_t=cdf, cdf_left=cdf_left, jump=cdf - cdf_left,
-                     delta=_tie_share(cdf_left, cdf, level))
+    return _threshold_at(t, float(np.sum(w[s < t])), float(np.sum(w[s <= t])), level)
 
 
-def _tie_share(below: float, at_or_below: float, level: float) -> float:
-    """``Threshold.delta`` from the score masses below and at or below it."""
+def _threshold_at(value: float, below: float, at_or_below: float, level: float) -> Threshold:
+    """The ``Threshold`` at ``value``, from the score masses strictly below it
+    and at or below it: ``delta`` is the share of the mass at it that brings
+    ``below`` up to ``level``. The one constructor of a ``Threshold``."""
     jump = at_or_below - below
-    if jump <= 0.0:
-        return 0.0
-    return min(max((level - below) / jump, 0.0), 1.0)
+    delta = min(max((level - below) / jump, 0.0), 1.0) if jump > 0.0 else 0.0
+    return Threshold(value=value, cdf_at_t=at_or_below, cdf_left=below, jump=jump, delta=delta)
 
 
 # Floats of acted data that the orbit sweep builds at once: it bounds the
@@ -182,6 +179,26 @@ def _score_blocks(points, psi, actions):
             # a copy, so that no view of psi's output keeps the acted block alive
             scores = np.array(psi(act(points[lo : lo + step])), dtype=float)
             yield lo, scores.reshape(-1, B)
+
+
+def _orbit_counts(points, psi, own, actions, weights=None, ties=False):
+    """Each point's orbit scores against its own ``own``, in one sweep of
+    ``_score_blocks``: (below, tied, m). ``below`` counts the scores strictly
+    below the point's own, or sums their ``weights`` (one per element, in the
+    order of ``actions``); ``tied`` counts those equal to it when ``ties`` is
+    set, else is None; m is the number of elements."""
+    below = np.zeros(own.size, dtype=np.int64 if weights is None else float)
+    tied = np.zeros(own.size, dtype=np.int64) if ties else None
+    m = 0
+    for lo, scores in _score_blocks(points, psi, actions):
+        hi = lo + scores.shape[0]
+        if lo == 0:  # a new batch: its elements are the columns first..m
+            first, m = m, m + scores.shape[1]
+        lower = scores < own[lo:hi, None]
+        below[lo:hi] += lower.sum(axis=1) if weights is None else lower @ weights[first:m]
+        if ties:
+            tied[lo:hi] += (scores == own[lo:hi, None]).sum(axis=1)
+    return below, tied, m
 
 
 def orbit_scores(
@@ -361,11 +378,11 @@ def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
 
     The finite candidates' completed points are stacked, and the group
     elements (or the draws, shared by all candidates) act on all of them
-    block by block. A candidate is kept when fewer than K of the m orbit
-    scores lie strictly below its own (K of ``_rank_count``); with
-    ``u_prime`` (the randomized set), when fewer than K lie at or below it,
-    or when its score is the threshold and u_prime is under ``_tie_share``.
-    Only the randomized set counts the scores tied with a candidate's own.
+    block by block (``_orbit_counts``). A candidate is kept when fewer than K
+    of the m orbit scores lie strictly below its own (K of ``_rank_count``);
+    with ``u_prime`` (the randomized set), when fewer than K lie at or below
+    it, or when its score is the threshold and u_prime is under its
+    ``Threshold.delta``. Only the randomized set counts the tied scores.
     """
     cands = _checked_candidates(candidates, alpha)
     meta = {"mode": mode}
@@ -376,29 +393,21 @@ def _orbit_set(observed, candidates, embed, V, psi, group, alpha, u_prime,
         if own.shape != points.shape[:1]:
             raise ValueError(f"psi returned shape {own.shape} for {points.shape[0]} points: "
                              "psi must be vectorized over leading axes, one score per point")
-        below, ties = np.zeros((2, own.size), dtype=np.int64)
-        m = 0
         actions = _orbit_actions(group, points.shape[1:], cosets, mode, mc_draws, rng)
-        for lo, scores in _score_blocks(points, psi, actions):
-            hi = lo + scores.shape[0]
-            below[lo:hi] += (scores < own[lo:hi, None]).sum(axis=1)
-            if u_prime is not None:
-                ties[lo:hi] += (scores == own[lo:hi, None]).sum(axis=1)
-            if lo == 0:
-                m += scores.shape[1]
-        if mode == "mc":  # the point's own score is part of the sample
-            ties += 1
-            m += 1
+        below, ties, m = _orbit_counts(points, psi, own, actions, ties=u_prime is not None)
+        drawn_own = mode == "mc"  # the point's own score is part of the sample
+        m += drawn_own
         meta["orbit_size"] = m
         K = _rank_count(m, alpha)
-        if u_prime is None:
-            return (below < K) & ~np.isnan(own)
-        member = below + ties < K
-        tied = ~member & (below < K)
-        for b, t in set(zip(below[tied].tolist(), ties[tied].tolist())):
-            w = np.full(b + t, 1.0 / m)  # threshold_from_scores' sums of equal weights
-            share = _tie_share(float(np.sum(w[:b])), float(np.sum(w)), 1.0 - alpha)
-            member[tied & (below == b) & (ties == t)] = u_prime < share
+        member = below < K
+        if u_prime is not None:
+            ties += drawn_own
+            tied = member & (below + ties >= K)
+            for b, t in set(zip(below[tied].tolist(), ties[tied].tolist())):
+                # its own score is the threshold, whose Threshold needs only the counts
+                ranks = np.repeat([0.0, 1.0, 2.0], [b, t, m - b - t])
+                delta = threshold_from_scores(ranks, alpha).delta
+                member[tied & (below == b) & (ties == t)] = u_prime < delta
         return member & ~np.isnan(own)
 
     return _finite_set(cands, member_of, meta)
@@ -513,16 +522,149 @@ def nonsym_set(
         shape = points.shape[1:]
         own = np.concatenate([s[:, 0] for _, s in
                               _score_blocks(points, psi, actions_of(group, [g], shape))])
-        below = np.zeros(own.size)
-        col = 0
-        for lo, scores in _score_blocks(points, psi, actions_of(group, reps, shape)):
-            if lo == 0:
-                first, col = col, col + scores.shape[1]
-            hi = lo + scores.shape[0]
-            below[lo:hi] += (scores < own[lo:hi, None]) @ weights[first:col]
+        below, _, _ = _orbit_counts(points, psi, own, actions_of(group, reps, shape), weights)
         return rank_member(below, alpha) & ~np.isnan(own)
 
     return _finite_set(cands, member_of, {"drawn_rep": g_idx})
+
+
+# --------------------------------------------------------------------------
+# Rotation sets: Monte-Carlo orbits under joint permutation and rotation
+# --------------------------------------------------------------------------
+
+
+def _rotation_points(observed, *more) -> np.ndarray:
+    """The observed points of a rotation set as an (n, p) float array, p >= 1;
+    raises ``ValueError`` for another shape, or if they or ``more`` are not finite."""
+    z = np.asarray(observed, dtype=float)
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValueError("the observed points of a rotation set must be an (n, p) array "
+                         f"with p >= 1, got shape {z.shape}")
+    if not all(np.isfinite(d).all() for d in (z, *more)):
+        raise ValueError("the observed data of a rotation set must be finite, got NaN or inf")
+    return z
+
+
+def _rotation_draws(observed, mc_draws: int, rng: np.random.Generator):
+    """The Monte-Carlo orbit draws of the rotation score -|first coordinate|
+    over n observed points and one held-out point: each draw picks one of
+    the n + 1 points and a uniform direction (a rotated vector's first
+    coordinate is its projection on it in law). Returns the observed points
+    (``_rotation_points``), the scores of the draws that picked one of them,
+    and the directions of those that picked the held-out one, (draws, p)."""
+    _check_draws(mc_draws)
+    z = _rotation_points(observed)
+    n, p = z.shape
+    idx = rng.integers(0, n + 1, mc_draws)
+    W = rng.standard_normal((mc_draws, p))
+    Wn = W / np.linalg.norm(W, axis=1, keepdims=True)
+    fixed_mask = idx < n
+    fixed_scores = -np.abs(np.einsum("mp,mp->m", Wn[fixed_mask], z[idx[fixed_mask]]))
+    return z, fixed_scores, Wn[~fixed_mask]
+
+
+def _draws_member(own, fixed, drawn, alpha: float) -> np.ndarray:
+    """The Monte-Carlo orbit sets' cut: a candidate is kept when fewer than
+    ``_rank_count(F + D + 1, alpha)`` of the F draws at observed points
+    (``fixed``, (F,)) and its D at the held-out point (a row of ``drawn``,
+    (C, D)) score strictly below its own (``own``, (C,), in the sample)."""
+    below = (fixed[None, :] < own[:, None]).sum(axis=1) + (drawn < own[:, None]).sum(axis=1)
+    return below < _rank_count(fixed.size + drawn.shape[1] + 1, alpha)
+
+
+def rotation_region(observed, alpha: float, mc_draws: int = 400,
+                    rng: np.random.Generator | None = None,
+                    grid_points: int = 2001) -> PredictionSet:
+    """Region for the next point keeping |first coordinate| large.
+
+    The score is -|z_1| of the held-out point; its orbit under joint
+    permutation and rotation is sampled via uniform index draws and Gaussian
+    projections (a rotated vector's first coordinate matches w.z/||w|| in
+    law). Away from the first axis the kept region is the complement of a
+    vertical strip |z_1| < C, so the grid scans candidates (x, h, 0, ...)
+    at the observed RMS transverse height h (candidates x when p = 1);
+    points very close to the axis itself are always covered (their own
+    score is their orbit minimum). The boundary C is in
+    ``meta['strip_halfwidth']``. The grid needs ``grid_points`` >= 2,
+    ``mc_draws`` is a positive integer and the observed points are n >= 1
+    finite rows of p >= 1 coordinates.
+    """
+    if grid_points < 2:
+        raise ValueError(f"a candidate grid needs at least 2 points, got {grid_points}")
+    rng = rng or np.random.default_rng()
+    z, fixed_scores, w_cand = _rotation_draws(observed, mc_draws, rng)
+    if not len(z):
+        raise ValueError("rotation_region needs at least one observed point")
+    p = z.shape[1]
+
+    height = float(np.sqrt(np.mean(z[:, 1:] ** 2))) if p > 1 else 0.0
+    radius = float(np.abs(z).max()) * 1.5 + 1.0
+    grid = np.linspace(-radius, radius, grid_points)
+    # candidate draw scores at the representative point (x, h, 0, ...)
+    trans = w_cand[:, 1] * height if p > 1 else 0.0
+    ps = _finite_set(grid, lambda x: _draws_member(
+        -np.abs(x), fixed_scores, -np.abs(w_cand[:, 0][None, :] * x[:, None] + trans), alpha))
+    kept = np.abs(grid[ps.member])
+    strip = float(kept.min()) if kept.size and not ps.unbounded else 0.0
+    ps.meta.update(strip_halfwidth=strip, mc_draws=mc_draws, transverse_height=height)
+    return ps
+
+
+def rotation_region_covers(observed, test_points, alpha: float, mc_draws: int = 400,
+                           rng: np.random.Generator | None = None) -> np.ndarray:
+    """Membership of each fresh point in its own completed-data region; a
+    point with a coordinate that is not finite is never covered. The observed
+    points must be finite rows of p >= 1 coordinates."""
+    rng = rng or np.random.default_rng()
+    tp = np.atleast_2d(np.asarray(test_points, dtype=float))
+    _, fixed_scores, w_cand = _rotation_draws(observed, mc_draws, rng)
+    finite = np.isfinite(tp).all(axis=1)
+    member = np.zeros(finite.shape, dtype=bool)
+    tp = tp[finite]
+    member[finite] = _draws_member(-np.abs(tp[:, 0]), fixed_scores, -np.abs(tp @ w_cand.T),
+                                   alpha)
+    return member
+
+
+def rotation_supervised_set(x, y, x_new, score, candidates, alpha: float, mc_draws: int = 400,
+                            rng: np.random.Generator | None = None) -> PredictionSet:
+    """Supervised set under joint permutation-rotation invariance of features.
+
+    Each of ``mc_draws`` draws picks one of the n observed points or the
+    held-out one, and a Haar rotation of its features; each candidate's own
+    score uses the unrotated ``x_new``. ``score(y_values, x_points)`` is
+    called on stacks of rows, possibly none, and must be row-wise:
+    ``score(y, x)[i]`` equals ``score(y[i:i+1], x[i:i+1])[0]``. ``x`` must
+    be n rows of p >= 1 features, with n values ``y`` and p features
+    ``x_new``, all finite; a candidate that is not finite is never a member.
+    """
+    _check_draws(mc_draws)
+    cands = _checked_candidates(candidates, alpha)
+    rng = rng or np.random.default_rng()
+    y = np.asarray(y, dtype=float).ravel()
+    x_new = np.asarray(x_new, dtype=float)
+    x = _rotation_points(x, y, x_new)
+    n, p = x.shape
+    if y.size != n or x_new.shape != (p,):
+        raise ValueError(f"x of shape {x.shape} needs {n} y values and x_new of shape ({p},), "
+                         f"got {y.size} and {x_new.shape}")
+    idx = rng.integers(0, n + 1, mc_draws)
+    R = _haar_matrices(p, mc_draws, rng)
+    picked = idx < n
+    at = idx[picked]
+
+    def rows(y_values, x_points):
+        return np.asarray(score(y_values, x_points), dtype=float)
+
+    fixed = rows(y[at], (R[picked] @ x[at, :, None])[..., 0])
+    x_drawn = R[~picked] @ x_new
+
+    def member_of(c):
+        own = rows(c, np.tile(x_new, (c.size, 1)))
+        drawn = rows(np.tile(c, len(x_drawn)), np.repeat(x_drawn, c.size, axis=0))
+        return _draws_member(own, fixed, drawn.reshape(len(x_drawn), c.size).T, alpha)
+
+    return _finite_set(cands, member_of)
 
 
 # --------------------------------------------------------------------------

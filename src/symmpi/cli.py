@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -182,13 +183,15 @@ def cmd_predict_graph(args) -> int:
 def cmd_predict_rotation(args) -> int:
     if args.mc < 1:
         raise UsageError(f"--mc must be at least 1, got {args.mc}")
-    from . import sim
-
-    pts = np.loadtxt(args.data, delimiter=",", ndmin=2)
-    if not np.isfinite(pts).all():
-        raise DataError("rotation coordinates must be finite numbers")
     rng = np.random.default_rng(args.seed)
-    ps = sim.rotation_region(pts, args.alpha, mc_draws=args.mc, rng=rng, grid_points=args.grid)
+    try:
+        with warnings.catch_warnings():  # of an empty file, which rotation_region rejects
+            warnings.simplefilter("ignore", UserWarning)
+            pts = np.loadtxt(args.data, delimiter=",", ndmin=2)
+        ps = calibrate.rotation_region(pts, args.alpha, mc_draws=args.mc, rng=rng,
+                                       grid_points=args.grid)
+    except ValueError as exc:
+        raise DataError(f"{args.data}: {exc}") from None
     print(f"strip half-width: {ps.meta['strip_halfwidth']:.6g}")
     _report_set(ps, args)
     return 0

@@ -1,9 +1,10 @@
-"""Data generators and the benchmark harness for the hierarchical and
-rotational experiments.
+"""Data generators, hierarchical and rotational, and the benchmark harness
+for the hierarchical experiments, which only ``symmpi bench`` runs; the
+rotation sets live in ``calibrate``, and the harness builds no set.
 
-Benchmarks draw fresh hierarchical datasets, build each method's prediction
-set for the final observation of the last branch on a shared candidate grid,
-and aggregate lengths and coverage indicators across trials. All randomness
+Benchmarks draw fresh hierarchical datasets, count each method's set for
+the final observation of the last branch on a shared candidate grid, and
+aggregate lengths and coverage indicators across trials. All randomness
 flows through per-trial generators keyed by (seed, trial) so results are
 reproducible under any worker count and any grouping of tests into blocks.
 
@@ -44,22 +45,16 @@ import numpy as np
 from .calibrate import (
     _ENDS_ROUNDING,
     ConformalIntervals,
-    PredictionSet,
     _branch_stats,
     _candidate_rows,
     _check_c,
-    _check_draws,
-    _checked_candidates,
-    _finite_set,
     _fit_centers,
     _split_branches,
     _supervised_intervals,
     centered_intervals,
-    rank_member,
     score_intervals,
 )
 from .dataio import BenchRow
-from .groups import _haar_matrices
 from .holes import _hierarchical_counts
 from .transforms import _fit_lines
 
@@ -585,147 +580,3 @@ def bench_table(rows: list[BenchRow]) -> str:
             f"{r.alpha:>6} {r.method:>12} {r.sigma2:>7} {length:>16} {cov:>16} {r.unbounded_rate:>9.2f}"
         )
     return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------
-# Rotationally invariant prediction
-# --------------------------------------------------------------------------
-
-
-def _rotation_draws(z, mc_draws: int, rng: np.random.Generator):
-    """The Monte-Carlo orbit draws of the rotation score -|first coordinate|
-    over n observed points and one held-out point: each draw picks one of
-    the n + 1 points and a uniform direction (a rotated vector's first
-    coordinate is its projection on it in law). Returns the scores of the
-    draws that picked an observed point, and the directions of those that
-    picked the held-out one, (draws, p)."""
-    _check_draws(mc_draws)
-    _check_finite(z)
-    n, p = z.shape
-    idx = rng.integers(0, n + 1, mc_draws)
-    W = rng.standard_normal((mc_draws, p))
-    Wn = W / np.linalg.norm(W, axis=1, keepdims=True)
-    fixed_mask = idx < n
-    fixed_scores = -np.abs(np.einsum("mp,mp->m", Wn[fixed_mask], z[idx[fixed_mask]]))
-    return fixed_scores, Wn[~fixed_mask]
-
-
-def _check_finite(*data) -> None:
-    if not all(np.isfinite(d).all() for d in data):
-        raise ValueError("the observed data of a rotation set must be finite, got NaN or inf")
-
-
-def _mc_member(own, fixed, drawn, alpha: float) -> np.ndarray:
-    """``rank_member`` of the share of the F draws at observed points
-    (``fixed``, (F,)) and of each candidate's D draws at the held-out point
-    (``drawn``, (C, D)) that score below its own (``own``, (C,)), of F + D + 1."""
-    below = (fixed[None, :] < own[:, None]).sum(axis=1) + (drawn < own[:, None]).sum(axis=1)
-    return rank_member(below / (fixed.size + drawn.shape[1] + 1), alpha)
-
-
-def rotation_region(
-    observed,
-    alpha: float,
-    mc_draws: int = 400,
-    rng: np.random.Generator | None = None,
-    grid_points: int = 2001,
-) -> PredictionSet:
-    """Region for the next point keeping |first coordinate| large.
-
-    The score is -|z_1| of the held-out point; its orbit under joint
-    permutation and rotation is sampled via uniform index draws and Gaussian
-    projections (a rotated vector's first coordinate matches w.z/||w|| in
-    law). Away from the first axis the kept region is the complement of a
-    vertical strip |z_1| < C, so the grid scans candidates (x, h, 0, ...)
-    at the observed RMS transverse height h (candidates x when p = 1);
-    points very close to the axis itself are always covered (their own
-    score is their orbit minimum). The boundary C is in
-    ``meta['strip_halfwidth']``. The grid needs ``grid_points`` >= 2,
-    ``mc_draws`` is a positive integer and the observed points are finite.
-    """
-    if grid_points < 2:
-        raise ValueError(f"a candidate grid needs at least 2 points, got {grid_points}")
-    rng = rng or np.random.default_rng()
-    z = np.asarray(observed, dtype=float)
-    p = z.shape[1]
-    fixed_scores, w_cand = _rotation_draws(z, mc_draws, rng)
-
-    height = float(np.sqrt(np.mean(z[:, 1:] ** 2))) if p > 1 else 0.0
-    radius = float(np.abs(z).max()) * 1.5 + 1.0
-    grid = np.linspace(-radius, radius, grid_points)
-    # candidate draw scores at the representative point (x, h, 0, ...)
-    trans = w_cand[:, 1] * height if p > 1 else 0.0
-    ps = _finite_set(grid, lambda x: _mc_member(
-        -np.abs(x), fixed_scores, -np.abs(w_cand[:, 0][None, :] * x[:, None] + trans), alpha))
-    kept = np.abs(grid[ps.member])
-    strip = float(kept.min()) if kept.size and not ps.unbounded else 0.0
-    ps.meta.update(strip_halfwidth=strip, mc_draws=mc_draws, transverse_height=height)
-    return ps
-
-
-def rotation_region_covers(
-    observed,
-    test_points,
-    alpha: float,
-    mc_draws: int = 400,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Membership of each fresh point in its own completed-data region; a
-    point with a coordinate that is not finite is never covered. The observed
-    points must be finite."""
-    rng = rng or np.random.default_rng()
-    z = np.asarray(observed, dtype=float)
-    tp = np.atleast_2d(np.asarray(test_points, dtype=float))
-    fixed_scores, w_cand = _rotation_draws(z, mc_draws, rng)
-    finite = np.isfinite(tp).all(axis=1)
-    member = np.zeros(finite.shape, dtype=bool)
-    tp = tp[finite]
-    member[finite] = _mc_member(-np.abs(tp[:, 0]), fixed_scores, -np.abs(tp @ w_cand.T), alpha)
-    return member
-
-
-def rotation_supervised_set(
-    x,
-    y,
-    x_new,
-    score,
-    candidates,
-    alpha: float,
-    mc_draws: int = 400,
-    rng: np.random.Generator | None = None,
-) -> PredictionSet:
-    """Supervised set under joint permutation-rotation invariance of features.
-
-    Each of ``mc_draws`` draws picks one of the n observed points or the
-    held-out one, and a Haar rotation of its features; each candidate's own
-    score uses the unrotated ``x_new``. ``score(y_values, x_points)`` is
-    called on stacks of rows, possibly none, and must be row-wise:
-    ``score(y, x)[i]`` equals ``score(y[i:i+1], x[i:i+1])[0]``. ``x``, ``y``
-    and ``x_new`` must be finite; a candidate that is not finite is never a
-    member.
-    """
-    _check_draws(mc_draws)
-    cands = _checked_candidates(candidates, alpha)
-    rng = rng or np.random.default_rng()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    x_new = np.asarray(x_new, dtype=float)
-    _check_finite(x, y, x_new)
-    n, p = x.shape
-    idx = rng.integers(0, n + 1, mc_draws)
-    R = _haar_matrices(p, mc_draws, rng)
-    picked = idx < n
-    at = idx[picked]
-
-    def rows(y_values, x_points):
-        return np.asarray(score(y_values, x_points), dtype=float)
-
-    fixed = rows(y[at], (R[picked] @ x[at, :, None])[..., 0])
-    x_drawn = R[~picked] @ x_new
-
-    def member_of(c):
-        own = rows(c, np.tile(x_new, (c.size, 1)))
-        drawn = rows(np.tile(c, len(x_drawn)), np.repeat(x_drawn, c.size, axis=0))
-        return _mc_member(own, fixed, drawn.reshape(len(x_drawn), c.size).T, alpha)
-
-    return _finite_set(cands, member_of)

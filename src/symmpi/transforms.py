@@ -9,6 +9,7 @@ references (``tests/oracles.py``)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,9 @@ def fit_linear(x, y) -> LinearModel:
     y = np.asarray(y, dtype=float).ravel()
     if x.ndim == 1:
         x = x[:, None]
+    if len(x) != y.size:
+        raise ValueError(f"fit_linear needs one x row per y value, got {len(x)} rows "
+                         f"and {y.size} values")
     fits, _ = _fit_lines(x[None], y[None])
     return LinearModel(coef=fits.coef[0], xtx_inv=fits.xtx_inv[0], resid_sd=float(fits.resid_sd[0]))
 
@@ -248,7 +252,7 @@ def _training_rows(train_x, train_y):
     if [len(x) for x in xs] != sizes.tolist():
         raise ValueError("each branch needs one x row per y value")
     x = np.concatenate(xs)
-    return x[:, None] if x.ndim == 1 else x.reshape(len(x), -1), np.concatenate(ys), sizes
+    return x.reshape(len(x), math.prod(x.shape[1:])), np.concatenate(ys), sizes
 
 
 def _fit_block(x, y, sizes) -> RegressorBundle:

@@ -37,7 +37,7 @@ call per branch.
 ``hole_members`` is the membership view of the harness's hole counts
 (``holes._hierarchical_counts``): every candidate looked up in the same
 holes one by one, as the candidates after the grid are.
-``rotation_supervised_members`` is ``sim.rotation_supervised_set`` one
+``rotation_supervised_members`` is ``calibrate.rotation_supervised_set`` one
 Monte-Carlo draw at a time: one Haar matrix and one ``score`` call per draw.
 ``conformal_below``, ``centered_conformal_below`` and ``hcp_below`` are the
 rank forms of the conformal sets and of the benchmark's ``hcp`` rule: the

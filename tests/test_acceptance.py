@@ -13,6 +13,7 @@ from symmpi.calibrate import (
     _LEVEL_EPS,
     nonsym_set,
     overcoverage_bound,
+    rotation_region_covers,
     symmpi_set,
     threshold,
     WeightSpec,
@@ -31,7 +32,6 @@ from symmpi.network import graph_vertex_set
 from symmpi.sim import (
     HierarchicalConfig,
     gen_rotational,
-    rotation_region_covers,
     run_benchmark,
 )
 from symmpi.transforms import (

@@ -860,7 +860,7 @@ def test_candidate_grid_rejects_empty_or_non_finite_values(values, problem):
 
 
 def test_grids_need_two_points():
-    from symmpi.sim import rotation_region
+    from symmpi.calibrate import rotation_region
 
     pts = np.random.default_rng(0).normal(size=(6, 2))
     for n_points in (0, 1):
@@ -880,7 +880,7 @@ def test_grids_need_two_points():
 def _alpha_callers():
     from symmpi.baselines import single_tree_set, split_conformal_set, subsampling_set
     from symmpi.network import cluster_sum_set, graph_vertex_set, tree_leaf_set
-    from symmpi.sim import rotation_region, rotation_region_covers, rotation_supervised_set
+    from symmpi.calibrate import rotation_region, rotation_region_covers, rotation_supervised_set
 
     obs = np.array([0.3, -0.2, 1.1])
     grid = np.linspace(-2.0, 2.0, 9)

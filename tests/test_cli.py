@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -571,6 +572,34 @@ def test_predict_rotation(tmp_path, capsys):
                  "--seed", "1", "--grid", "401", "--out", str(out)])
     assert code == 0
     assert "strip half-width" in capsys.readouterr().out
+
+
+def test_predict_rotation_matches_golden_output(tmp_path, capsys):
+    # tests/golden holds 12 seeded 2-D points and their region at a 401-point grid
+    golden = Path(__file__).parent / "golden"
+    out = tmp_path / "region.json"
+    assert main(["predict-rotation", str(golden / "rot_points.csv"), "--alpha", "0.1", "--mc",
+                 "399", "--seed", "1", "--grid", "401", "--out", str(out)]) == 0
+    assert out.read_bytes() == (golden / "predict_rotation.json").read_bytes()
+    assert capsys.readouterr().out == (
+        "strip half-width: 0.202082\nlength: 6.3656\n"
+        f"intervals: [-3.36804, -0.202082], [0.202082, 3.36804]\nwrote {out}\n")
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("", "at least one observed point"),
+    ("0.5,x\n", "could not convert"),
+    ("0.5,0.1\n0.3\n", "number of columns changed"),
+])
+def test_predict_rotation_names_the_file_it_cannot_read(tmp_path, capsys, text, problem):
+    data = tmp_path / "points.csv"
+    data.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict-rotation", str(data)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: {data}: ") and problem in captured.err
+    assert captured.out == ""
 
 
 def test_predict_rotation_one_coordinate(tmp_path, capsys):

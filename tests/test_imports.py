@@ -1,6 +1,9 @@
 """Every module of the package, other than ``__init__`` (which re-exports),
 uses each name it imports; only ``calibrate._finite_set`` builds a
-``PredictionSet``, so every set takes its members one way; only
+``PredictionSet``, so every set takes its members one way, and the harness
+``sim`` calls no ``_finite_set``, so it builds no set of its own; only
+``calibrate._threshold_at`` builds a ``Threshold``, so every threshold's
+tie share comes from one formula; only
 ``groups`` builds a ``GraphAutomorphismGroup``, so every graph group comes
 from ``enumerate_automorphisms``' stabilizer chain; no subclass of
 ``PermutationGroup`` defines ``order``, ``iter_mapping_batches`` or
@@ -14,8 +17,8 @@ no module reaches into argparse's
 private names or a parser's ``_actions``, so the command line is read from
 its declarations alone. Importing the command line loads no
 ``multiprocessing``, which only a benchmark run on several threads needs,
-and not the harness (``sim``, ``holes``), which only ``bench`` and
-``predict-rotation`` run. Orbits and the shift gap load no
+and not the harness (``sim``, ``holes``), which only ``bench`` runs: the
+``predict-*`` commands run without it. Orbits and the shift gap load no
 ``numpy.ma``."""
 
 import ast
@@ -107,6 +110,29 @@ def test_a_prediction_set_call_is_found():
     source = ("ps = calibrate.PredictionSet(c, m)\n"
               "def build(c):\n    return [PredictionSet(c, m) for m in (lambda: 0,)]\n")
     assert prediction_set_calls(source) == ["<module>", "build"]
+
+
+def test_the_harness_builds_no_set():
+    assert named_calls((PACKAGE / "sim.py").read_text(), "_finite_set") == []
+
+
+def test_a_set_built_in_the_harness_is_found():
+    source = ("from .calibrate import _finite_set\n"
+              "def region(grid):\n    return calibrate._finite_set(grid, lambda x: x > 0)\n"
+              "ps = _finite_set(grid, member_of)\n")
+    assert named_calls(source, "_finite_set") == ["region", "<module>"]
+
+
+def test_thresholds_are_built_in_one_place():
+    calls = [f"{module[:-3]}.{scope}" for module in MODULES
+             for scope in named_calls((PACKAGE / module).read_text(), "Threshold")]
+    assert calls == ["calibrate._threshold_at"]
+
+
+def test_a_threshold_call_is_found():
+    source = ("t = calibrate.Threshold(0.0, 1.0, 0.5, 0.5, 0.0)\n"
+              "def cut(s):\n    return Threshold(s, 1.0, 0.0, 1.0, delta=0.0)\n")
+    assert named_calls(source, "Threshold") == ["<module>", "cut"]
 
 
 def test_graph_groups_are_built_in_one_place():
@@ -245,3 +271,37 @@ def test_orbits_and_the_shift_gap_load_no_masked_arrays():
              "calibrate.estimate_shift_gap(np.arange(100.0), np.arange(50.0))\n"
              "print('numpy.ma' in sys.modules)")
     assert run_probe(probe) == "False"
+
+
+HARNESS = ("symmpi.sim", "symmpi.holes")
+
+
+def harness_loaded_by(argv) -> str:
+    """The exit code of ``symmpi`` run on ``argv`` in a fresh interpreter,
+    and the harness modules loaded when it returns."""
+    probe = ("import io, sys\n"
+             "from contextlib import redirect_stdout\n"
+             "from symmpi.cli import main\n"
+             "with redirect_stdout(io.StringIO()):\n"
+             f"    code = main({[str(a) for a in argv]!r})\n"
+             f"print(code, sorted(m for m in sys.modules if m in {HARNESS!r}))")
+    return run_probe(probe)
+
+
+def test_the_predict_commands_load_no_harness(tmp_path):
+    golden = PACKAGE.parent.parent / "tests" / "golden"
+    values, cycle = tmp_path / "values.csv", tmp_path / "cycle4.txt"
+    values.write_text("vertex_id,value\n0,0.1\n1,0.7\n2,\n3,0.4\n")
+    cycle.write_text("0 1\n1 2\n2 3\n3 0\n")
+    for argv in (["predict-rotation", golden / "rot_points.csv", "--mc", "99", "--grid", "101"],
+                 ["predict-hierarchical", golden / "hier_fixed.csv", "--grid", "101"],
+                 ["predict-hierarchical", golden / "hier_sup_ragged.csv", "--mode", "sup",
+                  "--grid", "101"],
+                 ["predict-graph", values, cycle, "--grid", "101"]):
+        assert harness_loaded_by(argv) == "0 []", argv
+
+
+def test_a_command_that_loads_the_harness_is_found():
+    argv = ["bench", "--preset", "table1", "--branches", "3", "--trials", "1", "--tests", "2",
+            "--grid", "51"]
+    assert harness_loaded_by(argv) == "0 ['symmpi.holes', 'symmpi.sim']"

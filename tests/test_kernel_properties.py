@@ -65,6 +65,7 @@ from symmpi.calibrate import (
     nonsym_set,
     randomized_set,
     rank_member,
+    rotation_supervised_set,
     score_intervals,
     supervised_hierarchical_set,
     symmpi_set,
@@ -86,7 +87,7 @@ from symmpi import holes, sim, transforms
 from symmpi.holes import _hierarchical_counts, _target_near
 from symmpi.network import cluster_sum_set, tree_leaf_set
 from symmpi.sim import (ALL_METHODS, HierarchicalConfig, _interval_rows, _run_trials, _tally,
-                        _sup_eval, rotation_supervised_set)
+                        _sup_eval)
 from symmpi.transforms import (LinearModel, _fit_block, branch_fits, fit_linear, fit_regressors,
                                hierarchical_unsup_transform)
 

@@ -1,9 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 import oracles
 from symmpi import sim
-from symmpi.calibrate import _branch_stats, candidate_grid, hcp_first_obs_set, rank_member
+from symmpi.calibrate import (
+    _branch_stats,
+    candidate_grid,
+    hcp_first_obs_set,
+    rank_member,
+    rotation_region,
+    rotation_region_covers,
+    rotation_supervised_set,
+)
 from symmpi.sim import (
     HierarchicalConfig,
     _unsup_eval,
@@ -12,9 +22,6 @@ from symmpi.sim import (
     gen_sup,
     gen_unsup,
     gen_unsup_ragged,
-    rotation_region,
-    rotation_region_covers,
-    rotation_supervised_set,
     run_benchmark,
 )
 
@@ -324,6 +331,39 @@ def test_rotation_sets_take_a_positive_integer_draw_count(name):
         with pytest.raises(ValueError, match="mc_draws must be a positive integer"):
             build(draws)
     assert np.array_equal(build(np.int64(5)), build(5))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (6, 0), (2, 3, 2)])
+def test_rotation_sets_reject_observed_points_of_another_shape(shape):
+    z = np.ones(shape)
+    grid = np.linspace(-2.0, 4.0, 9)
+    calls = [lambda: rotation_region(z, 0.2, 50, np.random.default_rng(0)),
+             lambda: rotation_region_covers(z, np.ones((2, 2)), 0.2, 50, np.random.default_rng(0)),
+             lambda: rotation_supervised_set(z, np.ones(3), np.ones(2), radial_regression_score,
+                                             grid, 0.2, 50, np.random.default_rng(0))]
+    problem = re.escape(f"(n, p) array with p >= 1, got shape {shape}")
+    for call in calls:
+        with pytest.raises(ValueError, match=problem):
+            call()
+
+
+def test_rotation_region_needs_an_observed_point():
+    with pytest.raises(ValueError, match="at least one observed point"):
+        rotation_region(np.empty((0, 2)), 0.2, 50, np.random.default_rng(0))
+    # with no observed point every draw lands on the held-out one, whose own
+    # score ties with none of them, so small alpha keeps each test point
+    covers = rotation_region_covers(np.empty((0, 2)), np.ones((3, 2)), 0.05, 50,
+                                    np.random.default_rng(0))
+    assert covers.tolist() == [True] * 3
+
+
+def test_rotation_supervised_set_needs_a_y_value_per_row_and_a_full_x_new():
+    pts = np.random.default_rng(19).normal(size=(6, 2))
+    grid = np.linspace(-2.0, 4.0, 9)
+    for y, x_new in ((pts[:5, 0], pts[0]), (pts[:, 0], pts[0, :1]), (pts[:, 0], pts[:1])):
+        with pytest.raises(ValueError, match=re.escape("needs 6 y values and x_new of shape (2,)")):
+            rotation_supervised_set(pts, y, x_new, radial_regression_score, grid, 0.2, 50,
+                                    np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------------

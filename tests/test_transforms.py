@@ -206,6 +206,21 @@ def test_fit_linear_rejects_rank_deficient():
         fit_linear(np.ones(5), np.arange(5.0))
 
 
+def test_fit_linear_names_both_lengths_when_x_and_y_differ():
+    with pytest.raises(ValueError, match="got 5 rows and 4 values"):
+        fit_linear(np.arange(5.0), np.arange(4.0))
+    with pytest.raises(ValueError, match="got 3 rows and 4 values"):
+        fit_linear(np.ones((3, 2)), np.arange(4.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fit_regressors_without_training_rows_is_rank_deficient(d):
+    # the same rank error whatever the number of columns
+    x = [np.empty((0, d)), np.empty((0, d))]
+    with pytest.raises(ValueError, match=f"0 points span rank 0 < {d + 1}"):
+        fit_regressors(x, [np.empty(0), np.empty(0)])
+
+
 # ----------------------------------------------------------------------
 # supervised transform
 # ----------------------------------------------------------------------
