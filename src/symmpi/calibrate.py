@@ -35,6 +35,7 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,14 +326,50 @@ def candidate_grid(values, n_points: int = 2001, pad_sd: float = 4.0) -> np.ndar
         raise ValueError("a candidate grid needs at least one data value")
     if not np.isfinite(v).all():
         raise ValueError("a candidate grid needs finite data values, got NaN or inf")
-    return _candidate_rows(v, n_points, pad_sd)[0]
+    return _candidate_rows(_uniform_grids(v, n_points, pad_sd))[0]
 
 
-def _candidate_rows(values, n_points: int, pad_sd: float, extra: int = 0) -> np.ndarray:
-    """``candidate_grid`` of each row of ``values`` (B, n), in ``np.std`` and
-    ``np.linspace``'s arithmetic: the first n_points columns of a
-    (B, n_points + extra) array, whose last ``extra`` columns are left
-    unset."""
+class _Grids(NamedTuple):
+    """B uniform grids of ``size`` points, each from ``first`` to ``last``
+    (B, 1): point i is i * step + first, step = (last - first) / (size - 1),
+    and point size - 1 is ``last``, in ``np.linspace``'s arithmetic. Each
+    point is read at its index (``at``); ``_candidate_rows`` alone forms
+    whole rows."""
+
+    first: np.ndarray
+    last: np.ndarray
+    size: int
+
+    def take(self, rows) -> "_Grids":
+        """The grids ``rows``."""
+        return _Grids(self.first[rows], self.last[rows], self.size)
+
+    def at(self, index) -> np.ndarray:
+        """The points at the integer ``index``, which broadcasts against
+        (B, 1)."""
+        index = np.asarray(index)
+        points = index * ((self.last - self.first) / (self.size - 1))
+        points += self.first
+        return np.where(index == self.size - 1, self.last, points)
+
+    def spacing(self) -> np.ndarray:
+        """Each grid's step between its first two points, (B,)."""
+        points = self.at(np.arange(2))
+        return points[:, 1] - points[:, 0]
+
+    def bounds(self, extras):
+        """The smallest and the largest candidate (B, 1) of each row of
+        ``_candidate_rows(self, extras)``, NaN where one is NaN, from points
+        0, size - 2 and size - 1 and ``extras``: i * step + first never
+        falls, or never rises, as i grows."""
+        ends = np.concatenate([self.at(np.array([0, self.size - 2, self.size - 1])), extras],
+                              axis=1)
+        return ends.min(axis=1, keepdims=True), ends.max(axis=1, keepdims=True)
+
+
+def _uniform_grids(values, n_points: int, pad_sd: float) -> _Grids:
+    """``candidate_grid`` of each row of ``values`` (B, n), in ``np.std``'s
+    arithmetic, as ``_Grids``."""
     if n_points < 2:
         raise ValueError(f"a candidate grid needs at least 2 points, got {n_points}")
     n = values.shape[1]
@@ -343,11 +380,21 @@ def _candidate_rows(values, n_points: int, pad_sd: float, extra: int = 0) -> np.
         sd = np.where(sd > 0, sd, np.maximum(np.abs(mean[:, 0]), 1.0) * 1e-3)
     lo = values.min(axis=1) - pad_sd * sd
     hi = values.max(axis=1) + pad_sd * sd
-    grid = np.empty((values.shape[0], n_points + extra))
-    np.multiply(np.arange(n_points), ((hi - lo) / (n_points - 1))[:, None], out=grid[:, :n_points])
-    grid[:, :n_points] += lo[:, None]
-    grid[:, n_points - 1] = hi
-    return grid
+    return _Grids(lo[:, None], hi[:, None], n_points)
+
+
+def _candidate_rows(grids: _Grids, extras=None) -> np.ndarray:
+    """The points of every grid, each row followed by its ``extras`` (B, X)
+    if given: a (B, size + X) array."""
+    G = grids.size
+    X = 0 if extras is None else extras.shape[1]
+    out = np.empty((grids.first.shape[0], G + X))
+    np.multiply(np.arange(G), (grids.last - grids.first) / (G - 1), out=out[:, :G])
+    out[:, :G] += grids.first
+    out[:, G - 1] = grids.last[:, 0]
+    if X:
+        out[:, G:] = extras
+    return out
 
 
 def _completed_points(observed, cands, embed, V) -> np.ndarray:
@@ -614,10 +661,20 @@ def rotation_region_covers(observed, test_points, alpha: float, mc_draws: int = 
                            rng: np.random.Generator | None = None) -> np.ndarray:
     """Membership of each fresh point in its own completed-data region; a
     point with a coordinate that is not finite is never covered. The observed
-    points must be finite rows of p >= 1 coordinates."""
+    points must be finite rows of p >= 1 coordinates, and the test points an
+    (m, p) array, or p coordinates of one point; they are checked before
+    anything is drawn."""
+    _check_draws(mc_draws)
+    z = _rotation_points(observed)
+    p = z.shape[1]
+    tp = np.asarray(test_points, dtype=float)
+    if tp.ndim < 2 and tp.size == p:
+        tp = tp.reshape(1, p)
+    if tp.ndim != 2 or tp.shape[1] != p:
+        raise ValueError(f"test points of shape {tp.shape} do not fit observed points of shape "
+                         f"{z.shape}: need shape (m, {p}) or ({p},)")
     rng = rng or np.random.default_rng()
-    tp = np.atleast_2d(np.asarray(test_points, dtype=float))
-    _, fixed_scores, w_cand = _rotation_draws(observed, mc_draws, rng)
+    _, fixed_scores, w_cand = _rotation_draws(z, mc_draws, rng)
     finite = np.isfinite(tp).all(axis=1)
     member = np.zeros(finite.shape, dtype=bool)
     tp = tp[finite]
@@ -834,7 +891,7 @@ def _intervals(lo, hi, alphas, below, scale, weights=None, ranked=False) -> Conf
     without them each of the N + 1 pooled scores weighs the same.
     ``below``, ``scale`` and ``ranked`` as in ``ConformalIntervals``."""
     alphas = tuple(alphas)
-    B, N = hi.shape
+    N = hi.shape[1]
     # non-finite data give ends of no use
     ranked = np.isnan(lo).any(axis=1) | np.isnan(hi).any(axis=1) | ranked
     if weights is None:
@@ -848,18 +905,32 @@ def _intervals(lo, hi, alphas, below, scale, weights=None, ranked=False) -> Conf
     ends = []
     for e in (hi, -lo):
         if weights is None:
-            srt = np.sort(e, axis=1)
-            idx = np.maximum(K - 1, 0)
+            order, idx = None, np.maximum(K - 1, 0)
         else:
             order = np.argsort(e, axis=1)
-            srt = np.take_along_axis(e, order, axis=1)
-            idx, near = _weighted_ends(np.cumsum(weights[order], axis=1), level)
+            cum = weights[order]
+            idx, near = _weighted_ends(np.cumsum(cum, axis=1, out=cum), level)
             ranked = ranked | near
-        # one past the last order statistic, everything is kept
-        end = np.concatenate([srt, np.full((B, 1), np.inf)], axis=1)
-        end = end[:, idx] if weights is None else np.take_along_axis(end, idx, axis=1)
+        end = _order_stats(e, order, idx)
         ends.append(np.where(empty, -np.inf, end) if empty.any() else end)
     return ConformalIntervals(-ends[1], ends[0], alphas, scale, ranked, below)
+
+
+def _order_stats(values, order, idx):
+    """The idx-th smallest (from 0) of each row of ``values`` (B, N): idx
+    (A,) the same in every row, by a sort, with ``order`` None, or idx
+    (B, A) by the rows' argsort ``order``; one past the last, inf:
+    everything is kept."""
+    B, N = values.shape
+    if not N:
+        return np.full((B, idx.shape[-1]), np.inf)
+    at = np.minimum(idx, N - 1)
+    if order is None:
+        out = np.sort(values, axis=1)[:, at]
+    else:
+        out = np.take_along_axis(values, np.take_along_axis(order, at, axis=1), axis=1)
+    out[np.broadcast_to(idx == N, out.shape)] = np.inf
+    return out
 
 
 def _weighted_ends(cum, level):
@@ -869,14 +940,18 @@ def _weighted_ends(cum, level):
     weights in another order may round to the other side. The weights are
     nonnegative, so the sums rise along a row: idx is one search per row,
     and the sums nearest a level are the two on either side of idx."""
-    idx = np.empty((cum.shape[0], level.size), dtype=np.intp)
+    B, N = cum.shape
+    idx = np.empty((B, level.size), dtype=np.intp)
     for b, c in enumerate(cum):
         idx[b] = np.searchsorted(c, level, side="left")
-    bounded = np.empty((cum.shape[0], cum.shape[1] + 2))
-    bounded[:, 0], bounded[:, -1], bounded[:, 1:-1] = -np.inf, np.inf, cum
-    under = np.take_along_axis(bounded, idx, axis=1)
-    over = np.take_along_axis(bounded, idx + 1, axis=1)
-    margin = 4 * cum.shape[1] * np.finfo(float).eps
+    if not N:
+        return idx, np.zeros(B, dtype=bool)
+    # the sums on either side of idx: none below the first, none after the last
+    under = np.take_along_axis(cum, np.maximum(idx - 1, 0), axis=1)
+    under[idx == 0] = -np.inf
+    over = np.take_along_axis(cum, np.minimum(idx, N - 1), axis=1)
+    over[idx == N] = np.inf
+    margin = 4 * N * np.finfo(float).eps
     near = (level - under <= margin) | (over - level <= margin)
     return idx, near.any(axis=1)
 
@@ -1201,22 +1276,26 @@ def _supervised_intervals(residuals, sizes, center, alphas, studentize) -> Confo
     K, m_K = sizes.size, int(sizes[-1])
     donors, raw_last, weights = _donor_scores(residuals, sizes, studentize)
     ranked = np.zeros(residuals.shape[0], dtype=bool)
-    jump = donors
-    if studentize and m_K > 1:
-        ssq = np.sum(raw_last**2, axis=1, keepdims=True)
-        gap = (m_K - 1) - donors**2
-        ranked = (np.abs(gap) <= 2.0**-20 * (m_K - 1)).any(axis=1)
-        jump = np.full(donors.shape, np.inf)
-        passed = gap > 0
-        jump[passed] = (donors * np.sqrt(ssq / np.where(passed, gap, 1.0)))[passed]
-    jumps = np.concatenate([jump, raw_last], axis=1)
+    # unstudentized, the jumps are the residuals, whose magnitude is the scale
+    jumps, finite = residuals, 0.0
+    if studentize:
+        jump = donors
+        if m_K > 1:
+            ssq = np.sum(raw_last**2, axis=1, keepdims=True)
+            gap = (m_K - 1) - donors**2
+            ranked = (np.abs(gap) <= 2.0**-20 * (m_K - 1)).any(axis=1)
+            jump = np.full(donors.shape, np.inf)
+            passed = gap > 0
+            jump[passed] = (donors * np.sqrt(ssq / np.where(passed, gap, 1.0)))[passed]
+        jumps = np.concatenate([jump, raw_last], axis=1)
+        finite = np.where(np.isfinite(jump), np.abs(jump), 0.0).max(axis=1, keepdims=True,
+                                                                    initial=0.0)
 
     def below(points, rows):
         return _supervised_block(residuals[rows], sizes, np.abs(points - center[rows]),
                                  studentize)
 
-    finite = np.where(np.isfinite(jumps), np.abs(jumps), 0.0)
-    scale = np.abs(center) + np.maximum(finite.max(axis=1, keepdims=True, initial=0.0),
+    scale = np.abs(center) + np.maximum(finite,
                                         np.abs(residuals).max(axis=1, keepdims=True, initial=0.0))
     return _intervals(center - jumps, center + jumps, alphas, below, scale,
                       np.concatenate([weights, np.full(m_K - 1, 1.0 / (K * m_K))]), ranked)
@@ -1241,7 +1320,10 @@ def _fit_centers(tr_x, tr_y, n_train, cal_x, n_cal, c: float):
     the pooled fit where the branch fit lies within c confidence bands of
     it, else the branch fit (one ``transforms.branch_fits`` pass)."""
     mu_p, mu_b, sig = branch_fits(_fit_block(tr_x, tr_y, n_train), cal_x, n_cal)
-    return mu_p, np.where(np.abs(mu_b - mu_p) / sig <= c, mu_p, mu_b)
+    gap = mu_b - mu_p
+    np.abs(gap, out=gap)
+    gap /= sig
+    return mu_p, np.where(gap <= c, mu_p, mu_b)
 
 
 def _supervised_set(tr_x, tr_y, n_train, cal_x, cal_y, n_cal, cands, alpha: float, c: float):

@@ -2,13 +2,16 @@
 
 ``_hierarchical_counts`` gives what the harness reads of a block of tests'
 sets: each test's member count on its uniform grid and the memberships of
-the candidates after the grid, such as the truth. Studentized, or for a lone
-test, the rank form ``calibrate._hierarchical_block`` decides every
-candidate. Otherwise every score is not below the candidate's own on an
-interval of candidates, its hole, and a candidate's mass is the total weight
-less that of the holes holding it (``_hole_counts``). The holes' ends, and
-the ends of the runs of grid points in one target state, are sorted as events
-on each test's line of grid indices; between two events the mass is
+the candidates after the grid (the extras), such as the truth. A grid is a
+frame (``calibrate._Grids``): its points are read at their indices, and
+only the rank form forms whole rows (``_candidate_rows``), for the tests it
+ranks. Studentized, or for a lone test, the rank form
+``calibrate._hierarchical_block`` decides every candidate. Otherwise every
+score is not below the candidate's own on an interval of candidates, its
+hole, and a candidate's mass is the total weight less that of the holes
+holding it (``_hole_counts``). The holes' ends, and the ends of the runs of
+grid points in one target state, are sorted as events on each test's line
+of grid indices; between two events the mass is
 constant, so the members among the grid points there are counted by their
 number, in arrays that grow with the holes, not with the grid. A hole that
 lies, with its ends' rounding reach, beyond every candidate of its test and
@@ -21,48 +24,61 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibrate import (_ENDS_ROUNDING, _donor_frame, _hierarchical_block, _level, _target_frame,
-                        rank_member)
+from .calibrate import (_ENDS_ROUNDING, _candidate_rows, _donor_frame, _hierarchical_block, _level,
+                        _target_frame, rank_member)
 
-def _hierarchical_counts(donors, sizes, target, cands, c, studentize, alphas, n_grid: int):
+def _hierarchical_counts(donors, sizes, target, grids, extras, c, studentize, alphas):
     """What the benchmark harness reads of the sets of ``_hierarchical_block``'s
     B tests at each of the A ``alphas``, as the rank form decides them: the
-    member counts (A, B) among each test's first ``n_grid`` candidates, a
-    uniform ascending grid (``_candidate_rows``), and the memberships
-    (A, B, X) of the X candidates after it. Without ``studentize`` the sets
-    of two tests or more are counted from their holes (``_hole_counts``); a
-    lone test, as in ``hierarchical_below``, is ranked whole: alone it would
-    pay the hole form's fixed cost, about 1.2 ms of numpy calls on a K = 20,
-    M = 15 test at the 2001-point grid, where the rank form takes about
-    0.4 ms (timeit minima on a 2-vCPU host, numpy 2.4)."""
-    if studentize or len(cands) == 1:
-        below = _hierarchical_block(donors, sizes, target, cands, c, studentize)
-        member = np.stack([rank_member(below, a) for a in alphas])
-        return member[:, :, :n_grid].sum(axis=2), member[:, :, n_grid:]
-    return _hole_counts(donors, sizes, target, cands, c, alphas, n_grid)
+    member counts (A, B) among the points of each test's uniform grid
+    (``grids``, ``calibrate._Grids``), and the memberships (A, B, X) of its
+    X ``extras`` (B, X), the candidates after the grid. Without
+    ``studentize`` the sets of two tests or more are counted from their
+    holes (``_hole_counts``); a lone test, as in ``hierarchical_below``, is
+    ranked whole on its grid's row: alone it would pay the hole form's fixed
+    cost, about 1.2 ms of numpy calls on a K = 20, M = 15 test at the
+    2001-point grid, where the rank form takes about 0.4 ms (timeit minima
+    on a 2-vCPU host, numpy 2.4)."""
+    if studentize or len(extras) == 1:
+        return _ranked_counts(donors, sizes, target, _candidate_rows(grids, extras), c,
+                              studentize, alphas, grids.size)
+    return _hole_counts(donors, sizes, target, grids, extras, c, alphas)
 
 
-def _rank_at(donors, sizes, target, cands, rows, cols, c) -> np.ndarray:
-    """The unstudentized rank form's masses of the candidates ``cands[rows,
-    cols]``, ``rows`` ascending. Each test's candidates go in with its
-    smallest and largest, which fix the rank form's pools, so every mass has
-    the bits of a whole-row ``_hierarchical_block`` call."""
+def _ranked_counts(donors, sizes, target, cands, c, studentize, alphas, n_grid: int):
+    """The rank form's member counts (A, B) among the first ``n_grid`` of
+    the candidates (B, G) and memberships (A, B, G - n_grid) of the rest."""
+    below = _hierarchical_block(donors, sizes, target, cands, c, studentize)
+    member = np.stack([rank_member(below, a) for a in alphas])
+    return member[:, :, :n_grid].sum(axis=2), member[:, :, n_grid:]
+
+
+def _rank_at(donors, sizes, target, grids, extras, rows, cols, c) -> np.ndarray:
+    """The unstudentized rank form's masses of the candidates ``rows``,
+    ``cols``, ``rows`` ascending, where column j of a test is its grid
+    point j, or its extra j - size after the grid. Each test's candidates go
+    in with its smallest and largest (``_Grids.bounds``), which fix the
+    rank form's pools, so every mass has the bits of a whole-row
+    ``_hierarchical_block`` call."""
+    G = grids.size
     # each test's first entry and count
     first = np.flatnonzero(np.diff(rows, prepend=-1))
     tests, counts = rows[first], np.diff(first, append=rows.size)
     # each test's row: its smallest and largest candidate, its selected
     # ones, then its smallest again as padding
-    picks = np.repeat(np.argmin(cands[tests], axis=1)[:, None], counts.max() + 2, axis=1)
-    picks[:, 1] = np.argmax(cands[tests], axis=1)
+    low, high = grids.take(tests).bounds(extras[tests])
+    row = np.repeat(low, counts.max() + 2, axis=1)
+    row[:, 1:2] = high
     slot = np.arange(rows.size) - np.repeat(first, counts) + 2
     which = np.repeat(np.arange(tests.size), counts)
-    picks[which, slot] = cols
-    below = _hierarchical_block(donors[tests], sizes, target[tests],
-                                np.take_along_axis(cands[tests], picks, axis=1), c, False)
+    on_grid = cols < G
+    row[which[on_grid], slot[on_grid]] = grids.take(rows[on_grid]).at(cols[on_grid, None])[:, 0]
+    row[which[~on_grid], slot[~on_grid]] = extras[rows[~on_grid], cols[~on_grid] - G]
+    below = _hierarchical_block(donors[tests], sizes, target[tests], row, c, False)
     return below[which, slot]
 
 
-def _hole_counts(donors, sizes, target, cands, c, alphas, n_grid: int):
+def _hole_counts(donors, sizes, target, grids, extras, c, alphas):
     """Unstudentized ``_hierarchical_counts`` from the holes of every score.
 
     The target branch is centered at the grand mean or at its own mean,
@@ -85,7 +101,8 @@ def _hole_counts(donors, sizes, target, cands, c, alphas, n_grid: int):
     together and are counted by their number (``_hole_grid``, which forms
     only the holes that reach some candidate of their state, all kinds and
     both states in one pass). The extras are looked up in the holes one by
-    one.
+    one. Grid points are read at their indices: no (tests x grid) array is
+    formed but the rows of the tests ranked whole.
 
     The rank form decides every candidate within ``_ENDS_ROUNDING`` of the
     magnitudes of a hole's end or of kl or kh (within that width of the grand
@@ -99,39 +116,42 @@ def _hole_counts(donors, sizes, target, cands, c, alphas, n_grid: int):
     its square, which would overflow past those bounds. Extras that are not
     finite take whatever mass the arithmetic gives them.
     """
-    B, G = cands.shape
+    B, X = extras.shape
     scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1, initial=0.0)
     whole = ~(scale <= 2.0**500 / (1.0 + abs(c))) | (target.shape[1] < 2 or not c <= 2.0**500)
     counts = np.zeros((len(alphas), B))
-    extra = np.zeros((len(alphas), B, G - n_grid), dtype=bool)
-    rows = np.repeat(np.flatnonzero(whole), G)
-    cols = np.tile(np.arange(G), int(whole.sum()))
+    extra = np.zeros((len(alphas), B, X), dtype=bool)
+    ranked = np.flatnonzero(whole)
+    if ranked.size:
+        counts[:, ranked], extra[:, ranked] = _ranked_counts(
+            donors[ranked], sizes, target[ranked],
+            _candidate_rows(grids.take(ranked), extras[ranked]), c, False, alphas, grids.size)
     live = np.flatnonzero(~whole)
     if live.size:
         # all the tests, as views, when all are live
         sel = slice(None) if live.size == B else live
         counts[:, sel], extra[:, sel], r, k = _hole_grid(
-            donors[sel], sizes, target[sel], cands[sel], c, scale[sel, None], alphas, n_grid)
-        rows, cols = np.concatenate([live[r], rows]), np.concatenate([k, cols])
-    if rows.size:
-        order = np.argsort(rows, kind="stable")
-        rows, cols = rows[order], cols[order]
-        below = _rank_at(donors, sizes, target, cands, rows, cols, c)
-        on_grid = cols < n_grid
-        for ai, alpha in enumerate(alphas):
-            member = rank_member(below, alpha)
-            counts[ai] += np.bincount(rows[on_grid], member[on_grid], minlength=B)
-            extra[ai, rows[~on_grid], cols[~on_grid] - n_grid] = member[~on_grid]
+            donors[sel], sizes, target[sel], grids.take(sel), extras[sel], c, scale[sel, None],
+            alphas)
+        if r.size:
+            order = np.argsort(r, kind="stable")
+            rows, cols = live[r[order]], k[order]
+            below = _rank_at(donors, sizes, target, grids, extras, rows, cols, c)
+            on_grid = cols < grids.size
+            for ai, alpha in enumerate(alphas):
+                member = rank_member(below, alpha)
+                counts[ai] += np.bincount(rows[on_grid], member[on_grid], minlength=B)
+                extra[ai, rows[~on_grid], cols[~on_grid] - grids.size] = member[~on_grid]
     return counts.astype(np.intp), extra
 
 
-def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
+def _hole_grid(donors, sizes, target, grids, extras, c, scale, alphas):
     """``_hole_counts`` of tests whose holes all exist: the counts (A, B) and
     the extras' memberships (A, B, X) as the holes decide them, and the
     candidates (rows, cols) left to the rank form, whose share of the counts
-    is taken out. Positions are kept on each test's line of grid indices,
-    u = (x - lo) / step, where the grid's own points are 0, 1, ...,
-    n_grid - 1 within rounding.
+    is taken out; a column past the grid's last is an extra. Positions are
+    kept on each test's line of grid indices, u = (x - lo) / step, where the
+    grid's own points are 0, 1, ..., n_grid - 1 within rounding.
 
     A row (2 test + state) spans the positions from its first to its last
     candidate in its state: grid points (``_target_runs``) and extras. A
@@ -154,18 +174,21 @@ def _hole_grid(donors, sizes, target, cands, c, scale, alphas, n_grid: int):
     into events in one pass: a block's cost is mostly its count of numpy
     calls and of fresh arrays.
     """
-    B, G = cands.shape
-    X = G - n_grid
+    B, X = extras.shape
+    n_grid = grids.size
+    G = n_grid + X
     D, n_o = sizes.size, target.shape[1]
     K, n_t = D + 1, n_o + 1
     means, sds, donor_sum = _donor_frame(donors, sizes)
-    grid = cands[:, :n_grid]
-    lo, step = grid[:, :1], (grid[:, -1:] - grid[:, :1]) / (n_grid - 1)
+    # point 0 is first, but for the sign of a zero
+    lo = grids.at(0)
+    step = (grids.last - lo) / (n_grid - 1)
     # every candidate's rounding reaches no farther than this
-    reach = scale + np.maximum(cands.max(axis=1, keepdims=True), -cands.min(axis=1, keepdims=True))
-    runs = _target_runs(target, grid, donor_sum, K, c, reach)
-    x_far = ~_target_near(target, cands[:, n_grid:], donor_sum, K, c, reach)
-    ux = (cands[:, n_grid:] - lo) / step
+    low, high = grids.bounds(extras)
+    reach = scale + np.maximum(high, -low)
+    runs = _target_runs(target, grids, donor_sum, K, c, reach)
+    x_far = ~_target_near(target, extras, donor_sum, K, c, reach)
+    ux = (extras - lo) / step
     # whether each extra is in each state (B, 2, X), near then far
     x_state = np.stack([~x_far, x_far], axis=1)
     # the target's center cb + cs c in each state (B, 2, 1)
@@ -442,11 +465,11 @@ def _grid_cells(ranges, n_grid: int):
     return np.divmod(cells[np.append(cells[:1] == cells[:1], cells[1:] != cells[:-1])], n_grid)
 
 
-def _target_runs(target, grid, donor_sum, K, c, reach):
-    """Each test's grid (B, G) as runs of grid points in one target state,
-    as ``_target_near`` decides it: the runs' tests, first grid indices,
-    indices one past their last, and states, 0 near or 1 far, ascending by
-    test and index.
+def _target_runs(target, grids, donor_sum, K, c, reach):
+    """Each test's grid (``grids``, B ``_Grids`` of G points) as runs of grid
+    points in one target state, as ``_target_near`` decides it: the runs'
+    tests, first grid indices, indices one past their last, and states, 0
+    near or 1 far, ascending by test and index.
 
     The quadratic's roots at 4 times its bound below zero and above it cut
     each grid into at most 5 runs. A run is near where the quadratic lies
@@ -456,21 +479,22 @@ def _target_runs(target, grid, donor_sum, K, c, reach):
     place the cuts: one that rounding misplaces leaves more points to decide
     one by one.
     """
-    B, G = grid.shape
+    B, G = len(reach), grids.size
+    lo = grids.at(0)
     m_o, coef, bound = _target_quadratic(target, donor_sum, K, c, reach)
     qa, qb, qc = coef
     with np.errstate(all="ignore"):
         level = np.concatenate([qc - 4 * bound, qc + 4 * bound], axis=1)
         h = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4 * qa * level), qb))
         root = np.concatenate([h / qa, level / h], axis=1) + m_o
-        u = (root - grid[:, :1]) / (grid[:, -1:] - grid[:, :1]) * (G - 1)
+        u = (root - lo) / (grids.last - lo) * (G - 1)
         vertex = -qb / (2 * qa) if qa else np.full(qb.shape, -np.inf)
     cuts = _grid_index(np.nan_to_num(u), G)
     cuts.sort(axis=1)
     starts = np.concatenate([np.zeros((B, 1), np.intp), cuts], axis=1)
     stops = np.concatenate([cuts, np.full((B, 1), G)], axis=1)
-    first = np.take_along_axis(grid, np.minimum(starts, G - 1), axis=1) - m_o
-    last = np.take_along_axis(grid, np.maximum(stops - 1, 0), axis=1) - m_o
+    first = grids.at(np.minimum(starts, G - 1)) - m_o
+    last = grids.at(np.maximum(stops - 1, 0)) - m_o
     q = [_quadratic(coef, y) for y in (first, last, np.clip(vertex, first, last))]
     near = np.logical_and.reduce([x < -4 * bound for x in q])
     far = np.logical_and.reduce([x > 4 * bound for x in q])
@@ -482,7 +506,7 @@ def _target_runs(target, grid, donor_sum, K, c, reach):
         which, index = _spans(starts[b, p], stops[b, p])
         b = b[which]
         s = donor_sum[b] if np.ndim(donor_sum) else donor_sum
-        far = ~_target_near(target[b], grid[b, index, None], s, K, c, reach[b])[:, 0]
+        far = ~_target_near(target[b], grids.take(b).at(index[:, None]), s, K, c, reach[b])[:, 0]
         runs = [np.concatenate(v) for v in zip(runs, (b, index, index + 1, far.astype(np.intp)))]
     order = np.lexsort((runs[1], runs[0]))
     return tuple(v[order] for v in runs)

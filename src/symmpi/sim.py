@@ -9,7 +9,7 @@ flows through per-trial generators keyed by (seed, trial) so results are
 reproducible under any worker count and any grouping of tests into blocks.
 
 The symmpi method's member counts come from the library's kernels, run on
-each test's candidate grid with the truth appended: unsupervised,
+each test's candidate grid and its truth: unsupervised,
 ``holes._hierarchical_counts`` (the holes of every score, counted segment by
 segment along the grid, or the rank form when studentized or for a block of
 one test); supervised, intervals (``calibrate._supervised_intervals``). The
@@ -17,15 +17,18 @@ conformal methods' sets are intervals with closed-form ends
 (``calibrate.ConformalIntervals``); the member counts of every interval set
 on the uniform grid follow from the grid indices of the ends
 (``_interval_rows``), and only the grid points and truths within rounding of
-an end are ranked.
+an end are ranked. Each test's grid is a frame (``calibrate._Grids``, from
+``_grid_frame``): its first and last value and its size, read at the
+indices the kernels ask for. Only the rank form forms a test's whole grid,
+and only for the tests it ranks.
 Trials are drawn in order, each test's draws in the order a one-test loop
 makes them (``_run_trials``). Tests of equal branch sizes gather in pending
 blocks that may span trials, and all pending tests are evaluated once they
 number one block (65 tests at the default grid unless the scores are
 studentized), with one count of lengths and coverage per method for each
-block. Several threads run contiguous chunks of the trials through the
-same function.
-An unsupervised block (``_unsup_block``) makes one grid, one
+block. An unstudentized block forms no (tests x candidates) array. Several
+threads run contiguous chunks of the trials through the same function.
+An unsupervised block (``_unsup_block``) makes one frame of grids, one
 ``_hierarchical_counts`` call and one set of intervals per conformal method.
 A supervised block (``_sup_block``) runs the library's split
 (``_split_branches``), one fit of every test's regressors and one pass of
@@ -51,6 +54,7 @@ from .calibrate import (
     _fit_centers,
     _split_branches,
     _supervised_intervals,
+    _uniform_grids,
     centered_intervals,
     score_intervals,
 )
@@ -60,15 +64,16 @@ from .transforms import _fit_lines
 
 ALL_METHODS = ("symmpi", "conformal", "subsampling", "single_tree", "hcp")
 
-# Tests of equal branch sizes are evaluated in blocks whose
-# (tests x candidates) arrays hold at most this many floats: 65 tests at a
-# 2001-point grid, from one trial or several, beyond which the kernels'
-# arrays grow with the tests, not with the grid. On a 2-vCPU host,
-# bench-table's median op time fell 29 % when 8-test blocks became whole
-# trials counted by the event kernel of ``symmpi.holes``. Studentized runs
-# keep blocks of at most the second, 8 tests: the unsupervised rank form
-# builds several (tests x candidates) arrays per donor, and whole-trial
-# studentized blocks raised the peak memory of a studentized bench process.
+# Tests of equal branch sizes are evaluated in blocks of at most this many
+# floats' worth of (tests x candidates): 65 tests at a 2001-point grid, from
+# one trial or several. Unstudentized blocks form no such array (the grids
+# are frames, read at their indices), and their kernels' arrays grow with
+# the tests, not with the grid. On a 2-vCPU host, bench-table's median op
+# time fell 29 % when 8-test blocks became whole trials counted by the event
+# kernel of ``symmpi.holes``. Studentized runs keep blocks of at most the
+# second, 8 tests: the unsupervised rank form builds its grid rows and
+# several (tests x candidates) arrays per donor, and whole-trial studentized
+# blocks raised the peak memory of a studentized bench process.
 _TESTS_BLOCK_FLOATS = 1 << 17
 _STUDENTIZED_BLOCK_FLOATS = 1 << 14
 
@@ -200,35 +205,38 @@ def gen_rotational(n: int, p: int, scale: float, rng: np.random.Generator) -> np
 # --------------------------------------------------------------------------
 
 
-def _tally(counts, covered, G: int, spacing):
+def _tally(counts, covered, grids):
     """Length, covered and unbounded of each row at each alpha, (alphas, 3, R),
-    from the member counts among the G grid points, the truth's membership
-    (both (alphas, R)) and the (R,) grid spacings."""
-    out = np.stack([counts, covered, counts == G], axis=1).astype(float)
+    from the member counts among the points of each row's grid (``grids``,
+    R ``calibrate._Grids``) and the truth's membership, both (alphas, R)."""
+    out = np.stack([counts, covered, counts == grids.size], axis=1).astype(float)
     lengths, unbounded = out[:, 0], out[:, 2]
-    lengths *= spacing
+    lengths *= grids.spacing()
     lengths[unbounded > 0] = np.inf
     return out
 
 
-def _interval_rows(sets, gridp, spacing):
+def _interval_rows(sets, grids, extras):
     """``_tally`` of each of the conformal ``sets`` (``ConformalIntervals`` of
-    the same B tests and alphas) on each test's uniform grid with its truth
-    appended, (B, G + 1); every set at every alpha is one column of the count.
+    the same B tests and alphas) on each test's uniform grid (``grids``) and
+    its truth, the one column of ``extras`` (B, 1); every set at every alpha
+    is one column of the count.
 
     A set keeps the grid points between its ends. Each end lies between two
     neighbouring grid points, and when the step is at least four rounding
     widths the points beyond those are farther from it than rounding
     reaches, so the member count is the points between the ends' neighbours
-    plus the neighbours that ``member`` keeps. A test without closed-form
-    ends, or with a finer grid, is counted point by point.
+    plus the neighbours that ``member`` keeps. Only the neighbours are read
+    off the grid. A test without closed-form ends, or with a finer grid, is
+    counted point by point on its grid's row (``_candidate_rows``).
     """
     if not sets:
         return []
-    B, G = gridp.shape[0], gridp.shape[1] - 1
+    B, G = len(extras), grids.size
     A = len(sets[0].alphas)
     C = len(sets) * A
-    lo, hi = gridp[:, :1], gridp[:, G - 1:G]
+    # point 0 is first, but for the sign of a zero
+    lo, hi = grids.at(0), grids.last
     step = (hi - lo) / (G - 1)
     # (B, 2, C, 2): the grid point at or below the low and the high end of
     # each column, and the next one
@@ -236,10 +244,9 @@ def _interval_rows(sets, gridp, spacing):
                      np.concatenate([s.high for s in sets], axis=1)], axis=1)
     first = np.floor(np.clip((ends - lo[:, :, None]) / step[:, :, None], -3, G + 1))
     idx = first.astype(np.intp)[..., None] + np.arange(2)
-    points = np.take_along_axis(gridp, np.clip(idx, 0, G - 1).reshape(B, -1), axis=1)
+    points = grids.at(np.clip(idx, 0, G - 1).reshape(B, -1))
     # every neighbour and truth in every column, (C, B, 4C + 1)
-    kept = np.concatenate([s.member(np.concatenate([points, gridp[:, G:]], axis=1))
-                           for s in sets])
+    kept = np.concatenate([s.member(np.concatenate([points, extras], axis=1)) for s in sets])
     # each column's own neighbours, (C, B, 2, 2)
     diag = np.arange(C)
     neighbours = kept[:, :, :-1].reshape(C, B, 2, C, 2)[diag, :, :, diag]
@@ -256,18 +263,16 @@ def _interval_rows(sets, gridp, spacing):
         fine = (4 * _ENDS_ROUNDING * (s.scale + magnitude) >= step)[:, 0]
         rows = np.flatnonzero(s.ranked | fine)
         if rows.size:
-            member = s.member(gridp[rows], rows)
+            member = s.member(_candidate_rows(grids.take(rows), extras[rows]), rows)
             counts[k * A:(k + 1) * A, rows] = member[:, :, :-1].sum(axis=2)
             covered[k * A:(k + 1) * A, rows] = member[:, :, -1]
-    return np.split(_tally(counts, covered, G, spacing), len(sets))
+    return np.split(_tally(counts, covered, grids), len(sets))
 
 
 def _grid_frame(observed, truth, cfg):
-    """Each test's candidate grid over its observed values (B, n), with its
-    truth appended, and the grid spacings."""
-    gridp = _candidate_rows(observed, cfg.grid_points, cfg.grid_pad_sd, extra=1)
-    gridp[:, -1] = truth
-    return gridp, gridp[:, 1] - gridp[:, 0]
+    """Each test's candidate grid over its observed values (B, n), as
+    ``calibrate._Grids``, and its truth as the one extra candidate, (B, 1)."""
+    return _uniform_grids(observed, cfg.grid_points, cfg.grid_pad_sd), truth.reshape(-1, 1)
 
 
 def _hcp_intervals(donors, sizes, alphas) -> ConformalIntervals:
@@ -303,7 +308,7 @@ def _unsup_block(flat, sizes, picks, cfg, methods):
     n_donor = int(sizes[:-1].sum())
     observed, truth = flat[:, :-1], flat[:, -1]
     donors, target = flat[:, :n_donor], flat[:, n_donor:-1]
-    gridp, spacing = _grid_frame(observed, truth, cfg)
+    grids, extras = _grid_frame(observed, truth, cfg)
     alphas = cfg.alphas
     sets = {
         "conformal": lambda: centered_intervals(observed, alphas),
@@ -311,12 +316,12 @@ def _unsup_block(flat, sizes, picks, cfg, methods):
         "single_tree": lambda: centered_intervals(target, alphas),
         "hcp": lambda: _hcp_intervals(donors, sizes[:-1], alphas),
     }
-    return _block_rows(methods, sets, gridp, spacing,
-                       lambda: _hierarchical_counts(donors, sizes[:-1], target, gridp, cfg.c,
-                                                    cfg.studentize, alphas, gridp.shape[1] - 1))
+    return _block_rows(methods, sets, grids, extras,
+                       lambda: _hierarchical_counts(donors, sizes[:-1], target, grids, extras,
+                                                    cfg.c, cfg.studentize, alphas))
 
 
-def _block_rows(methods, sets, gridp, spacing, symmpi=None):
+def _block_rows(methods, sets, grids, extras, symmpi=None):
     """Each method's (alphas, 3, B) rows: those of methods with intervals
     (``sets[m]()``) counted in one ``_interval_rows`` pass, and symmpi's from
     its member counts and the truth's membership (``symmpi()``) when it has no
@@ -324,9 +329,9 @@ def _block_rows(methods, sets, gridp, spacing, symmpi=None):
     rows = {}
     if symmpi and "symmpi" in methods:
         counts, covered = symmpi()
-        rows["symmpi"] = _tally(counts, covered[:, :, 0], gridp.shape[1] - 1, spacing)
+        rows["symmpi"] = _tally(counts, covered[:, :, 0], grids)
     named = [m for m in sets if m in methods]
-    rows.update(zip(named, _interval_rows([sets[m]() for m in named], gridp, spacing)))
+    rows.update(zip(named, _interval_rows([sets[m]() for m in named], grids, extras)))
     return {m: rows[m] for m in ALL_METHODS if m in methods}
 
 
@@ -381,7 +386,7 @@ def _sup_block(x, y, sizes, picks, cfg, methods):
     cal_x, cal_y = np.compress(~train, x, axis=1)[..., None], np.compress(~train, y, axis=1)
     mu_p, center = _fit_centers(tr_x, tr_y, n_train, cal_x, n_cal, cfg.c)
     obs_y, truth = cal_y[:, :-1], cal_y[:, -1]
-    gridp, spacing = _grid_frame(obs_y, truth, cfg)
+    grids, extras = _grid_frame(obs_y, truth, cfg)
     pooled, alphas = np.abs(obs_y - mu_p[:, :-1]), cfg.alphas
 
     def single_tree():
@@ -401,7 +406,7 @@ def _sup_block(x, y, sizes, picks, cfg, methods):
             np.take_along_axis(pooled, starts[:-1] + picks, axis=1), alphas, mu_p[:, -1:]),
         "single_tree": single_tree,
     }
-    return _block_rows(methods, sets, gridp, spacing)
+    return _block_rows(methods, sets, grids, extras)
 
 
 @lru_cache(maxsize=16)

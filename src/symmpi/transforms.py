@@ -74,14 +74,20 @@ class LinearModel:
 
 
 def _augment(x, d: int) -> np.ndarray:
-    """Prepend an intercept column; 1-d feature vectors are point lists."""
+    """Prepend an intercept column to ``_features(x, d)``."""
+    x = _features(x, d)
+    ones = np.ones(x.shape[:-1] + (1,))
+    return np.concatenate([ones, x], axis=-1)
+
+
+def _features(x, d: int) -> np.ndarray:
+    """x as points of d features; 1-d feature vectors are point lists."""
     x = np.asarray(x, dtype=float)
     if d == 1 and x.ndim <= 1:
         x = x.reshape(-1, 1)
     if x.shape[-1] != d:
         raise ValueError(f"expected {d} feature(s), got shape {x.shape}")
-    ones = np.ones(x.shape[:-1] + (1,))
-    return np.concatenate([ones, x], axis=-1)
+    return x
 
 
 def fit_linear(x, y) -> LinearModel:
@@ -121,21 +127,24 @@ def _fit_runs(x, y, n):
     """
     d = x.shape[1]
     starts = np.cumsum(n) - n
-    xy = np.concatenate([x, y[:, None]], axis=1)
     # an infinite x makes inf - inf here; _check_ranks then raises for its run
     with np.errstate(invalid="ignore"):
-        mean = np.add.reduceat(xy, starts) / n[:, None]
-        dev = xy - np.repeat(mean, n, axis=0)
+        x_bar = np.add.reduceat(x, starts) / n[:, None]
+        y_bar = np.add.reduceat(y, starts) / n
+        dev_x = np.repeat(x_bar, n, axis=0)
+        np.subtract(x, dev_x, out=dev_x)
+        dev_y = np.repeat(y_bar, n)
+        np.subtract(y, dev_y, out=dev_y)
         # per run: [scatter of x about its mean | cross products of x and y]
-        cross = np.add.reduceat(dev[:, :d, None] * dev[:, None, :], starts)
-        x_bar = mean[:, :d]
+        cross = _run_products(dev_x, dev_y, starts)
         _check_ranks(x, n, starts, cross[:, :, :d], x_bar)
     scatter_inv = np.linalg.inv(cross[:, :, :d])
     slope = (scatter_inv @ cross[:, :, d:])[:, :, 0]
     shift = (scatter_inv @ x_bar[:, :, None])[:, :, 0]
-    resid = dev[:, d] - np.einsum("ij,ij->i", dev[:, :d], np.repeat(slope, n, axis=0))
+    resid = np.einsum("ij,ij->i", dev_x, np.repeat(slope, n, axis=0))
+    np.subtract(dev_y, resid, out=resid)
     coef = np.empty((n.size, d + 1))
-    coef[:, 0] = mean[:, d] - np.einsum("ij,ij->i", x_bar, slope)
+    coef[:, 0] = y_bar - np.einsum("ij,ij->i", x_bar, slope)
     coef[:, 1:] = slope
     # inverse of the Gram matrix [[n, n m'], [n m, S + n m m']], m the mean
     # of x and S its scatter, by blocks
@@ -145,6 +154,21 @@ def _fit_runs(x, y, n):
     xtx_inv[:, 1:, 1:] = scatter_inv
     rss = np.add.reduceat(resid**2, starts)
     return coef, xtx_inv, np.sqrt(rss / np.maximum(n - (d + 1), 1)), resid
+
+
+def _run_products(dev_x, dev_y, starts):
+    """Per run of the rows of the deviations ``dev_x`` (N, d) and ``dev_y``
+    (N,) starting at ``starts``, the sums of dev_x_i dev_x_j and of
+    dev_x_i dev_y, (R, d, d + 1): one ``np.add.reduceat`` per column pair,
+    which adds each run's products in the order and with the bits of one
+    reduction of the (N, d, d + 1) products."""
+    d = dev_x.shape[1]
+    out = np.empty((starts.size, d, d + 1))
+    for i in range(d):
+        for j in range(d):
+            out[:, i, j] = np.add.reduceat(dev_x[:, i] * dev_x[:, j], starts)
+        out[:, i, d] = np.add.reduceat(dev_x[:, i] * dev_y, starts)
+    return out
 
 
 def _check_ranks(x, n, starts, scatter, x_bar):
@@ -213,8 +237,15 @@ class RegressorBundle:
         return self.mu(x) + np.einsum("...i,...i->...", xa, self.coef[k])
 
     def sigma_k(self, k, x) -> np.ndarray:
-        xa = _augment(x, self.pooled.coef.shape[-1] - 1)
-        quad = np.einsum("...i,...ij,...j->...", xa, self.xtx_inv[k], xa)
+        # one gathered entry of the inverse Gram matrices at a time, added
+        # in np.einsum's order for its bits: from zero, i outer, then j, each
+        # term (x_i M_ij) x_j, with no (..., d + 1, d + 1) gathered array
+        x = _features(x, self.pooled.coef.shape[-1] - 1)
+        cols = [1.0] + [x[..., i] for i in range(x.shape[-1])]
+        quad = np.zeros(np.broadcast_shapes(np.shape(k), x.shape[:-1]))
+        for i, xi in enumerate(cols):
+            for j, xj in enumerate(cols):
+                quad += xi * self.xtx_inv[:, i, j].take(k) * xj
         se = np.where(
             self.fitted[k],
             self.resid_sd[k] * np.sqrt(np.maximum(quad, 0.0)),

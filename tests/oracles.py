@@ -45,6 +45,11 @@ below-own mass of every candidate, searched candidate by candidate in the
 sorted calibration values (for the centered and ``hcp`` scores, each
 value's score compared with the candidate's), that
 ``calibrate.ConformalIntervals`` replaces by closed-form ends.
+``run_products`` forms ``transforms._fit_runs``' sums about the run means
+from one product array, and ``einsum_sigma_k`` is
+``RegressorBundle.sigma_k`` by one ``np.einsum`` over gathered inverse Gram
+matrices. ``grid_rows`` is ``calibrate.candidate_grid`` of many rows as
+one array, the arithmetic behind ``calibrate._Grids``.
 ``svd_fit_lines`` is least squares by one stacked SVD of the designs, the
 reference for ``transforms._fit_runs``, the package's one least-squares
 routine; ``svd_fit_linear`` is ``fit_linear`` by it, and
@@ -80,7 +85,7 @@ from symmpi.calibrate import (
 from symmpi.dataio import read_branch_rows
 from symmpi.groups import (CosetDecomposition, Permutation, iter_actions,
                            sample_haar_orthogonal)
-from symmpi.transforms import (LinearModel, RegressorBundle, branch_fits, fit_linear,
+from symmpi.transforms import (LinearModel, RegressorBundle, _augment, branch_fits, fit_linear,
                                fit_regressors)
 
 
@@ -128,6 +133,41 @@ def svd_fit_lines(x, y):
     dof = max(x.shape[-2] - xa.shape[-1], 1)
     resid_sd = np.sqrt((resid[:, None, :] @ resid[..., None])[:, 0, 0] / dof)
     return LinearModel(coef=coef, xtx_inv=(v / s[:, None, :] ** 2) @ vt, resid_sd=resid_sd), resid
+
+
+def run_products(dev_x, dev_y, starts):
+    """``transforms._run_products`` from one (N, d, d + 1) product of the
+    rows of [dev_x | dev_y], reduced by the runs starting at ``starts``."""
+    dev = np.concatenate([dev_x, dev_y[:, None]], axis=1)
+    return np.add.reduceat(dev[:, :-1, None] * dev[:, None, :], starts)
+
+
+def einsum_sigma_k(reg, k, x):
+    """``RegressorBundle.sigma_k`` by one ``np.einsum`` over the inverse Gram
+    matrices gathered at ``k``, (..., d + 1, d + 1)."""
+    xa = _augment(x, reg.pooled.coef.shape[-1] - 1)
+    quad = np.einsum("...i,...ij,...j->...", xa, reg.xtx_inv[k], xa)
+    se = np.where(reg.fitted[k], reg.resid_sd[k] * np.sqrt(np.maximum(quad, 0.0)),
+                  reg.train_resid_sd[k])
+    return np.maximum(se, 1e-12)
+
+
+def grid_rows(values, n_points, pad_sd):
+    """``calibrate.candidate_grid`` of each row of ``values`` (B, n), as one
+    array: each row's mean and SD about it, its ends widened by ``pad_sd``
+    SDs, then ``np.arange(n_points)`` times the step plus the low end, and
+    the high end as the last point."""
+    n = values.shape[1]
+    mean = values.sum(axis=1, keepdims=True) / n
+    dev = values - mean
+    sd = np.sqrt((dev * dev).sum(axis=1) / n)
+    sd = np.where(sd > 0, sd, np.maximum(np.abs(mean[:, 0]), 1.0) * 1e-3)
+    lo = values.min(axis=1) - pad_sd * sd
+    hi = values.max(axis=1) + pad_sd * sd
+    grid = np.arange(n_points) * ((hi - lo) / (n_points - 1))[:, None]
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
 
 
 def svd_fit_linear(x, y):
@@ -524,15 +564,17 @@ def run_trial(cfg, methods, trial):
     return summary
 
 
-def hole_members(donors, sizes, target, cands, c, alphas, n_grid):
-    """Memberships (A, B, G) of the candidates (B, G) in the harness layout,
-    a uniform grid of ``n_grid`` points then extras, as the hole form decides
-    them (the rank form for a lone test): the same call with every
-    candidate also appended after the grid, read off those extras."""
+def hole_members(donors, sizes, target, grids, extras, c, alphas):
+    """Memberships (A, B, G + X) of the candidates in the harness layout,
+    each test's uniform grid (``grids``, ``calibrate._Grids`` of G points)
+    then its X ``extras``, as the hole form decides them (the rank form for
+    a lone test): the same call with every candidate, the grid's rows
+    (``_candidate_rows``) and the extras, as the extras, read off them."""
+    from symmpi.calibrate import _candidate_rows
     from symmpi.holes import _hierarchical_counts
 
-    both = np.concatenate([cands[:, :n_grid], cands], axis=1)
-    return _hierarchical_counts(donors, sizes, target, both, c, False, alphas, n_grid)[1]
+    every = _candidate_rows(grids, extras)
+    return _hierarchical_counts(donors, sizes, target, grids, every, c, False, alphas)[1]
 
 
 def intervals_loop(candidates, member):

@@ -5,6 +5,8 @@ import oracles
 from symmpi.calibrate import (
     PredictionSet,
     WeightSpec,
+    _Grids,
+    _candidate_rows,
     candidate_grid,
     estimate_shift_gap,
     finite_quantile,
@@ -483,12 +485,14 @@ def test_edge_clipped_sets():
     values = [1.0, 2.0, 3.0, 2.5, 1.2]
     assert split_conformal_set(values, np.linspace(1.5, 5, 36), 0.3).edge_clipped
     assert not split_conformal_set(values, np.linspace(-9, 9, 41), 0.3).edge_clipped
-    # the hole form's memberships, in the harness's block of two tests
+    # the hole form's memberships, in the harness's block of two tests, on
+    # grids from 0 to 1.1 by 0.1
     donors = np.array([[1.0, 2.0, 3.5, 2.0, 3.0, 4.0]] * 2)
     target = np.array([[1.5, 2.5], [1.6, 2.4]])
-    member = oracles.hole_members(donors, np.array([3, 3]), target, np.stack([grid[:12]] * 2),
-                                  2.0, (0.3,), 12)
-    assert all(PredictionSet(grid[:12], m).edge_clipped for m in member[0])
+    grids = _Grids(np.zeros((2, 1)), np.full((2, 1), 1.1), 12)
+    member = oracles.hole_members(donors, np.array([3, 3]), target, grids, np.empty((2, 0)),
+                                  2.0, (0.3,))
+    assert all(PredictionSet(_candidate_rows(grids)[0], m).edge_clipped for m in member[0])
     # an orbit set; an unbounded set is not edge clipped
     ps = symmpi_set(np.array([1.0, 2.0, 3.0]), grid, append_embed, identity_map,
                     last_coordinate, SymmetricGroup(4), alpha=0.3)

@@ -77,13 +77,17 @@ def test_bench_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("preset", ["table1", "table1-random", "table2", "table2-random"])
+@pytest.mark.parametrize("preset", ["table1", "table1-random", "table2", "table2-random",
+                                    "table1_studentized", "table2_studentized"])
 def test_bench_csv_matches_golden_output(preset, tmp_path, capsys):
-    # tests/golden holds each preset's CSV at this size; any change to a
-    # draw, a set or the arithmetic of a row shows as a byte difference
+    # tests/golden holds each preset's CSV at this size, and the table
+    # presets' with --studentize; any change to a draw, a set or the
+    # arithmetic of a row shows as a byte difference
     out = tmp_path / "bench.csv"
-    assert main(["bench", "--preset", preset, "--trials", "2", "--tests", "12", "--grid", "201",
-                 "--sigma2", "0.5", "10", "--out", str(out)]) == 0
+    name, _, studentized = preset.partition("_")
+    assert main(["bench", "--preset", name, "--trials", "2", "--tests", "12", "--grid", "201",
+                 "--sigma2", "0.5", "10", "--out", str(out)]
+                + (["--studentize"] if studentized else [])) == 0
     golden = Path(__file__).parent / "golden" / f"bench_{preset}.csv"
     assert out.read_bytes() == golden.read_bytes()
 

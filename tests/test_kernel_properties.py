@@ -53,7 +53,9 @@ from symmpi.calibrate import (
     _ENDS_ROUNDING,
     PredictionSet,
     WeightSpec,
+    _Grids,
     _branch_stats,
+    _candidate_rows,
     _hierarchical_block,
     _supervised_block,
     _supervised_intervals,
@@ -70,6 +72,7 @@ from symmpi.calibrate import (
     supervised_hierarchical_set,
     symmpi_set,
     symmpi_set_randomsize,
+    _uniform_grids,
 )
 from symmpi.groups import (
     BlockPermutationGroup,
@@ -125,11 +128,37 @@ def ragged_branches(draw, min_branches=2, max_branches=8):
     return branches
 
 
-def _rank_rows(below, alphas, spacing):
-    """The harness's rows (``_tally``) of the rank form's masses, the final
-    candidate being the truth."""
+def _rank_rows(below, alphas, grids):
+    """The harness's rows (``_tally``) of the rank form's masses on the rows
+    of ``grids`` (``_candidate_rows``) with the truth after them."""
     member = np.stack([rank_member(below, a) for a in alphas])
-    return _tally(member[:, :, :-1].sum(axis=2), member[:, :, -1], member.shape[2] - 1, spacing)
+    return _tally(member[:, :, :-1].sum(axis=2), member[:, :, -1], grids)
+
+
+def _frame(grid):
+    """The frame (``_Grids``) of one uniform grid from the first to the last
+    point of ``grid``, with its size; for a grid of ``candidate_grid`` its
+    points are the grid's."""
+    return _Grids(grid[None, :1], grid[None, -1:], grid.size)
+
+
+def _through(grids, index, at):
+    """``grids`` with each test's grid moved, by its own shift, so that its
+    point ``index`` (B, 1) is ``at`` (B, 1): its first value is set to
+    at - index step, then moved by ulps toward the point, or, for the last
+    index, its last value is ``at``. A point whose sum with the first value
+    is coarser than ``at`` may end one ulp away."""
+    G = grids.size
+    step = (grids.last - grids.first) / (G - 1)
+    first = at - index * step
+    last = np.where(index == G - 1, at, first + (G - 1) * step)
+    for _ in range(64):
+        moved = _Grids(first, last, G)
+        off = moved.at(index) - at
+        if not off.any():
+            break
+        first = np.where(off == 0, first, np.nextafter(first, np.where(off > 0, -np.inf, np.inf)))
+    return moved
 
 
 def _observed(branches):
@@ -290,8 +319,8 @@ def _hole_points(donors, sizes, target, c):
 @st.composite
 def hole_cases(draw):
     """B tests sharing branch sizes in one of ``HOLE_SHAPES``: (donors,
-    sizes, target, candidates laid out as a uniform grid then extras, the
-    grid's size, c, alphas)."""
+    sizes, target, each test's uniform grid as a frame (``_Grids``), the
+    candidates after it (extras), c, alphas)."""
     shape = draw(HOLE_SHAPES)
     B = draw(st.integers(1, 5))
     K = 2 if shape == "k2_half" else draw(st.integers(2, 7))
@@ -317,13 +346,13 @@ def hole_cases(draw):
     donors, target, truth = values[:, :n], values[:, n:-1], values[:, -1:]
     n_points = draw(st.integers(5, 60))
     if shape == "two_values":
-        grid = np.stack([candidate_grid([-0.7, 1.3], 5 * n_points + 1)] * B)
+        grids = _uniform_grids(np.array([[-0.7, 1.3]] * B), 5 * n_points + 1, 4.0)
     else:
-        grid = np.stack([candidate_grid(np.append(d, t), n_points)
-                         for d, t in zip(donors, target)])
+        grids = _uniform_grids(np.concatenate([donors, target], axis=1), n_points, 4.0)
     extras = truth
     if shape == "far":
-        grid, extras = grid + 100 * (np.ptp(values) + 1), truth + 100 * (np.ptp(values) + 1)
+        far = 100 * (np.ptp(values) + 1)
+        grids, extras = _Grids(grids.first + far, grids.last + far, grids.size), truth + far
     if shape in ("at_ends", "grid_at_ends"):
         # with one observed target value the hole form ranks every candidate
         points = _hole_points(donors, sizes[:-1], target, c) if target.shape[1] > 1 else values
@@ -332,18 +361,20 @@ def hole_cases(draw):
             extras = np.concatenate([truth, points[:, pick]], axis=1)
         else:
             # the grid moved, each test's by its own shift, to put its
-            # nearest point on one of the picked points
+            # nearest point on one of the picked points, to the ulp
             at = points[np.arange(B), pick[np.arange(B) % pick.size]][:, None]
-            near = np.abs(grid - at).argmin(axis=1)[:, None]
-            grid = grid + (at - np.take_along_axis(grid, near, axis=1))
+            near = np.abs(_candidate_rows(grids) - at).argmin(axis=1)[:, None]
+            grids = _through(grids, near, at)
+            gap = np.abs(grids.at(near) - at)
+            assert (gap <= np.spacing(np.maximum(np.abs(at), np.abs(grids.first)))).all()
     if shape == "span_edges":
         D = sizes.size - 1
         n_t = target.shape[1] + 1
         # where the target's mean is the grand mean, in the near state
         donor_sum = np.cumsum(_branch_stats(donors, sizes[:-1])[0], axis=1)[:, -1:]
         at_grand = n_t * donor_sum / D - target.sum(axis=1, keepdims=True)
-        width = grid[:, -1:] - grid[:, :1]
-        beyond = np.concatenate([grid[:, :1] - 0.5 * width - 1, grid[:, -1:] + 2 * width + 1],
+        width = grids.last - grids.at(0)
+        beyond = np.concatenate([grids.at(0) - 0.5 * width - 1, grids.last + 2 * width + 1],
                                 axis=1)
         points = _hole_points(donors, sizes[:-1], target, c) if target.shape[1] > 1 else values
         pick = points[:, rng.choice(points.shape[1], min(points.shape[1], 4), replace=False)]
@@ -360,22 +391,27 @@ def hole_cases(draw):
     alphas = (0.05, 0.15, draw(ALPHA))
     if shape == "boundary":
         alphas = (1 - int(rng.integers(1, K * sizes[-1])) / (K * sizes[-1]),) + alphas[1:]
-    cands = np.concatenate([grid, extras], axis=1)
-    return donors, sizes[:-1], target, cands, grid.shape[1], c, alphas
+    return donors, sizes[:-1], target, grids, extras, c, alphas
 
 
+# Data on a 0.1 lattice and a grid from -3 to 3 by 0.1 whose points 1, 2,
+# 13, 20 and 40 are lattice values that holes end on, where they tie a
+# score exactly
 HOLE_EXAMPLE = (np.array([[-1.0, 1.6, 0.2]]), np.array([3]), np.array([[-1.7, -0.1]]),
-                np.append(np.round(np.linspace(-3, 3, 61), 10), -1.2)[None], 61, 2.0,
+                _Grids(np.array([[-3.0]]), np.array([[3.0]]), 61), np.array([[-1.2]]), 2.0,
                 (0.5, 0.15, 0.3))
 
 # A lattice block where a grid point at the end of its state's span ties a
 # hole's end, of a piece just beyond the span: the cut keeps the piece for
-# its zone only because it widens the span by the zones' reach.
+# its zone only because it widens the span by the zones' reach. The first
+# test's grid runs from -1.1 to 1.1 by 0.1, and its point 14, where its far
+# state's run ends, is 0.30000000000000004; the second test's runs from
+# 0.1, where its near state's run starts, to 1.1. Holes end on both.
 SPAN_EXAMPLE = (np.array([[0.4, 0.2, -0.1], [0.3, -0.1, -0.3]]), np.array([3]),
                 np.array([[-0.5, -0.1], [-0.2, -0.1]]),
-                np.stack([np.append(np.arange(-11, 12) / 10, [-0.4, -0.0, -2.5]),
-                          np.append(np.arange(-11, 12) / 10, [0.6, 1.2, -0.4])]),
-                23, 0.5, (0.05, 0.15, 0.25, 0.3, 0.5))
+                _Grids(np.array([[-1.1], [0.1]]), np.full((2, 1), 1.1), 23),
+                np.array([[-0.4, -0.0, -2.5], [0.6, 1.2, -0.4]]), 0.5,
+                (0.05, 0.15, 0.25, 0.3, 0.5))
 
 
 @SETTINGS
@@ -386,11 +422,13 @@ def test_hole_counts_are_the_rank_forms(case):
     """What the harness reads of a block, each test's member count on its
     grid and the memberships of the candidates after it (the truth, and in
     some shapes points on the holes' ends), equals the rank form's member
-    sums and memberships."""
-    donors, sizes, target, cands, n_grid, c, alphas = case
-    rank = _hierarchical_block(donors, sizes, target, cands, c, False)
+    sums and memberships on the grids' rows."""
+    donors, sizes, target, grids, extras, c, alphas = case
+    n_grid = grids.size
+    rank = _hierarchical_block(donors, sizes, target, _candidate_rows(grids, extras), c,
+                               False)
     want = np.stack([rank_member(rank, a) for a in alphas])
-    counts, extra = _hierarchical_counts(donors, sizes, target, cands, c, False, alphas, n_grid)
+    counts, extra = _hierarchical_counts(donors, sizes, target, grids, extras, c, False, alphas)
     assert np.array_equal(counts, want[:, :, :n_grid].sum(axis=2))
     assert np.array_equal(extra, want[:, :, n_grid:])
 
@@ -403,38 +441,41 @@ def test_hole_form_matches_rank_form(case):
     view of the hole counts' events, equal the rank form's bit for bit, and
     so the library's, also for a block of one test, which the harness
     ranks."""
-    donors, sizes, target, cands, n_grid, c, alphas = case
+    donors, sizes, target, grids, extras, c, alphas = case
+    cands = _candidate_rows(grids, extras)
     rank = _hierarchical_block(donors, sizes, target, cands, c, False)
     want = np.stack([rank_member(rank, a) for a in alphas])
-    got = oracles.hole_members(donors, sizes, target, cands, c, alphas, n_grid)
+    got = oracles.hole_members(donors, sizes, target, grids, extras, c, alphas)
     assert np.array_equal(got, want)
     for b in range(donors.shape[0]):
         observed = np.split(donors[b], np.cumsum(sizes)[:-1]) + [target[b]]
         one = hierarchical_below(observed, cands[b], c, studentize=False)
         assert np.array_equal(one, rank[b])
+        lone = grids.take(slice(b, b + 1))
         assert np.array_equal(oracles.hole_members(donors[b:b + 1], sizes, target[b:b + 1],
-                                                   cands[b:b + 1], c, alphas, n_grid),
+                                                   lone, extras[b:b + 1], c, alphas),
                               want[:, b:b + 1])
 
 
-def _row_spans(donors, sizes, target, cands, c, n_grid):
+def _row_spans(donors, sizes, target, grids, extras, c):
     """Each row's (2 test + state) span on its grid's line as the hole form
     cuts by it, flat (2 B,): from its first to its last candidate in its
     state, grid points and extras, widened by twice its test's rounding
     reach; inf to -inf for a row without candidates."""
-    B = len(cands)
+    B = len(extras)
+    cands = _candidate_rows(grids, extras)
     scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1, keepdims=True)
     reach = scale + np.abs(cands).max(axis=1, keepdims=True)
-    grid = cands[:, :n_grid]
-    lo, step = grid[:, :1], (grid[:, -1:] - grid[:, :1]) / (n_grid - 1)
+    lo = cands[:, :1]
+    step = (cands[:, grids.size - 1:grids.size] - lo) / (grids.size - 1)
     donor_sum = np.cumsum(_branch_stats(donors, sizes)[0], axis=1)[:, -1:]
     K = sizes.size + 1
     span_lo, span_hi = np.full((B, 2), np.inf), np.full((B, 2), -np.inf)
-    for b, first, stop, state in zip(*holes._target_runs(target, grid, donor_sum, K, c, reach)):
+    for b, first, stop, state in zip(*holes._target_runs(target, grids, donor_sum, K, c, reach)):
         span_lo[b, state] = min(span_lo[b, state], first)
         span_hi[b, state] = max(span_hi[b, state], stop - 1)
-    far = ~_target_near(target, cands[:, n_grid:], donor_sum, K, c, reach)
-    ux = (cands[:, n_grid:] - lo) / step
+    far = ~_target_near(target, extras, donor_sum, K, c, reach)
+    ux = (extras - lo) / step
     for b, x in zip(*np.nonzero(~np.isnan(ux))):
         state = int(far[b, x])
         span_lo[b, state] = min(span_lo[b, state], ux[b, x])
@@ -443,7 +484,7 @@ def _row_spans(donors, sizes, target, cands, c, n_grid):
     return (span_lo - r).reshape(-1), (span_hi + r).reshape(-1)
 
 
-def _spied_hole_counts(donors, sizes, target, cands, c, alphas, n_grid):
+def _spied_hole_counts(donors, sizes, target, grids, extras, c, alphas):
     """``_hierarchical_counts`` of unstudentized sets, with a spy on
     ``holes._hole_events`` that asserts every piece formed into events
     meets its row's span (``_row_spans``). Returns the counts, the extras'
@@ -451,7 +492,9 @@ def _spied_hole_counts(donors, sizes, target, cands, c, alphas, n_grid):
     scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1)
     live = np.flatnonzero((scale <= 2.0**500 / (1.0 + abs(c))) & (target.shape[1] > 1)
                           & (c <= 2.0**500))
-    span_lo, span_hi = _row_spans(donors[live], sizes, target[live], cands[live], c, n_grid)
+    span_lo, span_hi = _row_spans(donors[live], sizes, target[live],
+                                  grids.take(live),
+                                  extras[live], c)
     formed = []
     events = holes._hole_events
 
@@ -462,9 +505,9 @@ def _spied_hole_counts(donors, sizes, target, cands, c, alphas, n_grid):
         return events(row, first, last, code, meets, n, bits)
 
     with mock.patch.object(holes, "_hole_events", spy):
-        counts, extra = _hierarchical_counts(donors, sizes, target, cands, c, False, alphas,
-                                             n_grid)
-    assert len(formed) == (live.size > 0 and len(cands) > 1)
+        counts, extra = _hierarchical_counts(donors, sizes, target, grids, extras, c, False,
+                                             alphas)
+    assert len(formed) == (live.size > 0 and len(extras) > 1)
     return counts, extra, sum(formed)
 
 
@@ -475,22 +518,24 @@ def _spied_hole_counts(donors, sizes, target, cands, c, alphas, n_grid):
 def test_hole_form_forms_only_pieces_that_meet_their_rows_spans(case):
     """The span cut: no piece that misses its row's span is formed into
     events, and the counts stay the rank form's."""
-    donors, sizes, target, cands, n_grid, c, alphas = case
-    rank = _hierarchical_block(donors, sizes, target, cands, c, False)
+    donors, sizes, target, grids, extras, c, alphas = case
+    n_grid = grids.size
+    rank = _hierarchical_block(donors, sizes, target, _candidate_rows(grids, extras), c,
+                               False)
     want = np.stack([rank_member(rank, a) for a in alphas])
-    counts, extra, _ = _spied_hole_counts(donors, sizes, target, cands, c, alphas, n_grid)
+    counts, extra, _ = _spied_hole_counts(donors, sizes, target, grids, extras, c, alphas)
     assert np.array_equal(counts, want[:, :, :n_grid].sum(axis=2))
     assert np.array_equal(extra, want[:, :, n_grid:])
 
 
 def _harness_block(cfg, tests, trial=0):
-    """The donors, sizes, target and candidates of a block of the harness's
-    first ``tests`` unsupervised tests of a trial."""
+    """The donors, sizes, target, grids and truths (the extras) of a block
+    of the harness's first ``tests`` unsupervised tests of a trial."""
     rng = np.random.default_rng((cfg.seed, trial))
     flat = np.stack([sim._draw_unsup(cfg, rng, ())[1][0] for _ in range(tests)])
     n = (cfg.n_branches - 1) * cfg.branch_size
-    gridp, _ = sim._grid_frame(flat[:, :-1], flat[:, -1], cfg)
-    return flat[:, :n], np.full(cfg.n_branches - 1, cfg.branch_size), flat[:, n:-1], gridp
+    grids, extras = sim._grid_frame(flat[:, :-1], flat[:, -1], cfg)
+    return flat[:, :n], np.full(cfg.n_branches - 1, cfg.branch_size), flat[:, n:-1], grids, extras
 
 
 @pytest.mark.parametrize("sigma2", [10.0, 2.0, 0.5, 0.0])
@@ -499,15 +544,16 @@ def test_hole_counts_on_harness_blocks(sigma2):
     counts and the truth's membership are the rank form's, and every piece
     formed meets its row's span."""
     cfg = HierarchicalConfig(sigma2=sigma2, alphas=(0.05, 0.15, 0.5), seed=20)
-    donors, sizes, target, cands = _harness_block(cfg, 24)
+    donors, sizes, target, grids, extras = _harness_block(cfg, 24)
+    cands = _candidate_rows(grids, extras)
     donor_sum = _branch_stats(donors, sizes)[0].sum(axis=1, keepdims=True)
     reach = np.abs(np.concatenate([donors, target, cands], axis=1)).max(axis=1, keepdims=True)
     near = _target_near(target, cands[:, :-1], donor_sum, cfg.n_branches, cfg.c, reach)
     assert (near.any(axis=1) & ~near.all(axis=1)).any()
     rank = _hierarchical_block(donors, sizes, target, cands, cfg.c, False)
     want = np.stack([rank_member(rank, a) for a in cfg.alphas])
-    counts, extra, formed = _spied_hole_counts(donors, sizes, target, cands, cfg.c, cfg.alphas,
-                                               cfg.grid_points)
+    counts, extra, formed = _spied_hole_counts(donors, sizes, target, grids, extras, cfg.c,
+                                               cfg.alphas)
     assert formed > 0
     assert np.array_equal(counts, want[:, :, :-1].sum(axis=2))
     assert np.array_equal(extra, want[:, :, -1:])
@@ -522,11 +568,12 @@ def test_hole_counts_with_huge_c_are_the_rank_forms(c, sigma2):
     a smaller huge c is counted by the holes. Either way the counts are the
     rank form's."""
     cfg = HierarchicalConfig(sigma2=sigma2, alphas=(0.05, 0.15, 0.5), seed=20, c=c)
-    donors, sizes, target, cands = _harness_block(cfg, 8)
-    rank = _hierarchical_block(donors, sizes, target, cands, c, False)
+    donors, sizes, target, grids, extras = _harness_block(cfg, 8)
+    rank = _hierarchical_block(donors, sizes, target, _candidate_rows(grids, extras), c,
+                               False)
     want = np.stack([rank_member(rank, a) for a in cfg.alphas])
-    counts, extra, formed = _spied_hole_counts(donors, sizes, target, cands, c, cfg.alphas,
-                                               cfg.grid_points)
+    counts, extra, formed = _spied_hole_counts(donors, sizes, target, grids, extras, c,
+                                               cfg.alphas)
     assert (formed > 0) == (c * np.abs(donors).max() < 2.0**500)
     assert np.array_equal(counts, want[:, :, :-1].sum(axis=2))
     assert np.array_equal(extra, want[:, :, -1:])
@@ -540,11 +587,10 @@ def test_hole_counts_memory_stays_small():
     import tracemalloc
 
     cfg = HierarchicalConfig(seed=21)
-    donors, sizes, target, cands = _harness_block(cfg, 40)
+    donors, sizes, target, grids, extras = _harness_block(cfg, 40)
     tracemalloc.start()
     try:
-        _hierarchical_counts(donors, sizes, target, cands, cfg.c, False, cfg.alphas,
-                             cfg.grid_points)
+        _hierarchical_counts(donors, sizes, target, grids, extras, cfg.c, False, cfg.alphas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -552,20 +598,110 @@ def test_hole_counts_memory_stays_small():
 
 
 def test_hole_form_needs_its_rounding_width(monkeypatch):
-    """Data and grid on a 0.1 lattice put a grid point on a hole's end, where
-    it ties a score exactly; without the rounding width the hole form decides
-    it otherwise than the rank form."""
-    donors, sizes, target, cands, n_grid, c, alphas = HOLE_EXAMPLE
+    """Data on a 0.1 lattice and grid points on it put a grid point on a
+    hole's end, where it ties a score exactly; without the rounding width
+    the hole form decides it otherwise than the rank form."""
+    donors, sizes, target, grids, extras, c, alphas = HOLE_EXAMPLE
+    n_grid = grids.size
+    cands = _candidate_rows(grids, extras)
+    assert np.isin(cands[0, :n_grid], _hole_points(donors, sizes, target, c)[0]).any()
     want = rank_member(_hierarchical_block(donors, sizes, target, cands, c, False), 0.5)
-    counts, extra = _hierarchical_counts(np.repeat(donors, 2, axis=0), sizes,
-                                         np.repeat(target, 2, axis=0),
-                                         np.repeat(cands, 2, axis=0), c, False, (0.5,), n_grid)
+
+    def twice():
+        # a block of two tests, which the hole form counts
+        return _hierarchical_counts(np.repeat(donors, 2, axis=0), sizes,
+                                    np.repeat(target, 2, axis=0),
+                                    _Grids(np.repeat(grids.first, 2, axis=0),
+                                           np.repeat(grids.last, 2, axis=0), n_grid),
+                                    np.repeat(extras, 2, axis=0), c, False, (0.5,))
+
+    counts, extra = twice()
     assert counts[0, 0] == want[0, :n_grid].sum() and extra[0, 0, 0] == want[0, -1]
     monkeypatch.setattr(holes, "_ENDS_ROUNDING", 0.0)
-    counts, extra = _hierarchical_counts(np.repeat(donors, 2, axis=0), sizes,
-                                         np.repeat(target, 2, axis=0),
-                                         np.repeat(cands, 2, axis=0), c, False, (0.5,), n_grid)
+    counts, extra = twice()
     assert counts[0, 0] != want[0, :n_grid].sum() or extra[0, 0, 0] != want[0, -1]
+
+
+def test_span_example_ties_a_hole_end_at_the_end_of_a_run():
+    """In ``SPAN_EXAMPLE`` a grid point that ends a run of grid points in one
+    target state ties a hole's end within the zones' reach, 2^-29 of the
+    test's magnitude, and that end lies just beyond the run."""
+    donors, sizes, target, grids, extras, c, _ = SPAN_EXAMPLE
+    rows = _candidate_rows(grids)
+    cands = _candidate_rows(grids, extras)
+    scale = np.abs(np.concatenate([donors, target], axis=1)).max(axis=1, keepdims=True)
+    reach = scale + np.abs(cands).max(axis=1, keepdims=True)
+    zone = 2 * _ENDS_ROUNDING * reach
+    donor_sum = np.cumsum(_branch_stats(donors, sizes)[0], axis=1)[:, -1:]
+    ends = _hole_points(donors, sizes, target, c)
+    tied = []
+    for b, first, stop, _ in zip(*holes._target_runs(target, grids, donor_sum, sizes.size + 1,
+                                                     c, reach)):
+        lo, hi = rows[b, first], rows[b, stop - 1]
+        beyond = ends[b][(ends[b] < lo) | (ends[b] > hi)]
+        tied += [x for x in (lo, hi) if (np.abs(beyond - x) <= zone[b]).any()]
+    assert tied
+
+
+@SETTINGS
+@given(size=st.integers(2, 2001), tests=st.integers(1, 4), n=st.integers(1, 12),
+       magnitude=st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e12]),
+       spread=st.sampled_from([0.0, 1e-3, 1.0, 1e6]), pad=st.sampled_from([0.0, 1.5, 4.0]),
+       seed=SEED)
+def test_grid_frames_are_the_candidate_grids(size, tests, n, magnitude, spread, pad, seed):
+    """The frame of each row's grid (``_Grids``) reads every point with the
+    bits of ``candidate_grid`` and of the one-array form, whole
+    (``_candidate_rows``), at any indices (``at``) and on a subset of rows
+    with extras after the grid; also where a row's values do not spread."""
+    rng = np.random.default_rng(seed)
+    values = magnitude * rng.normal(size=(tests, 1)) + spread * rng.normal(size=(tests, n))
+    grids = _uniform_grids(values, size, pad)
+    rows = _candidate_rows(grids)
+    assert np.array_equal(_bits(rows), _bits(oracles.grid_rows(values, size, pad)))
+    for b in range(tests):
+        assert np.array_equal(_bits(rows[b]), _bits(candidate_grid(values[b], size, pad)))
+    assert np.array_equal(_bits(grids.at(np.arange(size))), _bits(rows))
+    index = rng.integers(0, size, (tests, 7))
+    assert np.array_equal(_bits(grids.at(index)), _bits(np.take_along_axis(rows, index, axis=1)))
+    sel = np.flatnonzero(rng.uniform(size=tests) < 0.5)
+    extras = rng.normal(size=(sel.size, 2))
+    assert np.array_equal(_bits(_candidate_rows(grids.take(sel), extras)),
+                          _bits(np.concatenate([rows[sel], extras], axis=1)))
+    assert np.array_equal(_bits(grids.take(sel).at(index[sel])), _bits(grids.at(index)[sel]))
+    assert np.array_equal(_bits(grids.spacing()), _bits(rows[:, 1] - rows[:, 0]))
+
+
+@SETTINGS
+@given(size=st.integers(2, 300), tests=st.integers(1, 4), X=st.integers(0, 4),
+       kind=st.sampled_from(["random", "nan", "tied", "at_ends", "beyond"]), seed=SEED)
+def test_grid_frame_bounds_are_the_row_reductions(size, tests, X, kind, seed):
+    """Each row's smallest and largest candidate from points 0, size - 2 and
+    size - 1 of its grid and its extras equal the reductions of the whole
+    row, NaN where an extra is NaN, with extras tied to each other or to
+    grid points, at the grid's ends or beyond them; also on a subset of
+    rows."""
+    rng = np.random.default_rng(seed)
+    first = rng.normal(0, 10, (tests, 1))
+    grids = _Grids(first, first + rng.uniform(0, 5, (tests, 1)), size)
+    rows = _candidate_rows(grids)
+    extras = rng.normal(0, 10, (tests, X))
+    if X and kind == "nan":
+        extras[rng.uniform(size=(tests, X)) < 0.5] = np.nan
+    if X and kind == "tied":
+        extras = np.take_along_axis(rows, rng.integers(0, size, (tests, X)), axis=1)
+        extras[:, -1] = extras[:, 0]
+    if X and kind == "at_ends":
+        extras = np.repeat(rows[:, [0, -1]], X, axis=1)[:, :X]
+    if X and kind == "beyond":
+        extras = np.concatenate([rows[:, :1] - 1, rows[:, -1:] + 1] * X, axis=1)[:, :X]
+    whole = np.concatenate([rows, extras], axis=1)
+    low, high = grids.bounds(extras)
+    assert np.array_equal(low, whole.min(axis=1, keepdims=True), equal_nan=True)
+    assert np.array_equal(high, whole.max(axis=1, keepdims=True), equal_nan=True)
+    sel = np.flatnonzero(rng.uniform(size=tests) < 0.5)
+    low, high = grids.take(sel).bounds(extras[sel])
+    assert np.array_equal(low, whole[sel].min(axis=1, keepdims=True), equal_nan=True)
+    assert np.array_equal(high, whole[sel].max(axis=1, keepdims=True), equal_nan=True)
 
 
 # ----------------------------------------------------------------------
@@ -655,11 +791,14 @@ def test_supervised_intervals_match_rank_form(studentize, res, alpha, n_grid, at
     want = np.stack([rank_member(below, a) for a in (alpha, 0.1)])
     assert np.array_equal(sets.member(grid[None]), want)
     if not at_ends:
-        gridp = np.append(grid, center + target[:1])[None]
-        spacing = gridp[:, 1] - gridp[:, 0]
+        # the harness's count on the uniform grid from the grid's first to
+        # its last point, a target residual's point (the center without
+        # one) as the truth
+        grids, truth = _frame(grid), center + np.append(target, 0.0)[None, :1]
+        gridp = _candidate_rows(grids, truth)
         below = _supervised_block(residuals, sizes, np.abs(gridp - center), studentize)
-        assert np.array_equal(_interval_rows([sets], gridp, spacing)[0],
-                              _rank_rows(below, (alpha, 0.1), spacing))
+        assert np.array_equal(_interval_rows([sets], grids, truth)[0],
+                              _rank_rows(below, (alpha, 0.1), grids))
 
 
 def _largest_gap_within(got, want, rel):
@@ -819,6 +958,50 @@ def test_blocked_branch_fit_has_each_tests_bits(sizes, d, tests, seed):
             assert np.array_equal(f[b], g[0])
 
 
+def _bits(a):
+    """The bits of a float array, so that -0.0 and 0.0 differ and NaN
+    equals itself."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@SETTINGS
+@given(d=st.sampled_from([1, 2, 3]), runs=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       log_scale=st.integers(-6, 6), seed=SEED)
+def test_run_products_have_the_bits_of_the_product_form(d, runs, log_scale, seed):
+    """``_fit_runs``' sums, one ``np.add.reduceat`` per column pair, equal the
+    reduction of the (rows, d, d + 1) products bit for bit, on ragged runs."""
+    n = np.array(runs)
+    rng = np.random.default_rng(seed)
+    dev = rng.normal(0, 10.0**log_scale, (n.sum(), d + 1)) * rng.uniform(0.1, 10, d + 1)
+    dev_x, dev_y = np.ascontiguousarray(dev[:, :d]), dev[:, d].copy()
+    starts = np.cumsum(n) - n
+    assert np.array_equal(_bits(transforms._run_products(dev_x, dev_y, starts)),
+                          _bits(oracles.run_products(dev_x, dev_y, starts)))
+
+
+@SETTINGS
+@given(sizes=st.lists(st.sampled_from([0, 1, 2, 3, 4, 5, 9]), min_size=1, max_size=6),
+       d=st.integers(1, 3), tests=st.integers(1, 5), seed=SEED)
+def test_gather_free_sigma_k_has_the_bits_of_the_einsum_form(sizes, d, tests, seed):
+    """``sigma_k``, one gathered entry of the inverse Gram matrices at a
+    time, equals one ``np.einsum`` over the gathered (..., d + 1, d + 1)
+    matrices bit for bit: on ragged branches with unfitted ones (under 2
+    rows), at the harness's index array, at random index arrays that
+    broadcast against the points, and at one branch index."""
+    sizes = np.array(sizes)
+    assume(sizes.sum() > d and all(n < 2 or n > d for n in sizes))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5, 0.5, (tests, sizes.sum(), d))
+    y = x @ rng.normal(0, 3, d) + rng.normal(0, 0.5, (tests, sizes.sum()))
+    reg = _fit_block(x, y, sizes)
+    x_cal = rng.uniform(-2, 2, (tests, sizes.sum(), d))
+    K = sizes.size
+    harness = np.repeat(np.arange(K), sizes) + K * np.arange(tests)[:, None]
+    picked = rng.integers(0, K * tests, (tests, 1))
+    for k, at in ((harness, x_cal), (picked, x_cal), (int(rng.integers(K * tests)), x_cal[0])):
+        assert np.array_equal(_bits(reg.sigma_k(k, at)), _bits(oracles.einsum_sigma_k(reg, k, at)))
+
+
 @st.composite
 def rank_runs(draw):
     """Rows x (N, d) in runs of 2-8, each run of one kind: spread, constant,
@@ -973,6 +1156,20 @@ def test_weighted_intervals_reject_negative_weights(build, weights):
         build(np.array(weights))
 
 
+@pytest.mark.parametrize("build", [
+    lambda v, alphas: centered_intervals(v, alphas),
+    lambda v, alphas: score_intervals(np.abs(v), alphas),
+    lambda v, alphas: score_intervals(np.abs(v), alphas, np.zeros((v.shape[0], 1))),
+])
+@pytest.mark.parametrize("m", [0, 3])
+def test_unweighted_intervals_of_no_tests_are_empty(build, m):
+    """A block of no tests, with or without calibration values, has ends
+    of shape (0, A) and no members, without weights as with them."""
+    sets = build(np.empty((0, m)), (0.1, 0.5))
+    assert sets.low.shape == sets.high.shape == (0, 2)
+    assert sets.member(np.empty((0, 4))).shape == (2, 0, 4)
+
+
 @pytest.mark.parametrize("studentize", [False, True])
 @pytest.mark.parametrize("methods", [ALL_METHODS[:4], ("symmpi", "conformal", "single_tree")])
 @SETTINGS
@@ -1054,12 +1251,13 @@ def test_centered_conformal_matches_oracle(n, seed, n_grid, alpha, shape):
     assert np.array_equal(split_conformal_set(vals, grid, alpha).member, want)
     assert np.array_equal(single_tree_set(vals, grid, alpha).member, want)
     if shape != "at_ends":
-        # the harness's count on the uniform grid, a data value as the truth
-        gridp = np.append(grid, vals[0])[None]
-        spacing = gridp[:, 1] - gridp[:, 0]
+        # the harness's count on the uniform grid from the grid's first to
+        # its last point, a data value as the truth
+        grids, truth = _frame(grid), vals[None, :1]
+        gridp = _candidate_rows(grids, truth)
         want_rows = _rank_rows(oracles.centered_conformal_below(vals[None], gridp), (alpha,),
-                               spacing)
-        assert np.array_equal(_interval_rows([intervals], gridp, spacing)[0], want_rows)
+                               grids)
+        assert np.array_equal(_interval_rows([intervals], grids, truth)[0], want_rows)
     if shape in ("random", "boundary") and n >= 2:
         # with one value, it and the candidate sit at the same distance from
         # their mean, an exact tie that rounding breaks either way; on the
@@ -1096,11 +1294,11 @@ def test_fixed_score_conformal_matches_oracle(n, seed, n_points, alpha, shape):
     assert np.array_equal(intervals.member(grid[None])[0, 0],
                           oracles.conformal_members(np.abs(vals - 0.5), np.abs(grid - 0.5), alpha))
     if shape != "at_ends" and n:
-        gridp = np.append(grid, vals[0])[None]
-        spacing = gridp[:, 1] - gridp[:, 0]
+        grids, truth = _frame(grid), vals[None, :1]
+        gridp = _candidate_rows(grids, truth)
         below = oracles.conformal_below(np.abs(vals - 0.5), np.abs(gridp[0] - 0.5))[None]
-        assert np.array_equal(_interval_rows([intervals], gridp, spacing)[0],
-                              _rank_rows(below, (alpha,), spacing))
+        assert np.array_equal(_interval_rows([intervals], grids, truth)[0],
+                              _rank_rows(below, (alpha,), grids))
     rows = np.abs(vals[None, :] - 0.1 * grid[:, None])
     want_rows = oracles.conformal_members(rows, np.abs(grid), alpha)
     assert np.array_equal(rank_member(_rows_below(rows, np.abs(grid)), alpha), want_rows)

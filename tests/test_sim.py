@@ -347,6 +347,39 @@ def test_rotation_sets_reject_observed_points_of_another_shape(shape):
             call()
 
 
+@pytest.mark.parametrize("observed, test_points", [
+    ((6, 2), (3, 3)),
+    ((6, 2), (2, 1)),
+    ((6, 1), (3,)),
+])
+def test_rotation_region_covers_rejects_test_points_of_another_shape(observed, test_points):
+    """Test points of another width than the observed points', or a 1-d
+    array that is not one point's coordinates, raise ``ValueError`` naming
+    both shapes before anything is drawn."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    problem = re.escape(f"test points of shape {test_points} do not fit observed points of "
+                        f"shape {observed}")
+    with pytest.raises(ValueError, match=problem):
+        rotation_region_covers(np.ones(observed), np.ones(test_points), 0.2, 50, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_rotation_region_covers_reads_a_1d_array_as_one_point():
+    pts = np.random.default_rng(19).normal(size=(6, 2))
+    point = np.array([0.4, -1.2])
+    one = rotation_region_covers(pts, point, 0.2, 50, np.random.default_rng(0))
+    assert np.array_equal(one, rotation_region_covers(pts, point[None], 0.2, 50,
+                                                      np.random.default_rng(0)))
+    assert one.shape == (1,)
+    column = np.random.default_rng(20).normal(size=(6, 1))
+    lone = rotation_region_covers(column, np.array([0.3]), 0.2, 50, np.random.default_rng(0))
+    assert lone.shape == (1,)
+    # a scalar is one point of one coordinate
+    assert np.array_equal(rotation_region_covers(column, 0.3, 0.2, 50, np.random.default_rng(0)),
+                          lone)
+
+
 def test_rotation_region_needs_an_observed_point():
     with pytest.raises(ValueError, match="at least one observed point"):
         rotation_region(np.empty((0, 2)), 0.2, 50, np.random.default_rng(0))
@@ -485,6 +518,35 @@ def test_benchmark_symmpi_tracks_conformal_at_zero_spread():
     # times the 0.5 noise scale
     assert 1.90 <= by["conformal"].mean_length <= 2.06
     assert by["conformal"].mean_coverage >= 0.95 - 3 * np.sqrt(0.05 * 0.95 / 360)
+
+
+@pytest.mark.parametrize("supervised, tests, parent_mib", [(False, 65, 3.54), (True, 64, 3.49)])
+def test_harness_block_memory_stays_below_the_grid_arrays(supervised, tests, parent_mib):
+    """One full block at the 2001-point grid, the first of seed 1's trial 0:
+    a 65-test table-1 block and a 64-test table-2 block. Their traced peaks
+    were 3.54 and 3.49 MiB while blocks formed each test's candidate grid,
+    (tests x 2002) floats, and the supervised bands gathered (tests x rows
+    x 2 x 2) matrices; reading the grids at their indices takes each peak
+    at least 0.5 MiB lower (2.55 and 2.07 MiB)."""
+    import tracemalloc
+
+    methods = ("symmpi", "conformal", "subsampling", "single_tree")
+    cfg = HierarchicalConfig(branch_size=30 if supervised else 15, supervised=supervised,
+                             alphas=(0.05, 0.15), seed=1)
+    rng = np.random.default_rng((cfg.seed, 0))
+    draw, block = ((sim._draw_sup, sim._sup_block) if supervised
+                   else (sim._draw_unsup, sim._unsup_block))
+    draws = [draw(cfg, rng, methods) for _ in range(tests)]
+    data = [np.stack(arrays) for arrays in zip(*(d[1] for d in draws))]
+    picks = np.stack([d[2] for d in draws])
+    block(*data, draws[0][0], picks, cfg, methods)
+    tracemalloc.start()
+    try:
+        block(*data, draws[0][0], picks, cfg, methods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (parent_mib - 0.5) * 2**20
 
 
 def test_benchmark_symmpi_flat_while_conformal_grows():
